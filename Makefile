@@ -13,7 +13,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test verify simperf trace faults serve micro chaos compare figures clean
+.PHONY: test verify simperf trace faults serve micro chaos compare figures perfbench clean
 
 test:
 	$(PYTHON) -m pytest -q
@@ -51,6 +51,16 @@ compare:
 
 figures:
 	$(PYTHON) -m repro.bench all
+
+# One short pass of every end-to-end benchmark workload (see
+# perfbench/README.md); fails on the first nonzero exit.
+PERFBENCH_WORKLOADS = compile-cold sweep-decoded sweep-warp serve-mixed
+
+perfbench:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench: $$w"; \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # `clean` deliberately keeps .repro-bench/ — the perf history's value
 # is its persistence across checkouts; delete it explicitly if needed.

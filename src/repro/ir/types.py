@@ -57,13 +57,25 @@ class IntType(Type):
     def __post_init__(self) -> None:
         if self.bits not in (1, 8, 16, 32, 64):
             raise ValueError(f"unsupported integer width: {self.bits}")
+        # Derived constants, computed once per instance: ``wrap`` and
+        # ``to_signed`` run on every simulated integer op.  They are
+        # plain attributes, not dataclass fields, so eq/hash/repr still
+        # see only ``bits``.
+        object.__setattr__(self, "mask", (1 << self.bits) - 1)
+        object.__setattr__(self, "half", 1 << (self.bits - 1) if self.bits > 1 else 0)
+
+    def __setstate__(self, state) -> None:
+        # Pickles written before the derived constants existed carry
+        # only ``bits``; recompute instead of trusting the payload.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def __str__(self) -> str:
         return f"i{self.bits}"
 
     @property
     def max_unsigned(self) -> int:
-        return (1 << self.bits) - 1
+        return self.mask
 
     @property
     def min_signed(self) -> int:
@@ -75,14 +87,12 @@ class IntType(Type):
 
     def wrap(self, value: int) -> int:
         """Wrap *value* to this width (two's complement, unsigned repr)."""
-        return value & self.max_unsigned
+        return value & self.mask
 
     def to_signed(self, value: int) -> int:
-        """Interpret the unsigned representation *value* as signed."""
-        value = self.wrap(value)
-        if self.bits > 1 and value > self.max_signed:
-            value -= 1 << self.bits
-        return value
+        """Interpret the unsigned representation *value* as signed
+        (``i1`` has no sign bit: ``half`` is 0 and this is ``wrap``)."""
+        return ((value + self.half) & self.mask) - self.half
 
 
 @dataclass(frozen=True)

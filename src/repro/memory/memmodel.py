@@ -11,6 +11,7 @@ different teams, exactly like a real GPU shared-memory address.
 
 from __future__ import annotations
 
+import mmap
 import struct
 import threading
 from typing import Dict, Optional, Tuple, Union
@@ -45,7 +46,12 @@ class Segment:
 
     def __init__(self, space: AddressSpace, size: int, base: int = 16) -> None:
         self.space = space
-        self.data = bytearray(size)
+        # An anonymous mapping, not a bytearray: zero-filled pages are
+        # only committed when touched and go back to the OS when the
+        # segment dies.  A bytearray this large would sit in the malloc
+        # heap, where any long-lived object allocated above it keeps it
+        # resident after free, making peak RSS depend on allocation order.
+        self.data = mmap.mmap(-1, size)
         #: Next free offset.  Starts past a small guard so offset 0 stays
         #: an invalid (null-like) address.
         self.brk = base

@@ -21,6 +21,13 @@ that once, in a ``decode(Function) -> DecodedFunction`` pass:
   cost component.
 * Phi nodes never execute: each CFG edge carries a pre-computed
   parallel-copy move list applied by the branch handlers.
+* Straight-line runs of simple ops (arithmetic, compares, select,
+  ptradd, casts, loads, stores) are *fused* on a function's first
+  decoded execution: each run becomes one generated function that
+  executes its ops inline, with slots, masks and costs as literals, and
+  retires them in bulk (see "Fused runs" below).  Each simple opcode is
+  defined once, as a source template (:data:`_TEMPLATES`) that yields
+  both the fused code and its per-op handler.
 
 Decoding is split in two stages.  The *static* stage
 (:func:`decode_function`) depends only on the function and the
@@ -31,7 +38,9 @@ global/function addresses for one device.  Both are cached per
 mutate functions **in place**, so a decode memoized on the function's
 identity could outlive the IR it was decoded from.  Each device
 decodes the IR as it stands at first launch — the same snapshot
-moment at which the device materialized the module's globals.
+moment at which the device materialized the module's globals.  Only
+the compiled code of fused runs is shared process-wide, keyed by its
+generated source, which is rendered from each device's own decode.
 
 Semantics are intentionally bit-identical to the legacy engine: both
 charge the same cycles, count into the same :class:`TeamStats` fields
@@ -41,6 +50,8 @@ differential tests enforce this.
 
 from __future__ import annotations
 
+import hashlib
+import math
 import struct
 from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Tuple
@@ -133,6 +144,7 @@ class DecodedFunction:
         "block_starts",
         "insts",
         "slot_map",
+        "fused",
     )
 
     def __init__(self, function: Function) -> None:
@@ -157,6 +169,9 @@ class DecodedFunction:
         #: without re-running slot assignment.
         self.insts: List = []
         self.slot_map: Dict[int, int] = {}
+        #: ``ops`` with fused-run entries, built by :func:`_fuse` on
+        #: first decoded execution (None until then).
+        self.fused: Optional[List[tuple]] = None
 
 
 class BoundFunction:
@@ -231,388 +246,371 @@ def _segment(vm, thread, tag):
     return None
 
 
-# -- integer binops: (h, op, next, dest, a, b, wrap, cost) --
-
-
-def _h_add(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = op[6](regs[op[4]] + regs[op[5]])
-    frame.pc = op[2]
-    return op[7]
-
-
-def _h_sub(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = op[6](regs[op[4]] - regs[op[5]])
-    frame.pc = op[2]
-    return op[7]
-
-
-def _h_mul(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = op[6](regs[op[4]] * regs[op[5]])
-    frame.pc = op[2]
-    return op[7]
-
-
-# -- bitwise: (h, op, next, dest, a, b, cost) --
-
-
-def _h_and(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = regs[op[4]] & regs[op[5]]
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_or(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = regs[op[4]] | regs[op[5]]
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_xor(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = regs[op[4]] ^ regs[op[5]]
-    frame.pc = op[2]
-    return op[6]
-
-
-# -- shifts: shl (h, op, next, dest, a, b, bits, wrap, cost);
-#    lshr (h, op, next, dest, a, b, bits, cost);
-#    ashr (h, op, next, dest, a, b, bits, to_signed, wrap, cost) --
-
-
-def _h_shl(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = op[7](regs[op[4]] << (regs[op[5]] % op[6]))
-    frame.pc = op[2]
-    return op[8]
-
-
-def _h_lshr(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = regs[op[4]] >> (regs[op[5]] % op[6])
-    frame.pc = op[2]
-    return op[7]
-
-
-def _h_ashr(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = op[8](op[7](regs[op[4]]) >> (regs[op[5]] % op[6]))
-    frame.pc = op[2]
-    return op[9]
-
-
-# -- integer division: (h, op, next, dest, a, b, to_signed, wrap, cost)
-#    signed; (h, op, next, dest, a, b, cost) unsigned --
-
-
-def _h_sdiv(vm, thread, frame, op):
-    regs = frame.regs
-    to_signed = op[6]
-    sa, sb = to_signed(regs[op[4]]), to_signed(regs[op[5]])
-    if sb == 0:
-        raise division_by_zero_error()
-    regs[op[3]] = op[7](int(sa / sb))
-    frame.pc = op[2]
-    return op[8]
-
-
-def _h_srem(vm, thread, frame, op):
-    regs = frame.regs
-    to_signed = op[6]
-    sa, sb = to_signed(regs[op[4]]), to_signed(regs[op[5]])
-    if sb == 0:
-        raise division_by_zero_error()
-    regs[op[3]] = op[7](sa - int(sa / sb) * sb)
-    frame.pc = op[2]
-    return op[8]
-
-
-def _h_udiv(vm, thread, frame, op):
-    regs = frame.regs
-    b = regs[op[5]]
-    if b == 0:
-        raise division_by_zero_error()
-    regs[op[3]] = regs[op[4]] // b
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_urem(vm, thread, frame, op):
-    regs = frame.regs
-    b = regs[op[5]]
-    if b == 0:
-        raise division_by_zero_error()
-    regs[op[3]] = regs[op[4]] % b
-    frame.pc = op[2]
-    return op[6]
-
-
-# -- float binops: (h, op, next, dest, a, b, cost) --
-
-
-def _h_fadd(vm, thread, frame, op):
-    thread.stats.flops += 1
-    regs = frame.regs
-    regs[op[3]] = regs[op[4]] + regs[op[5]]
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_fsub(vm, thread, frame, op):
-    thread.stats.flops += 1
-    regs = frame.regs
-    regs[op[3]] = regs[op[4]] - regs[op[5]]
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_fmul(vm, thread, frame, op):
-    thread.stats.flops += 1
-    regs = frame.regs
-    regs[op[3]] = regs[op[4]] * regs[op[5]]
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_fdiv(vm, thread, frame, op):
-    thread.stats.flops += 1
-    regs = frame.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if b == 0.0:
-        regs[op[3]] = (
-            float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
-        )
-    else:
-        regs[op[3]] = a / b
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_frem(vm, thread, frame, op):
-    import math
-
-    thread.stats.flops += 1
-    regs = frame.regs
-    a, b = regs[op[4]], regs[op[5]]
-    regs[op[3]] = math.fmod(a, b) if b != 0.0 else float("nan")
-    frame.pc = op[2]
-    return op[6]
-
-
-# -- icmp raw: (h, "icmp", next, dest, a, b, cost);
-#    icmp signed: (h, "icmp", next, dest, a, b, to_signed, cost) --
-
-
-def _h_icmp_eq(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = 1 if regs[op[4]] == regs[op[5]] else 0
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_icmp_ne(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = 1 if regs[op[4]] != regs[op[5]] else 0
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_icmp_lt(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = 1 if regs[op[4]] < regs[op[5]] else 0
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_icmp_le(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = 1 if regs[op[4]] <= regs[op[5]] else 0
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_icmp_gt(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = 1 if regs[op[4]] > regs[op[5]] else 0
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_icmp_ge(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = 1 if regs[op[4]] >= regs[op[5]] else 0
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_icmp_slt(vm, thread, frame, op):
-    regs = frame.regs
-    s = op[6]
-    regs[op[3]] = 1 if s(regs[op[4]]) < s(regs[op[5]]) else 0
-    frame.pc = op[2]
-    return op[7]
-
-
-def _h_icmp_sle(vm, thread, frame, op):
-    regs = frame.regs
-    s = op[6]
-    regs[op[3]] = 1 if s(regs[op[4]]) <= s(regs[op[5]]) else 0
-    frame.pc = op[2]
-    return op[7]
-
-
-def _h_icmp_sgt(vm, thread, frame, op):
-    regs = frame.regs
-    s = op[6]
-    regs[op[3]] = 1 if s(regs[op[4]]) > s(regs[op[5]]) else 0
-    frame.pc = op[2]
-    return op[7]
-
-
-def _h_icmp_sge(vm, thread, frame, op):
-    regs = frame.regs
-    s = op[6]
-    regs[op[3]] = 1 if s(regs[op[4]]) >= s(regs[op[5]]) else 0
-    frame.pc = op[2]
-    return op[7]
-
-
-# -- fcmp: (h, "fcmp", next, dest, a, b, cost); ordered comparisons
-#    are naturally False on NaN except "one", which gets a guard --
-
-
-def _h_fcmp_oeq(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = 1 if regs[op[4]] == regs[op[5]] else 0
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_fcmp_one(vm, thread, frame, op):
-    regs = frame.regs
-    a, b = regs[op[4]], regs[op[5]]
-    regs[op[3]] = 1 if (a == a and b == b and a != b) else 0
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_fcmp_olt(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = 1 if regs[op[4]] < regs[op[5]] else 0
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_fcmp_ole(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = 1 if regs[op[4]] <= regs[op[5]] else 0
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_fcmp_ogt(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = 1 if regs[op[4]] > regs[op[5]] else 0
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_fcmp_oge(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = 1 if regs[op[4]] >= regs[op[5]] else 0
-    frame.pc = op[2]
-    return op[6]
-
-
-# -- select: (h, "select", next, dest, cond, tval, fval, cost) --
-
-
-def _h_select(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = regs[op[5]] if regs[op[4]] else regs[op[6]]
-    frame.pc = op[2]
-    return op[7]
-
-
-# -- ptradd: (h, "ptradd", next, dest, ptr, off, to_signed, cost) --
-
-
-def _h_ptradd(vm, thread, frame, op):
-    regs = frame.regs
-    regs[op[3]] = regs[op[4]] + op[6](regs[op[5]])
-    frame.pc = op[2]
-    return op[7]
-
-
-# -- casts --
-
-
-def _h_zext(vm, thread, frame, op):
-    # (h, op, next, dest, src, cost)
-    regs = frame.regs
-    regs[op[3]] = int(regs[op[4]])
-    frame.pc = op[2]
-    return op[5]
-
-
-def _h_copy(vm, thread, frame, op):
-    # ptrtoint/inttoptr/bitcast: (h, op, next, dest, src, cost)
-    regs = frame.regs
-    regs[op[3]] = regs[op[4]]
-    frame.pc = op[2]
-    return op[5]
-
-
-def _h_sext(vm, thread, frame, op):
-    # (h, op, next, dest, src, to_signed, wrap, cost)
-    regs = frame.regs
-    regs[op[3]] = op[6](op[5](int(regs[op[4]])))
-    frame.pc = op[2]
-    return op[7]
-
-
-def _h_trunc(vm, thread, frame, op):
-    # (h, op, next, dest, src, wrap, cost)
-    regs = frame.regs
-    regs[op[3]] = op[5](int(regs[op[4]]))
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_sitofp(vm, thread, frame, op):
-    # (h, op, next, dest, src, to_signed, cost)
-    regs = frame.regs
-    regs[op[3]] = float(op[5](int(regs[op[4]])))
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_uitofp(vm, thread, frame, op):
-    # (h, op, next, dest, src, cost)
-    regs = frame.regs
-    regs[op[3]] = float(int(regs[op[4]]))
-    frame.pc = op[2]
-    return op[5]
-
-
-def _h_fptosi(vm, thread, frame, op):
-    # (h, op, next, dest, src, wrap, cost)
-    regs = frame.regs
-    regs[op[3]] = op[5](int(float(regs[op[4]])))
-    frame.pc = op[2]
-    return op[6]
-
-
-def _h_tofloat(vm, thread, frame, op):
-    # fpext/fptrunc: (h, op, next, dest, src, cost)
-    regs = frame.regs
-    regs[op[3]] = float(regs[op[4]])
-    frame.pc = op[2]
-    return op[5]
+# ===================================================================
+# Simple micro-ops: one source template per opcode
+#
+# The straight-line opcodes (integer and float arithmetic, compares,
+# select, ptradd, casts, loads and stores) are defined exactly once, as
+# Python source templates, and instantiated twice:
+#
+# * as the per-op handler ``_h_<name>(vm, thread, frame, op)``, whose
+#   placeholders read the op tuple (``{a}`` -> ``r[op[4]]``,
+#   ``{T.mask}`` -> ``op[6].mask``).  These keep the op-tuple layouts
+#   below; the warp engine maps them by identity;
+# * inline in a *fused run* (:func:`_fuse`), with register slots,
+#   widths, masks, sign constants and cost tables folded into the
+#   source as literals (``{a}`` -> ``r[12]``, ``{T.mask}`` ->
+#   ``4294967295``).
+#
+# Op fields after ``(h, opcode, next)`` are named by the spec string.
+# Lower-case names are register slots.  ``C`` is the static cycle cost,
+# ``T``/``S`` the IntType to wrap to / to read as signed (``.mask``,
+# ``.half``), ``W`` a bit width, ``N`` an access size, ``TY`` the
+# accessed IR type, ``K`` the per-tag cost tuple and ``X`` a struct
+# pack/unpack.  Memory templates have no ``C``: they leave their cost
+# in ``k``.  Templates may read ``vm``, ``thread``, the registers ``r``
+# and the stats ``st``, and use the temporaries x, y, tag, off, seg, k.
+# ===================================================================
+
+
+def _sx(v: str) -> str:
+    """Template text reading *v* as signed under field ``S`` (the
+    branch-free form of :meth:`IntType.to_signed`)."""
+    return f"((({v} + {{S.half}}) & {{S.mask}}) - {{S.half}})"
+
+
+def _mem(access: str, fast: str, fallback: str) -> str:
+    """Template for a load/store: fast path on the thread's cached
+    segment; null, unmapped and out-of-bounds pointers take the memory
+    system's slow path so errors are raised exactly like the legacy
+    engine's.  A cost of None (space missing from the cost table) or 0
+    defers to the cost model, which raises the legacy KeyError or
+    returns the same 0."""
+    return (
+        "x = {p}\n"
+        "tag = x >> 48\n"
+        f"off = x & {OFFSET_MASK}\n"
+        "seg = _segment(vm, thread, tag)\n"
+        "if seg is None or off == 0 or off + {N} > len(seg.data):\n"
+        f"    {fallback}\n"
+        "else:\n"
+        f"    {fast}\n"
+        f"st.{access}s_by_space[_SPACE_BY_TAG[tag]] += 1\n"
+        f"k = {{K}}[tag] or vm.cost.{access}_cost(_SPACE_BY_TAG[tag])"
+    )
+
+
+_LOAD_SLOW = "{d} = vm.memory.load(x, {TY}, thread.team_id, thread.thread_id)"
+_STORE_SLOW = "vm.memory.store(x, {v}, {TY}, thread.team_id, thread.thread_id)"
+_DIV = "if y == 0:\n    raise division_by_zero_error()\n"
+
+#: name -> (op fields, counts a flop, template); the handler is ``_h_<name>``.
+_TEMPLATES: Dict[str, Tuple[str, bool, str]] = {
+    "add": ("d a b T C", False, "{d} = ({a} + {b}) & {T.mask}"),
+    "sub": ("d a b T C", False, "{d} = ({a} - {b}) & {T.mask}"),
+    "mul": ("d a b T C", False, "{d} = ({a} * {b}) & {T.mask}"),
+    "and": ("d a b C", False, "{d} = {a} & {b}"),
+    "or": ("d a b C", False, "{d} = {a} | {b}"),
+    "xor": ("d a b C", False, "{d} = {a} ^ {b}"),
+    "shl": ("d a b W T C", False, "{d} = ({a} << ({b} % {W})) & {T.mask}"),
+    "lshr": ("d a b W C", False, "{d} = {a} >> ({b} % {W})"),
+    "ashr": ("d a b W S T C", False,
+             "{d} = (" + _sx("{a}") + " >> ({b} % {W})) & {T.mask}"),
+    "sdiv": ("d a b S T C", False,
+             f"x = {_sx('{a}')}\ny = {_sx('{b}')}\n{_DIV}"
+             "{d} = int(x / y) & {T.mask}"),
+    "srem": ("d a b S T C", False,
+             f"x = {_sx('{a}')}\ny = {_sx('{b}')}\n{_DIV}"
+             "{d} = (x - int(x / y) * y) & {T.mask}"),
+    "udiv": ("d a b C", False, "y = {b}\n" + _DIV + "{d} = {a} // y"),
+    "urem": ("d a b C", False, "y = {b}\n" + _DIV + "{d} = {a} % y"),
+    "fadd": ("d a b C", True, "{d} = {a} + {b}"),
+    "fsub": ("d a b C", True, "{d} = {a} - {b}"),
+    "fmul": ("d a b C", True, "{d} = {a} * {b}"),
+    "fdiv": ("d a b C", True,
+             "x = {a}\ny = {b}\n"
+             "if y == 0.0:\n    {d} = _INF if x > 0 else _NINF if x < 0 else _NAN\n"
+             "else:\n    {d} = x / y"),
+    "frem": ("d a b C", True,
+             "x = {a}\ny = {b}\n{d} = _fmod(x, y) if y != 0.0 else _NAN"),
+    # icmp: unsigned predicates, and signed ones on pointer operands
+    # (the legacy engine applies to_signed to IntType operands only)
+    "icmp_eq": ("d a b C", False, "{d} = 1 if {a} == {b} else 0"),
+    "icmp_ne": ("d a b C", False, "{d} = 1 if {a} != {b} else 0"),
+    "icmp_lt": ("d a b C", False, "{d} = 1 if {a} < {b} else 0"),
+    "icmp_le": ("d a b C", False, "{d} = 1 if {a} <= {b} else 0"),
+    "icmp_gt": ("d a b C", False, "{d} = 1 if {a} > {b} else 0"),
+    "icmp_ge": ("d a b C", False, "{d} = 1 if {a} >= {b} else 0"),
+    "icmp_slt": ("d a b S C", False,
+                 f"{{d}} = 1 if {_sx('{a}')} < {_sx('{b}')} else 0"),
+    "icmp_sle": ("d a b S C", False,
+                 f"{{d}} = 1 if {_sx('{a}')} <= {_sx('{b}')} else 0"),
+    "icmp_sgt": ("d a b S C", False,
+                 f"{{d}} = 1 if {_sx('{a}')} > {_sx('{b}')} else 0"),
+    "icmp_sge": ("d a b S C", False,
+                 f"{{d}} = 1 if {_sx('{a}')} >= {_sx('{b}')} else 0"),
+    # fcmp: ordered comparisons are naturally false on NaN, except
+    # "one", which gets a guard
+    "fcmp_oeq": ("d a b C", False, "{d} = 1 if {a} == {b} else 0"),
+    "fcmp_one": ("d a b C", False,
+                 "x = {a}\ny = {b}\n{d} = 1 if (x == x and y == y and x != y) else 0"),
+    "fcmp_olt": ("d a b C", False, "{d} = 1 if {a} < {b} else 0"),
+    "fcmp_ole": ("d a b C", False, "{d} = 1 if {a} <= {b} else 0"),
+    "fcmp_ogt": ("d a b C", False, "{d} = 1 if {a} > {b} else 0"),
+    "fcmp_oge": ("d a b C", False, "{d} = 1 if {a} >= {b} else 0"),
+    "select": ("d q t f C", False, "{d} = {t} if {q} else {f}"),
+    "ptradd": ("d p s S C", False, "{d} = {p} + " + _sx("{s}")),
+    # casts; copy serves ptrtoint/inttoptr/bitcast, tofloat fpext/fptrunc
+    "zext": ("d s C", False, "{d} = int({s})"),
+    "copy": ("d s C", False, "{d} = {s}"),
+    "sext": ("d s S T C", False, "{d} = " + _sx("int({s})") + " & {T.mask}"),
+    "trunc": ("d s T C", False, "{d} = int({s}) & {T.mask}"),
+    "sitofp": ("d s S C", False, "{d} = float(" + _sx("int({s})") + ")"),
+    "uitofp": ("d s C", False, "{d} = float(int({s}))"),
+    "fptosi": ("d s T C", False, "{d} = int(float({s})) & {T.mask}"),
+    "tofloat": ("d s C", False, "{d} = float({s})"),
+    # loads of ints/pointers and floats
+    "load_int": ("d p N TY K", False, _mem(
+        "load", "{d} = int.from_bytes(seg.data[off : off + {N}], 'little')",
+        _LOAD_SLOW)),
+    "load_f": ("d p N TY K X", False, _mem(
+        "load", "{d} = {X}(seg.data, off)[0]", _LOAD_SLOW)),
+    # stores of ints, pointers and floats
+    "store_int": ("p v N TY K T", False, _mem(
+        "store",
+        "seg.data[off : off + {N}] = (int({v}) & {T.mask}).to_bytes({N}, 'little')",
+        _STORE_SLOW)),
+    "store_ptr": ("p v N TY K", False, _mem(
+        "store", "seg.data[off : off + {N}] = int({v}).to_bytes({N}, 'little')",
+        _STORE_SLOW)),
+    "store_f": ("p v N TY K X", False, _mem(
+        "store", "{X}(seg.data, off, float({v}))", _STORE_SLOW)),
+}
+
+_INF, _NINF, _NAN = float("inf"), float("-inf"), float("nan")
+_fmod = math.fmod
+
+
+class _Spec:
+    """How to instantiate one template for a given op tuple."""
+
+    __slots__ = ("fields", "flop", "template", "cost")
+
+    def __init__(self, fields: str, flop: bool, template: str) -> None:
+        self.fields = tuple(fields.split())
+        self.flop = flop
+        self.template = template
+        #: op index of the static cost ``C``; None for memory ops.
+        self.cost = 3 + self.fields.index("C") if "C" in self.fields else None
+
+    def render(self, op, reg: Callable, const: Callable) -> str:
+        """Template text for *op*: field ``i`` renders as
+        ``reg(i, op[i])`` for registers and ``const(i, op[i])`` for
+        everything else."""
+        return self.template.format(**{
+            f: (reg if f.islower() else const)(i, op[i])
+            for i, f in enumerate(self.fields, 3)
+        })
+
+
+class _Src:
+    """Format proxy rendering as source text; attributes extend it
+    (``{T.mask}`` on ``_Src('op[6]')`` renders ``op[6].mask``)."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __format__(self, spec: str) -> str:
+        return self.text
+
+    def __getattr__(self, name: str) -> "_Src":
+        return _Src(f"{self.text}.{name}")
+
+
+def _per_op_source(name: str, spec: _Spec) -> str:
+    body = spec.render(
+        range(len(spec.fields) + 3),
+        lambda i, _: f"r[op[{i}]]",
+        lambda i, _: _Src(f"op[{i}]"),
+    )
+    lines = [f"def _h_{name}(vm, thread, frame, op):", "    r = frame.regs"]
+    if spec.flop or "st." in body:
+        lines.append("    st = thread.stats")
+    if spec.flop:
+        lines.append("    st.flops += 1")
+    lines += ["    " + line for line in body.splitlines()]
+    lines.append("    frame.pc = op[2]")
+    lines.append(f"    return {'k' if spec.cost is None else f'op[{spec.cost}]'}")
+    return "\n".join(lines)
+
+
+_SPECS = {name: _Spec(*t) for name, t in _TEMPLATES.items()}
+exec(
+    compile(
+        "\n\n".join(_per_op_source(n, spec) for n, spec in _SPECS.items()),
+        "<repro.vgpu.decode per-op handlers>",
+        "exec",
+    ),
+    globals(),
+)
+
+#: Per-op handler -> its template spec: the ops :func:`_fuse` may fuse.
+_SIMPLE: Dict[Callable, _Spec] = {
+    globals()[f"_h_{n}"]: spec for n, spec in _SPECS.items()
+}
+
+
+# ===================================================================
+# Fused runs
+#
+# A fused run is a maximal sequence of simple ops in one basic block;
+# it ends at the block's terminator or at any call, alloca, atomic or —
+# in sanitize mode, whose loads/stores decode to the ``_slow`` handlers
+# — memory access.  Each run becomes one generated function
+# ``run(vm, thread, regs) -> cycles`` that executes its ops inline and
+# bumps ``opcode_counts`` and ``flops`` in bulk; the run loop retires
+# its steps at once.  Entry is only ever at the run's first op:
+# branch targets are block starts and calls return to the op after the
+# call, where the next run starts.
+#
+# Code is generated lazily, on a function's first decoded execution
+# (never for warp launches), and compiled once per process: the cache
+# is keyed by a digest of the generated source, never by the Function
+# (passes mutate IR in place).  Every device renders its own source — slot
+# numbers, widths and costs are literals in it — and binds any
+# non-literal constant (IR types, struct pack/unpack) as a closure
+# argument of the cached factory.
+# ===================================================================
+
+
+#: Longer runs are split: each run compiles on its own, and the
+#: parser's transient memory grows with the source.
+_MAX_RUN = 64
+
+#: Source digest -> (factory ``_make(*consts) -> run function``, the
+#: source line on which each op's code starts).  Bounded, oldest entry
+#: first out: a long-lived service sees ever new programs, while all 24
+#: app x build cells together need about 700 runs.
+_FUSED_MAKERS: Dict[bytes, Tuple[Callable, Tuple[int, ...]]] = {}
+_FUSED_CACHE_SIZE = 4096
+
+_LITERALS = (int, type(None))
+
+
+class _Lit:
+    """Format proxy for fused runs: ints, None and tuples of them render
+    as literals; anything else as a closure name from *names*."""
+
+    __slots__ = ("value", "names")
+
+    def __init__(self, value, names: Dict) -> None:
+        self.value = value
+        self.names = names
+
+    def __format__(self, spec: str) -> str:
+        v = self.value
+        if type(v) in _LITERALS or (
+            type(v) is tuple and all(type(e) in _LITERALS for e in v)
+        ):
+            return repr(v)
+        return self.names.setdefault(v, f"_k{len(self.names)}")
+
+    def __getattr__(self, name: str) -> "_Lit":
+        return _Lit(getattr(self.value, name), self.names)
+
+
+def _fuse(code: DecodedFunction) -> List[tuple]:
+    """Build (once per decoded function) the op list decoded frames run:
+    ``code.ops`` with each run's first op replaced by the run entry
+    ``(None, n, run_fn, end_pc, first_op, op_first_lines)``."""
+    ops = code.ops
+    fused = list(ops)
+    start = 0
+    for pc, op in enumerate(ops + [None]):
+        if op is not None and op[0] in _SIMPLE:
+            continue
+        for a in range(start, pc, _MAX_RUN):
+            fused[a] = _compile_run(tuple(ops[a : min(pc, a + _MAX_RUN)]))
+        start = pc + 1
+    code.fused = fused
+    return fused
+
+
+def _compile_run(run_ops: Tuple[tuple, ...]) -> tuple:
+    """Generate, compile (once per process) and bind one fused run.
+
+    Runs compile one by one: compiling a whole function's runs as one
+    source costs tens of MB of transient parser memory on the larger
+    apps.  The cache key is a digest of the source, which holds only
+    literals and closure names, so equal sources are the same code."""
+    names: Dict = {}
+    lines = [None, "    def run(vm, thread, r):", "        st = thread.stats", "        c = 0"]
+    first = []
+    static = flops = 0
+    counts: Dict[str, int] = {}
+    reg = lambda i, slot: f"r[{slot}]"
+    const = lambda i, value: _Lit(value, names)
+    for op in run_ops:
+        spec = _SIMPLE[op[0]]
+        first.append(len(lines) + 1)
+        lines += ["        " + s for s in spec.render(op, reg, const).splitlines()]
+        if spec.cost is None:
+            lines.append("        c += k")
+        else:
+            static += op[spec.cost]
+        flops += spec.flop
+        counts[op[1]] = counts.get(op[1], 0) + 1
+    lines.append("        oc = st.opcode_counts")
+    lines += [f"        oc[{k!r}] += {n}" for k, n in counts.items()]
+    if flops:
+        lines.append(f"        st.flops += {flops}")
+    lines.append(f"        return c + {static}")
+    lines.append("    return run")
+    lines[0] = f"def _make({', '.join(names.values())}):"
+    src = "\n".join(lines)
+    key = hashlib.blake2b(src.encode(), digest_size=16).digest()
+    cached = _FUSED_MAKERS.get(key)
+    if cached is None:
+        ns: Dict = {}
+        exec(compile(src, "<repro.vgpu.decode fused run>", "exec"), globals(), ns)
+        if len(_FUSED_MAKERS) >= _FUSED_CACHE_SIZE:
+            del _FUSED_MAKERS[next(iter(_FUSED_MAKERS))]
+        cached = _FUSED_MAKERS[key] = (ns["_make"], tuple(first))
+    make, first = cached
+    return (None, len(run_ops), make(*names), run_ops[-1][2], run_ops[0], first)
+
+
+def _unwind_run(vm, thread, frame, exc: BaseException) -> Tuple[int, int]:
+    """``(steps, cycles)`` a fault inside a fused run leaves behind.
+
+    Per-op execution would have retired and counted every op up to and
+    including the faulting one, charged the cycles of the ops before it
+    and left ``frame.pc`` on it.  The faulting op is recovered from the
+    line number of the run's frame in the traceback, so the hot path
+    pays nothing for this.  Returns ``(0, 0)`` when *exc* did not come
+    from a fused run."""
+    run = frame.ops[frame.pc]
+    if run[0] is not None:
+        return 0, 0
+    tb = exc.__traceback__
+    while tb is not None and tb.tb_frame.f_code is not run[2].__code__:
+        tb = tb.tb_next
+    if tb is None:  # raised by the per-op fallback through this run
+        return 0, 0
+    k = bisect_right(run[5], tb.tb_lineno) - 1
+    cycles = tb.tb_frame.f_locals["c"]
+    stats = thread.stats
+    ops = vm._bound_cache[frame.function].code.ops
+    for i, op in enumerate(ops[frame.pc : frame.pc + k + 1]):
+        spec = _SIMPLE[op[0]]
+        stats.opcode_counts[op[1]] += 1
+        stats.flops += spec.flop
+        if i < k and spec.cost is not None:
+            cycles += op[spec.cost]
+    frame.pc += k
+    return k + 1, cycles
 
 
 # -- alloca: (h, "alloca", next, dest, size, align, cost) --
@@ -629,48 +627,9 @@ def _h_alloca(vm, thread, frame, op):
     return op[6]
 
 
-# -- load: int/ptr (h, "load", next, dest, ptr, size, ty, costs);
-#    float adds the prebound Struct.unpack_from at op[8] --
-
-
-def _h_load_int(vm, thread, frame, op):
-    regs = frame.regs
-    ptr = regs[op[4]]
-    tag = ptr >> 48
-    off = ptr & OFFSET_MASK
-    size = op[5]
-    seg = _segment(vm, thread, tag)
-    if seg is None or off == 0 or off + size > len(seg.data):
-        # Slow path exists purely so errors (null/unmapped/out of
-        # bounds) are raised by the same code as the legacy engine.
-        regs[op[3]] = vm.memory.load(ptr, op[6], thread.team_id, thread.thread_id)
-    else:
-        regs[op[3]] = int.from_bytes(seg.data[off : off + size], "little")
-    thread.stats.loads_by_space[_SPACE_BY_TAG[tag]] += 1
-    frame.pc = op[2]
-    c = op[7][tag]
-    if c is None:  # space missing from the cost table: legacy KeyError
-        c = vm.cost.load_cost(_SPACE_BY_TAG[tag])
-    return c
-
-
-def _h_load_f(vm, thread, frame, op):
-    regs = frame.regs
-    ptr = regs[op[4]]
-    tag = ptr >> 48
-    off = ptr & OFFSET_MASK
-    size = op[5]
-    seg = _segment(vm, thread, tag)
-    if seg is None or off == 0 or off + size > len(seg.data):
-        regs[op[3]] = vm.memory.load(ptr, op[6], thread.team_id, thread.thread_id)
-    else:
-        regs[op[3]] = op[8](seg.data, off)[0]
-    thread.stats.loads_by_space[_SPACE_BY_TAG[tag]] += 1
-    frame.pc = op[2]
-    c = op[7][tag]
-    if c is None:
-        c = vm.cost.load_cost(_SPACE_BY_TAG[tag])
-    return c
+# -- sanitize-mode memory access, same op layouts as the load/store
+#    templates: load (h, "load", next, dest, ptr, size, ty, costs[, unpack]);
+#    store (h, "store", next, ptr, val, size, ty, costs[, extra]) --
 
 
 def _h_load_slow(vm, thread, frame, op):
@@ -686,68 +645,6 @@ def _h_load_slow(vm, thread, frame, op):
     c = op[7][tag]
     if c is None:
         c = vm.cost.load_cost(_SPACE_BY_TAG[tag])
-    return c
-
-
-# -- store: (h, "store", next, ptr, val, size, ty, costs, extra);
-#    extra is ty.wrap for ints, Struct.pack_into for floats, absent
-#    for pointers --
-
-
-def _h_store_int(vm, thread, frame, op):
-    regs = frame.regs
-    ptr = regs[op[3]]
-    tag = ptr >> 48
-    off = ptr & OFFSET_MASK
-    size = op[5]
-    seg = _segment(vm, thread, tag)
-    if seg is None or off == 0 or off + size > len(seg.data):
-        vm.memory.store(ptr, regs[op[4]], op[6], thread.team_id, thread.thread_id)
-    else:
-        seg.data[off : off + size] = op[8](int(regs[op[4]])).to_bytes(size, "little")
-    thread.stats.stores_by_space[_SPACE_BY_TAG[tag]] += 1
-    frame.pc = op[2]
-    c = op[7][tag]
-    if c is None:
-        c = vm.cost.store_cost(_SPACE_BY_TAG[tag])
-    return c
-
-
-def _h_store_ptr(vm, thread, frame, op):
-    regs = frame.regs
-    ptr = regs[op[3]]
-    tag = ptr >> 48
-    off = ptr & OFFSET_MASK
-    size = op[5]
-    seg = _segment(vm, thread, tag)
-    if seg is None or off == 0 or off + size > len(seg.data):
-        vm.memory.store(ptr, regs[op[4]], op[6], thread.team_id, thread.thread_id)
-    else:
-        seg.data[off : off + size] = int(regs[op[4]]).to_bytes(size, "little")
-    thread.stats.stores_by_space[_SPACE_BY_TAG[tag]] += 1
-    frame.pc = op[2]
-    c = op[7][tag]
-    if c is None:
-        c = vm.cost.store_cost(_SPACE_BY_TAG[tag])
-    return c
-
-
-def _h_store_f(vm, thread, frame, op):
-    regs = frame.regs
-    ptr = regs[op[3]]
-    tag = ptr >> 48
-    off = ptr & OFFSET_MASK
-    size = op[5]
-    seg = _segment(vm, thread, tag)
-    if seg is None or off == 0 or off + size > len(seg.data):
-        vm.memory.store(ptr, regs[op[4]], op[6], thread.team_id, thread.thread_id)
-    else:
-        op[8](seg.data, off, float(regs[op[4]]))
-    thread.stats.stores_by_space[_SPACE_BY_TAG[tag]] += 1
-    frame.pc = op[2]
-    c = op[7][tag]
-    if c is None:
-        c = vm.cost.store_cost(_SPACE_BY_TAG[tag])
     return c
 
 
@@ -859,7 +756,7 @@ def _push_call(vm, thread, frame, next_pc, dest, callee, arg_slots):
         nregs[slot] = co(regs[a])
     frame.pc = next_pc
     frames = thread.frames
-    frames.append(DecodedFrame(code.ops, nregs, code.entry_pc, dest, callee))
+    frames.append(DecodedFrame(_frame_ops(code), nregs, code.entry_pc, dest, callee))
     if len(frames) > 512:
         raise call_stack_overflow_error(callee.name, thread)
 
@@ -1147,7 +1044,7 @@ _CAST = {
     "bitcast": _h_copy,
 }
 
-_FLOAT_FMT = {32: "<f", 64: "<d"}
+_FLOAT_STRUCT = {32: struct.Struct("<f"), 64: struct.Struct("<d")}
 
 
 def _cost_by_tag(cost_table) -> Tuple[Optional[int], ...]:
@@ -1236,11 +1133,11 @@ def decode_function(
             return (h, opn, next_pc, d, a, b, c)
         ity = ty if isinstance(ty, IntType) else I64
         if opn == "add":
-            return (_h_add, opn, next_pc, d, a, b, ity.wrap, c)
+            return (_h_add, opn, next_pc, d, a, b, ity, c)
         if opn == "sub":
-            return (_h_sub, opn, next_pc, d, a, b, ity.wrap, c)
+            return (_h_sub, opn, next_pc, d, a, b, ity, c)
         if opn == "mul":
-            return (_h_mul, opn, next_pc, d, a, b, ity.wrap, c)
+            return (_h_mul, opn, next_pc, d, a, b, ity, c)
         if opn == "and":
             return (_h_and, opn, next_pc, d, a, b, c)
         if opn == "or":
@@ -1248,15 +1145,15 @@ def decode_function(
         if opn == "xor":
             return (_h_xor, opn, next_pc, d, a, b, c)
         if opn == "shl":
-            return (_h_shl, opn, next_pc, d, a, b, ity.bits, ity.wrap, c)
+            return (_h_shl, opn, next_pc, d, a, b, ity.bits, ity, c)
         if opn == "lshr":
             return (_h_lshr, opn, next_pc, d, a, b, ity.bits, c)
         if opn == "ashr":
-            return (_h_ashr, opn, next_pc, d, a, b, ity.bits, ity.to_signed, ity.wrap, c)
+            return (_h_ashr, opn, next_pc, d, a, b, ity.bits, ity, ity, c)
         if opn == "sdiv":
-            return (_h_sdiv, opn, next_pc, d, a, b, ity.to_signed, ity.wrap, c)
+            return (_h_sdiv, opn, next_pc, d, a, b, ity, ity, c)
         if opn == "srem":
-            return (_h_srem, opn, next_pc, d, a, b, ity.to_signed, ity.wrap, c)
+            return (_h_srem, opn, next_pc, d, a, b, ity, ity, c)
         if opn == "udiv":
             return (_h_udiv, opn, next_pc, d, a, b, c)
         if opn == "urem":
@@ -1268,7 +1165,7 @@ def decode_function(
         d, p = slot_map[id(inst)], operand(inst.pointer)
         size = scalar_size(ty)
         if isinstance(ty, FloatType):
-            unpack = struct.Struct(_FLOAT_FMT[ty.bits]).unpack_from
+            unpack = _FLOAT_STRUCT[ty.bits].unpack_from
             h = _h_load_slow if sanitize else _h_load_f
             return (h, "load", next_pc, d, p, size, ty, load_costs, unpack)
         h = _h_load_slow if sanitize else _h_load_int
@@ -1279,12 +1176,12 @@ def decode_function(
         p, v = operand(inst.pointer), operand(inst.value)
         size = scalar_size(ty)
         if isinstance(ty, FloatType):
-            pack = struct.Struct(_FLOAT_FMT[ty.bits]).pack_into
+            pack = _FLOAT_STRUCT[ty.bits].pack_into
             h = _h_store_slow if sanitize else _h_store_f
             return (h, "store", next_pc, p, v, size, ty, store_costs, pack)
         if isinstance(ty, IntType):
             h = _h_store_slow if sanitize else _h_store_int
-            return (h, "store", next_pc, p, v, size, ty, store_costs, ty.wrap)
+            return (h, "store", next_pc, p, v, size, ty, store_costs, ty)
         h = _h_store_slow if sanitize else _h_store_ptr
         return (h, "store", next_pc, p, v, size, ty, store_costs)
 
@@ -1295,7 +1192,7 @@ def decode_function(
         ty = inst.lhs.type
         c = cfg.int_op_cost
         if pred in _SIGNED_PREDS and isinstance(ty, IntType):
-            return (_ICMP_SIGNED[pred], "icmp", next_pc, d, a, b, ty.to_signed, c)
+            return (_ICMP_SIGNED[pred], "icmp", next_pc, d, a, b, ty, c)
         return (_ICMP_RAW[pred], "icmp", next_pc, d, a, b, c)
 
     def emit_fcmp(inst: FCmp, next_pc: int):
@@ -1317,13 +1214,11 @@ def decode_function(
         c = cfg.cast_cost
         src_ty, dst_ty = inst.source.type, inst.type
         if opn == "sext":
-            return (h, opn, next_pc, d, s, src_ty.to_signed, dst_ty.wrap, c)
-        if opn == "trunc":
-            return (h, opn, next_pc, d, s, dst_ty.wrap, c)
+            return (h, opn, next_pc, d, s, src_ty, dst_ty, c)
+        if opn in ("trunc", "fptosi"):
+            return (h, opn, next_pc, d, s, dst_ty, c)
         if opn == "sitofp":
-            return (h, opn, next_pc, d, s, src_ty.to_signed, c)
-        if opn == "fptosi":
-            return (h, opn, next_pc, d, s, dst_ty.wrap, c)
+            return (h, opn, next_pc, d, s, src_ty, c)
         return (h, opn, next_pc, d, s, c)
 
     def emit_ptradd(inst: PtrAdd, next_pc: int):
@@ -1332,7 +1227,7 @@ def decode_function(
         return (
             _h_ptradd, "ptradd", next_pc, slot_map[id(inst)],
             operand(inst.pointer), operand(inst.offset),
-            offset_ty.to_signed, cfg.int_op_cost,
+            offset_ty, cfg.int_op_cost,
         )
 
     def emit_alloca(inst: Alloca, next_pc: int):
@@ -1703,65 +1598,26 @@ def bind_function(vm, func: Function) -> BoundFunction:
 # ===================================================================
 
 
+def _frame_ops(code: DecodedFunction) -> List[tuple]:
+    """The op list a decoded frame of *code* runs (fusing on first use)."""
+    ops = code.fused
+    return ops if ops is not None else _fuse(code)
+
+
 def make_kernel_frame(vm, func: Function, args) -> DecodedFrame:
     bound = bind_function(vm, func)
     code = bound.code
     regs = bound.init_regs.copy()
     for slot, co, actual in zip(code.arg_slots, code.arg_coerce, args):
         regs[slot] = co(actual)
-    return DecodedFrame(code.ops, regs, code.entry_pc, -1, func)
+    return DecodedFrame(_frame_ops(code), regs, code.entry_pc, -1, func)
 
 
 def run_thread(vm, thread: ThreadContext) -> None:
-    """Run *thread* until it terminates or arrives at a barrier.
-
-    Steps and cycles accumulate in locals and are flushed on every
-    exit path (including exceptions), so the profile counters match
-    the legacy engine even on traps and step-limit aborts.
-    """
+    """Run *thread* until it terminates or arrives at a barrier."""
     if vm._trace is not None:
         return _run_thread_traced(vm, thread)
-    max_steps = vm.config.max_steps_per_thread
-    counts = thread.stats.opcode_counts
-    frames = thread.frames
-    steps = thread.steps
-    cycles = 0
-    try:
-        while thread.status is _RUNNING:
-            frame = frames[-1]
-            op = frame.ops[frame.pc]
-            # Check before the retire: a stopped thread reports exactly
-            # max_steps retired instructions (the over-budget op never
-            # executes), identically in both engines.
-            if steps == max_steps:
-                raise step_limit_error(thread, max_steps, frame.function.name)
-            steps += 1
-            counts[op[1]] += 1
-            cycles += op[0](vm, thread, frame, op)
-    except TypeError as exc:
-        # A None register means an SSA value was read before any
-        # definition executed — the decoded-engine analogue of the
-        # legacy "use of undefined value" error.
-        thread.steps = steps
-        err = (
-            undefined_value_error(frames[-1].function.name, str(exc))
-            if frames
-            else SimulationError(f"use of undefined value: {exc}")
-        )
-        raise attach_context(
-            err, thread, _block_name(vm, frames[-1]) if frames else None
-        ) from exc
-    except (SimulationError, MemoryError_) as exc:
-        # Flush the step counter first: the crash context snapshots it.
-        thread.steps = steps
-        raise attach_context(
-            exc, thread, _block_name(vm, frames[-1]) if frames else None
-        )
-    finally:
-        thread.steps = steps
-        thread.phase_cycles += cycles
-    if thread.status is _DONE:
-        thread.total_cycles += thread.phase_cycles
+    _run(vm, thread, None)
 
 
 def _run_thread_traced(vm, thread: ThreadContext) -> None:
@@ -1769,9 +1625,19 @@ def _run_thread_traced(vm, thread: ThreadContext) -> None:
     per-IR-function cycle attribution.  Deltas are added even when zero
     so both engines produce the same ``function_cycles`` key set (every
     function that executed at least one instruction)."""
+    _run(vm, thread, thread.stats.function_cycles)
+
+
+def _run(vm, thread: ThreadContext, fn_cycles) -> None:
+    """The run loop; *fn_cycles* is the per-function cycle counter while
+    tracing, else None.
+
+    Steps and cycles accumulate in locals and are flushed on every
+    exit path (including exceptions), so the profile counters match
+    the legacy engine even on traps and step-limit aborts.
+    """
     max_steps = vm.config.max_steps_per_thread
     counts = thread.stats.opcode_counts
-    fn_cycles = thread.stats.function_cycles
     frames = thread.frames
     steps = thread.steps
     cycles = 0
@@ -1779,28 +1645,52 @@ def _run_thread_traced(vm, thread: ThreadContext) -> None:
         while thread.status is _RUNNING:
             frame = frames[-1]
             op = frame.ops[frame.pc]
+            if op[0] is None:
+                # Fused run entry (see _fuse).  Runs per op instead when
+                # the step budget ends inside it.
+                if steps + op[1] <= max_steps:
+                    c = op[2](vm, thread, frame.regs)
+                    steps += op[1]
+                    frame.pc = op[3]
+                    cycles += c
+                    if fn_cycles is not None:
+                        fn_cycles[frame.function.name] += c
+                    continue
+                op = op[4]
+            # Check before the retire: a stopped thread reports exactly
+            # max_steps retired instructions (the over-budget op never
+            # executes), identically in both engines.
             if steps == max_steps:
                 raise step_limit_error(thread, max_steps, frame.function.name)
             steps += 1
             counts[op[1]] += 1
             c = op[0](vm, thread, frame, op)
             cycles += c
-            fn_cycles[frame.function.name] += c
-    except TypeError as exc:
+            if fn_cycles is not None:
+                fn_cycles[frame.function.name] += c
+    except BaseException as exc:
+        if frames:
+            retired, spent = _unwind_run(vm, thread, frames[-1], exc)
+            steps += retired
+            cycles += spent
+            if fn_cycles is not None and retired > 1:
+                fn_cycles[frames[-1].function.name] += spent
+        # Flush the step counter first: the crash context snapshots it.
         thread.steps = steps
-        err = (
-            undefined_value_error(frames[-1].function.name, str(exc))
-            if frames
-            else SimulationError(f"use of undefined value: {exc}")
-        )
-        raise attach_context(
-            err, thread, _block_name(vm, frames[-1]) if frames else None
-        ) from exc
-    except (SimulationError, MemoryError_) as exc:
-        thread.steps = steps
-        raise attach_context(
-            exc, thread, _block_name(vm, frames[-1]) if frames else None
-        )
+        block = _block_name(vm, frames[-1]) if frames else None
+        if isinstance(exc, TypeError):
+            # A None register means an SSA value was read before any
+            # definition executed — the decoded-engine analogue of the
+            # legacy "use of undefined value" error.
+            err = (
+                undefined_value_error(frames[-1].function.name, str(exc))
+                if frames
+                else SimulationError(f"use of undefined value: {exc}")
+            )
+            raise attach_context(err, thread, block) from exc
+        if isinstance(exc, (SimulationError, MemoryError_)):
+            raise attach_context(exc, thread, block)
+        raise
     finally:
         thread.steps = steps
         thread.phase_cycles += cycles

@@ -69,6 +69,16 @@ class WatchdogExpired(SimulationError):
     finished (``launch(watchdog_s=...)`` / ``REPRO_WATCHDOG_S``)."""
 
 
+class EngineUnsupported(Exception):
+    """An engine cannot execute a valid program (e.g. the warp engine
+    meeting lane-divergent indirect call targets).
+
+    Deliberately *not* a :class:`SimulationError`: it is an internal
+    engine limitation, not a program fault, so ``run_guarded`` and the
+    simulation service take their internal-fault retry path instead of
+    reporting the program as faulty."""
+
+
 class SanitizerError(SimulationError):
     """Base class for diagnostics produced by ``VirtualGPU(sanitize=True)``."""
 

@@ -217,8 +217,8 @@ class VirtualGPU:
         self.function_addresses: Dict[Function, int] = {}
         self._functions_by_address: Dict[int, Function] = {}
         self._string_table: Dict[int, str] = {}
-        #: Per-device bound decode cache (static decode is shared
-        #: process-wide, see :mod:`repro.vgpu.decode`).
+        #: Per-device bound decode cache (only the generated code of
+        #: fused runs is shared process-wide, see :mod:`repro.vgpu.decode`).
         self._bound_cache: Dict[Function, _decode.BoundFunction] = {}
         #: Whether this module may execute in warp lockstep.  The old
         #: runtime's shared-memory stack bumps a single team-wide top

@@ -71,6 +71,7 @@ from repro.vgpu.decode import _SPACE_BY_TAG, _I64_TO_SIGNED, bind_function, comp
 from repro.vgpu.errors import (
     OUTPUT_TAIL_LINES,
     DeviceErrorContext,
+    EngineUnsupported,
     SimulationError,
     assumption_error,
     call_stack_overflow_error,
@@ -455,7 +456,7 @@ class WarpExec:
         key = (id(seg), dtype)
         v = self._views.get(key)
         if v is None:
-            # Segments are fixed-size bytearrays (never resized), so a
+            # Segments are fixed-size buffers (never resized), so a
             # cached view stays valid for the segment's lifetime.
             v = np.frombuffer(seg.data, dtype, count=len(seg.data) >> shift)
             self._views[key] = v
@@ -687,7 +688,7 @@ class WarpExec:
 
 
 def _w_add(vm, w, op):
-    # (h, op, next, d, a, b, pywrap, vmask, c)
+    # (h, op, next, d, a, b, wrap_ty, vmask, c)
     regs = w.regs
     a, b = regs[op[4]], regs[op[5]]
     if type(a) is ndarray or type(b) is ndarray:
@@ -696,7 +697,7 @@ def _w_add(vm, w, op):
             r = r & op[7]
         w._wr(op[3], r)
     else:
-        w._wr_u(op[3], op[6](a + b))
+        w._wr_u(op[3], op[6].wrap(a + b))
     w.pc = op[2]
     w.pending_cycles += op[8]
 
@@ -710,7 +711,7 @@ def _w_sub(vm, w, op):
             r = r & op[7]
         w._wr(op[3], r)
     else:
-        w._wr_u(op[3], op[6](a - b))
+        w._wr_u(op[3], op[6].wrap(a - b))
     w.pc = op[2]
     w.pending_cycles += op[8]
 
@@ -724,7 +725,7 @@ def _w_mul(vm, w, op):
             r = r & op[7]
         w._wr(op[3], r)
     else:
-        w._wr_u(op[3], op[6](a * b))
+        w._wr_u(op[3], op[6].wrap(a * b))
     w.pc = op[2]
     w.pending_cycles += op[8]
 
@@ -764,7 +765,7 @@ def _w_xor(vm, w, op):
 
 
 def _w_shl(vm, w, op):
-    # (h, op, next, d, a, b, bits, pywrap, vmask, c)
+    # (h, op, next, d, a, b, bits, wrap_ty, vmask, c)
     regs = w.regs
     a, b = regs[op[4]], regs[op[5]]
     bits = op[6]
@@ -775,7 +776,7 @@ def _w_shl(vm, w, op):
             r = r & op[8]
         w._wr(op[3], r)
     else:
-        w._wr_u(op[3], op[7](a << (b % bits)))
+        w._wr_u(op[3], op[7].wrap(a << (b % bits)))
     w.pc = op[2]
     w.pending_cycles += op[9]
 
@@ -794,7 +795,7 @@ def _w_lshr(vm, w, op):
 
 
 def _w_ashr(vm, w, op):
-    # (h, op, next, d, a, b, bits, py_to_signed, pywrap, c)
+    # (h, op, next, d, a, b, bits, signed_ty, wrap_ty, c)
     regs = w.regs
     a, b = regs[op[4]], regs[op[5]]
     bits = op[6]
@@ -805,7 +806,7 @@ def _w_ashr(vm, w, op):
         r = _signed(av, bits) >> sh
         w._wr(op[3], _wrap_i64(r, bits))
     else:
-        w._wr_u(op[3], op[8](op[7](a) >> (b % bits)))
+        w._wr_u(op[3], op[8].wrap(op[7].to_signed(a) >> (b % bits)))
     w.pc = op[2]
     w.pending_cycles += op[9]
 
@@ -822,7 +823,7 @@ def _div_zero_check(w, b):
 
 
 def _w_sdiv(vm, w, op):
-    # (h, op, next, d, a, b, bits, py_to_signed, pywrap, c)
+    # (h, op, next, d, a, b, bits, signed_ty, wrap_ty, c)
     regs = w.regs
     a, b = regs[op[4]], regs[op[5]]
     if type(a) is ndarray or type(b) is ndarray:
@@ -836,11 +837,11 @@ def _w_sdiv(vm, w, op):
         q = np.trunc(sa.astype(_F64) / sb.astype(_F64)).astype(_I64)
         w._wr(op[3], _wrap_i64(q, bits))
     else:
-        s = op[7]
+        s = op[7].to_signed
         sa, sb = s(a), s(b)
         if sb == 0:
             raise division_by_zero_error()
-        w._wr_u(op[3], op[8](int(sa / sb)))
+        w._wr_u(op[3], op[8].wrap(int(sa / sb)))
     w.pc = op[2]
     w.pending_cycles += op[9]
 
@@ -857,11 +858,11 @@ def _w_srem(vm, w, op):
         q = np.trunc(sa.astype(_F64) / sb.astype(_F64)).astype(_I64)
         w._wr(op[3], _wrap_i64(sa - q * sb, bits))
     else:
-        s = op[7]
+        s = op[7].to_signed
         sa, sb = s(a), s(b)
         if sb == 0:
             raise division_by_zero_error()
-        w._wr_u(op[3], op[8](sa - int(sa / sb) * sb))
+        w._wr_u(op[3], op[8].wrap(sa - int(sa / sb) * sb))
     w.pc = op[2]
     w.pending_cycles += op[9]
 
@@ -1028,7 +1029,7 @@ def _signed_operand(w, v, bits):
 
 
 def _w_icmp_signed(vm, w, op):
-    # (h, "icmp", next, d, a, b, bits, py_to_signed, pred, c)
+    # (h, "icmp", next, d, a, b, bits, signed_ty, pred, c)
     regs = w.regs
     a, b = regs[op[4]], regs[op[5]]
     if type(a) is ndarray or type(b) is ndarray:
@@ -1046,7 +1047,7 @@ def _w_icmp_signed(vm, w, op):
             r = sa >= sb
         w._wr(op[3], r.astype(_U64))
     else:
-        s = op[7]
+        s = op[7].to_signed
         sa, sb = s(a), s(b)
         pred = op[8]
         if pred == "slt":
@@ -1117,7 +1118,7 @@ def _w_select(vm, w, op):
 
 
 def _w_ptradd(vm, w, op):
-    # (h, "ptradd", next, d, p, o, off_bits, py_to_signed, c)
+    # (h, "ptradd", next, d, p, o, off_bits, signed_ty, c)
     regs = w.regs
     p, o = regs[op[4]], regs[op[5]]
     pv, ov = type(p) is ndarray, type(o) is ndarray
@@ -1126,10 +1127,10 @@ def _w_ptradd(vm, w, op):
         if ov:
             off = _signed(o, bits).view(_U64)
         else:
-            off = _U64(op[7](o) & _M64)
+            off = _U64(op[7].to_signed(o) & _M64)
         w._wr(op[3], _uu(p) + off)
     else:
-        w._wr_u(op[3], p + op[7](o))
+        w._wr_u(op[3], p + op[7].to_signed(o))
     w.pc = op[2]
     w.pending_cycles += op[8]
 
@@ -1165,7 +1166,7 @@ def _w_tofloat(vm, w, op):
 
 
 def _w_sext(vm, w, op):
-    # (h, op, next, d, s, src_bits, py_to_signed, pywrap, vmask, c)
+    # (h, op, next, d, s, src_bits, signed_ty, wrap_ty, vmask, c)
     v = w.regs[op[4]]
     if type(v) is ndarray:
         r = _signed(v, op[5]).view(_U64)
@@ -1173,30 +1174,30 @@ def _w_sext(vm, w, op):
             r = r & op[8]
         w._wr(op[3], r)
     else:
-        w._wr_u(op[3], op[7](op[6](int(v))))
+        w._wr_u(op[3], op[7].wrap(op[6].to_signed(int(v))))
     w.pc = op[2]
     w.pending_cycles += op[9]
 
 
 def _w_trunc(vm, w, op):
-    # (h, op, next, d, s, pywrap, vmask, c)
+    # (h, op, next, d, s, wrap_ty, vmask, c)
     v = w.regs[op[4]]
     if type(v) is ndarray:
         r = v & op[6] if op[6] is not None else v
         w._wr(op[3], r)
     else:
-        w._wr_u(op[3], op[5](int(v)))
+        w._wr_u(op[3], op[5].wrap(int(v)))
     w.pc = op[2]
     w.pending_cycles += op[7]
 
 
 def _w_sitofp(vm, w, op):
-    # (h, op, next, d, s, src_bits, py_to_signed, c)
+    # (h, op, next, d, s, src_bits, signed_ty, c)
     v = w.regs[op[4]]
     if type(v) is ndarray:
         w._wr(op[3], _signed(v, op[5]).astype(_F64))
     else:
-        w._wr_u(op[3], float(op[6](int(v))))
+        w._wr_u(op[3], float(op[6].to_signed(int(v))))
     w.pc = op[2]
     w.pending_cycles += op[7]
 
@@ -1213,7 +1214,7 @@ def _w_uitofp(vm, w, op):
 
 
 def _w_fptosi(vm, w, op):
-    # (h, op, next, d, s, pywrap, vmask, c)
+    # (h, op, next, d, s, wrap_ty, vmask, c)
     v = w.regs[op[4]]
     if type(v) is ndarray:
         r = np.trunc(v).astype(_I64).view(_U64)
@@ -1221,7 +1222,7 @@ def _w_fptosi(vm, w, op):
             r = r & op[6]
         w._wr(op[3], r)
     else:
-        w._wr_u(op[3], op[5](int(float(v))))
+        w._wr_u(op[3], op[5].wrap(int(float(v))))
     w.pc = op[2]
     w.pending_cycles += op[7]
 
@@ -1255,10 +1256,10 @@ def _w_alloca(vm, w, op):
 # load: (h, "load", next, d, p, size, ty, costs, dtype, shift, unpack)
 # store: (h, "store", next, p, v, size, ty, costs, dtype, shift, kind,
 #         extra) with kind 0=int, 1=float, 2=pointer; extra is the
-#         Python-path wrap (int) or Struct.pack_into (float).
+#         IntType to wrap to (int) or Struct.pack_into (float).
 #
 # Vector accesses gather/scatter on a cached ndarray view of the
-# segment's (fixed-size) bytearray.  Partial masks always compress to
+# segment's fixed-size buffer.  Partial masks always compress to
 # the active lanes first: inactive lanes hold garbage pointers that
 # must never be dereferenced or bounds-checked.
 
@@ -1413,7 +1414,7 @@ def _store_scalar_bytes(op, value):
         op[11](buf, 0, float(value))
         return bytes(buf)
     if kind == 0:
-        return op[11](int(value)).to_bytes(size, "little")
+        return op[11].wrap(int(value)).to_bytes(size, "little")
     return int(value).to_bytes(size, "little")
 
 
@@ -1739,7 +1740,7 @@ def _w_icall(vm, w, op):
     if type(av) is ndarray:
         pa = av if w.mask == w.all_bits else av[w._marr(w.mask)]
         if not bool((pa == pa[0]).all()):
-            raise SimulationError(
+            raise EngineUnsupported(
                 "warp engine: divergent indirect call targets are not "
                 "supported (use the decoded or legacy engine)"
             )
@@ -2188,8 +2189,8 @@ def vectorize_function(bound, flow):
             continue
         w_h = _WRAPPED_BINOPS.get(h)
         if w_h is not None:
-            # (h, op, next, d, a, b, pywrap, c) ->
-            # (h, op, next, d, a, b, pywrap, vmask, c)
+            # (h, op, next, d, a, b, wrap_ty, c) ->
+            # (h, op, next, d, a, b, wrap_ty, vmask, c)
             bits = _ity(insts[pc].type).bits
             vops.append((
                 w_h, dop[1], dop[2], dop[3], dop[4], dop[5],
@@ -2197,13 +2198,13 @@ def vectorize_function(bound, flow):
             ))
             continue
         if h is d._h_shl:
-            # (..., bits, wrap, c) -> (..., bits, pywrap, vmask, c)
+            # (..., bits, wrap_ty, c) -> (..., bits, wrap_ty, vmask, c)
             vops.append((
                 _w_shl, dop[1], dop[2], dop[3], dop[4], dop[5],
                 dop[6], dop[7], _dst_vmask(dop[6]), dop[8],
             ))
         elif h is d._h_sdiv or h is d._h_srem:
-            # (..., to_signed, wrap, c) -> (..., bits, to_signed, wrap, c)
+            # (..., signed_ty, wrap_ty, c) -> (..., bits, signed_ty, wrap_ty, c)
             bits = _ity(insts[pc].type).bits
             vops.append((
                 _w_sdiv if h is d._h_sdiv else _w_srem,
@@ -2211,7 +2212,7 @@ def vectorize_function(bound, flow):
                 bits, dop[6], dop[7], dop[8],
             ))
         elif h in _SIGNED_PRED_OF:
-            # (..., to_signed, c) -> (..., bits, to_signed, pred, c)
+            # (..., signed_ty, c) -> (..., bits, signed_ty, pred, c)
             bits = insts[pc].lhs.type.bits
             vops.append((
                 _w_icmp_signed, dop[1], dop[2], dop[3], dop[4], dop[5],
@@ -2224,8 +2225,8 @@ def vectorize_function(bound, flow):
                 dop[6], isinstance(insts[pc].type, FloatType), dop[7],
             ))
         elif h is d._h_sext:
-            # (..., s, to_signed, wrap, c) ->
-            # (..., s, src_bits, to_signed, wrap, vmask, c)
+            # (..., s, signed_ty, wrap_ty, c) ->
+            # (..., s, src_bits, signed_ty, wrap_ty, vmask, c)
             inst = insts[pc]
             vops.append((
                 _w_sext, dop[1], dop[2], dop[3], dop[4],
@@ -2233,25 +2234,25 @@ def vectorize_function(bound, flow):
                 _dst_vmask(inst.type.bits), dop[7],
             ))
         elif h is d._h_trunc:
-            # (..., s, wrap, c) -> (..., s, wrap, vmask, c)
+            # (..., s, wrap_ty, c) -> (..., s, wrap_ty, vmask, c)
             vops.append((
                 _w_trunc, dop[1], dop[2], dop[3], dop[4],
                 dop[5], _dst_vmask(insts[pc].type.bits), dop[6],
             ))
         elif h is d._h_sitofp:
-            # (..., s, to_signed, c) -> (..., s, src_bits, to_signed, c)
+            # (..., s, signed_ty, c) -> (..., s, src_bits, signed_ty, c)
             vops.append((
                 _w_sitofp, dop[1], dop[2], dop[3], dop[4],
                 insts[pc].source.type.bits, dop[5], dop[6],
             ))
         elif h is d._h_fptosi:
-            # (..., s, wrap, c) -> (..., s, wrap, vmask, c)
+            # (..., s, wrap_ty, c) -> (..., s, wrap_ty, vmask, c)
             vops.append((
                 _w_fptosi, dop[1], dop[2], dop[3], dop[4],
                 dop[5], _dst_vmask(insts[pc].type.bits), dop[6],
             ))
         elif h is d._h_ptradd:
-            # (..., p, o, to_signed, c) -> (..., p, o, off_bits, to_signed, c)
+            # (..., p, o, signed_ty, c) -> (..., p, o, off_bits, signed_ty, c)
             vops.append((
                 _w_ptradd, dop[1], dop[2], dop[3], dop[4], dop[5],
                 insts[pc].offset.type.bits, dop[6], dop[7],
@@ -2300,7 +2301,7 @@ def vectorize_function(bound, flow):
                 dop[6], dop[7], dop[8], flow.rpc.get(pc), dia,
             ))
         else:
-            raise SimulationError(
+            raise EngineUnsupported(
                 f"warp engine cannot vectorize opcode {dop[1]!r} in "
                 f"@{code.function.name}"
             )

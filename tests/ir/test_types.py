@@ -63,6 +63,34 @@ class TestIntType:
         assert I8.to_signed(0x80) == -128
         assert I8.to_signed(0x7F) == 127
 
+    @given(st.sampled_from(WIDTHS), st.integers())
+    def test_to_signed_of_any_int_matches_the_definition(self, bits, value):
+        ty = IntType(bits)
+        u = value % (1 << bits)
+        expected = u - (1 << bits) if bits > 1 and u >= 1 << (bits - 1) else u
+        assert ty.to_signed(value) == expected
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_precomputed_constants_leave_identity_unchanged(self, bits):
+        """``mask``/``half`` are cached per instance but are not fields:
+        equality, hashing, repr and pickling still see only ``bits``."""
+        import dataclasses
+        import pickle
+
+        ty = IntType(bits)
+        assert ty.mask == (1 << bits) - 1
+        assert [f.name for f in dataclasses.fields(ty)] == ["bits"]
+        assert repr(ty) == f"IntType(bits={bits})"
+        assert ty == IntType(bits) and hash(ty) == hash(IntType(bits))
+        assert {ty: 1}[IntType(bits)] == 1
+        back = pickle.loads(pickle.dumps(ty))
+        assert back == ty and hash(back) == hash(ty)
+        assert (back.mask, back.half) == (ty.mask, ty.half)
+        # A pickle from before the cached constants carries bits only.
+        legacy = IntType.__new__(IntType)
+        legacy.__setstate__({"bits": bits})
+        assert legacy == ty and legacy.wrap(-1) == ty.mask
+
 
 class TestFloatType:
     def test_names(self):

@@ -15,7 +15,9 @@ from repro.ir import (
     VOID,
     verify_module,
 )
-from repro.vgpu import CostModel, GPUConfig, SimulationError, VirtualGPU
+from repro.ir.instructions import BinOp
+from repro.ir.values import Constant
+from repro.vgpu import CostModel, GPUConfig, LaunchSpec, SimulationError, VirtualGPU
 from repro.vgpu import decode as D
 from tests.conftest import make_function, make_kernel
 
@@ -188,3 +190,211 @@ class TestDecodedExecution:
         monkeypatch.setenv("REPRO_SIM_ENGINE", "bogus")
         with pytest.raises(ValueError):
             VirtualGPU(module)
+
+
+# ---------------------------------------------------------------------------
+# Fused runs: straight-line op sequences executed as one generated
+# function must leave exactly the state per-op execution leaves.
+# ---------------------------------------------------------------------------
+
+
+def _capture(monkeypatch):
+    """Record every TeamStats and ThreadContext a launch creates, so a
+    failed launch's counters and cycles can still be inspected."""
+    from repro.vgpu import interpreter as I
+    from repro.vgpu.execstate import ThreadContext
+    from repro.vgpu.profiler import TeamStats
+
+    seen = {"stats": [], "threads": []}
+
+    def stats_factory():
+        seen["stats"].append(TeamStats())
+        return seen["stats"][-1]
+
+    def thread_factory(*args):
+        seen["threads"].append(ThreadContext(*args))
+        return seen["threads"][-1]
+
+    monkeypatch.setattr(I, "TeamStats", stats_factory)
+    monkeypatch.setattr(I, "ThreadContext", thread_factory)
+    return seen
+
+
+def _per_op(monkeypatch):
+    """Run decoded frames on the plain op list: no fused runs."""
+    monkeypatch.setattr(D, "_frame_ops", lambda code: code.ops)
+
+
+def _fault_state(module, engine, args, monkeypatch):
+    """Launch @kern on one thread expecting a fault; return everything
+    the fault leaves behind."""
+    with monkeypatch.context() as m:
+        seen = _capture(m)
+        gpu = VirtualGPU(module, engine=engine)
+        out = gpu.alloc_array(np.array([7, 0], dtype=np.int64))
+        with pytest.raises(Exception) as excinfo:
+            gpu.run(LaunchSpec(kernel="kern", args=(out, *args)))
+    exc = excinfo.value
+    (stats,), (thread,) = seen["stats"], seen["threads"]
+    ctx = exc.context
+    return {
+        "type": type(exc),
+        "message": str(exc),
+        "block": ctx.block,
+        "steps": ctx.steps,
+        "thread_steps": thread.steps,
+        "cycles": thread.phase_cycles,
+        "opcode_counts": dict(stats.opcode_counts),
+        "flops": stats.flops,
+        "loads": dict(stats.loads_by_space),
+        "stores": dict(stats.stores_by_space),
+    }
+
+
+def _straight_line_module(fault):
+    """kern(out, d, off): one long straight-line block whose middle op
+    faults — sdiv by ``d`` ("div"), a load at ``out + off`` ("load") or
+    a read of a value whose definition never ran ("undef")."""
+    module = Module("m")
+    func, b = make_kernel(module, params=(PTR_GLOBAL, I64, I64),
+                          arg_names=["out", "d", "off"])
+    out, d, off = func.args
+    body = func.add_block("body")
+    undef_def = func.add_block("def")
+    b.cond_br(b.icmp("eq", d, b.i64(12345)), undef_def, body)
+    b.set_insert_point(undef_def)
+    never = b.add(d, b.i64(1), "never")
+    b.br(body)
+    b.set_insert_point(body)
+    x = b.load(I64, out)
+    a = b.add(x, b.i64(3))
+    f = b.fmul(b.sitofp(a), 2.5)
+    g = b.fadd(f, 1.0)
+    if fault == "div":
+        q = b.sdiv(a, d)
+    elif fault == "load":
+        q = b.load(I64, b.ptradd(out, off))
+    else:
+        q = b.mul(never, b.i64(2))
+    r = b.add(q, b.fptosi(g))
+    b.store(b.xor(r, a), b.ptradd(out, b.i64(8)))
+    b.ret()
+    if fault != "undef":  # the undef read is deliberately malformed IR
+        verify_module(module)
+    return module
+
+
+class TestFusedRuns:
+    def test_simple_ops_of_a_block_fuse_into_one_run(self):
+        module = _straight_line_module("div")
+        gpu = VirtualGPU(module, engine="decoded")
+        code = D.bind_function(gpu, module.get_function("kern")).code
+        assert code.fused is None  # generated lazily, on first execution
+        fused = D._frame_ops(code)
+        (run,) = [op for op in fused
+                  if op[0] is None and code.ops[op[3]][1] == "ret"]
+        n, end = run[1], run[3]
+        assert n == 11
+        assert all(op[0] in D._SIMPLE for op in code.ops[end - n:end])
+        assert code.ops[end - n - 1][0] not in D._SIMPLE  # maximal
+
+    @pytest.mark.parametrize("fault,args", [
+        ("div", (0, 0)),
+        ("load", (3, 1 << 40)),
+    ])
+    def test_fault_mid_run_matches_legacy_and_per_op(self, fault, args, monkeypatch):
+        module = _straight_line_module(fault)
+        fused = _fault_state(module, "decoded", args, monkeypatch)
+        legacy = _fault_state(module, "legacy", args, monkeypatch)
+        with monkeypatch.context() as m:
+            _per_op(m)
+            per_op = _fault_state(module, "decoded", args, monkeypatch)
+        assert fused == legacy == per_op
+        assert fused["block"] == "body"
+
+    def test_undefined_value_mid_run_matches_per_op(self, monkeypatch):
+        module = _straight_line_module("undef")
+        fused = _fault_state(module, "decoded", (0, 0), monkeypatch)
+        with monkeypatch.context() as m:
+            _per_op(m)
+            per_op = _fault_state(module, "decoded", (0, 0), monkeypatch)
+        assert fused == per_op
+        assert fused["message"].startswith("use of undefined value in @kern")
+        # The legacy engine words the message differently; everything
+        # else about the fault is engine-identical.
+        legacy = _fault_state(module, "legacy", (0, 0), monkeypatch)
+        assert legacy["type"] is fused["type"] is SimulationError
+        legacy.pop("message"), fused.pop("message")
+        assert fused == legacy
+
+    def test_mutated_function_runs_new_ir_on_a_new_device(self, monkeypatch):
+        """Fused code is cached by generated source, never by Function:
+        an in-place mutation after a device ran the function must run
+        the new IR on a new device, and an unchanged function must not
+        recompile."""
+        module = Module("m")
+        func, b = make_kernel(module, params=(PTR_GLOBAL, I64),
+                              arg_names=["out", "n"])
+        x = b.load(I64, func.args[0])
+        y = b.add(b.mul(x, func.args[1]), b.i64(5))
+        b.store(y, func.args[0])
+        b.ret()
+        verify_module(module)
+        monkeypatch.setattr(D, "_FUSED_MAKERS", {})
+
+        def run():
+            gpu = VirtualGPU(module, engine="decoded")
+            out = gpu.alloc_array(np.array([6], dtype=np.int64))
+            gpu.run(LaunchSpec(kernel="kern", args=(out, 7)))
+            return gpu.read_array(out, np.int64, 1)[0]
+
+        assert run() == 6 * 7 + 5
+        compiled = len(D._FUSED_MAKERS)
+        assert compiled > 0
+        assert run() == 6 * 7 + 5
+        assert len(D._FUSED_MAKERS) == compiled  # same source: no recompile
+        # Constants live in registers, so a new constant is new data for
+        # the same code; a new opcode is new code.  Both in place, the
+        # way passes rewrite IR.
+        y.set_operand(1, Constant(I64, 100))
+        assert run() == 6 * 7 + 100
+        assert len(D._FUSED_MAKERS) == compiled
+        sub = BinOp("sub", y.operands[0], y.operands[1])
+        y.parent.insert_before(y, sub)
+        y.replace_all_uses_with(sub)
+        y.erase_from_parent()
+        assert run() == 6 * 7 - 100
+        assert len(D._FUSED_MAKERS) == compiled + 1
+
+    def test_code_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(D, "_FUSED_MAKERS", {})
+        monkeypatch.setattr(D, "_FUSED_CACHE_SIZE", 1)
+        module = _straight_line_module("div")
+        for _ in range(2):  # the second device recompiles evicted runs
+            gpu = VirtualGPU(module, engine="decoded")
+            out = gpu.alloc_array(np.array([7, 0], dtype=np.int64))
+            gpu.run(LaunchSpec(kernel="kern", args=(out, 2, 0)))
+            assert gpu.read_array(out, np.int64, 2)[1] == (10 // 2 + 26) ^ 10
+            assert len(D._FUSED_MAKERS) == 1
+
+    def test_warp_launch_of_new_rt_module_generates_no_fused_code(self, monkeypatch):
+        from repro.bench.builds import NEW_RT, build_options
+        from repro.bench.harness import APPS
+        from repro.toolchain.service import ToolchainSession
+
+        def forbidden(code):
+            raise AssertionError(f"fused code generated for @{code.function.name}")
+
+        monkeypatch.setattr(D, "_fuse", forbidden)
+        app = APPS["xsbench"]
+        size = app.default_size()
+        compiled = ToolchainSession().compile(app.build_program(size),
+                                              build_options()[NEW_RT])
+        gpu = VirtualGPU(compiled.module, engine="warp")
+        assert gpu._warp_lockstep_ok
+        host_args, verify = app.prepare(gpu, size)
+        gpu.run(LaunchSpec(
+            kernel=app.KERNEL, num_teams=app.TEAMS, threads_per_team=app.THREADS,
+            args=tuple(compiled.abi(app.KERNEL).marshal(gpu, host_args)),
+        ))
+        assert verify(gpu, host_args) < 1e-9

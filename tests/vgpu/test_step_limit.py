@@ -59,3 +59,49 @@ def test_parallel_simulation_reports_the_same_limit():
     parallel = _limit_hit("decoded", teams=2, sim_jobs=2)
     assert str(serial) == str(parallel)
     assert serial.context.to_dict() == parallel.context.to_dict()
+
+
+def _long_body_module():
+    """kern(): an infinite loop whose body is one 8-op fused run."""
+    module = Module("m")
+    func, b = make_kernel(module, params=())
+    entry = b.block
+    loop = func.add_block("loop")
+    b.br(loop)
+    b.set_insert_point(loop)
+    i = b.phi(I64, "i")
+    i.add_incoming(b.i64(0), entry)
+    v = i
+    for k in range(8):
+        v = b.add(v, b.i64(k + 1))
+    i.add_incoming(v, loop)
+    b.br(loop)
+    verify_module(module)
+    return module
+
+
+@pytest.mark.parametrize("limit", [59, 60, 64])
+def test_limit_inside_a_fused_run_retires_exactly_max_steps(limit, monkeypatch):
+    """1 entry op + 9 ops per iteration: 59 and 60 stop inside the
+    8-add run, 64 right after it.  The run must fall back to per-op
+    execution and retire exactly the budget, with the same counters and
+    cycles as the legacy engine."""
+    from repro.vgpu import LaunchSpec
+    from tests.vgpu.test_decode import _capture
+
+    states = []
+    for engine in ("legacy", "decoded"):
+        with monkeypatch.context() as m:
+            seen = _capture(m)
+            gpu = VirtualGPU(_long_body_module(),
+                             config=GPUConfig(max_steps_per_thread=limit),
+                             engine=engine)
+            with pytest.raises(StepLimitExceeded) as excinfo:
+                gpu.run(LaunchSpec(kernel="kern"))
+        (stats,), (thread,) = seen["stats"], seen["threads"]
+        states.append((str(excinfo.value), excinfo.value.context.to_dict(),
+                       thread.steps, thread.phase_cycles,
+                       dict(stats.opcode_counts)))
+    assert states[0] == states[1]
+    assert states[1][2] == limit
+    assert sum(states[1][4].values()) == limit

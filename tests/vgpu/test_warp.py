@@ -250,3 +250,66 @@ def test_old_runtime_module_falls_back_to_decoded():
     gpu = VirtualGPU(module, engine="warp")
     assert gpu._warp_lockstep_ok is False
     _assert_engines_agree(_run(module, engines=("legacy", "decoded", "warp")))
+
+
+def _divergent_icall_module():
+    """Even lanes call @inc, odd lanes @dbl, through one indirect call."""
+    from repro.ir import IRBuilder
+    from repro.ir.module import Function
+    from repro.ir.types import FunctionType
+
+    module = Module("m")
+    callees = []
+    for name, op in (("inc", "add"), ("dbl", "mul")):
+        f = module.add_function(Function(name, FunctionType(I64, (I64,))))
+        fb = IRBuilder(module, f.add_block("entry"))
+        fb.ret(getattr(fb, op)(f.args[0], fb.i64(1 if op == "add" else 2)))
+        callees.append(f)
+    func, b = make_kernel(module)
+    tid = b.sext(b.thread_id(), I64)
+    even = b.icmp("eq", b.and_(tid, b.i64(1)), b.i64(0))
+    target = b.select(even, *(b.cast("ptrtoint", f, I64) for f in callees))
+    _store_at_tid(b, func.args[0], tid, b.call_indirect(target, [tid], I64))
+    b.ret()
+    verify_module(module)
+    return module
+
+
+def test_divergent_indirect_call_is_an_engine_limit_not_a_program_fault():
+    """The warp engine cannot run lane-divergent indirect calls; that
+    must take the internal-fault retry path (ok, retried) both direct
+    and served — never an ok=False program-fault verdict."""
+    from repro.faults import run_guarded
+    from repro.serve import SimulationService
+    from repro.vgpu.errors import EngineUnsupported
+
+    module = _divergent_icall_module()
+    with pytest.raises(EngineUnsupported):
+        _run(module, engines=("warp",))
+    expected = [t + 1 if t % 2 == 0 else 2 * t for t in range(N)]
+
+    def make_args(gpu, _compiled=None):
+        return (gpu.alloc_bytes(8 * N), 0)
+
+    def words(gpu, buf):
+        return [gpu.read_scalar(buf + 8 * i, I64) for i in range(N)]
+
+    devices = []
+
+    def make_gpu(engine):
+        devices.append(VirtualGPU(module, engine=engine))
+        return devices[-1]
+
+    spec = LaunchSpec(kernel="kern", num_teams=1, threads_per_team=N)
+    direct = run_guarded(make_gpu, lambda gpu: make_args(gpu), spec=spec,
+                         engine="warp", save_report=False)
+    assert direct.ok and direct.retried
+    assert direct.report.retry["error_type"] == "EngineUnsupported"
+
+    with SimulationService(workers=1, save_reports=False) as svc:
+        served = svc.run(
+            spec.replace(engine="warp"), module=module, make_args=make_args,
+            finalize=lambda gpu, result: words(gpu, result.spec.args[0]),
+        )
+    assert served.ok and served.retried
+    assert served.payload == expected
