@@ -79,11 +79,8 @@ def measure_cell(
     ))
     walls: List[float] = []
     profile = None
-    warp_fallback = False
     for _ in range(max(1, repeats)):
         gpu = VirtualGPU(compiled.module, config=GPUConfig(), engine=engine)
-        if engine == ENGINE_WARP and not gpu._warp_lockstep_ok:
-            warp_fallback = True
         host_args, _verify = app.prepare(gpu, size)
         spec = LaunchSpec(
             kernel=app.KERNEL,
@@ -93,8 +90,10 @@ def measure_cell(
             sim_jobs=sim_jobs,
         )
         t0 = time.perf_counter()
-        profile = gpu.run(spec).profile
+        result = gpu.run(spec)
         walls.append(max(time.perf_counter() - t0, 1e-9))
+        profile = result.profile
+        warp_fallback = result.fallback is not None
     best = min(walls)
     wall_stats = record.stats(walls)
     cell = {
@@ -108,8 +107,8 @@ def measure_cell(
         "cycles_per_sec": round(profile.cycles / best, 1),
     }
     if engine == ENGINE_WARP:
-        # True for old-runtime builds, whose warp launches run the
-        # decoded scalar fallback (not lockstep-safe).
+        # As the launch reports it: true for old-runtime builds, whose
+        # warp launches run the decoded scalar fallback.
         cell["warp_fallback"] = warp_fallback
     return cell
 

@@ -6,6 +6,9 @@ from repro.vgpu.config import (  # noqa: F401
     ENGINE_LEGACY,
     ENGINE_WARP,
     ENGINES,
+    FALLBACK_FAULT_PLAN,
+    FALLBACK_OLD_RT,
+    FALLBACK_SANITIZE,
     GPUConfig,
     LaunchConfig,
     resolve_fault_plan,

@@ -21,6 +21,14 @@ ENGINE_LEGACY = "legacy"
 ENGINE_WARP = "warp"
 ENGINES = (ENGINE_DECODED, ENGINE_LEGACY, ENGINE_WARP)
 
+#: Why a team of a warp-requested launch ran on the decoded engine
+#: (:attr:`repro.vgpu.LaunchResult.fallback`): the old runtime's shared
+#: stack is not lockstep-safe, an armed fault plan needs the scalar
+#: fault hooks, sanitize mode needs the shadow-checked memory path.
+FALLBACK_OLD_RT = "old-rt-shared-stack"
+FALLBACK_FAULT_PLAN = "fault-plan"
+FALLBACK_SANITIZE = "sanitize"
+
 
 def resolve_sim_engine(engine: Optional[str] = None) -> str:
     """Effective execution engine: explicit *engine*, else the

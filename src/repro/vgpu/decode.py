@@ -21,13 +21,14 @@ that once, in a ``decode(Function) -> DecodedFunction`` pass:
   cost component.
 * Phi nodes never execute: each CFG edge carries a pre-computed
   parallel-copy move list applied by the branch handlers.
-* Straight-line runs of simple ops (arithmetic, compares, select,
-  ptradd, casts, loads, stores) are *fused* on a function's first
-  decoded execution: each run becomes one generated function that
-  executes its ops inline, with slots, masks and costs as literals, and
-  retires them in bulk (see "Fused runs" below).  Each simple opcode is
-  defined once, as a source template (:data:`_TEMPLATES`) that yields
-  both the fused code and its per-op handler.
+* Basic blocks are *fused* on a function's first decoded execution:
+  a block's simple ops (arithmetic, compares, select, ptradd, casts,
+  loads, stores, pure intrinsics) and its branch become one generated
+  function that executes them inline, with slots, masks, costs and
+  branch targets as literals, and retires them in bulk (see "Fused
+  runs" below).  Each simple opcode is defined once, as a source
+  template (:data:`_TEMPLATES`) that yields both the fused code and its
+  per-op handler.
 
 Decoding is split in two stages.  The *static* stage
 (:func:`decode_function`) depends only on the function and the
@@ -250,8 +251,9 @@ def _segment(vm, thread, tag):
 # Simple micro-ops: one source template per opcode
 #
 # The straight-line opcodes (integer and float arithmetic, compares,
-# select, ptradd, casts, loads and stores) are defined exactly once, as
-# Python source templates, and instantiated twice:
+# select, ptradd, casts, loads, stores and the pure intrinsics) are
+# defined exactly once, as Python source templates, and instantiated
+# twice:
 #
 # * as the per-op handler ``_h_<name>(vm, thread, frame, op)``, whose
 #   placeholders read the op tuple (``{a}`` -> ``r[op[4]]``,
@@ -265,11 +267,13 @@ def _segment(vm, thread, tag):
 # Op fields after ``(h, opcode, next)`` are named by the spec string.
 # Lower-case names are register slots.  ``C`` is the static cycle cost,
 # ``T``/``S`` the IntType to wrap to / to read as signed (``.mask``,
-# ``.half``), ``W`` a bit width, ``N`` an access size, ``TY`` the
-# accessed IR type, ``K`` the per-tag cost tuple and ``X`` a struct
-# pack/unpack.  Memory templates have no ``C``: they leave their cost
-# in ``k``.  Templates may read ``vm``, ``thread``, the registers ``r``
-# and the stats ``st``, and use the temporaries x, y, tag, off, seg, k.
+# ``.half``), ``W`` a bit width (or the warp size), ``N`` an access
+# size, ``TY`` the accessed IR type, ``K`` the per-tag cost tuple, ``X``
+# a struct pack/unpack, ``V`` a folded intrinsic result, ``F`` a math
+# function and ``P`` its result coercion.  Memory templates have no
+# ``C``: they leave their cost in ``k``.  Templates may read ``vm``,
+# ``thread``, the registers ``r`` and the stats ``st``, and use the
+# temporaries x, y, tag, off, seg, k.
 # ===================================================================
 
 
@@ -385,6 +389,15 @@ _TEMPLATES: Dict[str, Tuple[str, bool, str]] = {
         _STORE_SLOW)),
     "store_f": ("p v N TY K X", False, _mem(
         "store", "{X}(seg.data, off, float({v}))", _STORE_SLOW)),
+    # pure intrinsics (opcode "call"); const_result is gpu.warp_size
+    "thread_id": ("d C", False, "{d} = thread.thread_id"),
+    "block_id": ("d C", False, "{d} = thread.team_id"),
+    "block_dim": ("d C", False, "{d} = vm._launch.threads_per_team"),
+    "grid_dim": ("d C", False, "{d} = vm._launch.num_teams"),
+    "const_result": ("d V C", False, "{d} = {V}"),
+    "lane_id": ("d W C", False, "{d} = thread.thread_id % {W}"),
+    "math1": ("d a F P C", True, "{d} = {P}({F}(float({a})))"),
+    "math2": ("d a b F P C", True, "{d} = {P}({F}(float({a}), float({b})))"),
 }
 
 _INF, _NINF, _NAN = float("inf"), float("-inf"), float("nan")
@@ -436,11 +449,11 @@ def _per_op_source(name: str, spec: _Spec) -> str:
         lambda i, _: _Src(f"op[{i}]"),
     )
     lines = [f"def _h_{name}(vm, thread, frame, op):", "    r = frame.regs"]
-    if spec.flop or "st." in body:
+    if "st." in body:
         lines.append("    st = thread.stats")
-    if spec.flop:
-        lines.append("    st.flops += 1")
     lines += ["    " + line for line in body.splitlines()]
+    if spec.flop:  # only once the op succeeds, like the legacy engine
+        lines.append("    thread.stats.flops += 1")
     lines.append("    frame.pc = op[2]")
     lines.append(f"    return {'k' if spec.cost is None else f'op[{spec.cost}]'}")
     return "\n".join(lines)
@@ -456,7 +469,8 @@ exec(
     globals(),
 )
 
-#: Per-op handler -> its template spec: the ops :func:`_fuse` may fuse.
+#: Per-op handler -> its template spec: the ops a fused run executes
+#: inline before its terminator (see :func:`_fuse`).
 _SIMPLE: Dict[Callable, _Spec] = {
     globals()[f"_h_{n}"]: spec for n, spec in _SPECS.items()
 }
@@ -465,23 +479,27 @@ _SIMPLE: Dict[Callable, _Spec] = {
 # ===================================================================
 # Fused runs
 #
-# A fused run is a maximal sequence of simple ops in one basic block;
-# it ends at the block's terminator or at any call, alloca, atomic or —
-# in sanitize mode, whose loads/stores decode to the ``_slow`` handlers
-# — memory access.  Each run becomes one generated function
-# ``run(vm, thread, regs) -> cycles`` that executes its ops inline and
-# bumps ``opcode_counts`` and ``flops`` in bulk; the run loop retires
-# its steps at once.  Entry is only ever at the run's first op:
-# branch targets are block starts and calls return to the op after the
-# call, where the next run starts.
+# A fused run covers one basic block: a maximal sequence of simple ops
+# plus the block's ``br``/``condbr`` terminator.  It stops short of any
+# call, alloca, atomic, ``ret``/``unreachable`` or — in sanitize mode,
+# whose loads/stores decode to the ``_slow`` handlers — memory access,
+# and the op after such an op starts the next run.  Each run becomes one
+# generated function ``run(vm, thread, frame) -> cycles`` that executes
+# its ops inline, applies the taken edge's phi moves as one tuple
+# parallel copy (``r[4], r[5] = r[5], r[4]``), sets ``frame.pc`` to the
+# branch target (or to the op after the run) and bumps
+# ``opcode_counts`` and ``flops`` in bulk; the run loop retires its
+# steps at once.  A block without calls is thus one dispatch.  Entry is
+# only ever at the run's first op: branch targets are block starts and
+# calls return to the op after the call, where the next run starts.
 #
 # Code is generated lazily, on a function's first decoded execution
 # (never for warp launches), and compiled once per process: the cache
 # is keyed by a digest of the generated source, never by the Function
 # (passes mutate IR in place).  Every device renders its own source — slot
-# numbers, widths and costs are literals in it — and binds any
-# non-literal constant (IR types, struct pack/unpack) as a closure
-# argument of the cached factory.
+# numbers, widths, branch targets and costs are literals in it — and
+# binds any non-literal constant (IR types, struct pack/unpack, math
+# functions) as a closure argument of the cached factory.
 # ===================================================================
 
 
@@ -490,9 +508,9 @@ _SIMPLE: Dict[Callable, _Spec] = {
 _MAX_RUN = 64
 
 #: Source digest -> (factory ``_make(*consts) -> run function``, the
-#: source line on which each op's code starts).  Bounded, oldest entry
-#: first out: a long-lived service sees ever new programs, while all 24
-#: app x build cells together need about 700 runs.
+#: source line on which each simple op's code starts).  Bounded, oldest
+#: entry first out: a long-lived service sees ever new programs, while
+#: all 24 app x build cells together need 701 runs.
 _FUSED_MAKERS: Dict[bytes, Tuple[Callable, Tuple[int, ...]]] = {}
 _FUSED_CACHE_SIZE = 4096
 
@@ -524,36 +542,67 @@ class _Lit:
 def _fuse(code: DecodedFunction) -> List[tuple]:
     """Build (once per decoded function) the op list decoded frames run:
     ``code.ops`` with each run's first op replaced by the run entry
-    ``(None, n, run_fn, end_pc, first_op, op_first_lines)``."""
+    ``(None, n, run_fn, stop_pc, first_op, op_first_lines)``, where
+    *stop_pc* is the pc at which the run's simple ops end (its
+    terminator, or the op after the run)."""
     ops = code.ops
     fused = list(ops)
     start = 0
-    for pc, op in enumerate(ops + [None]):
-        if op is not None and op[0] in _SIMPLE:
+    for pc, op in enumerate(ops):  # every block ends in a terminator
+        if op[0] in _SIMPLE:
             continue
-        for a in range(start, pc, _MAX_RUN):
-            fused[a] = _compile_run(tuple(ops[a : min(pc, a + _MAX_RUN)]))
+        end = pc + 1 if op[0] in _TERMINATORS else pc
+        for a in range(start, end, _MAX_RUN):
+            b = min(end, a + _MAX_RUN)
+            fused[a] = _compile_run(tuple(ops[a:b]), min(b, pc))
         start = pc + 1
     code.fused = fused
     return fused
 
 
-def _compile_run(run_ops: Tuple[tuple, ...]) -> tuple:
-    """Generate, compile (once per process) and bind one fused run.
+def _edge(target: int, moves, indent: str) -> List[str]:
+    """Source lines taking one CFG edge: its phi moves as one parallel
+    copy, then the jump."""
+    lines = []
+    if moves:
+        dests = ", ".join(f"r[{d}]" for d, _ in moves)
+        srcs = ", ".join(f"r[{s}]" for _, s in moves)
+        lines.append(f"{indent}{dests} = {srcs}")
+    return lines + [f"{indent}frame.pc = {target}"]
+
+
+def _compile_run(run_ops: Tuple[tuple, ...], stop: int) -> tuple:
+    """Generate, compile (once per process) and bind one fused run:
+    its ``_fuse`` entry.
 
     Runs compile one by one: compiling a whole function's runs as one
     source costs tens of MB of transient parser memory on the larger
     apps.  The cache key is a digest of the source, which holds only
     literals and closure names, so equal sources are the same code."""
     names: Dict = {}
-    lines = [None, "    def run(vm, thread, r):", "        st = thread.stats", "        c = 0"]
+    lines = [None, "    def run(vm, thread, frame):", "        r = frame.regs",
+             "        st = thread.stats", "        c = 0"]
     first = []
     static = flops = 0
     counts: Dict[str, int] = {}
     reg = lambda i, slot: f"r[{slot}]"
     const = lambda i, value: _Lit(value, names)
     for op in run_ops:
-        spec = _SIMPLE[op[0]]
+        counts[op[1]] = counts.get(op[1], 0) + 1
+        spec = _SIMPLE.get(op[0])
+        if spec is None:  # the block's terminator, always last
+            edges, cost = _TERMINATORS[op[0]]
+            static += op[cost]
+            branches = edges(op)
+            if len(branches) == 1:
+                lines += _edge(*branches[0], "        ")
+            else:
+                (t, t_moves), (f, f_moves) = branches
+                lines.append(f"        if r[{op[3]}]:")
+                lines += _edge(t, t_moves, "            ")
+                lines.append("        else:")
+                lines += _edge(f, f_moves, "            ")
+            break
         first.append(len(lines) + 1)
         lines += ["        " + s for s in spec.render(op, reg, const).splitlines()]
         if spec.cost is None:
@@ -561,7 +610,8 @@ def _compile_run(run_ops: Tuple[tuple, ...]) -> tuple:
         else:
             static += op[spec.cost]
         flops += spec.flop
-        counts[op[1]] = counts.get(op[1], 0) + 1
+    else:
+        lines.append(f"        frame.pc = {run_ops[-1][2]}")
     lines.append("        oc = st.opcode_counts")
     lines += [f"        oc[{k!r}] += {n}" for k, n in counts.items()]
     if flops:
@@ -579,18 +629,19 @@ def _compile_run(run_ops: Tuple[tuple, ...]) -> tuple:
             del _FUSED_MAKERS[next(iter(_FUSED_MAKERS))]
         cached = _FUSED_MAKERS[key] = (ns["_make"], tuple(first))
     make, first = cached
-    return (None, len(run_ops), make(*names), run_ops[-1][2], run_ops[0], first)
+    return (None, len(run_ops), make(*names), stop, run_ops[0], first)
 
 
 def _unwind_run(vm, thread, frame, exc: BaseException) -> Tuple[int, int]:
     """``(steps, cycles)`` a fault inside a fused run leaves behind.
 
     Per-op execution would have retired and counted every op up to and
-    including the faulting one, charged the cycles of the ops before it
-    and left ``frame.pc`` on it.  The faulting op is recovered from the
-    line number of the run's frame in the traceback, so the hot path
-    pays nothing for this.  Returns ``(0, 0)`` when *exc* did not come
-    from a fused run."""
+    including the faulting one, counted the flops and charged the
+    cycles of the ops before it and left ``frame.pc`` on it.  Only
+    simple ops fault (a run's terminator cannot), and the faulting op is
+    recovered from the line number of the run's frame in the traceback,
+    so the hot path pays nothing for this.  Returns ``(0, 0)`` when
+    *exc* did not come from a fused run."""
     run = frame.ops[frame.pc]
     if run[0] is not None:
         return 0, 0
@@ -603,12 +654,13 @@ def _unwind_run(vm, thread, frame, exc: BaseException) -> Tuple[int, int]:
     cycles = tb.tb_frame.f_locals["c"]
     stats = thread.stats
     ops = vm._bound_cache[frame.function].code.ops
-    for i, op in enumerate(ops[frame.pc : frame.pc + k + 1]):
+    for op in ops[frame.pc : frame.pc + k]:
         spec = _SIMPLE[op[0]]
         stats.opcode_counts[op[1]] += 1
         stats.flops += spec.flop
-        if i < k and spec.cost is not None:
+        if spec.cost is not None:
             cycles += op[spec.cost]
+    stats.opcode_counts[ops[frame.pc + k][1]] += 1
     frame.pc += k
     return k + 1, cycles
 
@@ -720,6 +772,16 @@ def _h_condbr(vm, thread, frame, op):
             regs[d] = v
     frame.pc = pc
     return op[8]
+
+
+#: Terminator handler -> (op -> its ``(target, moves)`` edges, taken one
+#: first; op index of its cost).  Fused runs inline these.
+_TERMINATORS: Dict[Callable, Tuple[Callable, int]] = {
+    _h_jump: (lambda op: ((op[2], ()),), 3),
+    _h_br1: (lambda op: ((op[2], ((op[3], op[4]),)),), 5),
+    _h_brn: (lambda op: ((op[2], op[3]),), 4),
+    _h_condbr: (lambda op: ((op[4], op[5]), (op[6], op[7])), 8),
+}
 
 
 # -- ret/unreachable --
@@ -839,45 +901,6 @@ def _h_barrier(vm, thread, frame, op):
     return op[4]
 
 
-def _h_thread_id(vm, thread, frame, op):
-    # (h, "call", next, dest, cost)
-    frame.regs[op[3]] = thread.thread_id
-    frame.pc = op[2]
-    return op[4]
-
-
-def _h_block_id(vm, thread, frame, op):
-    frame.regs[op[3]] = thread.team_id
-    frame.pc = op[2]
-    return op[4]
-
-
-def _h_block_dim(vm, thread, frame, op):
-    frame.regs[op[3]] = vm._launch.threads_per_team
-    frame.pc = op[2]
-    return op[4]
-
-
-def _h_grid_dim(vm, thread, frame, op):
-    frame.regs[op[3]] = vm._launch.num_teams
-    frame.pc = op[2]
-    return op[4]
-
-
-def _h_const_result(vm, thread, frame, op):
-    # folded intrinsic result (gpu.warp_size): (h, "call", next, dest, value, cost)
-    frame.regs[op[3]] = op[4]
-    frame.pc = op[2]
-    return op[5]
-
-
-def _h_lane_id(vm, thread, frame, op):
-    # (h, "call", next, dest, warp_size, cost)
-    frame.regs[op[3]] = thread.thread_id % op[4]
-    frame.pc = op[2]
-    return op[5]
-
-
 def _h_assume(vm, thread, frame, op):
     # (h, "call", next, arg_slot, cost)
     if vm.debug_checks and not frame.regs[op[3]]:
@@ -892,24 +915,6 @@ def _h_expect(vm, thread, frame, op):
     regs[op[3]] = op[5](regs[op[4]])
     frame.pc = op[2]
     return op[6]
-
-
-def _h_math1(vm, thread, frame, op):
-    # (h, "call", next, dest, a, fn, coerce, cost)
-    thread.stats.flops += 1
-    regs = frame.regs
-    regs[op[3]] = op[6](op[5](float(regs[op[4]])))
-    frame.pc = op[2]
-    return op[7]
-
-
-def _h_math2(vm, thread, frame, op):
-    # (h, "call", next, dest, a, b, fn, coerce, cost)
-    thread.stats.flops += 1
-    regs = frame.regs
-    regs[op[3]] = op[7](op[6](float(regs[op[4]]), float(regs[op[5]])))
-    frame.pc = op[2]
-    return op[8]
 
 
 def _h_intrin(vm, thread, frame, op):
@@ -1644,19 +1649,23 @@ def _run(vm, thread: ThreadContext, fn_cycles) -> None:
     try:
         while thread.status is _RUNNING:
             frame = frames[-1]
-            op = frame.ops[frame.pc]
-            if op[0] is None:
-                # Fused run entry (see _fuse).  Runs per op instead when
-                # the step budget ends inside it.
-                if steps + op[1] <= max_steps:
-                    c = op[2](vm, thread, frame.regs)
-                    steps += op[1]
-                    frame.pc = op[3]
-                    cycles += c
-                    if fn_cycles is not None:
-                        fn_cycles[frame.function.name] += c
-                    continue
-                op = op[4]
+            ops = frame.ops
+            op = ops[frame.pc]
+            while op[0] is None:
+                # Fused run entry (see _fuse): one dispatch per block.  A
+                # run never calls, returns or stops at a barrier, so runs
+                # chain here until the next per-op op.  A run executes
+                # per op instead when the step budget ends inside it.
+                n = op[1]
+                if steps + n > max_steps:
+                    op = op[4]
+                    break
+                c = op[2](vm, thread, frame)
+                steps += n
+                cycles += c
+                if fn_cycles is not None:
+                    fn_cycles[frame.function.name] += c
+                op = ops[frame.pc]
             # Check before the retire: a stopped thread reports exactly
             # max_steps retired instructions (the over-budget op never
             # executes), identically in both engines.

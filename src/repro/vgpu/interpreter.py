@@ -71,6 +71,9 @@ from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Valu
 from repro.vgpu import decode as _decode
 from repro.vgpu.config import (
     DEFAULT_CONFIG,
+    FALLBACK_FAULT_PLAN,
+    FALLBACK_OLD_RT,
+    FALLBACK_SANITIZE,
     GPUConfig,
     LaunchConfig,
     resolve_fault_plan,
@@ -234,6 +237,9 @@ class VirtualGPU:
         self._launch: Optional[LaunchConfig] = None
         self._dynamic_shared_bytes = 0
         self._dynamic_shared_base: Dict[int, int] = {}
+        #: Team id -> why that team of the current warp-requested launch
+        #: ran decoded (reported on its LaunchResult).
+        self._fallbacks: Dict[int, str] = {}
         self._materialize_globals()
         self._assign_function_addresses()
         self._apply_environment()
@@ -414,10 +420,15 @@ class VirtualGPU:
             profile = self._execute_spec(spec)
         finally:
             self.engine, self.fault_plan = saved
+        fallbacks = self._fallbacks
+        everywhere = len(fallbacks) == spec.num_teams
         return LaunchResult(
             spec=spec,
             profile=profile,
             engine=engine,
+            executed_engine=ENGINE_DECODED if everywhere else engine,
+            # one reason per launch: only the fault plan is per team
+            fallback=next(iter(fallbacks.values()), None),
             started_s=started,
             finished_s=time.monotonic(),
         )
@@ -442,6 +453,7 @@ class VirtualGPU:
             )
         launch = LaunchConfig(num_teams, threads_per_team)
         self._launch = launch
+        self._fallbacks = {}
         self._dynamic_shared_bytes = spec.dynamic_shared_bytes
         self._dynamic_shared_base = {}
         profile = KernelProfile(
@@ -629,13 +641,16 @@ class VirtualGPU:
         # Old-runtime modules take the same fallback — their shared
         # stack is not lockstep-safe (see ``_warp_lockstep_ok``).
         engine = self.engine
-        warp = (
-            engine == ENGINE_WARP
-            and fstate is None
-            and not self.sanitize
-            and self._warp_lockstep_ok
-        )
-        decoded = engine == ENGINE_DECODED or (engine == ENGINE_WARP and not warp)
+        fallback = None
+        if engine == ENGINE_WARP:
+            fallback = (FALLBACK_SANITIZE if self.sanitize
+                        else FALLBACK_OLD_RT if not self._warp_lockstep_ok
+                        else FALLBACK_FAULT_PLAN if fstate is not None
+                        else None)
+            if fallback is not None:
+                self._fallbacks[team_id] = fallback
+        warp = engine == ENGINE_WARP and fallback is None
+        decoded = engine == ENGINE_DECODED or fallback is not None
         for thread in threads:
             thread.stats = stats
             thread.faults = fstate

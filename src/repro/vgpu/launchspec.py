@@ -150,8 +150,15 @@ class LaunchResult:
     spec: LaunchSpec
     #: The kernel profile (None only for failed served requests).
     profile: Optional[KernelProfile] = None
-    #: Engine that produced the result (post-resolution).
+    #: Engine that was requested (post-resolution).
     engine: str = ""
+    #: Engine that actually ran the teams: ``engine``, or ``decoded``
+    #: when every team of a warp-requested launch fell back.
+    executed_engine: str = ""
+    #: Why teams of a warp-requested launch ran decoded (one of
+    #: ``repro.vgpu.config.FALLBACK_*``), else None.  A fault plan that
+    #: arms only some teams leaves ``executed_engine`` at ``warp``.
+    fallback: Optional[str] = None
     ok: bool = True
     #: CrashReport for a failed request — or, on a successful serve
     #: retry, for the internal engine fault that forced the retry.

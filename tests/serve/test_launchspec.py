@@ -15,6 +15,10 @@ from repro.ir import I64, PTR_GLOBAL, verify_module
 from repro.vgpu import (
     ENGINE_DECODED,
     ENGINE_LEGACY,
+    ENGINE_WARP,
+    FALLBACK_FAULT_PLAN,
+    FALLBACK_OLD_RT,
+    FALLBACK_SANITIZE,
     LaunchResult,
     LaunchSpec,
     SimulationError,
@@ -130,6 +134,48 @@ class TestRun:
         p_a = gpu_a.run(spec.replace(args=(out_a, 3), engine=ENGINE_LEGACY))
         p_b = gpu_b.run(spec.replace(args=(out_b, 3)))
         assert p_a.profile.to_dict() == p_b.profile.to_dict()
+
+    @pytest.mark.parametrize("engine", [ENGINE_DECODED, ENGINE_LEGACY, ENGINE_WARP])
+    def test_result_says_which_engine_ran(self, module, engine):
+        gpu = _device(module, engine=engine)
+        out = gpu.alloc_array(np.zeros(4, dtype=np.int64))
+        result = gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
+                                    args=(out, 5)))
+        assert result.engine == result.executed_engine == engine
+        assert result.fallback is None
+
+    @pytest.mark.parametrize("setup,executed,fallback", [
+        ("old_rt", ENGINE_DECODED, FALLBACK_OLD_RT),
+        ("sanitize", ENGINE_DECODED, FALLBACK_SANITIZE),
+        ("faults_all_teams", ENGINE_DECODED, FALLBACK_FAULT_PLAN),
+        ("faults_one_team", ENGINE_WARP, FALLBACK_FAULT_PLAN),
+    ])
+    def test_warp_fallback_is_reported(self, module, setup, executed, fallback):
+        """A warp request keeps ``engine == "warp"``; the result names the
+        engine that ran and why, and the profile is the decoded one."""
+        from repro.ir import ArrayType, GlobalVariable
+        from repro.runtime.state import GV_OLD_TEAM_CONTEXT
+
+        kwargs = {
+            "sanitize": {"sanitize": True},
+            # nothing in the kernel mallocs or stacks: the plan only arms
+            "faults_all_teams": {"faults": "shared_stack_exhaust"},
+            "faults_one_team": {"faults": "malloc_fail:n=9:team=1"},
+        }.get(setup, {})
+        if setup == "old_rt":
+            module.add_global(GlobalVariable(GV_OLD_TEAM_CONTEXT, ArrayType(I64, 1)))
+        _store_module(module)
+        spec = LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2)
+        runs = []
+        for engine in (ENGINE_WARP, ENGINE_DECODED):
+            gpu = VirtualGPU(module, engine=engine, **kwargs)
+            out = gpu.alloc_array(np.zeros(4, dtype=np.int64))
+            runs.append(gpu.run(spec.replace(args=(out, 7))))
+        warp, decoded = runs
+        assert warp.engine == ENGINE_WARP
+        assert (warp.executed_engine, warp.fallback) == (executed, fallback)
+        assert (decoded.executed_engine, decoded.fallback) == (ENGINE_DECODED, None)
+        assert warp.profile.to_dict() == decoded.profile.to_dict()
 
     def test_sanitize_mismatch_raises(self, module):
         gpu = _device(module)  # not sanitized

@@ -1,5 +1,7 @@
 """Pre-decoded engine: decode pass, slot assignment, caching, parity."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,18 @@ def _per_op(monkeypatch):
     monkeypatch.setattr(D, "_frame_ops", lambda code: code.ops)
 
 
+def where(thread):
+    """Where *thread* stopped, engine-neutrally: (block name, index of
+    the op among the block's non-phi instructions)."""
+    frame = thread.frames[-1]
+    if isinstance(frame, D.DecodedFrame):
+        code = D.decode_function(frame.function, CostModel(GPUConfig()), 32)
+        pcs, names = code.block_starts
+        i = bisect_right(pcs, frame.pc) - 1
+        return names[i], frame.pc - pcs[i]
+    return frame.block.name, frame.index - frame.block.first_non_phi_index()
+
+
 def _fault_state(module, engine, args, monkeypatch):
     """Launch @kern on one thread expecting a fault; return everything
     the fault leaves behind."""
@@ -241,6 +255,7 @@ def _fault_state(module, engine, args, monkeypatch):
         "type": type(exc),
         "message": str(exc),
         "block": ctx.block,
+        "where": where(thread),
         "steps": ctx.steps,
         "thread_steps": thread.steps,
         "cycles": thread.phase_cycles,
@@ -398,3 +413,210 @@ class TestFusedRuns:
             args=tuple(compiled.abi(app.KERNEL).marshal(gpu, host_args)),
         ))
         assert verify(gpu, host_args) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Block runs: a fused run covers its block's terminator too, so phi
+# moves, branch targets and the terminator's counters are generated code.
+# ---------------------------------------------------------------------------
+
+
+def swap_loop_module(latch):
+    """kern(out, n): ``x, y = y, x`` on every trip of a counted loop
+    while ``acc = 3 * acc + x`` observes the order, then out[0:3] =
+    (acc, x, y).  With *latch* "condbr" the loop is bottom-tested and
+    its condbr carries the swap; with "brn" it is top-tested and the
+    back-edge br (several phi moves) carries it."""
+    module = Module("m")
+    func, b = make_kernel(module, params=(PTR_GLOBAL, I64), arg_names=["out", "n"])
+    out, n = func.args
+    entry = b.block
+    loop = func.add_block("loop")
+    exit_ = func.add_block("exit")
+    b.br(loop)
+    b.set_insert_point(loop)
+    phis = [b.phi(I64, name) for name in ("i", "x", "y", "acc")]
+    i, x, y, acc = phis
+    for phi, init in zip(phis, (0, 1, 2, 0)):
+        phi.add_incoming(b.i64(init), entry)
+    if latch == "brn":
+        body = func.add_block("body")
+        b.cond_br(b.icmp("slt", i, n), body, exit_)
+        b.set_insert_point(body)
+    nacc = b.add(b.mul(acc, b.i64(3)), x)
+    ni = b.add(i, b.i64(1))
+    if latch == "condbr":
+        b.cond_br(b.icmp("slt", ni, n), loop, exit_)
+    else:
+        b.br(loop)
+    for phi, v in zip(phis, (ni, y, x, nacc)):
+        phi.add_incoming(v, b.block)
+    b.set_insert_point(exit_)
+    for k, v in enumerate((nacc if latch == "condbr" else acc, x, y)):
+        b.store(v, b.ptradd(out, b.i64(8 * k)))
+    b.ret()
+    verify_module(module)
+    return module
+
+
+def _fault_before_branch_module(fault):
+    """kern(out, d, off): the op right before the body block's condbr
+    faults — sdiv by ``d`` ("div"), a load at ``out + off`` ("load") or
+    llvm.sqrt of a value whose definition never ran ("math1")."""
+    module = Module("m")
+    func, b = make_kernel(module, params=(PTR_GLOBAL, I64, I64),
+                          arg_names=["out", "d", "off"])
+    out, d, off = func.args
+    body = func.add_block("body")
+    undef_def = func.add_block("def")
+    yes = func.add_block("yes")
+    no = func.add_block("no")
+    b.cond_br(b.icmp("eq", d, b.i64(12345)), undef_def, body)
+    b.set_insert_point(undef_def)
+    never = b.sitofp(d, name="never")
+    b.br(body)
+    b.set_insert_point(body)
+    a = b.add(b.load(I64, out), b.i64(3))
+    f = b.fmul(b.sitofp(a), 2.5)
+    c = b.icmp("slt", a, b.i64(100))
+    p = b.ptradd(out, off)
+    if fault == "div":
+        q = b.sdiv(a, d)
+    elif fault == "load":
+        q = b.load(I64, p)
+    else:
+        q = b.intrinsic("llvm.sqrt.f64", [never])
+    b.cond_br(c, yes, no)
+    b.set_insert_point(yes)
+    if fault == "math1":
+        q = b.fptosi(b.fadd(f, q))
+    b.store(q, b.ptradd(out, b.i64(8)))
+    b.ret()
+    b.set_insert_point(no)
+    b.ret()
+    if fault != "math1":  # the undefined read is deliberately malformed IR
+        verify_module(module)
+    return module
+
+
+def _swap_loop_state(module, engine, n, monkeypatch, per_op=False):
+    with monkeypatch.context() as m:
+        if per_op:
+            _per_op(m)
+        gpu = VirtualGPU(module, engine=engine)
+        out = gpu.alloc_array(np.zeros(3, dtype=np.int64))
+        result = gpu.run(LaunchSpec(kernel="kern", args=(out, n)))
+    profile = result.profile
+    return (gpu.read_array(out, np.int64, 3).tolist(), profile.cycles,
+            profile.instructions, dict(profile.opcode_counts))
+
+
+class TestBlockRuns:
+    @pytest.mark.parametrize("latch", ["condbr", "brn"])
+    def test_every_block_is_one_run_including_its_terminator(self, latch):
+        module = swap_loop_module(latch)
+        gpu = VirtualGPU(module, engine="decoded")
+        code = D.bind_function(gpu, module.get_function("kern")).code
+        fused = D._frame_ops(code)
+        pcs = list(code.block_starts[0])
+        for start, end in zip(pcs, pcs[1:] + [len(code.ops)]):
+            last = code.ops[end - 1]
+            if last[1] == "ret":  # exit: stores fuse, the ret stays per op
+                assert fused[start][1] == end - 1 - start
+                continue
+            assert last[0] in D._TERMINATORS
+            assert fused[start][0] is None and fused[start][1] == end - start
+            assert all(op[0] is not None for op in fused[start + 1:end])
+
+    @pytest.mark.parametrize("latch", ["condbr", "brn"])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_phi_swap_through_a_fused_branch(self, latch, n, monkeypatch):
+        module = swap_loop_module(latch)
+        acc, x, y = 0, 1, 2
+        for _ in range(n):
+            acc, x, y = 3 * acc + x, y, x
+        if latch == "condbr":  # exit sees the last trip's phis, not its moves
+            x, y = y, x
+        legacy = _swap_loop_state(module, "legacy", n, monkeypatch)
+        fused = _swap_loop_state(module, "decoded", n, monkeypatch)
+        per_op = _swap_loop_state(module, "decoded", n, monkeypatch, per_op=True)
+        assert fused == legacy == per_op
+        assert fused[0] == [acc, x, y]
+
+    @pytest.mark.parametrize("fault,args", [
+        ("div", (0, 0)),
+        ("load", (3, 1 << 40)),
+        ("math1", (0, 0)),
+    ])
+    def test_fault_right_before_a_fused_condbr(self, fault, args, monkeypatch):
+        """The faulting op retires (step and opcode count) but charges
+        no cycles or flops; the condbr after it never runs."""
+        module = _fault_before_branch_module(fault)
+        fused = _fault_state(module, "decoded", args, monkeypatch)
+        with monkeypatch.context() as m:
+            _per_op(m)
+            per_op = _fault_state(module, "decoded", args, monkeypatch)
+        legacy = _fault_state(module, "legacy", args, monkeypatch)
+        assert fused == per_op
+        if fault == "math1":  # the engines word undefined reads differently
+            assert fused.pop("message").startswith("use of undefined value in @kern")
+            legacy.pop("message"), per_op.pop("message")
+        assert fused == legacy
+        assert fused["block"] == "body"
+        assert fused["opcode_counts"]["condbr"] == 1  # the entry block's
+        gpu = VirtualGPU(module, engine="decoded")
+        code = D.bind_function(gpu, module.get_function("kern")).code
+        pcs, names = code.block_starts
+        body = pcs[names.index("body")]
+        name, index = fused["where"]
+        assert name == "body" and code.ops[body + index + 1][1] == "condbr"
+        assert fused["flops"] == 1  # the fmul; a faulting sqrt counts none
+
+
+#: The calls a block run inlines: the pure intrinsics.
+_PURE_CALLS = {"_h_thread_id", "_h_block_id", "_h_block_dim", "_h_grid_dim",
+               "_h_const_result", "_h_lane_id", "_h_math1", "_h_math2"}
+
+
+def _fusable(op):
+    """Whether *op* belongs in a block run, by its opcode and handler
+    name (independently of the decoder's own tables)."""
+    if op[1] == "call":
+        return op[0].__name__ in _PURE_CALLS
+    if op[1] in ("load", "store"):
+        return not op[0].__name__.endswith("_slow")
+    return op[1] not in ("alloca", "atomicrmw", "ret", "unreachable")
+
+
+@pytest.mark.parametrize("app_name", ["gridmini", "minifmm", "rsbench", "testsnap",
+                                      "xsbench"])
+def test_new_rt_blocks_decode_to_one_run_each(app_name):
+    """Structural guard, no timing: in every function of each app's New
+    RT build, a basic block whose ops are all fusable decodes to one
+    fused entry at its start that covers the whole block (blocks longer
+    than ``_MAX_RUN`` to one entry per ``_MAX_RUN`` ops), with no other
+    entry inside it."""
+    from repro.bench.builds import NEW_RT, build_options
+    from repro.bench.harness import APPS
+    from repro.toolchain.service import ToolchainSession
+
+    app = APPS[app_name]
+    compiled = ToolchainSession().compile(app.build_program(app.default_size()),
+                                          build_options()[NEW_RT])
+    gpu = VirtualGPU(compiled.module, engine="decoded")
+    checked = 0
+    for func in compiled.module.functions.values():
+        if func.is_declaration:
+            continue
+        code = D.bind_function(gpu, func).code
+        fused = D._frame_ops(code)
+        pcs = list(code.block_starts[0])
+        for start, end in zip(pcs, pcs[1:] + [len(code.ops)]):
+            if not all(_fusable(op) for op in code.ops[start:end]):
+                continue
+            entries = [pc for pc in range(start, end) if fused[pc][0] is None]
+            assert entries == list(range(start, end, D._MAX_RUN)), (
+                f"@{func.name}: block at pc {start} re-split at {entries}")
+            assert sum(fused[pc][1] for pc in entries) == end - start
+            checked += 1
+    assert checked
