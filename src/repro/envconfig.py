@@ -13,11 +13,6 @@ Knobs
 ``REPRO_SIM_ENGINE``
     Simulator execution engine: ``decoded`` (default), ``legacy`` or
     ``warp`` (lane-batched NumPy execution of whole warps).
-``REPRO_WARP_IF_CONVERT``
-    Set falsy to disable the warp engine's if-conversion of short
-    diamond CFG regions into predicated (masked) straight-line code;
-    on by default.  Purely an execution strategy switch — profiles are
-    bit-identical either way.
 ``REPRO_SIM_JOBS``
     Worker threads for parallel team simulation inside one launch
     (default 1 = serial).
@@ -109,8 +104,6 @@ KNOBS: Dict[str, EnvKnob] = {
     for knob in (
         EnvKnob("REPRO_SIM_ENGINE", "choice", "decoded",
                 "simulator execution engine", ("decoded", "legacy", "warp")),
-        EnvKnob("REPRO_WARP_IF_CONVERT", "flag", "1",
-                "warp engine: if-convert short diamond CFG regions"),
         EnvKnob("REPRO_SIM_JOBS", "int", "1",
                 "worker threads for parallel team simulation"),
         EnvKnob("REPRO_JOBS", "int", "1",
@@ -208,11 +201,6 @@ def env_str(name: str, default: Optional[str] = None) -> str:
 def sim_engine() -> str:
     """Raw ``REPRO_SIM_ENGINE`` value (validated by the vgpu layer)."""
     return env_str("REPRO_SIM_ENGINE")
-
-
-def warp_if_convert() -> bool:
-    """Whether the warp engine if-converts short diamonds (default on)."""
-    return env_flag("REPRO_WARP_IF_CONVERT")
 
 
 def sim_jobs() -> int:

@@ -26,9 +26,12 @@ that once, in a ``decode(Function) -> DecodedFunction`` pass:
   loads, stores, pure intrinsics) and its branch become one generated
   function that executes them inline, with slots, masks, costs and
   branch targets as literals, and retires them in bulk (see "Fused
-  runs" below).  Each simple opcode is defined once, as a source
-  template (:data:`_TEMPLATES`) that yields both the fused code and its
-  per-op handler.
+  runs" below).  Each simple opcode is defined once, as a row of
+  :data:`_TEMPLATES` shared by both fast engines: its scalar template
+  yields the fused code and the per-op handler here, and the warp
+  engine generates its handler from the same row (the scalar template
+  for uniform operands, the row's NumPy vector template for varying
+  ones).
 
 Decoding is split in two stages.  The *static* stage
 (:func:`decode_function`) depends only on the function and the
@@ -143,8 +146,6 @@ class DecodedFunction:
         "global_fixups",
         "func_fixups",
         "block_starts",
-        "insts",
-        "slot_map",
         "fused",
     )
 
@@ -164,12 +165,6 @@ class DecodedFunction:
         self.global_fixups: List[Tuple[int, GlobalVariable]] = []
         #: ``(slot, Function)`` resolved at bind time.
         self.func_fixups: List[Tuple[int, Function]] = []
-        #: The source :class:`Instruction` per op (parallel to ``ops``)
-        #: and the full value->slot map — retained so the warp engine's
-        #: vectorization pass can re-derive operand types and slots
-        #: without re-running slot assignment.
-        self.insts: List = []
-        self.slot_map: Dict[int, int] = {}
         #: ``ops`` with fused-run entries, built by :func:`_fuse` on
         #: first decoded execution (None until then).
         self.fused: Optional[List[tuple]] = None
@@ -248,21 +243,37 @@ def _segment(vm, thread, tag):
 
 
 # ===================================================================
-# Simple micro-ops: one source template per opcode
+# Simple micro-ops: one table row per opcode
 #
 # The straight-line opcodes (integer and float arithmetic, compares,
 # select, ptradd, casts, loads, stores and the pure intrinsics) are
-# defined exactly once, as Python source templates, and instantiated
-# twice:
+# defined exactly once, as a row of :data:`_TEMPLATES`, for both fast
+# engines.  A row's *scalar* template is Python source instantiated
+# twice here:
 #
 # * as the per-op handler ``_h_<name>(vm, thread, frame, op)``, whose
 #   placeholders read the op tuple (``{a}`` -> ``r[op[4]]``,
 #   ``{T.mask}`` -> ``op[6].mask``).  These keep the op-tuple layouts
-#   below; the warp engine maps them by identity;
+#   below;
 # * inline in a *fused run* (:func:`_fuse`), with register slots,
 #   widths, masks, sign constants and cost tables folded into the
 #   source as literals (``{a}`` -> ``r[12]``, ``{T.mask}`` ->
 #   ``4294967295``).
+#
+# The warp engine (:mod:`repro.vgpu.warp`) generates its handler
+# ``_w_<name>`` from the same row and reads the same op tuples: when
+# every register operand is uniform it runs the scalar template, else
+# the row's *vector* template.  Vector templates are NumPy source kept
+# as strings (this module never imports NumPy).  Their register
+# placeholders are lanes: an ndarray, or a uniform scalar that
+# broadcasts.  They may use ``np``, the warp executor ``w``, ``vm``,
+# the warp helpers ``_uu``/``_ff``/``_vv`` (lanes as uint64 / float64 /
+# their own kind), ``_sext``/``_sv`` (uint64 / int64 lanes sign-extended
+# from ``S``: the vector ``_sx``), ``_wrap`` (uint64 lanes wrapped to
+# ``T``), ``_div0`` and ``_quot``, and ``{each}``: the scalar template
+# run lane by lane, the exact fallback where NumPy would round or fail
+# unlike Python.  Memory rows have no vector template: the warp engine
+# gathers and scatters by hand.
 #
 # Op fields after ``(h, opcode, next)`` are named by the spec string.
 # Lower-case names are register slots.  ``C`` is the static cycle cost,
@@ -271,9 +282,9 @@ def _segment(vm, thread, tag):
 # size, ``TY`` the accessed IR type, ``K`` the per-tag cost tuple, ``X``
 # a struct pack/unpack, ``V`` a folded intrinsic result, ``F`` a math
 # function and ``P`` its result coercion.  Memory templates have no
-# ``C``: they leave their cost in ``k``.  Templates may read ``vm``,
-# ``thread``, the registers ``r`` and the stats ``st``, and use the
-# temporaries x, y, tag, off, seg, k.
+# ``C``: they leave their cost in ``k``.  Scalar templates may read
+# ``vm``, ``thread``, the registers ``r`` and the stats ``st``, and use
+# the temporaries x, y, tag, off, seg, k; vector templates x, y, z.
 # ===================================================================
 
 
@@ -304,100 +315,143 @@ def _mem(access: str, fast: str, fallback: str) -> str:
     )
 
 
+def _vbool(test: str) -> str:
+    """Vector template storing the bool lanes *test* as 0/1."""
+    return f"{{d}} = ({test}).astype(_U64)"
+
+
 _LOAD_SLOW = "{d} = vm.memory.load(x, {TY}, thread.team_id, thread.thread_id)"
 _STORE_SLOW = "vm.memory.store(x, {v}, {TY}, thread.team_id, thread.thread_id)"
 _DIV = "if y == 0:\n    raise division_by_zero_error()\n"
+_SDIV = "x = _sv({a}, {S})\ny = _div0(w, _sv({b}, {S}))\nz = _quot(x, y)\n"
+_CMP_U = "_uu({a}) %s _uu({b})"
+_CMP_S = "_sv({a}, {S}) %s _sv({b}, {S})"
+_CMP_F = "_ff({a}) %s _ff({b})"
 
-#: name -> (op fields, counts a flop, template); the handler is ``_h_<name>``.
-_TEMPLATES: Dict[str, Tuple[str, bool, str]] = {
-    "add": ("d a b T C", False, "{d} = ({a} + {b}) & {T.mask}"),
-    "sub": ("d a b T C", False, "{d} = ({a} - {b}) & {T.mask}"),
-    "mul": ("d a b T C", False, "{d} = ({a} * {b}) & {T.mask}"),
-    "and": ("d a b C", False, "{d} = {a} & {b}"),
-    "or": ("d a b C", False, "{d} = {a} | {b}"),
-    "xor": ("d a b C", False, "{d} = {a} ^ {b}"),
-    "shl": ("d a b W T C", False, "{d} = ({a} << ({b} % {W})) & {T.mask}"),
-    "lshr": ("d a b W C", False, "{d} = {a} >> ({b} % {W})"),
+#: name -> (op fields, counts a flop, scalar template, vector template
+#: or None for memory rows); the handlers are ``_h_<name>`` and
+#: ``warp._w_<name>``.
+_TEMPLATES: Dict[str, Tuple[str, bool, str, Optional[str]]] = {
+    "add": ("d a b T C", False, "{d} = ({a} + {b}) & {T.mask}",
+            "{d} = _wrap(_uu({a}) + _uu({b}), {T})"),
+    "sub": ("d a b T C", False, "{d} = ({a} - {b}) & {T.mask}",
+            "{d} = _wrap(_uu({a}) - _uu({b}), {T})"),
+    "mul": ("d a b T C", False, "{d} = ({a} * {b}) & {T.mask}",
+            "{d} = _wrap(_uu({a}) * _uu({b}), {T})"),
+    "and": ("d a b C", False, "{d} = {a} & {b}", "{d} = _uu({a}) & _uu({b})"),
+    "or": ("d a b C", False, "{d} = {a} | {b}", "{d} = _uu({a}) | _uu({b})"),
+    "xor": ("d a b C", False, "{d} = {a} ^ {b}", "{d} = _uu({a}) ^ _uu({b})"),
+    "shl": ("d a b W T C", False, "{d} = ({a} << ({b} % {W})) & {T.mask}",
+            "{d} = _wrap(_uu({a}) << (_uu({b}) % {W}), {T})"),
+    "lshr": ("d a b W C", False, "{d} = {a} >> ({b} % {W})",
+             "{d} = _uu({a}) >> (_uu({b}) % {W})"),
     "ashr": ("d a b W S T C", False,
-             "{d} = (" + _sx("{a}") + " >> ({b} % {W})) & {T.mask}"),
+             "{d} = (" + _sx("{a}") + " >> ({b} % {W})) & {T.mask}",
+             "{d} = _wrap((_sv({a}, {S}) >> (_uu({b}) % {W}).astype(_I64))"
+             ".view(_U64), {T})"),
+    # float64 division rounds like Python's exact int / int only below
+    # 2**53 (_quot returns None above it)
     "sdiv": ("d a b S T C", False,
              f"x = {_sx('{a}')}\ny = {_sx('{b}')}\n{_DIV}"
-             "{d} = int(x / y) & {T.mask}"),
+             "{d} = int(x / y) & {T.mask}",
+             _SDIV + "{d} = {each} if z is None else _wrap(z.view(_U64), {T})"),
     "srem": ("d a b S T C", False,
              f"x = {_sx('{a}')}\ny = {_sx('{b}')}\n{_DIV}"
-             "{d} = (x - int(x / y) * y) & {T.mask}"),
-    "udiv": ("d a b C", False, "y = {b}\n" + _DIV + "{d} = {a} // y"),
-    "urem": ("d a b C", False, "y = {b}\n" + _DIV + "{d} = {a} % y"),
-    "fadd": ("d a b C", True, "{d} = {a} + {b}"),
-    "fsub": ("d a b C", True, "{d} = {a} - {b}"),
-    "fmul": ("d a b C", True, "{d} = {a} * {b}"),
+             "{d} = (x - int(x / y) * y) & {T.mask}",
+             _SDIV + "{d} = {each} if z is None else _wrap((x - z * y).view(_U64), {T})"),
+    "udiv": ("d a b C", False, "y = {b}\n" + _DIV + "{d} = {a} // y",
+             "{d} = _uu({a}) // _div0(w, _uu({b}))"),
+    "urem": ("d a b C", False, "y = {b}\n" + _DIV + "{d} = {a} % y",
+             "{d} = _uu({a}) % _div0(w, _uu({b}))"),
+    "fadd": ("d a b C", True, "{d} = {a} + {b}", "{d} = _ff({a}) + _ff({b})"),
+    "fsub": ("d a b C", True, "{d} = {a} - {b}", "{d} = _ff({a}) - _ff({b})"),
+    "fmul": ("d a b C", True, "{d} = {a} * {b}", "{d} = _ff({a}) * _ff({b})"),
     "fdiv": ("d a b C", True,
              "x = {a}\ny = {b}\n"
              "if y == 0.0:\n    {d} = _INF if x > 0 else _NINF if x < 0 else _NAN\n"
-             "else:\n    {d} = x / y"),
+             "else:\n    {d} = x / y",
+             "x = _ff({a})\ny = _ff({b})\n{d} = x / y\n"
+             "if np.count_nonzero(y == 0.0):\n"
+             "    {d} = np.where(y == 0.0, np.where(x > 0, _INF, np.where("
+             "x < 0, _NINF, _NAN)), {d})"),
+    # math.fmod raises on an infinite x; np.fmod does not
     "frem": ("d a b C", True,
-             "x = {a}\ny = {b}\n{d} = _fmod(x, y) if y != 0.0 else _NAN"),
+             "x = {a}\ny = {b}\n{d} = _fmod(x, y) if y != 0.0 else _NAN",
+             "x = _ff({a})\ny = _ff({b})\n{d} = {each} if np.count_nonzero(np.isinf(x)) "
+             "else np.where(y == 0.0, _NAN, np.fmod(x, y))"),
     # icmp: unsigned predicates, and signed ones on pointer operands
     # (the legacy engine applies to_signed to IntType operands only)
-    "icmp_eq": ("d a b C", False, "{d} = 1 if {a} == {b} else 0"),
-    "icmp_ne": ("d a b C", False, "{d} = 1 if {a} != {b} else 0"),
-    "icmp_lt": ("d a b C", False, "{d} = 1 if {a} < {b} else 0"),
-    "icmp_le": ("d a b C", False, "{d} = 1 if {a} <= {b} else 0"),
-    "icmp_gt": ("d a b C", False, "{d} = 1 if {a} > {b} else 0"),
-    "icmp_ge": ("d a b C", False, "{d} = 1 if {a} >= {b} else 0"),
+    "icmp_eq": ("d a b C", False, "{d} = 1 if {a} == {b} else 0", _vbool(_CMP_U % "==")),
+    "icmp_ne": ("d a b C", False, "{d} = 1 if {a} != {b} else 0", _vbool(_CMP_U % "!=")),
+    "icmp_lt": ("d a b C", False, "{d} = 1 if {a} < {b} else 0", _vbool(_CMP_U % "<")),
+    "icmp_le": ("d a b C", False, "{d} = 1 if {a} <= {b} else 0", _vbool(_CMP_U % "<=")),
+    "icmp_gt": ("d a b C", False, "{d} = 1 if {a} > {b} else 0", _vbool(_CMP_U % ">")),
+    "icmp_ge": ("d a b C", False, "{d} = 1 if {a} >= {b} else 0", _vbool(_CMP_U % ">=")),
     "icmp_slt": ("d a b S C", False,
-                 f"{{d}} = 1 if {_sx('{a}')} < {_sx('{b}')} else 0"),
+                 f"{{d}} = 1 if {_sx('{a}')} < {_sx('{b}')} else 0", _vbool(_CMP_S % "<")),
     "icmp_sle": ("d a b S C", False,
-                 f"{{d}} = 1 if {_sx('{a}')} <= {_sx('{b}')} else 0"),
+                 f"{{d}} = 1 if {_sx('{a}')} <= {_sx('{b}')} else 0", _vbool(_CMP_S % "<=")),
     "icmp_sgt": ("d a b S C", False,
-                 f"{{d}} = 1 if {_sx('{a}')} > {_sx('{b}')} else 0"),
+                 f"{{d}} = 1 if {_sx('{a}')} > {_sx('{b}')} else 0", _vbool(_CMP_S % ">")),
     "icmp_sge": ("d a b S C", False,
-                 f"{{d}} = 1 if {_sx('{a}')} >= {_sx('{b}')} else 0"),
+                 f"{{d}} = 1 if {_sx('{a}')} >= {_sx('{b}')} else 0", _vbool(_CMP_S % ">=")),
     # fcmp: ordered comparisons are naturally false on NaN, except
     # "one", which gets a guard
-    "fcmp_oeq": ("d a b C", False, "{d} = 1 if {a} == {b} else 0"),
+    "fcmp_oeq": ("d a b C", False, "{d} = 1 if {a} == {b} else 0", _vbool(_CMP_F % "==")),
     "fcmp_one": ("d a b C", False,
-                 "x = {a}\ny = {b}\n{d} = 1 if (x == x and y == y and x != y) else 0"),
-    "fcmp_olt": ("d a b C", False, "{d} = 1 if {a} < {b} else 0"),
-    "fcmp_ole": ("d a b C", False, "{d} = 1 if {a} <= {b} else 0"),
-    "fcmp_ogt": ("d a b C", False, "{d} = 1 if {a} > {b} else 0"),
-    "fcmp_oge": ("d a b C", False, "{d} = 1 if {a} >= {b} else 0"),
-    "select": ("d q t f C", False, "{d} = {t} if {q} else {f}"),
-    "ptradd": ("d p s S C", False, "{d} = {p} + " + _sx("{s}")),
+                 "x = {a}\ny = {b}\n{d} = 1 if (x == x and y == y and x != y) else 0",
+                 "x = _ff({a})\ny = _ff({b})\n" + _vbool("(x == x) & (y == y) & (x != y)")),
+    "fcmp_olt": ("d a b C", False, "{d} = 1 if {a} < {b} else 0", _vbool(_CMP_F % "<")),
+    "fcmp_ole": ("d a b C", False, "{d} = 1 if {a} <= {b} else 0", _vbool(_CMP_F % "<=")),
+    "fcmp_ogt": ("d a b C", False, "{d} = 1 if {a} > {b} else 0", _vbool(_CMP_F % ">")),
+    "fcmp_oge": ("d a b C", False, "{d} = 1 if {a} >= {b} else 0", _vbool(_CMP_F % ">=")),
+    "select": ("d q t f C", False, "{d} = {t} if {q} else {f}",
+               "{d} = np.where({q}, _vv({t}), _vv({f}))"),
+    "ptradd": ("d p s S C", False, "{d} = {p} + " + _sx("{s}"),
+               "{d} = _uu({p}) + _sext({s}, {S})"),
     # casts; copy serves ptrtoint/inttoptr/bitcast, tofloat fpext/fptrunc
-    "zext": ("d s C", False, "{d} = int({s})"),
-    "copy": ("d s C", False, "{d} = {s}"),
-    "sext": ("d s S T C", False, "{d} = " + _sx("int({s})") + " & {T.mask}"),
-    "trunc": ("d s T C", False, "{d} = int({s}) & {T.mask}"),
-    "sitofp": ("d s S C", False, "{d} = float(" + _sx("int({s})") + ")"),
-    "uitofp": ("d s C", False, "{d} = float(int({s}))"),
-    "fptosi": ("d s T C", False, "{d} = int(float({s})) & {T.mask}"),
-    "tofloat": ("d s C", False, "{d} = float({s})"),
+    "zext": ("d s C", False, "{d} = int({s})", "{d} = {s}"),
+    "copy": ("d s C", False, "{d} = {s}", "{d} = {s}"),
+    "sext": ("d s S T C", False, "{d} = " + _sx("int({s})") + " & {T.mask}",
+             "{d} = _wrap(_sext({s}, {S}), {T})"),
+    "trunc": ("d s T C", False, "{d} = int({s}) & {T.mask}", "{d} = _wrap({s}, {T})"),
+    "sitofp": ("d s S C", False, "{d} = float(" + _sx("int({s})") + ")",
+               "{d} = _sv({s}, {S}).astype(_F64)"),
+    "uitofp": ("d s C", False, "{d} = float(int({s}))", "{d} = {s}.astype(_F64)"),
+    # int64 holds a truncated float only below 2**63 (a NaN max fails
+    # the test and int() raises, like the scalar engines)
+    "fptosi": ("d s T C", False, "{d} = int(float({s})) & {T.mask}",
+               "{d} = _wrap(np.trunc({s}).astype(_I64).view(_U64), {T}) "
+               "if np.abs({s}).max() < 2.0 ** 63 else {each}"),
+    "tofloat": ("d s C", False, "{d} = float({s})", "{d} = {s}.astype(_F64, copy=False)"),
     # loads of ints/pointers and floats
     "load_int": ("d p N TY K", False, _mem(
         "load", "{d} = int.from_bytes(seg.data[off : off + {N}], 'little')",
-        _LOAD_SLOW)),
+        _LOAD_SLOW), None),
     "load_f": ("d p N TY K X", False, _mem(
-        "load", "{d} = {X}(seg.data, off)[0]", _LOAD_SLOW)),
+        "load", "{d} = {X}(seg.data, off)[0]", _LOAD_SLOW), None),
     # stores of ints, pointers and floats
     "store_int": ("p v N TY K T", False, _mem(
         "store",
         "seg.data[off : off + {N}] = (int({v}) & {T.mask}).to_bytes({N}, 'little')",
-        _STORE_SLOW)),
+        _STORE_SLOW), None),
     "store_ptr": ("p v N TY K", False, _mem(
         "store", "seg.data[off : off + {N}] = int({v}).to_bytes({N}, 'little')",
-        _STORE_SLOW)),
+        _STORE_SLOW), None),
     "store_f": ("p v N TY K X", False, _mem(
-        "store", "{X}(seg.data, off, float({v}))", _STORE_SLOW)),
-    # pure intrinsics (opcode "call"); const_result is gpu.warp_size
-    "thread_id": ("d C", False, "{d} = thread.thread_id"),
-    "block_id": ("d C", False, "{d} = thread.team_id"),
-    "block_dim": ("d C", False, "{d} = vm._launch.threads_per_team"),
-    "grid_dim": ("d C", False, "{d} = vm._launch.num_teams"),
-    "const_result": ("d V C", False, "{d} = {V}"),
-    "lane_id": ("d W C", False, "{d} = thread.thread_id % {W}"),
-    "math1": ("d a F P C", True, "{d} = {P}({F}(float({a})))"),
-    "math2": ("d a b F P C", True, "{d} = {P}({F}(float({a}), float({b})))"),
+        "store", "{X}(seg.data, off, float({v}))", _STORE_SLOW), None),
+    # pure intrinsics (opcode "call"); const_result is gpu.warp_size.
+    # Without register operands, the vector template is every lane's value.
+    "thread_id": ("d C", False, "{d} = thread.thread_id", "{d} = w.tid_arr"),
+    "block_id": ("d C", False, "{d} = thread.team_id", "{d} = w.team_id"),
+    "block_dim": ("d C", False, "{d} = vm._launch.threads_per_team",
+                  "{d} = vm._launch.threads_per_team"),
+    "grid_dim": ("d C", False, "{d} = vm._launch.num_teams", "{d} = vm._launch.num_teams"),
+    "const_result": ("d V C", False, "{d} = {V}", "{d} = {V}"),
+    "lane_id": ("d W C", False, "{d} = thread.thread_id % {W}", "{d} = w.lane_arr"),
+    "math1": ("d a F P C", True, "{d} = {P}({F}(float({a})))", "{d} = {each}"),
+    "math2": ("d a b F P C", True, "{d} = {P}({F}(float({a}), float({b})))",
+              "{d} = {each}"),
 }
 
 _INF, _NINF, _NAN = float("inf"), float("-inf"), float("nan")
@@ -407,23 +461,27 @@ _fmod = math.fmod
 class _Spec:
     """How to instantiate one template for a given op tuple."""
 
-    __slots__ = ("fields", "flop", "template", "cost")
+    __slots__ = ("fields", "flop", "template", "vector", "cost")
 
-    def __init__(self, fields: str, flop: bool, template: str) -> None:
+    def __init__(self, fields: str, flop: bool, template: str,
+                 vector: Optional[str]) -> None:
         self.fields = tuple(fields.split())
         self.flop = flop
         self.template = template
+        self.vector = vector
         #: op index of the static cost ``C``; None for memory ops.
         self.cost = 3 + self.fields.index("C") if "C" in self.fields else None
 
-    def render(self, op, reg: Callable, const: Callable) -> str:
-        """Template text for *op*: field ``i`` renders as
-        ``reg(i, op[i])`` for registers and ``const(i, op[i])`` for
-        everything else."""
-        return self.template.format(**{
+    def render(self, op, reg: Callable, const: Callable,
+               template: Optional[str] = None, **extra: str) -> str:
+        """*template* (default: the scalar one) for *op*: field ``i``
+        renders as ``reg(i, op[i])`` for registers and
+        ``const(i, op[i])`` for everything else; *extra* fills any
+        other placeholder."""
+        return (template or self.template).format(**{
             f: (reg if f.islower() else const)(i, op[i])
             for i, f in enumerate(self.fields, 3)
-        })
+        }, **extra)
 
 
 class _Src:
@@ -1368,7 +1426,6 @@ def decode_function(
     }
 
     ops = code.ops
-    insts = code.insts
     for block in func.blocks:
         for inst in block.instructions:
             if isinstance(inst, Phi):
@@ -1377,11 +1434,9 @@ def decode_function(
             if emitter is None:  # pragma: no cover
                 raise SimulationError(f"unhandled instruction {inst.opcode}")
             ops.append(emitter(inst, len(ops) + 1))
-            insts.append(inst)
 
     code.entry_pc = start_pc[func.entry]
     code.num_slots = len(slot_map)
-    code.slot_map = slot_map
     code.arg_slots = tuple(slot_map[id(a)] for a in func.args)
     code.arg_coerce = tuple(make_coerce(a.type) for a in func.args)
     return code

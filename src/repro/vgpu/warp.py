@@ -25,12 +25,27 @@ Execution model
   record with *continuation*, *false-side* and *true-side* records —
   divergence is mask bookkeeping, not per-thread control flow.
 * Short diamond/triangle regions are *if-converted*: both arms run
-  back-to-back under their predicate masks with no stack traffic
-  (gated by ``REPRO_WARP_IF_CONVERT``, on by default).
+  back-to-back under their predicate masks with no stack traffic.
 * Barriers park the active lanes.  If other lanes of the group are
   still runnable, the parked lanes' record chain is split into a new
   (suspended) group; frames and register files stay shared — the lane
   masks are disjoint, so this is pure bookkeeping.
+
+One opcode table
+----------------
+
+The simple ops (arithmetic, compares, select, ptradd, casts and the
+pure intrinsics) are defined once, as rows of
+:data:`repro.vgpu.decode._TEMPLATES`, for both fast engines.  Each
+``_w_<name>`` handler here is generated from its row and reads the
+decoded op tuple unchanged: with every register operand uniform it runs
+the row's scalar template (the decoded engine's own code), else the
+row's NumPy vector template.  Where NumPy would round or fail unlike
+Python (``int(x / y)`` above 2**53, ``fptosi`` outside int64, ``frem``
+of an infinity, the math intrinsics), the vector template runs the
+scalar template lane by lane, so every lane has the scalar engines'
+semantics.  Loads, stores, control flow and the generic intrinsic
+ladder keep hand-written handlers.
 
 Bit-parity with the scalar engines
 ----------------------------------
@@ -48,9 +63,12 @@ fallback: the old runtime's shared-memory stack bumps one team-wide
 top with a plain load/add/store, which is benign when each thread runs
 alone between barriers but makes lockstep lanes alias the same
 allocation — it is inherently not SIMT-executable, so the warp engine
-never runs it.  Known, documented divergences are confined to
-undefined behaviour (e.g. integer results of out-of-range ``fptosi``)
-and to which thread a *divergent* crash is attributed.
+never runs it.  The one known, documented divergence is which fault a
+*divergent* crash reports: the scalar engines run each thread to its
+first fault in thread order, while the warp engine stops at the first
+op where any active lane faults and pins it to the lowest such lane.
+Only the crash context differs, unless two threads would fault in
+different ways.
 """
 
 from __future__ import annotations
@@ -60,14 +78,15 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro import envconfig
 from repro.ir.intrinsics import intrinsic_info
 from repro.memory.addrspace import OFFSET_MASK
 from repro.memory.memmodel import DEVICE_LOCK, MemoryError_
-from repro.ir.types import FloatType, IntType, I64
+from repro.ir.types import FloatType, IntType
 from repro.trace.categories import OVERHEAD_CATEGORIES
 from repro.vgpu import decode as _dec
 from repro.vgpu.decode import _SPACE_BY_TAG, _I64_TO_SIGNED, bind_function, compute_warp_flow
+# Names the table's scalar templates read, for the generated handlers.
+from repro.vgpu.decode import _INF, _NAN, _NINF, _fmod  # noqa: F401
 from repro.vgpu.errors import (
     OUTPUT_TAIL_LINES,
     DeviceErrorContext,
@@ -82,8 +101,6 @@ from repro.vgpu.errors import (
     unreachable_error,
 )
 from repro.vgpu.execstate import (
-    MATH_BINARY,
-    MATH_UNARY,
     ThreadStatus,
     atomic_apply,
     math_intrinsic,
@@ -102,21 +119,6 @@ ndarray = np.ndarray
 _EXEC, _CALL = 0, 1
 
 
-def _signed(v, bits):
-    """Signed (int64) view of a wrapped uint64 vector at width *bits*."""
-    s = v.view(_I64) if v.dtype == _U64 else v.astype(_I64)
-    if bits == 64:
-        return s
-    return s - ((s >> (bits - 1) & 1) << bits)
-
-
-def _wrap_i64(s, bits):
-    """Wrap an int64 vector back to the uint64 register representation."""
-    if bits == 64:
-        return s.view(_U64)
-    return (s & ((1 << bits) - 1)).astype(_U64)
-
-
 def _uu(v):
     """Operand as a uint64 array or uint64 scalar (broadcasts)."""
     return v if type(v) is ndarray else _U64(v & _M64)
@@ -125,6 +127,11 @@ def _uu(v):
 def _ff(v):
     """Operand as a float64 array or Python float (broadcasts weakly)."""
     return v if type(v) is ndarray else float(v)
+
+
+def _vv(v):
+    """Operand as lanes of its own kind: ints as uint64, floats as float64."""
+    return v if type(v) is ndarray or type(v) is float else _U64(v & _M64)
 
 
 class _WFrame:
@@ -303,7 +310,10 @@ class WarpExec:
     # -- register writes ----------------------------------------------------
 
     def _demote(self, cur, dtype):
-        """Full-width array for a slot about to take a masked write.
+        """A new full-width array of *cur* for a slot about to take a
+        masked write.  It is never *cur* itself: one array may sit in
+        several slots (copies and phi moves pass their source through),
+        so a masked write must not modify it in place.
 
         ``None`` (an SSA slot no lane has defined yet — the normal case
         for a divergent side's or if-converted arm's own defs) demotes
@@ -312,22 +322,34 @@ class WarpExec:
         is read stays ``None`` and surfaces as the same
         undefined-value error as the scalar engines."""
         if type(cur) is ndarray:
-            return cur if cur.dtype == dtype else cur.astype(dtype)
+            return cur.astype(dtype)
         if cur is None:
             return np.zeros(self.n, dtype)
         if dtype == _F64:
             return np.full(self.n, float(cur), _F64)
         return np.full(self.n, int(cur) & _M64, _U64)
 
+    def _merge(self, regs, slot, value, m):
+        """Write *value* (lanes or a uniform scalar) into the lanes of
+        bool mask *m* of ``regs[slot]``."""
+        if type(value) is ndarray:
+            base = self._demote(regs[slot], value.dtype)
+            np.copyto(base, value, where=m)
+        elif isinstance(value, float):
+            base = self._demote(regs[slot], _F64)
+            base[m] = value
+        else:
+            base = self._demote(regs[slot], _U64)
+            base[m] = int(value) & _M64
+        regs[slot] = base
+
     def _wr(self, slot, value):
-        """Write a full-width vector under the current mask."""
+        """Write full-width lanes or a uniform scalar under the current
+        mask."""
         if self.full:
             self.regs[slot] = value
-            return
-        m = self._marr(self.mask)
-        base = self._demote(self.regs[slot], value.dtype)
-        base[m] = value[m]
-        self.regs[slot] = base
+        else:
+            self._merge(self.regs, slot, value, self._marr(self.mask))
 
     def _wr_compact(self, slot, values):
         """Write values gathered for the active lanes only (in order).
@@ -345,47 +367,12 @@ class WarpExec:
         base[self._active_idx(self.mask)] = values
         self.regs[slot] = base
 
-    def _wr_u(self, slot, value):
-        """Write a uniform scalar under the current mask."""
-        if self.full:
-            self.regs[slot] = value
-            return
-        m = self._marr(self.mask)
-        dtype = _F64 if isinstance(value, float) else _U64
-        base = self._demote(self.regs[slot], dtype)
-        base[m] = value if dtype == _F64 else int(value) & _M64
-        self.regs[slot] = base
-
-    def _wr_any(self, slot, value):
-        if type(value) is ndarray:
-            self._wr(slot, value)
-        else:
-            self._wr_u(slot, value)
-
     def _wr_into(self, frame, slot, value, bits):
         """Masked write into another frame (return-value plumbing)."""
         if bits.bit_count() == frame.n_full:
             frame.regs[slot] = value
-            return
-        m = self._marr(bits)
-        if type(value) is ndarray:
-            base = self._demote_frame(frame, slot, value.dtype)
-            base[m] = value[m]
         else:
-            dtype = _F64 if isinstance(value, float) else _U64
-            base = self._demote_frame(frame, slot, dtype)
-            base[m] = value if dtype == _F64 else int(value) & _M64
-        frame.regs[slot] = base
-
-    def _demote_frame(self, frame, slot, dtype):
-        cur = frame.regs[slot]
-        if type(cur) is ndarray:
-            return cur if cur.dtype == dtype else cur.astype(dtype)
-        if cur is None:
-            return np.zeros(self.n, dtype)
-        if dtype == _F64:
-            return np.full(self.n, float(cur), _F64)
-        return np.full(self.n, int(cur) & _M64, _U64)
+            self._merge(frame.regs, slot, value, self._marr(bits))
 
     def _bits(self, barr):
         """Bool vector -> lane bitmask (little-endian lane order)."""
@@ -398,7 +385,7 @@ class WarpExec:
         regs = self.regs
         staged = [regs[s] for _, s in moves]
         for (dst, _), v in zip(moves, staged):
-            self._wr_any(dst, v)
+            self._wr(dst, v)
 
     # -- record chain -------------------------------------------------------
 
@@ -594,9 +581,9 @@ class WarpExec:
             tm = self._marr(t_bits)
             fm = self._marr(f_bits)
             for (dst, _), v in zip(t_mv, t_staged):
-                self._wr_masked(dst, v, tm)
+                self._merge(regs, dst, v, tm)
             for (dst, _), v in zip(f_mv, f_staged):
-                self._wr_masked(dst, v, fm)
+                self._merge(regs, dst, v, fm)
         R = op[9]
         if R is None:
             # The sides only rejoin at function exit; they inherit the
@@ -617,16 +604,6 @@ class WarpExec:
             self._pop_until_runnable()
         else:
             self._load_rec(cur)
-
-    def _wr_masked(self, slot, v, marr):
-        if type(v) is ndarray:
-            base = self._demote(self.regs[slot], v.dtype)
-            base[marr] = v[marr]
-        else:
-            dtype = _F64 if isinstance(v, float) else _U64
-            base = self._demote(self.regs[slot], dtype)
-            base[marr] = v if dtype == _F64 else int(v) & _M64
-        self.regs[slot] = base
 
     def _push(self, next_pc, dest, callee, arg_slots, cost):
         self.pending_cycles += cost
@@ -680,551 +657,117 @@ class WarpExec:
 #
 # Signature ``h(vm, w, op) -> None``: handlers read operands from
 # ``w.regs``, write results through the masked-write helpers, advance
-# ``w.pc`` and add their cycle cost to ``w.pending_cycles``.  Every
-# handler keeps a pure-Python *uniform* path (both operands scalar)
-# that mirrors the decoded handler expression exactly, and a vector
-# path whose results are bit-identical on the active lanes.
+# ``w.pc`` and add their cycle cost to ``w.pending_cycles``.  The simple
+# ops' handlers are generated from their rows of ``decode._TEMPLATES``
+# (see :func:`_warp_source`); the rest are written by hand below.
 # ===================================================================
 
 
-def _w_add(vm, w, op):
-    # (h, op, next, d, a, b, wrap_ty, vmask, c)
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        r = _uu(a) + _uu(b)
-        if op[7] is not None:
-            r = r & op[7]
-        w._wr(op[3], r)
-    else:
-        w._wr_u(op[3], op[6].wrap(a + b))
-    w.pc = op[2]
-    w.pending_cycles += op[8]
-
-
-def _w_sub(vm, w, op):
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        r = _uu(a) - _uu(b)
-        if op[7] is not None:
-            r = r & op[7]
-        w._wr(op[3], r)
-    else:
-        w._wr_u(op[3], op[6].wrap(a - b))
-    w.pc = op[2]
-    w.pending_cycles += op[8]
-
-
-def _w_mul(vm, w, op):
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        r = _uu(a) * _uu(b)
-        if op[7] is not None:
-            r = r & op[7]
-        w._wr(op[3], r)
-    else:
-        w._wr_u(op[3], op[6].wrap(a * b))
-    w.pc = op[2]
-    w.pending_cycles += op[8]
-
-
-def _w_and(vm, w, op):
-    # (h, op, next, d, a, b, c)
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        w._wr(op[3], _uu(a) & _uu(b))
-    else:
-        w._wr_u(op[3], a & b)
-    w.pc = op[2]
-    w.pending_cycles += op[6]
-
-
-def _w_or(vm, w, op):
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        w._wr(op[3], _uu(a) | _uu(b))
-    else:
-        w._wr_u(op[3], a | b)
-    w.pc = op[2]
-    w.pending_cycles += op[6]
-
-
-def _w_xor(vm, w, op):
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        w._wr(op[3], _uu(a) ^ _uu(b))
-    else:
-        w._wr_u(op[3], a ^ b)
-    w.pc = op[2]
-    w.pending_cycles += op[6]
-
-
-def _w_shl(vm, w, op):
-    # (h, op, next, d, a, b, bits, wrap_ty, vmask, c)
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    bits = op[6]
-    if type(a) is ndarray or type(b) is ndarray:
-        sh = _uu(b) % _U64(bits)
-        r = _uu(a) << sh
-        if op[8] is not None:
-            r = r & op[8]
-        w._wr(op[3], r)
-    else:
-        w._wr_u(op[3], op[7].wrap(a << (b % bits)))
-    w.pc = op[2]
-    w.pending_cycles += op[9]
-
-
-def _w_lshr(vm, w, op):
-    # (h, op, next, d, a, b, bits, c)
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    bits = op[6]
-    if type(a) is ndarray or type(b) is ndarray:
-        w._wr(op[3], _uu(a) >> (_uu(b) % _U64(bits)))
-    else:
-        w._wr_u(op[3], a >> (b % bits))
-    w.pc = op[2]
-    w.pending_cycles += op[7]
-
-
-def _w_ashr(vm, w, op):
-    # (h, op, next, d, a, b, bits, signed_ty, wrap_ty, c)
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    bits = op[6]
-    if type(a) is ndarray or type(b) is ndarray:
-        av = _uu(a) + np.zeros(w.n, _U64) if type(a) is not ndarray else a
-        sh = (_uu(b) % _U64(bits)).astype(_I64) if type(b) is ndarray \
-            else _I64(b % bits)
-        r = _signed(av, bits) >> sh
-        w._wr(op[3], _wrap_i64(r, bits))
-    else:
-        w._wr_u(op[3], op[8].wrap(op[7].to_signed(a) >> (b % bits)))
-    w.pc = op[2]
-    w.pending_cycles += op[9]
-
-
-def _div_zero_check(w, b):
-    """Raise exactly like the scalar engines when an *active* lane
-    divides by zero (the error is pinned to the lowest such lane)."""
-    zero = b == 0
-    if zero.any():
-        zbits = w._bits(zero) & w.mask
-        if zbits:
-            w.error_lane = (zbits & -zbits).bit_length() - 1
-            raise division_by_zero_error()
-
-
-def _w_sdiv(vm, w, op):
-    # (h, op, next, d, a, b, bits, signed_ty, wrap_ty, c)
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        bits = op[6]
-        av = a if type(a) is ndarray else np.full(w.n, a & _M64, _U64)
-        bv = b if type(b) is ndarray else np.full(w.n, b & _M64, _U64)
-        sa, sb = _signed(av, bits), _signed(bv, bits)
-        _div_zero_check(w, sb)
-        # int(sa / sb): the scalar engines truncate the *float*
-        # quotient, so the vector path does exactly the same.
-        q = np.trunc(sa.astype(_F64) / sb.astype(_F64)).astype(_I64)
-        w._wr(op[3], _wrap_i64(q, bits))
-    else:
-        s = op[7].to_signed
-        sa, sb = s(a), s(b)
-        if sb == 0:
-            raise division_by_zero_error()
-        w._wr_u(op[3], op[8].wrap(int(sa / sb)))
-    w.pc = op[2]
-    w.pending_cycles += op[9]
-
-
-def _w_srem(vm, w, op):
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        bits = op[6]
-        av = a if type(a) is ndarray else np.full(w.n, a & _M64, _U64)
-        bv = b if type(b) is ndarray else np.full(w.n, b & _M64, _U64)
-        sa, sb = _signed(av, bits), _signed(bv, bits)
-        _div_zero_check(w, sb)
-        q = np.trunc(sa.astype(_F64) / sb.astype(_F64)).astype(_I64)
-        w._wr(op[3], _wrap_i64(sa - q * sb, bits))
-    else:
-        s = op[7].to_signed
-        sa, sb = s(a), s(b)
-        if sb == 0:
-            raise division_by_zero_error()
-        w._wr_u(op[3], op[8].wrap(sa - int(sa / sb) * sb))
-    w.pc = op[2]
-    w.pending_cycles += op[9]
-
-
-def _w_udiv(vm, w, op):
-    # (h, op, next, d, a, b, c)
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        av = a if type(a) is ndarray else np.full(w.n, a & _M64, _U64)
-        bv = b if type(b) is ndarray else np.full(w.n, b & _M64, _U64)
-        _div_zero_check(w, bv)
-        safe = np.where(bv == 0, _U64(1), bv)
-        w._wr(op[3], av // safe)
-    else:
-        if b == 0:
-            raise division_by_zero_error()
-        w._wr_u(op[3], a // b)
-    w.pc = op[2]
-    w.pending_cycles += op[6]
-
-
-def _w_urem(vm, w, op):
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        av = a if type(a) is ndarray else np.full(w.n, a & _M64, _U64)
-        bv = b if type(b) is ndarray else np.full(w.n, b & _M64, _U64)
-        _div_zero_check(w, bv)
-        safe = np.where(bv == 0, _U64(1), bv)
-        w._wr(op[3], av % safe)
-    else:
-        if b == 0:
-            raise division_by_zero_error()
-        w._wr_u(op[3], a % b)
-    w.pc = op[2]
-    w.pending_cycles += op[6]
-
-
-def _w_fadd(vm, w, op):
-    # (h, op, next, d, a, b, c)
-    w.stats.flops += w.n_active
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        w._wr(op[3], _ff(a) + _ff(b))
-    else:
-        w._wr_u(op[3], a + b)
-    w.pc = op[2]
-    w.pending_cycles += op[6]
-
-
-def _w_fsub(vm, w, op):
-    w.stats.flops += w.n_active
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        w._wr(op[3], _ff(a) - _ff(b))
-    else:
-        w._wr_u(op[3], a - b)
-    w.pc = op[2]
-    w.pending_cycles += op[6]
-
-
-def _w_fmul(vm, w, op):
-    w.stats.flops += w.n_active
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        w._wr(op[3], _ff(a) * _ff(b))
-    else:
-        w._wr_u(op[3], a * b)
-    w.pc = op[2]
-    w.pending_cycles += op[6]
-
-
-def _w_fdiv(vm, w, op):
-    w.stats.flops += w.n_active
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        av = _ff(a) + np.zeros(w.n, _F64) if type(a) is not ndarray else a
-        bv = _ff(b) + np.zeros(w.n, _F64) if type(b) is not ndarray else b
-        r = av / bv
-        zero = bv == 0.0
-        if zero.any():
-            # Legacy semantics: b == 0 yields inf by the *sign of a*
-            # (so 1.0 / -0.0 is +inf, unlike IEEE), nan when a is 0/nan.
-            fix = np.where(
-                av > 0, np.inf, np.where(av < 0, -np.inf, np.nan)
-            )
-            r = np.where(zero, fix, r)
-        w._wr(op[3], r)
-    else:
-        if b == 0.0:
-            w._wr_u(
-                op[3],
-                float("inf") if a > 0 else float("-inf") if a < 0
-                else float("nan"),
-            )
-        else:
-            w._wr_u(op[3], a / b)
-    w.pc = op[2]
-    w.pending_cycles += op[6]
-
-
-def _w_frem(vm, w, op):
-    import math
-
-    w.stats.flops += w.n_active
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        # np.fmod matches math.fmod, including nan for b == 0.
-        w._wr(op[3], np.fmod(_ff(a), _ff(b)))
-    else:
-        w._wr_u(op[3], math.fmod(a, b) if b != 0.0 else float("nan"))
-    w.pc = op[2]
-    w.pending_cycles += op[6]
-
-
-# -- comparisons --
-
-
-def _cmp_common(vm, w, op, vecop, pyop):
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        w._wr(op[3], vecop(a, b).astype(_U64))
-    else:
-        w._wr_u(op[3], 1 if pyop(a, b) else 0)
-    w.pc = op[2]
-    w.pending_cycles += op[6]
-
-
-def _w_icmp_eq(vm, w, op):
-    _cmp_common(vm, w, op, lambda a, b: _uu(a) == _uu(b), lambda a, b: a == b)
-
-
-def _w_icmp_ne(vm, w, op):
-    _cmp_common(vm, w, op, lambda a, b: _uu(a) != _uu(b), lambda a, b: a != b)
-
-
-def _w_icmp_lt(vm, w, op):
-    _cmp_common(vm, w, op, lambda a, b: _uu(a) < _uu(b), lambda a, b: a < b)
-
-
-def _w_icmp_le(vm, w, op):
-    _cmp_common(vm, w, op, lambda a, b: _uu(a) <= _uu(b), lambda a, b: a <= b)
-
-
-def _w_icmp_gt(vm, w, op):
-    _cmp_common(vm, w, op, lambda a, b: _uu(a) > _uu(b), lambda a, b: a > b)
-
-
-def _w_icmp_ge(vm, w, op):
-    _cmp_common(vm, w, op, lambda a, b: _uu(a) >= _uu(b), lambda a, b: a >= b)
-
-
-def _signed_operand(w, v, bits):
-    if type(v) is ndarray:
-        return _signed(v, bits)
-    return _I64(v if v < (1 << (bits - 1)) else v - (1 << bits))
-
-
-def _w_icmp_signed(vm, w, op):
-    # (h, "icmp", next, d, a, b, bits, signed_ty, pred, c)
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        bits = op[6]
-        sa = _signed_operand(w, a, bits)
-        sb = _signed_operand(w, b, bits)
-        pred = op[8]
-        if pred == "slt":
-            r = sa < sb
-        elif pred == "sle":
-            r = sa <= sb
-        elif pred == "sgt":
-            r = sa > sb
-        else:
-            r = sa >= sb
-        w._wr(op[3], r.astype(_U64))
-    else:
-        s = op[7].to_signed
-        sa, sb = s(a), s(b)
-        pred = op[8]
-        if pred == "slt":
-            ok = sa < sb
-        elif pred == "sle":
-            ok = sa <= sb
-        elif pred == "sgt":
-            ok = sa > sb
-        else:
-            ok = sa >= sb
-        w._wr_u(op[3], 1 if ok else 0)
-    w.pc = op[2]
-    w.pending_cycles += op[9]
-
-
-def _w_fcmp_oeq(vm, w, op):
-    _cmp_common(vm, w, op, lambda a, b: _ff(a) == _ff(b), lambda a, b: a == b)
-
-
-def _w_fcmp_one(vm, w, op):
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    if type(a) is ndarray or type(b) is ndarray:
-        av, bv = _ff(a), _ff(b)
-        r = (av == av) & (bv == bv) & (av != bv)
-        w._wr(op[3], r.astype(_U64))
-    else:
-        w._wr_u(op[3], 1 if (a == a and b == b and a != b) else 0)
-    w.pc = op[2]
-    w.pending_cycles += op[6]
-
-
-def _w_fcmp_olt(vm, w, op):
-    _cmp_common(vm, w, op, lambda a, b: _ff(a) < _ff(b), lambda a, b: a < b)
-
-
-def _w_fcmp_ole(vm, w, op):
-    _cmp_common(vm, w, op, lambda a, b: _ff(a) <= _ff(b), lambda a, b: a <= b)
-
-
-def _w_fcmp_ogt(vm, w, op):
-    _cmp_common(vm, w, op, lambda a, b: _ff(a) > _ff(b), lambda a, b: a > b)
-
-
-def _w_fcmp_oge(vm, w, op):
-    _cmp_common(vm, w, op, lambda a, b: _ff(a) >= _ff(b), lambda a, b: a >= b)
-
-
-# -- select / ptradd / casts --
-
-
-def _w_select(vm, w, op):
-    # (h, "select", next, d, cond, t, f, is_float, c)
-    regs = w.regs
-    c, t, f = regs[op[4]], regs[op[5]], regs[op[6]]
-    if type(c) is ndarray:
-        want = _F64 if op[7] else _U64
-        tv = t if type(t) is ndarray else (float(t) if op[7] else int(t) & _M64)
-        fv = f if type(f) is ndarray else (float(f) if op[7] else int(f) & _M64)
-        r = np.where(c != 0, tv, fv)
-        if r.dtype != want:
-            r = r.astype(want)
-        w._wr(op[3], r)
-    else:
-        w._wr_any(op[3], t if c else f)
-    w.pc = op[2]
-    w.pending_cycles += op[8]
-
-
-def _w_ptradd(vm, w, op):
-    # (h, "ptradd", next, d, p, o, off_bits, signed_ty, c)
-    regs = w.regs
-    p, o = regs[op[4]], regs[op[5]]
-    pv, ov = type(p) is ndarray, type(o) is ndarray
-    if pv or ov:
-        bits = op[6]
-        if ov:
-            off = _signed(o, bits).view(_U64)
-        else:
-            off = _U64(op[7].to_signed(o) & _M64)
-        w._wr(op[3], _uu(p) + off)
-    else:
-        w._wr_u(op[3], p + op[7].to_signed(o))
-    w.pc = op[2]
-    w.pending_cycles += op[8]
-
-
-def _w_zext(vm, w, op):
-    # (h, op, next, d, s, c): stored values are already wrapped unsigned
-    v = w.regs[op[4]]
-    if type(v) is ndarray:
-        w._wr(op[3], v)
-    else:
-        w._wr_u(op[3], int(v))
-    w.pc = op[2]
-    w.pending_cycles += op[5]
-
-
-def _w_copy(vm, w, op):
-    # ptrtoint/inttoptr/bitcast/fpext/fptrunc: (h, op, next, d, s, c)
-    v = w.regs[op[4]]
-    w._wr_any(op[3], v)
-    w.pc = op[2]
-    w.pending_cycles += op[5]
-
-
-def _w_tofloat(vm, w, op):
-    # fpext/fptrunc: scalar path applies float() like the decoded engine
-    v = w.regs[op[4]]
-    if type(v) is ndarray:
-        w._wr(op[3], v if v.dtype == _F64 else v.astype(_F64))
-    else:
-        w._wr_u(op[3], float(v))
-    w.pc = op[2]
-    w.pending_cycles += op[5]
-
-
-def _w_sext(vm, w, op):
-    # (h, op, next, d, s, src_bits, signed_ty, wrap_ty, vmask, c)
-    v = w.regs[op[4]]
-    if type(v) is ndarray:
-        r = _signed(v, op[5]).view(_U64)
-        if op[8] is not None:
-            r = r & op[8]
-        w._wr(op[3], r)
-    else:
-        w._wr_u(op[3], op[7].wrap(op[6].to_signed(int(v))))
-    w.pc = op[2]
-    w.pending_cycles += op[9]
-
-
-def _w_trunc(vm, w, op):
-    # (h, op, next, d, s, wrap_ty, vmask, c)
-    v = w.regs[op[4]]
-    if type(v) is ndarray:
-        r = v & op[6] if op[6] is not None else v
-        w._wr(op[3], r)
-    else:
-        w._wr_u(op[3], op[5].wrap(int(v)))
-    w.pc = op[2]
-    w.pending_cycles += op[7]
-
-
-def _w_sitofp(vm, w, op):
-    # (h, op, next, d, s, src_bits, signed_ty, c)
-    v = w.regs[op[4]]
-    if type(v) is ndarray:
-        w._wr(op[3], _signed(v, op[5]).astype(_F64))
-    else:
-        w._wr_u(op[3], float(op[6].to_signed(int(v))))
-    w.pc = op[2]
-    w.pending_cycles += op[7]
-
-
-def _w_uitofp(vm, w, op):
-    # (h, op, next, d, s, c)
-    v = w.regs[op[4]]
-    if type(v) is ndarray:
-        w._wr(op[3], v.astype(_F64))
-    else:
-        w._wr_u(op[3], float(int(v)))
-    w.pc = op[2]
-    w.pending_cycles += op[5]
-
-
-def _w_fptosi(vm, w, op):
-    # (h, op, next, d, s, wrap_ty, vmask, c)
-    v = w.regs[op[4]]
-    if type(v) is ndarray:
-        r = np.trunc(v).astype(_I64).view(_U64)
-        if op[6] is not None:
-            r = r & op[6]
-        w._wr(op[3], r)
-    else:
-        w._wr_u(op[3], op[5].wrap(int(float(v))))
-    w.pc = op[2]
-    w.pending_cycles += op[7]
+def _sext(v, S):
+    """uint64 lanes of *v* sign-extended from the IntType *S* to 64
+    bits: the vector form of ``decode._sx`` (``i1`` has no sign bit)."""
+    u = _uu(v)
+    return u if S.bits == 64 else ((u + S.half) & S.mask) - S.half
+
+
+def _sv(v, S):
+    """int64 lanes of *v* read as signed under *S*."""
+    return _sext(v, S).view(_I64)
+
+
+def _wrap(v, T):
+    """uint64 lanes *v* wrapped to the IntType *T*."""
+    return v if T.bits == 64 else v & T.mask
+
+
+def _div0(w, y):
+    """Divisor lanes *y*, with inactive lanes' zeros made 1.  An active
+    zero raises like the scalar engines, pinned to the lowest such lane."""
+    zero = y == 0
+    if not np.count_nonzero(zero):
+        return y
+    bits = (w._bits(zero) if type(zero) is ndarray else w.all_bits) & w.mask
+    if bits:
+        w.error_lane = (bits & -bits).bit_length() - 1
+        raise division_by_zero_error()
+    return np.where(zero, 1, y)
+
+
+def _quot(x, y):
+    """``int(x / y)`` on int64 lanes, or None when a lane reaches 2**53,
+    where float64 division may round unlike Python's exact int / int."""
+    xf, yf = x.astype(_F64), y.astype(_F64)
+    if max(np.abs(xf).max(), np.abs(yf).max()) >= 2.0 ** 53:
+        return None
+    return np.trunc(xf / yf).astype(_I64)
+
+
+def _each(w, op, fn, *vals):
+    """Full-width lanes of a row's per-lane loop *fn* (its scalar
+    template run lane by lane over the active lanes, in lane order);
+    inactive lanes are 0."""
+    ix = w._active_idx(w.mask)
+    res = fn(w, op, ix.tolist(), *[
+        v[ix].tolist() if type(v) is ndarray else [v] * len(ix) for v in vals
+    ])
+    w.error_lane = None
+    dtype = _F64 if type(res[0]) is float else _U64
+    if len(res) == w.n:
+        return np.array(res, dtype)
+    out = np.zeros(w.n, dtype)
+    out[ix] = res
+    return out
+
+
+def _warp_source(name, spec):
+    """Source of ``_w_<name>``: the uniform path runs the row's scalar
+    template, the varying path its vector template; operand fetch, the
+    masked write, pc advance, cycle cost and flop count are shared.
+    Rows whose vector template uses ``{each}`` also get ``_l_<name>``,
+    the scalar template in a loop over the active lanes."""
+    fields = spec.fields
+    regs = [f for f in fields if f.islower() and f != "d"]
+    at = range(len(fields) + 3)
+    reg = lambda i, _: fields[i - 3]
+    const = lambda i, _: _dec._Src(f"op[{i}]")
+    scalar = spec.render(at, reg, const).splitlines()
+    lines = []
+    if "{each}" in spec.vector:
+        cols = ", ".join("_" + f for f in regs)
+        lines += [f"def _l_{name}(w, op, lanes, {cols}):", "    res = []",
+                  f"    for ln, {', '.join(regs)} in zip(lanes, {cols}):",
+                  "        w.error_lane = ln"]
+        lines += ["        " + s for s in scalar]
+        lines += ["        res.append(d)", "    return res", ""]
+    each = f"_each(w, op, _l_{name}, {', '.join(regs)})"
+    vector = spec.render(at, reg, const, spec.vector, each=each).splitlines()
+    lines.append(f"def _w_{name}(vm, w, op):")
+    if regs:
+        lines.append("    r = w.regs")
+        lines += [f"    {f} = r[op[{fields.index(f) + 3}]]" for f in regs]
+        lines.append(f"    if {' or '.join(f'type({f}) is ndarray' for f in regs)}:")
+        lines += ["        " + s for s in vector] + ["    else:"]
+        lines += ["        " + s for s in scalar]
+    else:  # no operands: the vector template is every lane's value
+        lines += ["    " + s for s in vector]
+    lines += ["    w._wr(op[3], d)", "    w.pc = op[2]",
+              f"    w.pending_cycles += op[{spec.cost}]"]
+    if spec.flop:  # only once the op succeeds, like the scalar engines
+        lines.append("    w.stats.flops += w.n_active")
+    return "\n".join(lines)
+
+
+#: Table row name -> its spec, for every row with a vector template
+#: (all but the loads and stores).
+_VECTOR_ROWS = {n: spec for n, spec in _dec._SPECS.items() if spec.vector is not None}
+exec(
+    compile(
+        "\n\n".join(_warp_source(n, spec) for n, spec in _VECTOR_ROWS.items()),
+        "<repro.vgpu.warp generated handlers>",
+        "exec",
+    ),
+    globals(),
+)
 
 
 # -- alloca --
@@ -1244,7 +787,7 @@ def _w_alloca(vm, w, op):
         elif ptr != first:
             uniform = False
     if uniform:
-        w._wr_u(op[3], first)
+        w._wr(op[3], first)
     else:
         w._wr_compact(op[3], np.array(vals, _U64))
     w.pc = op[2]
@@ -1294,7 +837,7 @@ def _w_load(vm, w, op):
         else:
             value = int.from_bytes(seg.data[off : off + size], "little")
         w.stats.loads_by_space[_SPACE_BY_TAG[tag]] += w.n_active
-        w._wr_u(op[3], value)
+        w._wr(op[3], value)
         w.pc = op[2]
         w.pending_cycles += _load_cost(vm, w, op[7], tag, w.n_active)
         return
@@ -1583,7 +1126,7 @@ def _w_jump(vm, w, op):
 def _w_br1(vm, w, op):
     # (h, "br", target, dest, src, c)
     w.pending_cycles += op[5]
-    w._wr_any(op[3], w.regs[op[4]])
+    w._wr(op[3], w.regs[op[4]])
     t = op[2]
     if t == w.rpc:
         w._reconverge()
@@ -1790,45 +1333,6 @@ def _w_barrier(vm, w, op):
     w._park(op[2])
 
 
-def _w_thread_id(vm, w, op):
-    # (h, "call", next, d, c)
-    w._wr(op[3], w.tid_arr)
-    w.pc = op[2]
-    w.pending_cycles += op[4]
-
-
-def _w_block_id(vm, w, op):
-    w._wr_u(op[3], w.team_id)
-    w.pc = op[2]
-    w.pending_cycles += op[4]
-
-
-def _w_block_dim(vm, w, op):
-    w._wr_u(op[3], vm._launch.threads_per_team)
-    w.pc = op[2]
-    w.pending_cycles += op[4]
-
-
-def _w_grid_dim(vm, w, op):
-    w._wr_u(op[3], vm._launch.num_teams)
-    w.pc = op[2]
-    w.pending_cycles += op[4]
-
-
-def _w_const_result(vm, w, op):
-    # (h, "call", next, d, value, c)
-    w._wr_u(op[3], op[4])
-    w.pc = op[2]
-    w.pending_cycles += op[5]
-
-
-def _w_lane_id(vm, w, op):
-    # (h, "call", next, d, warp_size, c)
-    w._wr(op[3], w.lane_arr)
-    w.pc = op[2]
-    w.pending_cycles += op[5]
-
-
 def _w_assume(vm, w, op):
     # (h, "call", next, arg_slot, c)
     if vm.debug_checks:
@@ -1850,51 +1354,9 @@ def _w_assume(vm, w, op):
 def _w_expect(vm, w, op):
     # (h, "call", next, d, arg, coerce, c)
     v = w.regs[op[4]]
-    if type(v) is ndarray:
-        w._wr(op[3], v)
-    else:
-        w._wr_u(op[3], op[5](v))
+    w._wr(op[3], v if type(v) is ndarray else op[5](v))
     w.pc = op[2]
     w.pending_cycles += op[6]
-
-
-def _w_math1(vm, w, op):
-    # (h, "call", next, d, a, fn, coerce, c)
-    w.stats.flops += w.n_active
-    v = w.regs[op[4]]
-    fn, co = op[5], op[6]
-    if type(v) is ndarray:
-        ix = w._active_idx(w.mask)
-        va = v[ix]
-        vals = np.fromiter(
-            (co(fn(float(x))) for x in va), _F64, count=len(va)
-        )
-        w._wr_compact(op[3], vals)
-    else:
-        w._wr_u(op[3], co(fn(float(v))))
-    w.pc = op[2]
-    w.pending_cycles += op[7]
-
-
-def _w_math2(vm, w, op):
-    # (h, "call", next, d, a, b, fn, coerce, c)
-    w.stats.flops += w.n_active
-    regs = w.regs
-    a, b = regs[op[4]], regs[op[5]]
-    fn, co = op[6], op[7]
-    if type(a) is ndarray or type(b) is ndarray:
-        ix = w._active_idx(w.mask)
-        aa = a[ix] if type(a) is ndarray else [float(a)] * len(ix)
-        bb = b[ix] if type(b) is ndarray else [float(b)] * len(ix)
-        vals = np.fromiter(
-            (co(fn(float(x), float(y))) for x, y in zip(aa, bb)),
-            _F64, count=len(ix),
-        )
-        w._wr_compact(op[3], vals)
-    else:
-        w._wr_u(op[3], co(fn(float(a), float(b))))
-    w.pc = op[2]
-    w.pending_cycles += op[8]
 
 
 def _w_intrin(vm, w, op):
@@ -2007,7 +1469,7 @@ def _intrin_body(vm, w, name, info, arg_slots, coerce, inst, dest, next_pc):
         w.pending_cycles += info.cost
     if results and results[0][1] is not None:
         if uniform:
-            w._wr_u(dest, coerce(results[0][1]))
+            w._wr(dest, coerce(results[0][1]))
         else:
             vals = [coerce(r) for _, r, _ in results]
             dtype = _F64 if isinstance(vals[0], float) else _U64
@@ -2019,11 +1481,11 @@ def _intrin_body(vm, w, name, info, arg_slots, coerce, inst, dest, next_pc):
 # Vectorizer
 #
 # Translation runs over the *decoded* op stream: each decoded op is
-# rewritten to its warp twin, keyed by the decoded handler's identity
-# (the one decode-time dispatch decision the scalar engine already
-# made), reusing the decoded slot numbers and pre-resolved costs and
-# only adding the type facts (bit widths, ndarray dtypes) the vector
-# paths need from the parallel ``code.insts`` instruction list.
+# mapped to its warp twin, keyed by the decoded handler's identity (the
+# one decode-time dispatch decision the scalar engine already made).
+# Most ops keep their tuple unchanged; loads and stores gain their
+# gather/scatter dtypes and condbrs their reconvergence point and
+# if-conversion arms.
 # ===================================================================
 
 
@@ -2081,82 +1543,27 @@ def _make_vcoerce(ty):
     return co_raw
 
 
-def _dst_vmask(bits):
-    return None if bits == 64 else _U64((1 << bits) - 1)
-
-
-def _ity(ty):
-    return ty if isinstance(ty, IntType) else I64
-
-
 #: size -> (ndarray dtype, index shift) for vector gather/scatter.
 _INT_DTYPES = {1: (np.uint8, 0), 2: (np.uint16, 1),
                4: (np.uint32, 2), 8: (_U64, 3)}
 _FLT_DTYPES = {4: (np.float32, 2), 8: (_F64, 3)}
 
-#: Decoded ops whose tuple layout already carries everything the warp
-#: handler needs: translate by swapping the handler slot only.
-_SWAP = {}
-
-
-def _init_swap():
-    d = _dec
-    for dec_h, w_h in (
-        (d._h_and, _w_and), (d._h_or, _w_or), (d._h_xor, _w_xor),
-        (d._h_lshr, _w_lshr), (d._h_ashr, _w_ashr),
-        (d._h_udiv, _w_udiv), (d._h_urem, _w_urem),
-        (d._h_fadd, _w_fadd), (d._h_fsub, _w_fsub),
-        (d._h_fmul, _w_fmul), (d._h_fdiv, _w_fdiv), (d._h_frem, _w_frem),
-        (d._h_icmp_eq, _w_icmp_eq), (d._h_icmp_ne, _w_icmp_ne),
-        (d._h_icmp_lt, _w_icmp_lt), (d._h_icmp_le, _w_icmp_le),
-        (d._h_icmp_gt, _w_icmp_gt), (d._h_icmp_ge, _w_icmp_ge),
-        (d._h_fcmp_oeq, _w_fcmp_oeq), (d._h_fcmp_one, _w_fcmp_one),
-        (d._h_fcmp_olt, _w_fcmp_olt), (d._h_fcmp_ole, _w_fcmp_ole),
-        (d._h_fcmp_ogt, _w_fcmp_ogt), (d._h_fcmp_oge, _w_fcmp_oge),
-        (d._h_zext, _w_zext), (d._h_copy, _w_copy),
-        (d._h_tofloat, _w_tofloat), (d._h_uitofp, _w_uitofp),
-        (d._h_alloca, _w_alloca), (d._h_atomicrmw, _w_atomicrmw),
-        (d._h_jump, _w_jump), (d._h_br1, _w_br1), (d._h_brn, _w_brn),
-        (d._h_ret, _w_ret), (d._h_unreachable, _w_unreachable),
-        (d._h_call, _w_call), (d._h_call_rt, _w_call_rt),
-        (d._h_badcall, _w_badcall), (d._h_raise, _w_raise),
-        (d._h_icall, _w_icall), (d._h_barrier, _w_barrier),
-        (d._h_thread_id, _w_thread_id), (d._h_block_id, _w_block_id),
-        (d._h_block_dim, _w_block_dim), (d._h_grid_dim, _w_grid_dim),
-        (d._h_const_result, _w_const_result), (d._h_lane_id, _w_lane_id),
-        (d._h_assume, _w_assume), (d._h_expect, _w_expect),
-        (d._h_math1, _w_math1), (d._h_math2, _w_math2),
-        (d._h_intrin, _w_intrin),
-    ):
-        _SWAP[dec_h] = w_h
-
-
-_init_swap()
-
-_WRAPPED_BINOPS = {}  # add/sub/mul: append a vector wrap mask
-
-
-def _init_tables():
-    d = _dec
-    _WRAPPED_BINOPS[d._h_add] = _w_add
-    _WRAPPED_BINOPS[d._h_sub] = _w_sub
-    _WRAPPED_BINOPS[d._h_mul] = _w_mul
-
-
-_init_tables()
-
-_SIGNED_PRED_OF = {}
-
-
-def _init_signed_preds():
-    d = _dec
-    _SIGNED_PRED_OF[d._h_icmp_slt] = "slt"
-    _SIGNED_PRED_OF[d._h_icmp_sle] = "sle"
-    _SIGNED_PRED_OF[d._h_icmp_sgt] = "sgt"
-    _SIGNED_PRED_OF[d._h_icmp_sge] = "sge"
-
-
-_init_signed_preds()
+#: Decoded handler -> warp handler for ops whose tuple layout already
+#: carries everything the warp handler needs: every generated simple op
+#: and the hand-written non-simple ones.
+_SWAP = {
+    getattr(_dec, f"_h_{n}"): globals()[f"_w_{n}"] for n in _VECTOR_ROWS
+}
+_SWAP.update({
+    _dec._h_alloca: _w_alloca, _dec._h_atomicrmw: _w_atomicrmw,
+    _dec._h_jump: _w_jump, _dec._h_br1: _w_br1, _dec._h_brn: _w_brn,
+    _dec._h_ret: _w_ret, _dec._h_unreachable: _w_unreachable,
+    _dec._h_call: _w_call, _dec._h_call_rt: _w_call_rt,
+    _dec._h_badcall: _w_badcall, _dec._h_raise: _w_raise,
+    _dec._h_icall: _w_icall, _dec._h_barrier: _w_barrier,
+    _dec._h_assume: _w_assume, _dec._h_expect: _w_expect,
+    _dec._h_intrin: _w_intrin,
+})
 
 
 def _arm_desc(ops, start, n_ops, join):
@@ -2178,7 +1585,6 @@ def vectorize_function(bound, flow):
     using *flow*'s reconvergence/if-conversion analysis."""
     code = bound.code
     ops = code.ops
-    insts = code.insts
     d = _dec
     vops = []
     for pc, dop in enumerate(ops):
@@ -2186,77 +1592,6 @@ def vectorize_function(bound, flow):
         w_h = _SWAP.get(h)
         if w_h is not None:
             vops.append((w_h,) + dop[1:])
-            continue
-        w_h = _WRAPPED_BINOPS.get(h)
-        if w_h is not None:
-            # (h, op, next, d, a, b, wrap_ty, c) ->
-            # (h, op, next, d, a, b, wrap_ty, vmask, c)
-            bits = _ity(insts[pc].type).bits
-            vops.append((
-                w_h, dop[1], dop[2], dop[3], dop[4], dop[5],
-                dop[6], _dst_vmask(bits), dop[7],
-            ))
-            continue
-        if h is d._h_shl:
-            # (..., bits, wrap_ty, c) -> (..., bits, wrap_ty, vmask, c)
-            vops.append((
-                _w_shl, dop[1], dop[2], dop[3], dop[4], dop[5],
-                dop[6], dop[7], _dst_vmask(dop[6]), dop[8],
-            ))
-        elif h is d._h_sdiv or h is d._h_srem:
-            # (..., signed_ty, wrap_ty, c) -> (..., bits, signed_ty, wrap_ty, c)
-            bits = _ity(insts[pc].type).bits
-            vops.append((
-                _w_sdiv if h is d._h_sdiv else _w_srem,
-                dop[1], dop[2], dop[3], dop[4], dop[5],
-                bits, dop[6], dop[7], dop[8],
-            ))
-        elif h in _SIGNED_PRED_OF:
-            # (..., signed_ty, c) -> (..., bits, signed_ty, pred, c)
-            bits = insts[pc].lhs.type.bits
-            vops.append((
-                _w_icmp_signed, dop[1], dop[2], dop[3], dop[4], dop[5],
-                bits, dop[6], _SIGNED_PRED_OF[h], dop[7],
-            ))
-        elif h is d._h_select:
-            # (..., cond, t, f, c) -> (..., cond, t, f, is_float, c)
-            vops.append((
-                _w_select, dop[1], dop[2], dop[3], dop[4], dop[5],
-                dop[6], isinstance(insts[pc].type, FloatType), dop[7],
-            ))
-        elif h is d._h_sext:
-            # (..., s, signed_ty, wrap_ty, c) ->
-            # (..., s, src_bits, signed_ty, wrap_ty, vmask, c)
-            inst = insts[pc]
-            vops.append((
-                _w_sext, dop[1], dop[2], dop[3], dop[4],
-                inst.source.type.bits, dop[5], dop[6],
-                _dst_vmask(inst.type.bits), dop[7],
-            ))
-        elif h is d._h_trunc:
-            # (..., s, wrap_ty, c) -> (..., s, wrap_ty, vmask, c)
-            vops.append((
-                _w_trunc, dop[1], dop[2], dop[3], dop[4],
-                dop[5], _dst_vmask(insts[pc].type.bits), dop[6],
-            ))
-        elif h is d._h_sitofp:
-            # (..., s, signed_ty, c) -> (..., s, src_bits, signed_ty, c)
-            vops.append((
-                _w_sitofp, dop[1], dop[2], dop[3], dop[4],
-                insts[pc].source.type.bits, dop[5], dop[6],
-            ))
-        elif h is d._h_fptosi:
-            # (..., s, wrap_ty, c) -> (..., s, wrap_ty, vmask, c)
-            vops.append((
-                _w_fptosi, dop[1], dop[2], dop[3], dop[4],
-                dop[5], _dst_vmask(insts[pc].type.bits), dop[6],
-            ))
-        elif h is d._h_ptradd:
-            # (..., p, o, signed_ty, c) -> (..., p, o, off_bits, signed_ty, c)
-            vops.append((
-                _w_ptradd, dop[1], dop[2], dop[3], dop[4], dop[5],
-                insts[pc].offset.type.bits, dop[6], dop[7],
-            ))
         elif h is d._h_load_int or h is d._h_load_f:
             # (..., d, p, size, ty, costs[, unpack]) ->
             # (..., d, p, size, ty, costs, dtype, shift, unpack)
@@ -2336,9 +1671,7 @@ def bind_warp(vm, func) -> WarpFunction:
     wf = cache.get(func)
     if wf is not None:
         return wf
-    if_convert = getattr(vm, "warp_if_convert", None)
-    if if_convert is None:
-        if_convert = envconfig.warp_if_convert()
+    if_convert = getattr(vm, "warp_if_convert", True)
     mcache = vm.module.__dict__.setdefault("_warp_vector_cache", {})
     mkey = (id(func), bool(if_convert), _binding_fingerprint(vm))
     wf = mcache.get(mkey)

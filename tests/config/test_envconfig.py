@@ -106,7 +106,6 @@ class TestRegistry:
             "REPRO_SERVE_RETRIES", "REPRO_SERVE_BACKOFF_S",
             "REPRO_SERVE_BREAKER_THRESHOLD", "REPRO_SERVE_DRAIN_S",
             "REPRO_BENCH_HISTORY_DIR", "REPRO_BENCH_REGRESSION_PCT",
-            "REPRO_WARP_IF_CONVERT",
         }
         assert expected == set(envconfig.KNOBS)
 
@@ -261,20 +260,6 @@ class TestWarpKnobs:
     def test_warp_engine_accepted(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "warp")
         assert envconfig.sim_engine() == "warp"
-
-    def test_if_convert_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WARP_IF_CONVERT", raising=False)
-        assert envconfig.warp_if_convert() is True
-
-    @pytest.mark.parametrize("raw", ["0", "off", "false", "no"])
-    def test_if_convert_disable(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_WARP_IF_CONVERT", raw)
-        assert envconfig.warp_if_convert() is False
-
-    @pytest.mark.parametrize("raw", ["1", "on", "true", "yes"])
-    def test_if_convert_enable(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_WARP_IF_CONVERT", raw)
-        assert envconfig.warp_if_convert() is True
 
 
 class TestDelegation:

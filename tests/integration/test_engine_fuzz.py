@@ -1,4 +1,4 @@
-"""Differential fuzzing of the scalar engines on generated kernels.
+"""Differential fuzzing of the engines on generated kernels.
 
 Hypothesis generates two kinds of kernels.  Straight-line kernels are
 one long basic block: chains of integer and float arithmetic, casts,
@@ -10,7 +10,11 @@ rotate, and early exits.  Each block is what the decoded engine fuses
 into one generated run, terminator and phi moves included, so this
 pins fused execution against the legacy tree-walker and against
 parallel team simulation: outputs, :class:`KernelProfile` and any
-error must be bit-identical.
+error must be bit-identical.  The warp engine runs every kernel too,
+with its handlers generated from the same opcode table as the decoded
+engine's, on divergent lane masks: it must match legacy the same way,
+except for the crash context of a faulting run (which thread a
+divergent crash is pinned to is its one documented divergence).
 
 The corpus is bounded and derandomized (a fixed, seeded set of
 examples), so tier-1 stays deterministic.
@@ -299,6 +303,16 @@ def _inputs(seed):
     return words
 
 
+def _assert_all_agree(module, words):
+    legacy = _run(module, "legacy", None, words)
+    assert _run(module, "decoded", None, words) == legacy
+    assert _run(module, "decoded", 2, words) == legacy
+    warp = _run(module, "warp", None, words)
+    assert warp[:3] == legacy[:3]
+    if legacy[0] == "ok":
+        assert warp == legacy
+
+
 def _run(module, engine, sim_jobs, words):
     gpu = VirtualGPU(module, engine=engine)
     n_out = TEAMS * THREADS * OUT_WORDS
@@ -322,11 +336,7 @@ def _run(module, engine, sim_jobs, words):
           suppress_health_check=[HealthCheck.too_slow])
 @given(rnd=st.randoms(use_true_random=False), n=st.integers(8, 48))
 def test_straight_line_kernels_agree_across_engines(seed, rnd, n):
-    module = _build(_recipe(rnd, n))
-    words = _inputs(seed)
-    legacy = _run(module, "legacy", None, words)
-    assert _run(module, "decoded", None, words) == legacy
-    assert _run(module, "decoded", 2, words) == legacy
+    _assert_all_agree(_build(_recipe(rnd, n)), _inputs(seed))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -334,11 +344,7 @@ def test_straight_line_kernels_agree_across_engines(seed, rnd, n):
           suppress_health_check=[HealthCheck.too_slow])
 @given(rnd=st.randoms(use_true_random=False), n=st.integers(1, 5))
 def test_cfg_kernels_agree_across_engines(seed, rnd, n):
-    module = _build_cfg(_cfg_recipe(rnd, n))
-    words = _inputs(seed)
-    legacy = _run(module, "legacy", None, words)
-    assert _run(module, "decoded", None, words) == legacy
-    assert _run(module, "decoded", 2, words) == legacy
+    _assert_all_agree(_build_cfg(_cfg_recipe(rnd, n)), _inputs(seed))
 
 
 def test_cfg_generator_reaches_every_shape():

@@ -5,13 +5,17 @@ pins whole-app bit-parity; these tests pin the mask machinery on
 hand-built kernels where the divergence shape is known exactly —
 a split/reconverge diamond, a nested split, an if-converted short
 diamond (with the pass forced on and off), a uniform branch that must
-never split, and the old-runtime lockstep fallback.
+never split, and the old-runtime lockstep fallback — plus the edge
+semantics of the simple ops generated from ``decode._TEMPLATES``
+(``i1`` sign reads, ``frem`` by zero, out-of-range ``fptosi``).
 """
+
+import struct
 
 import pytest
 
 from repro.ir import I64, Module, verify_module
-from repro.ir.types import I32, IntType
+from repro.ir.types import F64, I1, I32, IntType
 from repro.ir.values import GlobalVariable
 from repro.memory.addrspace import AddressSpace
 from repro.runtime.state import GV_OLD_TEAM_CONTEXT
@@ -313,3 +317,98 @@ def test_divergent_indirect_call_is_an_engine_limit_not_a_program_fault():
         )
     assert served.ok and served.retried
     assert served.payload == expected
+
+
+def _per_thread_module(compute):
+    """@kern storing ``compute(b, tid)`` (an i64 or f64) at out[tid]."""
+    module = Module("m")
+    func, b = make_kernel(module)
+    tid = b.sext(b.thread_id(), I64)
+    _store_at_tid(b, func.args[0], tid, compute(b, tid))
+    b.ret()
+    verify_module(module)
+    return module
+
+
+def _i1_lanes(b, tid):
+    """Varying i1 lanes tid & 1 and (tid >> 1) & 1."""
+    return b.trunc(tid, I1), b.trunc(b.lshr(tid, b.i64(1)), I1)
+
+
+#: i1 has no sign bit (``IntType.to_signed`` with ``half == 0``): a set
+#: i1 reads as 1, never -1, in every signed op.
+I1_SIGNED_OPS = {
+    "sext_i32": lambda b, x, y: b.zext(b.sext(x, I32), I64),
+    "sext_i64": lambda b, x, y: b.sext(x, I64),
+    "sitofp": lambda b, x, y: b.sitofp(x, F64),
+    "icmp_slt": lambda b, x, y: b.zext(b.icmp("slt", x, y), I64),
+    "icmp_sge": lambda b, x, y: b.zext(b.icmp("sge", x, y), I64),
+    "ashr": lambda b, x, y: b.zext(b.ashr(x, y), I64),
+    "sdiv": lambda b, x, y: b.zext(b.sdiv(x, b.i1(1)), I64),
+    "srem": lambda b, x, y: b.zext(b.srem(x, b.i1(1)), I64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(I1_SIGNED_OPS))
+def test_signed_ops_on_varying_i1_match_legacy(name):
+    op = I1_SIGNED_OPS[name]
+    results = _run(_per_thread_module(lambda b, tid: op(b, *_i1_lanes(b, tid))))
+    _assert_engines_agree(results)
+    if name in ("sext_i32", "sext_i64"):
+        assert results["warp"][1] == [t & 1 for t in range(N)]
+
+
+def _f64_bits(word):
+    return struct.unpack("<Q", struct.pack("<q", word))[0]
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_frem_by_zero_stores_the_scalar_engines_nan(varying):
+    def compute(b, tid):
+        x = b.sitofp(tid, F64) if varying else b.f64(3.0)
+        return b._binop("frem", x, b.f64(0.0), "")
+
+    results = _run(_per_thread_module(compute))
+    _assert_engines_agree(results)
+    assert {_f64_bits(w) for w in results["warp"][1]} == {0x7FF8000000000000}
+
+
+@pytest.mark.parametrize("scale", [3e38, 1e300])
+@pytest.mark.parametrize("ty", [I32, I64], ids=["i32", "i64"])
+def test_fptosi_of_finite_out_of_range_values_is_exact(scale, ty):
+    """int64 cannot hold these; the varying path must truncate them
+    exactly like the scalar engines' ``int()``."""
+    def compute(b, tid):
+        v = b.fptosi(b.fmul(b.sitofp(tid, F64), b.f64(scale)), ty)
+        return v if ty is I64 else b.zext(v, I64)
+
+    results = _run(_per_thread_module(compute))
+    _assert_engines_agree(results)
+    expected = [int(t * scale) & ty.mask for t in range(N)]
+    assert [w & ty.mask for w in results["warp"][1]] == expected
+
+
+def test_every_simple_op_is_generated_from_its_table_row():
+    """Each non-memory row of ``decode._TEMPLATES`` is the one
+    definition of its opcode: the warp handler is generated from it and
+    reads the decoded op tuple unchanged.  A row without a vector
+    template fails here."""
+    from repro.vgpu import decode, warp
+
+    memory = {n for n, row in decode._TEMPLATES.items() if "K" in row[0].split()}
+    assert memory == {"load_int", "load_f", "store_int", "store_ptr", "store_f"}
+    for name in decode._TEMPLATES.keys() - memory:
+        w_h = getattr(warp, f"_w_{name}", None)
+        assert w_h is not None, f"no generated warp handler for {name}"
+        assert w_h.__code__.co_filename == "<repro.vgpu.warp generated handlers>"
+        assert warp._SWAP[getattr(decode, f"_h_{name}")] is w_h
+
+    module = _diamond_module()
+    gpu = VirtualGPU(module, engine="warp")
+    wf = warp.bind_warp(gpu, module.get_function("kern"))
+    simple = 0
+    for dop, vop in zip(wf.code.ops, wf.vops):
+        if dop[0] in decode._SIMPLE and dop[1] not in ("load", "store"):
+            assert vop == (warp._SWAP[dop[0]],) + dop[1:]
+            simple += 1
+    assert simple >= 5
