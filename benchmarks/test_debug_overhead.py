@@ -8,17 +8,17 @@ import pytest
 
 from repro.bench.figures import debug_overhead
 from repro.bench.harness import APPS
-from repro.frontend.driver import CompileOptions
+from repro.frontend.driver import CompileOptions, Target
 from benchmarks.conftest import run_once
 
 
 @pytest.mark.parametrize("variant", ["release", "debug"])
 def test_debug_vs_release_build(benchmark, record, variant):
     if variant == "release":
-        options = CompileOptions(runtime="new")
+        options = CompileOptions(Target.OPENMP_NEW)
         result = run_once(benchmark, lambda: APPS["xsbench"].run(options))
     else:
-        options = CompileOptions(runtime="new").with_debug()
+        options = CompileOptions(Target.OPENMP_NEW).with_debug()
         result = run_once(benchmark, lambda: APPS["xsbench"].run(
             options, debug_checks=True, env={"DEBUG": 3}))
     record(result, variant=variant, figure="debug-overhead")

@@ -19,18 +19,18 @@ from dataclasses import replace
 import pytest
 
 from repro.bench.harness import APPS
-from repro.frontend.driver import CompileOptions
+from repro.frontend.driver import CompileOptions, Target
 from repro.passes.pass_manager import PipelineConfig
 from benchmarks.conftest import run_once
 
 
 def options_with(**runtime_kw) -> CompileOptions:
-    base = CompileOptions(runtime="new")
+    base = CompileOptions(Target.OPENMP_NEW)
     return replace(base, runtime_config=replace(base.runtime_config, **runtime_kw))
 
 
 def nightly_with(**runtime_kw) -> CompileOptions:
-    base = CompileOptions(runtime="new", pipeline=PipelineConfig.nightly())
+    base = CompileOptions(Target.OPENMP_NEW, pipeline=PipelineConfig.nightly())
     return replace(base, runtime_config=replace(base.runtime_config, **runtime_kw))
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench.builds import ablation_configs
 from repro.bench.harness import APPS
-from repro.frontend.driver import CompileOptions
+from repro.frontend.driver import CompileOptions, Target
 from benchmarks.conftest import run_once
 
 ABLATION_APPS = ["gridmini", "xsbench", "minifmm"]
@@ -30,7 +30,7 @@ def _cases():
                          ids=[f"{a}--{l.replace(' ', '_')}" for a, l in _cases()])
 def test_fig13_cell(benchmark, record, app, label):
     pipeline = ablation_configs()[label]
-    options = CompileOptions(runtime="new", pipeline=pipeline)
+    options = CompileOptions(Target.OPENMP_NEW, pipeline=pipeline)
     result = run_once(benchmark, lambda: APPS[app].run(options))
     record(result, app=app, ablation=label, figure="fig13")
 
@@ -41,7 +41,7 @@ def ablation_cycles():
     for app in ABLATION_APPS:
         per_app = {}
         for label, pipeline in ablation_configs().items():
-            options = CompileOptions(runtime="new", pipeline=pipeline)
+            options = CompileOptions(Target.OPENMP_NEW, pipeline=pipeline)
             per_app[label] = APPS[app].run(options).cycles
         out[app] = per_app
     return out

@@ -15,7 +15,7 @@ Run:  python examples/debugging_workflow.py
 import numpy as np
 
 from repro.frontend import ast as A
-from repro.frontend.driver import CompileOptions, compile_program
+from repro.frontend.driver import CompileOptions, Target, compile_program
 from repro.ir.types import F64, I64, PTR
 from repro.runtime.config import DEBUG_ASSERTIONS, DEBUG_FUNCTION_TRACING
 from repro.vgpu import LaunchSpec, TrapError, VirtualGPU
@@ -53,7 +53,8 @@ def main() -> None:
     program = build_program()
 
     print("== debug build, assertion violated (scale = -1)")
-    debug = compile_program(program, CompileOptions(runtime="new").with_debug())
+    debug = compile_program(program,
+                            CompileOptions(Target.OPENMP_NEW).with_debug())
     try:
         launch(debug, -1.0, env={"DEBUG": DEBUG_ASSERTIONS})
     except TrapError as exc:
@@ -65,7 +66,7 @@ def main() -> None:
     print(f"   traced {len(calls)} runtime calls; first few: {calls[:4]}")
 
     print("\n== release build, same bad input (scale = -1)")
-    release = compile_program(program, CompileOptions(runtime="new"))
+    release = compile_program(program, CompileOptions(Target.OPENMP_NEW))
     profile = launch(release, -1.0)
     print(f"   ran to completion in {profile.cycles} cycles — the check")
     print("   became a compiler assumption and costs nothing (§III-G).")

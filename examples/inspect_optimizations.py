@@ -9,7 +9,7 @@ Run:  python examples/inspect_optimizations.py
 """
 
 from repro.apps import xsbench
-from repro.frontend.driver import CompileOptions, compile_program
+from repro.frontend.driver import CompileOptions, Target, compile_program
 from repro.ir.printer import print_function
 from repro.passes import PipelineConfig
 
@@ -32,8 +32,8 @@ def main() -> None:
     program = xsbench.build_program(size)
 
     o0 = compile_program(program, CompileOptions(
-        runtime="new", pipeline=PipelineConfig.o0()))
-    o2 = compile_program(program, CompileOptions(runtime="new"))
+        Target.OPENMP_NEW, pipeline=PipelineConfig.o0()))
+    o2 = compile_program(program, CompileOptions(Target.OPENMP_NEW))
 
     for label, compiled in (("O0 (runtime linked, unoptimized)", o0),
                             ("O2 (full openmp-opt pipeline)", o2)):

@@ -2,7 +2,8 @@
 
 Runs a fixed scenario matrix (testsnap under the ``-O0`` pipeline,
 where every runtime call is still outlined and therefore hookable)
-through :func:`repro.faults.run_guarded`:
+through :class:`repro.serve.SimulationService`, whose retry loop turns
+program faults into crash reports and retries internal engine faults:
 
 * a clean baseline and a ``sanitize=True`` run that must produce a
   **bit-identical** profile (the sanitizer charges no cycles);
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.apps import testsnap
-from repro.faults import run_guarded
 from repro.frontend.driver import CompileOptions, Target, compile_program
 from repro.passes.pass_manager import PipelineConfig
-from repro.vgpu import GPUConfig, VirtualGPU
+from repro.serve import SimulationService
+from repro.vgpu import LaunchSpec
 from repro.vgpu.config import ENGINE_DECODED, ENGINE_LEGACY
 
 #: Fixed cell: small testsnap grid, -O0 so runtime calls stay outlined.
@@ -73,35 +74,32 @@ def _compile():
     return compile_program(testsnap.build_program(SIZE), options)
 
 
-def _run_cell(compiled, scenario: Scenario, engine: str,
-              sim_jobs: Optional[int] = None) -> Dict[str, Any]:
-    """One guarded launch; returns the comparable facts of the outcome."""
+def _run_cell(service: SimulationService, compiled, scenario: Scenario,
+              engine: str, sim_jobs: Optional[int] = None) -> Dict[str, Any]:
+    """One served launch; returns the comparable facts of the outcome."""
 
-    def make_gpu(eng):
-        return VirtualGPU(compiled.module, config=GPUConfig(), engine=eng,
-                          sanitize=scenario.sanitize, faults=scenario.faults)
-
-    def make_args(gpu):
+    def make_args(gpu, _compiled):
         host_args, _ = testsnap.prepare(gpu, SIZE)
         return compiled.abi(testsnap.KERNEL).marshal(gpu, host_args)
 
-    outcome = run_guarded(
-        make_gpu, make_args, testsnap.KERNEL, TEAMS, THREADS,
-        engine=engine, sim_jobs=sim_jobs, save_report=scenario.expect != "ok",
-    )
+    spec = LaunchSpec(kernel=testsnap.KERNEL, num_teams=TEAMS,
+                      threads_per_team=THREADS, engine=engine,
+                      faults=scenario.faults, sanitize=scenario.sanitize,
+                      sim_jobs=sim_jobs)
+    result = service.run(spec, module=compiled.module, make_args=make_args)
     cell: Dict[str, Any] = {
-        "ok": outcome.ok,
-        "engine": outcome.engine,
-        "retried": outcome.retried,
+        "ok": result.ok,
+        "engine": result.engine,
+        "retried": result.retried,
     }
-    if outcome.ok:
-        cell["profile"] = outcome.profile.to_dict()
-        cell["device_mallocs"] = outcome.profile.device_mallocs
-        cell["cycles"] = outcome.profile.cycles
-    if outcome.report is not None:
-        cell["error_type"] = outcome.report.error_type
-        cell["report"] = outcome.report.comparable_dict()
-        cell["report_path"] = outcome.report_path
+    if result.ok:
+        cell["profile"] = result.profile.to_dict()
+        cell["device_mallocs"] = result.profile.device_mallocs
+        cell["cycles"] = result.profile.cycles
+    if result.report is not None:
+        cell["error_type"] = result.report.error_type
+        cell["report"] = result.report.comparable_dict()
+        cell["report_path"] = result.report_path
     return cell
 
 
@@ -141,21 +139,24 @@ def run_faults(smoke: bool = False) -> Dict[str, Any]:
     compiled = _compile()
     scenarios = [s for s in SCENARIOS if not smoke or s.name in SMOKE_NAMES]
     rows = []
-    for scenario in scenarios:
-        cells = {
-            ENGINE_DECODED: _run_cell(compiled, scenario, ENGINE_DECODED),
-            ENGINE_LEGACY: _run_cell(compiled, scenario, ENGINE_LEGACY),
-            "sim_jobs=2": _run_cell(compiled, scenario, ENGINE_DECODED,
-                                    sim_jobs=2),
-        }
-        rows.append({
-            "scenario": scenario.name,
-            "faults": scenario.faults,
-            "sanitize": scenario.sanitize,
-            "expect": scenario.expect,
-            "cells": cells,
-            "problems": _judge(scenario, cells),
-        })
+    with SimulationService(workers=1, save_reports=True) as service:
+        for scenario in scenarios:
+            cells = {
+                ENGINE_DECODED: _run_cell(service, compiled, scenario,
+                                          ENGINE_DECODED),
+                ENGINE_LEGACY: _run_cell(service, compiled, scenario,
+                                         ENGINE_LEGACY),
+                "sim_jobs=2": _run_cell(service, compiled, scenario,
+                                        ENGINE_DECODED, sim_jobs=2),
+            }
+            rows.append({
+                "scenario": scenario.name,
+                "faults": scenario.faults,
+                "sanitize": scenario.sanitize,
+                "expect": scenario.expect,
+                "cells": cells,
+                "problems": _judge(scenario, cells),
+            })
     # The sanitize-clean run must be cycle-identical to the baseline.
     by_name = {r["scenario"]: r for r in rows}
     if "baseline" in by_name and "sanitize" in by_name:

@@ -9,7 +9,7 @@ problems the reproduction can afford to sweep.
 
 Each cell of the app × build matrix is executed under all three
 engines (``legacy`` tree-walker, pre-``decoded`` micro-ops and the
-lane-batched ``warp`` vector engine); only the ``launch()`` call is
+lane-batched ``warp`` vector engine); only the ``run()`` call is
 timed — compilation (shared through the compile cache), input
 preparation and verification are excluded.  The best of ``repeats``
 runs is reported to suppress scheduler noise.
@@ -58,7 +58,7 @@ def measure_cell(
     sim_jobs: Optional[int] = None,
     session: Optional[ToolchainSession] = None,
 ) -> Dict[str, Any]:
-    """Time one (app, options, engine) cell; only ``launch()`` is timed."""
+    """Time one (app, options, engine) cell; only ``run()`` is timed."""
     app = APPS[app_name]
     session = session or ToolchainSession()
     size = size or app.default_size()

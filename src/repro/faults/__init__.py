@@ -1,6 +1,6 @@
-"""Device-side fault injection, crash reporting and graceful degradation.
+"""Device-side fault injection and crash reporting.
 
-Three cooperating pieces (ROADMAP "robustness" item; the co-design
+Two cooperating pieces (ROADMAP "robustness" item; the co-design
 angle is that fault *sites* are defined by the runtime/simulator
 contract, not bolted on):
 
@@ -10,22 +10,23 @@ contract, not bolted on):
 :mod:`repro.faults.report`
     :class:`CrashReport` — a deterministic, JSON-serializable record of
     a device failure (error type/message, device context, fault plan,
-    trace tail).
-:mod:`repro.faults.harness`
-    :func:`run_guarded` — launch with automatic decoded→legacy retry on
-    internal engine faults and structured reports for program faults.
+    trace tail) — and :data:`PROGRAM_FAULTS`, the exceptions that are
+    failures of the simulated program rather than of the simulator.
+
+Graceful degradation — program faults become reports, internal engine
+faults retry on the legacy reference engine — is
+:class:`repro.serve.SimulationService`'s retry loop; a one-off launch
+is ``SimulationService().run(spec, module=..., make_args=...)``.
 """
 
 from repro.faults.plan import FaultPlan, FaultPlanError, FaultSite, TeamFaultState
-from repro.faults.report import CrashReport
-from repro.faults.harness import GuardedOutcome, run_guarded
+from repro.faults.report import PROGRAM_FAULTS, CrashReport
 
 __all__ = [
     "CrashReport",
     "FaultPlan",
     "FaultPlanError",
     "FaultSite",
-    "GuardedOutcome",
+    "PROGRAM_FAULTS",
     "TeamFaultState",
-    "run_guarded",
 ]

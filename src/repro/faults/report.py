@@ -12,7 +12,7 @@ determinism tests compare :meth:`CrashReport.comparable_dict` across
 the legacy engine, the decoded engine and ``sim_jobs=N`` runs — that
 view additionally drops the fields that legitimately differ between
 runs of the *same* failure (which engine produced it, whether the
-harness retried).
+service retried).
 """
 
 from __future__ import annotations
@@ -24,6 +24,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro import envconfig
+from repro.memory.memmodel import MemoryError_
+from repro.vgpu.errors import SimulationError
+
+#: Exception classes that are failures *of the simulated program* (or
+#: of an injected fault plan), as opposed to failures of the simulator.
+#: They are deterministic, so they become reports, never retries.
+PROGRAM_FAULTS = (SimulationError, MemoryError_)
 
 #: Subdirectory of the repro cache dir that collects report JSON.
 REPORT_DIRNAME = "crash-reports"

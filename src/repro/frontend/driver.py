@@ -14,7 +14,6 @@ served from the content-addressed compile cache in
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Sequence
 
@@ -35,12 +34,8 @@ from repro.runtime.config import (
 
 
 class Target(enum.Enum):
-    """What the driver lowers a program against.
-
-    Replaces the old stringly ``mode``/``runtime`` pair: the legacy
-    ``("openmp", "new")`` etc. combinations are the enum values, so the
-    deprecated surface can round-trip through it.
-    """
+    """What the driver lowers a program against: the frontend mode and,
+    for OpenMP, the device runtime flavour."""
 
     #: OpenMP offload against the co-designed device runtime (§III).
     OPENMP_NEW = ("openmp", "new")
@@ -51,93 +46,32 @@ class Target(enum.Enum):
 
     @property
     def mode(self) -> str:
-        """Legacy mode string ("openmp" or "cuda")."""
+        """Frontend mode ("openmp" or "cuda")."""
         return self.value[0]
 
     @property
     def runtime(self) -> str:
-        """Legacy runtime flavour; CUDA reports the old default "new"."""
+        """Device runtime flavour; CUDA reports "new"."""
         return self.value[1] or "new"
 
     @property
     def is_openmp(self) -> bool:
         return self.mode == "openmp"
 
-    @classmethod
-    def from_legacy(cls, mode: str, runtime: str) -> "Target":
-        if mode == "cuda":
-            return cls.CUDA
-        if mode == "openmp":
-            if runtime == "new":
-                return cls.OPENMP_NEW
-            if runtime == "old":
-                return cls.OPENMP_OLD
-            raise ValueError(f"unknown runtime {runtime!r}")
-        raise ValueError(f"unknown mode {mode!r}")
 
-
-def _warn_legacy(what: str) -> None:
-    warnings.warn(
-        f"CompileOptions.{what} is deprecated; use CompileOptions.target "
-        f"(repro.frontend.driver.Target)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CompileOptions:
     """Everything the command line would control."""
 
     #: What to lower against (runtime flavour / CUDA baseline).
-    target: Target
+    target: Target = Target.OPENMP_NEW
     #: Optimization pipeline controls (including the ablation flags).
-    pipeline: PipelineConfig
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     #: Compile-time runtime parameters (debug mask, over-subscription
     #: assumptions, shared-stack sizing).
-    runtime_config: RuntimeConfig
+    runtime_config: RuntimeConfig = field(default_factory=RuntimeConfig)
     #: Verify IR before and after optimizing.
-    verify: bool
-
-    def __init__(
-        self,
-        target: Optional[Target] = None,
-        *,
-        mode: Optional[str] = None,
-        runtime: Optional[str] = None,
-        pipeline: Optional[PipelineConfig] = None,
-        runtime_config: Optional[RuntimeConfig] = None,
-        verify: bool = True,
-    ) -> None:
-        if mode is not None or runtime is not None:
-            if target is not None:
-                raise TypeError(
-                    "pass either target= or the deprecated mode=/runtime= "
-                    "pair, not both"
-                )
-            _warn_legacy("mode/runtime constructor arguments")
-            target = Target.from_legacy(mode or "openmp", runtime or "new")
-        object.__setattr__(self, "target", target or Target.OPENMP_NEW)
-        object.__setattr__(
-            self, "pipeline", pipeline if pipeline is not None else PipelineConfig()
-        )
-        object.__setattr__(
-            self,
-            "runtime_config",
-            runtime_config if runtime_config is not None else RuntimeConfig(),
-        )
-        object.__setattr__(self, "verify", verify)
-
-    # Deprecated stringly surface, kept so pre-Target callers still work.
-    @property
-    def mode(self) -> str:
-        _warn_legacy("mode")
-        return self.target.mode
-
-    @property
-    def runtime(self) -> str:
-        _warn_legacy("runtime")
-        return self.target.runtime
+    verify: bool = True
 
     def with_debug(self) -> "CompileOptions":
         """Debug build: assertions + tracing compiled in (§III-G)."""

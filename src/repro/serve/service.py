@@ -30,8 +30,9 @@ a persistent worker pool:
   exception into other tenants.  An *internal* fault retries under the
   configurable :class:`~repro.serve.resilience.RetryPolicy`
   (exponential backoff, deterministic jitter, legacy reference engine
-  as the fallback) — the default policy reproduces the original
-  one-shot decoded→legacy retry of :func:`repro.faults.run_guarded`.
+  as the fallback); the default policy is one decoded→legacy retry.
+  This is the project's only retry loop: a one-off guarded launch is
+  ``SimulationService().run(spec, module=..., make_args=...)``.
 * **Circuit breaking** — consecutive internal failures of one
   (program, options) open its :class:`~repro.serve.resilience.
   CircuitBreaker`; further requests shed fast with
@@ -66,8 +67,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import envconfig
-from repro.faults.harness import PROGRAM_FAULTS
-from repro.faults.report import CrashReport
+from repro.faults.report import PROGRAM_FAULTS, CrashReport
 from repro.serve.errors import (
     AdmissionRejected,
     CircuitOpen,
@@ -728,10 +728,9 @@ class SimulationService:
         """Run the request under the retry policy.
 
         Attempt 1 uses the spec's engine; every retry runs on a fresh
-        legacy (reference) device, exactly like
-        :func:`repro.faults.run_guarded`.  Internal failures of the
-        legacy engine itself are never retried — there is nothing to
-        fall back to.
+        legacy (reference) device.  A request whose own engine is
+        legacy has nothing to fall back to: its internal failure is
+        terminal after one attempt.
         """
         job = request.job
         spec = job.spec
@@ -739,10 +738,10 @@ class SimulationService:
         trace = _active_trace()
         retry_info: Optional[dict] = None
         retry_report: Optional[CrashReport] = None
+        first_engine = resolve_sim_engine(spec.engine)
         attempt = 1
         while True:
-            attempt_engine = (resolve_sim_engine(spec.engine) if attempt == 1
-                              else ENGINE_LEGACY)
+            attempt_engine = first_engine if attempt == 1 else ENGINE_LEGACY
             span = (trace.span("serve.attempt", cat=SERVE_EVENT_CATEGORY,
                                request_id=job.request_id, attempt=attempt,
                                engine=attempt_engine)
@@ -761,10 +760,8 @@ class SimulationService:
                 raise  # defensive: program faults are handled per-attempt
             except Exception as exc:
                 # Internal failure of the service/engine machinery.
-                # (With the default two-attempt policy this is the old
-                # behaviour exactly: one decoded failure falls back to
-                # legacy; a legacy failure is terminal.)
-                if not policy.should_retry(exc, attempt):
+                if (first_engine == ENGINE_LEGACY
+                        or not policy.should_retry(exc, attempt)):
                     if breaker is not None and breaker.record_failure(
                             self._internal_report_path(request, exc,
                                                        attempt_engine)):
@@ -866,10 +863,12 @@ class SimulationService:
 
     def _failed_result(self, job, spec, exc, gpu, engine,
                        retry: Optional[dict] = None) -> LaunchResult:
+        # The plan the run used: run() has already restored the
+        # device's own plan by the time the exception arrives here.
         report = CrashReport.from_exception(
             exc, kernel=spec.kernel_name, engine=engine,
-            fault_plan=getattr(gpu, "fault_plan", None),
-            trace=getattr(gpu, "_trace", None),
+            fault_plan=gpu.fault_plan_for(spec),
+            trace=gpu._trace,
         )
         if retry is not None:
             report.retry = retry

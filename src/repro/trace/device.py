@@ -10,7 +10,7 @@ from wall-clock interleaving.
 
 Timestamps on the device timeline are simulated cycles converted to
 microseconds through the nominal clock, and team start offsets follow
-the same SM wave model ``launch()`` uses for the kernel total: teams
+the same SM wave model ``VirtualGPU.run()`` uses for the kernel total: teams
 fill ``num_sms`` slots per wave, each wave starting when the slowest
 team of the previous wave finished.
 """

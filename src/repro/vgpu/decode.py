@@ -32,6 +32,12 @@ that once, in a ``decode(Function) -> DecodedFunction`` pass:
   engine generates its handler from the same row (the scalar template
   for uniform operands, the row's NumPy vector template for varying
   ones).
+* Every intrinsic is an entry of one name-keyed table,
+  :data:`_INTRINSICS`, which both fast engines share for direct and
+  indirect calls: a pure intrinsic is a :data:`_TEMPLATES` row,
+  barriers/assume/expect have their own handlers, and every other
+  intrinsic is a scalar *generic row* the warp engine calls once per
+  active lane (see "Intrinsics" below).
 
 Decoding is split in two stages.  The *static* stage
 (:func:`decode_function`) depends only on the function and the
@@ -105,7 +111,6 @@ from repro.vgpu.execstate import (
     ThreadStatus,
     atomic_apply,
     make_coerce,
-    math_intrinsic,
 )
 
 _RUNNING = ThreadStatus.RUNNING
@@ -921,10 +926,10 @@ def _h_icall(vm, thread, frame, op):
         )
     info = intrinsic_info(callee.name)
     if info is not None:
-        argv = [regs[a] for a in op[5]]
-        return _run_intrinsic(
-            vm, thread, frame, callee.name, info, argv, op[3], op[7], op[6], op[2]
-        )
+        # the op a direct call of the intrinsic decodes to
+        iop = intrinsic_op(callee.name, info, op[3], op[5], op[7], op[6],
+                           op[2], vm.config.warp_size)
+        return iop[0](vm, thread, frame, iop)
     if callee.is_declaration:
         raise SimulationError(f"call to undefined function @{callee.name}")
     if len(op[5]) != len(callee.args):
@@ -942,7 +947,25 @@ def _h_icall(vm, thread, frame, op):
     return vm.cost.config.call_cost
 
 
-# -- intrinsics --
+# ===================================================================
+# Intrinsics: one name-keyed table
+#
+# :data:`_INTRINSICS` maps every registered intrinsic to the decoded op
+# a call of it becomes, built by :func:`intrinsic_op` for direct calls
+# at decode time and for indirect ones at run time.  Three kinds:
+#
+# * a pure intrinsic is a row of :data:`_TEMPLATES` (ids, geometry,
+#   lane id, warp size, math), fused and vectorized like any simple op;
+# * barriers, ``llvm.assume`` and ``llvm.expect`` have their own
+#   handlers below;
+# * every other intrinsic is a *generic row*: a scalar function
+#   ``row(vm, t, fn, out, argv) -> (result, extra cycles)`` for thread
+#   *t* running in function *fn*, whose prints append to *out* and
+#   whose trap reports ``out[-1]``.  :func:`_h_intrin` calls the row
+#   once per thread; the warp engine calls the same row once per
+#   active lane.  Legacy's ``_execute_intrinsic`` stays the independent
+#   reference for all of them.
+# ===================================================================
 
 
 def _h_barrier(vm, thread, frame, op):
@@ -976,94 +999,116 @@ def _h_expect(vm, thread, frame, op):
 
 
 def _h_intrin(vm, thread, frame, op):
-    # generic: (h, "call", next, dest, name, info, arg_slots, coerce, inst)
+    # generic row: (h, "call", next, dest, row, arg_slots, coerce, cost)
     regs = frame.regs
-    argv = [regs[a] for a in op[6]]
-    return _run_intrinsic(
-        vm, thread, frame, op[4], op[5], argv, op[3], op[7], op[8], op[2]
-    )
-
-
-def _run_intrinsic(vm, thread, frame, name, info, argv, dest, coerce, inst, next_pc):
-    """Generic intrinsic execution — mirrors the legacy engine's
-    ``_execute_intrinsic`` step for step (the hot intrinsics never get
-    here; they have specialized handlers)."""
-    cycles = info.cost
-    if info.is_barrier:
-        fs = thread.faults
-        if fs is not None and fs.skip_barrier(vm, thread):
-            # Injected divergence: fall through the barrier.
-            frame.pc = next_pc
-            return cycles
-        thread.status = _AT_BARRIER
-        thread.barrier_call = inst
-        frame.pc = next_pc
-        return cycles
-
-    stats = thread.stats
-    result = None
-    if name == "gpu.thread_id":
-        result = thread.thread_id
-    elif name == "gpu.block_id":
-        result = thread.team_id
-    elif name == "gpu.block_dim":
-        result = vm._launch.threads_per_team
-    elif name == "gpu.grid_dim":
-        result = vm._launch.num_teams
-    elif name == "gpu.warp_size":
-        result = vm.config.warp_size
-    elif name == "gpu.lane_id":
-        result = thread.thread_id % vm.config.warp_size
-    elif name == "gpu.dynamic_shared":
-        base = vm._dynamic_shared_base.get(thread.team_id)
-        if base is None:
-            raise SimulationError(
-                "gpu.dynamic_shared used but the launch reserved no "
-                "dynamic shared memory"
-            )
-        result = base
-    elif name == "llvm.assume":
-        if vm.debug_checks and not argv[0]:
-            raise assumption_error(frame.function.name, thread)
-    elif name == "llvm.expect":
-        result = argv[0]
-    elif name == "llvm.trap":
-        msg = stats.output[-1] if stats.output else "llvm.trap"
-        raise trap_error(frame.function.name, thread, msg)
-    elif name == "rt.print_i64":
-        stats.output.append(str(_I64_TO_SIGNED(int(argv[0]))))
-    elif name == "rt.print_f64":
-        stats.output.append(repr(float(argv[0])))
-    elif name == "rt.print_str":
-        addr = int(argv[0])
-        stats.output.append(vm._string_table.get(addr, f"<str {addr:#x}>"))
-    elif name == "malloc":
-        fs = thread.faults
-        if fs is not None:
-            fs.on_device_malloc(vm, thread, frame.function.name)
-        stats.device_mallocs += 1
-        result = vm.memory.malloc(int(argv[0]))
-    elif name == "free":
-        stats.device_frees += 1
-        vm.memory.free(int(argv[0]))
-    elif name == "llvm.memset":
-        vm.memory.memset(
-            int(argv[0]), int(argv[1]), int(argv[2]), thread.team_id, thread.thread_id
-        )
-        cycles += int(argv[2]) // 8
-    elif name == "llvm.memcpy":
-        vm.memory.memcpy(
-            int(argv[0]), int(argv[1]), int(argv[2]), thread.team_id, thread.thread_id
-        )
-        cycles += int(argv[2]) // 4
-    else:
-        result = math_intrinsic(name, argv)
-        stats.flops += 1
-
+    result, extra = op[4](vm, thread, frame.function.name, thread.stats.output,
+                          [regs[a] for a in op[5]])
     if result is not None:
-        frame.regs[dest] = coerce(result)
-    frame.pc = next_pc
-    return cycles
+        regs[op[3]] = op[6](result)
+    frame.pc = op[2]
+    return op[7] + extra
+
+
+def _i_dynamic_shared(vm, t, fn, out, argv):
+    base = vm._dynamic_shared_base.get(t.team_id)
+    if base is None:
+        raise SimulationError(
+            "gpu.dynamic_shared used but the launch reserved no "
+            "dynamic shared memory"
+        )
+    return base, 0
+
+
+def _i_trap(vm, t, fn, out, argv):
+    raise trap_error(fn, t, out[-1] if out else "llvm.trap")
+
+
+def _i_print_i64(vm, t, fn, out, argv):
+    out.append(str(_I64_TO_SIGNED(int(argv[0]))))
+    return None, 0
+
+
+def _i_print_f64(vm, t, fn, out, argv):
+    out.append(repr(float(argv[0])))
+    return None, 0
+
+
+def _i_print_str(vm, t, fn, out, argv):
+    addr = int(argv[0])
+    out.append(vm._string_table.get(addr, f"<str {addr:#x}>"))
+    return None, 0
+
+
+def _i_malloc(vm, t, fn, out, argv):
+    fs = t.faults
+    if fs is not None:
+        fs.on_device_malloc(vm, t, fn)
+    t.stats.device_mallocs += 1
+    return vm.memory.malloc(int(argv[0])), 0
+
+
+def _i_free(vm, t, fn, out, argv):
+    t.stats.device_frees += 1
+    vm.memory.free(int(argv[0]))
+    return None, 0
+
+
+def _i_memset(vm, t, fn, out, argv):
+    n = int(argv[2])
+    vm.memory.memset(int(argv[0]), int(argv[1]), n, t.team_id, t.thread_id)
+    return None, n // 8
+
+
+def _i_memcpy(vm, t, fn, out, argv):
+    n = int(argv[2])
+    vm.memory.memcpy(int(argv[0]), int(argv[1]), n, t.team_id, t.thread_id)
+    return None, n // 4
+
+
+def _row(row):
+    return lambda d, a, co, inst, ws: (_h_intrin, d, row, a, co)
+
+
+#: intrinsic name -> ``make(dest, arg_slots, coerce, inst, warp_size)``
+#: giving the handler and op fields between ``next`` and ``cost``.
+_INTRINSICS: Dict[str, Callable] = {
+    "gpu.thread_id": lambda d, a, co, inst, ws: (_h_thread_id, d),
+    "gpu.block_id": lambda d, a, co, inst, ws: (_h_block_id, d),
+    "gpu.block_dim": lambda d, a, co, inst, ws: (_h_block_dim, d),
+    "gpu.grid_dim": lambda d, a, co, inst, ws: (_h_grid_dim, d),
+    "gpu.warp_size": lambda d, a, co, inst, ws: (_h_const_result, d, ws),
+    "gpu.lane_id": lambda d, a, co, inst, ws: (_h_lane_id, d, ws),
+    "gpu.barrier": lambda d, a, co, inst, ws: (_h_barrier, inst),
+    "gpu.barrier.aligned": lambda d, a, co, inst, ws: (_h_barrier, inst),
+    "llvm.assume": lambda d, a, co, inst, ws: (_h_assume, a[0]),
+    "llvm.expect": lambda d, a, co, inst, ws: (_h_expect, d, a[0], co),
+    "gpu.dynamic_shared": _row(_i_dynamic_shared),
+    "llvm.trap": _row(_i_trap),
+    "rt.print_i64": _row(_i_print_i64),
+    "rt.print_f64": _row(_i_print_f64),
+    "rt.print_str": _row(_i_print_str),
+    "malloc": _row(_i_malloc),
+    "free": _row(_i_free),
+    "llvm.memset": _row(_i_memset),
+    "llvm.memcpy": _row(_i_memcpy),
+}
+for _sfx in ("f32", "f64"):
+    for _name, _fn in MATH_UNARY.items():
+        _INTRINSICS[f"llvm.{_name}.{_sfx}"] = (
+            lambda d, a, co, inst, ws, fn=_fn: (_h_math1, d, a[0], fn, co))
+    for _name, _fn in MATH_BINARY.items():
+        _INTRINSICS[f"llvm.{_name}.{_sfx}"] = (
+            lambda d, a, co, inst, ws, fn=_fn: (_h_math2, d, a[0], a[1], fn, co))
+
+
+def intrinsic_op(name, info, dest, arg_slots, coerce, inst, next_pc,
+                 warp_size) -> tuple:
+    """The decoded op of a call of intrinsic *name*."""
+    make = _INTRINSICS.get(name)
+    if make is None:
+        return (_h_raise, "call", 0, f"unhandled intrinsic {name}")
+    h, *fields = make(dest, arg_slots, coerce, inst, warp_size)
+    return (h, "call", next_pc, *fields, info.cost)
 
 
 # ===================================================================
@@ -1332,51 +1377,6 @@ def decode_function(
     def emit_unreachable(inst: Unreachable, next_pc: int):
         return (_h_unreachable, "unreachable", 0)
 
-    def emit_intrinsic(inst: Call, name: str, info, next_pc: int):
-        d = slot_map[id(inst)]
-        c = info.cost
-        if info.is_barrier:
-            return (_h_barrier, "call", next_pc, inst, c)
-        if name == "gpu.thread_id":
-            return (_h_thread_id, "call", next_pc, d, c)
-        if name == "gpu.block_id":
-            return (_h_block_id, "call", next_pc, d, c)
-        if name == "gpu.block_dim":
-            return (_h_block_dim, "call", next_pc, d, c)
-        if name == "gpu.grid_dim":
-            return (_h_grid_dim, "call", next_pc, d, c)
-        if name == "gpu.warp_size":
-            return (_h_const_result, "call", next_pc, d, warp_size, c)
-        if name == "gpu.lane_id":
-            return (_h_lane_id, "call", next_pc, d, warp_size, c)
-        if name == "llvm.assume":
-            return (_h_assume, "call", next_pc, operand(inst.args[0]), c)
-        if name == "llvm.expect":
-            return (
-                _h_expect, "call", next_pc, d,
-                operand(inst.args[0]), make_coerce(inst.type), c,
-            )
-        parts = name.split(".")
-        if len(parts) == 3 and parts[0] == "llvm":
-            fn = MATH_UNARY.get(parts[1])
-            if fn is not None:
-                return (
-                    _h_math1, "call", next_pc, d,
-                    operand(inst.args[0]), fn, make_coerce(inst.type), c,
-                )
-            fn2 = MATH_BINARY.get(parts[1])
-            if fn2 is not None:
-                return (
-                    _h_math2, "call", next_pc, d,
-                    operand(inst.args[0]), operand(inst.args[1]),
-                    fn2, make_coerce(inst.type), c,
-                )
-        arg_slots = tuple(operand(a) for a in inst.args)
-        return (
-            _h_intrin, "call", next_pc, d,
-            name, info, arg_slots, make_coerce(inst.type), inst,
-        )
-
     def emit_call(inst: Call, next_pc: int):
         callee = inst.callee
         d = slot_map[id(inst)]
@@ -1389,7 +1389,10 @@ def decode_function(
             )
         info = intrinsic_info(callee.name)
         if info is not None:
-            return emit_intrinsic(inst, callee.name, info, next_pc)
+            return intrinsic_op(
+                callee.name, info, d, tuple(operand(a) for a in inst.args),
+                make_coerce(inst.type), inst, next_pc, warp_size,
+            )
         if callee.is_declaration:
             return (_h_badcall, "call", 0, callee.name)
         if len(inst.args) != len(callee.args):

@@ -1,9 +1,9 @@
 """Simulation error hierarchy, shared message formatting and crash context.
 
-Both execution engines (the legacy tree-walker and the pre-decoded
-micro-op engine) raise through the factory helpers below so that a
-given device failure produces a bit-identical exception type *and*
-message regardless of engine — the invariant pinned by
+All execution engines (the legacy tree-walker, the pre-decoded
+micro-op engine and the warp engine) raise through the factory helpers
+below so that a given device failure produces a bit-identical exception
+type *and* message regardless of engine — the invariant pinned by
 ``tests/vgpu/test_errors_unified.py`` and relied on by the
 fault-injection determinism tests (same :class:`~repro.faults.FaultPlan`
 seed ⇒ same CrashReport across legacy, decoded and ``sim_jobs=N``).
@@ -66,7 +66,7 @@ class InjectedFault(SimulationError):
 
 class WatchdogExpired(SimulationError):
     """The wall-clock watchdog fired before parallel team simulation
-    finished (``launch(watchdog_s=...)`` / ``REPRO_WATCHDOG_S``)."""
+    finished (``LaunchSpec(watchdog_s=...)`` / ``REPRO_WATCHDOG_S``)."""
 
 
 class EngineUnsupported(Exception):
@@ -74,9 +74,9 @@ class EngineUnsupported(Exception):
     meeting lane-divergent indirect call targets).
 
     Deliberately *not* a :class:`SimulationError`: it is an internal
-    engine limitation, not a program fault, so ``run_guarded`` and the
-    simulation service take their internal-fault retry path instead of
-    reporting the program as faulty."""
+    engine limitation, not a program fault, so the simulation service
+    takes its internal-fault retry path instead of reporting the
+    program as faulty."""
 
 
 class SanitizerError(SimulationError):

@@ -22,7 +22,7 @@ Two execution engines share this team/timing driver:
   module as the deterministic reference; the differential tests pin
   the decoded engine to it bit for bit.
 
-Teams are embarrassingly parallel, so ``launch(..., sim_jobs=N)`` (or
+Teams are embarrassingly parallel, so ``LaunchSpec(sim_jobs=N)`` (or
 ``REPRO_SIM_JOBS``) fans independent teams out to a thread pool.  All
 counters accumulate into per-team :class:`~repro.vgpu.profiler.
 TeamStats` merged in team order, so serial and parallel simulation
@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor, wait as _wait_futures
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.memory.addrspace import AddressSpace, make_pointer, pointer_space
 from repro.memory.layout import DATA_LAYOUT
@@ -124,25 +123,6 @@ _AT_BARRIER = ThreadStatus.AT_BARRIER
 _DONE = ThreadStatus.DONE
 
 _I64 = IntType(64)
-
-#: The legacy-kwargs deprecation fires once per process — enough to
-#: steer callers to :class:`LaunchSpec` without drowning test output.
-_warned_legacy_launch = False
-
-
-def _warn_legacy_launch() -> None:
-    global _warned_legacy_launch
-    if _warned_legacy_launch:
-        return
-    _warned_legacy_launch = True
-    warnings.warn(
-        "VirtualGPU.launch(kernel, args, num_teams, ...) keyword launches "
-        "are deprecated; build a repro.vgpu.LaunchSpec and call "
-        "VirtualGPU.run(spec) (or launch(spec))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 class CooperativeWatchdog:
     """Cooperative wall-clock abort shared by every team of a launch.
@@ -343,54 +323,10 @@ class VirtualGPU:
 
     # ------------------------------------------------------------------ launch --
 
-    def launch(
-        self,
-        kernel: Union[str, Function, LaunchSpec],
-        args: Optional[Sequence[Scalar]] = None,
-        num_teams: Optional[int] = None,
-        threads_per_team: Optional[int] = None,
-        dynamic_shared_bytes: int = 0,
-        sim_jobs: Optional[int] = None,
-        watchdog_s: Optional[float] = None,
-    ) -> KernelProfile:
-        """Execute a launch; returns its :class:`KernelProfile`.
-
-        The canonical form is ``launch(spec)`` with a
-        :class:`LaunchSpec` (or :meth:`run`, which also returns the
-        timing envelope).  The expanded ``launch(kernel, args,
-        num_teams, threads_per_team, ...)`` keyword form is a
-        deprecated shim kept for existing callers: it builds the
-        equivalent spec and emits one :class:`DeprecationWarning` per
-        process.
-        """
-        if isinstance(kernel, LaunchSpec):
-            if args is not None or num_teams is not None or threads_per_team is not None:
-                raise TypeError(
-                    "launch(spec) takes no further positional arguments; "
-                    "fold them into the LaunchSpec"
-                )
-            return self.run(kernel).profile
-        _warn_legacy_launch()
-        if args is None or num_teams is None or threads_per_team is None:
-            raise TypeError(
-                "legacy launch() needs kernel, args, num_teams and "
-                "threads_per_team (or pass a LaunchSpec)"
-            )
-        spec = LaunchSpec(
-            kernel=kernel,
-            args=tuple(args),
-            num_teams=num_teams,
-            threads_per_team=threads_per_team,
-            dynamic_shared_bytes=dynamic_shared_bytes,
-            sim_jobs=sim_jobs,
-            watchdog_s=watchdog_s,
-        )
-        return self.run(spec).profile
-
     def run(self, spec: LaunchSpec) -> LaunchResult:
         """Execute *spec* and return a :class:`LaunchResult`.
 
-        This is the canonical launch entry point.  Per-spec overrides
+        This is the one launch entry point.  Per-spec overrides
         (``engine``, ``faults``) are applied for the duration of the
         run and restored afterwards — a device executes one request at
         a time, which is what lets the serve layer multiplex warm
@@ -411,8 +347,7 @@ class VirtualGPU:
             )
         engine = (self.engine if spec.engine is None
                   else resolve_sim_engine(spec.engine))
-        fault_plan = (self.fault_plan if spec.faults is None
-                      else resolve_fault_plan(spec.faults))
+        fault_plan = self.fault_plan_for(spec)
         saved = (self.engine, self.fault_plan)
         self.engine, self.fault_plan = engine, fault_plan
         started = time.monotonic()
@@ -432,6 +367,13 @@ class VirtualGPU:
             started_s=started,
             finished_s=time.monotonic(),
         )
+
+    def fault_plan_for(self, spec: LaunchSpec):
+        """The fault plan :meth:`run` applies to *spec*: its own, else
+        this device's."""
+        if spec.faults is None:
+            return self.fault_plan
+        return resolve_fault_plan(spec.faults)
 
     def _execute_spec(self, spec: LaunchSpec) -> KernelProfile:
         """Run one launch with the device-level engine/faults in effect."""

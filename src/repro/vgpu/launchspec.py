@@ -6,11 +6,8 @@ parallelism, watchdog and the per-request robustness knobs (engine,
 fault plan, sanitizer expectation) plus an optional ``request_id`` that
 the tracing layer threads from submission through the device timeline.
 
-``VirtualGPU.run(spec)`` executes a spec and returns a
-:class:`LaunchResult`; ``VirtualGPU.launch(kernel, args, ...)`` and the
-other keyword entry points are deprecated shims that build a spec
-internally (mirroring the ``Target`` redesign of the compile options).
-Because a spec is an immutable value, the same object can be executed
+``VirtualGPU.run(spec)``, the one launch entry point, executes a spec
+and returns a :class:`LaunchResult`.  Because a spec is an immutable value, the same object can be executed
 directly, replayed against another engine for differential testing, or
 submitted to :class:`repro.serve.SimulationService` — the service
 guarantees results bit-identical to a direct ``run()`` of the same

@@ -44,8 +44,13 @@ row's NumPy vector template.  Where NumPy would round or fail unlike
 Python (``int(x / y)`` above 2**53, ``fptosi`` outside int64, ``frem``
 of an infinity, the math intrinsics), the vector template runs the
 scalar template lane by lane, so every lane has the scalar engines'
-semantics.  Loads, stores, control flow and the generic intrinsic
-ladder keep hand-written handlers.
+semantics.  Intrinsics come from the decoded engine's name-keyed
+table too: a pure one is a row like any simple op, and a generic row
+(prints, traps, malloc, memset, ...) is the scalar function
+:func:`_w_intrin` calls once per active lane, in lane order; indirect
+calls of an intrinsic run the op a direct call decodes to.  Loads,
+stores, atomics, control flow, barriers and ``llvm.assume``/
+``llvm.expect`` keep hand-written handlers.
 
 Bit-parity with the scalar engines
 ----------------------------------
@@ -63,12 +68,20 @@ fallback: the old runtime's shared-memory stack bumps one team-wide
 top with a plain load/add/store, which is benign when each thread runs
 alone between barriers but makes lockstep lanes alias the same
 allocation — it is inherently not SIMT-executable, so the warp engine
-never runs it.  The one known, documented divergence is which fault a
-*divergent* crash reports: the scalar engines run each thread to its
-first fault in thread order, while the warp engine stops at the first
-op where any active lane faults and pins it to the lowest such lane.
-Only the crash context differs, unless two threads would fault in
-different ways.
+never runs it.  The one known, documented divergence is the context
+of a *divergent* crash:
+
+* which fault it reports: the scalar engines run each thread to its
+  first fault in thread order, while the warp engine stops at the
+  first op where any active lane faults and pins it to the lowest such
+  lane.  Only the crash context differs, unless two threads would
+  fault in different ways;
+* the line ``llvm.trap`` reports: the trapping lane's last print, else
+  that of the highest lower lane with buffered output, else the team's
+  (see :class:`_LaneOut`).  A lower lane of the same warp that prints
+  only *after* the trap point has not printed yet in lockstep, while
+  the scalar engines ran that thread to its end before the trapping
+  one.
 """
 
 from __future__ import annotations
@@ -84,7 +97,7 @@ from repro.memory.memmodel import DEVICE_LOCK, MemoryError_
 from repro.ir.types import FloatType, IntType
 from repro.trace.categories import OVERHEAD_CATEGORIES
 from repro.vgpu import decode as _dec
-from repro.vgpu.decode import _SPACE_BY_TAG, _I64_TO_SIGNED, bind_function, compute_warp_flow
+from repro.vgpu.decode import _SPACE_BY_TAG, bind_function, compute_warp_flow
 # Names the table's scalar templates read, for the generated handlers.
 from repro.vgpu.decode import _INF, _NAN, _NINF, _fmod  # noqa: F401
 from repro.vgpu.errors import (
@@ -96,15 +109,10 @@ from repro.vgpu.errors import (
     call_stack_overflow_error,
     division_by_zero_error,
     step_limit_error,
-    trap_error,
     undefined_value_error,
     unreachable_error,
 )
-from repro.vgpu.execstate import (
-    ThreadStatus,
-    atomic_apply,
-    math_intrinsic,
-)
+from repro.vgpu.execstate import ThreadStatus, atomic_apply
 
 _RUNNING = ThreadStatus.RUNNING
 _AT_BARRIER = ThreadStatus.AT_BARRIER
@@ -1298,9 +1306,10 @@ def _w_icall(vm, w, op):
         )
     info = intrinsic_info(callee.name)
     if info is not None:
-        _intrin_body(
-            vm, w, callee.name, info, op[5], op[7], op[6], op[3], op[2]
-        )
+        # the op a direct call of the intrinsic decodes to
+        iop = _dec.intrinsic_op(callee.name, info, op[3], op[5], op[7],
+                                op[6], op[2], vm.config.warp_size)
+        _SWAP[iop[0]](vm, w, iop)
         return
     if callee.is_declaration:
         raise SimulationError(f"call to undefined function @{callee.name}")
@@ -1359,122 +1368,64 @@ def _w_expect(vm, w, op):
     w.pending_cycles += op[6]
 
 
-def _w_intrin(vm, w, op):
-    # generic: (h, "call", next, d, name, info, arg_slots, coerce, inst)
-    _intrin_body(vm, w, op[4], op[5], op[6], op[7], op[8], op[3], op[2])
+class _LaneOut:
+    """One lane's output as a generic intrinsic row sees it: prints
+    append to the lane's buffer, and the last line (what ``llvm.trap``
+    reports) is the lane's own, else that of the highest lower lane with
+    buffered output, else the team's — the order in which the scalar
+    engines, running threads one after another, would have printed."""
 
+    __slots__ = ("bufs", "ln", "team")
 
-def _intrin_body(vm, w, name, info, arg_slots, coerce, inst, dest, next_pc):
-    """Per-lane generic intrinsic loop mirroring the scalar engines'
-    ``_run_intrinsic`` ladder (rare ops — clarity over speed)."""
-    if info.is_barrier:
-        w.pending_cycles += info.cost
-        w._flush()
-        lanes = w.lanes
-        for ln in w._iter_bits(w.mask):
-            t = lanes[ln]
-            t.status = _AT_BARRIER
-            t.barrier_call = inst
-        w._park(next_pc)
-        return
-    regs = w.regs
-    args = [regs[a] for a in arg_slots]
-    stats = w.stats
-    extra_cycles = False
-    results = []
-    uniform = True
-    for ln in w._iter_bits(w.mask):
-        t = w.lanes[ln]
-        argv = [
-            (a[ln] if type(a) is ndarray else a) for a in args
-        ]
-        w.error_lane = ln
-        result = None
-        cycles = info.cost
-        if name == "gpu.thread_id":
-            result = t.thread_id
-        elif name == "gpu.block_id":
-            result = t.team_id
-        elif name == "gpu.block_dim":
-            result = vm._launch.threads_per_team
-        elif name == "gpu.grid_dim":
-            result = vm._launch.num_teams
-        elif name == "gpu.warp_size":
-            result = vm.config.warp_size
-        elif name == "gpu.lane_id":
-            result = t.thread_id % vm.config.warp_size
-        elif name == "gpu.dynamic_shared":
-            base = vm._dynamic_shared_base.get(t.team_id)
-            if base is None:
-                raise SimulationError(
-                    "gpu.dynamic_shared used but the launch reserved no "
-                    "dynamic shared memory"
-                )
-            result = base
-        elif name == "llvm.assume":
-            if vm.debug_checks and not argv[0]:
-                raise assumption_error(w.frame.name, t)
-        elif name == "llvm.expect":
-            result = argv[0]
-        elif name == "llvm.trap":
-            buf = w.out[ln]
+    def __init__(self, w, ln):
+        self.bufs, self.ln, self.team = w.out, ln, w.stats.output
+
+    def append(self, line):
+        self.bufs[self.ln].append(line)
+
+    def _last(self):
+        for buf in reversed(self.bufs[: self.ln + 1]):
             if buf:
-                msg = buf[-1]
-            elif stats.output:
-                msg = stats.output[-1]
-            else:
-                msg = "llvm.trap"
-            raise trap_error(w.frame.name, t, msg)
-        elif name == "rt.print_i64":
-            w.out[ln].append(str(_I64_TO_SIGNED(int(argv[0]))))
-        elif name == "rt.print_f64":
-            w.out[ln].append(repr(float(argv[0])))
-        elif name == "rt.print_str":
-            addr = int(argv[0])
-            w.out[ln].append(vm._string_table.get(addr, f"<str {addr:#x}>"))
-        elif name == "malloc":
-            stats.device_mallocs += 1
-            result = vm.memory.malloc(int(argv[0]))
-        elif name == "free":
-            stats.device_frees += 1
-            vm.memory.free(int(argv[0]))
-        elif name == "llvm.memset":
-            vm.memory.memset(
-                int(argv[0]), int(argv[1]), int(argv[2]),
-                t.team_id, t.thread_id,
-            )
-            cycles += int(argv[2]) // 8
-        elif name == "llvm.memcpy":
-            vm.memory.memcpy(
-                int(argv[0]), int(argv[1]), int(argv[2]),
-                t.team_id, t.thread_id,
-            )
-            cycles += int(argv[2]) // 4
-        else:
-            result = math_intrinsic(name, argv)
-            stats.flops += 1
-        if cycles != info.cost:
-            extra_cycles = True
-        results.append((ln, result, cycles))
-        if results and result != results[0][1]:
-            uniform = False
+                return buf
+        return self.team
+
+    def __bool__(self):
+        return bool(self._last())
+
+    def __getitem__(self, i):
+        return self._last()[i]
+
+
+def _w_intrin(vm, w, op):
+    # generic row: (h, "call", next, d, row, arg_slots, coerce, cost),
+    # called once per active lane in lane order
+    row, cost = op[4], op[7]
+    args = [w.regs[a] for a in op[5]]
+    name = w.frame.name
+    results = []
+    for ln in w._iter_bits(w.mask):
+        w.error_lane = ln
+        argv = [a[ln] if type(a) is ndarray else a for a in args]
+        results.append((ln,) + row(vm, w.lanes[ln], name, _LaneOut(w, ln), argv))
     w.error_lane = None
-    if extra_cycles:
+    if any(extra for _, _, extra in results):
         w._flush()
-        for ln, _, cycles in results:
-            w.cyc[ln] += cycles
+        for ln, _, extra in results:
+            w.cyc[ln] += cost + extra
             if w.fn_cycles is not None:
-                w.fn_cycles[w.frame.name] += cycles
+                w.fn_cycles[name] += cost + extra
     else:
-        w.pending_cycles += info.cost
-    if results and results[0][1] is not None:
-        if uniform:
-            w._wr(dest, coerce(results[0][1]))
+        w.pending_cycles += cost
+    first = results[0][1]
+    if first is not None:
+        coerce = op[6]
+        if all(r == first for _, r, _ in results):
+            w._wr(op[3], coerce(first))
         else:
             vals = [coerce(r) for _, r, _ in results]
             dtype = _F64 if isinstance(vals[0], float) else _U64
-            w._wr_compact(dest, np.array(vals, dtype))
-    w.pc = next_pc
+            w._wr_compact(op[3], np.array(vals, dtype))
+    w.pc = op[2]
 
 
 # ===================================================================

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps import gridmini, minifmm, rsbench, testsnap, xsbench
 from repro.bench.builds import BUILD_ORDER, CUDA, build_options
-from repro.frontend.driver import CompileOptions
+from repro.frontend.driver import CompileOptions, Target
 
 SMALL = {
     "xsbench": {"n_lookups": 64, "n_nuclides": 6, "n_gridpoints": 16,
@@ -55,7 +55,7 @@ def test_debug_build_passes_own_assertions(app_name):
     """Running the debug build with checks on validates every runtime
     assertion and assumption along the way."""
     app = APPS[app_name]
-    options = CompileOptions(runtime="new").with_debug()
+    options = CompileOptions(Target.OPENMP_NEW).with_debug()
     result = app.run(options, size=SMALL[app_name], debug_checks=True,
                      env={"DEBUG": 3}, **GEOMETRY)
     assert result.verified
@@ -69,7 +69,7 @@ def test_release_simulation_checks_assumptions(app_name):
     from repro.passes import PipelineConfig
 
     app = APPS[app_name]
-    options = CompileOptions(runtime="new", pipeline=PipelineConfig.o0())
+    options = CompileOptions(Target.OPENMP_NEW, pipeline=PipelineConfig.o0())
     result = app.run(options, size=SMALL[app_name], debug_checks=True,
                      **GEOMETRY)
     assert result.verified

@@ -25,10 +25,10 @@ class TestDeviceRNG:
     def test_device_matches_host(self):
         """The DSL rand01 and its NumPy mirror must agree bitwise."""
         from repro.frontend import ast as A
-        from repro.frontend.driver import CompileOptions, compile_program
+        from repro.frontend.driver import CompileOptions, Target, compile_program
         from repro.ir.types import I64, PTR
         from repro.apps.common import lcg_rand01_function
-        from repro.vgpu import VirtualGPU
+        from repro.vgpu import LaunchSpec, VirtualGPU
 
         prog = A.Program("rng", kernels=[A.KernelDef(
             "rng", params=[A.Param("out", PTR), A.Param("n", I64)],
@@ -36,11 +36,12 @@ class TestDeviceRNG:
             body=[A.StoreIdx(A.Arg("out"), A.Var("iv"),
                              A.FuncCall("rand01", A.Var("iv")))],
         )], device_functions=[lcg_rand01_function()])
-        compiled = compile_program(prog, CompileOptions(mode="cuda"))
+        compiled = compile_program(prog, CompileOptions(Target.CUDA))
         gpu = VirtualGPU(compiled.module)
         out = gpu.alloc_array(np.zeros(64))
-        gpu.launch("rng", compiled.abi("rng").marshal(
-            gpu, {"out": out, "n": 64}), 2, 32)
+        args = compiled.abi("rng").marshal(gpu, {"out": out, "n": 64})
+        gpu.run(LaunchSpec(kernel="rng", num_teams=2, threads_per_team=32,
+                           args=args))
         got = gpu.read_array(out, np.float64, 64)
         assert np.array_equal(got, lcg_rand01_host(np.arange(64, dtype=np.int64)))
 
@@ -127,9 +128,9 @@ class TestTestSNAP:
         assert np.linalg.norm(far[0]) < np.linalg.norm(near[0])
 
     def test_rms_helper(self):
-        from repro.frontend.driver import CompileOptions
+        from repro.frontend.driver import CompileOptions, Target
 
-        result = testsnap.run(CompileOptions(runtime="new"),
+        result = testsnap.run(CompileOptions(Target.OPENMP_NEW),
                               size={"n_atoms": 64, "n_neighbors": 2},
                               num_teams=2, threads_per_team=32)
         assert testsnap.rms_force_error(result) < 1e-12

@@ -13,7 +13,7 @@ import pytest
 
 from repro.faults.plan import TeamFaultState
 from repro.ir import I64, Module, verify_module
-from repro.vgpu import VirtualGPU
+from repro.vgpu import LaunchSpec, VirtualGPU
 from repro.vgpu import sanitizer as sanitizer_mod
 from repro.vgpu.config import ENGINES
 from tests.conftest import make_kernel
@@ -49,7 +49,8 @@ def booby_trapped(monkeypatch):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_clean_launch_never_consults_the_machinery(booby_trapped, engine):
     gpu = VirtualGPU(_busy_module(), engine=engine)
-    profile = gpu.launch("kern", [], 2, 4)
+    profile = gpu.run(LaunchSpec(kernel="kern", num_teams=2,
+                                 threads_per_team=4)).profile
     assert profile.device_mallocs == 2 * 4  # the launch really ran
 
 
@@ -58,7 +59,7 @@ def test_fault_run_does_consult_it(engine):
     """Control for the guard: with a plan armed, the hooks *are* live."""
     gpu = VirtualGPU(_busy_module(), engine=engine, faults="malloc_fail:n=1")
     with pytest.raises(Exception):
-        gpu.launch("kern", [], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern"))
 
 
 def test_plain_gpu_uses_the_plain_memory_system():

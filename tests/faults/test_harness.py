@@ -1,127 +1,153 @@
-"""run_guarded: crash reporting and the decoded -> legacy retry.
+"""Graceful degradation through the service: crash reports and the
+decoded -> legacy retry.
 
-These tests drive the harness with duck-typed fake devices so every
-degradation path (program fault, internal fault, double fault) is
-covered without compiling anything; the real-device paths are covered
-by ``tests/faults/test_injection.py`` and the faults CLI smoke.
+``SimulationService.run(spec, module=, make_args=)`` is the one guarded
+launch.  These tests script each engine's outcome by wrapping
+``VirtualGPU.run`` (an engine "fails" when the spec it is asked to run
+names it), so every degradation path (program fault, internal fault,
+double fault) is covered on a trivial kernel; the real-device paths
+are covered by ``tests/faults/test_injection.py`` and the faults CLI
+smoke.
 """
 
 import pytest
 
-from repro.faults import run_guarded
-from repro.faults.harness import PROGRAM_FAULTS
+from repro.faults import PROGRAM_FAULTS
+from repro.ir import I64, Module, verify_module
 from repro.memory.memmodel import MemoryError_
+from repro.serve import SimulationService
+from repro.vgpu import LaunchSpec, VirtualGPU
 from repro.vgpu.config import ENGINE_DECODED, ENGINE_LEGACY
 from repro.vgpu.errors import SimulationError, TrapError
+from tests.conftest import make_kernel
 
-PROFILE = object()  # sentinel: the harness never inspects the profile
-
-
-class FakeGPU:
-    def __init__(self, engine, outcome):
-        self.engine = engine
-        self.outcome = outcome  # exception to raise, or None for success
-        self.fault_plan = None
-        self._trace = None
-        self.launches = 0
-
-    def run(self, spec):
-        self.launches += 1
-        if self.outcome is not None:
-            raise self.outcome
-        from repro.vgpu import LaunchResult
-
-        return LaunchResult(spec=spec, profile=PROFILE, engine=self.engine)
+GEOMETRY = dict(num_teams=2, threads_per_team=32)
 
 
-def _factories(outcomes):
-    """make_gpu/make_args factories; ``outcomes[engine]`` scripts each
-    engine's launch.  Returns (make_gpu, make_args, log of built gpus)."""
-    built = []
-
-    def make_gpu(engine):
-        gpu = FakeGPU(engine, outcomes.get(engine))
-        built.append(gpu)
-        return gpu
-
-    def make_args(gpu):
-        return [id(gpu)]  # args embed device state: must differ per gpu
-
-    return make_gpu, make_args, built
+def _module():
+    """kern(token): does nothing with its device-specific argument."""
+    module = Module("m")
+    _, b = make_kernel(module, params=(I64,))
+    b.ret()
+    verify_module(module)
+    return module
 
 
-def _run(outcomes, **kwargs):
-    make_gpu, make_args, built = _factories(outcomes)
-    outcome = run_guarded(make_gpu, make_args, "kern", 2, 32,
-                          save_report=False, **kwargs)
-    return outcome, built
+def _make_args(gpu, _compiled):
+    return (id(gpu) & 0xFFFF_FFFF,)  # args embed device state: differ per gpu
+
+
+@pytest.fixture
+def scripted(monkeypatch):
+    """``scripted(outcomes)`` makes ``VirtualGPU.run`` raise
+    ``outcomes[engine]`` for the engine a spec runs on (real runs
+    otherwise); returns the launch log of (engine, device, args)."""
+    real_run = VirtualGPU.run
+    launches = []
+
+    def install(outcomes):
+        def run(gpu, spec):
+            engine = spec.engine or gpu.engine
+            launches.append((engine, gpu, spec.args))
+            if outcomes.get(engine) is not None:
+                raise outcomes[engine]
+            return real_run(gpu, spec)
+
+        monkeypatch.setattr(VirtualGPU, "run", run)
+        return launches
+
+    return install
+
+
+def _run(scripted, outcomes, engine, **service_kwargs):
+    launches = scripted(outcomes)
+    service_kwargs.setdefault("save_reports", False)
+    with SimulationService(workers=1, **service_kwargs) as svc:
+        result = svc.run(LaunchSpec(kernel="kern", engine=engine, **GEOMETRY),
+                         module=_module(), make_args=_make_args)
+    return result, launches
 
 
 class TestCleanRun:
-    def test_success_passes_the_profile_through(self):
-        outcome, built = _run({}, engine=ENGINE_DECODED)
-        assert outcome.ok and outcome.profile is PROFILE
-        assert outcome.engine == ENGINE_DECODED and not outcome.retried
-        assert outcome.report is None and outcome.report_path is None
-        assert len(built) == 1
+    def test_success_passes_the_profile_through(self, scripted):
+        gpu = VirtualGPU(_module())
+        direct = gpu.run(LaunchSpec(kernel="kern", args=_make_args(gpu, None),
+                                    **GEOMETRY))
+        result, launches = _run(scripted, {}, ENGINE_DECODED)
+        assert result.ok and result.profile.to_dict() == direct.profile.to_dict()
+        assert result.engine == ENGINE_DECODED and not result.retried
+        assert result.report is None and result.report_path is None
+        assert len(launches) == 1
 
 
 class TestProgramFaults:
-    def test_program_fault_reports_without_retry(self):
-        outcome, built = _run({ENGINE_DECODED: TrapError("trap: boom")},
-                              engine=ENGINE_DECODED)
-        assert not outcome.ok and not outcome.retried
-        assert outcome.report.error_type == "TrapError"
-        assert "boom" in outcome.report.message
-        assert len(built) == 1  # a deterministic program fault: no retry
+    def test_program_fault_reports_without_retry(self, scripted):
+        result, launches = _run(scripted, {ENGINE_DECODED: TrapError("trap: boom")},
+                                ENGINE_DECODED)
+        assert not result.ok and not result.retried
+        assert result.report.error_type == "TrapError"
+        assert "boom" in result.report.message
+        assert len(launches) == 1  # a deterministic program fault: no retry
 
-    def test_memory_errors_count_as_program_faults(self):
+    def test_memory_errors_count_as_program_faults(self, scripted):
         assert MemoryError_ in PROGRAM_FAULTS and SimulationError in PROGRAM_FAULTS
-        outcome, built = _run({ENGINE_DECODED: MemoryError_("oob")},
-                              engine=ENGINE_DECODED)
-        assert not outcome.ok and outcome.report.error_type == "MemoryError_"
+        result, _ = _run(scripted, {ENGINE_DECODED: MemoryError_("oob")},
+                         ENGINE_DECODED)
+        assert not result.ok and result.report.error_type == "MemoryError_"
 
-    def test_report_is_saved_when_asked(self, tmp_path):
-        make_gpu, make_args, _ = _factories({ENGINE_DECODED: TrapError("x")})
-        outcome = run_guarded(make_gpu, make_args, "kern", 2, 32,
-                              engine=ENGINE_DECODED, save_report=True,
-                              report_dir=str(tmp_path))
-        assert outcome.report_path is not None
-        assert outcome.report_path.startswith(str(tmp_path))
+    def test_report_is_saved_when_asked(self, scripted, tmp_path):
+        result, _ = _run(scripted, {ENGINE_DECODED: TrapError("x")},
+                         ENGINE_DECODED, save_reports=True,
+                         report_dir=str(tmp_path))
+        assert result.report_path is not None
+        assert result.report_path.startswith(str(tmp_path))
 
 
 class TestEngineFallback:
-    def test_internal_decoded_fault_retries_on_fresh_legacy(self):
-        outcome, built = _run({ENGINE_DECODED: RuntimeError("engine bug")},
-                              engine=ENGINE_DECODED)
-        assert outcome.ok and outcome.retried
-        assert outcome.profile is PROFILE and outcome.engine == ENGINE_LEGACY
+    def test_internal_decoded_fault_retries_on_fresh_legacy(self, scripted):
+        result, launches = _run(
+            scripted, {ENGINE_DECODED: RuntimeError("engine bug")},
+            ENGINE_DECODED)
+        assert result.ok and result.retried
+        assert result.profile is not None and result.engine == ENGINE_LEGACY
         # The internal fault is still on record — never silent recovery.
-        assert outcome.report.retry == {
+        assert result.report.retry == {
             "from_engine": ENGINE_DECODED, "to_engine": ENGINE_LEGACY,
             "error_type": "RuntimeError", "message": "engine bug",
+            "attempt": 1,
         }
         # Fresh device for the retry, args rebuilt against it.
-        assert [g.engine for g in built] == [ENGINE_DECODED, ENGINE_LEGACY]
-        assert built[0].launches == 1 and built[1].launches == 1
+        (e1, gpu1, args1), (e2, gpu2, args2) = launches
+        assert [e1, e2] == [ENGINE_DECODED, ENGINE_LEGACY]
+        assert gpu1 is not gpu2 and args1 != args2
 
-    def test_internal_legacy_fault_propagates(self):
-        with pytest.raises(RuntimeError, match="engine bug"):
-            _run({ENGINE_LEGACY: RuntimeError("engine bug")},
-                 engine=ENGINE_LEGACY)
+    def test_internal_legacy_fault_propagates(self, scripted):
+        # Legacy is the fallback: its own internal failure is terminal
+        # after one attempt, and the circuit breaker still counts it.
+        launches = scripted({ENGINE_LEGACY: RuntimeError("engine bug")})
+        with SimulationService(workers=1) as svc:
+            with pytest.raises(RuntimeError, match="engine bug"):
+                svc.run(LaunchSpec(kernel="kern", engine=ENGINE_LEGACY,
+                                   **GEOMETRY),
+                        module=_module(), make_args=_make_args)
+            stats = svc.stats.to_dict()
+            (breaker,) = svc._breakers.values()
+        assert [engine for engine, _, _ in launches] == [ENGINE_LEGACY]
+        assert stats["attempts"] == 1 and stats["internal_errors"] == 1
+        assert breaker.to_dict()["failures"] == 1
 
-    def test_program_fault_on_retry_keeps_the_retry_record(self):
-        outcome, built = _run(
-            {ENGINE_DECODED: RuntimeError("engine bug"),
-             ENGINE_LEGACY: TrapError("trap: boom")},
-            engine=ENGINE_DECODED)
-        assert not outcome.ok and outcome.retried
-        assert outcome.report.error_type == "TrapError"
-        assert outcome.report.retry["error_type"] == "RuntimeError"
-        assert len(built) == 2
+    def test_program_fault_on_retry_keeps_the_retry_record(self, scripted):
+        result, launches = _run(
+            scripted, {ENGINE_DECODED: RuntimeError("engine bug"),
+                       ENGINE_LEGACY: TrapError("trap: boom")},
+            ENGINE_DECODED)
+        assert not result.ok and result.retried
+        assert result.report.error_type == "TrapError"
+        assert result.report.retry["error_type"] == "RuntimeError"
+        assert len(launches) == 2
 
-    def test_second_internal_fault_propagates(self):
+    def test_second_internal_fault_propagates(self, scripted):
         with pytest.raises(ZeroDivisionError):
-            _run({ENGINE_DECODED: RuntimeError("engine bug"),
-                  ENGINE_LEGACY: ZeroDivisionError()},
-                 engine=ENGINE_DECODED)
+            _run(scripted, {ENGINE_DECODED: RuntimeError("engine bug"),
+                            ENGINE_LEGACY: ZeroDivisionError()},
+                 ENGINE_DECODED)

@@ -12,7 +12,7 @@ and ``python -m repro.bench faults``.)
 import pytest
 
 from repro.ir import I64, Module, verify_module
-from repro.vgpu import BarrierDivergence, InjectedFault, VirtualGPU
+from repro.vgpu import BarrierDivergence, InjectedFault, LaunchSpec, VirtualGPU
 from repro.vgpu.config import ENGINES
 from tests.conftest import make_kernel
 
@@ -65,7 +65,8 @@ def _failure(module, engine, faults, sanitize=False, teams=1, threads=1,
              sim_jobs=None):
     gpu = VirtualGPU(module, engine=engine, faults=faults, sanitize=sanitize)
     with pytest.raises(Exception) as excinfo:
-        gpu.launch("kern", [], teams, threads, sim_jobs=sim_jobs)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=teams,
+                           threads_per_team=threads, sim_jobs=sim_jobs))
     return excinfo.value
 
 
@@ -89,7 +90,7 @@ class TestMallocFail:
     def test_failed_malloc_is_not_counted(self):
         gpu = VirtualGPU(_malloc_module(), faults="malloc_fail:n=2")
         with pytest.raises(InjectedFault):
-            gpu.launch("kern", [], 1, 1)
+            gpu.run(LaunchSpec(kernel="kern"))
         # Only the first malloc completed before the injected failure.
         assert gpu.memory.global_seg.brk > 0  # device is still sane
 
@@ -97,9 +98,9 @@ class TestMallocFail:
 class TestZeroPerturbation:
     def test_armed_plan_that_never_fires_leaves_the_profile_identical(self):
         module = _malloc_module()
-        baseline = VirtualGPU(module).launch("kern", [], **GEOMETRY)
-        armed = VirtualGPU(module, faults="malloc_fail:n=99").launch(
-            "kern", [], **GEOMETRY)
+        spec = LaunchSpec(kernel="kern", **GEOMETRY)
+        baseline = VirtualGPU(module).run(spec).profile
+        armed = VirtualGPU(module, faults="malloc_fail:n=99").run(spec).profile
         assert armed.to_dict() == baseline.to_dict()
         assert armed.device_mallocs == 3
 
@@ -128,7 +129,8 @@ class TestBarrierSkip:
         # On hardware this hangs; the simulator completes the launch so
         # the sanitize=True diagnostic is strictly additive.
         gpu = VirtualGPU(_barrier_module(), faults="barrier_skip:n=1")
-        profile = gpu.launch("kern", [], 1, 2)
+        profile = gpu.run(LaunchSpec(kernel="kern",
+                                     threads_per_team=2)).profile
         assert profile.cycles > 0
 
 
@@ -139,7 +141,7 @@ class TestDivergentAlignedBarriers:
             gpu = VirtualGPU(_divergent_barrier_module(), engine=engine,
                              sanitize=True)
             with pytest.raises(BarrierDivergence) as excinfo:
-                gpu.launch("kern", [], 1, 2)
+                gpu.run(LaunchSpec(kernel="kern", threads_per_team=2))
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
         assert "different aligned barrier instructions" in messages[0]

@@ -6,13 +6,13 @@ import pytest
 
 from repro.ir.types import F64, I32, I64, PTR
 from repro.frontend import ast as A
-from repro.frontend.driver import CompileOptions, compile_program
-from repro.vgpu import VirtualGPU
+from repro.frontend.driver import CompileOptions, Target, compile_program
+from repro.vgpu import LaunchSpec, VirtualGPU
 
 MODES = [
-    CompileOptions(mode="cuda"),
-    CompileOptions(mode="openmp", runtime="new"),
-    CompileOptions(mode="openmp", runtime="old"),
+    CompileOptions(Target.CUDA),
+    CompileOptions(Target.OPENMP_NEW),
+    CompileOptions(Target.OPENMP_OLD),
 ]
 MODE_IDS = ["cuda", "omp-new", "omp-old"]
 
@@ -20,12 +20,13 @@ MODE_IDS = ["cuda", "omp-new", "omp-old"]
 def run_elementwise(program, host_args_builder, n=64, teams=2, threads=32,
                     options=None):
     """Compile + run a single-kernel program; returns out array."""
-    compiled = compile_program(program, options or CompileOptions(mode="cuda"))
+    compiled = compile_program(program, options or CompileOptions(Target.CUDA))
     gpu = VirtualGPU(compiled.module)
     host_args = host_args_builder(gpu)
     kernel = program.kernels[0].name
     args = compiled.abi(kernel).marshal(gpu, host_args)
-    gpu.launch(kernel, args, teams, threads)
+    gpu.run(LaunchSpec(kernel=kernel, num_teams=teams,
+                       threads_per_team=threads, args=args))
     return gpu.read_array(host_args["out"], np.float64, n)
 
 
@@ -202,8 +203,8 @@ class TestStructParams:
             trip_count=A.Arg("n"),
             body=[A.StoreIdx(A.Arg("out"), A.Var("iv"), A.Field("conf", "a"))],
         )])
-        omp = compile_program(prog, CompileOptions(runtime="new"))
-        cuda = compile_program(prog, CompileOptions(mode="cuda"))
+        omp = compile_program(prog, CompileOptions(Target.OPENMP_NEW))
+        cuda = compile_program(prog, CompileOptions(Target.CUDA))
         assert len(omp.kernel("k").args) == 3   # out, n, conf*
         assert len(cuda.kernel("k").args) == 3  # out, n, conf.a (flattened)
         assert str(omp.kernel("k").args[2].type) == "ptr"
@@ -216,7 +217,7 @@ class TestLoweringErrors:
         from repro.frontend.lower_common import LoweringError
 
         with pytest.raises(LoweringError, match="ghost"):
-            compile_program(prog, CompileOptions(mode="cuda"))
+            compile_program(prog, CompileOptions(Target.CUDA))
 
     def test_unknown_device_function(self):
         prog = simple_program([
@@ -224,11 +225,11 @@ class TestLoweringErrors:
         from repro.frontend.lower_common import LoweringError
 
         with pytest.raises(LoweringError, match="nope"):
-            compile_program(prog, CompileOptions(mode="cuda"))
+            compile_program(prog, CompileOptions(Target.CUDA))
 
     def test_assign_to_undeclared(self):
         prog = simple_program([A.Assign("x", A.Const(1, I64))])
         from repro.frontend.lower_common import LoweringError
 
         with pytest.raises(LoweringError):
-            compile_program(prog, CompileOptions(mode="cuda"))
+            compile_program(prog, CompileOptions(Target.CUDA))

@@ -6,7 +6,7 @@ import pytest
 from repro.ir.types import F64, I64, PTR
 from repro.frontend import ast as A
 from repro.frontend.abi import KernelABI, ScalarArg, StructFieldArg, StructRefArg
-from repro.frontend.driver import CompileOptions, compile_program
+from repro.frontend.driver import CompileOptions, Target, compile_program
 from repro.frontend.lower_common import compute_readonly_params
 from repro.vgpu import VirtualGPU
 from tests.conftest import make_kernel
@@ -84,8 +84,9 @@ class TestReadonlyAnalysis:
             body=[A.StoreIdx(A.Arg("out"), A.Var("iv"),
                              A.Index(A.Arg("inp"), A.Var("iv")))],
         )])
-        compiled = compile_program(prog, CompileOptions(mode="cuda",
-                                                        pipeline=__import__("repro.passes", fromlist=["PipelineConfig"]).PipelineConfig.o0()))
+        compiled = compile_program(prog, CompileOptions(
+            Target.CUDA,
+            pipeline=__import__("repro.passes", fromlist=["PipelineConfig"]).PipelineConfig.o0()))
         kern = compiled.kernel("k")
         assert "readonly" in kern.param_attrs.get(0, set())
         assert "noalias" in kern.param_attrs.get(0, set())

@@ -5,13 +5,13 @@ import pytest
 
 from repro.ir.types import F64, I64, PTR
 from repro.frontend import ast as A
-from repro.frontend.driver import CompileOptions, compile_program
-from repro.vgpu import VirtualGPU
+from repro.frontend.driver import CompileOptions, Target, compile_program
+from repro.vgpu import LaunchSpec, VirtualGPU
 
 MODES = {
-    "cuda": CompileOptions(mode="cuda"),
-    "omp-new": CompileOptions(runtime="new"),
-    "omp-old": CompileOptions(runtime="old"),
+    "cuda": CompileOptions(Target.CUDA),
+    "omp-new": CompileOptions(Target.OPENMP_NEW),
+    "omp-old": CompileOptions(Target.OPENMP_OLD),
 }
 
 
@@ -49,7 +49,8 @@ class TestSharedTile:
         inp = gpu.alloc_array(data)
         out = gpu.alloc_array(np.zeros(n))
         args = compiled.abi("tile").marshal(gpu, {"inp": inp, "out": out, "n": n})
-        gpu.launch("tile", args, 2, 32)
+        gpu.run(LaunchSpec(kernel="tile", num_teams=2, threads_per_team=32,
+                           args=args))
         got = gpu.read_array(out, np.float64, n)
         expected = np.concatenate([data[:32][::-1], data[32:][::-1]])
         assert np.array_equal(got, expected), mode

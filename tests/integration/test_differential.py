@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from repro.ir.types import F64, I64, PTR
 from repro.frontend import ast as A
-from repro.frontend.driver import CompileOptions, compile_program
+from repro.frontend.driver import CompileOptions, Target, compile_program
 from repro.passes import PipelineConfig
-from repro.vgpu import VirtualGPU
+from repro.vgpu import LaunchSpec, VirtualGPU
 
 N = 64
 TEAMS, THREADS = 2, 32
@@ -99,15 +99,17 @@ def run_build(program, options, a, b):
     gpu = VirtualGPU(compiled.module)
     out = gpu.alloc_array(np.zeros(N))
     args = compiled.abi("fuzz").marshal(gpu, {"out": out, "a": a, "b": b, "n": N})
-    gpu.launch("fuzz", args, TEAMS, THREADS)
+    gpu.run(LaunchSpec(kernel="fuzz", num_teams=TEAMS,
+                       threads_per_team=THREADS, args=args))
     return gpu.read_array(out, np.float64, N)
 
 
 BUILDS = {
-    "omp-o0": CompileOptions(runtime="new", pipeline=PipelineConfig.o0()),
-    "omp-full": CompileOptions(runtime="new"),
-    "omp-old": CompileOptions(runtime="old", pipeline=PipelineConfig.legacy()),
-    "cuda": CompileOptions(mode="cuda"),
+    "omp-o0": CompileOptions(Target.OPENMP_NEW, pipeline=PipelineConfig.o0()),
+    "omp-full": CompileOptions(Target.OPENMP_NEW),
+    "omp-old": CompileOptions(Target.OPENMP_OLD,
+                              pipeline=PipelineConfig.legacy()),
+    "cuda": CompileOptions(Target.CUDA),
 }
 
 
@@ -135,8 +137,8 @@ class TestDifferential:
                      "enable_barrier_elim"):
             config = PipelineConfig()
             setattr(config, flag, False)
-            out = run_build(program, CompileOptions(runtime="new", pipeline=config),
-                            a, a + 1)
+            options = CompileOptions(Target.OPENMP_NEW, pipeline=config)
+            out = run_build(program, options, a, a + 1)
             if reference is None:
                 reference = out
             else:

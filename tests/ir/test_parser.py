@@ -15,7 +15,7 @@ from repro.ir import (
 from repro.ir.parser import ParseError, parse_module
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.interface import NEW_RUNTIME, OLD_RUNTIME
-from repro.vgpu import VirtualGPU
+from repro.vgpu import LaunchSpec, VirtualGPU
 from tests.conftest import make_function, make_kernel
 
 
@@ -104,10 +104,10 @@ class TestSemanticEquivalence:
     def test_parsed_module_executes_identically(self):
         """print -> parse must preserve behaviour, not just text."""
         from repro.apps import testsnap
-        from repro.frontend.driver import CompileOptions
+        from repro.frontend.driver import CompileOptions, Target
 
         size = {"n_atoms": 64, "n_neighbors": 4}
-        result = testsnap.run(CompileOptions(runtime="new"), size=size,
+        result = testsnap.run(CompileOptions(Target.OPENMP_NEW), size=size,
                               num_teams=2, threads_per_team=32)
         parsed = parse_module(print_module(result.compiled.module))
         verify_module(parsed)
@@ -115,7 +115,8 @@ class TestSemanticEquivalence:
         gpu = VirtualGPU(parsed)
         host_args, verify = testsnap.prepare(gpu, size)
         args = result.compiled.abi(testsnap.KERNEL).marshal(gpu, host_args)
-        profile = gpu.launch(testsnap.KERNEL, args, 2, 32)
+        profile = gpu.run(LaunchSpec(kernel=testsnap.KERNEL, num_teams=2,
+                                     threads_per_team=32, args=args)).profile
         assert verify(gpu, host_args) < 1e-12
         assert profile.cycles == result.profile.cycles
 
@@ -171,6 +172,6 @@ done:
         module = parse_module(text)
         verify_module(module)
         gpu = VirtualGPU(module)
-        gpu.launch("kern", [5], 1, 4)
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=4, args=(5,)))
         gv = module.get_global("counter")
         assert gpu.read_scalar(gpu.global_addresses[gv], I64) == 20

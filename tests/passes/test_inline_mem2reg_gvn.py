@@ -21,7 +21,7 @@ from repro.passes.gvn import GVNPass, LICMPass
 from repro.passes.inline import InlinePass, inline_call
 from repro.passes.mem2reg import PromoteAllocasPass
 from repro.passes.pass_manager import PassContext, PipelineConfig
-from repro.vgpu import VirtualGPU
+from repro.vgpu import LaunchSpec, VirtualGPU
 from tests.conftest import make_function, make_kernel
 
 
@@ -47,7 +47,7 @@ class TestInliner:
 
         gpu = VirtualGPU(module)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [out, 9], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern", args=(out, 9)))
         assert gpu.read_array(out, np.int64, 1)[0] == 81
 
     def test_multi_return_callee(self, module):
@@ -68,7 +68,7 @@ class TestInliner:
         verify_module(module)
         gpu = VirtualGPU(module)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [out, Constant(I32, -5).value], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern", args=(out, Constant(I32, -5).value)))
         assert gpu.read_array(out, np.int64, 1)[0] == 5
 
     def test_recursive_function_not_inlined(self, module):
@@ -198,7 +198,7 @@ class TestMem2Reg:
 
         gpu_ref = VirtualGPU(module)
         out_ref = gpu_ref.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu_ref.launch("kern", [out_ref, 10], 1, 1)
+        gpu_ref.run(LaunchSpec(kernel="kern", args=(out_ref, 10)))
         expected = gpu_ref.read_array(out_ref, np.int64, 1)[0]
 
         PromoteAllocasPass().run(module, ctx())
@@ -206,7 +206,7 @@ class TestMem2Reg:
         verify_module(module)
         gpu = VirtualGPU(module)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [out, 10], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern", args=(out, 10)))
         assert gpu.read_array(out, np.int64, 1)[0] == expected == 45
 
     def test_address_taken_alloca_not_promoted(self, module):

@@ -38,9 +38,9 @@ class TestByReferenceAggregates:
 
     def test_struct_field_loads_hoisted_out_of_loop(self):
         from repro.apps import xsbench
-        from repro.frontend.driver import CompileOptions
+        from repro.frontend.driver import CompileOptions, Target
 
-        result = xsbench.run(CompileOptions(runtime="new"))
+        result = xsbench.run(CompileOptions(Target.OPENMP_NEW))
         kern = result.compiled.kernel("xs_lookup")
         # Count loads through the conf pointer (the third-from-last arg).
         conf = kern.args[-1]
@@ -70,9 +70,9 @@ class TestByReferenceAggregates:
 
     def test_cuda_has_no_conf_loads_at_all(self):
         from repro.apps import xsbench
-        from repro.frontend.driver import CompileOptions
+        from repro.frontend.driver import CompileOptions, Target
 
-        result = xsbench.run(CompileOptions(mode="cuda"))
+        result = xsbench.run(CompileOptions(Target.CUDA))
         kern = result.compiled.kernel("xs_lookup")
         # CUDA receives fields by value: no pointer-typed conf at all.
         from repro.ir.types import PointerType

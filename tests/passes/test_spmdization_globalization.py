@@ -5,7 +5,7 @@ import pytest
 
 from repro.ir import Constant, I32, I64, PTR, PTR_GLOBAL, verify_module
 from repro.frontend import ast as A
-from repro.frontend.driver import CompileOptions, compile_program
+from repro.frontend.driver import CompileOptions, Target, compile_program
 from repro.frontend.lower import lower_program_openmp
 from repro.ir.instructions import Call
 from repro.passes.cleanup import CleanupPass
@@ -14,7 +14,7 @@ from repro.passes.internalize import InternalizePass
 from repro.passes.pass_manager import PassContext, PipelineConfig, PassManager
 from repro.passes.spmdization import SPMDizationPass, _find_init_call
 from repro.runtime.config import RuntimeConfig
-from repro.vgpu import VirtualGPU
+from repro.vgpu import LaunchSpec, VirtualGPU
 
 
 def generic_program(store_to_global=False):
@@ -67,12 +67,14 @@ class TestSPMDization:
         assert not SPMDizationPass().run(module, ctx)
 
     def test_semantics_preserved_end_to_end(self):
-        compiled = compile_program(generic_program(), CompileOptions(runtime="new"))
+        compiled = compile_program(generic_program(),
+                                   CompileOptions(Target.OPENMP_NEW))
         gpu = VirtualGPU(compiled.module)
         n = 64
         out = gpu.alloc_array(np.zeros(n))
         args = compiled.abi("kern").marshal(gpu, {"out": out, "n": n})
-        gpu.launch("kern", args, 2, 32)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=32,
+                           args=args))
         got = gpu.read_array(out, np.float64, n)
         assert np.allclose(got, np.arange(n) * 2.5)
 
@@ -115,7 +117,8 @@ class TestSPMDization:
         gpu = VirtualGPU(module)
         flag = gpu.alloc_array(np.zeros(1, dtype=np.int64))
         out = gpu.alloc_array(np.zeros(64))
-        gpu.launch("kern", [flag, out, 64], 2, 32)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=32,
+                           args=(flag, out, 64)))
         assert gpu.read_array(flag, np.int64, 1)[0] == 77
 
     def test_atomic_in_sequential_region_prevents_spmd(self):

@@ -19,7 +19,7 @@ from repro.ir import (
 )
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.interface import NEW_RUNTIME, OLD_RUNTIME, RuntimeInterface
-from repro.vgpu import VirtualGPU
+from repro.vgpu import LaunchSpec, VirtualGPU
 
 
 @pytest.fixture(params=["new", "old"], ids=["new-rt", "old-rt"])
@@ -85,6 +85,8 @@ def run_saxpy(module: Module, n=100, teams=2, threads=8, a=3.0,
     x = np.arange(n, dtype=np.float64)
     y = np.ones(n)
     px, py = gpu.alloc_array(x), gpu.alloc_array(y)
-    profile = gpu.launch("kern", [px, py, a, n], teams, threads)
+    profile = gpu.run(LaunchSpec(kernel="kern", num_teams=teams,
+                                 threads_per_team=threads,
+                                 args=(px, py, a, n))).profile
     out = gpu.read_array(py, np.float64, n)
     return profile, out, 1.0 + a * x

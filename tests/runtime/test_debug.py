@@ -11,7 +11,7 @@ from repro.runtime.config import (
     RuntimeConfig,
 )
 from repro.runtime.interface import NEW_RUNTIME
-from repro.vgpu import TrapError, VirtualGPU
+from repro.vgpu import LaunchSpec, TrapError, VirtualGPU
 from tests.runtime.conftest import (
     add_saxpy_body,
     add_spmd_kernel,
@@ -39,13 +39,13 @@ class TestAssertions:
         assert_kernel(module, config, 7)
         gpu = VirtualGPU(module, env={"DEBUG": DEBUG_ASSERTIONS})
         with pytest.raises(TrapError, match="x must be 42"):
-            gpu.launch("kern", [7], 1, 1)
+            gpu.run(LaunchSpec(kernel="kern", args=(7,)))
 
     def test_debug_build_passes_when_true(self, module):
         config = RuntimeConfig(debug_kind=DEBUG_ASSERTIONS)
         assert_kernel(module, config, 42)
         gpu = VirtualGPU(module, env={"DEBUG": DEBUG_ASSERTIONS})
-        gpu.launch("kern", [42], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern", args=(42,)))
 
     def test_debug_build_inactive_without_env(self, module):
         """Compiled in but not activated at runtime (the paper's
@@ -53,13 +53,13 @@ class TestAssertions:
         config = RuntimeConfig(debug_kind=DEBUG_ASSERTIONS)
         assert_kernel(module, config, 7)
         gpu = VirtualGPU(module)  # no DEBUG env
-        gpu.launch("kern", [7], 1, 1)  # check skipped
+        gpu.run(LaunchSpec(kernel="kern", args=(7,)))  # check skipped
 
     def test_release_build_never_checks(self, module):
         config = RuntimeConfig(debug_kind=0)
         assert_kernel(module, config, 7)
         gpu = VirtualGPU(module, env={"DEBUG": DEBUG_ASSERTIONS})
-        gpu.launch("kern", [7], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern", args=(7,)))
 
     def test_release_assertion_becomes_assumption(self, module):
         """In release the condition is an llvm.assume — visible to the
@@ -70,7 +70,7 @@ class TestAssertions:
         assert_kernel(module, config, 7)
         gpu = VirtualGPU(module, debug_checks=True)
         with pytest.raises(AssumptionViolation):
-            gpu.launch("kern", [7], 1, 1)
+            gpu.run(LaunchSpec(kernel="kern", args=(7,)))
 
 
 class TestTracing:
@@ -85,7 +85,8 @@ class TestTracing:
 
         x = gpu.alloc_array(np.zeros(8))
         y = gpu.alloc_array(np.zeros(8))
-        profile = gpu.launch("kern", [x, y, 1.0, 8], 1, 4)
+        profile = gpu.run(LaunchSpec(kernel="kern", threads_per_team=4,
+                                     args=(x, y, 1.0, 8))).profile
         assert "__kmpc_target_init" in profile.output
         assert "__kmpc_alloc_shared" in profile.output
 
@@ -99,7 +100,8 @@ class TestTracing:
 
         x = gpu.alloc_array(np.zeros(8))
         y = gpu.alloc_array(np.zeros(8))
-        profile = gpu.launch("kern", [x, y, 1.0, 8], 1, 4)
+        profile = gpu.run(LaunchSpec(kernel="kern", threads_per_team=4,
+                                     args=(x, y, 1.0, 8))).profile
         assert profile.output == []
 
     def test_release_build_has_no_trace_code(self):

@@ -16,7 +16,7 @@ from repro.ir import (
 )
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.interface import NEW_RUNTIME
-from repro.vgpu import VirtualGPU
+from repro.vgpu import LaunchSpec, VirtualGPU
 from tests.runtime.conftest import build_runtime_module
 
 
@@ -54,7 +54,8 @@ class TestQueriesOutsideParallel:
         spmd_kernel_calling(module, runtime, emit)
         gpu = VirtualGPU(module, debug_checks=True)
         out = gpu.alloc_array(np.zeros(3, dtype=np.int64))
-        gpu.launch("kern", [out], 3, 4)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=3, threads_per_team=4,
+                           args=(out,)))
         assert list(gpu.read_array(out, np.int64, 3)) == [300, 301, 302]
 
     def test_num_threads_is_one_outside_parallel(self, runtime):
@@ -69,7 +70,7 @@ class TestQueriesOutsideParallel:
         spmd_kernel_calling(module, runtime, emit)
         gpu = VirtualGPU(module, debug_checks=True)
         out = gpu.alloc_array(np.zeros(2, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 8)
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=8, args=(out,)))
         got = gpu.read_array(out, np.int64, 2)
         assert got[0] == 1  # omp_get_num_threads() == 1 sequentially
         assert got[1] == 0  # omp_get_thread_num() == 0 sequentially
@@ -102,7 +103,7 @@ class TestQueriesInsideParallel:
         module = self._parallel_query_kernel(runtime)
         gpu = VirtualGPU(module, debug_checks=True)
         out = gpu.alloc_array(np.zeros(2, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 8)
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=8, args=(out,)))
         got = gpu.read_array(out, np.int64, 2)
         assert got[0] == 8  # full team inside parallel
         assert got[1] == 7  # max thread id
@@ -141,7 +142,7 @@ class TestNestedParallel:
         module = self._nested_kernel()
         gpu = VirtualGPU(module, debug_checks=True)
         out = gpu.alloc_array(np.zeros(6, dtype=np.int32))
-        gpu.launch("kern", [out], 1, 8)
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=8, args=(out,)))
         got = gpu.read_array(out, np.int32, 6)
         assert got[0] == 8   # inner executed once per outer thread
         assert got[2] == 2   # omp_get_level() saw depth 2
@@ -153,7 +154,7 @@ class TestNestedParallel:
         module = self._nested_kernel()
         gpu = VirtualGPU(module, debug_checks=True)
         out = gpu.alloc_array(np.zeros(6, dtype=np.int32))
-        gpu.launch("kern", [out], 1, 4)
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=4, args=(out,)))
         from repro.runtime.state import GV_THREAD_STATES
 
         gv = module.get_global(GV_THREAD_STATES)
@@ -182,7 +183,7 @@ class TestSharedMemoryStack:
         spmd_kernel_calling(module, rt, emit)
         gpu = VirtualGPU(module, debug_checks=True)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern", args=(out,)))
         assert gpu.read_array(out, np.int64, 1)[0] == 1
 
     def test_fallback_to_global_malloc_when_slice_full(self):
@@ -200,7 +201,7 @@ class TestSharedMemoryStack:
         spmd_kernel_calling(module, rt, emit)
         gpu = VirtualGPU(module, debug_checks=True)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern", args=(out,)))
         from repro.memory.addrspace import AddressSpace
 
         assert gpu.read_array(out, np.int64, 1)[0] == int(AddressSpace.GLOBAL)
@@ -221,5 +222,5 @@ class TestSharedMemoryStack:
         spmd_kernel_calling(module, rt, emit)
         gpu = VirtualGPU(module, debug_checks=True)
         out = gpu.alloc_array(np.zeros(8, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 8)
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=8, args=(out,)))
         assert list(gpu.read_array(out, np.int64, 8)) == list(range(8))

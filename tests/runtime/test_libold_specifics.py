@@ -22,7 +22,7 @@ from repro.runtime.libold.builder import (
     OLD_DATA_STACK_SIZE,
     OLD_TEAM_CONTEXT_SIZE,
 )
-from repro.vgpu import VirtualGPU
+from repro.vgpu import LaunchSpec, VirtualGPU
 from tests.runtime.conftest import build_runtime_module
 
 
@@ -70,7 +70,7 @@ class TestOldDataStack:
         spmd_kernel(module, rt, emit)
         gpu = VirtualGPU(module)
         out = gpu.alloc_array(np.zeros(4, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 4)
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=4, args=(out,)))
         tops = gpu.read_array(out, np.int64, 4)
         # Team-wide stack: the high-water top is nthreads * 32 (a
         # per-thread-slice scheme as in the new runtime would cap at 32;
@@ -92,7 +92,7 @@ class TestOldDataStack:
         spmd_kernel(module, rt, emit)
         gpu = VirtualGPU(module)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern", args=(out,)))
         from repro.memory.addrspace import AddressSpace
 
         assert gpu.read_array(out, np.int64, 1)[0] == int(AddressSpace.GLOBAL)
@@ -121,7 +121,8 @@ class TestOldWorksharing:
         spmd_kernel(module, rt, emit, params=(PTR, I64), arg_names=("counts", "n"))
         gpu = VirtualGPU(module)
         counts = gpu.alloc_array(np.zeros(max(n, 1), dtype=np.int64))
-        gpu.launch("kern", [counts, n], 2, 16)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=16,
+                           args=(counts, n)))
         got = gpu.read_array(counts, np.int64, max(n, 1))
         expected = [1] * n + [0] * (max(n, 1) - n)
         assert list(got) == expected
@@ -156,7 +157,7 @@ class TestOldWarpRecords:
         spmd_kernel(module, rt, emit, params=(PTR,), arg_names=("unused",))
         gpu = VirtualGPU(module)
         unused = gpu.alloc_array(np.zeros(1))
-        gpu.launch("kern", [unused], 1, 64)
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=64, args=(unused,)))
         from repro.runtime.state import GV_OLD_TEAM_CONTEXT
         from repro.runtime.libold.builder import OFF_WARP_RECORDS
 

@@ -17,7 +17,7 @@ from repro.ir import (
 )
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.interface import NEW_RUNTIME, OLD_RUNTIME
-from repro.vgpu import VirtualGPU
+from repro.vgpu import LaunchSpec, VirtualGPU
 from tests.runtime.conftest import (
     add_saxpy_body,
     add_spmd_kernel,
@@ -91,7 +91,8 @@ class TestSPMDWorksharing:
         gpu = VirtualGPU(module, debug_checks=True)
         n = 77
         counts = gpu.alloc_array(np.zeros(n, dtype=np.int64))
-        gpu.launch("kern", [counts, n], 3, 8)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=3, threads_per_team=8,
+                           args=(counts, n)))
         assert list(gpu.read_array(counts, np.int64, n)) == [1] * n
 
 
@@ -154,7 +155,8 @@ class TestGenericMode:
         verify_module(module)
         gpu = VirtualGPU(module, debug_checks=True)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [out], 2, 8)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=8,
+                           args=(out,)))
         assert gpu.read_array(out, np.int64, 1)[0] == 123
 
     def test_sequential_region_runs_once_per_team(self, runtime):
@@ -176,6 +178,7 @@ class TestGenericMode:
         verify_module(module)
         gpu = VirtualGPU(module, debug_checks=True)
         counter = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [counter], 4, 8)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=4, threads_per_team=8,
+                           args=(counter,)))
         # Only the main thread of each team executes the sequential part.
         assert gpu.read_array(counter, np.int64, 1)[0] == 4

@@ -1,9 +1,7 @@
 """The request-object launch API: LaunchSpec / LaunchResult / run().
 
-Pins the redesign's contract: ``VirtualGPU.run(spec)`` is canonical,
-``launch(spec)`` is a silent alias, and the expanded
-``launch(kernel, args, teams, threads)`` keyword form is a deprecated
-shim that warns exactly once per process.
+Pins the redesign's contract: ``VirtualGPU.run(spec)`` is the one
+launch entry point.
 """
 
 import warnings
@@ -24,7 +22,6 @@ from repro.vgpu import (
     SimulationError,
     VirtualGPU,
 )
-from repro.vgpu import interpreter as interp_mod
 from tests.conftest import make_kernel
 
 
@@ -196,49 +193,17 @@ class TestRun:
 
 
 class TestLegacyShim:
+    """The keyword ``launch()`` shim is gone: ``run(spec)`` is the only
+    launch, and it never warns."""
+
     def test_launch_with_a_spec_does_not_warn(self, module):
         gpu = _device(module)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            profile = gpu.launch(LaunchSpec(kernel="kern", args=(out, 2)))
+            profile = gpu.run(LaunchSpec(kernel="kern", args=(out, 2))).profile
         assert profile.cycles > 0
-
-    def test_launch_spec_rejects_extra_positionals(self, module):
-        gpu = _device(module)
-        with pytest.raises(TypeError, match="LaunchSpec"):
-            gpu.launch(LaunchSpec(kernel="kern", args=(0, 0)), [], 1, 1)
-
-    def test_legacy_kwargs_warn_exactly_once(self, module, monkeypatch):
-        monkeypatch.setattr(interp_mod, "_warned_legacy_launch", False)
-        gpu = _device(module)
-        out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            gpu.launch("kern", [out, 1], 1, 1)
-            gpu.launch("kern", [out, 1], 1, 1)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)
-                        and "LaunchSpec" in str(w.message)]
-        assert len(deprecations) == 1
-
-    def test_legacy_kwargs_still_need_the_full_geometry(self, module):
-        gpu = _device(module)
-        with pytest.raises(TypeError, match="legacy launch"):
-            gpu.launch("kern", [0, 0])
-
-    def test_shim_and_spec_produce_identical_profiles(self, module):
-        from repro.ir import Module
-
-        gpu_a = _device(module)
-        gpu_b = _device(Module("m2"))
-        out_a = gpu_a.alloc_array(np.zeros(4, dtype=np.int64))
-        out_b = gpu_b.alloc_array(np.zeros(4, dtype=np.int64))
-        p_a = gpu_a.launch("kern", [out_a, 3], 2, 2)
-        p_b = gpu_b.run(LaunchSpec(kernel="kern", num_teams=2,
-                                   threads_per_team=2,
-                                   args=(out_b, 3))).profile
-        assert p_a.to_dict() == p_b.to_dict()
+        assert not hasattr(gpu, "launch")
 
 
 class TestWarmReset:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.bench.builds import BUILD_ORDER, build_options
 from repro.bench.harness import APPS
+from repro.faults.plan import FaultPlan
 from repro.faults.report import CrashReport
 from repro.ir import I64, Module, verify_module
 from repro.serve import (
@@ -143,13 +144,28 @@ class TestFaultParity:
             gpu.run(spec)
         direct_report = CrashReport.from_exception(
             excinfo.value, kernel="kern", engine=gpu.engine,
-            fault_plan=gpu.fault_plan)
+            fault_plan=gpu.fault_plan_for(spec))
         with SimulationService(workers=1) as svc:
             served = svc.run(spec, module=_malloc_module())
         assert not served.ok and served.profile is None
         assert served.report.error_type == "InjectedFault"
         assert served.report.comparable_dict() == \
             direct_report.comparable_dict()
+
+    @pytest.mark.parametrize("on_device", [False, True])
+    def test_crash_report_echoes_the_plan_the_run_used(self, on_device,
+                                                       monkeypatch):
+        # A plan in the spec is echoed like one the device was built
+        # with, although run() restores the device's own plan before
+        # the service builds the report.
+        plan = "malloc_fail:n=1"
+        if on_device:
+            monkeypatch.setenv("REPRO_FAULTS", plan)
+        spec = LaunchSpec(kernel="kern", faults=None if on_device else plan)
+        with SimulationService(workers=1) as svc:
+            served = svc.run(spec, module=_malloc_module())
+        assert not served.ok and served.report.error_type == "InjectedFault"
+        assert served.report.fault_plan == FaultPlan.parse(plan).to_dict()
 
     def test_watchdog_expiry_is_an_isolated_failure_not_a_hang(self):
         spec = LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,

@@ -1,6 +1,5 @@
-"""The typed Target API and its deprecated stringly surface."""
+"""The typed Target API of the compile options."""
 
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -9,16 +8,13 @@ from repro.frontend.driver import CompileOptions, Target
 
 
 class TestTarget:
-    def test_legacy_round_trip(self):
-        assert Target.from_legacy("openmp", "new") is Target.OPENMP_NEW
-        assert Target.from_legacy("openmp", "old") is Target.OPENMP_OLD
-        assert Target.from_legacy("cuda", "new") is Target.CUDA
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            Target.from_legacy("hip", "new")
-        with pytest.raises(ValueError, match="runtime"):
-            Target.from_legacy("openmp", "future")
+        # Target is the only spelling: the old mode=/runtime= strings
+        # are no longer accepted anywhere.
+        with pytest.raises(TypeError):
+            CompileOptions(mode="hip")
+        with pytest.raises(ValueError):
+            Target(("hip", "new"))
 
     def test_mode_runtime_views(self):
         assert Target.OPENMP_OLD.mode == "openmp"
@@ -32,30 +28,11 @@ class TestCompileOptions:
     def test_default_target(self):
         assert CompileOptions().target is Target.OPENMP_NEW
 
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning):
-            opts = CompileOptions(mode="cuda")
-        assert opts.target is Target.CUDA
-        with pytest.warns(DeprecationWarning):
-            opts = CompileOptions(runtime="old")
-        assert opts.target is Target.OPENMP_OLD
-
-    def test_legacy_properties_warn(self):
-        opts = CompileOptions(Target.OPENMP_OLD)
-        with pytest.warns(DeprecationWarning):
-            assert opts.mode == "openmp"
-        with pytest.warns(DeprecationWarning):
-            assert opts.runtime == "old"
-
-    def test_legacy_and_target_equivalent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert CompileOptions(runtime="old") == CompileOptions(Target.OPENMP_OLD)
-            assert CompileOptions(mode="cuda") == CompileOptions(Target.CUDA)
-
     def test_target_plus_legacy_rejected(self):
         with pytest.raises(TypeError):
             CompileOptions(Target.CUDA, mode="cuda")
+        with pytest.raises(TypeError):
+            CompileOptions(runtime="old")
 
     def test_replace_preserves_target(self):
         opts = CompileOptions(Target.OPENMP_OLD)

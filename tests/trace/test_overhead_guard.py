@@ -12,7 +12,7 @@ from repro.bench.builds import BUILD_ORDER, build_options
 from repro.bench.harness import APPS
 from repro.trace import NULL_COLLECTOR, TraceCollector
 from repro.trace.collector import get_collector, install, reset
-from repro.vgpu import GPUConfig, VirtualGPU
+from repro.vgpu import GPUConfig, LaunchSpec, VirtualGPU
 from repro.vgpu import decode as decode_mod
 from repro.vgpu import interpreter as interp_mod
 
@@ -29,7 +29,9 @@ def _launch(engine, trace=None):
                      trace=trace)
     host_args, _ = app.prepare(gpu, SIZE)
     args = compiled.abi(app.KERNEL).marshal(gpu, host_args)
-    profile = gpu.launch(app.KERNEL, args, app.TEAMS, app.THREADS)
+    profile = gpu.run(LaunchSpec(kernel=app.KERNEL, num_teams=app.TEAMS,
+                                 threads_per_team=app.THREADS,
+                                 args=args)).profile
     return gpu, profile
 
 
@@ -91,7 +93,7 @@ class TestBenchMachineryStaysOffHotPath:
             "from repro.bench.harness import APPS\n"
             "from repro.bench.builds import BUILD_ORDER, build_options\n"
             "from repro.toolchain.service import ToolchainSession\n"
-            "from repro.vgpu import GPUConfig, VirtualGPU\n"
+            "from repro.vgpu import GPUConfig, LaunchSpec, VirtualGPU\n"
             "app = APPS['testsnap']\n"
             "size = {'n_atoms': 64, 'n_neighbors': 4}\n"
             "compiled = ToolchainSession().compile(\n"
@@ -99,7 +101,8 @@ class TestBenchMachineryStaysOffHotPath:
             "gpu = VirtualGPU(compiled.module, config=GPUConfig())\n"
             "host_args, _ = app.prepare(gpu, size)\n"
             "args = compiled.abi(app.KERNEL).marshal(gpu, host_args)\n"
-            "gpu.launch(app.KERNEL, args, app.TEAMS, app.THREADS)\n"
+            "gpu.run(LaunchSpec(kernel=app.KERNEL, num_teams=app.TEAMS,\n"
+            "                   threads_per_team=app.THREADS, args=args))\n"
             "bad = [m for m in ('repro.bench.history', 'repro.bench.micro',\n"
             "                   'repro.bench.record') if m in sys.modules]\n"
             "assert not bad, bad\n"

@@ -5,7 +5,9 @@ import pytest
 
 from repro.memory.addrspace import AddressSpace
 from repro.ir import ArrayType, GlobalVariable, I64, PTR_GLOBAL
-from repro.vgpu import DivergenceError, StepLimitExceeded, VirtualGPU
+from repro.vgpu import (
+    DivergenceError, LaunchSpec, StepLimitExceeded, VirtualGPU,
+)
 from repro.vgpu.config import GPUConfig
 from tests.conftest import make_kernel
 
@@ -26,7 +28,7 @@ class TestBarrierSynchronization:
         b.ret()
         gpu = VirtualGPU(module)
         out = gpu.alloc_array(np.zeros(16, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 16)
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=16, args=(out,)))
         expected = [((t + 1) % 16) * 10 for t in range(16)]
         assert list(gpu.read_array(out, np.int64, 16)) == expected
 
@@ -36,7 +38,8 @@ class TestBarrierSynchronization:
         b.aligned_barrier()
         b.ret()
         gpu = VirtualGPU(module)
-        profile = gpu.launch("kern", [], 3, 4)
+        profile = gpu.run(LaunchSpec(kernel="kern", num_teams=3,
+                                     threads_per_team=4)).profile
         assert profile.barriers == 6  # 2 barriers x 3 teams
 
     def test_threads_that_exited_do_not_block_barrier(self, module):
@@ -52,7 +55,8 @@ class TestBarrierSynchronization:
         b.barrier()  # unaligned: only surviving threads participate
         b.ret()
         gpu = VirtualGPU(module)
-        profile = gpu.launch("kern", [], 1, 4)
+        profile = gpu.run(LaunchSpec(kernel="kern",
+                                     threads_per_team=4)).profile
         assert profile.barriers == 1
 
 
@@ -78,12 +82,13 @@ class TestDivergenceDetection:
         self._divergent_module(module)
         gpu = VirtualGPU(module, debug_checks=True)
         with pytest.raises(DivergenceError):
-            gpu.launch("kern", [], 1, 4)
+            gpu.run(LaunchSpec(kernel="kern", threads_per_team=4))
 
     def test_divergent_aligned_barrier_tolerated_in_release(self, module):
         self._divergent_module(module)
         gpu = VirtualGPU(module, debug_checks=False)
-        gpu.launch("kern", [], 1, 4)  # UB on hardware; simulator proceeds
+        # UB on hardware; the simulator proceeds.
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=4))
 
     def test_unaligned_barriers_may_diverge(self, module):
         func, b = make_kernel(module, params=())
@@ -101,7 +106,8 @@ class TestDivergenceDetection:
         b.set_insert_point(merge)
         b.ret()
         gpu = VirtualGPU(module, debug_checks=True)
-        gpu.launch("kern", [], 1, 4)  # fine: generic barriers
+        gpu.run(LaunchSpec(kernel="kern",
+                           threads_per_team=4))  # fine: generic barriers
 
 
 class TestLivelockGuard:
@@ -113,7 +119,7 @@ class TestLivelockGuard:
         b.br(spin)
         gpu = VirtualGPU(module, config=GPUConfig(max_steps_per_thread=10_000))
         with pytest.raises(StepLimitExceeded):
-            gpu.launch("kern", [], 1, 2)
+            gpu.run(LaunchSpec(kernel="kern", threads_per_team=2))
 
 
 class TestPhaseTiming:
@@ -139,10 +145,12 @@ class TestPhaseTiming:
         b.ret()
         gpu = VirtualGPU(module)
         data = gpu.alloc_array(np.zeros(128, dtype=np.int64))
-        one_thread = gpu.launch("kern", [data], 1, 1).team_cycles[0]
+        one_thread = gpu.run(LaunchSpec(kernel="kern",
+                                        args=(data,))).profile.team_cycles[0]
         gpu2 = VirtualGPU(module)
         data2 = gpu2.alloc_array(np.zeros(128, dtype=np.int64))
-        many = gpu2.launch("kern", [data2], 1, 32).team_cycles[0]
+        many = gpu2.run(LaunchSpec(kernel="kern", threads_per_team=32,
+                                   args=(data2,))).profile.team_cycles[0]
         # 31 idle threads add only epsilon (their branch), not 32x.
         assert many < one_thread * 1.5
 
@@ -152,7 +160,9 @@ class TestPhaseTiming:
         b.ret()
         config = GPUConfig(num_sms=2)
         gpu = VirtualGPU(module, config=config)
-        t2 = gpu.launch("kern", [], 2, 4).cycles
-        t4 = gpu.launch("kern", [], 4, 4).cycles
+        t2 = gpu.run(LaunchSpec(kernel="kern", num_teams=2,
+                                threads_per_team=4)).profile.cycles
+        t4 = gpu.run(LaunchSpec(kernel="kern", num_teams=4,
+                                threads_per_team=4)).profile.cycles
         # 4 teams on 2 SMs = 2 waves: roughly double the team time.
         assert t4 > t2

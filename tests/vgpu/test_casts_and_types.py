@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir import F32, F64, I8, I16, I32, I64, PTR_GLOBAL, verify_module
-from repro.vgpu import VirtualGPU
+from repro.vgpu import LaunchSpec, VirtualGPU
 from tests.conftest import make_kernel
 
 
@@ -19,7 +19,7 @@ def run_value(module, build, result_ty=I64):
     gpu = VirtualGPU(module)
     dtype = np.float64 if result_ty == F64 else np.int64
     out = gpu.alloc_array(np.zeros(1, dtype=dtype))
-    gpu.launch("kern", [out], 1, 1)
+    gpu.run(LaunchSpec(kernel="kern", args=(out,)))
     return gpu.read_array(out, dtype, 1)[0]
 
 
@@ -93,7 +93,7 @@ class TestCasts:
         gpu = VirtualGPU(module)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
         data = gpu.alloc_array(np.zeros(4, dtype=np.int64))
-        gpu.launch("kern", [out, data], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern", args=(out, data)))
         assert gpu.read_array(data, np.int64, 4)[1] == 99
 
 

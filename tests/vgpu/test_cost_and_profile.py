@@ -4,7 +4,7 @@ import pytest
 
 from repro.memory.addrspace import AddressSpace
 from repro.ir import F64, GlobalVariable, I64, PTR_GLOBAL
-from repro.vgpu import GPUConfig, VirtualGPU
+from repro.vgpu import GPUConfig, LaunchSpec, VirtualGPU
 from repro.vgpu.config import LaunchConfig
 from repro.vgpu.cost import CostModel
 from repro.vgpu.profiler import NOMINAL_CLOCK_GHZ, KernelProfile
@@ -52,7 +52,8 @@ class TestProfileAccounting:
         import numpy as np
 
         p = gpu.alloc_array(np.zeros(4))
-        return gpu.launch("kern", [p], teams, threads)
+        return gpu.run(LaunchSpec(kernel="kern", num_teams=teams,
+                                  threads_per_team=threads, args=(p,))).profile
 
     def test_launch_overhead_included(self, module):
         profile = self._profiled(module)
@@ -108,11 +109,11 @@ class TestDeviceEnvironment:
         import numpy as np
 
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern", args=(out,)))
         assert gpu.read_array(out, np.int64, 1)[0] == 3
 
     def test_unknown_env_ignored(self, module):
         func, b = make_kernel(module, params=())
         b.ret()
         gpu = VirtualGPU(module, env={"NOT_A_THING": 7})
-        gpu.launch("kern", [], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern"))

@@ -128,7 +128,7 @@ class TestDecodePass:
         after = D.bind_function(gpu_b, func).code
         assert len(after.ops) < n_before
         out = gpu_b.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu_b.launch(func.name, [out, 10], 1, 1)
+        gpu_b.run(LaunchSpec(kernel=func.name, args=(out, 10)))
         assert gpu_b.read_array(out, np.int64, 1)[0] == 45
 
 
@@ -137,7 +137,9 @@ class TestDecodedExecution:
         module, func = _phi_loop_module()
         gpu = VirtualGPU(module, engine=engine)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        profile = gpu.launch(func.name, [out, n], 4, 8, sim_jobs=sim_jobs)
+        profile = gpu.run(LaunchSpec(kernel=func.name, num_teams=4,
+                                     threads_per_team=8, args=(out, n),
+                                     sim_jobs=sim_jobs)).profile
         return gpu.read_array(out, np.int64, 1)[0], profile
 
     def test_loop_result_matches_legacy(self):
@@ -169,7 +171,7 @@ class TestDecodedExecution:
         gpu = VirtualGPU(module, engine="decoded")
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
         with pytest.raises(SimulationError, match=r"call to undefined function @ext"):
-            gpu.launch("kern", [out], 1, 1)
+            gpu.run(LaunchSpec(kernel="kern", args=(out,)))
 
     def test_division_by_zero_parity(self):
         for engine in ("decoded", "legacy"):
@@ -182,7 +184,7 @@ class TestDecodedExecution:
             from repro.vgpu import TrapError
 
             with pytest.raises(TrapError, match="integer division by zero"):
-                gpu.launch("kern", [0], 1, 1)
+                gpu.run(LaunchSpec(kernel="kern", args=(0,)))
 
     def test_engine_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "legacy")

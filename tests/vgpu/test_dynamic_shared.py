@@ -1,10 +1,11 @@
-"""§III-D dynamic shared memory: launch-time sizing."""
+"""§III-D dynamic shared memory: launch-time sizing, on every engine."""
 
 import numpy as np
 import pytest
 
 from repro.ir import I64, PTR_GLOBAL, verify_module
-from repro.vgpu import SimulationError, VirtualGPU
+from repro.vgpu import LaunchSpec, SimulationError, VirtualGPU
+from repro.vgpu.config import ENGINES
 from tests.conftest import make_kernel
 
 
@@ -27,11 +28,13 @@ def staging_kernel(module):
 class TestDynamicShared:
     def test_cross_thread_staging(self, module):
         staging_kernel(module)
-        gpu = VirtualGPU(module)
-        out = gpu.alloc_array(np.zeros(8, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 8, dynamic_shared_bytes=64)
-        got = list(gpu.read_array(out, np.int64, 8))
-        assert got == [((t + 1) % 8) * 3 for t in range(8)]
+        for engine in ENGINES:
+            gpu = VirtualGPU(module, engine=engine)
+            out = gpu.alloc_array(np.zeros(8, dtype=np.int64))
+            gpu.run(LaunchSpec(kernel="kern", threads_per_team=8, args=(out,),
+                               dynamic_shared_bytes=64))
+            got = list(gpu.read_array(out, np.int64, 8))
+            assert got == [((t + 1) % 8) * 3 for t in range(8)], engine
 
     def test_per_team_isolation(self, module):
         func, b = make_kernel(module, params=(PTR_GLOBAL,), arg_names=["out"])
@@ -41,17 +44,21 @@ class TestDynamicShared:
         v = b.load(I64, base)
         b.store(v, b.array_gep(func.args[0], I64, bid))
         b.ret()
-        gpu = VirtualGPU(module)
-        out = gpu.alloc_array(np.zeros(3, dtype=np.int64))
-        gpu.launch("kern", [out], 3, 1, dynamic_shared_bytes=16)
-        assert list(gpu.read_array(out, np.int64, 3)) == [0, 1, 2]
+        for engine in ENGINES:
+            gpu = VirtualGPU(module, engine=engine)
+            out = gpu.alloc_array(np.zeros(3, dtype=np.int64))
+            gpu.run(LaunchSpec(kernel="kern", num_teams=3, args=(out,),
+                               dynamic_shared_bytes=16))
+            assert list(gpu.read_array(out, np.int64, 3)) == [0, 1, 2], engine
 
     def test_unreserved_use_is_an_error(self, module):
         staging_kernel(module)
-        gpu = VirtualGPU(module)
-        out = gpu.alloc_array(np.zeros(8, dtype=np.int64))
-        with pytest.raises(SimulationError, match="dynamic shared"):
-            gpu.launch("kern", [out], 1, 8)  # no dynamic_shared_bytes
+        for engine in ENGINES:
+            gpu = VirtualGPU(module, engine=engine)
+            out = gpu.alloc_array(np.zeros(8, dtype=np.int64))
+            with pytest.raises(SimulationError, match="dynamic shared"):
+                gpu.run(LaunchSpec(kernel="kern", threads_per_team=8,
+                                   args=(out,)))  # no dynamic_shared_bytes
 
     def test_does_not_overlap_static_shared(self, module):
         from repro.memory.addrspace import AddressSpace, pointer_offset
@@ -65,8 +72,11 @@ class TestDynamicShared:
         dyn_addr = b.cast("ptrtoint", base, I64)
         b.store(b.sub(dyn_addr, gv_addr), func.args[0])
         b.ret()
-        gpu = VirtualGPU(module)
-        out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 1, dynamic_shared_bytes=32)
-        gap = gpu.read_array(out, np.int64, 1)[0]
-        assert gap >= 16 * 8  # dynamic region starts after the static tile
+        for engine in ENGINES:
+            gpu = VirtualGPU(module, engine=engine)
+            out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
+            gpu.run(LaunchSpec(kernel="kern", args=(out,),
+                               dynamic_shared_bytes=32))
+            gap = gpu.read_array(out, np.int64, 1)[0]
+            # the dynamic region starts after the static tile
+            assert gap >= 16 * 8, engine

@@ -13,6 +13,7 @@ from repro.ir import I64, Module, PTR_GLOBAL, verify_module
 from repro.vgpu import (
     AssumptionViolation,
     CallStackOverflow,
+    LaunchSpec,
     TrapError,
     VirtualGPU,
 )
@@ -27,7 +28,7 @@ def _fail_both(build_module, *, debug_checks=False, args=()):
         module = build_module()
         gpu = VirtualGPU(module, engine=engine, debug_checks=debug_checks)
         with pytest.raises(Exception) as excinfo:
-            gpu.launch("kern", list(args), 1, 1)
+            gpu.run(LaunchSpec(kernel="kern", args=list(args)))
         exc = excinfo.value
         context = exc.context.to_dict() if exc.context is not None else None
         out.append((exc, context))

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.ir import Constant, I64, Module, PTR_GLOBAL, verify_module
-from repro.vgpu import VirtualGPU
+from repro.vgpu import LaunchSpec, VirtualGPU
 from tests.conftest import make_kernel
 
 OPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr",
@@ -48,7 +48,7 @@ def build_expr(b, tree, opaque):
 def run_kernel(module, extra_args):
     gpu = VirtualGPU(module)
     out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-    gpu.launch("kern", [out, *extra_args], 1, 1)
+    gpu.run(LaunchSpec(kernel="kern", args=(out, *extra_args)))
     return gpu.read_array(out, np.int64, 1)[0]
 
 

@@ -16,7 +16,7 @@ from repro.ir import (
     VOID,
     verify_module,
 )
-from repro.vgpu import SimulationError, TrapError, VirtualGPU
+from repro.vgpu import LaunchSpec, SimulationError, TrapError, VirtualGPU
 from tests.conftest import make_function, make_kernel
 
 
@@ -38,7 +38,9 @@ def run_scalar_kernel(module, build, args=(), teams=1, threads=1, result_ty=I64)
 
     dtype = np.float64 if result_ty == F64 else np.int64
     out = gpu.alloc_array(np.zeros(n, dtype=dtype))
-    gpu.launch(func.name, [out] + [a[2] for a in args], teams, threads)
+    gpu.run(LaunchSpec(kernel=func.name, num_teams=teams,
+                       threads_per_team=threads,
+                       args=[out] + [a[2] for a in args]))
     return gpu.read_array(out, dtype, n)
 
 
@@ -64,7 +66,7 @@ class TestArithmetic:
         b.ret()
         gpu = VirtualGPU(module)
         with pytest.raises(TrapError):
-            gpu.launch("kern", [0], 1, 1)
+            gpu.run(LaunchSpec(kernel="kern", args=(0,)))
 
     def test_wrapping_add(self, module):
         def build(b, f):
@@ -146,7 +148,7 @@ class TestControlFlow:
         b.unreachable()
         gpu = VirtualGPU(module)
         with pytest.raises(TrapError):
-            gpu.launch("kern", [], 1, 1)
+            gpu.run(LaunchSpec(kernel="kern"))
 
 
 class TestCalls:
@@ -193,7 +195,7 @@ class TestCalls:
         kb.ret()
         gpu = VirtualGPU(module)
         with pytest.raises(SimulationError):
-            gpu.launch("kern", [], 1, 1)
+            gpu.run(LaunchSpec(kernel="kern"))
 
     def test_undefined_function_rejected(self, module):
         from repro.ir import FunctionType
@@ -204,7 +206,7 @@ class TestCalls:
         kb.ret()
         gpu = VirtualGPU(module)
         with pytest.raises(SimulationError):
-            gpu.launch("kern", [], 1, 1)
+            gpu.run(LaunchSpec(kernel="kern"))
 
 
 class TestLaunchValidation:
@@ -213,14 +215,14 @@ class TestLaunchValidation:
         b.ret()
         gpu = VirtualGPU(module)
         with pytest.raises(SimulationError):
-            gpu.launch("kern", [], 1, 1)
+            gpu.run(LaunchSpec(kernel="kern"))
 
     def test_too_many_threads(self, module):
         func, b = make_kernel(module, params=())
         b.ret()
         gpu = VirtualGPU(module)
         with pytest.raises(SimulationError):
-            gpu.launch("kern", [], 1, 100000)
+            gpu.run(LaunchSpec(kernel="kern", threads_per_team=100000))
 
     def test_kernel_needs_body(self, module):
         from repro.ir import FunctionType
@@ -228,4 +230,4 @@ class TestLaunchValidation:
         module.declare("ghost", FunctionType(VOID, ()))
         gpu = VirtualGPU(module)
         with pytest.raises(SimulationError):
-            gpu.launch("ghost", [], 1, 1)
+            gpu.run(LaunchSpec(kernel="ghost"))

@@ -12,7 +12,7 @@ from repro.ir import (
     PTR_GLOBAL,
     verify_module,
 )
-from repro.vgpu import VirtualGPU
+from repro.vgpu import LaunchSpec, VirtualGPU
 from tests.conftest import make_kernel
 
 
@@ -29,7 +29,7 @@ class TestSharedMemory:
         verify_module(module)
         gpu = VirtualGPU(module)
         out = gpu.alloc_array(np.zeros(4, dtype=np.int64))
-        gpu.launch("kern", [out], 4, 1)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=4, args=(out,)))
         assert list(gpu.read_array(out, np.int64, 4)) == [0, 1, 2, 3]
 
     def test_shared_zero_initialized_per_team(self, module):
@@ -42,7 +42,7 @@ class TestSharedMemory:
         b.ret()
         gpu = VirtualGPU(module)
         out = gpu.alloc_array(np.full(2, -1, dtype=np.int64))
-        gpu.launch("kern", [out], 2, 1)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=2, args=(out,)))
         assert list(gpu.read_array(out, np.int64, 2)) == [0, 0]
 
     def test_shared_initializer_applied_per_team(self, module):
@@ -58,7 +58,7 @@ class TestSharedMemory:
         b.ret()
         gpu = VirtualGPU(module)
         out = gpu.alloc_array(np.zeros(3, dtype=np.int64))
-        gpu.launch("kern", [out], 3, 1)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=3, args=(out,)))
         assert list(gpu.read_array(out, np.int64, 3)) == [7, 7, 7]
 
 
@@ -74,7 +74,7 @@ class TestAlloca:
         b.ret()
         gpu = VirtualGPU(module)
         out = gpu.alloc_array(np.zeros(8, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 8)
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=8, args=(out,)))
         assert list(gpu.read_array(out, np.int64, 8)) == list(range(8))
 
 
@@ -85,7 +85,8 @@ class TestAtomics:
         b.ret()
         gpu = VirtualGPU(module)
         counter = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [counter], 4, 16)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=4, threads_per_team=16,
+                           args=(counter,)))
         assert gpu.read_array(counter, np.int64, 1)[0] == 64
 
     def test_atomic_returns_old_value(self, module):
@@ -98,7 +99,8 @@ class TestAtomics:
         gpu = VirtualGPU(module)
         counter = gpu.alloc_array(np.zeros(1, dtype=np.int64))
         olds = gpu.alloc_array(np.zeros(8, dtype=np.int64))
-        gpu.launch("kern", [counter, olds], 1, 8)
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=8,
+                           args=(counter, olds)))
         assert sorted(gpu.read_array(olds, np.int64, 8)) == list(range(8))
 
     def test_atomic_max(self, module):
@@ -108,7 +110,7 @@ class TestAtomics:
         b.ret()
         gpu = VirtualGPU(module)
         m = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [m], 1, 8)
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=8, args=(m,)))
         assert gpu.read_array(m, np.int64, 1)[0] == 7
 
     def test_atomic_float_add(self, module):
@@ -117,7 +119,8 @@ class TestAtomics:
         b.ret()
         gpu = VirtualGPU(module)
         acc = gpu.alloc_array(np.zeros(1))
-        gpu.launch("kern", [acc], 2, 4)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=4,
+                           args=(acc,)))
         assert gpu.read_array(acc, np.float64, 1)[0] == 4.0
 
 
@@ -135,7 +138,7 @@ class TestMemIntrinsics:
         gpu = VirtualGPU(module)
         a = gpu.alloc_bytes(16)
         c = gpu.alloc_bytes(16)
-        gpu.launch("kern", [a, c], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern", args=(a, c)))
         assert gpu.memory.read_raw(c, 16) == b"\x2a" * 16
 
     def test_device_malloc(self, module):
@@ -147,7 +150,7 @@ class TestMemIntrinsics:
         b.ret()
         gpu = VirtualGPU(module)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 1)
+        gpu.run(LaunchSpec(kernel="kern", args=(out,)))
         assert gpu.read_array(out, np.int64, 1)[0] == 77
 
 

@@ -1,13 +1,29 @@
-"""GPU identity intrinsics, math, assumptions, traps and device printf."""
+"""GPU identity intrinsics, math, assumptions, traps and device printf.
+
+Every test runs on each engine (legacy, decoded and warp), on a fresh
+device per engine; calls through ``call_indirect`` must behave like
+direct calls, and every registered intrinsic has exactly one decoded
+implementation.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.ir import F64, I64, PTR_GLOBAL
-from repro.vgpu import AssumptionViolation, TrapError, VirtualGPU
+from repro.ir import F64, I32, I64, PTR_GLOBAL, VOID, verify_module
+from repro.ir.intrinsics import all_intrinsics, declare_intrinsic
+from repro.ir.types import I8
+from repro.vgpu import AssumptionViolation, LaunchSpec, TrapError, VirtualGPU
+from repro.vgpu import decode as D
+from repro.vgpu.config import ENGINES
 from tests.conftest import make_kernel
+
+
+def _devices(module, **kwargs):
+    """(engine, fresh device) for every engine."""
+    return [(engine, VirtualGPU(module, engine=engine, **kwargs))
+            for engine in ENGINES]
 
 
 class TestIdentity:
@@ -24,12 +40,13 @@ class TestIdentity:
         )
         b.store(packed, b.array_gep(func.args[0], I64, idx))
         b.ret()
-        gpu = VirtualGPU(module)
-        out = gpu.alloc_array(np.zeros(6, dtype=np.int64))
-        gpu.launch("kern", [out], 2, 3)
-        vals = gpu.read_array(out, np.int64, 6)
-        for i, v in enumerate(vals):
-            assert v == 2 * 1000000 + 3 * 1000 + i
+        for engine, gpu in _devices(module):
+            out = gpu.alloc_array(np.zeros(6, dtype=np.int64))
+            gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=3,
+                               args=(out,)))
+            vals = gpu.read_array(out, np.int64, 6)
+            for i, v in enumerate(vals):
+                assert v == 2 * 1000000 + 3 * 1000 + i, engine
 
     def test_warp_and_lane(self, module):
         func, b = make_kernel(module, params=(PTR_GLOBAL,), arg_names=["out"])
@@ -37,11 +54,12 @@ class TestIdentity:
         tid = b.sext(b.thread_id(), I64)
         b.store(b.sext(lane, I64), b.array_gep(func.args[0], I64, tid))
         b.ret()
-        gpu = VirtualGPU(module)
-        out = gpu.alloc_array(np.zeros(64, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 64)
-        vals = gpu.read_array(out, np.int64, 64)
-        assert list(vals) == [t % 32 for t in range(64)]
+        for engine, gpu in _devices(module):
+            out = gpu.alloc_array(np.zeros(64, dtype=np.int64))
+            gpu.run(LaunchSpec(kernel="kern", threads_per_team=64,
+                               args=(out,)))
+            vals = gpu.read_array(out, np.int64, 64)
+            assert list(vals) == [t % 32 for t in range(64)], engine
 
 
 class TestMath:
@@ -59,10 +77,11 @@ class TestMath:
         v = b.intrinsic(name, [func.args[1]])
         b.store(v, func.args[0])
         b.ret()
-        gpu = VirtualGPU(module)
-        out = gpu.alloc_array(np.zeros(1))
-        gpu.launch("kern", [out, arg], 1, 1)
-        assert gpu.read_array(out, np.float64, 1)[0] == pytest.approx(expected)
+        for engine, gpu in _devices(module):
+            out = gpu.alloc_array(np.zeros(1))
+            gpu.run(LaunchSpec(kernel="kern", args=(out, arg)))
+            got = gpu.read_array(out, np.float64, 1)[0]
+            assert got == pytest.approx(expected), engine
 
     def test_pow_fmin_fmax(self, module):
         func, b = make_kernel(module, params=(PTR_GLOBAL,), arg_names=["out"])
@@ -71,28 +90,28 @@ class TestMath:
         mx = b.intrinsic("llvm.fmax.f64", [mn, b.f64(512.0)])
         b.store(mx, func.args[0])
         b.ret()
-        gpu = VirtualGPU(module)
-        out = gpu.alloc_array(np.zeros(1))
-        gpu.launch("kern", [out], 1, 1)
-        assert gpu.read_array(out, np.float64, 1)[0] == 512.0
+        for engine, gpu in _devices(module):
+            out = gpu.alloc_array(np.zeros(1))
+            gpu.run(LaunchSpec(kernel="kern", args=(out,)))
+            assert gpu.read_array(out, np.float64, 1)[0] == 512.0, engine
 
     def test_sqrt_of_negative_is_nan(self, module):
         func, b = make_kernel(module, params=(PTR_GLOBAL,), arg_names=["out"])
         v = b.intrinsic("llvm.sqrt.f64", [b.f64(-1.0)])
         b.store(v, func.args[0])
         b.ret()
-        gpu = VirtualGPU(module)
-        out = gpu.alloc_array(np.zeros(1))
-        gpu.launch("kern", [out], 1, 1)
-        assert math.isnan(gpu.read_array(out, np.float64, 1)[0])
+        for engine, gpu in _devices(module):
+            out = gpu.alloc_array(np.zeros(1))
+            gpu.run(LaunchSpec(kernel="kern", args=(out,)))
+            assert math.isnan(gpu.read_array(out, np.float64, 1)[0]), engine
 
     def test_math_counts_as_flop(self, module):
         func, b = make_kernel(module, params=(F64,), arg_names=["x"])
         b.intrinsic("llvm.sqrt.f64", [func.args[0]])
         b.ret()
-        gpu = VirtualGPU(module)
-        profile = gpu.launch("kern", [2.0], 1, 1)
-        assert profile.flops >= 1
+        for engine, gpu in _devices(module):
+            profile = gpu.run(LaunchSpec(kernel="kern", args=(2.0,))).profile
+            assert profile.flops >= 1, engine
 
 
 class TestAssumptions:
@@ -103,19 +122,19 @@ class TestAssumptions:
 
     def test_violated_assumption_raises_in_debug(self, module):
         self._assume_kernel(module)
-        gpu = VirtualGPU(module, debug_checks=True)
-        with pytest.raises(AssumptionViolation):
-            gpu.launch("kern", [7], 1, 1)
+        for engine, gpu in _devices(module, debug_checks=True):
+            with pytest.raises(AssumptionViolation):
+                gpu.run(LaunchSpec(kernel="kern", args=(7,)))
 
     def test_valid_assumption_passes_in_debug(self, module):
         self._assume_kernel(module)
-        gpu = VirtualGPU(module, debug_checks=True)
-        gpu.launch("kern", [42], 1, 1)
+        for engine, gpu in _devices(module, debug_checks=True):
+            gpu.run(LaunchSpec(kernel="kern", args=(42,)))
 
     def test_assumption_ignored_in_release(self, module):
         self._assume_kernel(module)
-        gpu = VirtualGPU(module, debug_checks=False)
-        gpu.launch("kern", [7], 1, 1)
+        for engine, gpu in _devices(module, debug_checks=False):
+            gpu.run(LaunchSpec(kernel="kern", args=(7,)))
 
     def test_expect_passes_value_through(self, module):
         func, b = make_kernel(module, params=(PTR_GLOBAL,), arg_names=["out"])
@@ -123,10 +142,10 @@ class TestAssumptions:
         hinted = b.intrinsic("llvm.expect", [cond, b.i1(True)])
         b.store(b.zext(hinted, I64), func.args[0])
         b.ret()
-        gpu = VirtualGPU(module)
-        out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        gpu.launch("kern", [out], 1, 1)
-        assert gpu.read_array(out, np.int64, 1)[0] == 1
+        for engine, gpu in _devices(module):
+            out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
+            gpu.run(LaunchSpec(kernel="kern", args=(out,)))
+            assert gpu.read_array(out, np.int64, 1)[0] == 1, engine
 
 
 class TestPrintAndTrap:
@@ -134,9 +153,9 @@ class TestPrintAndTrap:
         func, b = make_kernel(module, params=())
         b.intrinsic("rt.print_i64", [b.i64(-5)])
         b.ret()
-        gpu = VirtualGPU(module)
-        profile = gpu.launch("kern", [], 1, 1)
-        assert profile.output == ["-5"]
+        for engine, gpu in _devices(module):
+            profile = gpu.run(LaunchSpec(kernel="kern")).profile
+            assert profile.output == ["-5"], engine
 
     def test_print_str_resolves_string_table(self, module):
         from repro.runtime.common import cstring
@@ -145,9 +164,9 @@ class TestPrintAndTrap:
         func, b = make_kernel(module, params=())
         b.intrinsic("rt.print_str", [b.cast("ptrtoint", msg, I64)])
         b.ret()
-        gpu = VirtualGPU(module)
-        profile = gpu.launch("kern", [], 1, 1)
-        assert profile.output == ["hello device"]
+        for engine, gpu in _devices(module):
+            profile = gpu.run(LaunchSpec(kernel="kern")).profile
+            assert profile.output == ["hello device"], engine
 
     def test_trap_reports_last_message(self, module):
         from repro.runtime.common import cstring
@@ -157,6 +176,122 @@ class TestPrintAndTrap:
         b.intrinsic("rt.print_str", [b.cast("ptrtoint", msg, I64)])
         b.intrinsic("llvm.trap")
         b.ret()
-        gpu = VirtualGPU(module)
-        with pytest.raises(TrapError, match="boom"):
-            gpu.launch("kern", [], 1, 1)
+        for engine, gpu in _devices(module):
+            with pytest.raises(TrapError, match="boom"):
+                gpu.run(LaunchSpec(kernel="kern"))
+
+    @pytest.mark.parametrize("threads", [4, 64])
+    def test_trap_after_a_lower_lanes_print_matches_across_engines(
+            self, module, threads):
+        # Thread 0 prints on one arm of a branch and thread 1 traps on
+        # the other: every engine reports thread 0's line, as a serial
+        # run of the threads would have printed it before the trap.
+        func, b = make_kernel(module, params=())
+        tid = b.thread_id()
+        printer = func.add_block("printer")
+        check = func.add_block("check")
+        trap = func.add_block("trap")
+        done = func.add_block("done")
+        b.cond_br(b.icmp("eq", tid, b.i32(0)), printer, check)
+        b.set_insert_point(printer)
+        b.intrinsic("rt.print_i64", [b.i64(42)])
+        b.br(done)
+        b.set_insert_point(check)
+        b.cond_br(b.icmp("eq", tid, b.i32(1)), trap, done)
+        b.set_insert_point(trap)
+        b.intrinsic("llvm.trap")
+        b.unreachable()
+        b.set_insert_point(done)
+        b.ret()
+        verify_module(module)
+        for engine, gpu in _devices(module):
+            with pytest.raises(TrapError) as excinfo:
+                gpu.run(LaunchSpec(kernel="kern", threads_per_team=threads))
+            assert str(excinfo.value) == \
+                "trap in @kern (team 0, thread 1): 42", engine
+
+
+def _icall(b, module, name, args, ret_ty=VOID):
+    """Call intrinsic *name* through ``call_indirect`` on its address."""
+    target = b.cast("ptrtoint", declare_intrinsic(module, name), I64)
+    return b.call_indirect(target, args, ret_ty)
+
+
+class TestIndirectCalls:
+    def test_intrinsics_called_indirectly_match_across_engines(self, module):
+        # Each thread writes its thread id, lane id, block dim and the
+        # square root of its thread id, memsets its own 8 bytes of a
+        # scratch buffer and prints an id: all through call_indirect.
+        func, b = make_kernel(module, params=(PTR_GLOBAL, PTR_GLOBAL, PTR_GLOBAL),
+                              arg_names=["ints", "floats", "scratch"])
+        ints, floats, scratch = func.args
+        tid = _icall(b, module, "gpu.thread_id", [], I32)
+        lane = _icall(b, module, "gpu.lane_id", [], I32)
+        bdim = _icall(b, module, "gpu.block_dim", [], I32)
+        t64 = b.sext(tid, I64)
+        gtid = b.add(b.mul(b.sext(b.block_id(), I64), b.sext(bdim, I64)), t64)
+        for k, v in enumerate((t64, b.sext(lane, I64), b.sext(bdim, I64))):
+            b.store(v, b.array_gep(ints, I64, b.add(b.mul(gtid, b.i64(3)),
+                                                    b.i64(k))))
+        root = _icall(b, module, "llvm.sqrt.f64", [b.sitofp(t64)], F64)
+        b.store(root, b.array_gep(floats, F64, gtid))
+        _icall(b, module, "llvm.memset",
+               [b.array_gep(scratch, I64, gtid), b.const(0x5A, I8), b.i64(8)])
+        _icall(b, module, "rt.print_i64", [gtid])
+        b.ret()
+        verify_module(module)
+        teams, threads = 2, 40
+        n = teams * threads
+        results = {}
+        for engine, gpu in _devices(module):
+            bufs = (gpu.alloc_array(np.zeros(3 * n, dtype=np.int64)),
+                    gpu.alloc_array(np.zeros(n)),
+                    gpu.alloc_array(np.zeros(n, dtype=np.int64)))
+            profile = gpu.run(LaunchSpec(kernel="kern", num_teams=teams,
+                                         threads_per_team=threads,
+                                         args=bufs)).profile
+            results[engine] = (
+                gpu.read_array(bufs[0], np.int64, 3 * n).tolist(),
+                gpu.read_array(bufs[1], np.float64, n).tolist(),
+                gpu.read_array(bufs[2], np.int64, n).tolist(),
+                profile.to_dict(),
+            )
+        ints_got, floats_got, scratch_got, _ = results["legacy"]
+        assert ints_got == [v for g in range(n) for v in
+                            (g % threads, g % threads % 32, threads)]
+        assert floats_got == [math.sqrt(g % threads) for g in range(n)]
+        assert scratch_got == [0x5A5A5A5A5A5A5A5A] * n
+        for engine, got in results.items():
+            assert got == results["legacy"], engine
+
+
+class TestIntrinsicTable:
+    def test_every_intrinsic_has_exactly_one_implementation(self):
+        # Each registered intrinsic decodes to a _TEMPLATES row, a
+        # specialized handler or a generic-table row, never to the
+        # decode-time "unhandled intrinsic" error.
+        specialized = {D._h_barrier, D._h_assume, D._h_expect}
+        kinds = {}
+        for info in all_intrinsics():
+            op = D.intrinsic_op(info.name, info, 0, (1, 2, 3), None, None,
+                                7, 32)
+            h = op[0]
+            kind = [h in D._SIMPLE, h in specialized, h is D._h_intrin]
+            assert kind.count(True) == 1, (info.name, h)
+            kinds[info.name] = ("template", "handler", "generic")[kind.index(True)]
+            assert op[2] == 7 and op[-1] == info.cost, info.name
+            if h is D._h_intrin:
+                assert op[4].__name__.startswith("_i_"), info.name
+        assert set(kinds) == set(D._INTRINSICS)
+        assert kinds["gpu.thread_id"] == "template"
+        assert kinds["llvm.sqrt.f32"] == "template"
+        assert kinds["gpu.barrier.aligned"] == "handler"
+        assert kinds["malloc"] == "generic"
+
+    def test_neither_fast_engine_keeps_a_name_ladder(self):
+        import inspect
+
+        from repro.vgpu import warp as W
+
+        for mod in (D, W):
+            assert 'name == "' not in inspect.getsource(mod), mod.__name__

@@ -4,6 +4,7 @@ import pytest
 
 from repro.ir import I32, I64, Module, verify_module
 from repro.vgpu import (
+    LaunchSpec,
     OutOfBoundsAccess,
     SanitizedMemorySystem,
     UninitializedRead,
@@ -119,9 +120,10 @@ class TestKernelLevel:
         # profiled number on a clean kernel, under either engine.
         for engine in ENGINES:
             module = _busy_module()
-            plain = VirtualGPU(module, engine=engine).launch("kern", [], 2, 4)
+            spec = LaunchSpec(kernel="kern", num_teams=2, threads_per_team=4)
+            plain = VirtualGPU(module, engine=engine).run(spec).profile
             checked = VirtualGPU(module, engine=engine,
-                                 sanitize=True).launch("kern", [], 2, 4)
+                                 sanitize=True).run(spec).profile
             assert checked.to_dict() == plain.to_dict(), engine
 
     def test_overrun_diagnostic_is_identical_across_engines(self):
@@ -129,7 +131,7 @@ class TestKernelLevel:
         for engine in ENGINES:
             gpu = VirtualGPU(_overrun_module(), engine=engine, sanitize=True)
             with pytest.raises(OutOfBoundsAccess) as excinfo:
-                gpu.launch("kern", [], 1, 1)
+                gpu.run(LaunchSpec(kernel="kern"))
             messages.append(str(excinfo.value))
             assert excinfo.value.context is not None
             contexts.append(excinfo.value.context.to_dict())
@@ -147,10 +149,11 @@ class TestKernelLevel:
         for engine in ENGINES:
             gpu = VirtualGPU(module, engine=engine, sanitize=True)
             with pytest.raises(UninitializedRead):
-                gpu.launch("kern", [], 1, 1)
+                gpu.run(LaunchSpec(kernel="kern"))
 
     def test_unsanitized_run_does_not_flag_the_overrun(self):
         # The same buggy kernel runs to completion without the sanitizer
         # (the bump allocator leaves slack) — the diagnostic is opt-in.
-        profile = VirtualGPU(_overrun_module()).launch("kern", [], 1, 1)
+        gpu = VirtualGPU(_overrun_module())
+        profile = gpu.run(LaunchSpec(kernel="kern")).profile
         assert profile.cycles > 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.ir import I64, Module, verify_module
-from repro.vgpu import GPUConfig, StepLimitExceeded, VirtualGPU
+from repro.vgpu import GPUConfig, LaunchSpec, StepLimitExceeded, VirtualGPU
 from repro.vgpu.config import ENGINES
 from tests.conftest import make_kernel
 
@@ -39,7 +39,7 @@ def _limit_hit(engine, sim_jobs=None, teams=1):
                      config=GPUConfig(max_steps_per_thread=LIMIT),
                      engine=engine)
     with pytest.raises(StepLimitExceeded) as excinfo:
-        gpu.launch("kern", [], teams, 1, sim_jobs=sim_jobs)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=teams, sim_jobs=sim_jobs))
     return excinfo.value
 
 
@@ -88,7 +88,6 @@ def test_limit_inside_a_fused_run_retires_exactly_max_steps(limit, monkeypatch):
     9-op run, 64 right after it.  The run must fall back to per-op
     execution and retire exactly the budget, with the same counters and
     cycles as the legacy engine."""
-    from repro.vgpu import LaunchSpec
     from tests.vgpu.test_decode import _capture
 
     states = []
@@ -126,7 +125,6 @@ def test_limit_at_a_fused_block_terminator(latch, stop, monkeypatch):
     """The budget ends on the terminator of a block run, one op before
     it, or right after it: legacy, decoded and per-op decoded retire
     the same steps and leave the same counters, cycles and position."""
-    from repro.vgpu import LaunchSpec
     from repro.vgpu import decode as D
     from tests.vgpu.test_decode import _capture, _per_op, swap_loop_module, where
 

@@ -280,10 +280,10 @@ def _divergent_icall_module():
 
 
 def test_divergent_indirect_call_is_an_engine_limit_not_a_program_fault():
-    """The warp engine cannot run lane-divergent indirect calls; that
-    must take the internal-fault retry path (ok, retried) both direct
-    and served — never an ok=False program-fault verdict."""
-    from repro.faults import run_guarded
+    """The warp engine cannot run lane-divergent indirect calls; a
+    direct run raises the engine limitation, and the service takes the
+    internal-fault retry path (ok, retried) — never an ok=False
+    program-fault verdict."""
     from repro.serve import SimulationService
     from repro.vgpu.errors import EngineUnsupported
 
@@ -292,30 +292,21 @@ def test_divergent_indirect_call_is_an_engine_limit_not_a_program_fault():
         _run(module, engines=("warp",))
     expected = [t + 1 if t % 2 == 0 else 2 * t for t in range(N)]
 
-    def make_args(gpu, _compiled=None):
+    def make_args(gpu, _compiled):
         return (gpu.alloc_bytes(8 * N), 0)
 
     def words(gpu, buf):
         return [gpu.read_scalar(buf + 8 * i, I64) for i in range(N)]
 
-    devices = []
-
-    def make_gpu(engine):
-        devices.append(VirtualGPU(module, engine=engine))
-        return devices[-1]
-
-    spec = LaunchSpec(kernel="kern", num_teams=1, threads_per_team=N)
-    direct = run_guarded(make_gpu, lambda gpu: make_args(gpu), spec=spec,
-                         engine="warp", save_report=False)
-    assert direct.ok and direct.retried
-    assert direct.report.retry["error_type"] == "EngineUnsupported"
-
+    spec = LaunchSpec(kernel="kern", num_teams=1, threads_per_team=N,
+                      engine="warp")
     with SimulationService(workers=1, save_reports=False) as svc:
         served = svc.run(
-            spec.replace(engine="warp"), module=module, make_args=make_args,
+            spec, module=module, make_args=make_args,
             finalize=lambda gpu, result: words(gpu, result.spec.args[0]),
         )
     assert served.ok and served.retried
+    assert served.report.retry["error_type"] == "EngineUnsupported"
     assert served.payload == expected
 
 

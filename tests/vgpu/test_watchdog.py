@@ -10,7 +10,7 @@ phase boundaries, so ``sim_jobs=1`` launches are bounded exactly like
 import pytest
 
 from repro.ir import I64, Module, verify_module
-from repro.vgpu import VirtualGPU, WatchdogExpired
+from repro.vgpu import LaunchSpec, VirtualGPU, WatchdogExpired
 from tests.conftest import make_kernel
 
 
@@ -38,19 +38,23 @@ def _barrier_loop_module(iterations):
 def test_watchdog_aborts_a_long_parallel_launch():
     gpu = VirtualGPU(_barrier_loop_module(500_000))
     with pytest.raises(WatchdogExpired, match="watchdog"):
-        gpu.launch("kern", [], 2, 2, sim_jobs=2, watchdog_s=0.05)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
+                           sim_jobs=2, watchdog_s=0.05))
 
 
 def test_watchdog_env_knob_is_honoured(monkeypatch):
     monkeypatch.setenv("REPRO_WATCHDOG_S", "0.05")
     gpu = VirtualGPU(_barrier_loop_module(500_000))
     with pytest.raises(WatchdogExpired):
-        gpu.launch("kern", [], 2, 2, sim_jobs=2)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
+                           sim_jobs=2))
 
 
 def test_fast_launch_beats_the_watchdog():
     gpu = VirtualGPU(_barrier_loop_module(3))
-    profile = gpu.launch("kern", [], 2, 2, sim_jobs=2, watchdog_s=30.0)
+    profile = gpu.run(LaunchSpec(kernel="kern", num_teams=2,
+                                 threads_per_team=2, sim_jobs=2,
+                                 watchdog_s=30.0)).profile
     assert profile.cycles > 0
 
 
@@ -60,12 +64,14 @@ def test_watchdog_aborts_a_long_serial_launch():
     # the parallel driver uses.
     gpu = VirtualGPU(_barrier_loop_module(500_000))
     with pytest.raises(WatchdogExpired, match="watchdog"):
-        gpu.launch("kern", [], 2, 2, watchdog_s=0.05)
+        gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
+                           watchdog_s=0.05))
 
 
 def test_fast_serial_launch_beats_the_watchdog():
     gpu = VirtualGPU(_barrier_loop_module(3))
-    profile = gpu.launch("kern", [], 2, 2, watchdog_s=30.0)
+    profile = gpu.run(LaunchSpec(kernel="kern", num_teams=2,
+                                 threads_per_team=2, watchdog_s=30.0)).profile
     assert profile.cycles > 0
 
 
@@ -73,4 +79,5 @@ def test_serial_and_parallel_watchdogs_raise_the_same_type():
     for sim_jobs in (1, 2):
         gpu = VirtualGPU(_barrier_loop_module(500_000))
         with pytest.raises(WatchdogExpired):
-            gpu.launch("kern", [], 2, 2, sim_jobs=sim_jobs, watchdog_s=0.02)
+            gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
+                               sim_jobs=sim_jobs, watchdog_s=0.02))
