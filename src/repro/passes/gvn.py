@@ -202,10 +202,14 @@ class LICMPass:
             def invariant(value: Value) -> bool:
                 return value not in defined_in_loop
 
+            # Visit the loop in layout order: ``body`` is a set, and
+            # hoisting in its (identity-based) order would make the
+            # compiled IR differ from run to run.
+            blocks = [b for b in func.blocks if b in body]
             hoisted = True
             while hoisted:
                 hoisted = False
-                for block in list(body):
+                for block in blocks:
                     for inst in list(block.instructions):
                         if inst.parent is None or isinstance(inst, (Phi, Alloca)):
                             continue

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.apps import gridmini, xsbench
+from repro.bench.builds import NEW_RT_NIGHTLY, OLD_RT_NIGHTLY, build_options
 from repro.frontend.driver import CompileOptions, Target
 from repro.ir.printer import print_module
 from repro.passes.pass_manager import PipelineConfig
@@ -109,15 +110,18 @@ class TestCompileFingerprint:
 
 
 class TestModuleFingerprint:
-    def test_canonical_print_is_deterministic(self):
+    @pytest.mark.parametrize("build", [NEW_RT_NIGHTLY, OLD_RT_NIGHTLY])
+    def test_canonical_print_is_deterministic(self, build):
+        # The nightly pipelines run LICM over loops whose hoists must
+        # not depend on object identity (set iteration order).
         from repro.frontend.driver import compile_program_uncached
 
         prog = gridmini.build_program(TINY)
-        a = compile_program_uncached(prog, CompileOptions(Target.OPENMP_NEW))
-        b = compile_program_uncached(prog, CompileOptions(Target.OPENMP_NEW))
-        assert print_module(a.module, canonical=True) == print_module(
-            b.module, canonical=True
-        )
+        options = build_options()[build]
+        a, b, c = (compile_program_uncached(prog, options) for _ in range(3))
+        text = print_module(a.module, canonical=True)
+        assert print_module(b.module, canonical=True) == text
+        assert print_module(c.module, canonical=True) == text
         assert module_fingerprint(a.module) == module_fingerprint(b.module)
 
     def test_name_hints_do_not_matter_in_canonical_mode(self, module):
