@@ -16,7 +16,7 @@ of ``-verify-each``.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Set, Tuple
 
 from repro.ir.cfg import DominatorTree, predecessors, reachable_blocks
 from repro.ir.instructions import Call, Instruction, Phi
@@ -90,11 +90,16 @@ def _verify_function(func: Function) -> List[str]:
                     f"{where}: phi in {block.name} incoming {got} != preds {want}"
                 )
 
-    # Use-list consistency + operand validity.
+    # Use-list consistency + operand validity.  Each value's use list
+    # becomes a set once (keyed by identity: constants compare by value).
+    use_sets: Dict[int, Set[Tuple[Instruction, int]]] = {}
     for block in func.blocks:
         for inst in block.instructions:
             for index, op in enumerate(inst.operands):
-                if not any(u.user is inst and u.index == index for u in op.uses):
+                uses = use_sets.get(id(op))
+                if uses is None:
+                    uses = use_sets[id(op)] = {(u.user, u.index) for u in op.uses}
+                if (inst, index) not in uses:
                     errors.append(
                         f"{where}: missing use-list entry for operand {index} "
                         f"of {inst.opcode} in {block.name}"
@@ -115,8 +120,11 @@ def _verify_function(func: Function) -> List[str]:
                             f"expected {want}"
                         )
 
-    # SSA dominance.
+    # SSA dominance; same-block order comes from one position map.
     dom = DominatorTree(func)
+    position = {
+        inst: i for block in func.blocks for i, inst in enumerate(block.instructions)
+    }
     for block in func.blocks:
         if block not in reachable:
             continue
@@ -135,7 +143,11 @@ def _verify_function(func: Function) -> List[str]:
                             f"{where}: phi operand {index} does not dominate "
                             f"incoming edge from {incoming.name}"
                         )
-                elif not dom.dominates(op, inst):
+                elif not (
+                    position[op] < position[inst]
+                    if op.parent is block
+                    else dom.dominates_block(op.parent, block)
+                ):
                     errors.append(
                         f"{where}: def of operand {index} of {inst.opcode} in "
                         f"{block.name} does not dominate use"

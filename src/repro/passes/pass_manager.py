@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol
+from typing import Any, Dict, List, Optional, Protocol, Set
 
 from repro.ir.module import Module
 from repro.ir.verifier import VerificationError, verify_module
@@ -233,45 +233,91 @@ class PassContext:
     phase: str = ""
 
 
+@dataclass
+class Phase:
+    """A labelled list of passes within one :class:`PassManager` run."""
+
+    name: str
+    passes: List[Pass]
+    #: When set, repeat the passes in fixpoint rounds (paper §IV
+    #: interplay) until one changes nothing, at most ``max(1, rounds)``
+    #: times; every round counts in :attr:`PipelineStats.rounds`.
+    rounds: Optional[int] = None
+
+
 class PassManager:
-    """Runs a list of passes over a module, optionally verifying each."""
+    """Runs phases of passes over a module, optionally verifying each.
+
+    A pass with a true ``idempotent`` attribute (cleanup: it runs to its
+    own fixpoint) is skipped when it already ran in this ``run`` call
+    and no pass has reported a change since, because it cannot change
+    anything then.  That knowledge never outlives the call, so a module
+    a caller mutates between two runs is always cleaned again.
+    """
 
     def __init__(self, passes: List[Pass], ctx: PassContext) -> None:
-        self.passes = passes
+        self.phases = [Phase(ctx.phase, passes)]
         self.ctx = ctx
-        self.run_log: List[str] = []
+
+    @classmethod
+    def of_phases(cls, phases: List[Phase], ctx: PassContext) -> "PassManager":
+        pm = cls([], ctx)
+        pm.phases = phases
+        return pm
 
     def run(self, module: Module) -> bool:
+        ctx = self.ctx
+        stats = ctx.stats
+        #: Types of idempotent passes that ran with no change since.
+        settled: Set[type] = set()
         changed_any = False
-        stats = self.ctx.stats
-        for p in self.passes:
-            before = module_instruction_count(module) if stats else 0
-            start = time.perf_counter()
-            changed = p.run(module, self.ctx)
-            if stats is not None:
-                stats.record(PassTiming(
-                    name=p.name,
-                    phase=self.ctx.phase,
-                    wall_time_s=time.perf_counter() - start,
-                    changed=changed,
-                    instructions_before=before,
-                    instructions_after=module_instruction_count(module),
-                    started_s=start,
-                ))
-            self.run_log.append(f"{p.name}: {'changed' if changed else 'no-op'}")
-            changed_any |= changed
-            if changed:
-                # A pass mutated the module in place: drop any cached
-                # per-kernel resource measurements (repro.vgpu.resources)
-                # and warp vectorizations (repro.vgpu.warp) so
-                # post-optimization state is re-derived, not replayed.
-                module.__dict__.pop("_resource_cache", None)
-                module.__dict__.pop("_warp_vector_cache", None)
-            if self.ctx.config.verify_each:
-                try:
-                    verify_module(module)
-                except VerificationError as exc:
-                    raise VerificationError(
-                        [f"after pass {p.name}:"] + exc.errors
-                    ) from exc
+        for phase in self.phases:
+            ctx.phase = phase.name
+            for _ in range(1 if phase.rounds is None else max(1, phase.rounds)):
+                if phase.rounds is not None and stats is not None:
+                    stats.rounds += 1
+                round_changed = False
+                for p in phase.passes:
+                    if type(p) in settled:
+                        continue
+                    changed = self._run_pass(p, module)
+                    if changed:
+                        settled.clear()
+                        round_changed = True
+                    if getattr(p, "idempotent", False):
+                        settled.add(type(p))
+                changed_any |= round_changed
+                if not round_changed:
+                    break
         return changed_any
+
+    def _run_pass(self, p: Pass, module: Module) -> bool:
+        stats = self.ctx.stats
+        before = module_instruction_count(module) if stats else 0
+        start = time.perf_counter()
+        changed = p.run(module, self.ctx)
+        if stats is not None:
+            stats.record(PassTiming(
+                name=p.name,
+                phase=self.ctx.phase,
+                wall_time_s=time.perf_counter() - start,
+                changed=changed,
+                instructions_before=before,
+                instructions_after=module_instruction_count(module),
+                started_s=start,
+            ))
+        if changed:
+            # A pass mutated the module in place: drop any cached
+            # per-kernel resource measurements (repro.vgpu.resources)
+            # and warp vectorizations (repro.vgpu.warp) so
+            # post-optimization state is re-derived, not replayed.
+            module.__dict__.pop("_resource_cache", None)
+            module.__dict__.pop("_warp_vector_cache", None)
+        if self.ctx.config.verify_each:
+            try:
+                verify_module(module)
+            except VerificationError as exc:
+                raise VerificationError(
+                    [f"after pass {p.name}:"] + exc.errors
+                ) from exc
+        return changed

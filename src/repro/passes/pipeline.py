@@ -22,6 +22,7 @@ from repro.passes.internalize import InternalizePass
 from repro.passes.pass_manager import (
     PassContext,
     PassManager,
+    Phase,
     PipelineConfig,
     PipelineStats,
 )
@@ -50,68 +51,35 @@ def run_openmp_opt_pipeline(
         stats.wall_time_s = time.perf_counter() - start
         return ctx
 
-    # Phase 1: whole-module preparation (pre-inlining pattern matching).
-    ctx.phase = "prepare"
-    prep = PassManager(
-        [InternalizePass(), CleanupPass(), SPMDizationPass(), GlobalizationEliminationPass()],
-        ctx,
-    )
-    prep.run(module)
-
-    # Phase 2: pull the runtime into the kernels, then run the generic
-    # scalar pipeline LLVM provides around openmp-opt.
-    ctx.phase = "scalar"
-    PassManager(
-        [InlinePass(), CleanupPass(), PromoteAllocasPass(), CleanupPass(),
-         GVNPass(), LICMPass(), CleanupPass()],
-        ctx,
-    ).run(module)
-
-    # A second globalization chance: SPMDized kernels whose allocations
-    # only became demotable after inlining-driven folding.
-    PassManager([GlobalizationEliminationPass(), CleanupPass()], ctx).run(module)
-
-    # Phase 3: the openmp-opt fixpoint rounds.
-    ctx.phase = "fixpoint"
-    round_passes = [
-        ValuePropagationPass(),
-        CleanupPass(),
-        DeadStateStoreElimination(),
-        CleanupPass(),
-        InlinePass(),
-        PromoteAllocasPass(),
-        GVNPass(),
-        LICMPass(),
-        CleanupPass(),
+    phases = [
+        # Whole-module preparation (pre-inlining pattern matching).
+        Phase("prepare", [InternalizePass(), CleanupPass(), SPMDizationPass(),
+                          GlobalizationEliminationPass()]),
+        # Pull the runtime into the kernels, then run the generic scalar
+        # pipeline LLVM provides around openmp-opt.  The trailing
+        # globalization pass is a second chance for SPMDized kernels
+        # whose allocations only became demotable after inlining-driven
+        # folding.
+        Phase("scalar", [InlinePass(), CleanupPass(), PromoteAllocasPass(),
+                         CleanupPass(), GVNPass(), LICMPass(), CleanupPass(),
+                         GlobalizationEliminationPass(), CleanupPass()]),
+        # The openmp-opt fixpoint rounds.
+        Phase("fixpoint", [ValuePropagationPass(), CleanupPass(),
+                           DeadStateStoreElimination(), CleanupPass(),
+                           InlinePass(), PromoteAllocasPass(), GVNPass(),
+                           LICMPass(), CleanupPass()],
+              rounds=config.max_rounds),
+        # Strip optimizer-only artifacts, then sweep the state they kept
+        # alive.  The assume anchors were the last loads of the runtime
+        # state; once they are gone, dead-store elimination can finally
+        # drop the broadcast writes, the state globals, and with them the
+        # barriers that published them.
+        Phase("late-sweep", [BarrierEliminationPass(), CleanupPass(),
+                             StripAssumesPass(), CleanupPass()]),
+        Phase("late-sweep", [DeadStateStoreElimination(), CleanupPass(),
+                             BarrierEliminationPass(), CleanupPass()],
+              rounds=config.max_rounds),
     ]
-    for _ in range(max(1, config.max_rounds)):
-        pm = PassManager(round_passes, ctx)
-        stats.rounds += 1
-        if not pm.run(module):
-            break
-
-    # Phase 4: strip optimizer-only artifacts, then sweep the state they
-    # kept alive.  The assume anchors were the last loads of the runtime
-    # state; once they are gone, dead-store elimination can finally drop
-    # the broadcast writes, the state globals, and with them the barriers
-    # that published them.
-    ctx.phase = "late-sweep"
-    PassManager(
-        [BarrierEliminationPass(), CleanupPass(), StripAssumesPass(), CleanupPass()],
-        ctx,
-    ).run(module)
-    for _ in range(max(1, config.max_rounds)):
-        pm = PassManager(
-            [
-                DeadStateStoreElimination(),
-                CleanupPass(),
-                BarrierEliminationPass(),
-                CleanupPass(),
-            ],
-            ctx,
-        )
-        stats.rounds += 1
-        if not pm.run(module):
-            break
+    PassManager.of_phases(phases, ctx).run(module)
     stats.wall_time_s = time.perf_counter() - start
     return ctx

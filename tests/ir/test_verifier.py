@@ -70,6 +70,15 @@ class TestVerifier:
         b.br(late)
         expect_error(module, "does not dominate")
 
+    def test_use_before_def_in_same_block(self, module):
+        func, b = make_function(module)
+        v = b.add(func.args[0], 1)
+        w = b.add(v, 2)
+        b.ret(w)
+        insts = func.entry.instructions
+        insts[0], insts[1] = insts[1], insts[0]  # w now precedes v
+        expect_error(module, "def of operand 0 of add in entry does not dominate use")
+
     def test_call_arity_checked(self, module):
         callee, cb = make_function(module, "callee", params=(I32, I32))
         cb.ret(callee.args[0])

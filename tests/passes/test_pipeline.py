@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.apps import gridmini, rsbench
+from repro.bench.builds import NEW_RT_NIGHTLY, OLD_RT_NIGHTLY, build_options
+from repro.frontend.driver import compile_program_uncached
 from repro.ir import verify_module
 from repro.ir.instructions import Call
-from repro.passes import PipelineConfig, run_openmp_opt_pipeline
+from repro.ir.printer import print_module
+from repro.passes import PassManager, PipelineConfig, run_openmp_opt_pipeline
 from repro.passes.remarks import RemarkCollector
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.interface import NEW_RUNTIME, OLD_RUNTIME
@@ -166,3 +170,70 @@ class TestAblationConfigs:
         module, _ = optimized_saxpy(config=config)
         kern = module.get_function("kern")
         assert shared_memory_usage(kern, module) > 0
+
+
+class TestPassesReportChangesHonestly:
+    """The pass manager skips a cleanup when no pass reported a change
+    since the last one.  That is sound only if a pass that returns False
+    left the module as it was, and if cleanup is idempotent."""
+
+    @pytest.mark.parametrize("build", [NEW_RT_NIGHTLY, OLD_RT_NIGHTLY])
+    @pytest.mark.parametrize("app", [gridmini, rsbench],
+                             ids=lambda app: app.__name__.rsplit(".", 1)[-1])
+    def test_no_change_reported_means_no_change(self, monkeypatch, app, build):
+        run_pass = PassManager._run_pass
+        runs = []
+
+        def checked_run_pass(self, p, module):
+            before = print_module(module, canonical=True)
+            changed = run_pass(self, p, module)
+            after = print_module(module, canonical=True)
+            if not changed:
+                assert after == before, f"{p.name} returned False but changed the module"
+            if getattr(p, "idempotent", False):
+                assert not type(p)().run(module, self.ctx), f"a second {p.name} changed"
+                assert print_module(module, canonical=True) == after
+            runs.append(p.name)
+            return changed
+
+        monkeypatch.setattr(PassManager, "_run_pass", checked_run_pass)
+        compile_program_uncached(app.build_program(app.default_size()),
+                                 build_options()[build])
+        assert "cleanup" in runs and len(set(runs)) > 5
+
+
+class _Reports:
+    """A stub pass that changes nothing and reports *changed*."""
+
+    def __init__(self, changed):
+        self.name = "changed" if changed else "no-op"
+        self.changed = changed
+
+    def run(self, module, ctx):
+        return self.changed
+
+
+class TestIdempotentSkip:
+    def test_cleanup_skipped_until_a_pass_reports_a_change(self):
+        from repro.ir import Module
+        from repro.passes import PassContext, PipelineStats
+        from repro.passes.cleanup import CleanupPass
+
+        ctx = PassContext(config=PipelineConfig(), stats=PipelineStats())
+        PassManager([
+            CleanupPass(), CleanupPass(), _Reports(False), CleanupPass(),
+            _Reports(True), CleanupPass(), CleanupPass(),
+        ], ctx).run(Module("m"))
+        assert [t.name for t in ctx.stats.timings] == [
+            "cleanup", "no-op", "changed", "cleanup"]
+
+    def test_skip_state_does_not_outlive_a_run(self):
+        from repro.ir import Module
+        from repro.passes import PassContext, PipelineStats
+        from repro.passes.cleanup import CleanupPass
+
+        ctx = PassContext(config=PipelineConfig(), stats=PipelineStats())
+        module = Module("m")
+        for _ in range(2):
+            PassManager([CleanupPass()], ctx).run(module)
+        assert [t.name for t in ctx.stats.timings] == ["cleanup", "cleanup"]

@@ -121,6 +121,26 @@ class TestSPMDization:
                            args=(flag, out, 64)))
         assert gpu.read_array(flag, np.int64, 1)[0] == 77
 
+    @pytest.mark.parametrize("via", ["direct", "pass manager"])
+    def test_cleanup_after_a_direct_pass_still_cleans(self, via):
+        """prep() ends in a cleanup, and a PassManager may skip a cleanup
+        that no change preceded; passes run outside the manager must not
+        make the next cleanup look skippable."""
+        from repro.passes.inline import InlinePass
+        from repro.passes.pass_manager import module_instruction_count
+
+        module, _ = lower_program_openmp(generic_program(), "new", RuntimeConfig())
+        ctx = prep(module)
+        assert SPMDizationPass().run(module, ctx)
+        assert InlinePass().run(module, ctx)  # leaves dead runtime code
+        before = module_instruction_count(module)
+        if via == "direct":
+            assert CleanupPass().run(module, ctx)
+        else:
+            assert PassManager([CleanupPass()], ctx).run(module)
+        assert module_instruction_count(module) < before
+        verify_module(module)
+
     def test_atomic_in_sequential_region_prevents_spmd(self):
         module, _ = lower_program_openmp(generic_program(), "new", RuntimeConfig())
         kern = module.get_function("kern")
