@@ -261,6 +261,7 @@ class PassManager:
 
     @classmethod
     def of_phases(cls, phases: List[Phase], ctx: PassContext) -> "PassManager":
+        """A manager whose ``run`` runs *phases* in order."""
         pm = cls([], ctx)
         pm.phases = phases
         return pm

@@ -5,7 +5,12 @@ from dataclasses import replace
 import pytest
 
 from repro.apps import gridmini, xsbench
-from repro.bench.builds import NEW_RT_NIGHTLY, OLD_RT_NIGHTLY, build_options
+from repro.bench.builds import (
+    NEW_RT_NIGHTLY,
+    NEW_RT_NO_ASSUME,
+    OLD_RT_NIGHTLY,
+    build_options,
+)
 from repro.frontend.driver import CompileOptions, Target
 from repro.ir.printer import print_module
 from repro.passes.pass_manager import PipelineConfig
@@ -110,10 +115,10 @@ class TestCompileFingerprint:
 
 
 class TestModuleFingerprint:
-    @pytest.mark.parametrize("build", [NEW_RT_NIGHTLY, OLD_RT_NIGHTLY])
-    def test_canonical_print_is_deterministic(self, build):
-        # The nightly pipelines run LICM over loops whose hoists must
-        # not depend on object identity (set iteration order).
+    @staticmethod
+    def _assert_deterministic(build):
+        # Nothing may depend on object identity, such as set order;
+        # LICM hoisting in set order broke this for the nightly builds.
         from repro.frontend.driver import compile_program_uncached
 
         prog = gridmini.build_program(TINY)
@@ -123,6 +128,13 @@ class TestModuleFingerprint:
         assert print_module(b.module, canonical=True) == text
         assert print_module(c.module, canonical=True) == text
         assert module_fingerprint(a.module) == module_fingerprint(b.module)
+
+    def test_canonical_print_is_deterministic(self):
+        self._assert_deterministic(NEW_RT_NO_ASSUME)
+
+    @pytest.mark.parametrize("build", [NEW_RT_NIGHTLY, OLD_RT_NIGHTLY])
+    def test_canonical_print_is_deterministic_nightly(self, build):
+        self._assert_deterministic(build)
 
     def test_name_hints_do_not_matter_in_canonical_mode(self, module):
         from tests.conftest import make_function
