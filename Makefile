@@ -59,7 +59,7 @@ PERFBENCH_WORKLOADS = compile-cold sweep-decoded sweep-warp serve-mixed
 perfbench:
 	@for w in $(PERFBENCH_WORKLOADS); do \
 		echo "perfbench: $$w"; \
-		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
 	done
 
 # `clean` deliberately keeps .repro-bench/ — the perf history's value

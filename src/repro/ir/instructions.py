@@ -43,6 +43,12 @@ CAST_OPS = {
 
 ATOMIC_OPS = {"add", "sub", "max", "min", "exchange"}
 
+#: Every opcode an instruction can carry.
+OPCODES = tuple(sorted(BINOPS | CAST_OPS | {
+    "icmp", "fcmp", "select", "alloca", "load", "store", "ptradd", "phi",
+    "br", "condbr", "ret", "unreachable", "call", "atomicrmw",
+}))
+
 
 class Instruction(Value):
     """Base class.  An instruction is itself a value (its result)."""

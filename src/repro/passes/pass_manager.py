@@ -307,13 +307,6 @@ class PassManager:
                 instructions_after=module_instruction_count(module),
                 started_s=start,
             ))
-        if changed:
-            # A pass mutated the module in place: drop any cached
-            # per-kernel resource measurements (repro.vgpu.resources)
-            # and warp vectorizations (repro.vgpu.warp) so
-            # post-optimization state is re-derived, not replayed.
-            module.__dict__.pop("_resource_cache", None)
-            module.__dict__.pop("_warp_vector_cache", None)
         if self.ctx.config.verify_each:
             try:
                 verify_module(module)

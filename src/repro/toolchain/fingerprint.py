@@ -22,7 +22,7 @@ import enum
 import hashlib
 import sys
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Dict, Iterator, Tuple
 
 from repro.frontend import ast as A
 from repro.ir.module import Module
@@ -51,6 +51,10 @@ def deep_recursion(limit: int = 100_000) -> Iterator[None]:
         sys.setrecursionlimit(old)
 
 
+#: Dataclass -> its field names, in declaration order.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
 def _canonical(obj: Any) -> Any:
     """Reduce *obj* to a hashable, deterministic structure."""
     if isinstance(obj, Type):
@@ -58,12 +62,14 @@ def _canonical(obj: Any) -> Any:
     if isinstance(obj, enum.Enum):
         return ("Enum", type(obj).__name__, obj.name)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        cls = type(obj)
+        names = _FIELD_NAMES.get(cls)
+        if names is None:
+            names = _FIELD_NAMES[cls] = tuple(
+                f.name for f in dataclasses.fields(cls))
         return (
-            type(obj).__name__,
-            tuple(
-                (f.name, _canonical(getattr(obj, f.name)))
-                for f in dataclasses.fields(obj)
-            ),
+            cls.__name__,
+            tuple((name, _canonical(getattr(obj, name))) for name in names),
         )
     if isinstance(obj, (list, tuple)):
         return tuple(_canonical(x) for x in obj)

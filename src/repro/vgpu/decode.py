@@ -549,17 +549,24 @@ _SIMPLE: Dict[Callable, _Spec] = {
 # and the op after such an op starts the next run.  Each run becomes one
 # generated function ``run(vm, thread, frame) -> cycles`` that executes
 # its ops inline, applies the taken edge's phi moves as one tuple
-# parallel copy (``r[4], r[5] = r[5], r[4]``), sets ``frame.pc`` to the
-# branch target (or to the op after the run) and bumps
-# ``opcode_counts`` and ``flops`` in bulk; the run loop retires its
-# steps at once.  A block without calls is thus one dispatch.  Entry is
-# only ever at the run's first op: branch targets are block starts and
-# calls return to the op after the call, where the next run starts.
+# parallel copy (``r[4], r[5] = r[5], r[4]``) and sets ``frame.pc`` to
+# the branch target (or to the op after the run).  A block without
+# calls is thus one dispatch.  Entry is only ever at the run's first
+# op: branch targets are block starts and calls return to the op after
+# the call, where the next run starts.
+#
+# A run counts nothing per op.  Its opcode histogram and flop count are
+# static (a :class:`_RunCounts`, the entry's last field); the run loop
+# retires the run's steps at once and bumps one hit per executed run in
+# ``TeamStats.run_hits``, and ``TeamStats.settle`` folds hits x counts
+# into ``opcode_counts`` and ``flops`` when the team ends, by an
+# exception too.  Loads and stores still count their address space
+# inline: that depends on the pointer.
 #
 # Code is generated lazily, on a function's first decoded execution
 # (never for warp launches), and compiled once per process: the cache
-# is keyed by a digest of the generated source, never by the Function
-# (passes mutate IR in place).  Every device renders its own source — slot
+# is keyed by a digest of the generated source and the run's counts,
+# never by the Function (passes mutate IR in place).  Every device renders its own source — slot
 # numbers, widths, branch targets and costs are literals in it — and
 # binds any non-literal constant (IR types, struct pack/unpack, math
 # functions) as a closure argument of the cached factory.
@@ -570,14 +577,26 @@ _SIMPLE: Dict[Callable, _Spec] = {
 #: parser's transient memory grows with the source.
 _MAX_RUN = 64
 
-#: Source digest -> (factory ``_make(*consts) -> run function``, the
-#: source line on which each simple op's code starts).  Bounded, oldest
+#: Digest of source and counts -> (factory ``_make(*consts) -> run
+#: function``, the source line on which each simple op's code starts,
+#: the run's :class:`_RunCounts`).  Bounded, oldest
 #: entry first out: a long-lived service sees ever new programs, while
 #: all 24 app x build cells together need 701 runs.
-_FUSED_MAKERS: Dict[bytes, Tuple[Callable, Tuple[int, ...]]] = {}
+_FUSED_MAKERS: Dict[bytes, Tuple[Callable, Tuple[int, ...], _RunCounts]] = {}
 _FUSED_CACHE_SIZE = 4096
 
 _LITERALS = (int, type(None))
+
+
+class _RunCounts:
+    """Static counts of a fused run: ``opcodes`` (``((opcode, n), ...)``)
+    and ``flops``.  Hashed by identity, it keys ``TeamStats.run_hits``."""
+
+    __slots__ = ("opcodes", "flops")
+
+    def __init__(self, opcodes: Tuple[Tuple[str, int], ...], flops: int) -> None:
+        self.opcodes = opcodes
+        self.flops = flops
 
 
 class _Lit:
@@ -605,7 +624,7 @@ class _Lit:
 def _fuse(code: DecodedFunction) -> List[tuple]:
     """Build (once per decoded function) the op list decoded frames run:
     ``code.ops`` with each run's first op replaced by the run entry
-    ``(None, n, run_fn, stop_pc, first_op, op_first_lines)``, where
+    ``(None, n, run_fn, stop_pc, first_op, op_first_lines, counts)``, where
     *stop_pc* is the pc at which the run's simple ops end (its
     terminator, or the op after the run)."""
     ops = code.ops
@@ -641,10 +660,13 @@ def _compile_run(run_ops: Tuple[tuple, ...], stop: int) -> tuple:
     Runs compile one by one: compiling a whole function's runs as one
     source costs tens of MB of transient parser memory on the larger
     apps.  The cache key is a digest of the source, which holds only
-    literals and closure names, so equal sources are the same code."""
+    literals and closure names, so equal sources are the same code,
+    and of the run's counts (two opcodes can render the same code)."""
     names: Dict = {}
-    lines = [None, "    def run(vm, thread, frame):", "        r = frame.regs",
-             "        st = thread.stats", "        c = 0"]
+    lines = [None, "    def run(vm, thread, frame):", "        r = frame.regs"]
+    if any("st." in _SIMPLE[op[0]].template for op in run_ops if op[0] in _SIMPLE):
+        lines.append("        st = thread.stats")  # loads/stores count by space
+    lines.append("        c = 0")
     first = []
     static = flops = 0
     counts: Dict[str, int] = {}
@@ -675,24 +697,23 @@ def _compile_run(run_ops: Tuple[tuple, ...], stop: int) -> tuple:
         flops += spec.flop
     else:
         lines.append(f"        frame.pc = {run_ops[-1][2]}")
-    lines.append("        oc = st.opcode_counts")
-    lines += [f"        oc[{k!r}] += {n}" for k, n in counts.items()]
-    if flops:
-        lines.append(f"        st.flops += {flops}")
     lines.append(f"        return c + {static}")
     lines.append("    return run")
     lines[0] = f"def _make({', '.join(names.values())}):"
     src = "\n".join(lines)
-    key = hashlib.blake2b(src.encode(), digest_size=16).digest()
+    opcodes = tuple(counts.items())
+    key = hashlib.blake2b(f"{src}\n{opcodes} {flops}".encode(),
+                          digest_size=16).digest()
     cached = _FUSED_MAKERS.get(key)
     if cached is None:
         ns: Dict = {}
         exec(compile(src, "<repro.vgpu.decode fused run>", "exec"), globals(), ns)
         if len(_FUSED_MAKERS) >= _FUSED_CACHE_SIZE:
             del _FUSED_MAKERS[next(iter(_FUSED_MAKERS))]
-        cached = _FUSED_MAKERS[key] = (ns["_make"], tuple(first))
-    make, first = cached
-    return (None, len(run_ops), make(*names), stop, run_ops[0], first)
+        cached = _FUSED_MAKERS[key] = (
+            ns["_make"], tuple(first), _RunCounts(opcodes, flops))
+    make, first, run_counts = cached
+    return (None, len(run_ops), make(*names), stop, run_ops[0], first, run_counts)
 
 
 def _unwind_run(vm, thread, frame, exc: BaseException) -> Tuple[int, int]:
@@ -1697,10 +1718,13 @@ def _run(vm, thread: ThreadContext, fn_cycles) -> None:
 
     Steps and cycles accumulate in locals and are flushed on every
     exit path (including exceptions), so the profile counters match
-    the legacy engine even on traps and step-limit aborts.
+    the legacy engine even on traps and step-limit aborts.  Fused runs
+    count one hit each; the team driver settles them into the opcode
+    counters (``TeamStats.settle``).
     """
     max_steps = vm.config.max_steps_per_thread
     counts = thread.stats.opcode_counts
+    hits = thread.stats.run_hits
     frames = thread.frames
     steps = thread.steps
     cycles = 0
@@ -1719,6 +1743,8 @@ def _run(vm, thread: ThreadContext, fn_cycles) -> None:
                     op = op[4]
                     break
                 c = op[2](vm, thread, frame)
+                run = op[6]
+                hits[run] = hits.get(run, 0) + 1
                 steps += n
                 cycles += c
                 if fn_cycles is not None:

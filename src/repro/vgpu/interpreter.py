@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait as _wait_futures
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.memory.addrspace import AddressSpace, make_pointer, pointer_space
 from repro.memory.layout import DATA_LAYOUT
@@ -114,7 +114,7 @@ from repro.trace.categories import OVERHEAD_CATEGORIES
 from repro.trace.collector import active_or_none as _active_trace
 from repro.vgpu.launchspec import LaunchResult, LaunchSpec
 from repro.vgpu.profiler import KernelProfile, TeamStats
-from repro.vgpu.resources import measure_resources
+from repro.vgpu.resources import ResourceUsage, measure_resources
 
 _RUNTIME_CATEGORY = OVERHEAD_CATEGORIES.get
 
@@ -200,9 +200,14 @@ class VirtualGPU:
         self.function_addresses: Dict[Function, int] = {}
         self._functions_by_address: Dict[int, Function] = {}
         self._string_table: Dict[int, str] = {}
-        #: Per-device bound decode cache (only the generated code of
-        #: fused runs is shared process-wide, see :mod:`repro.vgpu.decode`).
+        #: Per-device caches of everything derived from the IR: bound
+        #: decodes, warp vectorizations and resource measurements.  Never
+        #: on the module, which passes mutate in place (only the generated
+        #: code of fused runs is shared process-wide, keyed by its source;
+        #: see :mod:`repro.vgpu.decode`).
         self._bound_cache: Dict[Function, _decode.BoundFunction] = {}
+        self._warp_cache: Dict[Function, Any] = {}
+        self._resource_cache: Dict[Function, ResourceUsage] = {}
         #: Whether this module may execute in warp lockstep.  The old
         #: runtime's shared-memory stack bumps a single team-wide top
         #: with a plain load/add/store — a benign race under the serial
@@ -403,7 +408,10 @@ class VirtualGPU:
             num_teams=num_teams,
             threads_per_team=threads_per_team,
         )
-        resources = measure_resources(func, self.module)
+        resources = self._resource_cache.get(func)
+        if resources is None:
+            resources = self._resource_cache[func] = measure_resources(
+                func, self.module)
         profile.registers = resources.registers
         profile.shared_memory_bytes = resources.shared_memory_bytes
 
@@ -488,9 +496,10 @@ class VirtualGPU:
         after module load (so per-request ``alloc_array`` data and
         kernel-visible global mutations are discarded), shared/local
         segments are dropped for lazy re-creation, and launch-scoped
-        state is cleared.  Decode bindings (``_bound_cache``) survive —
-        that is the point of pooling warm devices: repeat requests skip
-        both module load *and* kernel decode.
+        state is cleared.  Decode bindings, warp vectorizations and
+        resource measurements survive — that is the point of pooling
+        warm devices: repeat requests skip both module load *and*
+        kernel decode.
         """
         if self.sanitize:
             raise SimulationError(
@@ -616,72 +625,77 @@ class VirtualGPU:
         team_time = 0
         plog = stats.phase_log if self._trace is not None else None
         alive = list(threads)
-        while alive:
-            if abort is not None and abort.expired():
-                raise WatchdogExpired(
-                    f"watchdog ({abort.seconds:g}s) expired: team {team_id} "
-                    f"of @{kernel.name} aborted at a phase boundary"
-                )
-            if warp:
-                for wx in warps:
-                    wx.run_phase()
-            else:
-                for thread in alive:
-                    if thread.status is _RUNNING:
-                        if decoded:
-                            _decode.run_thread(self, thread)
-                        else:
-                            self._run_thread(thread, launch, stats)
-            still = [t for t in alive if t.status is not _DONE]
-            if self.sanitize and still and len(still) < len(alive):
-                # Some threads exited the kernel while teammates wait at
-                # a barrier that can now never be satisfied: on hardware
-                # this is a hang; here it is a structured diagnostic.
-                waiting = sorted(t.thread_id for t in still)
-                exited = sorted(
-                    t.thread_id for t in alive if t.status is _DONE)
-                raise BarrierDivergence(
-                    f"barrier divergence in team {team_id}: threads "
-                    f"{exited} finished the kernel while threads "
-                    f"{waiting} wait at a barrier", team=team_id,
-                )
-            alive = still
-            if not alive:
-                break
-            # Everyone alive is at a barrier: close the phase.
-            barrier_calls = {t.barrier_call for t in alive}
-            aligned = all(
-                self._barrier_is_aligned(c) for c in barrier_calls if c is not None
-            )
-            if aligned and len(barrier_calls) > 1:
-                if self.sanitize:
+        try:
+            while alive:
+                if abort is not None and abort.expired():
+                    raise WatchdogExpired(
+                        f"watchdog ({abort.seconds:g}s) expired: team {team_id} "
+                        f"of @{kernel.name} aborted at a phase boundary"
+                    )
+                if warp:
+                    for wx in warps:
+                        wx.run_phase()
+                else:
+                    for thread in alive:
+                        if thread.status is _RUNNING:
+                            if decoded:
+                                _decode.run_thread(self, thread)
+                            else:
+                                self._run_thread(thread, launch, stats)
+                still = [t for t in alive if t.status is not _DONE]
+                if self.sanitize and still and len(still) < len(alive):
+                    # Some threads exited the kernel while teammates wait at
+                    # a barrier that can now never be satisfied: on hardware
+                    # this is a hang; here it is a structured diagnostic.
+                    waiting = sorted(t.thread_id for t in still)
+                    exited = sorted(
+                        t.thread_id for t in alive if t.status is _DONE)
                     raise BarrierDivergence(
-                        f"threads of team {team_id} reached different "
-                        f"aligned barrier instructions", team=team_id,
+                        f"barrier divergence in team {team_id}: threads "
+                        f"{exited} finished the kernel while threads "
+                        f"{waiting} wait at a barrier", team=team_id,
                     )
-                if self.debug_checks:
-                    raise DivergenceError(
-                        f"threads of team {team_id} reached different aligned "
-                        f"barrier instructions"
-                    )
-            barrier_cost = max(
-                (self._barrier_cost(c) for c in barrier_calls if c is not None),
-                default=0,
-            )
-            phase = max(t.phase_cycles for t in threads)
-            team_time += phase + barrier_cost
-            stats.barriers += 1
-            if aligned:
-                stats.barriers_aligned += 1
-            else:
-                stats.barriers_unaligned += 1
-            if plog is not None:
-                plog.append((phase, barrier_cost, aligned))
-            for t in threads:
-                t.phase_cycles = 0
-                if t.status is _AT_BARRIER:
-                    t.status = _RUNNING
-                    t.barrier_call = None
+                alive = still
+                if not alive:
+                    break
+                # Everyone alive is at a barrier: close the phase.
+                barrier_calls = {t.barrier_call for t in alive}
+                aligned = all(
+                    self._barrier_is_aligned(c) for c in barrier_calls if c is not None
+                )
+                if aligned and len(barrier_calls) > 1:
+                    if self.sanitize:
+                        raise BarrierDivergence(
+                            f"threads of team {team_id} reached different "
+                            f"aligned barrier instructions", team=team_id,
+                        )
+                    if self.debug_checks:
+                        raise DivergenceError(
+                            f"threads of team {team_id} reached different aligned "
+                            f"barrier instructions"
+                        )
+                barrier_cost = max(
+                    (self._barrier_cost(c) for c in barrier_calls if c is not None),
+                    default=0,
+                )
+                phase = max(t.phase_cycles for t in threads)
+                team_time += phase + barrier_cost
+                stats.barriers += 1
+                if aligned:
+                    stats.barriers_aligned += 1
+                else:
+                    stats.barriers_unaligned += 1
+                if plog is not None:
+                    plog.append((phase, barrier_cost, aligned))
+                for t in threads:
+                    t.phase_cycles = 0
+                    if t.status is _AT_BARRIER:
+                        t.status = _RUNNING
+                        t.barrier_call = None
+        finally:
+            # Fused runs count hits, not ops: fold them into the opcode
+            # counters once per team, also when the team fails.
+            stats.settle()
         tail = max((t.phase_cycles for t in threads), default=0)
         team_time += tail
         if plog is not None:

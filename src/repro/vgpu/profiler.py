@@ -5,12 +5,18 @@ quantities the paper's Fig. 11 reports (kernel time, register count,
 static shared memory) plus the instruction mix the harness uses for
 derived metrics (GFlops for GridMini, Fig. 12).
 
-Counting happens in exactly one place: both execution engines (the
-legacy tree-walking interpreter and the pre-decoded engine) accumulate
-into a per-team :class:`TeamStats`, and :meth:`KernelProfile.merge_team`
-folds team results into the launch profile in team order.  Because the
-accumulator and the merge are shared, the two engines — and serial vs.
+Counting happens in exactly one place: every execution engine
+(legacy, decoded and warp) accumulates into a per-team
+:class:`TeamStats`, and :meth:`KernelProfile.merge_team` folds team
+results into the launch profile in team order.  Because the
+accumulator and the merge are shared, the engines — and serial vs.
 parallel team simulation — cannot drift apart in what they count.
+
+The counters the engines bump per executed op are plain dicts, keyed
+up front with every opcode, address space and overhead category, so a
+bump is an exact-dict subscript (a ``Counter`` is a dict subclass,
+which CPython's specialized dict paths skip).  The merge drops zero
+entries, so profiles only carry what executed.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Tuple
 
+from repro.ir.instructions import OPCODES
 from repro.memory.addrspace import AddressSpace
+from repro.trace.categories import CATEGORY_NAMES
 
 #: Nominal clock used to convert cycles into "seconds" and flops/cycle
 #: into "GFlops".  Arbitrary but fixed, so ratios between builds are
@@ -43,16 +51,20 @@ class TeamStats:
     """
 
     instructions: int = 0
-    opcode_counts: Counter = field(default_factory=Counter)
-    loads_by_space: Counter = field(default_factory=Counter)
-    stores_by_space: Counter = field(default_factory=Counter)
+    opcode_counts: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(OPCODES, 0))
+    loads_by_space: Dict[AddressSpace, int] = field(
+        default_factory=lambda: dict.fromkeys(AddressSpace, 0))
+    stores_by_space: Dict[AddressSpace, int] = field(
+        default_factory=lambda: dict.fromkeys(AddressSpace, 0))
     flops: int = 0
     barriers: int = 0
     output: List[str] = field(default_factory=list)
     shared_stack_high_water: int = 0
     #: Executed calls to categorized runtime functions, keyed by the
     #: paper overhead category (:mod:`repro.trace.categories`).
-    runtime_calls: Counter = field(default_factory=Counter)
+    runtime_calls: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(CATEGORY_NAMES, 0))
     #: Barrier phases closed by an aligned / unaligned barrier.
     barriers_aligned: int = 0
     barriers_unaligned: int = 0
@@ -68,6 +80,30 @@ class TeamStats:
     #: consumed by :mod:`repro.trace.device` (never merged into the
     #: profile).
     phase_log: List[Tuple[int, int, Any]] = field(default_factory=list)
+    #: Executions per fused run of the decoded engine, keyed by the
+    #: run's static counts: ``opcodes`` (``((opcode, n), ...)``) and
+    #: ``flops``; :meth:`settle` folds them in.
+    run_hits: Dict[Any, int] = field(default_factory=dict)
+
+    def settle(self) -> None:
+        """Fold :attr:`run_hits` x each run's static counts into
+        ``opcode_counts`` and ``flops``.  The team driver calls this
+        when the team ends, also by an exception, so the counters read
+        the same as if every op had been counted as it ran."""
+        counts = self.opcode_counts
+        for run, n in self.run_hits.items():
+            for opcode, k in run.opcodes:
+                counts[opcode] += n * k
+            self.flops += n * run.flops
+        self.run_hits.clear()
+
+
+def _add_nonzero(into: Counter, counts: Dict) -> None:
+    """``into.update(counts)`` without the zero entries of a pre-keyed
+    team counter."""
+    for key, n in counts.items():
+        if n:
+            into[key] += n
 
 
 @dataclass
@@ -121,16 +157,16 @@ class KernelProfile:
         """
         self.team_cycles[team_id] = team_time
         self.instructions += stats.instructions
-        self.opcode_counts.update(stats.opcode_counts)
-        self.loads_by_space.update(stats.loads_by_space)
-        self.stores_by_space.update(stats.stores_by_space)
+        _add_nonzero(self.opcode_counts, stats.opcode_counts)
+        _add_nonzero(self.loads_by_space, stats.loads_by_space)
+        _add_nonzero(self.stores_by_space, stats.stores_by_space)
         self.flops += stats.flops
         self.barriers += stats.barriers
         self.output.extend(stats.output)
         self.shared_stack_high_water = max(
             self.shared_stack_high_water, stats.shared_stack_high_water
         )
-        self.runtime_calls.update(stats.runtime_calls)
+        _add_nonzero(self.runtime_calls, stats.runtime_calls)
         self.barriers_aligned += stats.barriers_aligned
         self.barriers_unaligned += stats.barriers_unaligned
         self.device_mallocs += stats.device_mallocs

@@ -90,27 +90,13 @@ def static_instruction_count(kernel: Function, module: Module) -> int:
 
 
 def measure_resources(kernel: Function, module: Module) -> ResourceUsage:
-    """Static footprint of *kernel*, cached on the module.
+    """Static footprint of *kernel* (each :class:`VirtualGPU` caches it
+    per kernel for its own launches)."""
+    from repro.vgpu.registers import estimate_kernel_registers
 
-    The measurement walks the call graph four times, which is pure
-    launch overhead for a module that no longer changes.  The cache
-    lives in the module's ``__dict__`` keyed by function identity, so
-    it dies with the module and two kernels of the same name in
-    different modules never mix; the pass manager drops it whenever a
-    pass mutates the module in place.
-    """
-    cache = module.__dict__.setdefault("_resource_cache", {})
-    usage = cache.get(id(kernel))
-    if usage is None:
-        from repro.vgpu.registers import estimate_kernel_registers
-
-        usage = ResourceUsage(
-            shared_memory_bytes=shared_memory_usage(kernel, module),
-            registers=estimate_kernel_registers(kernel, module),
-            instruction_count=static_instruction_count(kernel, module),
-            shared_globals=tuple(
-                g.name for g in shared_globals_of(kernel, module)
-            ),
-        )
-        cache[id(kernel)] = usage
-    return usage
+    return ResourceUsage(
+        shared_memory_bytes=shared_memory_usage(kernel, module),
+        registers=estimate_kernel_registers(kernel, module),
+        instruction_count=static_instruction_count(kernel, module),
+        shared_globals=tuple(g.name for g in shared_globals_of(kernel, module)),
+    )

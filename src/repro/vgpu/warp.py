@@ -1594,44 +1594,17 @@ def vectorize_function(bound, flow):
     return WarpFunction(code, vops, bound.init_regs)
 
 
-def _binding_fingerprint(vm):
-    """Everything device-specific the bound micro-ops embed: the
-    addresses assigned to globals and functions.  Two devices with the
-    same fingerprint decode+bind any function of the module to
-    byte-identical programs, so they may share its vectorization."""
-    return (
-        tuple(sorted(
-            (gv.name, addr) for gv, addr in vm.global_addresses.items()
-        )),
-        tuple(sorted(
-            (f.name, addr) for f, addr in vm.function_addresses.items()
-        )),
-    )
-
-
 def bind_warp(vm, func) -> WarpFunction:
-    """Vectorize *func* for *vm*; cached per device like the decoded
-    engine's ``vm._bound_cache`` (and layered on top of it), with a
-    second-level cache on the module keyed by the device's binding
-    fingerprint — a fresh ``VirtualGPU`` over an already-vectorized
-    module (the benchmarking / re-launch shape) skips the whole
-    reconvergence analysis and translation."""
-    cache = getattr(vm, "_warp_cache", None)
-    if cache is None:
-        cache = vm._warp_cache = {}
-    wf = cache.get(func)
-    if wf is not None:
-        return wf
-    if_convert = getattr(vm, "warp_if_convert", True)
-    mcache = vm.module.__dict__.setdefault("_warp_vector_cache", {})
-    mkey = (id(func), bool(if_convert), _binding_fingerprint(vm))
-    wf = mcache.get(mkey)
+    """Vectorize *func* for *vm*; cached per device in ``vm._warp_cache``
+    (layered on the decoded engine's ``vm._bound_cache``), never on the
+    module: passes mutate functions in place, so a vectorization keyed
+    on the function could outlive the IR it came from."""
+    wf = vm._warp_cache.get(func)
     if wf is None:
         bound = bind_function(vm, func)
-        flow = compute_warp_flow(bound.code, if_convert=if_convert)
-        wf = vectorize_function(bound, flow)
-        mcache[mkey] = wf
-    cache[func] = wf
+        flow = compute_warp_flow(
+            bound.code, if_convert=getattr(vm, "warp_if_convert", True))
+        wf = vm._warp_cache[func] = vectorize_function(bound, flow)
     return wf
 
 

@@ -113,6 +113,20 @@ class TestCompileFingerprint:
         )
         assert a != compile_fingerprint(prog, CompileOptions(Target.CUDA))
 
+    @pytest.mark.parametrize("app,target,digest", [
+        ("gridmini", Target.OPENMP_NEW,
+         "40a79ed826453f9207141d7859cb8c361093eb264d828a7252ad321ea2b58c14"),
+        ("xsbench", Target.OPENMP_OLD,
+         "413948b6e06412fbb588c5732b6c9fb7da15e779dbd47a2290990576bc7fbf9a"),
+    ])
+    def test_pinned_digest(self, app, target, digest):
+        """Cache keys are persistent: a change to how programs or
+        options are canonicalized must not change a digest."""
+        mod = {"gridmini": gridmini, "xsbench": xsbench}[app]
+        size = TINY if app == "gridmini" else xsbench.default_size()
+        assert compile_fingerprint(
+            mod.build_program(size), CompileOptions(target)) == digest
+
 
 class TestModuleFingerprint:
     @staticmethod

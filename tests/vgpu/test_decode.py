@@ -19,6 +19,7 @@ from repro.ir import (
 )
 from repro.ir.instructions import BinOp
 from repro.ir.values import Constant
+from repro.memory.addrspace import AddressSpace
 from repro.vgpu import CostModel, GPUConfig, LaunchSpec, SimulationError, VirtualGPU
 from repro.vgpu import decode as D
 from tests.conftest import make_function, make_kernel
@@ -115,21 +116,56 @@ class TestDecodePass:
         gpu_a = VirtualGPU(module, engine="decoded")
         before = D.bind_function(gpu_a, func).code
         n_before = len(before.ops)
-        # Simulate an optimizing pass: drop the loop, store 45 directly.
-        for block in list(func.blocks)[1:]:
-            func.remove_block(block)
-        entry = func.blocks[0]
-        entry.instructions.clear()
-        b = IRBuilder(module, entry)
-        b.store(b.i64(45), func.args[0])
-        b.ret()
-        verify_module(module)
+        _store_45_in_place(module, func)
         gpu_b = VirtualGPU(module, engine="decoded")
         after = D.bind_function(gpu_b, func).code
         assert len(after.ops) < n_before
         out = gpu_b.alloc_array(np.zeros(1, dtype=np.int64))
         gpu_b.run(LaunchSpec(kernel=func.name, args=(out, 10)))
         assert gpu_b.read_array(out, np.int64, 1)[0] == 45
+
+    def test_in_place_mutation_not_served_stale_after_warp(self):
+        """The same mutation after a warp launch: a new device on either
+        engine runs the new IR, not a vectorization of the old loop."""
+        module, func = _phi_loop_module()
+        assert _launch(module, "warp") == (sum(range(10)), 55)
+        _store_45_in_place(module, func)
+        assert _launch(module, "warp") == _launch(module, "decoded") == (45, 2)
+
+    def test_in_place_mutation_remeasures_registers(self):
+        from repro.vgpu.registers import estimate_kernel_registers
+
+        module, func = _phi_loop_module()
+        gpu_a = VirtualGPU(module, engine="decoded")
+        out = gpu_a.alloc_array(np.zeros(1, dtype=np.int64))
+        before = gpu_a.run(LaunchSpec(kernel="kern", args=(out, 10))).profile
+        _store_45_in_place(module, func)
+        gpu_b = VirtualGPU(module, engine="decoded")
+        out = gpu_b.alloc_array(np.zeros(1, dtype=np.int64))
+        after = gpu_b.run(LaunchSpec(kernel="kern", args=(out, 10))).profile
+        fresh = estimate_kernel_registers(func, module)
+        assert after.registers == fresh != before.registers
+
+
+def _store_45_in_place(module, func):
+    """Simulate an optimizing pass on _phi_loop_module's kernel, in
+    place: drop the loop, store 45 directly."""
+    for block in list(func.blocks)[1:]:
+        func.remove_block(block)
+    entry = func.blocks[0]
+    entry.instructions.clear()
+    b = IRBuilder(module, entry)
+    b.store(b.i64(45), func.args[0])
+    b.ret()
+    verify_module(module)
+
+
+def _launch(module, engine):
+    """(stored value, instructions) of a 1x1 launch of @kern(out, 10)."""
+    gpu = VirtualGPU(module, engine=engine)
+    out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
+    profile = gpu.run(LaunchSpec(kernel="kern", args=(out, 10))).profile
+    return gpu.read_array(out, np.int64, 1)[0], profile.instructions
 
 
 class TestDecodedExecution:
@@ -622,3 +658,59 @@ def test_new_rt_blocks_decode_to_one_run_each(app_name):
             assert sum(fused[pc][1] for pc in entries) == end - start
             checked += 1
     assert checked
+
+
+# ---------------------------------------------------------------------------
+# Team counters: exact dicts on the hot path, one hit per fused run.
+# ---------------------------------------------------------------------------
+
+_HOT_COUNTERS = ("opcode_counts", "loads_by_space", "stores_by_space",
+                 "runtime_calls")
+
+
+class TestTeamCounters:
+    @pytest.mark.parametrize("engine", ["legacy", "decoded", "warp"])
+    def test_hot_counters_are_exact_dicts(self, engine, monkeypatch):
+        module, func = _phi_loop_module()
+        with monkeypatch.context() as m:
+            seen = _capture(m)
+            _launch(module, engine)
+        (stats,) = seen["stats"]
+        for name in _HOT_COUNTERS:
+            assert type(getattr(stats, name)) is dict, name
+
+    def test_fused_run_source_counts_no_opcodes(self, monkeypatch):
+        sources = []
+
+        def spy(src, filename, mode):
+            sources.append(src)
+            return compile(src, filename, mode)
+
+        monkeypatch.setattr(D, "_FUSED_MAKERS", {})
+        monkeypatch.setattr(D, "compile", spy, raising=False)
+        module = _straight_line_module("div")
+        gpu = VirtualGPU(module, engine="decoded")
+        out = gpu.alloc_array(np.array([7, 0], dtype=np.int64))
+        profile = gpu.run(LaunchSpec(kernel="kern", args=(out, 2, 0))).profile
+        assert len(sources) >= 2
+        for src in sources:
+            assert "opcode_counts" not in src and "flops" not in src
+        # ... yet every op of the runs is counted, flops included.
+        assert profile.opcode_counts["fmul"] == profile.opcode_counts["sdiv"] == 1
+        assert profile.flops == 2
+
+    @pytest.mark.parametrize("engine", ["legacy", "decoded", "warp"])
+    def test_untouched_keys_are_not_reported(self, engine):
+        module, func = _phi_loop_module()
+        gpu = VirtualGPU(module, engine=engine)
+        out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
+        profile = gpu.run(LaunchSpec(kernel="kern", num_teams=2,
+                                     threads_per_team=4, args=(out, 3))).profile
+        assert set(profile.opcode_counts) == {
+            "br", "condbr", "icmp", "add", "store", "ret"}
+        assert dict(profile.stores_by_space) == {AddressSpace.GLOBAL: 8}
+        assert profile.loads_by_space == {} and profile.runtime_calls == {}
+        for name in _HOT_COUNTERS:
+            assert 0 not in getattr(profile, name).values(), name
+        data = profile.to_dict()
+        assert data["loads_by_space"] == data["runtime_calls"] == {}
