@@ -147,29 +147,32 @@ def make_inputs(size: Dict[str, int], seed: int = 20220530):
 
 
 def reference(size: Dict[str, int], egrids, xs_data, mats, concs) -> np.ndarray:
-    """NumPy reference reproducing the device arithmetic exactly."""
+    """NumPy reference reproducing the device arithmetic exactly: every
+    lookup at once, in the device's nuclide and cross-section order."""
     n = size["n_lookups"]
     out = np.zeros((n, N_XS))
-    energies = lcg_rand01_host(np.arange(n, dtype=np.int64))
-    for iv in range(n):
-        e = energies[iv]
-        mat = iv % size["n_mats"]
-        for j in range(size["nucs_per_mat"]):
-            nuc = int(mats[mat, j])
-            conc = concs[mat, j]
-            grid = egrids[nuc]
-            lo, hi = 0, size["n_gridpoints"] - 1
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if grid[mid] > e:
-                    hi = mid
-                else:
-                    lo = mid
-            f = (e - grid[lo]) / (grid[lo + 1] - grid[lo])
-            for k in range(N_XS):
-                lo_xs = xs_data[nuc, lo, k]
-                hi_xs = xs_data[nuc, lo + 1, k]
-                out[iv, k] += conc * (lo_xs + f * (hi_xs - lo_xs))
+    e = lcg_rand01_host(np.arange(n, dtype=np.int64))
+    mat = np.arange(n) % size["n_mats"]
+    for j in range(size["nucs_per_mat"]):
+        nuc = mats[mat, j]
+        conc = concs[mat, j]
+        # The device's binary search, one step for every lane still
+        # searching (no searchsorted: ties must split the same way).
+        lo = np.zeros(n, np.int64)
+        hi = np.full(n, size["n_gridpoints"] - 1, np.int64)
+        searching = hi - lo > 1
+        while searching.any():
+            mid = (lo + hi) // 2
+            above = egrids[nuc, mid] > e
+            hi = np.where(searching & above, mid, hi)
+            lo = np.where(searching & ~above, mid, lo)
+            searching = hi - lo > 1
+        g_lo = egrids[nuc, lo]
+        f = (e - g_lo) / (egrids[nuc, lo + 1] - g_lo)
+        for k in range(N_XS):
+            lo_xs = xs_data[nuc, lo, k]
+            hi_xs = xs_data[nuc, lo + 1, k]
+            out[:, k] += conc * (lo_xs + f * (hi_xs - lo_xs))
     return out
 
 

@@ -17,7 +17,9 @@ runs is reported to suppress scheduler noise.
 Old-runtime builds are not lockstep-safe, so their warp cells actually
 measure the decoded fallback; they are flagged ``warp_fallback`` and
 excluded from the warp geomean (which must only average true
-warp-vectorized execution).
+warp-vectorized execution).  Only launches whose every team fell back
+are flagged: a launch whose team 0 ran warp and whose other teams were
+gated onto decoded for low lane occupancy counts at the speed it ran.
 
 The JSON report written to ``BENCH_sim.json`` is deterministic in
 structure (sorted keys, fixed cell order); the wall-clock numbers of
@@ -93,7 +95,7 @@ def measure_cell(
         result = gpu.run(spec)
         walls.append(max(time.perf_counter() - t0, 1e-9))
         profile = result.profile
-        warp_fallback = result.fallback is not None
+        warp_fallback = result.executed_engine != ENGINE_WARP
     best = min(walls)
     wall_stats = record.stats(walls)
     cell = {
@@ -108,7 +110,7 @@ def measure_cell(
     }
     if engine == ENGINE_WARP:
         # As the launch reports it: true for old-runtime builds, whose
-        # warp launches run the decoded scalar fallback.
+        # warp launches run wholly on the decoded scalar fallback.
         cell["warp_fallback"] = warp_fallback
     return cell
 

@@ -7,6 +7,7 @@ from repro.vgpu.config import (  # noqa: F401
     ENGINE_WARP,
     ENGINES,
     FALLBACK_FAULT_PLAN,
+    FALLBACK_LOW_OCCUPANCY,
     FALLBACK_OLD_RT,
     FALLBACK_SANITIZE,
     GPUConfig,

@@ -24,10 +24,12 @@ ENGINES = (ENGINE_DECODED, ENGINE_LEGACY, ENGINE_WARP)
 #: Why a team of a warp-requested launch ran on the decoded engine
 #: (:attr:`repro.vgpu.LaunchResult.fallback`): the old runtime's shared
 #: stack is not lockstep-safe, an armed fault plan needs the scalar
-#: fault hooks, sanitize mode needs the shadow-checked memory path.
+#: fault hooks, sanitize mode needs the shadow-checked memory path, or
+#: team 0 of the launch kept too few lanes active for lockstep to pay.
 FALLBACK_OLD_RT = "old-rt-shared-stack"
 FALLBACK_FAULT_PLAN = "fault-plan"
 FALLBACK_SANITIZE = "sanitize"
+FALLBACK_LOW_OCCUPANCY = "low-occupancy"
 
 
 def resolve_sim_engine(engine: Optional[str] = None) -> str:

@@ -71,6 +71,7 @@ from repro.vgpu import decode as _decode
 from repro.vgpu.config import (
     DEFAULT_CONFIG,
     FALLBACK_FAULT_PLAN,
+    FALLBACK_LOW_OCCUPANCY,
     FALLBACK_OLD_RT,
     FALLBACK_SANITIZE,
     GPUConfig,
@@ -123,6 +124,14 @@ _AT_BARRIER = ThreadStatus.AT_BARRIER
 _DONE = ThreadStatus.DONE
 
 _I64 = IntType(64)
+
+#: Below this lane occupancy of team 0 (see ``warp.lane_occupancy``) a
+#: warp launch runs its other teams decoded.  One warp dispatch costs
+#: 4-7 us of NumPy work against about 0.28 us per decoded op, and
+#: minifmm's warp launches, at 7-8 of 32 lanes, took 1.8-2.1x as long
+#: as decoded; every cell that beats decoded runs at 31-32 lanes.
+_MIN_WARP_OCCUPANCY = 0.5
+
 
 class CooperativeWatchdog:
     """Cooperative wall-clock abort shared by every team of a launch.
@@ -225,6 +234,9 @@ class VirtualGPU:
         #: Team id -> why that team of the current warp-requested launch
         #: ran decoded (reported on its LaunchResult).
         self._fallbacks: Dict[int, str] = {}
+        #: Set when team 0 of the current launch ran warp below
+        #: ``_MIN_WARP_OCCUPANCY``: the launch's later teams run decoded.
+        self._low_occupancy = False
         self._materialize_globals()
         self._assign_function_addresses()
         self._apply_environment()
@@ -367,8 +379,9 @@ class VirtualGPU:
             profile=profile,
             engine=engine,
             executed_engine=ENGINE_DECODED if everywhere else engine,
-            # one reason per launch: only the fault plan is per team
-            fallback=next(iter(fallbacks.values()), None),
+            # a fault plan arms single teams and low occupancy gates
+            # teams >= 1, so reasons can mix: the lowest team's wins
+            fallback=fallbacks[min(fallbacks)] if fallbacks else None,
             started_s=started,
             finished_s=time.monotonic(),
         )
@@ -401,6 +414,7 @@ class VirtualGPU:
         launch = LaunchConfig(num_teams, threads_per_team)
         self._launch = launch
         self._fallbacks = {}
+        self._low_occupancy = False
         self._dynamic_shared_bytes = spec.dynamic_shared_bytes
         self._dynamic_shared_base = {}
         profile = KernelProfile(
@@ -528,13 +542,16 @@ class VirtualGPU:
         Results (and errors) are collected in team order, so the team
         whose error surfaces is the same one a serial run would have
         reported — launch failures stay deterministic under
-        ``sim_jobs=N``.
+        ``sim_jobs=N``.  A warp launch runs team 0 before the others:
+        its lane occupancy picks their engine, as in a serial run.
         """
+        head = ([self._run_team(kernel, args, 0, launch, None, abort)]
+                if self.engine == ENGINE_WARP else [])
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(self._run_team, kernel, args, team_id, launch,
                             None, abort)
-                for team_id in range(num_teams)
+                for team_id in range(len(head), num_teams)
             ]
             if abort is not None:
                 done, not_done = _wait_futures(futures, timeout=abort.remaining())
@@ -546,7 +563,7 @@ class VirtualGPU:
                         f"{len(not_done)}/{num_teams} teams of "
                         f"@{kernel.name} still running"
                     )
-            return [f.result() for f in futures]
+            return head + [f.result() for f in futures]
 
     def _run_team(
         self,
@@ -590,13 +607,15 @@ class VirtualGPU:
         # sanitizer checks then behave identically by construction, and
         # the fault-free fast path stays free of per-op mode checks.
         # Old-runtime modules take the same fallback — their shared
-        # stack is not lockstep-safe (see ``_warp_lockstep_ok``).
+        # stack is not lockstep-safe (see ``_warp_lockstep_ok``) — and
+        # so do teams after a low-occupancy team 0 (``_MIN_WARP_OCCUPANCY``).
         engine = self.engine
         fallback = None
         if engine == ENGINE_WARP:
             fallback = (FALLBACK_SANITIZE if self.sanitize
                         else FALLBACK_OLD_RT if not self._warp_lockstep_ok
                         else FALLBACK_FAULT_PLAN if fstate is not None
+                        else FALLBACK_LOW_OCCUPANCY if self._low_occupancy
                         else None)
             if fallback is not None:
                 self._fallbacks[team_id] = fallback
@@ -696,6 +715,9 @@ class VirtualGPU:
             # Fused runs count hits, not ops: fold them into the opcode
             # counters once per team, also when the team fails.
             stats.settle()
+        if warp and team_id == 0 and launch.num_teams > 1:
+            self._low_occupancy = (
+                _warp.lane_occupancy(warps) < _MIN_WARP_OCCUPANCY)
         tail = max((t.phase_cycles for t in threads), default=0)
         team_time += tail
         if plog is not None:

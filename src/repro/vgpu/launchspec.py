@@ -153,8 +153,11 @@ class LaunchResult:
     #: when every team of a warp-requested launch fell back.
     executed_engine: str = ""
     #: Why teams of a warp-requested launch ran decoded (one of
-    #: ``repro.vgpu.config.FALLBACK_*``), else None.  A fault plan that
-    #: arms only some teams leaves ``executed_engine`` at ``warp``.
+    #: ``repro.vgpu.config.FALLBACK_*``: ``old-rt-shared-stack``,
+    #: ``fault-plan``, ``sanitize`` or ``low-occupancy``), else None;
+    #: with mixed reasons, that of the lowest team that fell back.  A
+    #: fault plan that arms only some teams, or a low-occupancy team 0
+    #: that gates the rest, leaves ``executed_engine`` at ``warp``.
     fallback: Optional[str] = None
     ok: bool = True
     #: CrashReport for a failed request — or, on a successful serve

@@ -208,6 +208,9 @@ class WarpExec:
         self.pending_steps = 0
         self.pending_cycles = 0
         self.steps_base = 0
+        #: Ops dispatched, whatever the mask (counted in ``_flush``);
+        #: ``steps_arr.sum()`` is the lane-ops they retired.
+        self.dispatches = 0
         self.error_lane: Optional[int] = None
         self.done_bits = 0
         self._phase_committed = False
@@ -299,6 +302,7 @@ class WarpExec:
         if self.fn_cycles is not None and pcy:
             self.fn_cycles[self.frame.name] += pcy * self.n_active
         self.steps_base += ps
+        self.dispatches += ps
         self.pending_steps = 0
         self.pending_cycles = 0
 
@@ -1606,6 +1610,15 @@ def bind_warp(vm, func) -> WarpFunction:
             bound.code, if_convert=getattr(vm, "warp_if_convert", True))
         wf = vm._warp_cache[func] = vectorize_function(bound, flow)
     return wf
+
+
+def lane_occupancy(warps) -> float:
+    """Lane-ops retired per lane dispatched over one team's *warps*:
+    1.0 when every op ran on every lane of its warp."""
+    slots = sum(w.dispatches * w.n for w in warps)
+    if not slots:
+        return 1.0
+    return sum(int(w.steps_arr.sum()) for w in warps) / slots
 
 
 def make_team_warps(vm, kernel, args, threads, stats) -> List[WarpExec]:

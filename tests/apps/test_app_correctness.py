@@ -4,8 +4,9 @@ build configuration (small problem sizes for speed)."""
 import pytest
 
 from repro.apps import gridmini, minifmm, rsbench, testsnap, xsbench
-from repro.bench.builds import BUILD_ORDER, CUDA, build_options
-from repro.frontend.driver import CompileOptions, Target
+from repro.bench.builds import BUILD_ORDER, CUDA, NEW_RT, build_options
+from repro.frontend.driver import CompileOptions, Target, compile_program
+from repro.vgpu import FALLBACK_LOW_OCCUPANCY, LaunchSpec, VirtualGPU
 
 SMALL = {
     "xsbench": {"n_lookups": 64, "n_nuclides": 6, "n_gridpoints": 16,
@@ -73,3 +74,22 @@ def test_release_simulation_checks_assumptions(app_name):
     result = app.run(options, size=SMALL[app_name], debug_checks=True,
                      **GEOMETRY)
     assert result.verified
+
+
+@pytest.mark.parametrize("app,fallback", [
+    (minifmm, FALLBACK_LOW_OCCUPANCY),  # about 8 of 32 lanes active
+    (xsbench, None),                    # about 31 of 32
+], ids=["minifmm", "xsbench"])
+def test_new_rt_warp_launch_is_gated_by_lane_occupancy(app, fallback):
+    """At the default size, team 0 runs warp either way; minifmm's
+    later teams run decoded, xsbench's stay on warp."""
+    size = app.default_size()
+    compiled = compile_program(app.build_program(size), build_options()[NEW_RT])
+    gpu = VirtualGPU(compiled.module, engine="warp")
+    host_args, verify = app.prepare(gpu, size)
+    result = gpu.run(LaunchSpec(
+        kernel=app.KERNEL, num_teams=app.TEAMS, threads_per_team=app.THREADS,
+        args=tuple(compiled.abi(app.KERNEL).marshal(gpu, host_args)),
+    ))
+    assert (result.executed_engine, result.fallback) == ("warp", fallback)
+    assert verify(gpu, host_args) < 1e-9

@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps import gridmini, minifmm, rsbench, testsnap, xsbench
 from repro.apps.common import lcg_rand01_host
+from tests.apps import loop_references
 
 
 class TestDeviceRNG:
@@ -142,3 +143,28 @@ class TestRSBench:
                 "n_mats": 2, "nucs_per_mat": 2}
         out = rsbench.reference(size, *rsbench.make_inputs(size))
         assert np.all(np.isfinite(out))
+
+
+class TestVectorizedReferences:
+    """The apps' vectorized references equal the per-lookup loops that
+    mirror the device kernels, bit for bit."""
+
+    OTHER_SIZES = {
+        rsbench: {"n_lookups": 1000, "n_nuclides": 5, "n_poles": 6,
+                  "n_mats": 7, "nucs_per_mat": 5},
+        xsbench: {"n_lookups": 1000, "n_nuclides": 9, "n_gridpoints": 33,
+                  "n_mats": 7, "nucs_per_mat": 5},
+    }
+
+    @pytest.mark.parametrize("app,oracle", [
+        (rsbench, loop_references.rsbench_reference),
+        (xsbench, loop_references.xsbench_reference),
+    ], ids=["rsbench", "xsbench"])
+    @pytest.mark.parametrize("which", ["default", "other"])
+    def test_reference_equals_loop_oracle(self, app, oracle, which):
+        size = app.default_size() if which == "default" else self.OTHER_SIZES[app]
+        inputs = app.make_inputs(size)
+        expected = oracle(size, *inputs)
+        got = app.reference(size, *inputs)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert np.array_equal(got, expected)

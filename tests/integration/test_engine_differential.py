@@ -19,6 +19,7 @@ import pytest
 
 from repro.bench.builds import BUILD_ORDER, CUDA, build_options
 from repro.bench.harness import APPS, SKIP_CUDA
+from repro.vgpu import interpreter
 
 # Small problem sizes (mirroring tests/apps) keep the full
 # app x build x engine sweep affordable; the compile cache shares the
@@ -56,6 +57,16 @@ CELLS = [
     for build in BUILD_ORDER
     if not (app in SKIP_CUDA and build == CUDA)
 ]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _warp_on_every_team():
+    """Keep every team of a warp launch on the warp engine: the
+    low-occupancy gate would move later teams of sparse kernels to the
+    decoded engine, which this suite already checks on its own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interpreter, "_MIN_WARP_OCCUPANCY", 0)
+        yield
 
 
 def _assert_profiles_identical(reference, candidate, context):

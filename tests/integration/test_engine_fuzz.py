@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.ir import I64, Module, PTR_GLOBAL, verify_module
 from repro.ir.types import F32, F64, I1, I8, I16, I32, IntType
 from repro.ir.values import Constant
-from repro.vgpu import VirtualGPU
+from repro.vgpu import VirtualGPU, interpreter
 from repro.vgpu.launchspec import LaunchSpec
 from tests.conftest import make_kernel
 
@@ -49,6 +49,16 @@ FLOAT_BINOPS = ("fadd", "fsub", "fmul", "fdiv", "frem")
 ICMP_PREDS = ("eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge")
 FCMP_PREDS = ("oeq", "one", "olt", "ole", "ogt", "oge")
 FLOAT_EDGES = (0.0, -0.0, 1.0, -1.5, 3.0e38, -7.25e-3, 1e300)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _warp_on_every_team():
+    """Keep every team of a warp launch on the warp engine: the
+    low-occupancy gate would move later teams of sparse kernels to the
+    decoded engine, which this suite already checks on its own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interpreter, "_MIN_WARP_OCCUPANCY", 0)
+        yield
 
 
 def _int_edges(ty: IntType):

@@ -15,6 +15,7 @@ from repro.vgpu import (
     ENGINE_LEGACY,
     ENGINE_WARP,
     FALLBACK_FAULT_PLAN,
+    FALLBACK_LOW_OCCUPANCY,
     FALLBACK_OLD_RT,
     FALLBACK_SANITIZE,
     LaunchResult,
@@ -146,12 +147,19 @@ class TestRun:
         ("sanitize", ENGINE_DECODED, FALLBACK_SANITIZE),
         ("faults_all_teams", ENGINE_DECODED, FALLBACK_FAULT_PLAN),
         ("faults_one_team", ENGINE_WARP, FALLBACK_FAULT_PLAN),
+        ("low_occupancy", ENGINE_WARP, FALLBACK_LOW_OCCUPANCY),
     ])
-    def test_warp_fallback_is_reported(self, module, setup, executed, fallback):
+    def test_warp_fallback_is_reported(self, module, monkeypatch, setup,
+                                       executed, fallback):
         """A warp request keeps ``engine == "warp"``; the result names the
         engine that ran and why, and the profile is the decoded one."""
         from repro.ir import ArrayType, GlobalVariable
         from repro.runtime.state import GV_OLD_TEAM_CONTEXT
+        from repro.vgpu import interpreter
+
+        if setup == "low_occupancy":
+            # every lane of this kernel works: gate above full occupancy
+            monkeypatch.setattr(interpreter, "_MIN_WARP_OCCUPANCY", 1.5)
 
         kwargs = {
             "sanitize": {"sanitize": True},

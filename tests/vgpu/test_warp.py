@@ -7,7 +7,8 @@ a split/reconverge diamond, a nested split, an if-converted short
 diamond (with the pass forced on and off), a uniform branch that must
 never split, and the old-runtime lockstep fallback — plus the edge
 semantics of the simple ops generated from ``decode._TEMPLATES``
-(``i1`` sign reads, ``frem`` by zero, out-of-range ``fptosi``).
+(``i1`` sign reads, ``frem`` by zero, out-of-range ``fptosi``) and the
+low-occupancy gate that runs a launch's later teams decoded.
 """
 
 import struct
@@ -403,3 +404,119 @@ def test_every_simple_op_is_generated_from_its_table_row():
             assert vop == (warp._SWAP[dop[0]],) + dop[1:]
             simple += 1
     assert simple >= 5
+
+
+# -- low-occupancy gate --
+
+
+def _work_module(pred):
+    """Lanes where ``tid <pred> 0`` holds run a 40-add chain; every lane
+    then stores its value at out[block_id * block_dim + tid].  "eq"
+    leaves one lane of the team working, "sge" every lane."""
+    module = Module("m")
+    func, b = make_kernel(module)
+    base, _ = func.args
+    tid = b.sext(b.thread_id(), I64)
+    gid = b.add(b.mul(b.sext(b.block_id(), I64), b.sext(b.block_dim(), I64)), tid)
+    entry = b.block
+    work_b = func.add_block("work")
+    join_b = func.add_block("join")
+    b.cond_br(b.icmp(pred, tid, b.i64(0)), work_b, join_b)
+    b.set_insert_point(work_b)
+    val = tid
+    for _ in range(40):
+        val = b.add(val, b.i64(3))
+    b.br(join_b)
+    b.set_insert_point(join_b)
+    phi = b.phi(I64)
+    phi.add_incoming(tid, entry)
+    phi.add_incoming(val, work_b)
+    _store_at_tid(b, base, gid, phi)
+    b.ret()
+    verify_module(module)
+    return module
+
+
+def _launch(module, engine, teams, threads, sim_jobs=None, faults=None):
+    gpu = VirtualGPU(module, engine=engine, faults=faults)
+    buf = gpu.alloc_bytes(8 * teams * threads)
+    result = gpu.run(LaunchSpec(
+        kernel="kern", num_teams=teams, threads_per_team=threads,
+        args=(buf, 0), sim_jobs=sim_jobs,
+    ))
+    words = [gpu.read_scalar(buf + 8 * i, I64) for i in range(teams * threads)]
+    return gpu, result, words
+
+
+def test_low_occupancy_team_zero_gates_the_later_teams():
+    """One working lane in 16: team 0 runs warp, teams 1..3 decoded, and
+    the launch's profile and memory are the decoded engine's."""
+    module = _work_module("eq")
+    gpu, warp_run, warp_words = _launch(module, "warp", 4, N)
+    _, decoded_run, decoded_words = _launch(module, "decoded", 4, N)
+    assert gpu._fallbacks == dict.fromkeys((1, 2, 3), "low-occupancy")
+    assert (warp_run.executed_engine, warp_run.fallback) == ("warp", "low-occupancy")
+    assert warp_words == decoded_words
+    assert warp_run.profile.to_json() == decoded_run.profile.to_json()
+
+
+@pytest.mark.parametrize("pred,teams,threads", [
+    ("sge", 4, N),   # every lane works
+    ("eq", 1, N),    # a one-team launch has no later team to gate
+    ("sge", 2, 2),   # full occupancy of a 2-lane warp
+])
+def test_launches_that_do_not_gate(pred, teams, threads):
+    gpu, result, _ = _launch(_work_module(pred), "warp", teams, threads)
+    assert gpu._fallbacks == {}
+    assert (result.executed_engine, result.fallback) == ("warp", None)
+
+
+@pytest.mark.parametrize("fault_team,reason", [
+    (None, "low-occupancy"),
+    (1, "fault-plan"),
+    (2, "low-occupancy"),
+])
+def test_gate_is_the_same_under_parallel_team_simulation(fault_team, reason):
+    """Team 0 runs before the other teams are fanned out, so sim_jobs=2
+    gates the same teams as a serial run; a fault plan armed on one team
+    wins there, and the lowest fallen-back team names the launch's
+    reason."""
+    module = _work_module("eq")
+    faults = None if fault_team is None else f"malloc_fail:n=9:team={fault_team}"
+    expected = {t: "fault-plan" if t == fault_team else "low-occupancy"
+                for t in (1, 2, 3)}
+    runs = [_launch(module, "warp", 4, N, sim_jobs=jobs, faults=faults)
+            for jobs in (None, 2)]
+    (serial_gpu, serial, serial_words), (par_gpu, par, par_words) = runs
+    assert serial_gpu._fallbacks == par_gpu._fallbacks == expected
+    assert serial.fallback == par.fallback == reason
+    assert serial_words == par_words
+    assert serial.profile.to_json() == par.profile.to_json()
+
+
+def test_parallel_launch_orders_team_zero_and_reasons(monkeypatch):
+    """Under sim_jobs=2 team 0 ends before any other team starts, and
+    the reported reason is the lowest team's even when a later team
+    records its fallback first.  Team 0 is slowed so that a concurrent
+    team 1 would start inside it; team 1 is held back behind team 2."""
+    import time
+
+    events = []
+    run_team = VirtualGPU._run_team
+
+    def traced(self, kernel, args, team_id, *rest):
+        if team_id == 1:
+            time.sleep(0.05)
+        events.append(("start", team_id))
+        if team_id == 0:
+            time.sleep(0.1)
+        out = run_team(self, kernel, args, team_id, *rest)
+        events.append(("end", team_id))
+        return out
+
+    monkeypatch.setattr(VirtualGPU, "_run_team", traced)
+    gpu, result, _ = _launch(_work_module("eq"), "warp", 3, N, sim_jobs=2,
+                             faults="malloc_fail:n=9:team=1")
+    assert events[:2] == [("start", 0), ("end", 0)]
+    assert list(gpu._fallbacks) == [2, 1]
+    assert result.fallback == "fault-plan"
