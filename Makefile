@@ -1,8 +1,8 @@
 # Convenience targets for the reproduction repo.
 #
 # `make verify` is the one-shot health check: tier-1 tests, the
-# simulator-throughput smoke (all three engines: legacy, decoded,
-# warp), the end-to-end tracing smoke, the
+# simulator-throughput smoke (both engines: decoded and warp), the
+# end-to-end tracing smoke, the
 # fault-injection smoke, the multi-tenant serving smoke, the
 # per-construct microbenchmark smoke and the serve-resilience chaos
 # smoke (the same cells run under the `simperf`, `trace`, `faults`,

@@ -95,7 +95,7 @@ def run_proxy_app(
 ) -> AppRunResult:
     """Compile *program* under *options*, run *kernel*, verify, profile.
 
-    ``engine`` picks the execution engine (``decoded``/``legacy``, see
+    ``engine`` picks the execution engine (``decoded``/``warp``, see
     :func:`repro.vgpu.resolve_sim_engine`); ``sim_jobs`` simulates
     teams on that many worker threads (profiles are unchanged).
     ``sanitize``/``faults``/``watchdog_s`` thread through to

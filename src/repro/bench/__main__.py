@@ -21,11 +21,11 @@ Usage::
     python -m repro.bench json     (machine-readable full report)
     python -m repro.bench all      [--jobs N]
 
-``simperf`` benchmarks the simulator itself (legacy vs. decoded vs.
-warp engine throughput across the app × build matrix) and writes its
-JSON report to ``BENCH_sim.json`` (tracked in git); ``--json`` prints
-the report to stdout instead of the table, ``--quick`` runs a
-single-cell smoke (all three engines on one app/build).
+``simperf`` benchmarks the simulator itself (decoded vs. warp engine
+throughput across the app × build matrix) and writes its JSON report
+to ``BENCH_sim.json`` (tracked in git); ``--json`` prints the report to
+stdout instead of the table, ``--quick`` runs a single-cell smoke
+(both engines on one app/build).
 
 ``trace`` runs one (app, build) cell with the :mod:`repro.trace`
 collector enabled and writes a Perfetto-viewable Chrome Trace Format

@@ -195,8 +195,8 @@ def scenario_baseline(n: int) -> Dict[str, Any]:
 
 
 def scenario_retry_recovers(n: int) -> Dict[str, Any]:
-    """``worker_die:n=1``: the one killed attempt retries on the legacy
-    engine and the request still succeeds."""
+    """``worker_die:n=1``: the one killed attempt retries on a fresh
+    per-op decoded device and the request still succeeds."""
     outcomes: List[_Outcome] = []
     with SimulationService(
         workers=2, queue_depth=2 * n,

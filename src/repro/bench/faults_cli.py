@@ -14,10 +14,12 @@ program faults into crash reports and retries internal engine faults:
   the sanitizer) that must produce structured
   :class:`~repro.faults.report.CrashReport` artifacts.
 
-Every scenario runs on both engines and once more with ``sim_jobs=2``;
-the matrix PASSes only if profiles are bit-identical and crash
-reports compare equal (``comparable_dict``) across all three runs —
-the executable form of the determinism acceptance criterion.
+Every scenario runs on both engines (``decoded`` and ``warp``; warp
+teams with an armed fault plan or under the sanitizer take the decoded
+fallback) and once more with ``sim_jobs=2``; the matrix PASSes only if
+profiles are bit-identical and crash reports compare equal
+(``comparable_dict``) across all three runs — the executable form of
+the determinism acceptance criterion.
 
 ``--smoke`` keeps the three cheapest scenarios (baseline, exhaust,
 rt_trap) for ``make verify``.
@@ -34,7 +36,7 @@ from repro.frontend.driver import CompileOptions, Target, compile_program
 from repro.passes.pass_manager import PipelineConfig
 from repro.serve import SimulationService
 from repro.vgpu import LaunchSpec
-from repro.vgpu.config import ENGINE_DECODED, ENGINE_LEGACY
+from repro.vgpu.config import ENGINE_DECODED, ENGINE_WARP
 
 #: Fixed cell: small testsnap grid, -O0 so runtime calls stay outlined.
 TEAMS = 4
@@ -144,8 +146,8 @@ def run_faults(smoke: bool = False) -> Dict[str, Any]:
             cells = {
                 ENGINE_DECODED: _run_cell(service, compiled, scenario,
                                           ENGINE_DECODED),
-                ENGINE_LEGACY: _run_cell(service, compiled, scenario,
-                                         ENGINE_LEGACY),
+                ENGINE_WARP: _run_cell(service, compiled, scenario,
+                                       ENGINE_WARP),
                 "sim_jobs=2": _run_cell(service, compiled, scenario,
                                         ENGINE_DECODED, sim_jobs=2),
             }
@@ -177,7 +179,7 @@ def format_faults(report: Dict[str, Any]) -> str:
     lines = [
         f"fault-injection matrix: testsnap -O0, "
         f"{report['cell']['teams']}x{report['cell']['threads']} "
-        f"(decoded / legacy / sim_jobs=2)",
+        f"(decoded / warp / sim_jobs=2)",
     ]
     for row in report["scenarios"]:
         cells = row["cells"]

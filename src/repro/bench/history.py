@@ -155,19 +155,12 @@ def _simperf_metrics(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
         sorted(config.get("apps", [])) == sorted(APPS)
         and list(config.get("builds", [])) == list(BUILD_ORDER)
     )
-    if full_sweep:
-        if report.get("geomean_speedup"):
-            metrics["wall/geomean_speedup"] = record.metric(
-                report["geomean_speedup"],
-                better=record.BETTER_HIGHER,
-                kind=record.KIND_WALL,
-            )
-        if report.get("geomean_speedup_warp"):
-            metrics["wall/geomean_speedup_warp"] = record.metric(
-                report["geomean_speedup_warp"],
-                better=record.BETTER_HIGHER,
-                kind=record.KIND_WALL,
-            )
+    if full_sweep and report.get("geomean_warp_over_decoded"):
+        metrics["wall/geomean_warp_over_decoded"] = record.metric(
+            report["geomean_warp_over_decoded"],
+            better=record.BETTER_HIGHER,
+            kind=record.KIND_WALL,
+        )
     return metrics
 
 

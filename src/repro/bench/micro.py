@@ -17,8 +17,9 @@ configuration compiles the co-designed runtime through the full
 optimization pipeline, which folds most categorized calls away — the
 measured face of the paper's near-zero-overhead claim, visible here as
 counters collapsing toward zero.  Modeled cycles are engine-independent
-by construction; both engines are measured and the report carries a
-``parity_ok`` bit asserting their snapshots agreed.
+by construction; both engines (``decoded`` and ``warp``; old-runtime
+warp launches run on the decoded fallback) are measured and the report
+carries a ``parity_ok`` bit asserting their snapshots agreed.
 
 Per-(construct, runtime) costs are summarized as cycles-per-call and
 fitted to the simple Extra-P-style scaling model ``cost = a + b·teams
@@ -43,7 +44,7 @@ from repro.trace.collector import TraceCollector, TraceConfig
 from repro.trace.snapshot import OverheadSnapshot
 from repro.vgpu import (
     ENGINE_DECODED,
-    ENGINE_LEGACY,
+    ENGINE_WARP,
     GPUConfig,
     LaunchSpec,
     VirtualGPU,
@@ -369,7 +370,7 @@ def micro_matrix(
         runtimes if runtimes is not None
         else (("oldrt", "newrt") if smoke else RUNTIME_ORDER)
     )
-    engines = list(engines if engines is not None else (ENGINE_LEGACY, ENGINE_DECODED))
+    engines = list(engines if engines is not None else (ENGINE_DECODED, ENGINE_WARP))
     program = build_micro_program(workloads)
     session = ToolchainSession()
     t0 = time.perf_counter()

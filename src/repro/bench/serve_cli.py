@@ -35,7 +35,7 @@ DEFAULT_OUTPUT = "BENCH_serve.json"
 REQUEST_MIX: Sequence[Dict[str, Any]] = (
     {"app": "testsnap", "engine": "decoded", "sim_jobs": None},
     {"app": "xsbench", "engine": "decoded", "sim_jobs": 2},
-    {"app": "testsnap", "engine": "legacy", "sim_jobs": None},
+    {"app": "testsnap", "engine": "warp", "sim_jobs": None},
     {"app": "gridmini", "engine": "decoded", "sim_jobs": None},
 )
 

@@ -7,17 +7,18 @@ engine-independent by construction; this benchmark measures how fast
 the simulation itself runs, which is what bounds the size of the
 problems the reproduction can afford to sweep.
 
-Each cell of the app × build matrix is executed under all three
-engines (``legacy`` tree-walker, pre-``decoded`` micro-ops and the
-lane-batched ``warp`` vector engine); only the ``run()`` call is
-timed — compilation (shared through the compile cache), input
-preparation and verification are excluded.  The best of ``repeats``
-runs is reported to suppress scheduler noise.
+Each cell of the app × build matrix is executed under both engines
+(pre-``decoded`` micro-ops and the lane-batched ``warp`` vector
+engine); only the ``run()`` call is timed — compilation (shared
+through the compile cache), input preparation and verification are
+excluded.  The best of ``repeats`` runs is reported to suppress
+scheduler noise.  ``warp_over_decoded`` is warp's instructions/sec
+over decoded's per cell (above 1 = warp is faster).
 
 Old-runtime builds are not lockstep-safe, so their warp cells actually
 measure the decoded fallback; they are flagged ``warp_fallback`` and
-excluded from the warp geomean (which must only average true
-warp-vectorized execution).  Only launches whose every team fell back
+excluded from the warp/decoded ratios and their geomean (which must
+only average true warp-vectorized execution).  Only launches whose every team fell back
 are flagged: a launch whose team 0 ran warp and whose other teams were
 gated onto decoded for low lane occupancy counts at the speed it ran.
 
@@ -39,7 +40,6 @@ from repro.bench.harness import APPS, SKIP_CUDA
 from repro.toolchain.service import ToolchainSession
 from repro.vgpu import (
     ENGINE_DECODED,
-    ENGINE_LEGACY,
     ENGINE_WARP,
     GPUConfig,
     LaunchSpec,
@@ -128,13 +128,12 @@ def simperf_matrix(
     options = build_options()
     session = ToolchainSession()
     cells: List[Dict[str, Any]] = []
-    speedups: Dict[str, Dict[str, float]] = {}
-    warp_speedups: Dict[str, Dict[str, float]] = {}
+    warp_ratios: Dict[str, Dict[str, float]] = {}
     for app in app_names:
         app_builds = [b for b in wanted if not (app in SKIP_CUDA and b == CUDA)]
         for build in app_builds:
-            trio = {}
-            for engine in (ENGINE_LEGACY, ENGINE_DECODED, ENGINE_WARP):
+            pair = {}
+            for engine in (ENGINE_DECODED, ENGINE_WARP):
                 cell = measure_cell(
                     app, options[build], engine,
                     size=size, repeats=repeats, sim_jobs=sim_jobs,
@@ -142,21 +141,15 @@ def simperf_matrix(
                 )
                 cell["build"] = build
                 cells.append(cell)
-                trio[engine] = cell
-            legacy_ips = trio[ENGINE_LEGACY]["insts_per_sec"]
-            speedups.setdefault(app, {})[build] = round(
-                trio[ENGINE_DECODED]["insts_per_sec"] / legacy_ips, 3
-            )
-            if not trio[ENGINE_WARP]["warp_fallback"]:
-                warp_speedups.setdefault(app, {})[build] = round(
-                    trio[ENGINE_WARP]["insts_per_sec"] / legacy_ips, 3
+                pair[engine] = cell
+            if not pair[ENGINE_WARP]["warp_fallback"]:
+                warp_ratios.setdefault(app, {})[build] = round(
+                    pair[ENGINE_WARP]["insts_per_sec"]
+                    / pair[ENGINE_DECODED]["insts_per_sec"], 3
                 )
-
-    def _geomean(per_app: Dict[str, Dict[str, float]]) -> float:
-        ratios = [s for per_build in per_app.values() for s in per_build.values()]
-        if not ratios:
-            return 0.0
-        return round(math.exp(sum(math.log(r) for r in ratios) / len(ratios)), 3)
+    ratios = [r for per_build in warp_ratios.values() for r in per_build.values()]
+    geomean = (round(math.exp(sum(map(math.log, ratios)) / len(ratios)), 3)
+               if ratios else 0.0)
 
     meta = record.meta_block()
     return {
@@ -172,10 +165,8 @@ def simperf_matrix(
             "machine": meta["machine"],
         },
         "cells": cells,
-        "speedup_decoded_over_legacy": speedups,
-        "geomean_speedup": _geomean(speedups),
-        "speedup_warp_over_legacy": warp_speedups,
-        "geomean_speedup_warp": _geomean(warp_speedups),
+        "warp_over_decoded": warp_ratios,
+        "geomean_warp_over_decoded": geomean,
     }
 
 
@@ -205,19 +196,13 @@ def format_simperf(report: Dict[str, Any]) -> str:
             f"{cell['cycles_per_sec'] / 1e6:>10.2f} "
             f"{cell['wall_seconds']:>8.3f}{note}"
         )
-    lines.append("")
-    lines.append("decoded/legacy speedup (instructions/sec):")
-    for app, per_build in report["speedup_decoded_over_legacy"].items():
-        for build, ratio in per_build.items():
-            lines.append(f"  {app:<10} {build:<26} {ratio:.2f}x")
-    lines.append(f"  geomean: {report['geomean_speedup']:.2f}x")
-    warp = report.get("speedup_warp_over_legacy")
+    warp = report["warp_over_decoded"]
     if warp:
         lines.append("")
-        lines.append("warp/legacy speedup (instructions/sec; "
+        lines.append("warp/decoded (instructions/sec; "
                      "fallback cells excluded):")
         for app, per_build in warp.items():
             for build, ratio in per_build.items():
                 lines.append(f"  {app:<10} {build:<26} {ratio:.2f}x")
-        lines.append(f"  geomean: {report['geomean_speedup_warp']:.2f}x")
+        lines.append(f"  geomean: {report['geomean_warp_over_decoded']:.2f}x")
     return "\n".join(lines)

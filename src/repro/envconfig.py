@@ -11,8 +11,8 @@ Knobs
 -----
 
 ``REPRO_SIM_ENGINE``
-    Simulator execution engine: ``decoded`` (default), ``legacy`` or
-    ``warp`` (lane-batched NumPy execution of whole warps).
+    Simulator execution engine: ``decoded`` (default) or ``warp``
+    (lane-batched NumPy execution of whole warps).
 ``REPRO_SIM_JOBS``
     Worker threads for parallel team simulation inside one launch
     (default 1 = serial).
@@ -51,9 +51,9 @@ Knobs
     Hard cap on unfinished requests per service; ``0`` (the default)
     derives the cap as workers + queue depth.
 ``REPRO_SERVE_RETRIES``
-    Total launch attempts per served request (default 2 = the
-    original behaviour of one decoded run plus one legacy retry on an
-    internal engine fault; 1 disables retries).
+    Total launch attempts per served request (default 2 = one run on
+    the requested engine plus one retry on a fresh per-op decoded
+    device after an internal engine fault; 1 disables retries).
 ``REPRO_SERVE_BACKOFF_S``
     Base of the exponential retry backoff in seconds (default 0 = no
     sleep between attempts); each attempt waits
@@ -103,7 +103,7 @@ KNOBS: Dict[str, EnvKnob] = {
     knob.name: knob
     for knob in (
         EnvKnob("REPRO_SIM_ENGINE", "choice", "decoded",
-                "simulator execution engine", ("decoded", "legacy", "warp")),
+                "simulator execution engine", ("decoded", "warp")),
         EnvKnob("REPRO_SIM_JOBS", "int", "1",
                 "worker threads for parallel team simulation"),
         EnvKnob("REPRO_JOBS", "int", "1",

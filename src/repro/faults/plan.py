@@ -55,9 +55,10 @@ Determinism
 -----------
 
 Counters live in a per-team :class:`TeamFaultState`; threads within a
-team are stepped in thread-id order by both engines, so the same plan
-fires at the same dynamic instruction in the legacy tree-walker, the
-decoded engine, and every ``sim_jobs=N`` interleaving.  Fields left
+team are stepped in thread-id order, so the same plan fires at the
+same dynamic instruction in fused and per-op decoded execution and in
+every ``sim_jobs=N`` interleaving.  (Warp-requested teams with an armed
+plan run decoded, so the warp engine never consults a plan.)  Fields left
 unpinned (``team``/``thread``) are resolved from the plan ``seed`` and
 the launch geometry at bind time — not from global randomness — so a
 seed fully determines behaviour.

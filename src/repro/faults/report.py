@@ -9,7 +9,7 @@ stream — as a plain dict that serializes to JSON.
 Reports are **deterministic**: no timestamps, no raw simulated
 addresses, no host-specific paths inside the payload.  The
 determinism tests compare :meth:`CrashReport.comparable_dict` across
-the legacy engine, the decoded engine and ``sim_jobs=N`` runs — that
+fused and per-op decoded runs, warp and ``sim_jobs=N`` runs — that
 view additionally drops the fields that legitimately differ between
 runs of the *same* failure (which engine produced it, whether the
 service retried).

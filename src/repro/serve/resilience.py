@@ -9,8 +9,8 @@ Three small, independently testable pieces that
   :class:`~repro.serve.errors.DeadlineExceeded` before wasting a
   worker, and whatever is left when execution starts becomes the
   device watchdog.
-* :class:`RetryPolicy` — generalizes the original hard-coded one-shot
-  decoded→legacy retry into max attempts, exponential backoff with
+* :class:`RetryPolicy` — generalizes a hard-coded one-shot retry on
+  a fresh per-op decoded device into max attempts, exponential backoff with
   **deterministic** jitter (seeded by request id and attempt, so a
   replayed workload backs off identically), and a retryable-error
   filter.  The default policy is bit-compatible with the old

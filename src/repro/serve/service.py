@@ -29,8 +29,8 @@ a persistent worker pool:
   :class:`~repro.faults.report.CrashReport`; it never leaks as an
   exception into other tenants.  An *internal* fault retries under the
   configurable :class:`~repro.serve.resilience.RetryPolicy`
-  (exponential backoff, deterministic jitter, legacy reference engine
-  as the fallback); the default policy is one decoded→legacy retry.
+  (exponential backoff, deterministic jitter, a fresh per-op decoded
+  device as the fallback); the default policy is one retry.
   This is the project's only retry loop: a one-off guarded launch is
   ``SimulationService().run(spec, module=..., make_args=...)``.
 * **Circuit breaking** — consecutive internal failures of one
@@ -90,7 +90,7 @@ from repro.toolchain.service import ToolchainSession
 from repro.trace.categories import SERVE_EVENT_CATEGORY
 from repro.trace.collector import active_or_none as _active_trace
 from repro.vgpu import (
-    ENGINE_LEGACY,
+    ENGINE_DECODED,
     GPUConfig,
     LaunchResult,
     LaunchSpec,
@@ -728,9 +728,9 @@ class SimulationService:
         """Run the request under the retry policy.
 
         Attempt 1 uses the spec's engine; every retry runs on a fresh
-        legacy (reference) device.  A request whose own engine is
-        legacy has nothing to fall back to: its internal failure is
-        terminal after one attempt.
+        decoded device that executes op by op (``VirtualGPU._per_op``),
+        away from the generated fused code an internal decoded fault
+        most likely came from.
         """
         job = request.job
         spec = job.spec
@@ -741,7 +741,7 @@ class SimulationService:
         first_engine = resolve_sim_engine(spec.engine)
         attempt = 1
         while True:
-            attempt_engine = first_engine if attempt == 1 else ENGINE_LEGACY
+            attempt_engine = first_engine if attempt == 1 else ENGINE_DECODED
             span = (trace.span("serve.attempt", cat=SERVE_EVENT_CATEGORY,
                                request_id=job.request_id, attempt=attempt,
                                engine=attempt_engine)
@@ -760,8 +760,7 @@ class SimulationService:
                 raise  # defensive: program faults are handled per-attempt
             except Exception as exc:
                 # Internal failure of the service/engine machinery.
-                if (first_engine == ENGINE_LEGACY
-                        or not policy.should_retry(exc, attempt)):
+                if not policy.should_retry(exc, attempt):
                     if breaker is not None and breaker.record_failure(
                             self._internal_report_path(request, exc,
                                                        attempt_engine)):
@@ -775,7 +774,7 @@ class SimulationService:
                     raise
                 retry_info = {
                     "from_engine": attempt_engine,
-                    "to_engine": ENGINE_LEGACY,
+                    "to_engine": ENGINE_DECODED,
                     "error_type": type(exc).__name__,
                     "message": str(exc),
                     "attempt": attempt,
@@ -825,7 +824,7 @@ class SimulationService:
         spec = job.spec
         run_spec = spec
         if fresh:
-            run_spec = run_spec.replace(engine=ENGINE_LEGACY)
+            run_spec = run_spec.replace(engine=ENGINE_DECODED)
         if deadline is not None:
             # The *remaining* budget becomes the device watchdog.
             run_spec = run_spec.replace(
@@ -834,6 +833,7 @@ class SimulationService:
         sanitize = bool(spec.sanitize)
         if fresh:
             gpu = VirtualGPU(module, config=self.gpu_config, sanitize=sanitize)
+            gpu._per_op = True
         else:
             gpu = self.pool.acquire(module, self.gpu_config, sanitize=sanitize)
         try:

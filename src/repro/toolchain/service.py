@@ -75,7 +75,7 @@ class RunRequest:
     label: str = "custom"
     size: Optional[Dict[str, int]] = None
     jobs: Optional[int] = None
-    #: Simulator execution engine (``decoded``/``legacy``; None = the
+    #: Simulator execution engine (``decoded``/``warp``; None = the
     #: :func:`repro.vgpu.resolve_sim_engine` default).
     engine: Optional[str] = None
     #: Worker threads for parallel team simulation inside each launch

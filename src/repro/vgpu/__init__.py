@@ -3,7 +3,6 @@
 from repro.vgpu.config import (  # noqa: F401
     DEFAULT_CONFIG,
     ENGINE_DECODED,
-    ENGINE_LEGACY,
     ENGINE_WARP,
     ENGINES,
     FALLBACK_FAULT_PLAN,
@@ -41,7 +40,7 @@ from repro.vgpu.errors import (  # noqa: F401
     WatchdogExpired,
 )
 from repro.vgpu.sanitizer import SanitizedMemorySystem  # noqa: F401
-from repro.vgpu.execstate import Frame, ThreadContext, ThreadStatus  # noqa: F401
+from repro.vgpu.execstate import ThreadContext, ThreadStatus  # noqa: F401
 from repro.vgpu.interpreter import CooperativeWatchdog, VirtualGPU  # noqa: F401
 from repro.vgpu.launchspec import LaunchResult, LaunchSpec  # noqa: F401
 from repro.vgpu.profiler import KernelProfile, NOMINAL_CLOCK_GHZ, TeamStats  # noqa: F401

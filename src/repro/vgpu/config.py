@@ -17,9 +17,8 @@ from repro.memory.addrspace import AddressSpace
 
 #: Execution engine names accepted by :class:`repro.vgpu.VirtualGPU`.
 ENGINE_DECODED = "decoded"
-ENGINE_LEGACY = "legacy"
 ENGINE_WARP = "warp"
-ENGINES = (ENGINE_DECODED, ENGINE_LEGACY, ENGINE_WARP)
+ENGINES = (ENGINE_DECODED, ENGINE_WARP)
 
 #: Why a team of a warp-requested launch ran on the decoded engine
 #: (:attr:`repro.vgpu.LaunchResult.fallback`): the old runtime's shared

@@ -92,9 +92,9 @@ class CostModel:
         execution engines charge per executed instruction: folding it
         into the decoded stream cannot change measured cycles because
         the value is a pure function of the instruction and the
-        :class:`GPUConfig` — the same number the legacy interpreter
-        computes on every execution.  ``ret``/``unreachable`` are free
-        (the interpreter never charged them) and ``phi`` never executes
+        :class:`GPUConfig` — the same number a walk over the IR would
+        compute on every execution.  ``ret``/``unreachable`` are free
+        and ``phi`` never executes
         (it is folded into branch-edge moves), so they return 0 rather
         than the ``simple_cost`` branch fallback.
         """

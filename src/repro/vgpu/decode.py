@@ -1,10 +1,11 @@
 """Pre-decoded execution engine.
 
-The legacy interpreter re-discovers everything about an instruction on
-every execution: an ``isinstance`` ladder picks the semantics, operand
-lookup goes through a per-frame dict keyed by :class:`Value`, and the
-cycle cost is recomputed from the cost model.  This module does all of
-that once, in a ``decode(Function) -> DecodedFunction`` pass:
+Walking the IR on every execution would re-discover everything about
+an instruction each time: an ``isinstance`` ladder to pick the
+semantics, operand lookup through a per-frame dict keyed by
+:class:`Value`, and the cycle cost recomputed from the cost model.  This
+module does all of that once, in a ``decode(Function) ->
+DecodedFunction`` pass:
 
 * Basic blocks are flattened into one array of micro-ops per function;
   branch targets become absolute indices into that array.
@@ -27,13 +28,13 @@ that once, in a ``decode(Function) -> DecodedFunction`` pass:
   function that executes them inline, with slots, masks, costs and
   branch targets as literals, and retires them in bulk (see "Fused
   runs" below).  Each simple opcode is defined once, as a row of
-  :data:`_TEMPLATES` shared by both fast engines: its scalar template
+  :data:`_TEMPLATES` shared by both engines: its scalar template
   yields the fused code and the per-op handler here, and the warp
   engine generates its handler from the same row (the scalar template
   for uniform operands, the row's NumPy vector template for varying
   ones).
 * Every intrinsic is an entry of one name-keyed table,
-  :data:`_INTRINSICS`, which both fast engines share for direct and
+  :data:`_INTRINSICS`, which both engines share for direct and
   indirect calls: a pure intrinsic is a :data:`_TEMPLATES` row,
   barriers/assume/expect have their own handlers, and every other
   intrinsic is a scalar *generic row* the warp engine calls once per
@@ -52,10 +53,12 @@ moment at which the device materialized the module's globals.  Only
 the compiled code of fused runs is shared process-wide, keyed by its
 generated source, which is rendered from each device's own decode.
 
-Semantics are intentionally bit-identical to the legacy engine: both
-charge the same cycles, count into the same :class:`TeamStats` fields
-and share the scalar helpers in :mod:`repro.vgpu.execstate`.  The
-differential tests enforce this.
+Fused and per-op execution are bit-identical: a fused run charges the
+same cycles and counts into the same :class:`TeamStats` fields as its
+ops run one by one through their ``_h_*`` handlers.  A device with
+``VirtualGPU._per_op`` set runs only those handlers (see
+:func:`_frame_ops`); that per-op path is the reference the
+differential tests pin the fused path and the warp engine to.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ _DONE = ThreadStatus.DONE
 
 #: Address-space object per pointer tag, indexed by ``ptr >> 48``.
 #: ``None`` marks the unused tag 2 so bad pointers fall into the slow
-#: path, which reproduces the legacy error behaviour.
+#: path, which raises the memory system's own error.
 _SPACE_BY_TAG: Tuple[Optional[AddressSpace], ...] = (
     AddressSpace.GENERIC,
     AddressSpace.GLOBAL,
@@ -252,7 +255,7 @@ def _segment(vm, thread, tag):
 #
 # The straight-line opcodes (integer and float arithmetic, compares,
 # select, ptradd, casts, loads, stores and the pure intrinsics) are
-# defined exactly once, as a row of :data:`_TEMPLATES`, for both fast
+# defined exactly once, as a row of :data:`_TEMPLATES`, for both
 # engines.  A row's *scalar* template is Python source instantiated
 # twice here:
 #
@@ -302,10 +305,9 @@ def _sx(v: str) -> str:
 def _mem(access: str, fast: str, fallback: str) -> str:
     """Template for a load/store: fast path on the thread's cached
     segment; null, unmapped and out-of-bounds pointers take the memory
-    system's slow path so errors are raised exactly like the legacy
-    engine's.  A cost of None (space missing from the cost table) or 0
-    defers to the cost model, which raises the legacy KeyError or
-    returns the same 0."""
+    system's slow path, so errors are the memory system's own.  A cost
+    of None (space missing from the cost table) or 0 defers to the cost
+    model, which raises its KeyError or returns the same 0."""
     return (
         "x = {p}\n"
         "tag = x >> 48\n"
@@ -385,7 +387,7 @@ _TEMPLATES: Dict[str, Tuple[str, bool, str, Optional[str]]] = {
              "x = _ff({a})\ny = _ff({b})\n{d} = {each} if np.count_nonzero(np.isinf(x)) "
              "else np.where(y == 0.0, _NAN, np.fmod(x, y))"),
     # icmp: unsigned predicates, and signed ones on pointer operands
-    # (the legacy engine applies to_signed to IntType operands only)
+    # (to_signed applies to IntType operands only)
     "icmp_eq": ("d a b C", False, "{d} = 1 if {a} == {b} else 0", _vbool(_CMP_U % "==")),
     "icmp_ne": ("d a b C", False, "{d} = 1 if {a} != {b} else 0", _vbool(_CMP_U % "!=")),
     "icmp_lt": ("d a b C", False, "{d} = 1 if {a} < {b} else 0", _vbool(_CMP_U % "<")),
@@ -424,7 +426,7 @@ _TEMPLATES: Dict[str, Tuple[str, bool, str, Optional[str]]] = {
                "{d} = _sv({s}, {S}).astype(_F64)"),
     "uitofp": ("d s C", False, "{d} = float(int({s}))", "{d} = {s}.astype(_F64)"),
     # int64 holds a truncated float only below 2**63 (a NaN max fails
-    # the test and int() raises, like the scalar engines)
+    # the test and int() raises, like the decoded engine)
     "fptosi": ("d s T C", False, "{d} = int(float({s})) & {T.mask}",
                "{d} = _wrap(np.trunc({s}).astype(_I64).view(_U64), {T}) "
                "if np.abs({s}).max() < 2.0 ** 63 else {each}"),
@@ -515,7 +517,7 @@ def _per_op_source(name: str, spec: _Spec) -> str:
     if "st." in body:
         lines.append("    st = thread.stats")
     lines += ["    " + line for line in body.splitlines()]
-    if spec.flop:  # only once the op succeeds, like the legacy engine
+    if spec.flop:  # only once the op succeeds, like a fused run
         lines.append("    thread.stats.flops += 1")
     lines.append("    frame.pc = op[2]")
     lines.append(f"    return {'k' if spec.cost is None else f'op[{spec.cost}]'}")
@@ -902,7 +904,7 @@ def _push_call(vm, thread, frame, next_pc, dest, callee, arg_slots):
         nregs[slot] = co(regs[a])
     frame.pc = next_pc
     frames = thread.frames
-    frames.append(DecodedFrame(_frame_ops(code), nregs, code.entry_pc, dest, callee))
+    frames.append(DecodedFrame(_frame_ops(vm, code), nregs, code.entry_pc, dest, callee))
     if len(frames) > 512:
         raise call_stack_overflow_error(callee.name, thread)
 
@@ -984,8 +986,10 @@ def _h_icall(vm, thread, frame, op):
 #   *t* running in function *fn*, whose prints append to *out* and
 #   whose trap reports ``out[-1]``.  :func:`_h_intrin` calls the row
 #   once per thread; the warp engine calls the same row once per
-#   active lane.  Legacy's ``_execute_intrinsic`` stays the independent
-#   reference for all of them.
+#   active lane.  Every engine runs these rows' scalar code (and the
+#   math rows' scalar template), so comparing engines cannot check
+#   them: ``tests/vgpu/test_intrinsics.py`` pins them to expected
+#   values instead.
 # ===================================================================
 
 
@@ -1142,8 +1146,8 @@ _ICMP_RAW = {
     "eq": _h_icmp_eq, "ne": _h_icmp_ne,
     "ult": _h_icmp_lt, "ule": _h_icmp_le,
     "ugt": _h_icmp_gt, "uge": _h_icmp_ge,
-    # signed predicates on pointer-typed operands compare raw, exactly
-    # like the legacy engine (to_signed is only applied to IntType).
+    # signed predicates on pointer-typed operands compare raw
+    # (to_signed is only applied to IntType).
     "slt": _h_icmp_lt, "sle": _h_icmp_le,
     "sgt": _h_icmp_gt, "sge": _h_icmp_ge,
 }
@@ -1682,8 +1686,12 @@ def bind_function(vm, func: Function) -> BoundFunction:
 # ===================================================================
 
 
-def _frame_ops(code: DecodedFunction) -> List[tuple]:
-    """The op list a decoded frame of *code* runs (fusing on first use)."""
+def _frame_ops(vm, code: DecodedFunction) -> List[tuple]:
+    """The op list a decoded frame of *code* runs on *vm*: ``code.ops``
+    on a per-op device (``VirtualGPU._per_op``), else the fused list
+    (fusing on first use)."""
+    if vm._per_op:
+        return code.ops
     ops = code.fused
     return ops if ops is not None else _fuse(code)
 
@@ -1694,7 +1702,7 @@ def make_kernel_frame(vm, func: Function, args) -> DecodedFrame:
     regs = bound.init_regs.copy()
     for slot, co, actual in zip(code.arg_slots, code.arg_coerce, args):
         regs[slot] = co(actual)
-    return DecodedFrame(_frame_ops(code), regs, code.entry_pc, -1, func)
+    return DecodedFrame(_frame_ops(vm, code), regs, code.entry_pc, -1, func)
 
 
 def run_thread(vm, thread: ThreadContext) -> None:
@@ -1717,8 +1725,8 @@ def _run(vm, thread: ThreadContext, fn_cycles) -> None:
     tracing, else None.
 
     Steps and cycles accumulate in locals and are flushed on every
-    exit path (including exceptions), so the profile counters match
-    the legacy engine even on traps and step-limit aborts.  Fused runs
+    exit path (including exceptions), so fused and per-op execution
+    report the same counters even on traps and step-limit aborts.  Fused runs
     count one hit each; the team driver settles them into the opcode
     counters (``TeamStats.settle``).
     """
@@ -1773,8 +1781,8 @@ def _run(vm, thread: ThreadContext, fn_cycles) -> None:
         block = _block_name(vm, frames[-1]) if frames else None
         if isinstance(exc, TypeError):
             # A None register means an SSA value was read before any
-            # definition executed — the decoded-engine analogue of the
-            # legacy "use of undefined value" error.
+            # definition executed: report it as a use of an undefined
+            # value.
             err = (
                 undefined_value_error(frames[-1].function.name, str(exc))
                 if frames

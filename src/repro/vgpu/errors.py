@@ -1,12 +1,13 @@
 """Simulation error hierarchy, shared message formatting and crash context.
 
-All execution engines (the legacy tree-walker, the pre-decoded
-micro-op engine and the warp engine) raise through the factory helpers
+Both execution engines (the pre-decoded micro-op engine, fused or per
+op, and the warp engine) raise through the factory helpers
 below so that a given device failure produces a bit-identical exception
 type *and* message regardless of engine — the invariant pinned by
 ``tests/vgpu/test_errors_unified.py`` and relied on by the
 fault-injection determinism tests (same :class:`~repro.faults.FaultPlan`
-seed ⇒ same CrashReport across legacy, decoded and ``sim_jobs=N``).
+seed ⇒ same CrashReport across fused and per-op decoded and
+``sim_jobs=N``).
 
 On the way out of an engine run loop, :func:`attach_context` decorates
 the in-flight :class:`SimulationError` with a

@@ -1,12 +1,10 @@
-"""Execution state and scalar semantics shared by both engines.
+"""Execution state and scalar semantics shared by the engines.
 
-The virtual GPU has two execution engines — the legacy tree-walking
-interpreter (:mod:`repro.vgpu.interpreter`) and the pre-decoded engine
-(:mod:`repro.vgpu.decode`).  Everything they must agree on bit-for-bit
-lives here: thread/frame state, argument coercion, atomic-RMW and math
-intrinsic semantics.  Keeping one implementation is what makes the
-differential tests (decoded vs. legacy) a check of *representation*
-only, not of arithmetic.
+Thread state, argument coercion, atomic-RMW combines and the math
+intrinsics' scalar semantics live here, once, for the decoded engine
+(:mod:`repro.vgpu.decode`) and the warp engine (:mod:`repro.vgpu.warp`,
+which calls the same scalar helpers for uniform operands and lane by
+lane).
 """
 
 from __future__ import annotations
@@ -16,9 +14,7 @@ import math
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.ir.instructions import Call
-from repro.ir.module import BasicBlock, Function
 from repro.ir.types import FloatType, IntType, Type
-from repro.ir.values import Value
 from repro.vgpu.errors import SimulationError
 
 Scalar = Union[int, float]
@@ -30,27 +26,13 @@ class ThreadStatus(enum.Enum):
     DONE = "done"
 
 
-class Frame:
-    """One activation record of the legacy (tree-walking) engine."""
-
-    __slots__ = ("function", "block", "index", "values", "call_site", "pred_block")
-
-    def __init__(self, function: Function, call_site: Optional[Call]) -> None:
-        self.function = function
-        self.block: BasicBlock = function.entry
-        self.index = 0
-        self.values: Dict[Value, Scalar] = {}
-        self.call_site = call_site
-        self.pred_block: Optional[BasicBlock] = None
-
-
 class ThreadContext:
     """Execution state of one GPU thread.
 
-    ``frames`` holds :class:`Frame` records under the legacy engine and
-    :class:`repro.vgpu.decode.DecodedFrame` records under the decoded
-    engine; the team driver only looks at ``status``/``phase_cycles``
-    and is engine-agnostic.  ``stats`` points at the owning team's
+    ``frames`` holds :class:`repro.vgpu.decode.DecodedFrame` records
+    (warp teams keep their frames inside the warp executors); the team
+    driver only looks at ``status``/``phase_cycles`` and is
+    engine-agnostic.  ``stats`` points at the owning team's
     :class:`~repro.vgpu.profiler.TeamStats` accumulator; ``local_seg``
     and ``shared_seg`` cache the thread's memory segments so the hot
     paths skip the per-access segment lookup.
@@ -109,18 +91,9 @@ class ThreadContext:
 # ------------------------------------------------------------- coercion --
 
 
-def coerce_value(value: Scalar, ty: Type) -> Scalar:
-    """Bring *value* into the canonical register representation of *ty*
-    (wrapped int for integers, float for floats, raw int otherwise)."""
-    if isinstance(ty, IntType):
-        return ty.wrap(int(value))
-    if isinstance(ty, FloatType):
-        return float(value)
-    return int(value)
-
-
 def make_coerce(ty: Type) -> Callable[[Scalar], Scalar]:
-    """Decode-time specialization of :func:`coerce_value` for *ty*."""
+    """Coercion of a value into the register representation of *ty*
+    (wrapped int for integers, float for floats, raw int otherwise)."""
     if isinstance(ty, IntType):
         wrap = ty.wrap
         return lambda v: wrap(int(v))
@@ -196,16 +169,3 @@ MATH_BINARY: Dict[str, Callable[[float, float], float]] = {
     "fmin": min,
     "fmax": max,
 }
-
-
-def math_intrinsic(name: str, argv: List[Scalar]) -> Scalar:
-    """Evaluate a ``llvm.<op>.<f32|f64>`` math intrinsic by name."""
-    parts = name.split(".")
-    if len(parts) == 3 and parts[0] == "llvm":
-        fn = MATH_UNARY.get(parts[1])
-        if fn is not None:
-            return fn(float(argv[0]))
-        fn2 = MATH_BINARY.get(parts[1])
-        if fn2 is not None:
-            return fn2(float(argv[0]), float(argv[1]))
-    raise SimulationError(f"unhandled intrinsic {name}")

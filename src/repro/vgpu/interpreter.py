@@ -17,10 +17,13 @@ Two execution engines share this team/timing driver:
 
 * ``decoded`` (default) — the pre-decoded engine of
   :mod:`repro.vgpu.decode`: functions are flattened once into micro-op
-  arrays with slot-resolved operands and folded static costs.
-* ``legacy`` — the original tree-walking interpreter kept in this
-  module as the deterministic reference; the differential tests pin
-  the decoded engine to it bit for bit.
+  arrays with slot-resolved operands and folded static costs, and each
+  basic block's simple ops run as one fused, generated function.  Run
+  op by op (:attr:`VirtualGPU._per_op`) it is the reference the
+  differential tests pin the fused path and warp to, and the engine of
+  a service retry.
+* ``warp`` — :mod:`repro.vgpu.warp`: whole warps execute in lockstep
+  over NumPy lane arrays; teams it cannot run take the decoded path.
 
 Teams are embarrassingly parallel, so ``LaunchSpec(sim_jobs=N)`` (or
 ``REPRO_SIM_JOBS``) fans independent teams out to a thread pool.  All
@@ -36,37 +39,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor, wait as _wait_futures
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.memory.addrspace import AddressSpace, make_pointer, pointer_space
+from repro.memory.addrspace import AddressSpace, make_pointer
 from repro.memory.layout import DATA_LAYOUT
-from repro.memory.memmodel import (
-    DEVICE_LOCK,
-    MemoryError_,
-    MemorySystem,
-    encode_scalar,
-)
-from repro.ir.instructions import (
-    Alloca,
-    AtomicRMW,
-    BinOp,
-    Br,
-    Call,
-    Cast,
-    CondBr,
-    FCmp,
-    ICmp,
-    Instruction,
-    Load,
-    Phi,
-    PtrAdd,
-    Ret,
-    Select,
-    Store,
-    Unreachable,
-)
+from repro.memory.memmodel import MemorySystem, encode_scalar
+from repro.ir.instructions import Call
 from repro.ir.intrinsics import intrinsic_info
-from repro.ir.module import BasicBlock, Function, Module
-from repro.ir.types import FloatType, IntType, PointerType, Type
-from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from repro.ir.module import Function, Module
+from repro.ir.types import Type
+from repro.ir.values import GlobalVariable
 from repro.vgpu import decode as _decode
 from repro.vgpu.config import (
     DEFAULT_CONFIG,
@@ -84,7 +64,6 @@ from repro.vgpu.config import (
 )
 from repro.vgpu.config import (  # noqa: F401 (re-export)
     ENGINE_DECODED,
-    ENGINE_LEGACY,
     ENGINE_WARP,
 )
 from repro.vgpu.cost import CostModel
@@ -94,36 +73,21 @@ from repro.vgpu.errors import (
     SanitizerError,
     SimulationError,
     WatchdogExpired,
-    assumption_error,
-    attach_context,
-    call_stack_overflow_error,
-    division_by_zero_error,
-    step_limit_error,
-    trap_error,
-    unreachable_error,
 )
-from repro.vgpu.execstate import (  # noqa: F401 (Frame/ThreadStatus re-exported)
-    Frame,
+from repro.vgpu.execstate import (  # noqa: F401 (ThreadStatus re-exported)
     Scalar,
     ThreadContext,
     ThreadStatus,
-    atomic_apply,
-    math_intrinsic,
 )
 from repro.runtime.state import GV_OLD_TEAM_CONTEXT
-from repro.trace.categories import OVERHEAD_CATEGORIES
 from repro.trace.collector import active_or_none as _active_trace
 from repro.vgpu.launchspec import LaunchResult, LaunchSpec
 from repro.vgpu.profiler import KernelProfile, TeamStats
 from repro.vgpu.resources import ResourceUsage, measure_resources
 
-_RUNTIME_CATEGORY = OVERHEAD_CATEGORIES.get
-
 _RUNNING = ThreadStatus.RUNNING
 _AT_BARRIER = ThreadStatus.AT_BARRIER
 _DONE = ThreadStatus.DONE
-
-_I64 = IntType(64)
 
 #: Below this lane occupancy of team 0 (see ``warp.lane_occupancy``) a
 #: warp launch runs its other teams decoded.  One warp dispatch costs
@@ -160,6 +124,13 @@ class CooperativeWatchdog:
 class VirtualGPU:
     """Loads a module onto simulated hardware and launches kernels."""
 
+    #: When True, decoded frames run ``code.ops`` op by op instead of
+    #: fused runs (chosen where a frame is created; see
+    #: ``decode._frame_ops``).  This per-op path is the reference the
+    #: differential tests compare against and what a service retry runs
+    #: on a fresh device: it avoids the generated fused code.
+    _per_op = False
+
     def __init__(
         self,
         module: Module,
@@ -182,8 +153,8 @@ class VirtualGPU:
         #: When True the simulator verifies assumptions and aligned-barrier
         #: alignment — the dynamic half of the paper's debug mode.
         self.debug_checks = debug_checks
-        #: Execution engine: ``decoded`` (default), ``legacy`` or
-        #: ``warp``; also selectable via ``REPRO_SIM_ENGINE``.
+        #: Execution engine: ``decoded`` (default) or ``warp``; also
+        #: selectable via ``REPRO_SIM_ENGINE``.
         self.engine = resolve_sim_engine(engine)
         self.env = dict(env or {})
         #: Sanitizer mode (``REPRO_SANITIZE`` when not passed): swaps in
@@ -620,25 +591,17 @@ class VirtualGPU:
             if fallback is not None:
                 self._fallbacks[team_id] = fallback
         warp = engine == ENGINE_WARP and fallback is None
-        decoded = engine == ENGINE_DECODED or fallback is not None
         for thread in threads:
             thread.stats = stats
             thread.faults = fstate
-            if warp:
-                continue  # frames live inside the warp executors
-            if decoded:
+            if not warp:  # warp frames live inside the warp executors
                 thread.frames.append(_decode.make_kernel_frame(self, kernel, args))
-            else:
-                frame = Frame(kernel, None)
-                for formal, actual in zip(kernel.args, args):
-                    frame.values[formal] = self._coerce(actual, formal.type)
-                thread.frames.append(frame)
         if warp:
             from repro.vgpu import warp as _warp  # deferred: needs numpy
 
             warps = _warp.make_team_warps(self, kernel, args, threads, stats)
 
-        # Barrier-granularity phase driver.  Threads leave `_run_thread`
+        # Barrier-granularity phase driver.  Threads leave `run_thread`
         # either DONE or AT_BARRIER, so each pass over `alive` runs one
         # phase; no per-iteration runnable-list rebuild is needed.
         team_time = 0
@@ -657,10 +620,7 @@ class VirtualGPU:
                 else:
                     for thread in alive:
                         if thread.status is _RUNNING:
-                            if decoded:
-                                _decode.run_thread(self, thread)
-                            else:
-                                self._run_thread(thread, launch, stats)
+                            _decode.run_thread(self, thread)
                 still = [t for t in alive if t.status is not _DONE]
                 if self.sanitize and still and len(still) < len(alive):
                     # Some threads exited the kernel while teammates wait at
@@ -744,485 +704,3 @@ class VirtualGPU:
             return 0
         info = intrinsic_info(callee.name)
         return info.cost if info else 0
-
-    # ----------------------------------------------- legacy thread driver --
-
-    def _run_thread(
-        self, thread: ThreadContext, launch: LaunchConfig, stats: TeamStats
-    ) -> None:
-        """Run *thread* until it terminates or arrives at a barrier."""
-        if self._trace is not None:
-            return self._run_thread_traced(thread, launch, stats)
-        max_steps = self.config.max_steps_per_thread
-        try:
-            while thread.status is _RUNNING:
-                frame = thread.frame
-                inst = frame.block.instructions[frame.index]
-                # Check before the retire: the stopped thread reports
-                # exactly max_steps retired instructions (engine-pinned
-                # by tests/vgpu/test_step_limit.py).
-                if thread.steps == max_steps:
-                    raise step_limit_error(thread, max_steps, frame.function.name)
-                thread.steps += 1
-                self._execute(inst, thread, launch, stats)
-        except (SimulationError, MemoryError_) as exc:
-            frames = thread.frames
-            raise attach_context(
-                exc, thread, frames[-1].block.name if frames else None)
-
-    def _run_thread_traced(
-        self, thread: ThreadContext, launch: LaunchConfig, stats: TeamStats
-    ) -> None:
-        """Tracing variant of :meth:`_run_thread`: identical semantics
-        and cycle charges, plus per-IR-function cycle attribution
-        (each instruction's cycles go to the function executing it)."""
-        max_steps = self.config.max_steps_per_thread
-        fn_cycles = stats.function_cycles
-        try:
-            while thread.status is _RUNNING:
-                frame = thread.frame
-                inst = frame.block.instructions[frame.index]
-                if thread.steps == max_steps:
-                    raise step_limit_error(thread, max_steps, frame.function.name)
-                thread.steps += 1
-                before = thread.phase_cycles
-                self._execute(inst, thread, launch, stats)
-                fn_cycles[frame.function.name] += thread.phase_cycles - before
-        except (SimulationError, MemoryError_) as exc:
-            frames = thread.frames
-            raise attach_context(
-                exc, thread, frames[-1].block.name if frames else None)
-
-    # -------------------------------------------------------------- evaluation --
-
-    def _coerce(self, value: Scalar, ty: Type) -> Scalar:
-        if isinstance(ty, IntType):
-            return ty.wrap(int(value))
-        if isinstance(ty, FloatType):
-            return float(value)
-        return int(value)
-
-    def _eval(self, value: Value, frame: Frame) -> Scalar:
-        if isinstance(value, Constant):
-            return value.value
-        if isinstance(value, (Instruction, Argument)):
-            try:
-                return frame.values[value]
-            except KeyError:
-                raise SimulationError(
-                    f"use of undefined value {value.short()} in "
-                    f"@{frame.function.name}"
-                ) from None
-        if isinstance(value, GlobalVariable):
-            return self.global_addresses[value]
-        if isinstance(value, Function):
-            return self.function_addresses[value]
-        if isinstance(value, UndefValue):
-            return 0
-        raise SimulationError(f"cannot evaluate {value!r}")  # pragma: no cover
-
-    def _advance(self, thread: ThreadContext) -> None:
-        thread.frame.index += 1
-
-    def _branch_to(self, thread: ThreadContext, target: BasicBlock) -> None:
-        frame = thread.frame
-        pred = frame.block
-        # Parallel-copy phi semantics: read all incomings before writing.
-        phis = target.phis()
-        if phis:
-            staged = [(phi, self._eval(phi.incoming_value_for(pred), frame)) for phi in phis]
-            for phi, val in staged:
-                frame.values[phi] = val
-        frame.pred_block = pred
-        frame.block = target
-        frame.index = target.first_non_phi_index()
-
-    # --------------------------------------------------------------- execution --
-
-    def _execute(
-        self,
-        inst: Instruction,
-        thread: ThreadContext,
-        launch: LaunchConfig,
-        stats: TeamStats,
-    ) -> None:
-        frame = thread.frame
-        stats.opcode_counts[inst.opcode] += 1
-
-        if isinstance(inst, BinOp):
-            lhs = self._eval(inst.lhs, frame)
-            rhs = self._eval(inst.rhs, frame)
-            frame.values[inst] = self._binop(inst, lhs, rhs, thread)
-            thread.phase_cycles += self.cost.binop_cost(inst)
-            if inst.opcode in ("fadd", "fsub", "fmul", "fdiv", "frem"):
-                stats.flops += 1
-            self._advance(thread)
-            return
-
-        if isinstance(inst, Load):
-            ptr = int(self._eval(inst.pointer, frame))
-            space = pointer_space(ptr)
-            frame.values[inst] = self.memory.load(
-                ptr, inst.type, thread.team_id, thread.thread_id
-            )
-            stats.loads_by_space[space] += 1
-            thread.phase_cycles += self.cost.load_cost(space)
-            self._advance(thread)
-            return
-
-        if isinstance(inst, Store):
-            ptr = int(self._eval(inst.pointer, frame))
-            value = self._eval(inst.value, frame)
-            space = pointer_space(ptr)
-            self.memory.store(
-                ptr, value, inst.value.type, thread.team_id, thread.thread_id
-            )
-            stats.stores_by_space[space] += 1
-            thread.phase_cycles += self.cost.store_cost(space)
-            self._advance(thread)
-            return
-
-        if isinstance(inst, PtrAdd):
-            base = int(self._eval(inst.pointer, frame))
-            offset_ty = inst.offset.type
-            assert isinstance(offset_ty, IntType)
-            offset = offset_ty.to_signed(int(self._eval(inst.offset, frame)))
-            frame.values[inst] = base + offset
-            thread.phase_cycles += self.cost.config.int_op_cost
-            self._advance(thread)
-            return
-
-        if isinstance(inst, ICmp):
-            frame.values[inst] = self._icmp(inst, frame)
-            thread.phase_cycles += self.cost.config.int_op_cost
-            self._advance(thread)
-            return
-
-        if isinstance(inst, FCmp):
-            frame.values[inst] = self._fcmp(inst, frame)
-            thread.phase_cycles += self.cost.config.int_op_cost
-            self._advance(thread)
-            return
-
-        if isinstance(inst, Select):
-            cond = self._eval(inst.condition, frame)
-            picked = inst.true_value if cond else inst.false_value
-            frame.values[inst] = self._eval(picked, frame)
-            thread.phase_cycles += self.cost.config.select_cost
-            self._advance(thread)
-            return
-
-        if isinstance(inst, Cast):
-            frame.values[inst] = self._cast(inst, frame)
-            thread.phase_cycles += self.cost.config.cast_cost
-            self._advance(thread)
-            return
-
-        if isinstance(inst, Alloca):
-            seg = self.memory.local_segment(thread.team_id, thread.thread_id)
-            size = DATA_LAYOUT.size_of(inst.allocated_type)
-            align = DATA_LAYOUT.align_of(inst.allocated_type)
-            frame.values[inst] = seg.allocate(size, align)
-            thread.phase_cycles += self.cost.config.alloca_cost
-            self._advance(thread)
-            return
-
-        if isinstance(inst, AtomicRMW):
-            ptr = int(self._eval(inst.pointer, frame))
-            operand = self._eval(inst.value, frame)
-            ty = inst.value.type
-            with DEVICE_LOCK:
-                old = self.memory.load(ptr, ty, thread.team_id, thread.thread_id)
-                new = atomic_apply(inst.operation, old, operand, ty)
-                self.memory.store(ptr, new, ty, thread.team_id, thread.thread_id)
-            frame.values[inst] = old
-            thread.phase_cycles += self.cost.config.atomic_cost
-            self._advance(thread)
-            return
-
-        if isinstance(inst, Br):
-            thread.phase_cycles += self.cost.config.branch_cost
-            self._branch_to(thread, inst.target)
-            return
-
-        if isinstance(inst, CondBr):
-            cond = self._eval(inst.condition, frame)
-            thread.phase_cycles += self.cost.config.branch_cost
-            self._branch_to(thread, inst.true_target if cond else inst.false_target)
-            return
-
-        if isinstance(inst, Ret):
-            rv = inst.return_value
-            result = self._eval(rv, frame) if rv is not None else None
-            thread.frames.pop()
-            if not thread.frames:
-                thread.status = _DONE
-                thread.total_cycles += thread.phase_cycles
-                return
-            caller = thread.frame
-            call_site = frame.call_site
-            assert call_site is not None
-            if result is not None:
-                caller.values[call_site] = result
-            caller.index += 1
-            return
-
-        if isinstance(inst, Unreachable):
-            raise unreachable_error(frame.function.name, thread)
-
-        if isinstance(inst, Call):
-            self._execute_call(inst, thread, launch, stats)
-            return
-
-        if isinstance(inst, Phi):  # pragma: no cover - phis run at branch time
-            raise SimulationError("phi reached by sequential execution")
-
-        raise SimulationError(f"unhandled instruction {inst.opcode}")  # pragma: no cover
-
-    # ------------------------------------------------------------------- calls --
-
-    def _execute_call(
-        self,
-        inst: Call,
-        thread: ThreadContext,
-        launch: LaunchConfig,
-        stats: TeamStats,
-    ) -> None:
-        frame = thread.frame
-        callee = inst.callee
-        if callee is None:
-            address = int(self._eval(inst.callee_operand, frame))
-            callee = self._functions_by_address.get(address)
-            if callee is None:
-                raise SimulationError(
-                    f"indirect call to unmapped address {address:#x} in "
-                    f"@{frame.function.name}"
-                )
-
-        info = intrinsic_info(callee.name)
-        if info is not None:
-            self._execute_intrinsic(inst, callee.name, info, thread, launch, stats)
-            return
-
-        if callee.is_declaration:
-            raise SimulationError(f"call to undefined function @{callee.name}")
-
-        category = _RUNTIME_CATEGORY(callee.name)
-        if category is not None:
-            stats.runtime_calls[category] += 1
-            if thread.faults is not None:
-                thread.faults.on_runtime_call(self, thread, frame, callee.name)
-
-        thread.phase_cycles += self.cost.config.call_cost
-        new_frame = Frame(callee, inst)
-        if len(inst.args) != len(callee.args):
-            raise SimulationError(
-                f"call to @{callee.name}: {len(inst.args)} args for "
-                f"{len(callee.args)} params"
-            )
-        for formal, actual in zip(callee.args, inst.args):
-            new_frame.values[formal] = self._coerce(self._eval(actual, frame), formal.type)
-        thread.frames.append(new_frame)
-        if len(thread.frames) > 512:
-            raise call_stack_overflow_error(callee.name, thread)
-
-    def _execute_intrinsic(
-        self,
-        inst: Call,
-        name: str,
-        info,
-        thread: ThreadContext,
-        launch: LaunchConfig,
-        stats: TeamStats,
-    ) -> None:
-        frame = thread.frame
-        argv = [self._eval(a, frame) for a in inst.args]
-        thread.phase_cycles += info.cost
-
-        if info.is_barrier:
-            if thread.faults is not None and thread.faults.skip_barrier(self, thread):
-                # Injected divergence: fall through the barrier and keep
-                # running while the rest of the team waits.
-                self._advance(thread)
-                return
-            thread.status = _AT_BARRIER
-            thread.barrier_call = inst
-            self._advance(thread)
-            return
-
-        result: Optional[Scalar] = None
-        if name == "gpu.thread_id":
-            result = thread.thread_id
-        elif name == "gpu.block_id":
-            result = thread.team_id
-        elif name == "gpu.block_dim":
-            result = launch.threads_per_team
-        elif name == "gpu.grid_dim":
-            result = launch.num_teams
-        elif name == "gpu.warp_size":
-            result = self.config.warp_size
-        elif name == "gpu.lane_id":
-            result = thread.thread_id % self.config.warp_size
-        elif name == "gpu.dynamic_shared":
-            base = self._dynamic_shared_base.get(thread.team_id)
-            if base is None:
-                raise SimulationError(
-                    "gpu.dynamic_shared used but the launch reserved no "
-                    "dynamic shared memory"
-                )
-            result = base
-        elif name == "llvm.assume":
-            if self.debug_checks and not argv[0]:
-                raise assumption_error(frame.function.name, thread)
-        elif name == "llvm.expect":
-            result = argv[0]
-        elif name == "llvm.trap":
-            msg = stats.output[-1] if stats.output else "llvm.trap"
-            raise trap_error(frame.function.name, thread, msg)
-        elif name == "rt.print_i64":
-            stats.output.append(str(_I64.to_signed(int(argv[0]))))
-        elif name == "rt.print_f64":
-            stats.output.append(repr(float(argv[0])))
-        elif name == "rt.print_str":
-            addr = int(argv[0])
-            stats.output.append(self._string_table.get(addr, f"<str {addr:#x}>"))
-        elif name == "malloc":
-            if thread.faults is not None:
-                thread.faults.on_device_malloc(self, thread, frame.function.name)
-            stats.device_mallocs += 1
-            result = self.memory.malloc(int(argv[0]))
-        elif name == "free":
-            stats.device_frees += 1
-            self.memory.free(int(argv[0]))
-        elif name == "llvm.memset":
-            self.memory.memset(
-                int(argv[0]), int(argv[1]), int(argv[2]), thread.team_id, thread.thread_id
-            )
-            thread.phase_cycles += int(argv[2]) // 8
-        elif name == "llvm.memcpy":
-            self.memory.memcpy(
-                int(argv[0]), int(argv[1]), int(argv[2]), thread.team_id, thread.thread_id
-            )
-            thread.phase_cycles += int(argv[2]) // 4
-        else:
-            result = math_intrinsic(name, argv)
-            if result is not None:
-                stats.flops += 1
-
-        if result is not None:
-            frame.values[inst] = self._coerce(result, inst.type)
-        self._advance(thread)
-
-    # ----------------------------------------------------------------- scalar ops --
-
-    def _binop(self, inst: BinOp, lhs: Scalar, rhs: Scalar, thread: ThreadContext) -> Scalar:
-        op = inst.opcode
-        ty = inst.type
-        if isinstance(ty, FloatType):
-            a, b = float(lhs), float(rhs)
-            if op == "fadd":
-                return a + b
-            if op == "fsub":
-                return a - b
-            if op == "fmul":
-                return a * b
-            if op == "fdiv":
-                if b == 0.0:
-                    return float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
-                return a / b
-            if op == "frem":
-                import math
-
-                return math.fmod(a, b) if b != 0.0 else float("nan")
-        if isinstance(ty, IntType) or isinstance(ty, PointerType):
-            ity = ty if isinstance(ty, IntType) else _I64
-            a, b = int(lhs), int(rhs)
-            sa, sb = ity.to_signed(a), ity.to_signed(b)
-            if op == "add":
-                return ity.wrap(a + b)
-            if op == "sub":
-                return ity.wrap(a - b)
-            if op == "mul":
-                return ity.wrap(a * b)
-            if op == "and":
-                return a & b
-            if op == "or":
-                return a | b
-            if op == "xor":
-                return a ^ b
-            if op == "shl":
-                return ity.wrap(a << (b % ity.bits))
-            if op == "lshr":
-                return a >> (b % ity.bits)
-            if op == "ashr":
-                return ity.wrap(sa >> (b % ity.bits))
-            if op in ("sdiv", "srem"):
-                if sb == 0:
-                    raise division_by_zero_error()
-                q = int(sa / sb)
-                return ity.wrap(q if op == "sdiv" else sa - q * sb)
-            if op in ("udiv", "urem"):
-                if b == 0:
-                    raise division_by_zero_error()
-                return a // b if op == "udiv" else a % b
-        raise SimulationError(f"unhandled binop {op} on {ty}")  # pragma: no cover
-
-    def _icmp(self, inst: ICmp, frame: Frame) -> int:
-        lhs = int(self._eval(inst.lhs, frame))
-        rhs = int(self._eval(inst.rhs, frame))
-        ty = inst.lhs.type
-        if isinstance(ty, IntType):
-            sa, sb = ty.to_signed(lhs), ty.to_signed(rhs)
-        else:
-            sa, sb = lhs, rhs
-        pred = inst.predicate
-        result = {
-            "eq": lhs == rhs, "ne": lhs != rhs,
-            "ult": lhs < rhs, "ule": lhs <= rhs,
-            "ugt": lhs > rhs, "uge": lhs >= rhs,
-            "slt": sa < sb, "sle": sa <= sb,
-            "sgt": sa > sb, "sge": sa >= sb,
-        }[pred]
-        return 1 if result else 0
-
-    def _fcmp(self, inst: FCmp, frame: Frame) -> int:
-        import math
-
-        a = float(self._eval(inst.operands[0], frame))
-        b = float(self._eval(inst.operands[1], frame))
-        if math.isnan(a) or math.isnan(b):
-            return 0
-        pred = inst.predicate
-        result = {
-            "oeq": a == b, "one": a != b,
-            "olt": a < b, "ole": a <= b,
-            "ogt": a > b, "oge": a >= b,
-        }[pred]
-        return 1 if result else 0
-
-    def _cast(self, inst: Cast, frame: Frame) -> Scalar:
-        src = self._eval(inst.source, frame)
-        op = inst.opcode
-        src_ty = inst.source.type
-        dst_ty = inst.type
-        if op == "zext":
-            return int(src)
-        if op == "sext":
-            assert isinstance(src_ty, IntType) and isinstance(dst_ty, IntType)
-            return dst_ty.wrap(src_ty.to_signed(int(src)))
-        if op == "trunc":
-            assert isinstance(dst_ty, IntType)
-            return dst_ty.wrap(int(src))
-        if op == "sitofp":
-            assert isinstance(src_ty, IntType)
-            return float(src_ty.to_signed(int(src)))
-        if op == "uitofp":
-            return float(int(src))
-        if op == "fptosi":
-            assert isinstance(dst_ty, IntType)
-            return dst_ty.wrap(int(float(src)))
-        if op in ("fpext", "fptrunc"):
-            return float(src)
-        if op in ("ptrtoint", "inttoptr", "bitcast"):
-            return src
-        raise SimulationError(f"unhandled cast {op}")  # pragma: no cover

@@ -62,7 +62,7 @@ class LaunchSpec:
     #: original) becomes the device watchdog.
     deadline_s: Optional[float] = None
     #: Execution engine override for this launch (``decoded`` /
-    #: ``legacy`` / ``warp``; None = the device's engine).
+    #: ``warp``; None = the device's engine).
     engine: Optional[str] = None
     #: Fault-injection plan for this launch: a FaultPlan, a
     #: ``REPRO_FAULTS``-grammar string, or None = the device's plan.
@@ -164,8 +164,9 @@ class LaunchResult:
     #: retry, for the internal engine fault that forced the retry.
     report: Optional[object] = None
     report_path: Optional[str] = None
-    #: True when the decoded engine failed internally and the legacy
-    #: reference engine supplied the result (serve-layer fallback).
+    #: True when the requested engine failed internally and a retry on
+    #: a fresh per-op decoded device supplied the result (serve-layer
+    #: fallback).
     retried: bool = False
     #: Host wall-clock stamps (``time.monotonic``): submission to a
     #: service (None for direct runs), execution start, execution end.

@@ -6,7 +6,7 @@ static shared memory) plus the instruction mix the harness uses for
 derived metrics (GFlops for GridMini, Fig. 12).
 
 Counting happens in exactly one place: every execution engine
-(legacy, decoded and warp) accumulates into a per-team
+(decoded, fused or per op, and warp) accumulates into a per-team
 :class:`TeamStats`, and :meth:`KernelProfile.merge_team` folds team
 results into the launch profile in team order.  Because the
 accumulator and the merge are shared, the engines — and serial vs.

@@ -15,7 +15,7 @@ Execution model
   Frame slots hold either a Python scalar (*uniform* — every lane has
   the value) or an ``(n_lanes,)`` ndarray (*varying*).  Integers and
   pointers are ``uint64`` (two's-complement wraparound matches the
-  legacy ``ty.wrap`` discipline), floats are ``float64``.
+  scalar ``ty.wrap`` discipline), floats are ``float64``.
 * Control flow is an **active-lane-mask machine**: each *execution
   group* keeps a stack of records; the top record carries the current
   pc, the reconvergence pc (the branch's immediate post-dominator,
@@ -43,7 +43,7 @@ the row's scalar template (the decoded engine's own code), else the
 row's NumPy vector template.  Where NumPy would round or fail unlike
 Python (``int(x / y)`` above 2**53, ``fptosi`` outside int64, ``frem``
 of an infinity, the math intrinsics), the vector template runs the
-scalar template lane by lane, so every lane has the scalar engines'
+scalar template lane by lane, so every lane has the decoded engine's
 semantics.  Intrinsics come from the decoded engine's name-keyed
 table too: a pure one is a row like any simple op, and a generic row
 (prints, traps, malloc, memset, ...) is the scalar function
@@ -52,12 +52,12 @@ calls of an intrinsic run the op a direct call decodes to.  Loads,
 stores, atomics, control flow, barriers and ``llvm.assume``/
 ``llvm.expect`` keep hand-written handlers.
 
-Bit-parity with the scalar engines
+Bit-parity with the decoded engine
 ----------------------------------
 
-Profiles are bit-identical to the legacy/decoded engines for race-free
-programs: every counter charges ``n_active`` where the scalar engines
-charge 1 per thread, per-lane step/cycle counts accumulate in arrays
+Profiles are bit-identical to the decoded engine for race-free
+programs: every counter charges ``n_active`` where the decoded engine
+charges 1 per thread, per-lane step/cycle counts accumulate in arrays
 flushed at every mask change, and printed output is buffered per lane
 and flushed in lane order at each phase end (matching the scalar
 engines' thread-order phase execution).  Teams with an armed fault
@@ -71,7 +71,7 @@ allocation — it is inherently not SIMT-executable, so the warp engine
 never runs it.  The one known, documented divergence is the context
 of a *divergent* crash:
 
-* which fault it reports: the scalar engines run each thread to its
+* which fault it reports: the decoded engine runs each thread to its
   first fault in thread order, while the warp engine stops at the
   first op where any active lane faults and pins it to the lowest such
   lane.  Only the crash context differs, unless two threads would
@@ -80,7 +80,7 @@ of a *divergent* crash:
   that of the highest lower lane with buffered output, else the team's
   (see :class:`_LaneOut`).  A lower lane of the same warp that prints
   only *after* the trap point has not printed yet in lockstep, while
-  the scalar engines ran that thread to its end before the trapping
+  the decoded engine ran that thread to its end before the trapping
   one.
 """
 
@@ -332,7 +332,7 @@ class WarpExec:
         to zeros: the inactive lanes' entries are placeholders no
         well-defined program ever reads.  A *fully* undefined slot that
         is read stays ``None`` and surfaces as the same
-        undefined-value error as the scalar engines."""
+        undefined-value error as the decoded engine."""
         if type(cur) is ndarray:
             return cur.astype(dtype)
         if cur is None:
@@ -499,7 +499,7 @@ class WarpExec:
     def run_phase(self):
         """Run every group until all lanes are parked or done; commit
         per-lane counters and buffered output into the ThreadContexts
-        (mirrors one pass of the scalar engines' phase loop)."""
+        (mirrors one pass of the decoded engine's phase loop)."""
         self._phase_committed = False
         self.error_lane = None
         self.done_bits = 0
@@ -523,7 +523,7 @@ class WarpExec:
 
     def _attach(self, exc):
         """Attach a :class:`DeviceErrorContext` equivalent to the one
-        the scalar engines build from ``thread.frames`` — here the call
+        the decoded engine build from ``thread.frames`` — here the call
         stack is reconstructed from the faulting ``_WFrame`` chain and
         the fault is attributed to the lowest faulting lane (``errors.
         attach_context`` cannot be used directly: warp threads keep no
@@ -694,7 +694,7 @@ def _wrap(v, T):
 
 def _div0(w, y):
     """Divisor lanes *y*, with inactive lanes' zeros made 1.  An active
-    zero raises like the scalar engines, pinned to the lowest such lane."""
+    zero raises like the decoded engine, pinned to the lowest such lane."""
     zero = y == 0
     if not np.count_nonzero(zero):
         return y
@@ -764,7 +764,7 @@ def _warp_source(name, spec):
         lines += ["    " + s for s in vector]
     lines += ["    w._wr(op[3], d)", "    w.pc = op[2]",
               f"    w.pending_cycles += op[{spec.cost}]"]
-    if spec.flop:  # only once the op succeeds, like the scalar engines
+    if spec.flop:  # only once the op succeeds, like the decoded engine
         lines.append("    w.stats.flops += w.n_active")
     return "\n".join(lines)
 
@@ -821,7 +821,7 @@ def _w_alloca(vm, w, op):
 
 def _load_cost(vm, w, costs, tag, n):
     c = costs[tag]
-    if c is None:  # space missing from the cost table: legacy KeyError
+    if c is None:  # space missing from the cost table: cost model KeyError
         c = vm.cost.load_cost(_SPACE_BY_TAG[tag])
     return c
 
@@ -912,7 +912,7 @@ def _gather_bytes(w, seg, offs, op):
 def _load_lanes(vm, w, op, p):
     """Per-lane load slow path: mixed/local spaces and every error
     case route through ``MemorySystem.load`` in lane order, exactly
-    like the scalar engines."""
+    like the decoded engine."""
     w._flush()
     size, ty, costs = op[5], op[6], op[7]
     unpack = op[10]
@@ -1297,7 +1297,7 @@ def _w_icall(vm, w, op):
         if not bool((pa == pa[0]).all()):
             raise EngineUnsupported(
                 "warp engine: divergent indirect call targets are not "
-                "supported (use the decoded or legacy engine)"
+                "supported (use the decoded engine)"
             )
         address = int(pa[0])
     else:

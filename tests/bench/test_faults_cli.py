@@ -32,7 +32,7 @@ class TestSmokeMatrix:
 
     def test_every_scenario_ran_all_three_cells(self, smoke_report):
         for row in smoke_report["scenarios"]:
-            assert set(row["cells"]) == {"decoded", "legacy", "sim_jobs=2"}
+            assert set(row["cells"]) == {"decoded", "warp", "sim_jobs=2"}
 
     def test_exhaust_shows_fallback_mallocs(self, smoke_report):
         row = next(r for r in smoke_report["scenarios"]
@@ -43,7 +43,7 @@ class TestSmokeMatrix:
         row = next(r for r in smoke_report["scenarios"]
                    if r["scenario"] == "rt-trap")
         reports = {label: cell["report"] for label, cell in row["cells"].items()}
-        assert reports["decoded"] == reports["legacy"] == reports["sim_jobs=2"]
+        assert reports["decoded"] == reports["warp"] == reports["sim_jobs=2"]
         assert reports["decoded"]["error_type"] == "InjectedFault"
         assert reports["decoded"]["context"] is not None
 

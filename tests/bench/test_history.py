@@ -242,7 +242,7 @@ class TestRecordFromReport:
                  "engine": "decoded", "teams": 2, "threads": 4,
                  "workload": 4, "cycles_per_call": 24.0},
                 {"construct": "barrier", "runtime": "newrt",
-                 "engine": "legacy", "teams": 2, "threads": 4,
+                 "engine": "warp", "teams": 2, "threads": 4,
                  "workload": 4, "cycles_per_call": 24.0},
                 {"construct": "worksharing", "runtime": "newrt",
                  "engine": "decoded", "teams": 2, "threads": 4,
@@ -254,6 +254,33 @@ class TestRecordFromReport:
         metric = rec["metrics"]["model/barrier/newrt/t2x4/w4"]
         assert metric["kind"] == record.KIND_MODEL
         assert metric["stddev"] == 0.0
+
+    def test_simperf_report_metrics(self):
+        from repro.bench.builds import BUILD_ORDER
+        from repro.bench.harness import APPS
+
+        cells = [
+            {"app": "gridmini", "build": BUILD_ORDER[1], "engine": engine,
+             "wall_seconds": 0.1, "cycles": 1000, "instructions": 100}
+            for engine in ("decoded", "warp")
+        ]
+        report = {
+            "benchmark": "simperf", "meta": record.meta_block(),
+            "config": {"apps": sorted(APPS), "builds": list(BUILD_ORDER)},
+            "cells": cells, "warp_over_decoded": {},
+            "geomean_warp_over_decoded": 1.5,
+        }
+        metrics = history.record_from_report(report)["metrics"]
+        key = f"gridmini/{BUILD_ORDER[1]}"
+        assert set(metrics) == {
+            f"wall/launch_s/{key}/decoded", f"wall/launch_s/{key}/warp",
+            f"model/cycles/{key}", "wall/geomean_warp_over_decoded",
+        }
+        assert metrics["wall/geomean_warp_over_decoded"]["value"] == 1.5
+        # A partial sweep averages another population: no geomean.
+        partial = dict(report, config={"apps": ["gridmini"], "builds": []})
+        assert "wall/geomean_warp_over_decoded" not in \
+            history.record_from_report(partial)["metrics"]
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(KeyError):

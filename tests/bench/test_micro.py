@@ -29,7 +29,7 @@ class TestMicroSmoke:
         constructs = {c for c, _, _ in covered}
         assert len(constructs) >= 6
         for runtime in ("oldrt", "newrt"):
-            for engine in ("legacy", "decoded"):
+            for engine in ("decoded", "warp"):
                 per = {c for c, rt, en in covered
                        if rt == runtime and en == engine}
                 assert len(per) >= 6, (runtime, engine, sorted(per))
@@ -41,7 +41,7 @@ class TestMicroSmoke:
         for cell in smoke_report["cells"]:
             assert cell["construct"] in micro.CONSTRUCT_ORDER
             assert cell["category"] in CATEGORY_NAMES
-            assert cell["engine"] in ("legacy", "decoded")
+            assert cell["engine"] in ("decoded", "warp")
             assert cell["cycles"] >= 0
             if cell["cycles_per_call"] is not None:
                 assert cell["cycles_per_call"] > 0

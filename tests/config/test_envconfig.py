@@ -261,6 +261,11 @@ class TestWarpKnobs:
         monkeypatch.setenv("REPRO_SIM_ENGINE", "warp")
         assert envconfig.sim_engine() == "warp"
 
+    def test_engine_knob_documents_exactly_the_engines(self):
+        from repro.vgpu.config import ENGINES
+
+        assert envconfig.KNOBS["REPRO_SIM_ENGINE"].choices == ENGINES
+
 
 class TestDelegation:
     """The legacy per-subsystem resolvers now route through envconfig."""
@@ -268,13 +273,15 @@ class TestDelegation:
     def test_sim_engine_resolver(self, monkeypatch):
         from repro.vgpu.config import resolve_sim_engine
 
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "legacy")
-        assert resolve_sim_engine() == "legacy"
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "decoded")
+        assert resolve_sim_engine() == "decoded"
         monkeypatch.setenv("REPRO_SIM_ENGINE", "warp")
         assert resolve_sim_engine() == "warp"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "bogus")
-        with pytest.raises(ValueError):
-            resolve_sim_engine()
+        # "legacy" named the deleted tree-walker: now an unknown engine.
+        for name in ("legacy", "bogus"):
+            monkeypatch.setenv("REPRO_SIM_ENGINE", name)
+            with pytest.raises(ValueError, match="unknown simulation engine"):
+                resolve_sim_engine()
 
     def test_sim_jobs_resolver(self, monkeypatch):
         from repro.vgpu.config import resolve_sim_jobs

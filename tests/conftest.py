@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
@@ -37,6 +38,28 @@ def _isolated_bench_history(tmp_path_factory):
         os.environ.pop("REPRO_BENCH_HISTORY_DIR", None)
     else:
         os.environ["REPRO_BENCH_HISTORY_DIR"] = old
+
+
+#: Engine label of the reference runs the engine comparisons check
+#: against: the decoded engine with every frame run op by op through the
+#: ``_h_*`` handlers, no fused runs (``VirtualGPU._per_op``).
+PER_OP = "per-op"
+
+
+@contextlib.contextmanager
+def engine_mode(label):
+    """Run the body under the engine *label* names and yield the engine
+    to pass on: ``per-op`` yields ``decoded`` with fused runs off for
+    every device, any other label yields itself."""
+    if label != PER_OP:
+        yield label
+        return
+    from repro.vgpu import VirtualGPU
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VirtualGPU, "_per_op", True)
+        yield "decoded"
+
 
 from repro.ir import (
     F64,

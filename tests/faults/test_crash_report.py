@@ -43,7 +43,7 @@ class TestConstruction:
 
     def test_comparable_view_drops_run_varying_fields(self):
         report = CrashReport.from_exception(_trapped(), engine="decoded")
-        report.retry = {"from_engine": "decoded", "to_engine": "legacy"}
+        report.retry = {"from_engine": "warp", "to_engine": "decoded"}
         report.trace_tail = [{"name": "crash.TrapError"}]
         comparable = report.comparable_dict()
         for key in ("engine", "retry", "trace_tail"):
@@ -67,8 +67,8 @@ class TestSave:
 
     def test_same_failure_different_engine_dedups(self, tmp_path):
         a = CrashReport.from_exception(_trapped(), engine="decoded")
-        b = CrashReport.from_exception(_trapped(), engine="legacy")
-        b.retry = {"from_engine": "decoded", "to_engine": "legacy"}
+        b = CrashReport.from_exception(_trapped(), engine="warp")
+        b.retry = {"from_engine": "warp", "to_engine": "decoded"}
         assert a.save(str(tmp_path)) == b.save(str(tmp_path))
         assert len(list(tmp_path.iterdir())) == 1
 

@@ -1,9 +1,9 @@
-"""Fault injection fires identically in both engines.
+"""Fault injection fires identically in every engine.
 
 The acceptance criterion of the robustness work: the same FaultPlan
 produces the same exception — type, frozen message, attached device
-context — under the legacy tree-walker, the decoded engine, and
-``sim_jobs=N``; and a plan that never fires leaves the KernelProfile
+context — under per-op and fused decoded execution, the warp engine
+(whose armed teams take the decoded fallback) and ``sim_jobs=N``; and a plan that never fires leaves the KernelProfile
 bit-identical.  (The compiled-app version of these checks — including
 CrashReport comparability — runs in ``tests/bench/test_faults_cli.py``
 and ``python -m repro.bench faults``.)
@@ -14,7 +14,10 @@ import pytest
 from repro.ir import I64, Module, verify_module
 from repro.vgpu import BarrierDivergence, InjectedFault, LaunchSpec, VirtualGPU
 from repro.vgpu.config import ENGINES
-from tests.conftest import make_kernel
+from tests.conftest import PER_OP, engine_mode, make_kernel
+
+#: The per-op decoded reference and every engine.
+LABELS = (PER_OP,) + ENGINES
 
 GEOMETRY = dict(num_teams=1, threads_per_team=1)
 
@@ -61,30 +64,32 @@ def _divergent_barrier_module():
     return module
 
 
-def _failure(module, engine, faults, sanitize=False, teams=1, threads=1,
+def _failure(module, label, faults, sanitize=False, teams=1, threads=1,
              sim_jobs=None):
-    gpu = VirtualGPU(module, engine=engine, faults=faults, sanitize=sanitize)
-    with pytest.raises(Exception) as excinfo:
-        gpu.run(LaunchSpec(kernel="kern", num_teams=teams,
-                           threads_per_team=threads, sim_jobs=sim_jobs))
+    with engine_mode(label) as engine:
+        gpu = VirtualGPU(module, engine=engine, faults=faults,
+                         sanitize=sanitize)
+        with pytest.raises(Exception) as excinfo:
+            gpu.run(LaunchSpec(kernel="kern", num_teams=teams,
+                               threads_per_team=threads, sim_jobs=sim_jobs))
     return excinfo.value
 
 
 class TestMallocFail:
     def test_fires_at_the_nth_malloc_with_the_frozen_message(self):
-        for engine in ENGINES:
-            exc = _failure(_malloc_module(), engine, "malloc_fail:n=2")
+        for label in LABELS:
+            exc = _failure(_malloc_module(), label, "malloc_fail:n=2")
             assert isinstance(exc, InjectedFault)
             assert str(exc) == ("injected device malloc failure #2 in @kern "
                                 "(team 0, thread 0)")
 
     def test_context_is_identical_across_engines(self):
         contexts = []
-        for engine in ENGINES:
-            exc = _failure(_malloc_module(), engine, "malloc_fail:n=2")
+        for label in LABELS:
+            exc = _failure(_malloc_module(), label, "malloc_fail:n=2")
             assert exc.context is not None
             contexts.append(exc.context.to_dict())
-        assert contexts[0] == contexts[1]
+        assert all(ctx == contexts[0] for ctx in contexts)
         assert contexts[0]["function"] == "kern"
 
     def test_failed_malloc_is_not_counted(self):
@@ -108,13 +113,13 @@ class TestZeroPerturbation:
 class TestBarrierSkip:
     def test_sanitizer_turns_the_hang_into_a_diagnostic(self):
         messages = []
-        for engine in ENGINES:
-            exc = _failure(_barrier_module(), engine, "barrier_skip:n=1",
+        for label in LABELS:
+            exc = _failure(_barrier_module(), label, "barrier_skip:n=1",
                            sanitize=True, threads=2)
             assert isinstance(exc, BarrierDivergence)
             assert exc.team == 0
             messages.append(str(exc))
-        assert messages[0] == messages[1]
+        assert len(set(messages)) == 1
         assert "finished the kernel while threads" in messages[0]
 
     def test_sim_jobs_report_the_same_divergence(self):
@@ -137,11 +142,12 @@ class TestBarrierSkip:
 class TestDivergentAlignedBarriers:
     def test_sanitizer_flags_mismatched_aligned_barriers(self):
         messages = []
-        for engine in ENGINES:
-            gpu = VirtualGPU(_divergent_barrier_module(), engine=engine,
-                             sanitize=True)
-            with pytest.raises(BarrierDivergence) as excinfo:
-                gpu.run(LaunchSpec(kernel="kern", threads_per_team=2))
+        for label in LABELS:
+            with engine_mode(label) as engine:
+                gpu = VirtualGPU(_divergent_barrier_module(), engine=engine,
+                                 sanitize=True)
+                with pytest.raises(BarrierDivergence) as excinfo:
+                    gpu.run(LaunchSpec(kernel="kern", threads_per_team=2))
             messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
+        assert len(set(messages)) == 1
         assert "different aligned barrier instructions" in messages[0]

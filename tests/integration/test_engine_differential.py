@@ -1,15 +1,16 @@
-"""Engine differential testing: the pre-decoded and warp-vectorized
-execution engines must be observationally indistinguishable from the
-legacy tree-walking interpreter on every proxy app under every build
-configuration.
+"""Engine differential testing: fused decoded execution and the
+warp-vectorized engine must be observationally indistinguishable from
+the per-op decoded reference (every op through its ``_h_*`` handler, no
+fused runs) on every proxy app under every build configuration.
 
 "Indistinguishable" is bit-level: identical KernelProfiles (cycles,
 instruction and opcode counts, memory traffic, flops, barriers, static
 resources, per-team cycle totals, device output, shared-stack high
 water) and identical verified results — serially and with parallel
-team simulation (``sim_jobs > 1``).  The legacy engine is the
-deterministic reference; any decode-time shortcut or lane-batched
-vector kernel that changes an observable number fails here.  (On
+team simulation (``sim_jobs > 1``).  Per-op decoded is the
+deterministic reference; any fused-run shortcut or lane-batched vector
+kernel that changes an observable number fails here.  (The test id
+predates it: the reference used to be the legacy tree-walker.)  (On
 old-runtime builds the warp engine transparently falls back to the
 decoded scalar path — see ``Interpreter._warp_lockstep_ok`` — so those
 cells pin the fallback's equivalence.)
@@ -20,6 +21,7 @@ import pytest
 from repro.bench.builds import BUILD_ORDER, CUDA, build_options
 from repro.bench.harness import APPS, SKIP_CUDA
 from repro.vgpu import interpreter
+from tests.conftest import PER_OP, engine_mode
 
 # Small problem sizes (mirroring tests/apps) keep the full
 # app x build x engine sweep affordable; the compile cache shares the
@@ -80,22 +82,22 @@ def _assert_profiles_identical(reference, candidate, context):
 def test_decoded_engine_matches_legacy(app_name, build):
     app = APPS[app_name]
     options = build_options()[build]
-    runs = {
-        mode: app.run(options, size=SMALL[app_name],
-                      engine=engine, sim_jobs=jobs, **GEOMETRY)
-        for mode, engine, jobs in (
-            ("legacy", "legacy", None),
-            ("decoded", "decoded", None),
-            ("decoded-parallel", "decoded", 2),
-            ("warp", "warp", None),
-            ("warp-parallel", "warp", 2),
-        )
-    }
+    runs = {}
+    for mode, label, jobs in (
+        (PER_OP, PER_OP, None),
+        ("decoded", "decoded", None),
+        ("decoded-parallel", "decoded", 2),
+        ("warp", "warp", None),
+        ("warp-parallel", "warp", 2),
+    ):
+        with engine_mode(label) as engine:
+            runs[mode] = app.run(options, size=SMALL[app_name],
+                                 engine=engine, sim_jobs=jobs, **GEOMETRY)
     for mode, result in runs.items():
         assert result.verified, (
             f"{app_name}/{build}/{mode}: max error {result.max_error}"
         )
-    reference = runs["legacy"].profile
+    reference = runs[PER_OP].profile
     for mode in ("decoded", "decoded-parallel", "warp", "warp-parallel"):
         _assert_profiles_identical(
             reference, runs[mode].profile, f"{app_name}/{build}/{mode}"

@@ -8,13 +8,14 @@ kernels chain small regions of such code through if/else diamonds
 (joined by phis), counted loops with loop-carried phis that swap and
 rotate, and early exits.  Each block is what the decoded engine fuses
 into one generated run, terminator and phi moves included, so this
-pins fused execution against the legacy tree-walker and against
-parallel team simulation: outputs, :class:`KernelProfile` and any
-error must be bit-identical.  The warp engine runs every kernel too,
-with its handlers generated from the same opcode table as the decoded
-engine's, on divergent lane masks: it must match legacy the same way,
-except for the crash context of a faulting run (which thread a
-divergent crash is pinned to is its one documented divergence).
+pins fused execution against the per-op decoded reference (every op
+through its ``_h_*`` handler) and against parallel team simulation:
+outputs, :class:`KernelProfile` and any error must be bit-identical.
+The warp engine runs every kernel too, with its handlers generated
+from the same opcode table as the decoded engine's, on divergent lane
+masks: it must match the reference the same way, except for the crash
+context of a faulting run (which thread a divergent crash is pinned to
+is its one documented divergence).
 
 The corpus is bounded and derandomized (a fixed, seeded set of
 examples), so tier-1 stays deterministic.
@@ -30,7 +31,7 @@ from repro.ir.types import F32, F64, I1, I8, I16, I32, IntType
 from repro.ir.values import Constant
 from repro.vgpu import VirtualGPU, interpreter
 from repro.vgpu.launchspec import LaunchSpec
-from tests.conftest import make_kernel
+from tests.conftest import PER_OP, engine_mode, make_kernel
 
 INT_TYPES = (I1, I8, I16, I32, I64)
 FLOAT_TYPES = (F32, F64)
@@ -314,16 +315,21 @@ def _inputs(seed):
 
 
 def _assert_all_agree(module, words):
-    legacy = _run(module, "legacy", None, words)
-    assert _run(module, "decoded", None, words) == legacy
-    assert _run(module, "decoded", 2, words) == legacy
+    reference = _run(module, PER_OP, None, words)
+    assert _run(module, "decoded", None, words) == reference
+    assert _run(module, "decoded", 2, words) == reference
     warp = _run(module, "warp", None, words)
-    assert warp[:3] == legacy[:3]
-    if legacy[0] == "ok":
-        assert warp == legacy
+    assert warp[:3] == reference[:3]
+    if reference[0] == "ok":
+        assert warp == reference
 
 
-def _run(module, engine, sim_jobs, words):
+def _run(module, label, sim_jobs, words):
+    with engine_mode(label) as engine:
+        return _launch(module, engine, sim_jobs, words)
+
+
+def _launch(module, engine, sim_jobs, words):
     gpu = VirtualGPU(module, engine=engine)
     n_out = TEAMS * THREADS * OUT_WORDS
     buf = gpu.alloc_array(np.concatenate([words, np.zeros(n_out, np.int64)]))

@@ -12,7 +12,6 @@ import pytest
 from repro.ir import I64, PTR_GLOBAL, verify_module
 from repro.vgpu import (
     ENGINE_DECODED,
-    ENGINE_LEGACY,
     ENGINE_WARP,
     FALLBACK_FAULT_PLAN,
     FALLBACK_LOW_OCCUPANCY,
@@ -67,9 +66,10 @@ class TestLaunchSpecValidation:
             LaunchSpec(kernel="kern", **{field: value})
 
     def test_engine_is_resolved_at_construction(self):
-        assert LaunchSpec(kernel="k", engine="legacy").engine == ENGINE_LEGACY
-        with pytest.raises(ValueError):
-            LaunchSpec(kernel="k", engine="warp9")
+        assert LaunchSpec(kernel="k", engine=" Warp").engine == ENGINE_WARP
+        for name in ("warp9", "legacy"):  # legacy: the deleted tree-walker
+            with pytest.raises(ValueError, match="unknown simulation engine"):
+                LaunchSpec(kernel="k", engine=name)
 
     def test_replace_derives_a_new_spec(self):
         spec = LaunchSpec(kernel="kern", num_teams=2)
@@ -116,24 +116,24 @@ class TestRun:
     def test_per_spec_engine_override_is_restored(self, module):
         gpu = _device(module, engine=ENGINE_DECODED)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        spec = LaunchSpec(kernel="kern", args=(out, 1), engine=ENGINE_LEGACY)
+        spec = LaunchSpec(kernel="kern", args=(out, 1), engine=ENGINE_WARP)
         result = gpu.run(spec)
-        assert result.engine == ENGINE_LEGACY
+        assert result.engine == ENGINE_WARP
         assert gpu.engine == ENGINE_DECODED  # restored after the run
 
     def test_engine_override_matches_dedicated_device(self, module):
         from repro.ir import Module
 
         gpu_a = _device(module, engine=ENGINE_DECODED)
-        gpu_b = _device(Module("m2"), engine=ENGINE_LEGACY)
+        gpu_b = _device(Module("m2"), engine=ENGINE_WARP)
         out_a = gpu_a.alloc_array(np.zeros(4, dtype=np.int64))
         out_b = gpu_b.alloc_array(np.zeros(4, dtype=np.int64))
         spec = LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2)
-        p_a = gpu_a.run(spec.replace(args=(out_a, 3), engine=ENGINE_LEGACY))
+        p_a = gpu_a.run(spec.replace(args=(out_a, 3), engine=ENGINE_WARP))
         p_b = gpu_b.run(spec.replace(args=(out_b, 3)))
         assert p_a.profile.to_dict() == p_b.profile.to_dict()
 
-    @pytest.mark.parametrize("engine", [ENGINE_DECODED, ENGINE_LEGACY, ENGINE_WARP])
+    @pytest.mark.parametrize("engine", [ENGINE_DECODED, ENGINE_WARP])
     def test_result_says_which_engine_ran(self, module, engine):
         gpu = _device(module, engine=engine)
         out = gpu.alloc_array(np.zeros(4, dtype=np.int64))

@@ -4,8 +4,8 @@ Units for :mod:`repro.serve.resilience` (deadline arithmetic, retry
 backoff determinism, breaker state machine, drain-rate hints), then the
 end-to-end promises: queue/compile expiry sheds structured
 ``DeadlineExceeded`` before wasting a worker, the *remaining* budget
-becomes the device watchdog, the retry policy generalizes the old
-one-shot decoded→legacy fallback, and consecutive internal failures
+becomes the device watchdog, the retry policy generalizes a one-shot
+retry on a fresh per-op decoded device, and consecutive internal failures
 open a per-program circuit that half-opens on the probe schedule.
 """
 
@@ -103,6 +103,8 @@ class TestClampWatchdog:
 
 class TestRetryPolicy:
     def test_default_matches_legacy_one_shot_retry(self):
+        """The default is one retry, without sleeping (the id predates
+        the per-op decoded retry target)."""
         policy = RetryPolicy()
         assert policy.max_attempts == 2
         assert policy.delay_s(1, "r000001") == 0.0  # no sleep by default

@@ -28,7 +28,7 @@ from repro.serve import (
 )
 from repro.toolchain.service import ToolchainSession
 from repro.trace.collector import TraceCollector, install
-from repro.vgpu import ENGINE_DECODED, ENGINE_LEGACY, VirtualGPU
+from repro.vgpu import ENGINE_DECODED, ENGINE_WARP, VirtualGPU
 from tests.conftest import make_kernel
 
 pytestmark = pytest.mark.serve
@@ -36,10 +36,10 @@ pytestmark = pytest.mark.serve
 APP = "testsnap"
 BUILD = BUILD_ORDER[0]
 
-#: The engine matrix of the acceptance criterion: legacy, decoded,
+#: The engine matrix of the acceptance criterion: warp, decoded,
 #: decoded with parallel team simulation.
 ENGINE_CELLS = (
-    (ENGINE_LEGACY, None),
+    (ENGINE_WARP, None),
     (ENGINE_DECODED, None),
     (ENGINE_DECODED, 2),
 )

@@ -14,24 +14,25 @@ from repro.trace import NULL_COLLECTOR, TraceCollector
 from repro.trace.collector import get_collector, install, reset
 from repro.vgpu import GPUConfig, LaunchSpec, VirtualGPU
 from repro.vgpu import decode as decode_mod
-from repro.vgpu import interpreter as interp_mod
+from tests.conftest import PER_OP, engine_mode
 
 SIZE = {"n_atoms": 64, "n_neighbors": 4}
 
 
-def _launch(engine, trace=None):
+def _launch(label, trace=None):
     app = APPS["testsnap"]
     options = build_options()[BUILD_ORDER[0]]
     from repro.toolchain.service import ToolchainSession
 
     compiled = ToolchainSession().compile(app.build_program(SIZE), options)
-    gpu = VirtualGPU(compiled.module, config=GPUConfig(), engine=engine,
-                     trace=trace)
-    host_args, _ = app.prepare(gpu, SIZE)
-    args = compiled.abi(app.KERNEL).marshal(gpu, host_args)
-    profile = gpu.run(LaunchSpec(kernel=app.KERNEL, num_teams=app.TEAMS,
-                                 threads_per_team=app.THREADS,
-                                 args=args)).profile
+    with engine_mode(label) as engine:
+        gpu = VirtualGPU(compiled.module, config=GPUConfig(), engine=engine,
+                         trace=trace)
+        host_args, _ = app.prepare(gpu, SIZE)
+        args = compiled.abi(app.KERNEL).marshal(gpu, host_args)
+        profile = gpu.run(LaunchSpec(kernel=app.KERNEL, num_teams=app.TEAMS,
+                                     threads_per_team=app.THREADS,
+                                     args=args)).profile
     return gpu, profile
 
 
@@ -53,13 +54,12 @@ class TestDisabledPath:
         finally:
             reset()
 
-    @pytest.mark.parametrize("engine", ["legacy", "decoded"])
+    @pytest.mark.parametrize("engine", [PER_OP, "decoded"])
     def test_traced_loops_never_run_when_disabled(self, engine, monkeypatch):
         def boom(*a, **k):  # pragma: no cover - must not execute
             raise AssertionError("traced loop entered with tracing disabled")
 
         monkeypatch.setattr(decode_mod, "_run_thread_traced", boom)
-        monkeypatch.setattr(interp_mod.VirtualGPU, "_run_thread_traced", boom)
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         reset()
         try:
@@ -69,7 +69,7 @@ class TestDisabledPath:
         # ...and the trace-only fields stay untouched.
         assert profile.function_cycles == {}
 
-    @pytest.mark.parametrize("engine", ["legacy", "decoded"])
+    @pytest.mark.parametrize("engine", [PER_OP, "decoded"])
     def test_traced_loops_do_run_when_enabled(self, engine):
         collector = TraceCollector()
         with install(collector):
@@ -127,7 +127,7 @@ class TestBenchMachineryStaysOffHotPath:
         _launch("decoded")
         assert not store.exists()
 
-    @pytest.mark.parametrize("engine", ["legacy", "decoded"])
+    @pytest.mark.parametrize("engine", [PER_OP, "decoded"])
     def test_profile_summary_reads_only_existing_counters(self, engine,
                                                           monkeypatch):
         """``profile_summary`` is pure post-hoc aggregation: asking for
@@ -137,7 +137,6 @@ class TestBenchMachineryStaysOffHotPath:
             raise AssertionError("traced loop entered for profile_summary")
 
         monkeypatch.setattr(decode_mod, "_run_thread_traced", boom)
-        monkeypatch.setattr(interp_mod.VirtualGPU, "_run_thread_traced", boom)
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         reset()
         try:

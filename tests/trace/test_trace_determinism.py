@@ -1,14 +1,13 @@
 """Trace determinism: serial vs. parallel team simulation must emit
-identical device event lists and counter totals, and the two execution
-engines must agree on every trace-visible counter.
+identical device event lists and counter totals, and fused decoded
+execution must agree with the per-op reference on every trace-visible
+counter and event.
 
 Device events are assembled post-merge from per-team phase logs (in
 team order), never from worker threads — these tests pin that design.
 """
 
 from __future__ import annotations
-
-import copy
 
 import pytest
 
@@ -18,6 +17,7 @@ from repro.frontend.driver import CompileOptions
 from repro.passes.pass_manager import PipelineConfig
 from repro.trace import PID_DEVICE, TraceCollector
 from repro.trace.collector import install
+from tests.conftest import PER_OP, engine_mode
 
 SIZE = {"n_atoms": 64, "n_neighbors": 4}
 GEOMETRY = dict(num_teams=4, threads_per_team=32)
@@ -30,9 +30,9 @@ CELLS = {
 }
 
 
-def _traced_run(options, engine, sim_jobs):
+def _traced_run(options, label, sim_jobs):
     collector = TraceCollector()
-    with install(collector):
+    with install(collector), engine_mode(label) as engine:
         result = APPS["testsnap"].run(
             options, size=SIZE, engine=engine, sim_jobs=sim_jobs, **GEOMETRY
         )
@@ -44,16 +44,8 @@ def _device_events(collector):
     return [e for e in collector.events_snapshot() if e.get("pid") == PID_DEVICE]
 
 
-def _without_engine_label(events):
-    out = copy.deepcopy(events)
-    for e in out:
-        if isinstance(e.get("args"), dict):
-            e["args"].pop("engine", None)
-    return out
-
-
 @pytest.mark.parametrize("cell", sorted(CELLS))
-@pytest.mark.parametrize("engine", ["legacy", "decoded"])
+@pytest.mark.parametrize("engine", [PER_OP, "decoded"])
 def test_serial_vs_parallel_identical(cell, engine):
     options = CELLS[cell]()
     serial_profile, serial = _traced_run(options, engine, sim_jobs=None)
@@ -68,20 +60,22 @@ def test_serial_vs_parallel_identical(cell, engine):
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_legacy_vs_decoded_trace_equal(cell):
+    """Fused decoded traces equal the per-op reference's (the test id
+    predates it: the reference used to be the legacy engine)."""
     options = CELLS[cell]()
-    legacy_profile, legacy = _traced_run(options, "legacy", sim_jobs=None)
+    ref_profile, ref = _traced_run(options, PER_OP, sim_jobs=None)
     decoded_profile, decoded = _traced_run(options, "decoded", sim_jobs=None)
 
-    assert legacy_profile.runtime_calls == decoded_profile.runtime_calls
-    assert legacy_profile.barriers_aligned == decoded_profile.barriers_aligned
-    assert legacy_profile.barriers_unaligned == decoded_profile.barriers_unaligned
-    assert legacy_profile.device_mallocs == decoded_profile.device_mallocs
-    assert legacy_profile.device_frees == decoded_profile.device_frees
-    assert legacy_profile.function_cycles == decoded_profile.function_cycles
-    assert legacy_profile.overhead_counters() == decoded_profile.overhead_counters()
-    # Device timelines agree up to the engine label on the kernel span.
-    assert _without_engine_label(_device_events(legacy)) == \
-        _without_engine_label(_device_events(decoded))
+    assert ref_profile.runtime_calls == decoded_profile.runtime_calls
+    assert ref_profile.barriers_aligned == decoded_profile.barriers_aligned
+    assert ref_profile.barriers_unaligned == decoded_profile.barriers_unaligned
+    assert ref_profile.device_mallocs == decoded_profile.device_mallocs
+    assert ref_profile.device_frees == decoded_profile.device_frees
+    assert ref_profile.function_cycles == decoded_profile.function_cycles
+    assert ref_profile.overhead_counters() == decoded_profile.overhead_counters()
+    # Both run the decoded engine: the device timelines are identical,
+    # engine label included.
+    assert _device_events(ref) == _device_events(decoded)
 
 
 def test_o0_build_shows_raw_runtime_traffic():

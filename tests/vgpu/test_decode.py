@@ -22,7 +22,7 @@ from repro.ir.values import Constant
 from repro.memory.addrspace import AddressSpace
 from repro.vgpu import CostModel, GPUConfig, LaunchSpec, SimulationError, VirtualGPU
 from repro.vgpu import decode as D
-from tests.conftest import make_function, make_kernel
+from tests.conftest import PER_OP, engine_mode, make_function, make_kernel
 
 
 def _phi_loop_module():
@@ -179,13 +179,16 @@ class TestDecodedExecution:
         return gpu.read_array(out, np.int64, 1)[0], profile
 
     def test_loop_result_matches_legacy(self):
+        """Fused execution matches the per-op reference (the test id
+        predates it: the reference used to be the legacy engine)."""
         val_dec, prof_dec = self._run("decoded")
-        val_leg, prof_leg = self._run("legacy")
-        assert val_dec == val_leg == sum(range(10))
-        assert prof_dec.cycles == prof_leg.cycles
-        assert prof_dec.instructions == prof_leg.instructions
-        assert prof_dec.opcode_counts == prof_leg.opcode_counts
-        assert prof_dec.team_cycles == prof_leg.team_cycles
+        with engine_mode(PER_OP) as engine:
+            val_ref, prof_ref = self._run(engine)
+        assert val_dec == val_ref == sum(range(10))
+        assert prof_dec.cycles == prof_ref.cycles
+        assert prof_dec.instructions == prof_ref.instructions
+        assert prof_dec.opcode_counts == prof_ref.opcode_counts
+        assert prof_dec.team_cycles == prof_ref.team_cycles
 
     def test_parallel_team_simulation_is_deterministic(self):
         val_serial, prof_serial = self._run("decoded", sim_jobs=1)
@@ -210,26 +213,31 @@ class TestDecodedExecution:
             gpu.run(LaunchSpec(kernel="kern", args=(out,)))
 
     def test_division_by_zero_parity(self):
-        for engine in ("decoded", "legacy"):
+        from repro.vgpu import TrapError
+
+        for label in ("decoded", PER_OP, "warp"):
             module = Module("m")
             func, b = make_kernel(module, params=(I64,), arg_names=["d"])
             b.sdiv(b.i64(1), func.args[0])
             b.ret()
             verify_module(module)
-            gpu = VirtualGPU(module, engine=engine)
-            from repro.vgpu import TrapError
-
-            with pytest.raises(TrapError, match="integer division by zero"):
-                gpu.run(LaunchSpec(kernel="kern", args=(0,)))
+            with engine_mode(label) as engine:
+                gpu = VirtualGPU(module, engine=engine)
+                with pytest.raises(TrapError, match="integer division by zero"):
+                    gpu.run(LaunchSpec(kernel="kern", args=(0,)))
 
     def test_engine_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "legacy")
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "warp")
         module, func = _phi_loop_module()
         gpu = VirtualGPU(module)
-        assert gpu.engine == "legacy"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "bogus")
-        with pytest.raises(ValueError):
-            VirtualGPU(module)
+        assert gpu.engine == "warp"
+        # The legacy tree-walker is gone: its name is an unknown engine.
+        for name in ("legacy", "bogus"):
+            monkeypatch.setenv("REPRO_SIM_ENGINE", name)
+            with pytest.raises(ValueError, match="unknown simulation engine"):
+                VirtualGPU(module)
+        with pytest.raises(ValueError, match="unknown simulation engine"):
+            VirtualGPU(module, engine="legacy")
 
 
 # ---------------------------------------------------------------------------
@@ -260,27 +268,20 @@ def _capture(monkeypatch):
     return seen
 
 
-def _per_op(monkeypatch):
-    """Run decoded frames on the plain op list: no fused runs."""
-    monkeypatch.setattr(D, "_frame_ops", lambda code: code.ops)
-
-
 def where(thread):
-    """Where *thread* stopped, engine-neutrally: (block name, index of
-    the op among the block's non-phi instructions)."""
+    """Where *thread* stopped: (block name, index of the op among the
+    block's decoded ops)."""
     frame = thread.frames[-1]
-    if isinstance(frame, D.DecodedFrame):
-        code = D.decode_function(frame.function, CostModel(GPUConfig()), 32)
-        pcs, names = code.block_starts
-        i = bisect_right(pcs, frame.pc) - 1
-        return names[i], frame.pc - pcs[i]
-    return frame.block.name, frame.index - frame.block.first_non_phi_index()
+    code = D.decode_function(frame.function, CostModel(GPUConfig()), 32)
+    pcs, names = code.block_starts
+    i = bisect_right(pcs, frame.pc) - 1
+    return names[i], frame.pc - pcs[i]
 
 
-def _fault_state(module, engine, args, monkeypatch):
-    """Launch @kern on one thread expecting a fault; return everything
-    the fault leaves behind."""
-    with monkeypatch.context() as m:
+def _fault_state(module, label, args, monkeypatch):
+    """Launch @kern on one thread under the engine *label* expecting a
+    fault; return everything the fault leaves behind."""
+    with monkeypatch.context() as m, engine_mode(label) as engine:
         seen = _capture(m)
         gpu = VirtualGPU(module, engine=engine)
         out = gpu.alloc_array(np.array([7, 0], dtype=np.int64))
@@ -343,7 +344,7 @@ class TestFusedRuns:
         gpu = VirtualGPU(module, engine="decoded")
         code = D.bind_function(gpu, module.get_function("kern")).code
         assert code.fused is None  # generated lazily, on first execution
-        fused = D._frame_ops(code)
+        fused = D._frame_ops(gpu, code)
         (run,) = [op for op in fused
                   if op[0] is None and code.ops[op[3]][1] == "ret"]
         n, end = run[1], run[3]
@@ -351,34 +352,59 @@ class TestFusedRuns:
         assert all(op[0] in D._SIMPLE for op in code.ops[end - n:end])
         assert code.ops[end - n - 1][0] not in D._SIMPLE  # maximal
 
+    def test_per_op_device_runs_the_plain_op_list(self, monkeypatch):
+        """A device with ``_per_op`` set generates no fused code, for the
+        kernel frame and for callee frames; other devices still fuse."""
+        module = Module("m")
+        callee, cb = make_function(module, "twice", ret=I64, params=(I64,))
+        cb.ret(cb.add(cb.mul(callee.args[0], cb.i64(2)), cb.i64(1)))
+        func, b = make_kernel(module, params=(PTR_GLOBAL, I64),
+                              arg_names=["out", "n"])
+        b.store(b.call(callee, [func.args[1]]), func.args[0])
+        b.ret()
+        verify_module(module)
+
+        def run(gpu):
+            out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
+            gpu.run(LaunchSpec(kernel="kern", args=(out, 20)))
+            return gpu.read_array(out, np.int64, 1)[0]
+
+        def forbidden(code):
+            raise AssertionError(f"fused code generated for @{code.function.name}")
+
+        gpu = VirtualGPU(module, engine="decoded")
+        gpu._per_op = True
+        with monkeypatch.context() as m:
+            m.setattr(D, "_fuse", forbidden)
+            assert run(gpu) == 41
+            for fn in (func, callee):
+                code = gpu._bound_cache[fn].code
+                assert D._frame_ops(gpu, code) is code.ops
+                assert code.fused is None
+        fused_gpu = VirtualGPU(module, engine="decoded")
+        assert run(fused_gpu) == 41
+        assert fused_gpu._bound_cache[func].code.fused is not None
+
     @pytest.mark.parametrize("fault,args", [
         ("div", (0, 0)),
         ("load", (3, 1 << 40)),
     ])
     def test_fault_mid_run_matches_legacy_and_per_op(self, fault, args, monkeypatch):
+        """A fault inside a fused run leaves exactly the per-op state
+        (the test id predates the per-op reference replacing legacy)."""
         module = _straight_line_module(fault)
         fused = _fault_state(module, "decoded", args, monkeypatch)
-        legacy = _fault_state(module, "legacy", args, monkeypatch)
-        with monkeypatch.context() as m:
-            _per_op(m)
-            per_op = _fault_state(module, "decoded", args, monkeypatch)
-        assert fused == legacy == per_op
+        per_op = _fault_state(module, PER_OP, args, monkeypatch)
+        assert fused == per_op
         assert fused["block"] == "body"
 
     def test_undefined_value_mid_run_matches_per_op(self, monkeypatch):
         module = _straight_line_module("undef")
         fused = _fault_state(module, "decoded", (0, 0), monkeypatch)
-        with monkeypatch.context() as m:
-            _per_op(m)
-            per_op = _fault_state(module, "decoded", (0, 0), monkeypatch)
+        per_op = _fault_state(module, PER_OP, (0, 0), monkeypatch)
         assert fused == per_op
+        assert fused["type"] is SimulationError
         assert fused["message"].startswith("use of undefined value in @kern")
-        # The legacy engine words the message differently; everything
-        # else about the fault is engine-identical.
-        legacy = _fault_state(module, "legacy", (0, 0), monkeypatch)
-        assert legacy["type"] is fused["type"] is SimulationError
-        legacy.pop("message"), fused.pop("message")
-        assert fused == legacy
 
     def test_mutated_function_runs_new_ir_on_a_new_device(self, monkeypatch):
         """Fused code is cached by generated source, never by Function:
@@ -537,10 +563,8 @@ def _fault_before_branch_module(fault):
     return module
 
 
-def _swap_loop_state(module, engine, n, monkeypatch, per_op=False):
-    with monkeypatch.context() as m:
-        if per_op:
-            _per_op(m)
+def _swap_loop_state(module, label, n):
+    with engine_mode(label) as engine:
         gpu = VirtualGPU(module, engine=engine)
         out = gpu.alloc_array(np.zeros(3, dtype=np.int64))
         result = gpu.run(LaunchSpec(kernel="kern", args=(out, n)))
@@ -555,7 +579,7 @@ class TestBlockRuns:
         module = swap_loop_module(latch)
         gpu = VirtualGPU(module, engine="decoded")
         code = D.bind_function(gpu, module.get_function("kern")).code
-        fused = D._frame_ops(code)
+        fused = D._frame_ops(gpu, code)
         pcs = list(code.block_starts[0])
         for start, end in zip(pcs, pcs[1:] + [len(code.ops)]):
             last = code.ops[end - 1]
@@ -568,17 +592,17 @@ class TestBlockRuns:
 
     @pytest.mark.parametrize("latch", ["condbr", "brn"])
     @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_phi_swap_through_a_fused_branch(self, latch, n, monkeypatch):
+    def test_phi_swap_through_a_fused_branch(self, latch, n):
         module = swap_loop_module(latch)
         acc, x, y = 0, 1, 2
         for _ in range(n):
             acc, x, y = 3 * acc + x, y, x
         if latch == "condbr":  # exit sees the last trip's phis, not its moves
             x, y = y, x
-        legacy = _swap_loop_state(module, "legacy", n, monkeypatch)
-        fused = _swap_loop_state(module, "decoded", n, monkeypatch)
-        per_op = _swap_loop_state(module, "decoded", n, monkeypatch, per_op=True)
-        assert fused == legacy == per_op
+        fused = _swap_loop_state(module, "decoded", n)
+        per_op = _swap_loop_state(module, PER_OP, n)
+        warp = _swap_loop_state(module, "warp", n)
+        assert fused == per_op == warp
         assert fused[0] == [acc, x, y]
 
     @pytest.mark.parametrize("fault,args", [
@@ -591,15 +615,10 @@ class TestBlockRuns:
         no cycles or flops; the condbr after it never runs."""
         module = _fault_before_branch_module(fault)
         fused = _fault_state(module, "decoded", args, monkeypatch)
-        with monkeypatch.context() as m:
-            _per_op(m)
-            per_op = _fault_state(module, "decoded", args, monkeypatch)
-        legacy = _fault_state(module, "legacy", args, monkeypatch)
+        per_op = _fault_state(module, PER_OP, args, monkeypatch)
         assert fused == per_op
-        if fault == "math1":  # the engines word undefined reads differently
-            assert fused.pop("message").startswith("use of undefined value in @kern")
-            legacy.pop("message"), per_op.pop("message")
-        assert fused == legacy
+        if fault == "math1":
+            assert fused["message"].startswith("use of undefined value in @kern")
         assert fused["block"] == "body"
         assert fused["opcode_counts"]["condbr"] == 1  # the entry block's
         gpu = VirtualGPU(module, engine="decoded")
@@ -647,7 +666,7 @@ def test_new_rt_blocks_decode_to_one_run_each(app_name):
         if func.is_declaration:
             continue
         code = D.bind_function(gpu, func).code
-        fused = D._frame_ops(code)
+        fused = D._frame_ops(gpu, code)
         pcs = list(code.block_starts[0])
         for start, end in zip(pcs, pcs[1:] + [len(code.ops)]):
             if not all(_fusable(op) for op in code.ops[start:end]):
@@ -669,10 +688,10 @@ _HOT_COUNTERS = ("opcode_counts", "loads_by_space", "stores_by_space",
 
 
 class TestTeamCounters:
-    @pytest.mark.parametrize("engine", ["legacy", "decoded", "warp"])
+    @pytest.mark.parametrize("engine", [PER_OP, "decoded", "warp"])
     def test_hot_counters_are_exact_dicts(self, engine, monkeypatch):
         module, func = _phi_loop_module()
-        with monkeypatch.context() as m:
+        with monkeypatch.context() as m, engine_mode(engine) as engine:
             seen = _capture(m)
             _launch(module, engine)
         (stats,) = seen["stats"]
@@ -699,13 +718,15 @@ class TestTeamCounters:
         assert profile.opcode_counts["fmul"] == profile.opcode_counts["sdiv"] == 1
         assert profile.flops == 2
 
-    @pytest.mark.parametrize("engine", ["legacy", "decoded", "warp"])
+    @pytest.mark.parametrize("engine", [PER_OP, "decoded", "warp"])
     def test_untouched_keys_are_not_reported(self, engine):
         module, func = _phi_loop_module()
-        gpu = VirtualGPU(module, engine=engine)
-        out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
-        profile = gpu.run(LaunchSpec(kernel="kern", num_teams=2,
-                                     threads_per_team=4, args=(out, 3))).profile
+        with engine_mode(engine) as engine:
+            gpu = VirtualGPU(module, engine=engine)
+            out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
+            profile = gpu.run(LaunchSpec(kernel="kern", num_teams=2,
+                                         threads_per_team=4,
+                                         args=(out, 3))).profile
         assert set(profile.opcode_counts) == {
             "br", "condbr", "icmp", "add", "store", "ret"}
         assert dict(profile.stores_by_space) == {AddressSpace.GLOBAL: 8}

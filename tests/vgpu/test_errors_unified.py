@@ -1,10 +1,10 @@
-"""S1: both engines raise bit-identical errors.
+"""S1: every engine raises bit-identical errors.
 
 Every device failure mode must produce the same exception type, the
 same frozen message (formatted by the factory helpers in
 ``repro.vgpu.errors``), and the same attached
-:class:`DeviceErrorContext` under the legacy tree-walker and the
-decoded engine — the invariant CrashReport determinism builds on.
+:class:`DeviceErrorContext` under per-op and fused decoded execution
+and the warp engine — the invariant CrashReport determinism builds on.
 """
 
 import pytest
@@ -18,17 +18,19 @@ from repro.vgpu import (
     VirtualGPU,
 )
 from repro.vgpu.config import ENGINES
-from tests.conftest import make_function, make_kernel
+from tests.conftest import PER_OP, engine_mode, make_function, make_kernel
 
 
 def _fail_both(build_module, *, debug_checks=False, args=()):
-    """Run the module under every engine; return [(exc, context_dict)]."""
+    """Run the module under the per-op reference and every engine;
+    return [(exc, context_dict)]."""
     out = []
-    for engine in ENGINES:
+    for label in (PER_OP,) + ENGINES:
         module = build_module()
-        gpu = VirtualGPU(module, engine=engine, debug_checks=debug_checks)
-        with pytest.raises(Exception) as excinfo:
-            gpu.run(LaunchSpec(kernel="kern", args=list(args)))
+        with engine_mode(label) as engine:
+            gpu = VirtualGPU(module, engine=engine, debug_checks=debug_checks)
+            with pytest.raises(Exception) as excinfo:
+                gpu.run(LaunchSpec(kernel="kern", args=list(args)))
         exc = excinfo.value
         context = exc.context.to_dict() if exc.context is not None else None
         out.append((exc, context))

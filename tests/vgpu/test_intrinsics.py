@@ -1,29 +1,36 @@
 """GPU identity intrinsics, math, assumptions, traps and device printf.
 
-Every test runs on each engine (legacy, decoded and warp), on a fresh
-device per engine; calls through ``call_indirect`` must behave like
-direct calls, and every registered intrinsic has exactly one decoded
-implementation.
+Every test runs on each engine (decoded and warp) and on the per-op
+decoded reference, on a fresh device each; calls through
+``call_indirect`` must behave like direct calls, and every registered
+intrinsic has exactly one decoded implementation.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from repro.ir import F64, I32, I64, PTR_GLOBAL, VOID, verify_module
 from repro.ir.intrinsics import all_intrinsics, declare_intrinsic
-from repro.ir.types import I8
+from repro.ir.types import F32, I8
 from repro.vgpu import AssumptionViolation, LaunchSpec, TrapError, VirtualGPU
 from repro.vgpu import decode as D
 from repro.vgpu.config import ENGINES
-from tests.conftest import make_kernel
+from tests.conftest import PER_OP, make_kernel
 
 
 def _devices(module, **kwargs):
-    """(engine, fresh device) for every engine."""
-    return [(engine, VirtualGPU(module, engine=engine, **kwargs))
-            for engine in ENGINES]
+    """(label, fresh device) for the per-op reference and every engine."""
+    devices = []
+    for label in (PER_OP,) + ENGINES:
+        engine = "decoded" if label == PER_OP else label
+        gpu = VirtualGPU(module, engine=engine, **kwargs)
+        if label == PER_OP:
+            gpu._per_op = True
+        devices.append((label, gpu))
+    return devices
 
 
 class TestIdentity:
@@ -112,6 +119,118 @@ class TestMath:
         for engine, gpu in _devices(module):
             profile = gpu.run(LaunchSpec(kernel="kern", args=(2.0,))).profile
             assert profile.flops >= 1, engine
+
+
+#: The math intrinsics' semantics, written out independently of the
+#: simulator: ``math`` with the documented domain edges.  Every engine
+#: runs the same scalar template for these (warp lane by lane), so no
+#: engine comparison can see a bug in them; these values can.
+MATH_ORACLE = {
+    "sqrt": lambda x: math.sqrt(x) if x >= 0 else math.nan,
+    "exp": math.exp,
+    "log": lambda x: math.log(x) if x > 0 else -math.inf,
+    "sin": math.sin,
+    "cos": math.cos,
+    "fabs": math.fabs,
+    "floor": lambda x: float(math.floor(x)),
+    "pow": math.pow,
+    "fmin": min,
+    "fmax": max,
+}
+MATH_BINARY = ("pow", "fmin", "fmax")
+
+#: One value per lane: signs, zeros, fractions and magnitudes whose
+#: results stay finite in f32.
+MATH_X = (-7.75, -2.5, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5,
+          3.0, 3.14159, 5.5, 10.0, 12.3, 19.9, -19.9, 0.1, 1e-3, 7.0, -3.3,
+          4.75)
+#: Binary operands: positive bases (``pow`` of a negative base to a
+#: fractional power is a domain error) and exponents of both signs.
+MATH_A = tuple(0.5 + 0.75 * i for i in range(len(MATH_X)))
+MATH_B = tuple((-2.0, -1.0, 0.5, 1.5, 2.0, 3.0)[i % 6] for i in range(len(MATH_X)))
+
+_FMT = {"f32": "<f", "f64": "<d"}
+
+
+def _as(sfx, x):
+    """*x* rounded to the precision of *sfx*."""
+    return struct.unpack(_FMT[sfx], struct.pack(_FMT[sfx], x))[0]
+
+
+def _math_module(name, ty, masked):
+    """kern(x, y, out): ``out[tid] = name(x[tid] [, y[tid]])``; with
+    *masked*, only odd lanes call it and even lanes store ``x[tid]``."""
+    from repro.ir import Module
+
+    op = name.split(".")[1]
+    module = Module("m")
+    func, b = make_kernel(module, params=(PTR_GLOBAL,) * 3,
+                          arg_names=["x", "y", "out"])
+    tid = b.sext(b.thread_id(), I64)
+    x = b.load(ty, b.array_gep(func.args[0], ty, tid))
+    y = b.load(ty, b.array_gep(func.args[1], ty, tid))
+    args = [x, y] if op in MATH_BINARY else [x]
+    if masked:
+        entry = b.block
+        call = func.add_block("call")
+        join = func.add_block("join")
+        b.cond_br(b.icmp("ne", b.and_(tid, b.i64(1)), b.i64(0)), call, join)
+        b.set_insert_point(call)
+        r = b.intrinsic(name, args)
+        b.br(join)
+        b.set_insert_point(join)
+        v = b.phi(ty, "v")
+        v.add_incoming(r, call)
+        v.add_incoming(x, entry)
+    else:
+        v = b.intrinsic(name, args)
+    b.store(v, b.array_gep(func.args[2], ty, tid))
+    b.ret()
+    verify_module(module)
+    return module
+
+
+def _math_names():
+    return sorted(info.name for info in all_intrinsics()
+                  if info.name.startswith("llvm.")
+                  and info.name.rsplit(".", 1)[-1] in _FMT)
+
+
+class TestMathExpectedValues:
+    """Every math intrinsic, at f32 and f64, against :data:`MATH_ORACLE`
+    on the decoded engine, the per-op reference and warp with a
+    different operand in every lane (all lanes active, or every other
+    lane under a divergent branch)."""
+
+    def test_every_math_intrinsic_has_an_oracle(self):
+        assert _math_names() == sorted(
+            f"llvm.{op}.{sfx}" for op in MATH_ORACLE for sfx in _FMT)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["all", "masked"])
+    @pytest.mark.parametrize("name", _math_names())
+    def test_lanes_match_the_oracle(self, name, masked):
+        op, sfx = name.split(".")[1:]
+        ty, dtype = (F32, np.float32) if sfx == "f32" else (F64, np.float64)
+        xs, ys = (MATH_A, MATH_B) if op in MATH_BINARY else (MATH_X, MATH_X)
+        xs = [_as(sfx, v) for v in xs]
+        ys = [_as(sfx, v) for v in ys]
+        expected = [
+            _as(sfx, MATH_ORACLE[op](x, y) if op in MATH_BINARY
+                else MATH_ORACLE[op](x))
+            if lane % 2 or not masked else x
+            for lane, (x, y) in enumerate(zip(xs, ys))
+        ]
+        want = b"".join(struct.pack(_FMT[sfx], v) for v in expected)
+        n = len(xs)
+        module = _math_module(name, ty, masked)
+        for engine, gpu in _devices(module):
+            bufs = (gpu.alloc_array(np.array(xs, dtype)),
+                    gpu.alloc_array(np.array(ys, dtype)),
+                    gpu.alloc_array(np.zeros(n, dtype)))
+            gpu.run(LaunchSpec(kernel="kern", threads_per_team=n, args=bufs))
+            got = gpu.memory.read_raw(bufs[2], n * np.dtype(dtype).itemsize)
+            assert got == want, (engine, np.frombuffer(got, dtype).tolist(),
+                                 expected)
 
 
 class TestAssumptions:
@@ -256,13 +375,13 @@ class TestIndirectCalls:
                 gpu.read_array(bufs[2], np.int64, n).tolist(),
                 profile.to_dict(),
             )
-        ints_got, floats_got, scratch_got, _ = results["legacy"]
+        ints_got, floats_got, scratch_got, _ = results[PER_OP]
         assert ints_got == [v for g in range(n) for v in
                             (g % threads, g % threads % 32, threads)]
         assert floats_got == [math.sqrt(g % threads) for g in range(n)]
         assert scratch_got == [0x5A5A5A5A5A5A5A5A] * n
         for engine, got in results.items():
-            assert got == results["legacy"], engine
+            assert got == results[PER_OP], engine
 
 
 class TestIntrinsicTable:

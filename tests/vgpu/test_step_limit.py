@@ -12,7 +12,7 @@ import pytest
 from repro.ir import I64, Module, verify_module
 from repro.vgpu import GPUConfig, LaunchSpec, StepLimitExceeded, VirtualGPU
 from repro.vgpu.config import ENGINES
-from tests.conftest import make_kernel
+from tests.conftest import PER_OP, engine_mode, make_kernel
 
 LIMIT = 64
 
@@ -34,23 +34,25 @@ def _spin_module():
     return module
 
 
-def _limit_hit(engine, sim_jobs=None, teams=1):
-    gpu = VirtualGPU(_spin_module(),
-                     config=GPUConfig(max_steps_per_thread=LIMIT),
-                     engine=engine)
-    with pytest.raises(StepLimitExceeded) as excinfo:
-        gpu.run(LaunchSpec(kernel="kern", num_teams=teams, sim_jobs=sim_jobs))
+def _limit_hit(label, sim_jobs=None, teams=1):
+    with engine_mode(label) as engine:
+        gpu = VirtualGPU(_spin_module(),
+                         config=GPUConfig(max_steps_per_thread=LIMIT),
+                         engine=engine)
+        with pytest.raises(StepLimitExceeded) as excinfo:
+            gpu.run(LaunchSpec(kernel="kern", num_teams=teams,
+                               sim_jobs=sim_jobs))
     return excinfo.value
 
 
 def test_message_and_steps_are_engine_identical():
-    results = [_limit_hit(engine) for engine in ENGINES]
+    results = [_limit_hit(label) for label in (PER_OP,) + ENGINES]
     messages = {str(e) for e in results}
     assert messages == {
         f"thread (0,0) exceeded {LIMIT} steps in @kern"}
     contexts = [e.context.to_dict() for e in results]
-    assert contexts[0] == contexts[1]
-    # The pin: the thread retired exactly LIMIT steps, in both engines.
+    assert all(ctx == contexts[0] for ctx in contexts)
+    # The pin: the thread retired exactly LIMIT steps, in every engine.
     assert contexts[0]["steps"] == LIMIT
     assert contexts[0]["block"] == "loop"
 
@@ -87,12 +89,12 @@ def test_limit_inside_a_fused_run_retires_exactly_max_steps(limit, monkeypatch):
     """1 entry op + 9 ops per iteration: 59 and 60 stop inside the
     9-op run, 64 right after it.  The run must fall back to per-op
     execution and retire exactly the budget, with the same counters and
-    cycles as the legacy engine."""
+    cycles as per-op execution."""
     from tests.vgpu.test_decode import _capture
 
     states = []
-    for engine in ("legacy", "decoded"):
-        with monkeypatch.context() as m:
+    for label in (PER_OP, "decoded"):
+        with monkeypatch.context() as m, engine_mode(label) as engine:
             seen = _capture(m)
             gpu = VirtualGPU(_long_body_module(),
                              config=GPUConfig(max_steps_per_thread=limit),
@@ -123,18 +125,16 @@ SWAP_LOOP_LIMITS = {
 @pytest.mark.parametrize("stop", ["before", "on", "after"])
 def test_limit_at_a_fused_block_terminator(latch, stop, monkeypatch):
     """The budget ends on the terminator of a block run, one op before
-    it, or right after it: legacy, decoded and per-op decoded retire
-    the same steps and leave the same counters, cycles and position."""
+    it, or right after it: fused and per-op decoded retire the same
+    steps and leave the same counters, cycles and position."""
     from repro.vgpu import decode as D
-    from tests.vgpu.test_decode import _capture, _per_op, swap_loop_module, where
+    from tests.vgpu.test_decode import _capture, swap_loop_module, where
 
     limit = SWAP_LOOP_LIMITS[latch][stop]
     states = []
-    for engine, per_op in (("legacy", False), ("decoded", False), ("decoded", True)):
-        with monkeypatch.context() as m:
+    for label in (PER_OP, "decoded"):
+        with monkeypatch.context() as m, engine_mode(label) as engine:
             seen = _capture(m)
-            if per_op:
-                _per_op(m)
             gpu = VirtualGPU(swap_loop_module(latch),
                              config=GPUConfig(max_steps_per_thread=limit),
                              engine=engine)
@@ -145,7 +145,7 @@ def test_limit_at_a_fused_block_terminator(latch, stop, monkeypatch):
         states.append((str(excinfo.value), excinfo.value.context.to_dict(),
                        where(thread), thread.steps, thread.phase_cycles,
                        dict(stats.opcode_counts), stats.flops))
-    assert states[0] == states[1] == states[2]
+    assert states[0] == states[1]
     assert states[1][3] == limit
     block, index = states[1][2]
     code = D.bind_function(gpu, gpu.module.get_function("kern")).code

@@ -22,7 +22,7 @@ from repro.memory.addrspace import AddressSpace
 from repro.runtime.state import GV_OLD_TEAM_CONTEXT
 from repro.vgpu import VirtualGPU
 from repro.vgpu.launchspec import LaunchSpec
-from tests.conftest import make_kernel
+from tests.conftest import PER_OP, engine_mode, make_kernel
 
 pytestmark = pytest.mark.warp
 
@@ -41,28 +41,30 @@ PROFILE_FIELDS = (
 N = 16  # one partial warp
 
 
-def _run(module, engines=("legacy", "warp"), threads=N, configure=None):
-    """Launch @kern on a fresh device per engine; return
-    {engine: (profile, [out words])} for an i64[threads] out buffer."""
+def _run(module, engines=(PER_OP, "warp"), threads=N, configure=None):
+    """Launch @kern on a fresh device per engine label; return
+    {label: (profile, [out words])} for an i64[threads] out buffer."""
     out = {}
-    for engine in engines:
-        gpu = VirtualGPU(module, engine=engine)
-        if configure is not None:
-            configure(gpu)
-        buf = gpu.alloc_bytes(8 * threads)
-        result = gpu.run(LaunchSpec(
-            kernel="kern", num_teams=1, threads_per_team=threads,
-            args=(buf, 0),
-        ))
+    for label in engines:
+        with engine_mode(label) as engine:
+            gpu = VirtualGPU(module, engine=engine)
+            if configure is not None:
+                configure(gpu)
+            buf = gpu.alloc_bytes(8 * threads)
+            result = gpu.run(LaunchSpec(
+                kernel="kern", num_teams=1, threads_per_team=threads,
+                args=(buf, 0),
+            ))
         words = [gpu.read_scalar(buf + 8 * i, I64) for i in range(threads)]
-        out[engine] = (result.profile, words)
+        out[label] = (result.profile, words)
     return out
 
 
 def _assert_engines_agree(results):
-    (ref_prof, ref_words) = results["legacy"]
+    """Every run of *results* equals the per-op decoded reference."""
+    (ref_prof, ref_words) = results[PER_OP]
     for engine, (prof, words) in results.items():
-        if engine == "legacy":
+        if engine == PER_OP:
             continue
         assert words == ref_words, f"{engine}: memory differs"
         for field in PROFILE_FIELDS:
@@ -114,7 +116,7 @@ def _diamond_module(*, widen=False):
 
 def test_divergent_diamond_reconverges():
     """Split path: both sides run under disjoint masks and the join
-    block executes once for all lanes — bit-parity with legacy."""
+    block executes once for all lanes — bit-parity with per-op decoded."""
     _assert_engines_agree(_run(_diamond_module(widen=True)))
 
 
@@ -178,7 +180,7 @@ def test_nested_divergence():
 
 def test_uniform_branch_takes_the_fast_path():
     """A branch on a uniform value never splits: the warp engine's
-    cycle/step accounting must equal legacy's exactly (a split would
+    cycle/step accounting must equal per-op decoded's exactly (a split would
     re-execute the join-side bookkeeping per side)."""
     module = Module("m")
     func, b = make_kernel(module)
@@ -254,7 +256,7 @@ def test_old_runtime_module_falls_back_to_decoded():
     ))
     gpu = VirtualGPU(module, engine="warp")
     assert gpu._warp_lockstep_ok is False
-    _assert_engines_agree(_run(module, engines=("legacy", "decoded", "warp")))
+    _assert_engines_agree(_run(module, engines=(PER_OP, "decoded", "warp")))
 
 
 def _divergent_icall_module():
@@ -343,6 +345,7 @@ I1_SIGNED_OPS = {
 
 @pytest.mark.parametrize("name", sorted(I1_SIGNED_OPS))
 def test_signed_ops_on_varying_i1_match_legacy(name):
+    """Warp matches the per-op reference (the test id predates it)."""
     op = I1_SIGNED_OPS[name]
     results = _run(_per_thread_module(lambda b, tid: op(b, *_i1_lanes(b, tid))))
     _assert_engines_agree(results)

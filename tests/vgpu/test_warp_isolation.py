@@ -1,7 +1,7 @@
-"""The scalar engines must never pay for the warp engine.
+"""The decoded engine must never pay for the warp engine.
 
-NumPy is a hard dependency of :mod:`repro.vgpu.warp` only; a
-legacy or decoded launch must complete without importing either the
+NumPy is a hard dependency of :mod:`repro.vgpu.warp` only; a decoded
+launch, fused or per op, must complete without importing either the
 warp module or numpy (the imports in the interpreter are deferred for
 exactly this reason).  Run in a subprocess so the assertion sees a
 clean ``sys.modules``.
@@ -32,7 +32,8 @@ b.store(tid, b.ptradd(func.args[0], b.mul(tid, b.i64(8))))
 b.ret()
 verify_module(module)
 
-gpu = VirtualGPU(module, engine={engine!r})
+gpu = VirtualGPU(module, engine="decoded")
+gpu._per_op = {per_op!r}
 buf = gpu.alloc_bytes(8 * 8)
 gpu.run(LaunchSpec(kernel="kern", num_teams=1, threads_per_team=8,
                    args=(buf,)))
@@ -43,10 +44,10 @@ print("CLEAN")
 """
 
 
-@pytest.mark.parametrize("engine", ["legacy", "decoded"])
+@pytest.mark.parametrize("engine", ["per-op", "decoded"])
 def test_scalar_launch_never_imports_warp_or_numpy(engine):
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(engine=engine)],
+        [sys.executable, "-c", _PROBE.format(per_op=engine == "per-op")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
