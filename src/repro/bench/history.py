@@ -23,7 +23,10 @@ term vanishes and only genuine model changes move them.
 
 When the two records come from different machines or Pythons, wall
 metrics are incomparable; the compare then gates on modeled metrics
-only and says so.
+only and says so.  The same holds for the whole-run wall metrics of
+``serve`` and ``chaos`` (throughput, latency percentiles, suite time)
+between runs of different configurations: a ``--smoke`` run is never
+gated against a full run's numbers.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ TRACKED_BASELINES = {
     "micro": "BENCH_micro.json",
     "chaos": "BENCH_chaos.json",
 }
+
+#: Benchmarks whose wall metrics summarise the whole run rather than
+#: one named cell, so they depend on the run's configuration.
+WHOLE_RUN_WALL = frozenset({"serve", "chaos"})
 
 
 def history_path(directory: Optional[str] = None) -> str:
@@ -235,6 +242,30 @@ def _geomean(ratios: Sequence[float]) -> Optional[float]:
     return math.exp(sum(math.log(max(r, 1e-9)) for r in ratios) / len(ratios))
 
 
+def _wall_comparable(base: Dict[str, Any], new: Dict[str, Any]) -> bool:
+    """Whether the wall metrics of two records measure the same thing:
+    same machine and Python, and for :data:`WHOLE_RUN_WALL` benchmarks
+    the same run configuration."""
+    base_meta, new_meta = base.get("meta", {}), new.get("meta", {})
+    if (base_meta.get("machine") != new_meta.get("machine")
+            or base_meta.get("python") != new_meta.get("python")):
+        return False
+    return (new.get("benchmark") not in WHOLE_RUN_WALL
+            or base.get("config") == new.get("config"))
+
+
+def _gated_names(base: Dict[str, Any], new: Dict[str, Any]) -> List[str]:
+    """The shared metric names a compare of *base* and *new* gates on."""
+    common = set(base["metrics"]) & set(new["metrics"])
+    if not _wall_comparable(base, new):
+        common = {
+            name for name in common
+            if new["metrics"][name].get("kind", record.KIND_WALL)
+            != record.KIND_WALL
+        }
+    return sorted(common)
+
+
 def compare_records(
     base: Dict[str, Any],
     new: Dict[str, Any],
@@ -250,21 +281,13 @@ def compare_records(
     """
     rel = (rel_pct if rel_pct is not None
            else envconfig.bench_regression_pct()) / 100.0
-    base_meta, new_meta = base.get("meta", {}), new.get("meta", {})
-    wall_comparable = (
-        base_meta.get("machine") == new_meta.get("machine")
-        and base_meta.get("python") == new_meta.get("python")
-    )
-    common = sorted(set(base["metrics"]) & set(new["metrics"]))
+    common = _gated_names(base, new)
+    skipped_wall = len(set(base["metrics"]) & set(new["metrics"])) - len(common)
     rows: List[Dict[str, Any]] = []
     gated: Dict[str, List[float]] = {}
-    skipped_wall = 0
     for name in common:
         bm, nm = base["metrics"][name], new["metrics"][name]
         kind = nm.get("kind", record.KIND_WALL)
-        if kind == record.KIND_WALL and not wall_comparable:
-            skipped_wall += 1
-            continue
         better = nm.get("better", record.BETTER_HIGHER)
         bv, nv = float(bm["value"]), float(nm["value"])
         delta = nv - bv
@@ -300,7 +323,7 @@ def compare_records(
         "benchmark": new.get("benchmark"),
         "rel_threshold_pct": rel * 100.0,
         "noise_k": k,
-        "wall_comparable": wall_comparable,
+        "wall_comparable": _wall_comparable(base, new),
         "metrics_compared": len(rows),
         "metrics_skipped_wall": skipped_wall,
         "regressions": [r["metric"] for r in rows if r["regressed"]],
@@ -318,8 +341,8 @@ def find_baseline(
     records: Sequence[Dict[str, Any]],
     latest: Dict[str, Any],
 ) -> Optional[Dict[str, Any]]:
-    """Most recent earlier same-benchmark record sharing any metric."""
-    names = set(latest["metrics"])
+    """Most recent earlier same-benchmark record sharing a metric the
+    compare would gate on."""
     for rec in reversed(records):
         if rec.get("run_id") == latest.get("run_id"):
             continue
@@ -327,7 +350,7 @@ def find_baseline(
             continue
         if rec.get("timestamp", 0) > latest.get("timestamp", 0):
             continue
-        if names & set(rec["metrics"]):
+        if _gated_names(rec, latest):
             return rec
     return None
 
@@ -370,7 +393,7 @@ def baseline_compare(
         if base is None:
             base = tracked_baseline(benchmark, root=root)
             source = "tracked"
-        if base is None or not (set(base["metrics"]) & set(new["metrics"])):
+        if base is None or not _gated_names(base, new):
             results.append({
                 "benchmark": benchmark,
                 "skipped": "no comparable baseline",
@@ -412,6 +435,8 @@ def format_compare(result: Dict[str, Any]) -> str:
         lines.append(
             f"  wall metrics skipped ({result['metrics_skipped_wall']}): "
             "records come from different machine/python"
+            + (" or run configuration"
+               if result["benchmark"] in WHOLE_RUN_WALL else "")
         )
     for kind in sorted(result["geomean"]):
         g = result["geomean"][kind]

@@ -32,6 +32,10 @@ def _wall_metric(value, stddev=0.0, n=3, better=record.BETTER_LOWER):
                          kind=record.KIND_WALL)
 
 
+def _rps(value):
+    return _wall_metric(value, better=record.BETTER_HIGHER)
+
+
 class TestRecordSchema:
     def test_stats_mean_stddev(self):
         s = record.stats([1.0, 2.0, 3.0])
@@ -206,6 +210,50 @@ class TestBaseline:
         outcome = history.baseline_compare(d, rel_pct=5.0, root=str(tmp_path))
         assert outcome["ok"] is False
         assert outcome["results"][0]["baseline_source"] == "history"
+
+    def test_whole_run_wall_metrics_need_the_same_config(self):
+        """A serve smoke run's throughput is not gated against a full
+        run's: the two runs measure different workloads."""
+        full = _record("serve", run_id="serve-1-a", ts=1.0,
+                       metrics={"wall/throughput_rps": _rps(8.0)})
+        full["config"] = {"tenants": 8}
+        smoke = _record("serve", run_id="serve-2-b", ts=2.0,
+                        metrics={"wall/throughput_rps": _rps(2.0)})
+        result = history.compare_records(full, smoke, rel_pct=5.0)
+        assert result["wall_comparable"] is False
+        assert result["metrics_compared"] == 0
+        assert history.find_baseline([full, smoke], smoke) is None
+        same = dict(smoke, run_id="serve-3-c", timestamp=3.0,
+                    metrics={"wall/throughput_rps": _rps(1.0)})
+        assert history.find_baseline([full, smoke, same], same) is smoke
+        assert history.compare_records(smoke, same, rel_pct=5.0)["ok"] is False
+
+    def test_per_cell_wall_metrics_compare_across_configs(self):
+        """simperf wall metrics name their cell, so a quick run still
+        gates against a full sweep on the cells it ran."""
+        full = _record("simperf", metrics={"wall/launch_s/a": _wall_metric(1.0)})
+        full["config"] = {"apps": ["a", "b"]}
+        quick = _record("simperf", metrics={"wall/launch_s/a": _wall_metric(3.0)})
+        result = history.compare_records(full, quick, rel_pct=5.0)
+        assert result["metrics_compared"] == 1
+        assert result["ok"] is False
+
+    def test_smoke_run_skips_a_full_tracked_baseline(self, tmp_path):
+        d = str(tmp_path / "hist")
+        tracked = {
+            "benchmark": "chaos", "meta": record.meta_block(),
+            "config": {"smoke": False}, "wall_seconds": 1.0,
+        }
+        (tmp_path / "BENCH_chaos.json").write_text(json.dumps(tracked))
+        smoke = dict(tracked, config={"smoke": True}, wall_seconds=9.0)
+        history.append_record(history.record_from_report(smoke), d)
+        outcome = history.baseline_compare(d, rel_pct=5.0, root=str(tmp_path))
+        assert outcome["ok"] is True
+        assert outcome["results"][0]["skipped"] == "no comparable baseline"
+        history.append_record(history.record_from_report(tracked), d)
+        outcome = history.baseline_compare(d, rel_pct=5.0, root=str(tmp_path))
+        assert outcome["results"][0]["baseline_source"] == "tracked"
+        assert outcome["ok"] is True
 
     def test_tracked_baseline_fallback(self, tmp_path):
         """With no earlier history record the committed BENCH_micro.json

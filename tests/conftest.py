@@ -7,6 +7,8 @@ import os
 
 import pytest
 
+from repro.vgpu.config import ENGINES
+
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_compile_cache(tmp_path_factory):
@@ -44,6 +46,12 @@ def _isolated_bench_history(tmp_path_factory):
 #: against: the decoded engine with every frame run op by op through the
 #: ``_h_*`` handlers, no fused runs (``VirtualGPU._per_op``).
 PER_OP = "per-op"
+
+
+#: The per-op reference followed by every engine: the labels an engine
+#: comparison runs under :func:`engine_mode`, checking each result
+#: against the first.
+ENGINE_LABELS = (PER_OP,) + ENGINES
 
 
 @contextlib.contextmanager

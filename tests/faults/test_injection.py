@@ -13,11 +13,7 @@ import pytest
 
 from repro.ir import I64, Module, verify_module
 from repro.vgpu import BarrierDivergence, InjectedFault, LaunchSpec, VirtualGPU
-from repro.vgpu.config import ENGINES
-from tests.conftest import PER_OP, engine_mode, make_kernel
-
-#: The per-op decoded reference and every engine.
-LABELS = (PER_OP,) + ENGINES
+from tests.conftest import ENGINE_LABELS, engine_mode, make_kernel
 
 GEOMETRY = dict(num_teams=1, threads_per_team=1)
 
@@ -77,7 +73,7 @@ def _failure(module, label, faults, sanitize=False, teams=1, threads=1,
 
 class TestMallocFail:
     def test_fires_at_the_nth_malloc_with_the_frozen_message(self):
-        for label in LABELS:
+        for label in ENGINE_LABELS:
             exc = _failure(_malloc_module(), label, "malloc_fail:n=2")
             assert isinstance(exc, InjectedFault)
             assert str(exc) == ("injected device malloc failure #2 in @kern "
@@ -85,7 +81,7 @@ class TestMallocFail:
 
     def test_context_is_identical_across_engines(self):
         contexts = []
-        for label in LABELS:
+        for label in ENGINE_LABELS:
             exc = _failure(_malloc_module(), label, "malloc_fail:n=2")
             assert exc.context is not None
             contexts.append(exc.context.to_dict())
@@ -113,7 +109,7 @@ class TestZeroPerturbation:
 class TestBarrierSkip:
     def test_sanitizer_turns_the_hang_into_a_diagnostic(self):
         messages = []
-        for label in LABELS:
+        for label in ENGINE_LABELS:
             exc = _failure(_barrier_module(), label, "barrier_skip:n=1",
                            sanitize=True, threads=2)
             assert isinstance(exc, BarrierDivergence)
@@ -142,7 +138,7 @@ class TestBarrierSkip:
 class TestDivergentAlignedBarriers:
     def test_sanitizer_flags_mismatched_aligned_barriers(self):
         messages = []
-        for label in LABELS:
+        for label in ENGINE_LABELS:
             with engine_mode(label) as engine:
                 gpu = VirtualGPU(_divergent_barrier_module(), engine=engine,
                                  sanitize=True)

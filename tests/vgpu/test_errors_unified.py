@@ -17,15 +17,14 @@ from repro.vgpu import (
     TrapError,
     VirtualGPU,
 )
-from repro.vgpu.config import ENGINES
-from tests.conftest import PER_OP, engine_mode, make_function, make_kernel
+from tests.conftest import ENGINE_LABELS, engine_mode, make_function, make_kernel
 
 
 def _fail_both(build_module, *, debug_checks=False, args=()):
     """Run the module under the per-op reference and every engine;
     return [(exc, context_dict)]."""
     out = []
-    for label in (PER_OP,) + ENGINES:
+    for label in ENGINE_LABELS:
         module = build_module()
         with engine_mode(label) as engine:
             gpu = VirtualGPU(module, engine=engine, debug_checks=debug_checks)

@@ -17,20 +17,16 @@ from repro.ir.intrinsics import all_intrinsics, declare_intrinsic
 from repro.ir.types import F32, I8
 from repro.vgpu import AssumptionViolation, LaunchSpec, TrapError, VirtualGPU
 from repro.vgpu import decode as D
-from repro.vgpu.config import ENGINES
-from tests.conftest import PER_OP, make_kernel
+from tests.conftest import ENGINE_LABELS, PER_OP, engine_mode, make_kernel
 
 
 def _devices(module, **kwargs):
-    """(label, fresh device) for the per-op reference and every engine."""
-    devices = []
-    for label in (PER_OP,) + ENGINES:
-        engine = "decoded" if label == PER_OP else label
-        gpu = VirtualGPU(module, engine=engine, **kwargs)
-        if label == PER_OP:
-            gpu._per_op = True
-        devices.append((label, gpu))
-    return devices
+    """Yield (label, fresh device) for the per-op reference and every
+    engine; the caller's loop body runs inside that label's
+    :func:`engine_mode`."""
+    for label in ENGINE_LABELS:
+        with engine_mode(label) as engine:
+            yield label, VirtualGPU(module, engine=engine, **kwargs)
 
 
 class TestIdentity:

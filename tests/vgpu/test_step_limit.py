@@ -11,8 +11,7 @@ import pytest
 
 from repro.ir import I64, Module, verify_module
 from repro.vgpu import GPUConfig, LaunchSpec, StepLimitExceeded, VirtualGPU
-from repro.vgpu.config import ENGINES
-from tests.conftest import PER_OP, engine_mode, make_kernel
+from tests.conftest import ENGINE_LABELS, PER_OP, engine_mode, make_kernel
 
 LIMIT = 64
 
@@ -46,7 +45,7 @@ def _limit_hit(label, sim_jobs=None, teams=1):
 
 
 def test_message_and_steps_are_engine_identical():
-    results = [_limit_hit(label) for label in (PER_OP,) + ENGINES]
+    results = [_limit_hit(label) for label in ENGINE_LABELS]
     messages = {str(e) for e in results}
     assert messages == {
         f"thread (0,0) exceeded {LIMIT} steps in @kern"}
