@@ -88,7 +88,6 @@ def run_proxy_app(
     debug_checks: bool = False,
     env: Optional[Dict[str, int]] = None,
     engine: Optional[str] = None,
-    sim_jobs: Optional[int] = None,
     sanitize: Optional[bool] = None,
     faults=None,
     watchdog_s: Optional[float] = None,
@@ -96,8 +95,7 @@ def run_proxy_app(
     """Compile *program* under *options*, run *kernel*, verify, profile.
 
     ``engine`` picks the execution engine (``decoded``/``warp``, see
-    :func:`repro.vgpu.resolve_sim_engine`); ``sim_jobs`` simulates
-    teams on that many worker threads (profiles are unchanged).
+    :func:`repro.vgpu.resolve_sim_engine`).
     ``sanitize``/``faults``/``watchdog_s`` thread through to
     :class:`VirtualGPU`/:class:`~repro.vgpu.LaunchSpec` (robustness
     knobs; see README "Robustness").
@@ -121,7 +119,6 @@ def run_proxy_app(
         num_teams=num_teams,
         threads_per_team=threads_per_team,
         args=tuple(compiled.abi(kernel).marshal(gpu, host_args)),
-        sim_jobs=sim_jobs,
         watchdog_s=watchdog_s,
         engine=engine,
         faults=faults,

@@ -33,13 +33,12 @@ JSON plus a flat metrics JSON (see README "Observability");
 ``--smoke`` runs the fixed fast cell the verification target uses.
 
 ``faults`` runs the fault-injection / sanitizer robustness matrix
-(testsnap at ``-O0`` across both engines and ``sim_jobs=2``; see
-README "Robustness") and exits non-zero on any determinism or
+(testsnap at ``-O0`` on both engines; see README "Robustness") and exits non-zero on any determinism or
 degradation failure; ``--smoke`` keeps the three cheapest scenarios.
 
 ``serve`` load-tests the :mod:`repro.serve` multi-tenant simulation
 service: ``--tenants`` concurrent threads each submit ``--requests``
-launches from a fixed (app, engine, sim_jobs) mix, and the report —
+launches from a fixed (app, engine) mix, and the report —
 throughput plus p50/p95/p99 latency and queue-wait percentiles — is
 written to ``BENCH_serve.json``; ``--smoke`` runs one request per
 tenant (fast; used by ``make verify``).
@@ -111,11 +110,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--repeats", type=int, default=3,
         help="simperf: timed launches per cell (best is reported)",
-    )
-    parser.add_argument(
-        "--sim-jobs", type=int, default=None,
-        help="simperf: worker threads for parallel team simulation "
-             "(default: REPRO_SIM_JOBS or 1)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -210,13 +204,10 @@ def main(argv) -> int:
             # old runtime is not lockstep-safe, and the smoke should
             # exercise true warp vectorization, not its fallback.
             report = simperf.simperf_matrix(
-                apps=["testsnap"], builds=[BUILD_ORDER[1]],
-                repeats=1, sim_jobs=args.sim_jobs,
+                apps=["testsnap"], builds=[BUILD_ORDER[1]], repeats=1,
             )
         else:
-            report = simperf.simperf_matrix(
-                repeats=args.repeats, sim_jobs=args.sim_jobs,
-            )
+            report = simperf.simperf_matrix(repeats=args.repeats)
         out = args.out if args.out is not None else simperf.DEFAULT_OUTPUT
         if out != "-":
             simperf.write_report(report, out)
@@ -237,7 +228,6 @@ def main(argv) -> int:
             app, build,
             out=args.out if args.out != "-" else None,
             metrics_out=args.metrics_out,
-            sim_jobs=args.sim_jobs,
         )
         print(trace_cli.format_trace_result(result))
     if what == "faults":

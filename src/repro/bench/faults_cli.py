@@ -16,10 +16,9 @@ program faults into crash reports and retries internal engine faults:
 
 Every scenario runs on both engines (``decoded`` and ``warp``; warp
 teams with an armed fault plan or under the sanitizer take the decoded
-fallback) and once more with ``sim_jobs=2``; the matrix PASSes only if
-profiles are bit-identical and crash reports compare equal
-(``comparable_dict``) across all three runs — the executable form of
-the determinism acceptance criterion.
+fallback); the matrix PASSes only if profiles are bit-identical and
+crash reports compare equal (``comparable_dict``) across both runs —
+the executable form of the determinism acceptance criterion.
 
 ``--smoke`` keeps the three cheapest scenarios (baseline, exhaust,
 rt_trap) for ``make verify``.
@@ -77,7 +76,7 @@ def _compile():
 
 
 def _run_cell(service: SimulationService, compiled, scenario: Scenario,
-              engine: str, sim_jobs: Optional[int] = None) -> Dict[str, Any]:
+              engine: str) -> Dict[str, Any]:
     """One served launch; returns the comparable facts of the outcome."""
 
     def make_args(gpu, _compiled):
@@ -86,8 +85,7 @@ def _run_cell(service: SimulationService, compiled, scenario: Scenario,
 
     spec = LaunchSpec(kernel=testsnap.KERNEL, num_teams=TEAMS,
                       threads_per_team=THREADS, engine=engine,
-                      faults=scenario.faults, sanitize=scenario.sanitize,
-                      sim_jobs=sim_jobs)
+                      faults=scenario.faults, sanitize=scenario.sanitize)
     result = service.run(spec, module=compiled.module, make_args=make_args)
     cell: Dict[str, Any] = {
         "ok": result.ok,
@@ -144,12 +142,8 @@ def run_faults(smoke: bool = False) -> Dict[str, Any]:
     with SimulationService(workers=1, save_reports=True) as service:
         for scenario in scenarios:
             cells = {
-                ENGINE_DECODED: _run_cell(service, compiled, scenario,
-                                          ENGINE_DECODED),
-                ENGINE_WARP: _run_cell(service, compiled, scenario,
-                                       ENGINE_WARP),
-                "sim_jobs=2": _run_cell(service, compiled, scenario,
-                                        ENGINE_DECODED, sim_jobs=2),
+                engine: _run_cell(service, compiled, scenario, engine)
+                for engine in (ENGINE_DECODED, ENGINE_WARP)
             }
             rows.append({
                 "scenario": scenario.name,
@@ -179,7 +173,7 @@ def format_faults(report: Dict[str, Any]) -> str:
     lines = [
         f"fault-injection matrix: testsnap -O0, "
         f"{report['cell']['teams']}x{report['cell']['threads']} "
-        f"(decoded / warp / sim_jobs=2)",
+        f"(decoded / warp)",
     ]
     for row in report["scenarios"]:
         cells = row["cells"]

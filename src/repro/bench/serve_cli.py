@@ -2,7 +2,7 @@
 
 Spins up one :class:`~repro.serve.SimulationService` and drives it from
 N concurrent tenant threads, each submitting a deterministic per-tenant
-mix of (app, engine, sim_jobs) requests.  A saturated service answers
+mix of (app, engine) requests.  A saturated service answers
 with :class:`~repro.serve.AdmissionRejected`; tenants back off and
 resubmit, so the benchmark also exercises the admission path under
 honest overload.
@@ -28,15 +28,14 @@ from repro.serve import AdmissionRejected, SimulationService
 #: Default output file, committed at the repo root.
 DEFAULT_OUTPUT = "BENCH_serve.json"
 
-#: Request mix: tenants cycle through these (app, engine, sim_jobs)
-#: cells, offset by tenant index so concurrent tenants hit different
-#: cells at any instant.  Apps chosen for speed; every engine and the
-#: parallel team-simulation path are all exercised.
+#: Request mix: tenants cycle through these (app, engine) cells,
+#: offset by tenant index so concurrent tenants hit different cells at
+#: any instant.  Apps chosen for speed; both engines are exercised.
 REQUEST_MIX: Sequence[Dict[str, Any]] = (
-    {"app": "testsnap", "engine": "decoded", "sim_jobs": None},
-    {"app": "xsbench", "engine": "decoded", "sim_jobs": 2},
-    {"app": "testsnap", "engine": "warp", "sim_jobs": None},
-    {"app": "gridmini", "engine": "decoded", "sim_jobs": None},
+    {"app": "testsnap", "engine": "decoded"},
+    {"app": "xsbench", "engine": "decoded"},
+    {"app": "testsnap", "engine": "warp"},
+    {"app": "gridmini", "engine": "decoded"},
 )
 
 #: Back-off between resubmissions after an AdmissionRejected.
@@ -81,7 +80,6 @@ def _tenant(
                     cell["app"],
                     build=build,
                     engine=cell["engine"],
-                    sim_jobs=cell["sim_jobs"],
                     request_id=f"t{tenant:02d}-{i:03d}",
                     tag=f"tenant{tenant:02d}",
                 )

@@ -57,7 +57,6 @@ def measure_cell(
     engine: str,
     size: Optional[Dict[str, int]] = None,
     repeats: int = 3,
-    sim_jobs: Optional[int] = None,
     session: Optional[ToolchainSession] = None,
 ) -> Dict[str, Any]:
     """Time one (app, options, engine) cell; only ``run()`` is timed."""
@@ -77,7 +76,6 @@ def measure_cell(
         num_teams=app.TEAMS,
         threads_per_team=app.THREADS,
         args=tuple(compiled.abi(app.KERNEL).marshal(warm, warm_args)),
-        sim_jobs=sim_jobs,
     ))
     walls: List[float] = []
     profile = None
@@ -89,7 +87,6 @@ def measure_cell(
             num_teams=app.TEAMS,
             threads_per_team=app.THREADS,
             args=tuple(compiled.abi(app.KERNEL).marshal(gpu, host_args)),
-            sim_jobs=sim_jobs,
         )
         t0 = time.perf_counter()
         result = gpu.run(spec)
@@ -120,7 +117,6 @@ def simperf_matrix(
     builds: Optional[Sequence[str]] = None,
     repeats: int = 3,
     size: Optional[Dict[str, int]] = None,
-    sim_jobs: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Run the app × build × engine sweep and return the report dict."""
     app_names = list(apps) if apps else sorted(APPS)
@@ -136,8 +132,7 @@ def simperf_matrix(
             for engine in (ENGINE_DECODED, ENGINE_WARP):
                 cell = measure_cell(
                     app, options[build], engine,
-                    size=size, repeats=repeats, sim_jobs=sim_jobs,
-                    session=session,
+                    size=size, repeats=repeats, session=session,
                 )
                 cell["build"] = build
                 cells.append(cell)
@@ -160,7 +155,6 @@ def simperf_matrix(
             "apps": app_names,
             "builds": wanted,
             "repeats": repeats,
-            "sim_jobs": sim_jobs,
             "python": meta["python"],
             "machine": meta["machine"],
         },

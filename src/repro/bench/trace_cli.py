@@ -57,7 +57,6 @@ def run_trace(
     out: Optional[str] = None,
     metrics_out: Optional[str] = None,
     engine: Optional[str] = None,
-    sim_jobs: Optional[int] = None,
     size: Optional[Dict[str, int]] = None,
 ) -> Dict[str, Any]:
     """Run one traced cell and write the trace + metrics documents."""
@@ -89,7 +88,6 @@ def run_trace(
                     num_teams=app.TEAMS,
                     threads_per_team=app.THREADS,
                     args=tuple(compiled.abi(app.KERNEL).marshal(gpu, host_args)),
-                    sim_jobs=sim_jobs,
                 )
             with collector.span("bench.launch", cat="bench", kernel=app.KERNEL):
                 profile = gpu.run(spec).profile

@@ -13,9 +13,6 @@ Knobs
 ``REPRO_SIM_ENGINE``
     Simulator execution engine: ``decoded`` (default) or ``warp``
     (lane-batched NumPy execution of whole warps).
-``REPRO_SIM_JOBS``
-    Worker threads for parallel team simulation inside one launch
-    (default 1 = serial).
 ``REPRO_JOBS``
     Worker processes for independent (app, build) cells of a bench
     matrix (default 1 = serial).
@@ -39,8 +36,8 @@ Knobs
     Set truthy to run the vgpu memory/divergence sanitizer
     (``VirtualGPU(sanitize=True)``); off by default.
 ``REPRO_WATCHDOG_S``
-    Wall-clock watchdog (seconds, float) for team simulation (serial
-    and parallel); ``0`` (the default) disables it.
+    Wall-clock watchdog (seconds, float) for team simulation; ``0``
+    (the default) disables it.
 ``REPRO_SERVE_WORKERS``
     Worker threads of a :class:`repro.serve.SimulationService`
     (default 4).
@@ -104,8 +101,6 @@ KNOBS: Dict[str, EnvKnob] = {
     for knob in (
         EnvKnob("REPRO_SIM_ENGINE", "choice", "decoded",
                 "simulator execution engine", ("decoded", "warp")),
-        EnvKnob("REPRO_SIM_JOBS", "int", "1",
-                "worker threads for parallel team simulation"),
         EnvKnob("REPRO_JOBS", "int", "1",
                 "worker processes for independent bench cells"),
         EnvKnob("REPRO_CACHE", "flag", "1",
@@ -201,10 +196,6 @@ def env_str(name: str, default: Optional[str] = None) -> str:
 def sim_engine() -> str:
     """Raw ``REPRO_SIM_ENGINE`` value (validated by the vgpu layer)."""
     return env_str("REPRO_SIM_ENGINE")
-
-
-def sim_jobs() -> int:
-    return env_int("REPRO_SIM_JOBS")
 
 
 def jobs() -> int:

@@ -56,10 +56,9 @@ Determinism
 
 Counters live in a per-team :class:`TeamFaultState`; threads within a
 team are stepped in thread-id order, so the same plan fires at the
-same dynamic instruction in fused and per-op decoded execution and in
-every ``sim_jobs=N`` interleaving.  (Warp-requested teams with an armed
-plan run decoded, so the warp engine never consults a plan.)  Fields left
-unpinned (``team``/``thread``) are resolved from the plan ``seed`` and
+same dynamic instruction in fused and per-op decoded execution.
+(Warp-requested teams with an armed plan run decoded, so the warp
+engine never consults a plan.)  Fields left unpinned (``team``/``thread``) are resolved from the plan ``seed`` and
 the launch geometry at bind time — not from global randomness — so a
 seed fully determines behaviour.
 """
@@ -240,7 +239,7 @@ class FaultPlan:
     def team_state(self, team_id: int, launch) -> Optional["TeamFaultState"]:
         """Fault state for one team of *launch*, or None if no site
         targets it.  Called once per team per launch; counters start
-        at zero, which is what makes ``sim_jobs=N`` runs identical."""
+        at zero, so a team fires the same way whichever teams ran before it."""
         state = TeamFaultState(team_id)
         armed = False
         for index, site in enumerate(self.sites):

@@ -9,7 +9,7 @@ stream — as a plain dict that serializes to JSON.
 Reports are **deterministic**: no timestamps, no raw simulated
 addresses, no host-specific paths inside the payload.  The
 determinism tests compare :meth:`CrashReport.comparable_dict` across
-fused and per-op decoded runs, warp and ``sim_jobs=N`` runs — that
+fused and per-op decoded runs and warp runs — that
 view additionally drops the fields that legitimately differ between
 runs of the *same* failure (which engine produced it, whether the
 service retried).
@@ -103,7 +103,7 @@ class CrashReport:
 
     def comparable_dict(self) -> dict:
         """The determinism view: everything that must be identical for
-        the same failure across engines and ``sim_jobs`` settings."""
+        the same failure across engines."""
         out = self.to_dict()
         out.pop("engine", None)
         out.pop("retry", None)

@@ -11,8 +11,9 @@ runtime annotates its inline-assembly barriers via ``omp assumes``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.ir.module import Function, Module
 from repro.ir.types import (
@@ -123,19 +124,113 @@ MEMCPY = _register(IntrinsicInfo(
     "llvm.memcpy", _ft(VOID, PTR, PTR, I64), side_effects=True, cost=4))
 
 # --- math ------------------------------------------------------------------------
+#
+# The IEEE semantics of ``llvm.<op>.f32/f64`` over Python floats, defined
+# once: the engines evaluate these functions and the constant folder
+# folds with them, so -O0 and optimized builds compute the same value.
+# Where ``math`` raises or departs from IEEE 754 (domain and range
+# errors, infinities, NaN operands, the sign of a zero), the functions
+# return the IEEE result instead; the f32 store rounds an out-of-range
+# result to +-inf (``repro.memory.memmodel.pack_f32_into``).
 
-_MATH_UNARY = ("sqrt", "exp", "log", "sin", "cos", "fabs", "floor")
-for _op in _MATH_UNARY:
+_INF = math.inf
+_NAN = math.nan
+
+
+def _sqrt(x: float) -> float:
+    return math.sqrt(x) if x >= 0 else _NAN
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return _INF
+
+
+def _log(x: float) -> float:
+    if x > 0:
+        return math.log(x)
+    return -_INF if x == 0 else _NAN
+
+
+def _sin(x: float) -> float:
+    return _NAN if math.isinf(x) else math.sin(x)
+
+
+def _cos(x: float) -> float:
+    return _NAN if math.isinf(x) else math.cos(x)
+
+
+def _floor(x: float) -> float:
+    if not math.isfinite(x):
+        return x
+    r = float(math.floor(x))
+    return math.copysign(r, x) if r == 0 else r  # floor(-0.0) is -0.0
+
+
+def _odd_integer(y: float) -> bool:
+    return y.is_integer() and y % 2 == 1
+
+
+def _pow(x: float, y: float) -> float:
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return -_INF if x < 0 and _odd_integer(y) else _INF
+    except ValueError:
+        if x == 0:  # pole: a zero base to a negative power
+            return math.copysign(_INF, x) if _odd_integer(y) else _INF
+        return _NAN  # a negative base to a non-integer power
+
+
+def _fmin(x: float, y: float) -> float:
+    """LLVM ``minnum``: a NaN operand yields the other one."""
+    return y if x != x else x if y != y else min(x, y)
+
+
+def _fmax(x: float, y: float) -> float:
+    """LLVM ``maxnum``: a NaN operand yields the other one."""
+    return y if x != x else x if y != y else max(x, y)
+
+
+#: Unary math intrinsics: ``llvm.<op>.<f32|f64>`` -> IEEE function.
+MATH_UNARY: Dict[str, Callable[[float], float]] = {
+    "sqrt": _sqrt,
+    "exp": _exp,
+    "log": _log,
+    "sin": _sin,
+    "cos": _cos,
+    "fabs": abs,
+    "floor": _floor,
+}
+
+#: Binary math intrinsics.
+MATH_BINARY: Dict[str, Callable[[float, float], float]] = {
+    "pow": _pow,
+    "fmin": _fmin,
+    "fmax": _fmax,
+}
+
+_MATH_COST = {"pow": 20, "fmin": 2, "fmax": 2}
+
+for _op in MATH_UNARY:
     for _ty, _sfx in ((F64, "f64"), (F32, "f32")):
         _register(IntrinsicInfo(
             f"llvm.{_op}.{_sfx}", _ft(_ty, _ty), readnone=True, cost=12))
 for _ty, _sfx in ((F64, "f64"), (F32, "f32")):
-    _register(IntrinsicInfo(
-        f"llvm.pow.{_sfx}", _ft(_ty, _ty, _ty), readnone=True, cost=20))
-    _register(IntrinsicInfo(
-        f"llvm.fmin.{_sfx}", _ft(_ty, _ty, _ty), readnone=True, cost=2))
-    _register(IntrinsicInfo(
-        f"llvm.fmax.{_sfx}", _ft(_ty, _ty, _ty), readnone=True, cost=2))
+    for _op in MATH_BINARY:
+        _register(IntrinsicInfo(
+            f"llvm.{_op}.{_sfx}", _ft(_ty, _ty, _ty), readnone=True,
+            cost=_MATH_COST[_op]))
+
+
+def math_function(name: str) -> Optional[Callable[..., float]]:
+    """The IEEE function of math intrinsic *name*, or None."""
+    parts = name.split(".")
+    if len(parts) != 3 or parts[0] != "llvm" or parts[2] not in ("f32", "f64"):
+        return None
+    return MATH_UNARY.get(parts[1]) or MATH_BINARY.get(parts[1])
 
 
 def intrinsic_info(name: str) -> Optional[IntrinsicInfo]:

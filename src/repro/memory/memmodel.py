@@ -11,9 +11,9 @@ different teams, exactly like a real GPU shared-memory address.
 
 from __future__ import annotations
 
+import math
 import mmap
 import struct
-import threading
 from typing import Dict, Optional, Tuple, Union
 
 from repro.memory.addrspace import (
@@ -27,14 +27,6 @@ from repro.ir.types import FloatType, IntType, PointerType, Type
 
 class MemoryError_(Exception):
     """Out-of-bounds or otherwise invalid simulated memory access."""
-
-
-#: Serializes the cross-team mutable device state (the global-segment
-#: bump allocator and atomic read-modify-write sequences) when teams are
-#: simulated on worker threads.  Module-level rather than per
-#: :class:`MemorySystem` so results stay picklable; contention is nil —
-#: device mallocs and atomics are rare events in the proxy apps.
-DEVICE_LOCK = threading.Lock()
 
 
 def _align_to(offset: int, align: int) -> int:
@@ -97,6 +89,17 @@ class Segment:
 
 
 _FLOAT_FMT = {32: "<f", 64: "<d"}
+_F32 = struct.Struct("<f")
+
+
+def pack_f32_into(buf, offset: int, value: float) -> None:
+    """Write *value* as an IEEE binary32 at *offset* of *buf*: rounded
+    to nearest, and to +-inf beyond the f32 range (``struct`` raises
+    there instead)."""
+    try:
+        _F32.pack_into(buf, offset, value)
+    except OverflowError:
+        _F32.pack_into(buf, offset, math.copysign(math.inf, value))
 
 
 def encode_scalar(value: Union[int, float], ty: Type) -> bytes:
@@ -105,6 +108,10 @@ def encode_scalar(value: Union[int, float], ty: Type) -> bytes:
         size = max(1, ty.bits // 8)
         return int(ty.wrap(int(value))).to_bytes(size, "little")
     if isinstance(ty, FloatType):
+        if ty.bits == 32:
+            buf = bytearray(4)
+            pack_f32_into(buf, 0, float(value))
+            return bytes(buf)
         return struct.pack(_FLOAT_FMT[ty.bits], float(value))
     if isinstance(ty, PointerType):
         return int(value).to_bytes(8, "little")
@@ -308,9 +315,7 @@ class MemorySystem:
     # -- allocation -------------------------------------------------------------------
 
     def malloc(self, size: int) -> int:
-        with DEVICE_LOCK:
-            return self.global_seg.allocate(max(1, size))
+        return self.global_seg.allocate(max(1, size))
 
     def free(self, ptr: int) -> None:
-        with DEVICE_LOCK:
-            self.global_seg.free(ptr)
+        self.global_seg.free(ptr)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from repro.ir.intrinsics import math_function
 from repro.ir.types import F32, F64, FloatType, I1, IntType, PointerType, Type
 from repro.ir.values import Constant, Value
 
@@ -116,36 +117,14 @@ def fold_cast(op: str, value: Constant, to_type: Type) -> Optional[Constant]:
 
 
 def fold_math_intrinsic(name: str, args: list) -> Optional[Constant]:
-    """Fold a readnone math intrinsic call over constant arguments."""
-    if not all(isinstance(a, Constant) for a in args):
+    """Fold a readnone math intrinsic call over constant arguments with
+    the engines' own function (:func:`repro.ir.intrinsics.math_function`).
+    Only finite results fold; a NaN or infinite one stays a call, which
+    evaluates to the same value at run time."""
+    fn = math_function(name)
+    if fn is None or not all(isinstance(a, Constant) for a in args):
         return None
-    base = name.split(".")
-    if len(base) != 3 or base[0] != "llvm":
+    value = fn(*(float(a.value) for a in args))
+    if not math.isfinite(value):
         return None
-    op, sfx = base[1], base[2]
-    ty = F64 if sfx == "f64" else F32
-    vals = [float(a.value) for a in args]
-    try:
-        if op == "sqrt":
-            return Constant(ty, math.sqrt(vals[0])) if vals[0] >= 0 else None
-        if op == "exp":
-            return Constant(ty, math.exp(vals[0]))
-        if op == "log":
-            return Constant(ty, math.log(vals[0])) if vals[0] > 0 else None
-        if op == "sin":
-            return Constant(ty, math.sin(vals[0]))
-        if op == "cos":
-            return Constant(ty, math.cos(vals[0]))
-        if op == "fabs":
-            return Constant(ty, abs(vals[0]))
-        if op == "floor":
-            return Constant(ty, math.floor(vals[0]))
-        if op == "pow":
-            return Constant(ty, math.pow(vals[0], vals[1]))
-        if op == "fmin":
-            return Constant(ty, min(vals[0], vals[1]))
-        if op == "fmax":
-            return Constant(ty, max(vals[0], vals[1]))
-    except (OverflowError, ValueError):
-        return None
-    return None
+    return Constant(F64 if name.endswith(".f64") else F32, value)

@@ -457,7 +457,7 @@ class SimulationService:
 
         *build* names a build configuration (default: the paper's
         baseline order head) unless explicit *options* are given.
-        Keyword *spec_overrides* (engine=, sim_jobs=, deadline_s=,
+        Keyword *spec_overrides* (engine=, deadline_s=,
         request_id=, ...) refine the app's default grid spec.  With
         ``verify=True`` the result's ``payload`` carries
         ``{"max_error": ...}`` computed in-worker against the NumPy

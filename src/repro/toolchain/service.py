@@ -78,9 +78,6 @@ class RunRequest:
     #: Simulator execution engine (``decoded``/``warp``; None = the
     #: :func:`repro.vgpu.resolve_sim_engine` default).
     engine: Optional[str] = None
-    #: Worker threads for parallel team simulation inside each launch
-    #: (None = the :func:`repro.vgpu.resolve_sim_jobs` default).
-    sim_jobs: Optional[int] = None
     #: Extra keyword arguments forwarded to the app's ``run()``.
     run_kwargs: Dict[str, Any] = field(default_factory=dict)
 
@@ -95,8 +92,6 @@ def _app_run_kwargs(request: RunRequest) -> Dict[str, Any]:
         kwargs.setdefault("size", request.size)
     if request.engine is not None:
         kwargs.setdefault("engine", request.engine)
-    if request.sim_jobs is not None:
-        kwargs.setdefault("sim_jobs", request.sim_jobs)
     return kwargs
 
 

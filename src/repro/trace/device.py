@@ -1,12 +1,11 @@
 """Device-timeline events for one kernel launch.
 
-The simulator never emits events from worker threads: each team logs
-its barrier-delimited phases into its private ``TeamStats`` (only when
-tracing is enabled) and ``VirtualGPU.launch`` calls
+The simulator never emits events while teams run: each team logs its
+barrier-delimited phases into its private ``TeamStats`` (only when
+tracing is enabled) and ``VirtualGPU.run()`` calls
 :func:`emit_launch_events` once, post-merge, in team order.  That is
-what makes serial and parallel (``sim_jobs``) simulation emit the
-*identical* event list — the trace is derived from merged data, not
-from wall-clock interleaving.
+what makes every engine emit the *identical* event list — the trace
+is derived from merged data, not from host wall-clock order.
 
 Timestamps on the device timeline are simulated cycles converted to
 microseconds through the nominal clock, and team start offsets follow

@@ -14,7 +14,6 @@ from repro.vgpu.config import (  # noqa: F401
     resolve_fault_plan,
     resolve_sanitize,
     resolve_sim_engine,
-    resolve_sim_jobs,
     resolve_watchdog,
 )
 from repro.vgpu.cost import CostModel  # noqa: F401

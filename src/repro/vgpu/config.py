@@ -44,18 +44,6 @@ def resolve_sim_engine(engine: Optional[str] = None) -> str:
     return engine
 
 
-def resolve_sim_jobs(sim_jobs: Optional[int] = None, teams: Optional[int] = None) -> int:
-    """Effective worker count for parallel team simulation: explicit
-    *sim_jobs*, else ``REPRO_SIM_JOBS``, else 1 (serial); never more
-    than the number of *teams*."""
-    if sim_jobs is None:
-        sim_jobs = envconfig.sim_jobs()
-    sim_jobs = max(1, sim_jobs)
-    if teams is not None:
-        sim_jobs = min(sim_jobs, max(1, teams))
-    return sim_jobs
-
-
 def resolve_sanitize(sanitize: Optional[bool] = None) -> bool:
     """Effective sanitizer mode: explicit *sanitize*, else ``REPRO_SANITIZE``."""
     if sanitize is None:
@@ -77,7 +65,7 @@ def resolve_fault_plan(faults=None):
 
 
 def resolve_watchdog(watchdog_s: Optional[float] = None) -> float:
-    """Effective parallel-simulation watchdog in seconds: explicit
+    """Effective simulation watchdog in seconds: explicit
     *watchdog_s*, else ``REPRO_WATCHDOG_S``; 0 disables it."""
     if watchdog_s is None:
         return envconfig.watchdog_s()

@@ -71,7 +71,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.memory.addrspace import OFFSET_MASK, AddressSpace
 from repro.memory.layout import DATA_LAYOUT
-from repro.memory.memmodel import DEVICE_LOCK, MemoryError_, scalar_size
+from repro.memory.memmodel import MemoryError_, pack_f32_into, scalar_size
 from repro.ir.instructions import (
     Alloca,
     AtomicRMW,
@@ -90,7 +90,7 @@ from repro.ir.instructions import (
     Store,
     Unreachable,
 )
-from repro.ir.intrinsics import intrinsic_info
+from repro.ir.intrinsics import MATH_BINARY, MATH_UNARY, intrinsic_info
 from repro.trace.categories import OVERHEAD_CATEGORIES
 from repro.ir.module import Function
 from repro.ir.types import FloatType, IntType, I64
@@ -108,8 +108,6 @@ from repro.vgpu.errors import (
     unreachable_error,
 )
 from repro.vgpu.execstate import (
-    MATH_BINARY,
-    MATH_UNARY,
     ThreadContext,
     ThreadStatus,
     atomic_apply,
@@ -809,9 +807,8 @@ def _h_atomicrmw(vm, thread, frame, op):
     ty = op[7]
     team, tid = thread.team_id, thread.thread_id
     memory = vm.memory
-    with DEVICE_LOCK:
-        old = memory.load(ptr, ty, team, tid)
-        memory.store(ptr, atomic_apply(op[6], old, regs[op[5]], ty), ty, team, tid)
+    old = memory.load(ptr, ty, team, tid)
+    memory.store(ptr, atomic_apply(op[6], old, regs[op[5]], ty), ty, team, tid)
     regs[op[3]] = old
     frame.pc = op[2]
     return op[8]
@@ -1309,7 +1306,8 @@ def decode_function(
         p, v = operand(inst.pointer), operand(inst.value)
         size = scalar_size(ty)
         if isinstance(ty, FloatType):
-            pack = _FLOAT_STRUCT[ty.bits].pack_into
+            pack = (pack_f32_into if ty.bits == 32
+                    else _FLOAT_STRUCT[ty.bits].pack_into)
             h = _h_store_slow if sanitize else _h_store_f
             return (h, "store", next_pc, p, v, size, ty, store_costs, pack)
         if isinstance(ty, IntType):

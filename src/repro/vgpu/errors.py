@@ -6,8 +6,7 @@ below so that a given device failure produces a bit-identical exception
 type *and* message regardless of engine — the invariant pinned by
 ``tests/vgpu/test_errors_unified.py`` and relied on by the
 fault-injection determinism tests (same :class:`~repro.faults.FaultPlan`
-seed ⇒ same CrashReport across fused and per-op decoded and
-``sim_jobs=N``).
+seed ⇒ same CrashReport across fused and per-op decoded and warp).
 
 On the way out of an engine run loop, :func:`attach_context` decorates
 the in-flight :class:`SimulationError` with a
@@ -15,7 +14,7 @@ the in-flight :class:`SimulationError` with a
 device call stack, output tail, step count) — the raw material for
 ``repro.faults.report.CrashReport``.  Context fields never contain raw
 simulated addresses, which is what keeps reports comparable across
-``sim_jobs=N`` runs where global-malloc pointer values may differ.
+engines and devices.
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ class InjectedFault(SimulationError):
 
 
 class WatchdogExpired(SimulationError):
-    """The wall-clock watchdog fired before parallel team simulation
-    finished (``LaunchSpec(watchdog_s=...)`` / ``REPRO_WATCHDOG_S``)."""
+    """The wall-clock watchdog fired before team simulation finished (``LaunchSpec(watchdog_s=...)`` / ``REPRO_WATCHDOG_S``)."""
 
 
 class EngineUnsupported(Exception):

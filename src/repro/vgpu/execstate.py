@@ -1,19 +1,19 @@
 """Execution state and scalar semantics shared by the engines.
 
-Thread state, argument coercion, atomic-RMW combines and the math
-intrinsics' scalar semantics live here, once, for the decoded engine
-(:mod:`repro.vgpu.decode`) and the warp engine (:mod:`repro.vgpu.warp`,
-which calls the same scalar helpers for uniform operands and lane by
-lane).
+Thread state, argument coercion and atomic-RMW combines live here,
+once, for the decoded engine (:mod:`repro.vgpu.decode`) and the warp
+engine (:mod:`repro.vgpu.warp`, which calls the same scalar helpers for
+uniform operands and lane by lane).  The math intrinsics' semantics
+live with the intrinsic registry (:mod:`repro.ir.intrinsics`).
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 from repro.ir.instructions import Call
+from repro.ir.intrinsics import MATH_BINARY
 from repro.ir.types import FloatType, IntType, Type
 from repro.vgpu.errors import SimulationError
 
@@ -114,9 +114,9 @@ def atomic_apply(op: str, old: Scalar, operand: Scalar, ty: Type) -> Scalar:
         if op == "sub":
             return a - b
         if op == "max":
-            return max(a, b)
+            return MATH_BINARY["fmax"](a, b)
         if op == "min":
-            return min(a, b)
+            return MATH_BINARY["fmin"](a, b)
         if op == "exchange":
             return b
     assert isinstance(ty, IntType)
@@ -132,40 +132,3 @@ def atomic_apply(op: str, old: Scalar, operand: Scalar, ty: Type) -> Scalar:
     if op == "exchange":
         return b
     raise SimulationError(f"unhandled atomic {op}")  # pragma: no cover
-
-
-# ---------------------------------------------------------- math intrinsics --
-
-
-def _m_sqrt(x: float) -> float:
-    return math.sqrt(x) if x >= 0 else float("nan")
-
-
-def _m_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return float("inf")
-
-
-def _m_log(x: float) -> float:
-    return math.log(x) if x > 0 else float("-inf")
-
-
-#: llvm.<op>.<suffix> unary math semantics (argument already a float).
-MATH_UNARY: Dict[str, Callable[[float], float]] = {
-    "sqrt": _m_sqrt,
-    "exp": _m_exp,
-    "log": _m_log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "fabs": abs,
-    "floor": math.floor,
-}
-
-#: llvm.<op>.<suffix> binary math semantics.
-MATH_BINARY: Dict[str, Callable[[float, float], float]] = {
-    "pow": math.pow,
-    "fmin": min,
-    "fmax": max,
-}

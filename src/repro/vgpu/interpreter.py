@@ -25,18 +25,15 @@ Two execution engines share this team/timing driver:
 * ``warp`` — :mod:`repro.vgpu.warp`: whole warps execute in lockstep
   over NumPy lane arrays; teams it cannot run take the decoded path.
 
-Teams are embarrassingly parallel, so ``LaunchSpec(sim_jobs=N)`` (or
-``REPRO_SIM_JOBS``) fans independent teams out to a thread pool.  All
-counters accumulate into per-team :class:`~repro.vgpu.profiler.
-TeamStats` merged in team order, so serial and parallel simulation
-produce identical profiles.
+Teams run one after another, in team order; each accumulates its
+counters into its own :class:`~repro.vgpu.profiler.TeamStats`, merged
+in team order.  Teams only meet in the SM wave model, after all of
+them have run.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait as _wait_futures
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.memory.addrspace import AddressSpace, make_pointer
@@ -59,7 +56,6 @@ from repro.vgpu.config import (
     resolve_fault_plan,
     resolve_sanitize,
     resolve_sim_engine,
-    resolve_sim_jobs,
     resolve_watchdog,
 )
 from repro.vgpu.config import (  # noqa: F401 (re-export)
@@ -100,25 +96,17 @@ _MIN_WARP_OCCUPANCY = 0.5
 class CooperativeWatchdog:
     """Cooperative wall-clock abort shared by every team of a launch.
 
-    Teams poll :meth:`expired` at phase boundaries, so both the serial
-    reference path and ``sim_jobs=N`` honour the same deadline; the
-    parallel driver additionally sets :attr:`event` from the waiting
-    host thread so workers stop even when a single phase overruns the
-    deadline check cadence.
+    Teams poll :meth:`expired` at phase boundaries.
     """
 
-    __slots__ = ("seconds", "deadline", "event")
+    __slots__ = ("seconds", "deadline")
 
     def __init__(self, seconds: float) -> None:
         self.seconds = seconds
         self.deadline = time.monotonic() + seconds
-        self.event = threading.Event()
-
-    def remaining(self) -> float:
-        return max(0.0, self.deadline - time.monotonic())
 
     def expired(self) -> bool:
-        return self.event.is_set() or time.monotonic() >= self.deadline
+        return time.monotonic() >= self.deadline
 
 
 class VirtualGPU:
@@ -321,12 +309,9 @@ class VirtualGPU:
         devices across tenants.
 
         ``spec.dynamic_shared_bytes`` models the launch-time dynamic
-        shared memory of §III-D; ``spec.sim_jobs`` fans independent
-        teams out to worker threads with profiles identical to a serial
-        run; ``spec.watchdog_s`` bounds wall-clock simulation time with
-        a cooperative abort at phase boundaries — honoured by both the
-        serial and the parallel phase drivers — raising
-        :class:`~repro.vgpu.errors.WatchdogExpired`.
+        shared memory of §III-D; ``spec.watchdog_s`` bounds wall-clock
+        simulation time with a cooperative abort at phase boundaries,
+        raising :class:`~repro.vgpu.errors.WatchdogExpired`.
         """
         if spec.sanitize is not None and bool(spec.sanitize) != self.sanitize:
             raise SimulationError(
@@ -402,7 +387,6 @@ class VirtualGPU:
 
         if self.sanitize:
             self.memory.begin_launch()
-        jobs = resolve_sim_jobs(spec.sim_jobs, num_teams)
         watchdog_s = resolve_watchdog(spec.watchdog_s)
         if spec.deadline_s is not None:
             # A direct run starts its budget now, so the deadline is a
@@ -411,22 +395,13 @@ class VirtualGPU:
             budget = max(spec.deadline_s, 1e-3)
             watchdog_s = budget if watchdog_s <= 0 else min(watchdog_s, budget)
         abort = CooperativeWatchdog(watchdog_s) if watchdog_s > 0 else None
+        # One reusable thread-context workspace shared by all teams.
+        workspace: List[ThreadContext] = []
         try:
-            if jobs == 1:
-                # Serial reference path: one reusable thread-context
-                # workspace shared by all teams (allocation reuse).
-                # The watchdog deadline applies here too — teams poll
-                # it cooperatively at phase boundaries.
-                workspace: List[ThreadContext] = []
-                results = [
-                    self._run_team(func, args, team_id, launch, workspace,
-                                   abort)
-                    for team_id in range(num_teams)
-                ]
-            else:
-                results = self._run_teams_parallel(
-                    func, args, num_teams, launch, jobs, abort,
-                )
+            results = [
+                self._run_team(func, args, team_id, launch, workspace, abort)
+                for team_id in range(num_teams)
+            ]
         except SimulationError as exc:
             if self._trace is not None:
                 from repro.trace.categories import (
@@ -454,8 +429,7 @@ class VirtualGPU:
         profile.cycles = total
 
         if self._trace is not None:
-            # Events derive from merged per-team data, in team order —
-            # serial and parallel simulation emit identical traces.
+            # Events derive from merged per-team data, in team order.
             from repro.trace.device import emit_launch_events
 
             emit_launch_events(
@@ -499,51 +473,14 @@ class VirtualGPU:
 
     # ------------------------------------------------------------- team driver --
 
-    def _run_teams_parallel(
-        self,
-        kernel: Function,
-        args: Sequence[Scalar],
-        num_teams: int,
-        launch: LaunchConfig,
-        jobs: int,
-        abort: Optional[CooperativeWatchdog],
-    ) -> List[Tuple[int, TeamStats]]:
-        """Fan teams out to *jobs* workers, optionally under a watchdog.
-
-        Results (and errors) are collected in team order, so the team
-        whose error surfaces is the same one a serial run would have
-        reported — launch failures stay deterministic under
-        ``sim_jobs=N``.  A warp launch runs team 0 before the others:
-        its lane occupancy picks their engine, as in a serial run.
-        """
-        head = ([self._run_team(kernel, args, 0, launch, None, abort)]
-                if self.engine == ENGINE_WARP else [])
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(self._run_team, kernel, args, team_id, launch,
-                            None, abort)
-                for team_id in range(len(head), num_teams)
-            ]
-            if abort is not None:
-                done, not_done = _wait_futures(futures, timeout=abort.remaining())
-                if not_done:
-                    abort.event.set()
-                    _wait_futures(futures)  # workers stop at a phase boundary
-                    raise WatchdogExpired(
-                        f"watchdog ({abort.seconds:g}s) expired with "
-                        f"{len(not_done)}/{num_teams} teams of "
-                        f"@{kernel.name} still running"
-                    )
-            return head + [f.result() for f in futures]
-
     def _run_team(
         self,
         kernel: Function,
         args: Sequence[Scalar],
         team_id: int,
         launch: LaunchConfig,
-        workspace: Optional[List[ThreadContext]] = None,
-        abort: Optional[CooperativeWatchdog] = None,
+        workspace: List[ThreadContext],
+        abort: Optional[CooperativeWatchdog],
     ) -> Tuple[int, TeamStats]:
         """Simulate one team; returns its elapsed time and counters."""
         stats = TeamStats()
@@ -558,14 +495,11 @@ class VirtualGPU:
             seg.write_bytes(offset, image)
 
         n = launch.threads_per_team
-        if workspace is None:
-            threads = [ThreadContext(team_id, t) for t in range(n)]
-        else:
-            while len(workspace) < n:
-                workspace.append(ThreadContext(team_id, len(workspace)))
-            threads = workspace[:n]
-            for thread in threads:
-                thread.reset(team_id)
+        while len(workspace) < n:
+            workspace.append(ThreadContext(team_id, len(workspace)))
+        threads = workspace[:n]
+        for thread in threads:
+            thread.reset(team_id)
 
         # Per-team fault counters (None in the common, fault-free case;
         # every engine hook is behind a `thread.faults is not None`).

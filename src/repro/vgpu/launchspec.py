@@ -1,10 +1,10 @@
 """The request-object launch API: :class:`LaunchSpec` / :class:`LaunchResult`.
 
 A :class:`LaunchSpec` is the one canonical description of a kernel
-launch — grid geometry, arguments, dynamic shared memory, simulation
-parallelism, watchdog and the per-request robustness knobs (engine,
-fault plan, sanitizer expectation) plus an optional ``request_id`` that
-the tracing layer threads from submission through the device timeline.
+launch — grid geometry, arguments, dynamic shared memory, watchdog and
+the per-request robustness knobs (engine, fault plan, sanitizer
+expectation) plus an optional ``request_id`` that the tracing layer
+threads from submission through the device timeline.
 
 ``VirtualGPU.run(spec)``, the one launch entry point, executes a spec
 and returns a :class:`LaunchResult`.  Because a spec is an immutable value, the same object can be executed
@@ -47,12 +47,8 @@ class LaunchSpec:
     args: Tuple[Any, ...] = ()
     #: Launch-time dynamic shared memory per team (bytes), §III-D.
     dynamic_shared_bytes: int = 0
-    #: Worker threads for parallel team simulation (None = the
-    #: ``REPRO_SIM_JOBS`` default; 1 = serial reference path).
-    sim_jobs: Optional[int] = None
     #: Wall-clock watchdog in seconds (None = ``REPRO_WATCHDOG_S``;
-    #: 0 disables).  Honoured by both the serial and the parallel
-    #: phase drivers (cooperative abort at phase boundaries).
+    #: 0 disables); a cooperative abort at phase boundaries.
     watchdog_s: Optional[float] = None
     #: End-to-end wall-clock budget in seconds (None = no deadline).
     #: On a direct ``run()`` it tightens the watchdog; submitted to a
@@ -88,8 +84,6 @@ class LaunchSpec:
             raise ValueError("LaunchSpec.threads_per_team must be >= 1")
         if self.dynamic_shared_bytes < 0:
             raise ValueError("LaunchSpec.dynamic_shared_bytes must be >= 0")
-        if self.sim_jobs is not None and self.sim_jobs < 1:
-            raise ValueError("LaunchSpec.sim_jobs must be >= 1 (or None)")
         if self.watchdog_s is not None and self.watchdog_s < 0:
             raise ValueError("LaunchSpec.watchdog_s must be >= 0 (or None)")
         if self.deadline_s is not None and self.deadline_s < 0:
@@ -121,8 +115,6 @@ class LaunchSpec:
         ]
         if self.dynamic_shared_bytes:
             bits.append(f"dynshared={self.dynamic_shared_bytes}B")
-        if self.sim_jobs is not None:
-            bits.append(f"sim_jobs={self.sim_jobs}")
         if self.deadline_s is not None:
             bits.append(f"deadline={self.deadline_s:g}s")
         if self.engine is not None:

@@ -9,8 +9,8 @@ Counting happens in exactly one place: every execution engine
 (decoded, fused or per op, and warp) accumulates into a per-team
 :class:`TeamStats`, and :meth:`KernelProfile.merge_team` folds team
 results into the launch profile in team order.  Because the
-accumulator and the merge are shared, the engines — and serial vs.
-parallel team simulation — cannot drift apart in what they count.
+accumulator and the merge are shared, the engines cannot drift apart
+in what they count.
 
 The counters the engines bump per executed op are plain dicts, keyed
 up front with every opcode, address space and overhead category, so a
@@ -44,10 +44,7 @@ class TeamStats:
     they merge into, so the executors can treat either object as the
     counting sink (the trap/print intrinsics read ``output`` from
     whichever they were handed).  Each team gets a private instance,
-    which is what makes parallel team simulation deterministic: teams
-    never contend on shared counters, and :meth:`KernelProfile.
-    merge_team` folds them in team order regardless of completion
-    order.
+    and :meth:`KernelProfile.merge_team` folds them in team order.
     """
 
     instructions: int = 0
@@ -150,10 +147,9 @@ class KernelProfile:
     def merge_team(self, team_id: int, team_time: int, stats: TeamStats) -> None:
         """Fold one team's counters into the launch profile.
 
-        This is the single merge site for both engines and both the
-        serial and parallel team drivers; callers must invoke it in
-        ascending ``team_id`` order so list-valued fields (``output``)
-        are reproducible.
+        This is the single merge site for both engines; callers must
+        invoke it in ascending ``team_id`` order so list-valued fields
+        (``output``) are reproducible.
         """
         self.team_cycles[team_id] = team_time
         self.instructions += stats.instructions

@@ -29,7 +29,7 @@ accounting is untouched, so a sanitized run of a clean kernel produces
 a bit-identical :class:`KernelProfile` (pinned by
 ``tests/vgpu/test_sanitizer.py``).  Diagnostics carry offsets relative
 to the owning allocation, never raw tagged pointers, keeping messages
-identical across ``sim_jobs=N`` interleavings.
+identical across engines.
 
 The barrier-divergence detector (the second sanitizer half) lives in
 the team phase loop — see ``VirtualGPU._run_team`` — because barrier
@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Union
 from repro.ir.types import Type
 from repro.memory.addrspace import AddressSpace, pointer_offset
 from repro.memory.memmodel import (
-    DEVICE_LOCK,
     MemorySystem,
     Segment,
     decode_scalar,
@@ -81,25 +80,23 @@ class SanitizedMemorySystem(MemorySystem):
     # ---------------------------------------------------------- allocation --
 
     def malloc(self, size: int) -> int:
-        with DEVICE_LOCK:
-            ptr = self.global_seg.allocate(max(1, size))
-            if self._launch_base is not None:
-                offset = pointer_offset(ptr)
-                span = max(1, size)
-                self._live[offset] = span
-                insort(self._live_starts, offset)
-                self._shadow[offset] = bytearray(span)
-            return ptr
+        ptr = self.global_seg.allocate(max(1, size))
+        if self._launch_base is not None:
+            offset = pointer_offset(ptr)
+            span = max(1, size)
+            self._live[offset] = span
+            insort(self._live_starts, offset)
+            self._shadow[offset] = bytearray(span)
+        return ptr
 
     def free(self, ptr: int) -> None:
-        with DEVICE_LOCK:
-            offset = pointer_offset(ptr)
-            size = self._live.pop(offset, None)
-            if size is not None:
-                self._live_starts.remove(offset)
-                self._freed[offset] = size
-                self._shadow.pop(offset, None)
-            self.global_seg.free(ptr)
+        offset = pointer_offset(ptr)
+        size = self._live.pop(offset, None)
+        if size is not None:
+            self._live_starts.remove(offset)
+            self._freed[offset] = size
+            self._shadow.pop(offset, None)
+        self.global_seg.free(ptr)
 
     # -------------------------------------------------------------- checks --
 

@@ -93,7 +93,7 @@ import numpy as np
 
 from repro.ir.intrinsics import intrinsic_info
 from repro.memory.addrspace import OFFSET_MASK
-from repro.memory.memmodel import DEVICE_LOCK, MemoryError_
+from repro.memory.memmodel import MemoryError_
 from repro.ir.types import FloatType, IntType
 from repro.trace.categories import OVERHEAD_CATEGORIES
 from repro.vgpu import decode as _dec
@@ -1101,21 +1101,20 @@ def _w_atomicrmw(vm, w, op):
     uniform_val = type(v) is not ndarray
     memory = vm.memory
     vals = []
-    with DEVICE_LOCK:
-        for ln in w._iter_bits(w.mask):
-            t = w.lanes[ln]
-            ptr = int(p) if uniform_ptr else int(p[ln])
-            if uniform_val:
-                av = v
-            else:
-                av = float(v[ln]) if is_float else int(v[ln])
-            w.error_lane = ln
-            old = memory.load(ptr, ty, t.team_id, t.thread_id)
-            memory.store(
-                ptr, atomic_apply(op[6], old, av, ty), ty,
-                t.team_id, t.thread_id,
-            )
-            vals.append(old)
+    for ln in w._iter_bits(w.mask):
+        t = w.lanes[ln]
+        ptr = int(p) if uniform_ptr else int(p[ln])
+        if uniform_val:
+            av = v
+        else:
+            av = float(v[ln]) if is_float else int(v[ln])
+        w.error_lane = ln
+        old = memory.load(ptr, ty, t.team_id, t.thread_id)
+        memory.store(
+            ptr, atomic_apply(op[6], old, av, ty), ty,
+            t.team_id, t.thread_id,
+        )
+        vals.append(old)
     w.error_lane = None
     w._wr_compact(op[3], np.array(vals, _F64 if is_float else _U64))
     w.pc = op[2]

@@ -2,8 +2,8 @@
 
 Running the smoke matrix in-process is the compiled-app integration
 test for the whole robustness stack: real kernels, both engines,
-``sim_jobs=2``, CrashReport comparability — the same entry point
-``make verify`` drives.
+CrashReport comparability — the same entry point ``make verify``
+drives.
 """
 
 import json
@@ -30,9 +30,9 @@ class TestSmokeMatrix:
         names = [r["scenario"] for r in smoke_report["scenarios"]]
         assert names == list(faults_cli.SMOKE_NAMES)
 
-    def test_every_scenario_ran_all_three_cells(self, smoke_report):
+    def test_every_scenario_ran_both_engines(self, smoke_report):
         for row in smoke_report["scenarios"]:
-            assert set(row["cells"]) == {"decoded", "warp", "sim_jobs=2"}
+            assert set(row["cells"]) == {"decoded", "warp"}
 
     def test_exhaust_shows_fallback_mallocs(self, smoke_report):
         row = next(r for r in smoke_report["scenarios"]
@@ -43,7 +43,7 @@ class TestSmokeMatrix:
         row = next(r for r in smoke_report["scenarios"]
                    if r["scenario"] == "rt-trap")
         reports = {label: cell["report"] for label, cell in row["cells"].items()}
-        assert reports["decoded"] == reports["warp"] == reports["sim_jobs=2"]
+        assert reports["decoded"] == reports["warp"]
         assert reports["decoded"]["error_type"] == "InjectedFault"
         assert reports["decoded"]["context"] is not None
 

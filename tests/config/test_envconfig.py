@@ -30,12 +30,12 @@ class TestFlagParsing:
 
 class TestIntParsing:
     def test_valid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_JOBS", "7")
-        assert envconfig.sim_jobs() == 7
+        monkeypatch.setenv("REPRO_JOBS", "7")
+        assert envconfig.jobs() == 7
 
     def test_malformed_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_JOBS", "lots")
-        assert envconfig.sim_jobs() == 1
+        monkeypatch.setenv("REPRO_JOBS", "lots")
+        assert envconfig.jobs() == 1
 
     def test_unset_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_SIZE", raising=False)
@@ -97,7 +97,7 @@ class TestRegistry:
 
     def test_expected_knobs_present(self):
         expected = {
-            "REPRO_SIM_ENGINE", "REPRO_SIM_JOBS", "REPRO_JOBS",
+            "REPRO_SIM_ENGINE", "REPRO_JOBS",
             "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_CACHE_DISK",
             "REPRO_CACHE_SIZE", "REPRO_TRACE",
             "REPRO_FAULTS", "REPRO_SANITIZE", "REPRO_WATCHDOG_S",
@@ -282,13 +282,6 @@ class TestDelegation:
             monkeypatch.setenv("REPRO_SIM_ENGINE", name)
             with pytest.raises(ValueError, match="unknown simulation engine"):
                 resolve_sim_engine()
-
-    def test_sim_jobs_resolver(self, monkeypatch):
-        from repro.vgpu.config import resolve_sim_jobs
-
-        monkeypatch.setenv("REPRO_SIM_JOBS", "4")
-        assert resolve_sim_jobs() == 4
-        assert resolve_sim_jobs(teams=2) == 2
 
     def test_jobs_resolver(self, monkeypatch):
         from repro.toolchain.service import resolve_jobs

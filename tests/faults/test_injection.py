@@ -2,9 +2,9 @@
 
 The acceptance criterion of the robustness work: the same FaultPlan
 produces the same exception — type, frozen message, attached device
-context — under per-op and fused decoded execution, the warp engine
-(whose armed teams take the decoded fallback) and ``sim_jobs=N``; and a plan that never fires leaves the KernelProfile
-bit-identical.  (The compiled-app version of these checks — including
+context — under per-op and fused decoded execution and the warp engine
+(whose armed teams take the decoded fallback); and a plan that never
+fires leaves the KernelProfile bit-identical.  (The compiled-app version of these checks — including
 CrashReport comparability — runs in ``tests/bench/test_faults_cli.py``
 and ``python -m repro.bench faults``.)
 """
@@ -60,14 +60,12 @@ def _divergent_barrier_module():
     return module
 
 
-def _failure(module, label, faults, sanitize=False, teams=1, threads=1,
-             sim_jobs=None):
+def _failure(module, label, faults, sanitize=False, threads=1):
     with engine_mode(label) as engine:
         gpu = VirtualGPU(module, engine=engine, faults=faults,
                          sanitize=sanitize)
         with pytest.raises(Exception) as excinfo:
-            gpu.run(LaunchSpec(kernel="kern", num_teams=teams,
-                               threads_per_team=threads, sim_jobs=sim_jobs))
+            gpu.run(LaunchSpec(kernel="kern", threads_per_team=threads))
     return excinfo.value
 
 
@@ -117,14 +115,6 @@ class TestBarrierSkip:
             messages.append(str(exc))
         assert len(set(messages)) == 1
         assert "finished the kernel while threads" in messages[0]
-
-    def test_sim_jobs_report_the_same_divergence(self):
-        serial = _failure(_barrier_module(), "decoded", "barrier_skip:n=1",
-                          sanitize=True, teams=2, threads=2)
-        parallel = _failure(_barrier_module(), "decoded", "barrier_skip:n=1",
-                            sanitize=True, teams=2, threads=2, sim_jobs=2)
-        assert type(serial) is type(parallel)
-        assert str(serial) == str(parallel)
 
     def test_without_sanitizer_the_simulator_releases_the_barrier(self):
         # On hardware this hangs; the simulator completes the launch so

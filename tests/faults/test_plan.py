@@ -112,7 +112,8 @@ class TestResolution:
         assert 0 <= state_a.skip_thread < self.LAUNCH.threads_per_team
 
     def test_counters_start_at_zero_every_bind(self):
-        """Per-launch counter state is what makes sim_jobs runs identical."""
+        """Per-launch counter state: a team fires the same way whichever
+        teams ran before it."""
         plan = FaultPlan.parse("malloc_fail:n=3")
         state = plan.team_state(0, self.LAUNCH)
         assert (state.malloc_seen, state.trap_seen, state.skip_seen) == (0, 0, 0)

@@ -6,8 +6,7 @@ fused runs) on every proxy app under every build configuration.
 "Indistinguishable" is bit-level: identical KernelProfiles (cycles,
 instruction and opcode counts, memory traffic, flops, barriers, static
 resources, per-team cycle totals, device output, shared-stack high
-water) and identical verified results — serially and with parallel
-team simulation (``sim_jobs > 1``).  Per-op decoded is the
+water) and identical verified results.  Per-op decoded is the
 deterministic reference; any fused-run shortcut or lane-batched vector
 kernel that changes an observable number fails here.  (The test id
 predates it: the reference used to be the legacy tree-walker.)  (On
@@ -83,22 +82,16 @@ def test_decoded_engine_matches_legacy(app_name, build):
     app = APPS[app_name]
     options = build_options()[build]
     runs = {}
-    for mode, label, jobs in (
-        (PER_OP, PER_OP, None),
-        ("decoded", "decoded", None),
-        ("decoded-parallel", "decoded", 2),
-        ("warp", "warp", None),
-        ("warp-parallel", "warp", 2),
-    ):
-        with engine_mode(label) as engine:
+    for mode in (PER_OP, "decoded", "warp"):
+        with engine_mode(mode) as engine:
             runs[mode] = app.run(options, size=SMALL[app_name],
-                                 engine=engine, sim_jobs=jobs, **GEOMETRY)
+                                 engine=engine, **GEOMETRY)
     for mode, result in runs.items():
         assert result.verified, (
             f"{app_name}/{build}/{mode}: max error {result.max_error}"
         )
     reference = runs[PER_OP].profile
-    for mode in ("decoded", "decoded-parallel", "warp", "warp-parallel"):
+    for mode in ("decoded", "warp"):
         _assert_profiles_identical(
             reference, runs[mode].profile, f"{app_name}/{build}/{mode}"
         )

@@ -315,28 +315,27 @@ def _inputs(seed):
 
 
 def _assert_all_agree(module, words):
-    reference = _run(module, PER_OP, None, words)
-    assert _run(module, "decoded", None, words) == reference
-    assert _run(module, "decoded", 2, words) == reference
-    warp = _run(module, "warp", None, words)
+    reference = _run(module, PER_OP, words)
+    assert _run(module, "decoded", words) == reference
+    warp = _run(module, "warp", words)
     assert warp[:3] == reference[:3]
     if reference[0] == "ok":
         assert warp == reference
 
 
-def _run(module, label, sim_jobs, words):
+def _run(module, label, words):
     with engine_mode(label) as engine:
-        return _launch(module, engine, sim_jobs, words)
+        return _launch(module, engine, words)
 
 
-def _launch(module, engine, sim_jobs, words):
+def _launch(module, engine, words):
     gpu = VirtualGPU(module, engine=engine)
     n_out = TEAMS * THREADS * OUT_WORDS
     buf = gpu.alloc_array(np.concatenate([words, np.zeros(n_out, np.int64)]))
     try:
         result = gpu.run(LaunchSpec(
             kernel="kern", num_teams=TEAMS, threads_per_team=THREADS,
-            args=(buf, 0), engine=engine, sim_jobs=sim_jobs,
+            args=(buf, 0), engine=engine,
         ))
     except Exception as exc:  # compared across engines like any output
         ctx = getattr(exc, "context", None)

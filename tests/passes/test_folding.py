@@ -1,13 +1,22 @@
 """Scalar constant folding vs Python reference semantics (property tests)."""
 
+import itertools
 import math
+import struct
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.ir import Constant, F64, I1, I32, I64
-from repro.passes.folding import fold_binop, fold_cast, fold_fcmp, fold_icmp
+from repro.ir.intrinsics import all_intrinsics, intrinsic_info, math_function
+from repro.passes.folding import (
+    fold_binop,
+    fold_cast,
+    fold_fcmp,
+    fold_icmp,
+    fold_math_intrinsic,
+)
 
 i32s = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 f64s = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -116,3 +125,30 @@ class TestCastFolding:
     def test_trunc(self, v):
         out = fold_cast("trunc", Constant(I64, v), I32)
         assert out.value == Constant(I64, v).value % (1 << 32)
+
+
+class TestMathFolding:
+    """The folder and the engines evaluate math intrinsics with the same
+    function, so -O0 and optimized builds compute the same value."""
+
+    EDGES = (0.0, -0.0, 0.5, -0.5, 2.5, -2.5, 100.0, 1000.0, math.inf,
+             -math.inf, math.nan)
+
+    @pytest.mark.parametrize("name", sorted(
+        info.name for info in all_intrinsics() if math_function(info.name)))
+    def test_folds_exactly_the_finite_engine_results(self, name):
+        fn = math_function(name)
+        signature = intrinsic_info(name).function_type
+        ty = signature.return_type
+        for args in itertools.product(self.EDGES, repeat=len(signature.params)):
+            folded = fold_math_intrinsic(name, [Constant(ty, a) for a in args])
+            value = fn(*args)
+            if math.isfinite(value):
+                assert folded.type == ty
+                assert struct.pack("<d", folded.value) == struct.pack("<d", value)
+            else:
+                assert folded is None, (name, args)
+
+    def test_non_constant_or_non_math_calls_do_not_fold(self):
+        assert fold_math_intrinsic("llvm.memset", []) is None
+        assert fold_math_intrinsic("llvm.sqrt.f64", [object()]) is None

@@ -46,7 +46,6 @@ class TestLaunchSpecValidation:
         assert spec.num_teams == 1
         assert spec.threads_per_team == 1
         assert spec.args == ()
-        assert spec.sim_jobs is None
         assert spec.engine is None
 
     def test_args_are_coerced_to_a_tuple(self):
@@ -57,13 +56,26 @@ class TestLaunchSpecValidation:
         ("num_teams", 0),
         ("threads_per_team", 0),
         ("dynamic_shared_bytes", -1),
-        ("sim_jobs", 0),
         ("watchdog_s", -0.5),
         ("deadline_s", -0.1),
     ])
     def test_bounds_are_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             LaunchSpec(kernel="kern", **{field: value})
+
+    def test_sim_jobs_is_not_a_launch_option(self):
+        """Teams run serially: ``sim_jobs=`` is an unknown keyword on
+        every launch entry point that used to take it."""
+        from repro.apps.common import run_proxy_app
+        from repro.toolchain.service import RunRequest
+
+        with pytest.raises(TypeError, match="sim_jobs"):
+            LaunchSpec(kernel="kern", sim_jobs=2)
+        with pytest.raises(TypeError, match="sim_jobs"):
+            RunRequest(app="testsnap", sim_jobs=2)
+        with pytest.raises(TypeError, match="sim_jobs"):
+            run_proxy_app("testsnap", None, "kern", None, {}, None, 1, 1,
+                          sim_jobs=2)
 
     def test_engine_is_resolved_at_construction(self):
         assert LaunchSpec(kernel="k", engine=" Warp").engine == ENGINE_WARP

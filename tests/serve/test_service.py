@@ -12,13 +12,15 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.bench.builds import BUILD_ORDER, build_options
 from repro.bench.harness import APPS
 from repro.faults.plan import FaultPlan
 from repro.faults.report import CrashReport
-from repro.ir import I64, Module, verify_module
+from repro.ir import I64, PTR_GLOBAL, Constant, Module, verify_module
+from repro.ir.types import F32
 from repro.serve import (
     AdmissionRejected,
     DevicePool,
@@ -36,16 +38,11 @@ pytestmark = pytest.mark.serve
 APP = "testsnap"
 BUILD = BUILD_ORDER[0]
 
-#: The engine matrix of the acceptance criterion: warp, decoded,
-#: decoded with parallel team simulation.
-ENGINE_CELLS = (
-    (ENGINE_WARP, None),
-    (ENGINE_DECODED, None),
-    (ENGINE_DECODED, 2),
-)
+#: The engine matrix of the acceptance criterion.
+ENGINE_CELLS = (ENGINE_WARP, ENGINE_DECODED)
 
 
-def _direct_app_run(engine, sim_jobs):
+def _direct_app_run(engine):
     """The reference: compile + run the app cell directly."""
     app = APPS[APP]
     size = app.default_size()
@@ -56,7 +53,7 @@ def _direct_app_run(engine, sim_jobs):
     spec = LaunchSpec(
         kernel=app.KERNEL, num_teams=app.TEAMS, threads_per_team=app.THREADS,
         args=tuple(compiled.abi(app.KERNEL).marshal(gpu, host_args)),
-        engine=engine, sim_jobs=sim_jobs,
+        engine=engine,
     )
     result = gpu.run(spec)
     return result.profile.to_dict(), verify(gpu, host_args)
@@ -96,24 +93,23 @@ def _malloc_module():
 
 class TestServedEqualsDirect:
     def test_profiles_and_verification_match_across_engines(self):
-        direct = {cell: _direct_app_run(*cell) for cell in ENGINE_CELLS}
-        with SimulationService(workers=3) as svc:
+        direct = {engine: _direct_app_run(engine) for engine in ENGINE_CELLS}
+        with SimulationService(workers=2) as svc:
             jobs = {
-                cell: svc.submit_app(APP, build=BUILD, engine=cell[0],
-                                     sim_jobs=cell[1])
-                for cell in ENGINE_CELLS
+                engine: svc.submit_app(APP, build=BUILD, engine=engine)
+                for engine in ENGINE_CELLS
             }
-            for cell, job in jobs.items():
+            for engine, job in jobs.items():
                 served = job.result(timeout=600)
-                profile, max_error = direct[cell]
+                profile, max_error = direct[engine]
                 assert served.ok, served.report and served.report.to_dict()
-                assert served.engine == cell[0]
+                assert served.engine == engine
                 assert served.profile.to_dict() == profile
                 assert served.payload == {"max_error": max_error}
                 assert served.latency_s >= served.duration_s >= 0.0
 
     def test_concurrent_tenants_on_one_warm_pool_stay_identical(self):
-        profile, max_error = _direct_app_run(ENGINE_DECODED, None)
+        profile, max_error = _direct_app_run(ENGINE_DECODED)
         with SimulationService(workers=4) as svc:
             jobs = [svc.submit_app(APP, build=BUILD, request_id=f"t{i}")
                     for i in range(8)]
@@ -189,6 +185,46 @@ class TestFaultParity:
             assert not bad.result(timeout=600).ok
             assert good.result(timeout=600).ok
             assert svc.stats.to_dict()["failed"] == 1
+
+
+def _ieee_edge_module():
+    """kern(d, f): d[0] = pow(-2.0, 0.5); f[0] = exp.f32(100.0)."""
+    module = Module("m")
+    func, b = make_kernel(module, params=(PTR_GLOBAL, PTR_GLOBAL),
+                          arg_names=["d", "f"])
+    b.store(b.intrinsic("llvm.pow.f64", [b.f64(-2.0), b.f64(0.5)]),
+            func.args[0])
+    b.store(b.intrinsic("llvm.exp.f32", [Constant(F32, 100.0)]), func.args[1])
+    b.ret()
+    verify_module(module)
+    return module
+
+
+class TestIEEEResults:
+    def test_nan_and_f32_overflow_are_results_not_engine_faults(self):
+        """Valid device code whose results are NaN and +inf completes on
+        the first attempt and leaves every breaker uncharged."""
+
+        def make_args(gpu, _compiled):
+            return (gpu.alloc_array(np.zeros(1)),
+                    gpu.alloc_array(np.zeros(1, np.float32)))
+
+        def finalize(gpu, result):
+            d, f = result.spec.args
+            return (gpu.read_array(d, np.float64, 1)[0],
+                    gpu.read_array(f, np.float32, 1)[0])
+
+        with SimulationService(workers=1) as svc:
+            served = svc.run(LaunchSpec(kernel="kern"),
+                             module=_ieee_edge_module(),
+                             make_args=make_args, finalize=finalize)
+            health = svc.health()
+        assert served.ok, served.report and served.report.to_dict()
+        assert served.retried is False
+        d, f = served.payload
+        assert np.isnan(d) and f == np.inf
+        assert svc.stats.to_dict()["retried"] == 0
+        assert all(b["failures"] == 0 for b in health["breakers"].values())
 
 
 class TestTraceParity:

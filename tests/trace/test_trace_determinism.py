@@ -1,10 +1,8 @@
-"""Trace determinism: serial vs. parallel team simulation must emit
-identical device event lists and counter totals, and fused decoded
-execution must agree with the per-op reference on every trace-visible
-counter and event.
+"""Trace determinism: fused decoded execution must agree with the
+per-op reference on every trace-visible counter and event.
 
 Device events are assembled post-merge from per-team phase logs (in
-team order), never from worker threads — these tests pin that design.
+team order), never while teams run — these tests pin that design.
 """
 
 from __future__ import annotations
@@ -30,11 +28,11 @@ CELLS = {
 }
 
 
-def _traced_run(options, label, sim_jobs):
+def _traced_run(options, label):
     collector = TraceCollector()
     with install(collector), engine_mode(label) as engine:
         result = APPS["testsnap"].run(
-            options, size=SIZE, engine=engine, sim_jobs=sim_jobs, **GEOMETRY
+            options, size=SIZE, engine=engine, **GEOMETRY
         )
     assert result.verified
     return result.profile, collector
@@ -45,26 +43,12 @@ def _device_events(collector):
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
-@pytest.mark.parametrize("engine", [PER_OP, "decoded"])
-def test_serial_vs_parallel_identical(cell, engine):
-    options = CELLS[cell]()
-    serial_profile, serial = _traced_run(options, engine, sim_jobs=None)
-    parallel_profile, parallel = _traced_run(options, engine, sim_jobs=2)
-
-    assert serial_profile.overhead_counters() == parallel_profile.overhead_counters()
-    assert serial_profile.function_cycles == parallel_profile.function_cycles
-    # The device timeline must be *identical* — same events, same
-    # order, same timestamps — regardless of worker count.
-    assert _device_events(serial) == _device_events(parallel)
-
-
-@pytest.mark.parametrize("cell", sorted(CELLS))
 def test_legacy_vs_decoded_trace_equal(cell):
     """Fused decoded traces equal the per-op reference's (the test id
     predates it: the reference used to be the legacy engine)."""
     options = CELLS[cell]()
-    ref_profile, ref = _traced_run(options, PER_OP, sim_jobs=None)
-    decoded_profile, decoded = _traced_run(options, "decoded", sim_jobs=None)
+    ref_profile, ref = _traced_run(options, PER_OP)
+    decoded_profile, decoded = _traced_run(options, "decoded")
 
     assert ref_profile.runtime_calls == decoded_profile.runtime_calls
     assert ref_profile.barriers_aligned == decoded_profile.barriers_aligned
@@ -81,8 +65,8 @@ def test_legacy_vs_decoded_trace_equal(cell):
 def test_o0_build_shows_raw_runtime_traffic():
     """The measured face of the paper's claim: without openmp-opt the
     runtime call categories are hot; the optimized build zeroes them."""
-    o0_profile, _ = _traced_run(CELLS["o0"](), "decoded", sim_jobs=None)
-    opt_profile, _ = _traced_run(CELLS["optimized"](), "decoded", sim_jobs=None)
+    o0_profile, _ = _traced_run(CELLS["o0"](), "decoded")
+    opt_profile, _ = _traced_run(CELLS["optimized"](), "decoded")
 
     assert o0_profile.runtime_calls["target_init"] > 0
     assert o0_profile.runtime_calls["parallel_region"] > 0

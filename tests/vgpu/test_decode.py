@@ -169,13 +169,12 @@ def _launch(module, engine):
 
 
 class TestDecodedExecution:
-    def _run(self, engine, n=10, sim_jobs=None):
+    def _run(self, engine, n=10):
         module, func = _phi_loop_module()
         gpu = VirtualGPU(module, engine=engine)
         out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
         profile = gpu.run(LaunchSpec(kernel=func.name, num_teams=4,
-                                     threads_per_team=8, args=(out, n),
-                                     sim_jobs=sim_jobs)).profile
+                                     threads_per_team=8, args=(out, n))).profile
         return gpu.read_array(out, np.int64, 1)[0], profile
 
     def test_loop_result_matches_legacy(self):
@@ -189,14 +188,6 @@ class TestDecodedExecution:
         assert prof_dec.instructions == prof_ref.instructions
         assert prof_dec.opcode_counts == prof_ref.opcode_counts
         assert prof_dec.team_cycles == prof_ref.team_cycles
-
-    def test_parallel_team_simulation_is_deterministic(self):
-        val_serial, prof_serial = self._run("decoded", sim_jobs=1)
-        val_par, prof_par = self._run("decoded", sim_jobs=4)
-        assert val_serial == val_par
-        assert prof_serial.cycles == prof_par.cycles
-        assert prof_serial.team_cycles == prof_par.team_cycles
-        assert prof_serial.opcode_counts == prof_par.opcode_counts
 
     def test_call_to_undefined_function_message(self):
         module = Module("m")

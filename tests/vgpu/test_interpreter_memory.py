@@ -13,7 +13,7 @@ from repro.ir import (
     verify_module,
 )
 from repro.vgpu import LaunchSpec, VirtualGPU
-from tests.conftest import make_kernel
+from tests.conftest import ENGINE_LABELS, engine_mode, make_kernel
 
 
 class TestSharedMemory:
@@ -122,6 +122,22 @@ class TestAtomics:
         gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=4,
                            args=(acc,)))
         assert gpu.read_array(acc, np.float64, 1)[0] == 4.0
+
+    @pytest.mark.parametrize("op", ["min", "max"])
+    def test_atomic_float_min_max_ignore_a_nan_either_way(self, module, op):
+        """Like LLVM ``minnum``/``maxnum``: a NaN in memory or in the
+        operand yields the other value."""
+        func, b = make_kernel(module, params=(PTR_GLOBAL, F64),
+                              arg_names=["m", "x"])
+        b.atomic_rmw(op, func.args[0], func.args[1])
+        b.ret()
+        for old, operand in ((np.nan, 1.5), (1.5, np.nan)):
+            for label in ENGINE_LABELS:
+                with engine_mode(label) as engine:
+                    gpu = VirtualGPU(module, engine=engine)
+                    m = gpu.alloc_array(np.array([old]))
+                    gpu.run(LaunchSpec(kernel="kern", args=(m, operand)))
+                assert gpu.read_array(m, np.float64, 1)[0] == 1.5, (label, old)
 
 
 class TestMemIntrinsics:

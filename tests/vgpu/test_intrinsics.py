@@ -15,7 +15,13 @@ import pytest
 from repro.ir import F64, I32, I64, PTR_GLOBAL, VOID, verify_module
 from repro.ir.intrinsics import all_intrinsics, declare_intrinsic
 from repro.ir.types import F32, I8
-from repro.vgpu import AssumptionViolation, LaunchSpec, TrapError, VirtualGPU
+from repro.vgpu import (
+    AssumptionViolation,
+    LaunchSpec,
+    SimulationError,
+    TrapError,
+    VirtualGPU,
+)
 from repro.vgpu import decode as D
 from tests.conftest import ENGINE_LABELS, PER_OP, engine_mode, make_kernel
 
@@ -117,18 +123,20 @@ class TestMath:
             assert profile.flops >= 1, engine
 
 
-#: The math intrinsics' semantics, written out independently of the
-#: simulator: ``math`` with the documented domain edges.  Every engine
-#: runs the same scalar template for these (warp lane by lane), so no
-#: engine comparison can see a bug in them; these values can.
+#: The math intrinsics' semantics on ordinary inputs, written out
+#: independently of the simulator: ``math`` with the documented domain
+#: edges, and NumPy's IEEE ``floor`` (``math.floor`` drops the sign of
+#: -0.0).  Every engine runs the same scalar template for these (warp
+#: lane by lane), so no engine comparison can see a bug in them; these
+#: values can.  :data:`MATH_EDGES` covers the IEEE special cases.
 MATH_ORACLE = {
     "sqrt": lambda x: math.sqrt(x) if x >= 0 else math.nan,
     "exp": math.exp,
-    "log": lambda x: math.log(x) if x > 0 else -math.inf,
+    "log": lambda x: math.log(x) if x > 0 else -math.inf if x == 0 else math.nan,
     "sin": math.sin,
     "cos": math.cos,
     "fabs": math.fabs,
-    "floor": lambda x: float(math.floor(x)),
+    "floor": lambda x: float(np.floor(x)),
     "pow": math.pow,
     "fmin": min,
     "fmax": max,
@@ -144,6 +152,45 @@ MATH_X = (-7.75, -2.5, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5,
 #: fractional power is a domain error) and exponents of both signs.
 MATH_A = tuple(0.5 + 0.75 * i for i in range(len(MATH_X)))
 MATH_B = tuple((-2.0, -1.0, 0.5, 1.5, 2.0, 3.0)[i % 6] for i in range(len(MATH_X)))
+
+_INF, _NAN = math.inf, math.nan
+
+#: IEEE results on the edge inputs (+-0, +-inf, NaN, negative domains,
+#: overflow), as ((operands), f64 result); an f32 run expects the result
+#: rounded to f32, overflowing to +-inf.  ``fmin``/``fmax`` are LLVM's
+#: ``minnum``/``maxnum``: a NaN operand yields the other one.
+MATH_EDGES = {
+    "sqrt": [((0.0,), 0.0), ((-0.0,), -0.0), ((_INF,), _INF),
+             ((-_INF,), _NAN), ((_NAN,), _NAN), ((-1.0,), _NAN)],
+    "exp": [((0.0,), 1.0), ((-0.0,), 1.0), ((_INF,), _INF), ((-_INF,), 0.0),
+            ((_NAN,), _NAN), ((100.0,), math.exp(100.0)), ((1000.0,), _INF),
+            ((-1000.0,), 0.0)],
+    "log": [((0.0,), -_INF), ((-0.0,), -_INF), ((_INF,), _INF),
+            ((-_INF,), _NAN), ((_NAN,), _NAN), ((-1.0,), _NAN)],
+    "sin": [((0.0,), 0.0), ((-0.0,), -0.0), ((_INF,), _NAN),
+            ((-_INF,), _NAN), ((_NAN,), _NAN)],
+    "cos": [((0.0,), 1.0), ((-0.0,), 1.0), ((_INF,), _NAN),
+            ((-_INF,), _NAN), ((_NAN,), _NAN)],
+    "fabs": [((0.0,), 0.0), ((-0.0,), 0.0), ((_INF,), _INF),
+             ((-_INF,), _INF), ((_NAN,), _NAN)],
+    "floor": [((0.0,), 0.0), ((-0.0,), -0.0), ((_INF,), _INF),
+              ((-_INF,), -_INF), ((_NAN,), _NAN), ((-0.5,), -1.0),
+              ((0.5,), 0.0), ((2.0 ** 60,), 2.0 ** 60)],
+    "pow": [((-2.0, 0.5), _NAN), ((10.0, 400.0), _INF),
+            ((-10.0, 401.0), -_INF), ((-10.0, 400.0), _INF),
+            ((0.0, -1.0), _INF), ((-0.0, -1.0), -_INF), ((-0.0, -2.0), _INF),
+            ((_NAN, 0.0), 1.0), ((1.0, _NAN), 1.0), ((_INF, -1.0), 0.0),
+            ((-_INF, 3.0), -_INF), ((_NAN, 2.0), _NAN), ((-1.0, _INF), 1.0)],
+    "fmin": [((1.0, _NAN), 1.0), ((_NAN, 1.0), 1.0), ((_NAN, _NAN), _NAN),
+             ((-_INF, _INF), -_INF), ((_INF, _NAN), _INF)],
+    "fmax": [((1.0, _NAN), 1.0), ((_NAN, 1.0), 1.0), ((_NAN, _NAN), _NAN),
+             ((-_INF, _INF), _INF), ((-_INF, _NAN), -_INF)],
+}
+
+#: Operands of the no-host-exception guard: every edge kind, in every
+#: operand position of the binary rows.
+EDGE_GRID = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.5, -2.5, 3.0, 100.0, 1e300,
+             -1e300, 5e-324, _INF, -_INF, _NAN)
 
 _FMT = {"f32": "<f", "f64": "<d"}
 
@@ -184,6 +231,35 @@ def _math_module(name, ty, masked):
     b.ret()
     verify_module(module)
     return module
+
+
+def _same_floats(got, want):
+    """Bitwise equal lanes, where any NaN matches any NaN."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def _run_math(name, xs, ys):
+    """Per engine, (engine, out lanes or the SimulationError raised) of
+    ``out[tid] = name(x[tid] [, y[tid]])`` over *xs*/*ys* (f32 inputs
+    round to f32, overflowing to +-inf).  Other exceptions propagate."""
+    ty, dtype = (F32, np.float32) if name.endswith(".f32") else (F64, np.float64)
+    with np.errstate(over="ignore"):
+        xs, ys = np.array(xs, dtype), np.array(ys, dtype)
+    module = _math_module(name, ty, masked=False)
+    runs = []
+    for engine, gpu in _devices(module):
+        bufs = (gpu.alloc_array(xs), gpu.alloc_array(ys),
+                gpu.alloc_array(np.zeros_like(xs)))
+        spec = LaunchSpec(kernel="kern", threads_per_team=len(xs), args=bufs)
+        try:
+            gpu.run(spec)
+        except SimulationError as exc:
+            runs.append((engine, exc))
+            continue
+        runs.append((engine, gpu.read_array(bufs[2], dtype, len(xs))))
+    return runs
 
 
 def _math_names():
@@ -227,6 +303,32 @@ class TestMathExpectedValues:
             got = gpu.memory.read_raw(bufs[2], n * np.dtype(dtype).itemsize)
             assert got == want, (engine, np.frombuffer(got, dtype).tolist(),
                                  expected)
+
+    def test_every_math_intrinsic_has_edge_cases(self):
+        assert sorted(MATH_EDGES) == sorted(MATH_ORACLE)
+
+    @pytest.mark.parametrize("name", _math_names())
+    def test_edge_inputs_give_the_ieee_result(self, name):
+        cases = MATH_EDGES[name.split(".")[1]]
+        dtype = np.float32 if name.endswith(".f32") else np.float64
+        with np.errstate(over="ignore"):
+            want = np.array([result for _, result in cases], dtype)
+        xs = [args[0] for args, _ in cases]
+        ys = [args[-1] for args, _ in cases]
+        for engine, got in _run_math(name, xs, ys):
+            assert isinstance(got, np.ndarray), (engine, got)
+            assert _same_floats(got, want), (engine, got.tolist(), want.tolist())
+
+    @pytest.mark.parametrize("name", _math_names())
+    def test_no_host_exception_escapes_on_the_edge_grid(self, name):
+        """Each run finishes or raises a SimulationError; any other
+        exception escapes :func:`_run_math` and fails the test."""
+        if name.split(".")[1] in MATH_BINARY:
+            pairs = [(x, y) for x in EDGE_GRID for y in EDGE_GRID]
+        else:
+            pairs = [(x, x) for x in EDGE_GRID]
+        runs = _run_math(name, *zip(*pairs))
+        assert [engine for engine, _ in runs] == list(ENGINE_LABELS)
 
 
 class TestAssumptions:

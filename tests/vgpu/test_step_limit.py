@@ -33,14 +33,13 @@ def _spin_module():
     return module
 
 
-def _limit_hit(label, sim_jobs=None, teams=1):
+def _limit_hit(label):
     with engine_mode(label) as engine:
         gpu = VirtualGPU(_spin_module(),
                          config=GPUConfig(max_steps_per_thread=LIMIT),
                          engine=engine)
         with pytest.raises(StepLimitExceeded) as excinfo:
-            gpu.run(LaunchSpec(kernel="kern", num_teams=teams,
-                               sim_jobs=sim_jobs))
+            gpu.run(LaunchSpec(kernel="kern"))
     return excinfo.value
 
 
@@ -54,13 +53,6 @@ def test_message_and_steps_are_engine_identical():
     # The pin: the thread retired exactly LIMIT steps, in every engine.
     assert contexts[0]["steps"] == LIMIT
     assert contexts[0]["block"] == "loop"
-
-
-def test_parallel_simulation_reports_the_same_limit():
-    serial = _limit_hit("decoded", teams=2)
-    parallel = _limit_hit("decoded", teams=2, sim_jobs=2)
-    assert str(serial) == str(parallel)
-    assert serial.context.to_dict() == parallel.context.to_dict()
 
 
 def _long_body_module():

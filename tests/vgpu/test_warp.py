@@ -440,12 +440,12 @@ def _work_module(pred):
     return module
 
 
-def _launch(module, engine, teams, threads, sim_jobs=None, faults=None):
+def _launch(module, engine, teams, threads, faults=None):
     gpu = VirtualGPU(module, engine=engine, faults=faults)
     buf = gpu.alloc_bytes(8 * teams * threads)
     result = gpu.run(LaunchSpec(
         kernel="kern", num_teams=teams, threads_per_team=threads,
-        args=(buf, 0), sim_jobs=sim_jobs,
+        args=(buf, 0),
     ))
     words = [gpu.read_scalar(buf + 8 * i, I64) for i in range(teams * threads)]
     return gpu, result, words
@@ -475,51 +475,19 @@ def test_launches_that_do_not_gate(pred, teams, threads):
 
 
 @pytest.mark.parametrize("fault_team,reason", [
-    (None, "low-occupancy"),
     (1, "fault-plan"),
     (2, "low-occupancy"),
 ])
-def test_gate_is_the_same_under_parallel_team_simulation(fault_team, reason):
-    """Team 0 runs before the other teams are fanned out, so sim_jobs=2
-    gates the same teams as a serial run; a fault plan armed on one team
-    wins there, and the lowest fallen-back team names the launch's
-    reason."""
-    module = _work_module("eq")
-    faults = None if fault_team is None else f"malloc_fail:n=9:team={fault_team}"
-    expected = {t: "fault-plan" if t == fault_team else "low-occupancy"
-                for t in (1, 2, 3)}
-    runs = [_launch(module, "warp", 4, N, sim_jobs=jobs, faults=faults)
-            for jobs in (None, 2)]
-    (serial_gpu, serial, serial_words), (par_gpu, par, par_words) = runs
-    assert serial_gpu._fallbacks == par_gpu._fallbacks == expected
-    assert serial.fallback == par.fallback == reason
-    assert serial_words == par_words
-    assert serial.profile.to_json() == par.profile.to_json()
-
-
-def test_parallel_launch_orders_team_zero_and_reasons(monkeypatch):
-    """Under sim_jobs=2 team 0 ends before any other team starts, and
-    the reported reason is the lowest team's even when a later team
-    records its fallback first.  Team 0 is slowed so that a concurrent
-    team 1 would start inside it; team 1 is held back behind team 2."""
-    import time
-
-    events = []
-    run_team = VirtualGPU._run_team
-
-    def traced(self, kernel, args, team_id, *rest):
-        if team_id == 1:
-            time.sleep(0.05)
-        events.append(("start", team_id))
-        if team_id == 0:
-            time.sleep(0.1)
-        out = run_team(self, kernel, args, team_id, *rest)
-        events.append(("end", team_id))
-        return out
-
-    monkeypatch.setattr(VirtualGPU, "_run_team", traced)
-    gpu, result, _ = _launch(_work_module("eq"), "warp", 3, N, sim_jobs=2,
-                             faults="malloc_fail:n=9:team=1")
-    assert events[:2] == [("start", 0), ("end", 0)]
-    assert list(gpu._fallbacks) == [2, 1]
-    assert result.fallback == "fault-plan"
+def test_mixed_fallback_reasons_name_the_lowest_team(fault_team, reason):
+    """A fault plan armed on one gated team wins there, and the lowest
+    fallen-back team names the launch's reason."""
+    faults = f"malloc_fail:n=9:team={fault_team}"
+    gpu, result, words = _launch(_work_module("eq"), "warp", 4, N,
+                                 faults=faults)
+    _, decoded, decoded_words = _launch(_work_module("eq"), "decoded", 4, N,
+                                        faults=faults)
+    assert gpu._fallbacks == {t: "fault-plan" if t == fault_team
+                              else "low-occupancy" for t in (1, 2, 3)}
+    assert result.fallback == reason
+    assert words == decoded_words
+    assert result.profile.to_json() == decoded.profile.to_json()

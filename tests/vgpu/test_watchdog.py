@@ -1,17 +1,15 @@
-"""Wall-clock watchdog for team simulation — serial and parallel.
+"""Wall-clock watchdog for team simulation.
 
-Both phase drivers honour the same cooperative abort
+The team driver honours a cooperative abort
 (:class:`repro.vgpu.CooperativeWatchdog`): teams poll the deadline at
-phase boundaries, so ``sim_jobs=1`` launches are bounded exactly like
-``sim_jobs=N`` ones (historically the serial path ignored
-``watchdog_s`` silently).
+phase boundaries, whichever engine runs them.
 """
 
 import pytest
 
 from repro.ir import I64, Module, verify_module
 from repro.vgpu import LaunchSpec, VirtualGPU, WatchdogExpired
-from tests.conftest import make_kernel
+from tests.conftest import ENGINE_LABELS, engine_mode, make_kernel
 
 
 def _barrier_loop_module(iterations):
@@ -35,33 +33,23 @@ def _barrier_loop_module(iterations):
     return module
 
 
-def test_watchdog_aborts_a_long_parallel_launch():
-    gpu = VirtualGPU(_barrier_loop_module(500_000))
-    with pytest.raises(WatchdogExpired, match="watchdog"):
-        gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
-                           sim_jobs=2, watchdog_s=0.05))
-
-
 def test_watchdog_env_knob_is_honoured(monkeypatch):
     monkeypatch.setenv("REPRO_WATCHDOG_S", "0.05")
     gpu = VirtualGPU(_barrier_loop_module(500_000))
     with pytest.raises(WatchdogExpired):
-        gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
-                           sim_jobs=2))
+        gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2))
 
 
 def test_fast_launch_beats_the_watchdog():
-    gpu = VirtualGPU(_barrier_loop_module(3))
-    profile = gpu.run(LaunchSpec(kernel="kern", num_teams=2,
-                                 threads_per_team=2, sim_jobs=2,
-                                 watchdog_s=30.0)).profile
-    assert profile.cycles > 0
+    gpu = VirtualGPU(_barrier_loop_module(3), engine="warp")
+    result = gpu.run(LaunchSpec(kernel="kern", num_teams=2,
+                                threads_per_team=2, watchdog_s=30.0))
+    assert result.executed_engine == "warp"
+    assert result.profile.cycles > 0
 
 
 def test_watchdog_aborts_a_long_serial_launch():
-    # Regression: the serial (sim_jobs=1) phase driver used to ignore
-    # watchdog_s silently; it now polls the same cooperative deadline
-    # the parallel driver uses.
+    # Regression: the team driver used to ignore watchdog_s silently.
     gpu = VirtualGPU(_barrier_loop_module(500_000))
     with pytest.raises(WatchdogExpired, match="watchdog"):
         gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
@@ -75,9 +63,10 @@ def test_fast_serial_launch_beats_the_watchdog():
     assert profile.cycles > 0
 
 
-def test_serial_and_parallel_watchdogs_raise_the_same_type():
-    for sim_jobs in (1, 2):
-        gpu = VirtualGPU(_barrier_loop_module(500_000))
-        with pytest.raises(WatchdogExpired):
+@pytest.mark.parametrize("label", ENGINE_LABELS)
+def test_every_engine_honours_the_watchdog(label):
+    with engine_mode(label) as engine:
+        gpu = VirtualGPU(_barrier_loop_module(500_000), engine=engine)
+        with pytest.raises(WatchdogExpired, match="team 0 of @kern"):
             gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
-                               sim_jobs=sim_jobs, watchdog_s=0.02))
+                               watchdog_s=0.02))
