@@ -14,11 +14,15 @@ program faults into crash reports and retries internal engine faults:
   the sanitizer) that must produce structured
   :class:`~repro.faults.report.CrashReport` artifacts.
 
-Every scenario runs on both engines (``decoded`` and ``warp``; warp
-teams with an armed fault plan or under the sanitizer take the decoded
-fallback); the matrix PASSes only if profiles are bit-identical and
-crash reports compare equal (``comparable_dict``) across both runs —
-the executable form of the determinism acceptance criterion.
+Every scenario runs in three cells: ``decoded`` (fused runs),
+``per-op`` (the decoded engine executing op by op through its ``_h_*``
+handlers, the private ``VirtualGPU._per_op`` switch the service's
+retry uses) and ``warp``.  Warp teams with an armed fault plan or
+under the sanitizer take the decoded fallback, so without the per-op
+cell most rows would compare the fused decoded engine with itself.
+The matrix PASSes only if profiles are bit-identical and crash reports
+compare equal (``comparable_dict``) across all three cells — the
+executable form of the determinism acceptance criterion.
 
 ``--smoke`` keeps the three cheapest scenarios (baseline, exhaust,
 rt_trap) for ``make verify``.
@@ -27,14 +31,15 @@ rt_trap) for ``make verify``.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.apps import testsnap
 from repro.frontend.driver import CompileOptions, Target, compile_program
 from repro.passes.pass_manager import PipelineConfig
 from repro.serve import SimulationService
-from repro.vgpu import LaunchSpec
+from repro.vgpu import LaunchSpec, VirtualGPU
 from repro.vgpu.config import ENGINE_DECODED, ENGINE_WARP
 
 #: Fixed cell: small testsnap grid, -O0 so runtime calls stay outlined.
@@ -68,6 +73,26 @@ SCENARIOS = (
 )
 
 SMOKE_NAMES = ("baseline", "stack-exhaust", "rt-trap")
+
+#: Label of the decoded cell that runs op by op, without fused runs.
+PER_OP = "per-op"
+#: The cells of every row, the reference first.
+CELLS = (ENGINE_DECODED, PER_OP, ENGINE_WARP)
+
+
+@contextmanager
+def _cell_engine(label: str) -> Iterator[str]:
+    """The engine a cell requests; ``per-op`` requests ``decoded`` with
+    every device running op by op while the cell runs (the service has
+    one worker and serves the cell's one request before this returns)."""
+    if label != PER_OP:
+        yield label
+        return
+    old, VirtualGPU._per_op = VirtualGPU._per_op, True
+    try:
+        yield ENGINE_DECODED
+    finally:
+        VirtualGPU._per_op = old
 
 
 def _compile():
@@ -141,10 +166,10 @@ def run_faults(smoke: bool = False) -> Dict[str, Any]:
     rows = []
     with SimulationService(workers=1, save_reports=True) as service:
         for scenario in scenarios:
-            cells = {
-                engine: _run_cell(service, compiled, scenario, engine)
-                for engine in (ENGINE_DECODED, ENGINE_WARP)
-            }
+            cells = {}
+            for label in CELLS:
+                with _cell_engine(label) as engine:
+                    cells[label] = _run_cell(service, compiled, scenario, engine)
             rows.append({
                 "scenario": scenario.name,
                 "faults": scenario.faults,
@@ -173,7 +198,7 @@ def format_faults(report: Dict[str, Any]) -> str:
     lines = [
         f"fault-injection matrix: testsnap -O0, "
         f"{report['cell']['teams']}x{report['cell']['threads']} "
-        f"(decoded / warp)",
+        f"({' / '.join(CELLS)})",
     ]
     for row in report["scenarios"]:
         cells = row["cells"]

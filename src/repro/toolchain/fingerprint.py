@@ -9,7 +9,12 @@ The canonical serialization is structural, never ``id()``- or
 insertion-order-dependent:
 
 * DSL programs and options are walked field-by-field as dataclasses
-  (types render through their stable ``str()``, enums by name);
+  (types render through their stable ``str()``, enums by name).  One
+  pass writes the canonical text directly, through an emitter per
+  class that is built on the class's first sighting (its field names
+  and literal text precomputed); the text is the ``repr`` of the
+  nested-tuple form the emitters document, so digests — and with them
+  every on-disk cache key — do not depend on how it is built;
 * lowered modules go through the canonical mode of
   :func:`repro.ir.printer.print_module`, which numbers SSA values in
   first-use order and ignores name hints.
@@ -22,7 +27,7 @@ import enum
 import hashlib
 import sys
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Callable, Dict, Iterator, List
 
 from repro.frontend import ast as A
 from repro.ir.module import Module
@@ -51,37 +56,111 @@ def deep_recursion(limit: int = 100_000) -> Iterator[None]:
         sys.setrecursionlimit(old)
 
 
-#: Dataclass -> its field names, in declaration order.
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+#: Class -> the emitter that appends an instance's canonical text to a
+#: list of parts (see :func:`_canonical_text`).
+_EMITTERS: Dict[type, Callable[[Any, List[str]], None]] = {}
 
 
-def _canonical(obj: Any) -> Any:
-    """Reduce *obj* to a hashable, deterministic structure."""
-    if isinstance(obj, Type):
-        return ("Type", str(obj))
-    if isinstance(obj, enum.Enum):
-        return ("Enum", type(obj).__name__, obj.name)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        cls = type(obj)
-        names = _FIELD_NAMES.get(cls)
-        if names is None:
-            names = _FIELD_NAMES[cls] = tuple(
-                f.name for f in dataclasses.fields(cls))
-        return (
-            cls.__name__,
-            tuple((name, _canonical(getattr(obj, name))) for name in names),
-        )
-    if isinstance(obj, (list, tuple)):
-        return tuple(_canonical(x) for x in obj)
-    if isinstance(obj, dict):
-        return tuple(sorted((str(k), _canonical(v)) for k, v in obj.items()))
-    if isinstance(obj, (set, frozenset)):
-        return tuple(sorted(str(_canonical(x)) for x in obj))
-    if isinstance(obj, (str, bytes, int, float, bool)) or obj is None:
-        return (type(obj).__name__, obj)
+def _emitter(cls: type) -> Callable[[Any, List[str]], None]:
+    emit = _EMITTERS.get(cls)
+    if emit is None:
+        emit = _EMITTERS[cls] = _make_emitter(cls)
+    return emit
+
+
+def _emit_type(obj: Type, out: List[str]) -> None:
+    out.append(f"('Type', {str(obj)!r})")
+
+
+def _emit_sequence(obj, out: List[str]) -> None:
+    if not obj:
+        out.append("()")
+        return
+    sep = "("
+    for x in obj:
+        out.append(sep)
+        sep = ", "
+        _emitter(type(x))(x, out)
+    out.append(",)" if len(obj) == 1 else ")")
+
+
+def _emit_dict(obj: dict, out: List[str]) -> None:
+    # Keys whose str() collide are ordered by their values' text.
+    items = sorted((str(k), _canonical_text(v)) for k, v in obj.items())
+    out.append(_tuple_text([f"({k!r}, {v})" for k, v in items]))
+
+
+def _emit_set(obj, out: List[str]) -> None:
+    out.append(_tuple_text([repr(t) for t in sorted(map(_canonical_text, obj))]))
+
+
+def _tuple_text(items: List[str]) -> str:
+    """The text of a tuple whose elements have the texts *items*."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _emit_primitive(obj, out: List[str]) -> None:
+    out.append(f"({type(obj).__name__!r}, {obj!r})")
+
+
+def _emit_other(obj, out: List[str]) -> None:
     # DSL Expr/Stmt base classes without dataclass decoration would end
     # up here; repr is the best stable rendering we have.
-    return (type(obj).__name__, repr(obj))
+    out.append(f"({type(obj).__name__!r}, {repr(obj)!r})")
+
+
+def _make_emitter(cls: type) -> Callable[[Any, List[str]], None]:
+    """The emitter of *cls*'s instances: their canonical form is
+    ``("Type", str)`` for IR types, ``("Enum", class, member)``,
+    ``(class, ((field, value), ...))`` for dataclasses, a tuple for
+    lists and tuples, sorted ``(str(key), value)`` pairs for dicts,
+    the sorted text of each member for sets, ``(type, value)`` for
+    scalars and ``(type, repr)`` for anything else."""
+    if issubclass(cls, Type):
+        return _emit_type
+    if issubclass(cls, enum.Enum):
+        prefix = f"('Enum', {cls.__name__!r}, "
+        return lambda obj, out: out.append(f"{prefix}{obj.name!r})")
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        return _dataclass_emitter(cls)
+    if issubclass(cls, (list, tuple)):
+        return _emit_sequence
+    if issubclass(cls, dict):
+        return _emit_dict
+    if issubclass(cls, (set, frozenset)):
+        return _emit_set
+    if issubclass(cls, (str, bytes, int, float, bool, type(None))):
+        return _emit_primitive
+    return _emit_other
+
+
+def _dataclass_emitter(cls: type) -> Callable[[Any, List[str]], None]:
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    head = f"({cls.__name__!r}, ("
+    if not names:
+        return lambda obj, out: out.append(head + "))")
+    # One label before each field value, then the closing text.
+    labels = [f"({name!r}, " for name in names]
+    labels = [head + labels[0]] + ["), " + label for label in labels[1:]]
+    fields = tuple(zip(labels, names))
+    tail = "),))" if len(names) == 1 else ")))"
+
+    def emit(obj, out: List[str]) -> None:
+        for label, name in fields:
+            out.append(label)
+            value = getattr(obj, name)
+            _emitter(type(value))(value, out)
+        out.append(tail)
+
+    return emit
+
+
+def _canonical_text(obj: Any) -> str:
+    """Deterministic structural text of *obj*: the ``repr`` of its
+    canonical form (see :func:`_make_emitter`), built in one pass."""
+    out: List[str] = []
+    _emitter(type(obj))(obj, out)
+    return "".join(out)
 
 
 def _digest(*parts: str) -> str:
@@ -96,20 +175,20 @@ def _digest(*parts: str) -> str:
 def fingerprint_program(program: A.Program) -> str:
     """Stable fingerprint of a DSL program's structure."""
     with deep_recursion():
-        return _digest("program", repr(_canonical(program)))
+        return _digest("program", _canonical_text(program))
 
 
 def fingerprint_options(options: Any) -> str:
     """Stable fingerprint of a :class:`CompileOptions` (dataclass walk
     over target, pipeline, runtime_config and verify)."""
-    return _digest("options", repr(_canonical(options)))
+    return _digest("options", _canonical_text(options))
 
 
 def compile_fingerprint(program: A.Program, options: Any) -> str:
     """The compile-cache key for ``compile_program(program, options)``."""
     with deep_recursion():
         return _digest(
-            "compile", repr(_canonical(program)), repr(_canonical(options))
+            "compile", _canonical_text(program), _canonical_text(options)
         )
 
 

@@ -50,8 +50,9 @@ mutate functions **in place**, so a decode memoized on the function's
 identity could outlive the IR it was decoded from.  Each device
 decodes the IR as it stands at first launch — the same snapshot
 moment at which the device materialized the module's globals.  Only
-the compiled code of fused runs is shared process-wide, keyed by its
-generated source, which is rendered from each device's own decode.
+the bound code of fused runs is shared process-wide, keyed by the
+run's own ops as each device's decode produced them, so a device that
+decodes a run some device already bound reuses that run function.
 
 Fused and per-op execution are bit-identical: a fused run charges the
 same cycles and counts into the same :class:`TeamStats` fields as its
@@ -63,7 +64,6 @@ differential tests pin the fused path and the warp engine to.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from bisect import bisect_right
@@ -564,12 +564,18 @@ _SIMPLE: Dict[Callable, _Spec] = {
 # inline: that depends on the pointer.
 #
 # Code is generated lazily, on a function's first decoded execution
-# (never for warp launches), and compiled once per process: the cache
-# is keyed by a digest of the generated source and the run's counts,
-# never by the Function (passes mutate IR in place).  Every device renders its own source — slot
-# numbers, widths, branch targets and costs are literals in it — and
-# binds any non-literal constant (IR types, struct pack/unpack, math
-# functions) as a closure argument of the cached factory.
+# (never for warp launches), and bound once per process: the cache is
+# keyed by the run's own content — its ops and where its simple ops
+# stop — never by the Function (passes mutate IR in place).  A run's
+# ops hold only slot numbers, widths, branch targets, costs, phi moves,
+# IR types and module-level callables (struct pack/unpack, math
+# functions), all compared by value, so two devices that decode equal
+# runs — a second cache-hit copy of a module, say — share one bound
+# run function.  That is safe because a run function closes over op
+# constants only, never over a device, and IR constants live in
+# registers, not in the code.  Only the first device to meet a run
+# renders its source (literals inline, every other constant a closure
+# argument of the factory) and compiles it.
 # ===================================================================
 
 
@@ -577,12 +583,11 @@ _SIMPLE: Dict[Callable, _Spec] = {
 #: parser's transient memory grows with the source.
 _MAX_RUN = 64
 
-#: Digest of source and counts -> (factory ``_make(*consts) -> run
-#: function``, the source line on which each simple op's code starts,
-#: the run's :class:`_RunCounts`).  Bounded, oldest
-#: entry first out: a long-lived service sees ever new programs, while
-#: all 24 app x build cells together need 701 runs.
-_FUSED_MAKERS: Dict[bytes, Tuple[Callable, Tuple[int, ...], _RunCounts]] = {}
+#: ``(stop, run_ops)`` -> (the bound run function, the source line on
+#: which each simple op's code starts, the run's :class:`_RunCounts`).
+#: Bounded, oldest entry first out: a long-lived service sees ever new
+#: programs, while all 24 app x build cells together need 707 runs.
+_FUSED_MAKERS: Dict[tuple, Tuple[Callable, Tuple[int, ...], _RunCounts]] = {}
 _FUSED_CACHE_SIZE = 4096
 
 _LITERALS = (int, type(None))
@@ -654,14 +659,27 @@ def _edge(target: int, moves, indent: str) -> List[str]:
 
 
 def _compile_run(run_ops: Tuple[tuple, ...], stop: int) -> tuple:
-    """Generate, compile (once per process) and bind one fused run:
-    its ``_fuse`` entry.
+    """Generate, compile and bind one fused run, once per process per
+    content: its ``_fuse`` entry.
 
-    Runs compile one by one: compiling a whole function's runs as one
-    source costs tens of MB of transient parser memory on the larger
-    apps.  The cache key is a digest of the source, which holds only
-    literals and closure names, so equal sources are the same code,
-    and of the run's counts (two opcodes can render the same code)."""
+    The cache key is ``(stop, run_ops)`` itself; on a hit nothing is
+    rendered or compiled.  Runs compile one by one: compiling a whole
+    function's runs as one source costs tens of MB of transient parser
+    memory on the larger apps."""
+    key = (stop, run_ops)
+    cached = _FUSED_MAKERS.get(key)
+    if cached is None:
+        cached = _bind_run(run_ops)
+        if len(_FUSED_MAKERS) >= _FUSED_CACHE_SIZE:
+            del _FUSED_MAKERS[next(iter(_FUSED_MAKERS))]
+        _FUSED_MAKERS[key] = cached
+    run, first, run_counts = cached
+    return (None, len(run_ops), run, stop, run_ops[0], first, run_counts)
+
+
+def _bind_run(run_ops: Tuple[tuple, ...]) -> tuple:
+    """Render and compile *run_ops*: ``(run function, first lines,
+    counts)``."""
     names: Dict = {}
     lines = [None, "    def run(vm, thread, frame):", "        r = frame.regs"]
     if any("st." in _SIMPLE[op[0]].template for op in run_ops if op[0] in _SIMPLE):
@@ -700,20 +718,11 @@ def _compile_run(run_ops: Tuple[tuple, ...], stop: int) -> tuple:
     lines.append(f"        return c + {static}")
     lines.append("    return run")
     lines[0] = f"def _make({', '.join(names.values())}):"
-    src = "\n".join(lines)
-    opcodes = tuple(counts.items())
-    key = hashlib.blake2b(f"{src}\n{opcodes} {flops}".encode(),
-                          digest_size=16).digest()
-    cached = _FUSED_MAKERS.get(key)
-    if cached is None:
-        ns: Dict = {}
-        exec(compile(src, "<repro.vgpu.decode fused run>", "exec"), globals(), ns)
-        if len(_FUSED_MAKERS) >= _FUSED_CACHE_SIZE:
-            del _FUSED_MAKERS[next(iter(_FUSED_MAKERS))]
-        cached = _FUSED_MAKERS[key] = (
-            ns["_make"], tuple(first), _RunCounts(opcodes, flops))
-    make, first, run_counts = cached
-    return (None, len(run_ops), make(*names), stop, run_ops[0], first, run_counts)
+    ns: Dict = {}
+    exec(compile("\n".join(lines), "<repro.vgpu.decode fused run>", "exec"),
+         globals(), ns)
+    return (ns["_make"](*names), tuple(first),
+            _RunCounts(tuple(counts.items()), flops))
 
 
 def _unwind_run(vm, thread, frame, exc: BaseException) -> Tuple[int, int]:

@@ -11,12 +11,12 @@ even though the absolute count differs from NVCC's allocator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Optional, Set
 
-from repro.ir.cfg import predecessors, reverse_post_order
-from repro.ir.instructions import Call, Instruction, Phi
+from repro.ir.callgraph import CallGraph
+from repro.ir.cfg import reverse_post_order
+from repro.ir.instructions import Instruction, Phi
 from repro.ir.module import BasicBlock, Function, Module
-from repro.ir.types import VOID
 from repro.ir.values import Argument, Value
 
 #: Registers reserved by the ABI/hardware (kernel params, special regs).
@@ -30,41 +30,52 @@ def _is_tracked(value: Value) -> bool:
 
 
 def block_liveness(func: Function) -> Dict[BasicBlock, Set[Value]]:
-    """Backward liveness fixpoint; returns live-out sets per block."""
+    """Backward liveness fixpoint; returns live-out sets per block.
+
+    The CFG walk happens once: per reachable block, its successors,
+    the values its successors' phis take on the edge from it, the
+    values it uses before defining them (``gen``) and everything it
+    defines (``kill``).  The fixpoint then only unions sets:
+    ``out = phi_uses ∪ ⋃ in[succ]`` and ``in = gen ∪ (out − kill)``,
+    from empty sets, in post-order, until nothing changes.  Blocks
+    unreachable from the entry keep empty sets.
+    """
     live_in: Dict[BasicBlock, Set[Value]] = {b: set() for b in func.blocks}
     live_out: Dict[BasicBlock, Set[Value]] = {b: set() for b in func.blocks}
-    preds = predecessors(func)
+    plan = []
+    for block in reversed(reverse_post_order(func)):
+        succs = tuple(block.successors())
+        phi_uses: Set[Value] = set()
+        for succ in succs:
+            for phi in succ.phis():
+                try:
+                    v = phi.incoming_value_for(block)
+                except KeyError:
+                    continue
+                if _is_tracked(v):
+                    phi_uses.add(v)
+        gen: Set[Value] = set()
+        for inst in reversed(block.instructions):
+            gen.discard(inst)
+            if isinstance(inst, Phi):
+                continue  # phi operands counted on the incoming edges
+            for op in inst.operands:
+                if _is_tracked(op):
+                    gen.add(op)
+        gen.difference_update(block.phis())
+        live_in[block] = gen  # ``in`` while ``out`` is still empty
+        plan.append((block, succs, phi_uses, gen, set(block.instructions)))
 
     changed = True
     while changed:
         changed = False
-        for block in reversed(reverse_post_order(func)):
-            out: Set[Value] = set()
-            for succ in block.successors():
-                for v in live_in[succ]:
-                    out.add(v)
-                for phi in succ.phis():
-                    try:
-                        v = phi.incoming_value_for(block)
-                    except KeyError:
-                        continue
-                    if _is_tracked(v):
-                        out.add(v)
-            new_in = set(out)
-            for inst in reversed(block.instructions):
-                new_in.discard(inst)
-                if isinstance(inst, Phi):
-                    continue  # phi operands counted on the incoming edges
-                for op in inst.operands:
-                    if _is_tracked(op):
-                        new_in.add(op)
-            for phi in block.phis():
-                new_in.discard(phi)
+        for block, succs, phi_uses, gen, kill in plan:
+            out = set(phi_uses)
+            for succ in succs:
+                out |= live_in[succ]
             if out != live_out[block]:
                 live_out[block] = out
-                changed = True
-            if new_in != live_in[block]:
-                live_in[block] = new_in
+                live_in[block] = gen | (out - kill)
                 changed = True
     return live_out
 
@@ -88,31 +99,27 @@ def max_live_values(func: Function) -> int:
     return best
 
 
-def _call_depth(func: Function, module: Module, seen: frozenset = frozenset()) -> int:
+def _call_depth(func: Function, cg: CallGraph, seen: frozenset = frozenset()) -> int:
     """Longest chain of non-intrinsic calls below *func* (recursion counts
     once — real GPU register allocation treats it as one extra frame)."""
     if func.is_declaration or func.name in seen:
         return 0
     depth = 0
-    for inst in func.instructions():
-        if isinstance(inst, Call):
-            callee = inst.callee
-            if callee is not None and not callee.is_declaration:
-                depth = max(
-                    depth, 1 + _call_depth(callee, module, seen | {func.name})
-                )
+    for callee in cg.callees(func):
+        if not callee.is_declaration:
+            depth = max(depth, 1 + _call_depth(callee, cg, seen | {func.name}))
     return depth
 
 
-def estimate_kernel_registers(kernel: Function, module: Module) -> int:
-    """Estimated register count for one kernel entry point."""
-    from repro.ir.callgraph import CallGraph
-
-    cg = CallGraph(module)
+def estimate_kernel_registers(kernel: Function, module: Module,
+                              cg: Optional[CallGraph] = None) -> int:
+    """Estimated register count for one kernel entry point (*cg*, if
+    given, is *module*'s call graph)."""
+    if cg is None:
+        cg = CallGraph(module)
     reachable = {kernel} | cg.transitive_callees(kernel)
     peak = 0
     for func in reachable:
         if not func.is_declaration:
             peak = max(peak, max_live_values(func))
-    depth = _call_depth(kernel, module)
-    return BASE_REGISTERS + peak + CALL_DEPTH_PENALTY * depth
+    return BASE_REGISTERS + peak + CALL_DEPTH_PENALTY * _call_depth(kernel, cg)

@@ -7,17 +7,21 @@ column is exactly this number — the old runtime retains its small
 data-sharing structures (~2.3KB), the new runtime retains a larger
 pre-allocated shared stack when unoptimized (~11.3KB), and the fully
 optimized build retains nothing (0B).
+
+:func:`measure_resources` runs on every device's first launch of a
+kernel, so it builds one :class:`CallGraph` and walks each reachable
+function once (:class:`_Footprint`) for the shared globals and the
+instruction count; the register estimate reuses the same call graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Set
 
 from repro.memory.addrspace import AddressSpace
 from repro.memory.layout import DATA_LAYOUT
 from repro.ir.callgraph import CallGraph
-from repro.ir.instructions import Call, Instruction
 from repro.ir.module import Function, Module
 from repro.ir.values import GlobalVariable
 
@@ -32,71 +36,65 @@ class ResourceUsage:
     shared_globals: tuple
 
 
-def reachable_functions(kernel: Function, module: Module) -> Set[Function]:
-    cg = CallGraph(module)
-    funcs = {kernel} | cg.transitive_callees(kernel)
-    # Functions whose address is passed around (outlined bodies) are
-    # conservatively reachable if referenced from a reachable function.
-    changed = True
-    while changed:
-        changed = False
-        for func in list(funcs):
+class _Footprint:
+    """One walk over what *kernel* reaches: the shared-address-space
+    globals the reachable functions reference and their static
+    instruction count.
+
+    Functions are reachable through calls and, conservatively, through
+    a taken address: a function referenced as an operand of a reachable
+    function (outlined bodies passed around) is reachable with its
+    callees.  Each reachable function's instructions are walked once.
+    """
+
+    __slots__ = ("shared", "instructions")
+
+    def __init__(self, kernel: Function, cg: CallGraph) -> None:
+        funcs = {kernel} | cg.transitive_callees(kernel)
+        shared: Set[GlobalVariable] = set()
+        count = 0
+        work = list(funcs)
+        while work:
+            func = work.pop()
             if func.is_declaration:
                 continue
             for inst in func.instructions():
+                count += 1
                 for op in inst.operands:
-                    if isinstance(op, Function) and op not in funcs:
-                        funcs.add(op)
-                        funcs |= cg.transitive_callees(op)
-                        changed = True
-    return funcs
+                    if isinstance(op, GlobalVariable):
+                        if op.addrspace is AddressSpace.SHARED:
+                            shared.add(op)
+                    elif isinstance(op, Function) and op not in funcs:
+                        new = ({op} | cg.transitive_callees(op)) - funcs
+                        funcs |= new
+                        work.extend(new)
+        self.shared = sorted(shared, key=lambda g: g.name)
+        self.instructions = count
 
-
-def referenced_globals(funcs: Set[Function]) -> Set[GlobalVariable]:
-    out: Set[GlobalVariable] = set()
-    for func in funcs:
-        if func.is_declaration:
-            continue
-        for inst in func.instructions():
-            for op in inst.operands:
-                if isinstance(op, GlobalVariable):
-                    out.add(op)
-    return out
+    @property
+    def shared_memory_bytes(self) -> int:
+        return sum(DATA_LAYOUT.size_of(gv.value_type) for gv in self.shared)
 
 
 def shared_memory_usage(kernel: Function, module: Module) -> int:
     """Bytes of static shared memory reachable from *kernel*."""
-    funcs = reachable_functions(kernel, module)
-    total = 0
-    for gv in referenced_globals(funcs):
-        if gv.addrspace is AddressSpace.SHARED:
-            total += DATA_LAYOUT.size_of(gv.value_type)
-    return total
-
-
-def shared_globals_of(kernel: Function, module: Module) -> List[GlobalVariable]:
-    funcs = reachable_functions(kernel, module)
-    return sorted(
-        (gv for gv in referenced_globals(funcs) if gv.addrspace is AddressSpace.SHARED),
-        key=lambda g: g.name,
-    )
+    return _Footprint(kernel, CallGraph(module)).shared_memory_bytes
 
 
 def static_instruction_count(kernel: Function, module: Module) -> int:
-    funcs = reachable_functions(kernel, module)
-    return sum(
-        sum(1 for _ in f.instructions()) for f in funcs if not f.is_declaration
-    )
+    return _Footprint(kernel, CallGraph(module)).instructions
 
 
 def measure_resources(kernel: Function, module: Module) -> ResourceUsage:
     """Static footprint of *kernel* (each :class:`VirtualGPU` caches it
-    per kernel for its own launches)."""
+    per kernel for its own launches): one call graph, one walk."""
     from repro.vgpu.registers import estimate_kernel_registers
 
+    cg = CallGraph(module)
+    footprint = _Footprint(kernel, cg)
     return ResourceUsage(
-        shared_memory_bytes=shared_memory_usage(kernel, module),
-        registers=estimate_kernel_registers(kernel, module),
-        instruction_count=static_instruction_count(kernel, module),
-        shared_globals=tuple(g.name for g in shared_globals_of(kernel, module)),
+        shared_memory_bytes=footprint.shared_memory_bytes,
+        registers=estimate_kernel_registers(kernel, module, cg),
+        instruction_count=footprint.instructions,
+        shared_globals=tuple(g.name for g in footprint.shared),
     )

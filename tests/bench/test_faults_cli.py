@@ -31,8 +31,11 @@ class TestSmokeMatrix:
         assert names == list(faults_cli.SMOKE_NAMES)
 
     def test_every_scenario_ran_both_engines(self, smoke_report):
+        """Both engines, the decoded one also op by op: every row
+        compares two implementations even where warp falls back."""
         for row in smoke_report["scenarios"]:
-            assert set(row["cells"]) == {"decoded", "warp"}
+            assert list(row["cells"]) == ["decoded", "per-op", "warp"]
+            assert row["cells"]["per-op"]["engine"] == "decoded"
 
     def test_exhaust_shows_fallback_mallocs(self, smoke_report):
         row = next(r for r in smoke_report["scenarios"]
@@ -43,7 +46,7 @@ class TestSmokeMatrix:
         row = next(r for r in smoke_report["scenarios"]
                    if r["scenario"] == "rt-trap")
         reports = {label: cell["report"] for label, cell in row["cells"].items()}
-        assert reports["decoded"] == reports["warp"]
+        assert reports["decoded"] == reports["per-op"] == reports["warp"]
         assert reports["decoded"]["error_type"] == "InjectedFault"
         assert reports["decoded"]["context"] is not None
 
@@ -52,8 +55,20 @@ class TestSmokeMatrix:
 
     def test_format_mentions_the_verdict(self, smoke_report):
         text = faults_cli.format_faults(smoke_report)
+        assert "(decoded / per-op / warp)" in text.splitlines()[0]
         assert "matrix OK" in text
         assert text.count("[PASS]") == len(faults_cli.SMOKE_NAMES)
+
+
+def test_per_op_cell_runs_every_device_op_by_op():
+    from repro.vgpu import VirtualGPU
+
+    with faults_cli._cell_engine("per-op") as engine:
+        assert engine == "decoded"
+        assert VirtualGPU._per_op is True
+    assert VirtualGPU._per_op is False
+    with faults_cli._cell_engine("warp") as engine:
+        assert engine == "warp" and VirtualGPU._per_op is False
 
 
 def test_scenario_table_is_well_formed():

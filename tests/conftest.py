@@ -42,6 +42,28 @@ def _isolated_bench_history(tmp_path_factory):
         os.environ["REPRO_BENCH_HISTORY_DIR"] = old
 
 
+def matrix_cells():
+    """The 24 (app, build) cells of the paper's matrix: every app under
+    every build, but testsnap has no CUDA build."""
+    from repro.bench.builds import BUILD_ORDER, CUDA
+    from repro.bench.harness import APPS, SKIP_CUDA
+
+    return [(app, build) for app in sorted(APPS) for build in BUILD_ORDER
+            if not (app in SKIP_CUDA and build == CUDA)]
+
+
+def compile_cell(app_name, build):
+    """The cell's program at the app's default size, compiled through
+    the process-wide cache (a fresh copy of the module on every hit)."""
+    from repro.bench.builds import build_options
+    from repro.bench.harness import APPS
+    from repro.toolchain.service import ToolchainSession
+
+    app = APPS[app_name]
+    return ToolchainSession().compile(app.build_program(app.default_size()),
+                                      build_options()[build])
+
+
 #: Engine label of the reference runs the engine comparisons check
 #: against: the decoded engine with every frame run op by op through the
 #: ``_h_*`` handlers, no fused runs (``VirtualGPU._per_op``).

@@ -17,10 +17,10 @@ cells pin the fallback's equivalence.)
 
 import pytest
 
-from repro.bench.builds import BUILD_ORDER, CUDA, build_options
-from repro.bench.harness import APPS, SKIP_CUDA
+from repro.bench.builds import build_options
+from repro.bench.harness import APPS
 from repro.vgpu import interpreter
-from tests.conftest import PER_OP, engine_mode
+from tests.conftest import PER_OP, engine_mode, matrix_cells
 
 # Small problem sizes (mirroring tests/apps) keep the full
 # app x build x engine sweep affordable; the compile cache shares the
@@ -52,12 +52,7 @@ PROFILE_FIELDS = (
     "shared_stack_high_water",
 )
 
-CELLS = [
-    (app, build)
-    for app in sorted(APPS)
-    for build in BUILD_ORDER
-    if not (app in SKIP_CUDA and build == CUDA)
-]
+CELLS = matrix_cells()
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.bench.builds import BUILD_ORDER, build_options
+from repro.bench.builds import BUILD_ORDER, NEW_RT, build_options
 from repro.bench.harness import APPS
 from repro.faults.plan import FaultPlan
 from repro.faults.report import CrashReport
@@ -38,16 +38,13 @@ pytestmark = pytest.mark.serve
 APP = "testsnap"
 BUILD = BUILD_ORDER[0]
 
-#: The engine matrix of the acceptance criterion.
-ENGINE_CELLS = (ENGINE_WARP, ENGINE_DECODED)
 
-
-def _direct_app_run(engine):
+def _direct_app_run(engine, build=BUILD):
     """The reference: compile + run the app cell directly."""
     app = APPS[APP]
     size = app.default_size()
     compiled = ToolchainSession().compile(app.build_program(size),
-                                          build_options()[BUILD])
+                                          build_options()[build])
     gpu = VirtualGPU(compiled.module)
     host_args, verify = app.prepare(gpu, size)
     spec = LaunchSpec(
@@ -56,7 +53,19 @@ def _direct_app_run(engine):
         engine=engine,
     )
     result = gpu.run(spec)
+    assert result.executed_engine == EXECUTED[build, engine]
     return result.profile.to_dict(), verify(gpu, host_args)
+
+
+#: The engine matrix of the acceptance criterion: (build, requested
+#: engine) -> the engine that runs the teams.  Old RT builds take
+#: warp's decoded fallback; on New RT warp runs every team itself.
+EXECUTED = {
+    (BUILD, ENGINE_WARP): ENGINE_DECODED,
+    (BUILD, ENGINE_DECODED): ENGINE_DECODED,
+    (NEW_RT, ENGINE_WARP): ENGINE_WARP,
+    (NEW_RT, ENGINE_DECODED): ENGINE_DECODED,
+}
 
 
 def _barrier_loop_module(iterations):
@@ -93,17 +102,20 @@ def _malloc_module():
 
 class TestServedEqualsDirect:
     def test_profiles_and_verification_match_across_engines(self):
-        direct = {engine: _direct_app_run(engine) for engine in ENGINE_CELLS}
+        """On an Old RT build, whose warp launches run on the decoded
+        fallback, and on a New RT build, where warp runs every team."""
+        direct = {cell: _direct_app_run(cell[1], cell[0]) for cell in EXECUTED}
         with SimulationService(workers=2) as svc:
             jobs = {
-                engine: svc.submit_app(APP, build=BUILD, engine=engine)
-                for engine in ENGINE_CELLS
+                (build, engine): svc.submit_app(APP, build=build, engine=engine)
+                for build, engine in EXECUTED
             }
-            for engine, job in jobs.items():
+            for cell, job in jobs.items():
                 served = job.result(timeout=600)
-                profile, max_error = direct[engine]
+                profile, max_error = direct[cell]
                 assert served.ok, served.report and served.report.to_dict()
-                assert served.engine == engine
+                assert served.engine == cell[1]
+                assert served.executed_engine == EXECUTED[cell]
                 assert served.profile.to_dict() == profile
                 assert served.payload == {"max_error": max_error}
                 assert served.latency_s >= served.duration_s >= 0.0

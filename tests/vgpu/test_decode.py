@@ -22,7 +22,14 @@ from repro.ir.values import Constant
 from repro.memory.addrspace import AddressSpace
 from repro.vgpu import CostModel, GPUConfig, LaunchSpec, SimulationError, VirtualGPU
 from repro.vgpu import decode as D
-from tests.conftest import PER_OP, engine_mode, make_function, make_kernel
+from tests.conftest import (
+    PER_OP,
+    compile_cell,
+    engine_mode,
+    make_function,
+    make_kernel,
+    matrix_cells,
+)
 
 
 def _phi_loop_module():
@@ -447,6 +454,86 @@ class TestFusedRuns:
             assert gpu.read_array(out, np.int64, 2)[1] == (10 // 2 + 26) ^ 10
             assert len(D._FUSED_MAKERS) == 1
 
+    @pytest.mark.parametrize("app_name", ["gridmini", "minifmm", "rsbench",
+                                          "testsnap", "xsbench"])
+    def test_second_cache_hit_copy_binds_the_same_runs(self, app_name, monkeypatch):
+        """Fused runs are bound once per content: a device on a second
+        fresh cache-hit copy of a module renders and compiles nothing
+        and runs the very run functions the first device bound."""
+        from repro.bench.builds import NEW_RT_NIGHTLY
+
+        compile_cell(app_name, NEW_RT_NIGHTLY)  # a miss, if the first
+        monkeypatch.setattr(D, "_FUSED_MAKERS", {})
+
+        def run_functions(module):
+            gpu = VirtualGPU(module, engine="decoded")
+            return [op[2] for func in module.defined_functions()
+                    for op in D._frame_ops(gpu, D.bind_function(gpu, func).code)
+                    if op[0] is None]
+
+        first_module = compile_cell(app_name, NEW_RT_NIGHTLY).module
+        first = run_functions(first_module)
+        calls = []
+        render = D._Spec.render
+
+        def spy_render(self, *args, **kwargs):
+            calls.append("render")
+            return render(self, *args, **kwargs)
+
+        def spy_compile(src, filename, mode):
+            calls.append("compile")
+            return compile(src, filename, mode)
+
+        monkeypatch.setattr(D._Spec, "render", spy_render)
+        monkeypatch.setattr(D, "compile", spy_compile, raising=False)
+        second_module = compile_cell(app_name, NEW_RT_NIGHTLY).module
+        assert second_module is not first_module
+        second = run_functions(second_module)
+        assert calls == []
+        assert first and len(second) == len(first)
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_runs_differing_in_one_field_are_distinct_entries(self, monkeypatch):
+        """The content key is exact: a run that differs from another only
+        in a branch target, a register slot or an IntType width is its
+        own entry, and each runs its own code."""
+        from types import SimpleNamespace
+
+        module, func = _phi_loop_module()
+        gpu = VirtualGPU(module, engine="decoded")
+        code = D.bind_function(gpu, func).code
+        monkeypatch.setattr(D, "_FUSED_MAKERS", {})
+        # The loop body: two adds, then the latch (br with phi moves).
+        body = tuple(code.ops[3:6])
+        assert [op[1] for op in body] == ["add", "add", "br"]
+        add, add2, latch = body
+        assert add[6] == I64 and latch[2] == 1
+        variants = {
+            "base": body,
+            "target": (add, add2, latch[:2] + (6,) + latch[3:]),
+            "slot": (add[:4] + (add[5],) + add[5:], add2, latch),
+            "width": (add[:6] + (I32,) + add[7:], add2, latch),
+        }
+
+        def state(run_ops):
+            run = D._compile_run(run_ops, 5)[2]
+            frame = SimpleNamespace(regs=[0] * 15, pc=None)
+            frame.regs[3], frame.regs[4], frame.regs[14] = 1, 2**32 - 1, 1
+            run(None, None, frame)
+            return run, frame.regs[3], frame.regs[4], frame.pc
+
+        got = {name: state(ops) for name, ops in variants.items()}
+        assert len(D._FUSED_MAKERS) == len(variants)
+        assert len({id(g[0]) for g in got.values()}) == len(variants)
+        assert {name: g[1:] for name, g in got.items()} == {
+            "base": (2, 2**32, 1),
+            "target": (2, 2**32, 6),
+            "slot": (2, 2, 1),  # r7 = r3 + r3
+            "width": (2, 0, 1),  # r7 = (r4 + r3) mod 2**32
+        }
+        assert state(body)[0] is got["base"][0]  # a hit binds nothing new
+        assert len(D._FUSED_MAKERS) == len(variants)
+
     def test_warp_launch_of_new_rt_module_generates_no_fused_code(self, monkeypatch):
         from repro.bench.builds import NEW_RT, build_options
         from repro.bench.harness import APPS
@@ -668,6 +755,33 @@ def test_new_rt_blocks_decode_to_one_run_each(app_name):
             assert sum(fused[pc][1] for pc in entries) == end - start
             checked += 1
     assert checked
+
+
+def _scalar_fields(field):
+    """*field* and, through nested tuples, every value inside it."""
+    if type(field) is tuple:
+        for item in field:
+            yield from _scalar_fields(item)
+    else:
+        yield field
+
+
+def test_run_op_fields_are_never_float_or_bool():
+    """Fused runs are keyed by their ops' content, compared by value:
+    1 == 1.0 == True and 0.0 == -0.0 would let a run bind another's
+    code.  No simple op or terminator of the 24 cells may carry a float
+    or a bool field (IR constants live in registers)."""
+    bad = []
+    for app_name, build in matrix_cells():
+        module = compile_cell(app_name, build).module
+        gpu = VirtualGPU(module, engine="decoded")
+        for func in module.defined_functions():
+            for op in D.bind_function(gpu, func).code.ops:
+                if op[0] not in D._SIMPLE and op[0] not in D._TERMINATORS:
+                    continue
+                if any(type(v) in (float, bool) for v in _scalar_fields(op[1:])):
+                    bad.append((app_name, build, func.name, op))
+    assert bad == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,14 @@
 
 import numpy as np
 
+from repro.bench.builds import (
+    CUDA,
+    NEW_RT,
+    NEW_RT_NIGHTLY,
+    NEW_RT_NO_ASSUME,
+    OLD_RT_NIGHTLY,
+)
+from repro.ir import callgraph
 from repro.memory.addrspace import AddressSpace
 from repro.ir import (
     ArrayType,
@@ -17,7 +25,7 @@ from repro.vgpu.resources import (
     shared_memory_usage,
     static_instruction_count,
 )
-from tests.conftest import make_function, make_kernel
+from tests.conftest import compile_cell, make_function, make_kernel, matrix_cells
 
 
 class TestMaxLiveValues:
@@ -158,3 +166,90 @@ class TestSharedMemoryAccounting:
         assert res.registers > 0
         assert res.instruction_count == static_instruction_count(kern, module)
         assert res.shared_memory_bytes == 0
+
+    def test_measure_resources_builds_one_call_graph(self, monkeypatch):
+        module = compile_cell("gridmini", OLD_RT_NIGHTLY).module
+        kern = module.get_function("dslash")
+        built = []
+        init = callgraph.CallGraph.__init__
+
+        def spy(self, module):
+            built.append(module)
+            init(self, module)
+
+        monkeypatch.setattr(callgraph.CallGraph, "__init__", spy)
+        res = measure_resources(kern, module)
+        assert built == [module]
+        # The outlined body is reachable only through its taken address.
+        assert res.shared_memory_bytes == shared_memory_usage(kern, module) > 0
+
+
+#: (app, build) -> (registers, shared memory bytes, static instructions,
+#: shared globals) of the cell's kernel, and max_live_values of each of
+#: its defined functions, as the resource walks before they shared one
+#: call graph and one instruction walk measured them.
+MATRIX_RESOURCES = {
+    ("gridmini", CUDA): (36, 1024, 470, 1,
+        {"dslash": 28}),
+    ("gridmini", NEW_RT_NIGHTLY): (51, 12868, 2181, 7,
+        {"__omp_outlined.dslash": 36, "dslash": 43}),
+    ("gridmini", NEW_RT_NO_ASSUME): (39, 1024, 476, 1,
+        {"dslash": 31}),
+    ("gridmini", NEW_RT): (36, 1024, 470, 1,
+        {"dslash": 28}),
+    ("gridmini", OLD_RT_NIGHTLY): (50, 3344, 1589, 3,
+        {"__omp_outlined.dslash": 35, "dslash": 42}),
+    ("minifmm", CUDA): (33, 256, 86, 1,
+        {"fmm_eval": 15, "traverse": 17}),
+    ("minifmm", NEW_RT_NIGHTLY): (47, 12100, 536, 7,
+        {"__omp_outlined.fmm_eval": 20, "fmm_eval": 31, "traverse": 17}),
+    ("minifmm", NEW_RT_NO_ASSUME): (37, 11072, 194, 5,
+        {"fmm_eval": 21, "traverse": 17}),
+    ("minifmm", NEW_RT): (33, 11072, 188, 5,
+        {"fmm_eval": 17, "traverse": 17}),
+    ("minifmm", OLD_RT_NIGHTLY): (48, 2576, 394, 3,
+        {"__omp_outlined.fmm_eval": 21, "fmm_eval": 32, "traverse": 16}),
+    ("rsbench", CUDA): (32, 0, 84, 0,
+        {"rs_lookup": 24}),
+    ("rsbench", NEW_RT_NIGHTLY): (46, 11844, 591, 6,
+        {"__omp_outlined.rs_lookup": 27, "rs_lookup": 38}),
+    ("rsbench", NEW_RT_NO_ASSUME): (35, 0, 90, 0,
+        {"rs_lookup": 27}),
+    ("rsbench", NEW_RT): (32, 0, 84, 0,
+        {"rs_lookup": 24}),
+    ("rsbench", OLD_RT_NIGHTLY): (49, 2320, 442, 2,
+        {"__omp_outlined.rs_lookup": 30, "rs_lookup": 41}),
+    ("testsnap", NEW_RT_NIGHTLY): (46, 11844, 557, 6,
+        {"__omp_outlined.compute_force": 28, "compute_force": 38}),
+    ("testsnap", NEW_RT_NO_ASSUME): (36, 0, 85, 0,
+        {"compute_force": 28}),
+    ("testsnap", NEW_RT): (33, 0, 79, 0,
+        {"compute_force": 25}),
+    ("testsnap", OLD_RT_NIGHTLY): (48, 2320, 415, 2,
+        {"__omp_outlined.compute_force": 30, "compute_force": 40}),
+    ("xsbench", CUDA): (31, 0, 154, 0,
+        {"xs_lookup": 23}),
+    ("xsbench", NEW_RT_NIGHTLY): (44, 11844, 1087, 6,
+        {"__omp_outlined.xs_lookup": 27, "xs_lookup": 36}),
+    ("xsbench", NEW_RT_NO_ASSUME): (34, 0, 165, 0,
+        {"xs_lookup": 26}),
+    ("xsbench", NEW_RT): (31, 0, 159, 0,
+        {"xs_lookup": 23}),
+    ("xsbench", OLD_RT_NIGHTLY): (47, 2320, 813, 2,
+        {"__omp_outlined.xs_lookup": 30, "xs_lookup": 39}),
+}
+
+
+def test_every_matrix_cell_keeps_its_resources():
+    got = {}
+    for app_name, build in matrix_cells():
+        module = compile_cell(app_name, build).module
+        (kern,) = module.kernels()
+        res = measure_resources(kern, module)
+        assert res.registers == estimate_kernel_registers(kern, module)
+        got[app_name, build] = (
+            res.registers, res.shared_memory_bytes, res.instruction_count,
+            len(res.shared_globals),
+            {f.name: max_live_values(f) for f in module.defined_functions()},
+        )
+    assert got == MATRIX_RESOURCES
