@@ -467,9 +467,3 @@ class Program:
             if k.name == name:
                 return k
         raise KeyError(f"no kernel {name}")
-
-    def device_function(self, name: str) -> DeviceFunction:
-        for f in self.device_functions:
-            if f.name == name:
-                return f
-        raise KeyError(f"no device function {name}")

@@ -1,17 +1,22 @@
 """Call graph construction over a module.
 
-The graph distinguishes direct edges from *address-taken* functions
-(those whose address escapes into data or call arguments — e.g. the
-outlined loop bodies passed to the worksharing runtime calls, Fig. 5).
-The inter-procedural passes use it for bottom-up traversals and for
-the lifetime "common ancestor" search of §IV-B2.
+The graph holds the direct call edges of every function (declarations
+included, with no callees) and the *address-taken* functions: those
+that appear as an operand of any instruction other than as a direct
+call's own callee — passed as a call argument (the outlined loop
+bodies handed to the worksharing runtime calls, Fig. 5), cast, stored
+or otherwise escaping into data.  An indirect call may reach any of
+them.
+
+The inter-procedural passes ask it for direct callees and call sites
+(inlining), recursion (the inliner skips recursive callees) and the
+transitive callees (the write summaries of value propagation, §IV-B;
+the register and shared-memory accounting of a kernel).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, List, Set, Tuple
 
 from repro.ir.instructions import Call
 from repro.ir.module import Function, Module
@@ -21,99 +26,65 @@ class CallGraph:
     """Direct call graph plus address-taken tracking."""
 
     def __init__(self, module: Module) -> None:
-        self.module = module
-        self.graph = nx.MultiDiGraph()
         self.address_taken: Set[Function] = set()
+        self._callees: Dict[Function, Set[Function]] = {f: set() for f in module.functions.values()}
+        self._callers: Dict[Function, Set[Function]] = {f: set() for f in module.functions.values()}
         self._call_sites: Dict[Tuple[Function, Function], List[Call]] = {}
-        self._build()
-
-    def _build(self) -> None:
-        for func in self.module.functions.values():
-            self.graph.add_node(func)
-        for func in self.module.defined_functions():
+        #: Memoized :meth:`_reach` per function.
+        self._reached: Dict[Function, Set[Function]] = {}
+        for func in module.defined_functions():
             for inst in func.instructions():
-                if not isinstance(inst, Call):
-                    continue
-                callee = inst.callee
-                if callee is not None:
-                    self.graph.add_edge(func, callee)
-                    self._call_sites.setdefault((func, callee), []).append(inst)
-                # Function-typed arguments escape the callee's address.
-                for arg in inst.args:
-                    if isinstance(arg, Function):
-                        self.address_taken.add(arg)
+                operands = inst.operands
+                if isinstance(inst, Call):
+                    callee = inst.callee
+                    if callee is not None:
+                        self._callees[func].add(callee)
+                        self._callees.setdefault(callee, set())
+                        self._callers.setdefault(callee, set()).add(func)
+                        self._call_sites.setdefault((func, callee), []).append(inst)
+                        operands = operands[1:]
+                # Any other use of a function escapes its address.
+                for op in operands:
+                    if isinstance(op, Function):
+                        self.address_taken.add(op)
+
+    def _reach(self, func: Function) -> Set[Function]:
+        """Functions reachable from *func* over one or more call edges
+        (*func* itself only if it lies on a cycle)."""
+        reached = self._reached.get(func)
+        if reached is None:
+            reached = set()
+            work = list(self._callees[func])
+            while work:
+                callee = work.pop()
+                if callee not in reached:
+                    reached.add(callee)
+                    work.extend(self._callees[callee])
+            self._reached[func] = reached
+        return reached
 
     # -- queries -------------------------------------------------------------
 
     def callees(self, func: Function) -> Set[Function]:
-        return set(self.graph.successors(func))
+        return set(self._callees[func])
 
     def callers(self, func: Function) -> Set[Function]:
-        return set(self.graph.predecessors(func))
+        return set(self._callers[func])
 
     def call_sites(self, caller: Function, callee: Function) -> List[Call]:
         return list(self._call_sites.get((caller, callee), []))
 
     def all_call_sites_of(self, callee: Function) -> List[Call]:
         sites: List[Call] = []
-        for caller in self.callers(callee):
-            sites.extend(self.call_sites(caller, callee))
+        for caller in self._callers[callee]:
+            sites.extend(self._call_sites[(caller, callee)])
         return sites
 
     def is_recursive(self, func: Function) -> bool:
         """True if *func* participates in a call-graph cycle."""
-        try:
-            cycle_nodes = set()
-            for scc in nx.strongly_connected_components(self.graph):
-                if len(scc) > 1:
-                    cycle_nodes.update(scc)
-                elif func in scc and self.graph.has_edge(func, func):
-                    return True
-            return func in cycle_nodes
-        except nx.NetworkXError:  # pragma: no cover
-            return True
-
-    def has_unknown_callers(self, func: Function) -> bool:
-        """Kernels and externally visible / address-taken functions can be
-        entered from outside the module."""
-        if func.is_kernel:
-            return True
-        if func in self.address_taken:
-            return True
-        return func.linkage != "internal"
-
-    def transitive_callers(self, func: Function) -> Set[Function]:
-        return set(nx.ancestors(self.graph, func))
+        return func in self._reach(func)
 
     def transitive_callees(self, func: Function) -> Set[Function]:
-        return set(nx.descendants(self.graph, func))
-
-    def reachable_from_kernels(self) -> Set[Function]:
-        """Functions reachable (directly or via taken addresses) from any
-        kernel entry point — everything else is dead after linking."""
-        roots: List[Function] = list(self.module.kernels())
-        reached: Set[Function] = set()
-        work = list(roots)
-        while work:
-            func = work.pop()
-            if func in reached:
-                continue
-            reached.add(func)
-            for callee in self.callees(func):
-                work.append(callee)
-            for inst in func.instructions() if not func.is_declaration else ():
-                if isinstance(inst, Call):
-                    for arg in inst.args:
-                        if isinstance(arg, Function):
-                            work.append(arg)
-        return reached
-
-    def bottom_up_order(self) -> List[Function]:
-        """Functions ordered callees-first (SCCs collapsed arbitrarily)."""
-        condensed = nx.condensation(self.graph)
-        order: List[Function] = []
-        for node in nx.topological_sort(condensed):
-            members = condensed.nodes[node]["members"]
-            order.extend(members)
-        order.reverse()
-        return order
+        """Every function *func* reaches through calls, *func* itself
+        excluded even when it is recursive."""
+        return self._reach(func) - {func}

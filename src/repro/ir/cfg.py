@@ -160,16 +160,3 @@ def instruction_can_reach(a: Instruction, b: Instruction) -> bool:
         # Otherwise control must leave the block and come back.
         return block_can_reach(ba, bb)
     return block_can_reach(ba, bb)
-
-
-def instructions_between(a: Instruction, b: Instruction) -> Optional[List[Instruction]]:
-    """Instructions strictly between *a* and *b* if both are in the same
-    block with *a* before *b*; None otherwise (callers fall back to CFG
-    walks)."""
-    if a.parent is not b.parent or a.parent is None:
-        return None
-    insts = a.parent.instructions
-    ia, ib = insts.index(a), insts.index(b)
-    if ia >= ib:
-        return None
-    return insts[ia + 1 : ib]

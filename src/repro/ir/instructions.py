@@ -108,13 +108,6 @@ class Instruction(Value):
     def function(self) -> Optional["Function"]:
         return self.parent.parent if self.parent is not None else None
 
-    def may_write_memory(self) -> bool:
-        if isinstance(self, (Store, AtomicRMW)):
-            return True
-        if isinstance(self, Call):
-            return not self.is_readnone_callee()
-        return False
-
     def may_read_memory(self) -> bool:
         if isinstance(self, (Load, AtomicRMW)):
             return True

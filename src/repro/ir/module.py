@@ -34,9 +34,6 @@ class BasicBlock:
     def insert_before(self, anchor: Instruction, inst: Instruction) -> Instruction:
         return self.insert(self.instructions.index(anchor), inst)
 
-    def insert_after(self, anchor: Instruction, inst: Instruction) -> Instruction:
-        return self.insert(self.instructions.index(anchor) + 1, inst)
-
     @property
     def terminator(self) -> Optional[Instruction]:
         if self.instructions and self.instructions[-1].is_terminator:

@@ -406,13 +406,6 @@ class Parser:
             return Constant(ty, int(tok))
         return Constant(ty, float(tok))
 
-    def _operand_and_fixup(self, inst_args: List, tok: str, ty: Type,
-                           values: Dict[str, Value]) -> Value:
-        value = self._resolve_operand(tok, ty, values)
-        if isinstance(value, _Placeholder):
-            inst_args.append((len(inst_args), tok))
-        return value
-
     def _parse_instruction(self, text: str, blocks, values, fixups, phi_fixups):
         name: Optional[str] = None
         if re.match(r"%\S+\s*=", text):

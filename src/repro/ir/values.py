@@ -8,7 +8,7 @@ same bookkeeping LLVM's ``Value``/``Use`` classes provide.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.memory.addrspace import AddressSpace
 from repro.ir.types import (
@@ -212,13 +212,6 @@ class GlobalVariable(Value):
     @property
     def has_internal_linkage(self) -> bool:
         return self.linkage == "internal"
-
-
-def iter_constants(values: Iterable[Value]) -> Iterable[Constant]:
-    """Yield the constants among *values* (helper for folding passes)."""
-    for v in values:
-        if isinstance(v, Constant):
-            yield v
 
 
 def const_int(value: int, ty: Optional[IntType] = None) -> Constant:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.memory.addrspace import AddressSpace
 from repro.memory.layout import DATA_LAYOUT
@@ -71,10 +71,6 @@ class Access:
     @property
     def is_write(self) -> bool:
         return self.kind in (AccessKind.STORE, AccessKind.ATOMIC, AccessKind.MEM_INTRINSIC)
-
-    def is_exact(self, offset: int, size: int) -> bool:
-        """Paper §IV-B1: "exact" = same offset and size."""
-        return self.offset == offset and self.size == size
 
     def may_overlap(self, offset: int, size: int) -> bool:
         if self.offset is None or self.size is None:
@@ -282,7 +278,3 @@ def _collect_accesses(obj: MemoryObject) -> None:
                 escape("address returned")
             else:
                 escape(f"address used by {user.opcode}")
-
-
-def objects_by_base(objects: Iterable[MemoryObject]) -> Dict[int, MemoryObject]:
-    return {id(obj.base): obj for obj in objects}

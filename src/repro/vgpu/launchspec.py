@@ -23,10 +23,6 @@ from typing import Any, Optional, Sequence, Tuple, Union
 from repro.vgpu.profiler import KernelProfile
 
 
-def _is_scalar(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class LaunchSpec:
     """Everything needed to execute one kernel launch.

@@ -185,18 +185,6 @@ class KernelProfile:
             return 0.0
         return self.flops / self.cycles * NOMINAL_CLOCK_GHZ
 
-    @property
-    def global_loads(self) -> int:
-        return self.loads_by_space.get(AddressSpace.GLOBAL, 0) + self.loads_by_space.get(
-            AddressSpace.GENERIC, 0
-        )
-
-    @property
-    def shared_accesses(self) -> int:
-        return self.loads_by_space.get(AddressSpace.SHARED, 0) + self.stores_by_space.get(
-            AddressSpace.SHARED, 0
-        )
-
     def summary(self) -> str:
         return (
             f"{self.kernel_name}[{self.num_teams}x{self.threads_per_team}]: "

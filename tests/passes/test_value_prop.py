@@ -301,6 +301,25 @@ class TestCallEffects:
             i.opcode == "load" and i.type == I32 for i in func.instructions()
         )
 
+    def test_indirect_call_kills_writes_of_a_cast_address(self, module):
+        """A function whose address escapes only through a cast may be
+        the target of an indirect call, which then overwrites x."""
+        gv = module.add_global(GlobalVariable("x", I32, addrspace=AddressSpace.SHARED))
+        writer, wb = make_function(module, "writer", ret=I32, params=())
+        writer.linkage = "internal"
+        wb.store(wb.i32(5), gv)
+        wb.ret(wb.i32(0))
+        func, b = make_kernel(module, params=(PTR_GLOBAL,), arg_names=["out"])
+        b.store(b.i32(7), gv)
+        target = b.cast("inttoptr", b.cast("ptrtoint", writer, I64), PTR)
+        b.call_indirect(target, [], I32)
+        v = b.load(I32, gv)
+        b.store(b.sext(v, I64), func.args[0])
+        b.ret()
+        verify_module(module)
+        run_vp(module)
+        assert any(i.opcode == "load" and i.type == I32 for i in func.instructions())
+
 
 class TestDeadStateStoreElimination:
     def test_unread_state_stores_removed(self, module):
