@@ -1,44 +1,36 @@
 # Convenience targets for the reproduction repo.
 #
-# `make verify` is the one-shot health check: tier-1 tests, the
-# simulator-throughput smoke (both engines: decoded and warp), the
-# end-to-end tracing smoke, the
-# fault-injection smoke, the multi-tenant serving smoke, the
-# per-construct microbenchmark smoke and the serve-resilience chaos
-# smoke (the same cells run under the `simperf`, `trace`, `faults`,
-# `serve`, `micro` and `chaos` pytest markers), followed by the
+# `make verify` is the one-shot health check: tier-1 tests, one short
+# pass of every end-to-end benchmark workload (`perfbench`: checks
+# correctness and the modeled run and compile pins of both engines and
+# the service), the end-to-end tracing smoke, the fault-injection
+# smoke, the per-construct microbenchmark smoke and the
+# serve-resilience chaos smoke (the same cells run under the `trace`,
+# `faults`, `micro` and `chaos` pytest markers), followed by the
 # noise-aware perf-regression gate (`bench compare`, see README
 # "Perf tracking").
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test verify simperf trace faults serve micro chaos compare figures perfbench clean
+.PHONY: test verify trace faults micro chaos compare figures perfbench clean
 
 test:
 	$(PYTHON) -m pytest -q
 
-verify: test
-	$(PYTHON) -m repro.bench simperf --quick --out -
+verify: test perfbench
 	$(PYTHON) -m repro.bench trace --smoke
 	$(PYTHON) -m repro.bench faults --smoke
-	$(PYTHON) -m repro.bench serve --smoke --out -
 	$(PYTHON) -m repro.bench micro --smoke
 	$(PYTHON) -m repro.bench chaos --smoke
 	$(PYTHON) -m repro.bench compare --baseline
 	@echo "verify: OK"
-
-simperf:
-	$(PYTHON) -m repro.bench simperf
 
 trace:
 	$(PYTHON) -m repro.bench trace --smoke
 
 faults:
 	$(PYTHON) -m repro.bench faults
-
-serve:
-	$(PYTHON) -m repro.bench serve
 
 micro:
 	$(PYTHON) -m repro.bench micro

@@ -8,24 +8,15 @@ Usage::
     python -m repro.bench fig13 [--jobs N]
     python -m repro.bench oversub
     python -m repro.bench timings [--app APP] [--build BUILD]
-    python -m repro.bench simperf [--repeats N] [--quick] [--json] [--out PATH]
     python -m repro.bench trace   [--app APP] [--build BUILD] [--out PATH]
                                   [--metrics-out PATH] [--smoke]
     python -m repro.bench faults  [--smoke] [--json]
-    python -m repro.bench serve   [--tenants N] [--requests N] [--workers N]
-                                  [--smoke] [--json] [--out PATH]
     python -m repro.bench micro   [--smoke] [--json] [--out PATH]
     python -m repro.bench chaos   [--smoke] [--json] [--out PATH]
     python -m repro.bench history
     python -m repro.bench compare [--baseline] [--run-a ID] [--run-b ID]
     python -m repro.bench json     (machine-readable full report)
     python -m repro.bench all      [--jobs N]
-
-``simperf`` benchmarks the simulator itself (decoded vs. warp engine
-throughput across the app × build matrix) and writes its JSON report
-to ``BENCH_sim.json`` (tracked in git); ``--json`` prints the report to
-stdout instead of the table, ``--quick`` runs a single-cell smoke
-(both engines on one app/build).
 
 ``trace`` runs one (app, build) cell with the :mod:`repro.trace`
 collector enabled and writes a Perfetto-viewable Chrome Trace Format
@@ -36,17 +27,11 @@ JSON plus a flat metrics JSON (see README "Observability");
 (testsnap at ``-O0`` on both engines; see README "Robustness") and exits non-zero on any determinism or
 degradation failure; ``--smoke`` keeps the three cheapest scenarios.
 
-``serve`` load-tests the :mod:`repro.serve` multi-tenant simulation
-service: ``--tenants`` concurrent threads each submit ``--requests``
-launches from a fixed (app, engine) mix, and the report —
-throughput plus p50/p95/p99 latency and queue-wait percentiles — is
-written to ``BENCH_serve.json``; ``--smoke`` runs one request per
-tenant (fast; used by ``make verify``).
-
 ``micro`` runs the directive-level microbenchmark sweep (per-construct
 modeled-cycle costs plus Extra-P-style scaling fits, written to
 ``BENCH_micro.json``; see README "Perf tracking"); ``--smoke`` keeps
-one grid point of the sweep.
+one grid point of the sweep; ``--json`` prints the report instead of
+the table.
 
 ``chaos`` runs the serve-layer chaos harness: scripted worker-death /
 compile-stall / slow-request / drain scenarios asserting the
@@ -56,14 +41,16 @@ breaker opens and half-closes, shedding stays fast; see README
 any violated invariant; ``--smoke`` runs the same scenarios at reduced
 request counts (used by ``make verify``).
 
-Every ``simperf`` / ``serve`` / ``micro`` CLI run also appends a
-config-keyed record to the append-only history store
-(``.repro-bench/history.jsonl``; ``REPRO_BENCH_HISTORY_DIR``).
+Every ``micro`` / ``chaos`` CLI run also appends a config-keyed
+record to the append-only history store (``.repro-bench/history.jsonl``;
+``REPRO_BENCH_HISTORY_DIR``).
 ``history`` lists the stored records; ``compare`` diffs the latest run
 of each benchmark against its baseline (previous comparable record,
 else the tracked ``BENCH_*.json``) with noise-aware thresholds and
 exits non-zero on a geomean regression — the ``make verify`` perf
 gate.  ``--run-a``/``--run-b`` diff two specific run ids instead.
+Host wall time of the engines and the service is measured end to end
+by ``perfbench/`` (``make perfbench``), not by this CLI.
 
 ``--jobs N`` (or the ``REPRO_JOBS`` environment variable) fans the
 independent (app, build) cells of each figure out over N worker
@@ -82,9 +69,8 @@ from repro.bench.builds import BUILD_ORDER
 from repro.bench.harness import APPS
 
 COMMANDS = (
-    "fig10", "fig11", "fig12", "fig13", "oversub", "timings", "simperf",
-    "trace", "faults", "serve", "micro", "chaos", "history", "compare",
-    "json", "all",
+    "fig10", "fig11", "fig12", "fig13", "oversub", "timings", "trace",
+    "faults", "micro", "chaos", "history", "compare", "json", "all",
 )
 
 
@@ -108,23 +94,15 @@ def _parser() -> argparse.ArgumentParser:
         help="build label for the timings/trace commands",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="simperf: timed launches per cell (best is reported)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="simperf: single-cell smoke run (fast; used by CI)",
-    )
-    parser.add_argument(
         "--json", action="store_true", dest="as_json",
-        help="simperf/serve/micro: print the JSON report instead of "
+        help="faults/micro/chaos: print the JSON report instead of "
              "the table",
     )
     parser.add_argument(
         "--out", default=None,
-        help="simperf/serve/micro: report path (defaults "
-             "BENCH_sim.json / BENCH_serve.json / BENCH_micro.json; "
-             "'-' skips writing); trace: Chrome-trace output path",
+        help="micro/chaos: report path (defaults BENCH_micro.json / "
+             "BENCH_chaos.json; '-' skips writing); trace: Chrome-trace "
+             "output path",
     )
     parser.add_argument(
         "--metrics-out", default=None,
@@ -135,22 +113,8 @@ def _parser() -> argparse.ArgumentParser:
         "--smoke", action="store_true",
         help="trace: run the fixed fast (app, build) smoke cell; "
              "faults: run the reduced scenario set; "
-             "serve: one request per tenant; "
              "micro: one grid point of the construct sweep; "
              "chaos: reduced request counts per scenario",
-    )
-    parser.add_argument(
-        "--tenants", type=int, default=8,
-        help="serve: concurrent tenant threads (default 8)",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=3,
-        help="serve: requests per tenant (default 3)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="serve: service worker threads "
-             "(default: REPRO_SERVE_WORKERS or 4)",
     )
     parser.add_argument(
         "--baseline", action="store_true",
@@ -196,26 +160,6 @@ def main(argv) -> int:
         if args.build is not None:
             kwargs["build"] = args.build
         print(figures.format_pipeline_timings(figures.pipeline_timings(**kwargs)))
-    if what == "simperf":
-        from repro.bench import history, simperf
-
-        if args.quick:
-            # BUILD_ORDER[1] (New RT (Nightly)) rather than [0]: the
-            # old runtime is not lockstep-safe, and the smoke should
-            # exercise true warp vectorization, not its fallback.
-            report = simperf.simperf_matrix(
-                apps=["testsnap"], builds=[BUILD_ORDER[1]], repeats=1,
-            )
-        else:
-            report = simperf.simperf_matrix(repeats=args.repeats)
-        out = args.out if args.out is not None else simperf.DEFAULT_OUTPUT
-        if out != "-":
-            simperf.write_report(report, out)
-        history.append_record(history.record_from_report(report))
-        if args.as_json:
-            print(simperf.render_json(report))
-        else:
-            print(simperf.format_simperf(report))
     if what == "trace":
         from repro.bench import trace_cli
 
@@ -239,24 +183,6 @@ def main(argv) -> int:
         else:
             print(faults_cli.format_faults(report))
         if not report["ok"]:
-            return 1
-    if what == "serve":
-        from repro.bench import history, serve_cli
-
-        report = serve_cli.serve_load(
-            tenants=args.tenants,
-            requests=1 if args.smoke else args.requests,
-            workers=args.workers,
-        )
-        out = args.out if args.out is not None else serve_cli.DEFAULT_OUTPUT
-        if out != "-":
-            serve_cli.write_report(report, out)
-        history.append_record(history.record_from_report(report))
-        if args.as_json:
-            print(serve_cli.render_json(report))
-        else:
-            print(serve_cli.format_serve(report))
-        if report["totals"]["errors"]:
             return 1
     if what == "micro":
         from repro.bench import history, micro

@@ -33,7 +33,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench import record
-from repro.bench.serve_cli import percentiles
+from repro.bench.record import percentiles
 from repro.frontend import ast as A
 from repro.frontend.driver import CompileOptions
 from repro.ir.types import I64

@@ -3,12 +3,11 @@
 The store is deliberately primitive: ``$REPRO_BENCH_HISTORY_DIR/
 history.jsonl`` (default ``.repro-bench/``, gitignored), one
 :func:`repro.bench.record.make_record` JSON object per line, append
-only.  Every CLI run of the three benches (``simperf``, ``serve``,
-``micro``) appends one record, so a working tree accumulates its own
-perf timeline for free.
+only.  Every CLI run of ``micro`` and ``chaos`` appends one record, so
+a working tree accumulates its own perf timeline for free.
 
 ``python -m repro.bench compare`` diffs two records metric-by-metric
-over the *intersection* of their metric names (so a ``--quick`` run
+over the *intersection* of their metric names (so a ``--smoke`` run
 still compares against a full-sweep baseline on the cells it ran).
 A metric only counts as a regression when its delta is worse than
 **max(rel_threshold · |baseline|, k · stddev)** — the relative
@@ -21,12 +20,12 @@ separately) falls below ``1 - rel_threshold``.  Modeled metrics carry
 ``stddev = 0`` — they are deterministic by construction, so the noise
 term vanishes and only genuine model changes move them.
 
-When the two records come from different machines or Pythons, wall
-metrics are incomparable; the compare then gates on modeled metrics
-only and says so.  The same holds for the whole-run wall metrics of
-``serve`` and ``chaos`` (throughput, latency percentiles, suite time)
-between runs of different configurations: a ``--smoke`` run is never
-gated against a full run's numbers.
+Wall metrics are only comparable between records from the same
+machine, Python and run configuration; otherwise the compare gates on
+modeled metrics only and says so, so a ``--smoke`` run is never gated
+against a full run's wall clock.  Records of benchmarks no CLI records
+any more (a kept ``.repro-bench/`` outlives the code that wrote them)
+are reported as retired, never gated.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import envconfig
 from repro.bench import record
-from repro.bench.builds import BUILD_ORDER
-from repro.bench.harness import APPS
 
 #: History file name inside the store directory.
 HISTORY_FILE = "history.jsonl"
@@ -50,15 +47,9 @@ NOISE_K = 2.0
 #: Tracked repo-root reports usable as a fallback baseline when the
 #: local history has no earlier comparable record.
 TRACKED_BASELINES = {
-    "simperf": "BENCH_sim.json",
-    "serve": "BENCH_serve.json",
     "micro": "BENCH_micro.json",
     "chaos": "BENCH_chaos.json",
 }
-
-#: Benchmarks whose wall metrics summarise the whole run rather than
-#: one named cell, so they depend on the run's configuration.
-WHOLE_RUN_WALL = frozenset({"serve", "chaos"})
 
 
 def history_path(directory: Optional[str] = None) -> str:
@@ -115,83 +106,16 @@ def record_from_report(report: Dict[str, Any]) -> Dict[str, Any]:
     full-sweep baselines on exactly the cells both measured.
     """
     benchmark = report.get("benchmark")
-    if benchmark == "simperf":
-        metrics = _simperf_metrics(report)
-    elif benchmark == "serve":
-        metrics = _serve_metrics(report)
-    elif benchmark == "micro":
-        metrics = _micro_metrics(report)
-    elif benchmark == "chaos":
-        metrics = _chaos_metrics(report)
-    else:
+    if benchmark not in _METRICS:
         raise KeyError(f"cannot build a history record from {benchmark!r}")
     return record.make_record(
         benchmark,
         config={
             k: v for k, v in report.get("config", {}).items() if k != "repeats"
         },
-        metrics=metrics,
+        metrics=_METRICS[benchmark](report),
         meta=report.get("meta"),
     )
-
-
-def _simperf_metrics(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    metrics: Dict[str, Dict[str, Any]] = {}
-    for cell in report["cells"]:
-        key = f"{cell['app']}/{cell['build']}/{cell['engine']}"
-        dist = cell.get("wall_stats") or {}
-        metrics[f"wall/launch_s/{key}"] = record.metric(
-            dist.get("mean", cell["wall_seconds"]),
-            stddev=dist.get("stddev", 0.0),
-            n=dist.get("n", 1),
-            better=record.BETTER_LOWER,
-            kind=record.KIND_WALL,
-        )
-        if cell["engine"] == "decoded":
-            metrics[f"model/cycles/{cell['app']}/{cell['build']}"] = record.metric(
-                cell["cycles"],
-                better=record.BETTER_LOWER,
-                kind=record.KIND_MODEL,
-            )
-    # Geomeans are only comparable between runs that averaged the same
-    # population: emit them for full default sweeps only, so a --quick
-    # single-cell geomean never intersects (and falsely "regresses")
-    # the tracked full-matrix baseline.
-    config = report.get("config", {})
-    full_sweep = (
-        sorted(config.get("apps", [])) == sorted(APPS)
-        and list(config.get("builds", [])) == list(BUILD_ORDER)
-    )
-    if full_sweep and report.get("geomean_warp_over_decoded"):
-        metrics["wall/geomean_warp_over_decoded"] = record.metric(
-            report["geomean_warp_over_decoded"],
-            better=record.BETTER_HIGHER,
-            kind=record.KIND_WALL,
-        )
-    return metrics
-
-
-def _serve_metrics(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    lat = report["latency_s"]
-    wait = report["queue_wait_s"]
-    n = lat.get("n", report["totals"]["requests"])
-    sd = lat.get("stddev", 0.0)
-    metrics = {
-        "wall/throughput_rps": record.metric(
-            report["throughput_rps"],
-            better=record.BETTER_HIGHER, kind=record.KIND_WALL,
-        ),
-    }
-    for point in ("p50", "p95", "p99", "mean"):
-        metrics[f"wall/latency_{point}_s"] = record.metric(
-            lat[point], stddev=sd, n=n,
-            better=record.BETTER_LOWER, kind=record.KIND_WALL,
-        )
-    metrics["wall/queue_wait_p95_s"] = record.metric(
-        wait["p95"], stddev=wait.get("stddev", 0.0), n=n,
-        better=record.BETTER_LOWER, kind=record.KIND_WALL,
-    )
-    return metrics
 
 
 def _chaos_metrics(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
@@ -233,6 +157,10 @@ def _micro_metrics(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
     return metrics
 
 
+#: Metric extractor of each benchmark a CLI still records.
+_METRICS = {"micro": _micro_metrics, "chaos": _chaos_metrics}
+
+
 # ----------------------------------------------------------- comparison --
 
 
@@ -244,14 +172,11 @@ def _geomean(ratios: Sequence[float]) -> Optional[float]:
 
 def _wall_comparable(base: Dict[str, Any], new: Dict[str, Any]) -> bool:
     """Whether the wall metrics of two records measure the same thing:
-    same machine and Python, and for :data:`WHOLE_RUN_WALL` benchmarks
-    the same run configuration."""
+    same machine, Python and run configuration."""
     base_meta, new_meta = base.get("meta", {}), new.get("meta", {})
-    if (base_meta.get("machine") != new_meta.get("machine")
-            or base_meta.get("python") != new_meta.get("python")):
-        return False
-    return (new.get("benchmark") not in WHOLE_RUN_WALL
-            or base.get("config") == new.get("config"))
+    return (base_meta.get("machine") == new_meta.get("machine")
+            and base_meta.get("python") == new_meta.get("python")
+            and base.get("config") == new.get("config"))
 
 
 def _gated_names(base: Dict[str, Any], new: Dict[str, Any]) -> List[str]:
@@ -378,8 +303,9 @@ def baseline_compare(
 ) -> Dict[str, Any]:
     """The ``make verify`` gate: latest run of each benchmark vs its
     baseline (previous comparable history record, else the tracked
-    BENCH_*.json).  Benchmarks with no usable baseline are reported as
-    skipped, never failed — a fresh checkout must pass."""
+    BENCH_*.json).  Benchmarks with no usable baseline, and stored
+    benchmarks no CLI records any more, are reported as skipped, never
+    failed — a fresh checkout must pass, and so must a kept history."""
     records = load_records(directory)
     latest: Dict[str, Dict[str, Any]] = {}
     for rec in records:
@@ -387,6 +313,9 @@ def baseline_compare(
     results: List[Dict[str, Any]] = []
     ok = True
     for benchmark in sorted(latest):
+        if benchmark not in _METRICS:
+            results.append({"benchmark": benchmark, "skipped": "retired"})
+            continue
         new = latest[benchmark]
         base = find_baseline(records, new)
         source = "history"
@@ -431,12 +360,11 @@ def format_compare(result: Dict[str, Any]) -> str:
         f"threshold {result['rel_threshold_pct']:.1f}% "
         f"or {result['noise_k']:.0f}*stddev)"
     ]
-    if not result["wall_comparable"]:
+    if result["metrics_skipped_wall"]:
         lines.append(
             f"  wall metrics skipped ({result['metrics_skipped_wall']}): "
-            "records come from different machine/python"
-            + (" or run configuration"
-               if result["benchmark"] in WHOLE_RUN_WALL else "")
+            "records come from different machine/python or run "
+            "configuration"
         )
     for kind in sorted(result["geomean"]):
         g = result["geomean"][kind]

@@ -50,7 +50,7 @@ from repro.vgpu import (
     VirtualGPU,
 )
 
-#: Default output file, committed at the repo root like BENCH_sim.json.
+#: Default output file, committed at the repo root like BENCH_chaos.json.
 DEFAULT_OUTPUT = "BENCH_micro.json"
 
 #: Runtime configurations of the sweep.  ``oldrt``/``newrt`` compile at

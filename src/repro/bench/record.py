@@ -1,12 +1,13 @@
-"""Shared benchmark-record schema (``bench simperf`` / ``serve`` / ``micro``).
+"""Shared benchmark-record schema (``bench micro`` / ``chaos``).
 
 Every benchmark report and every :mod:`repro.bench.history` record
 carries the same envelope: a ``schema_version`` stamp, a ``meta`` block
 identifying the machine and Python that produced the numbers, and —
 for anything derived from repeated timings — a ``stats`` block with
-mean/stddev/min/max.  Centralizing the envelope here keeps the three
-benches diffable by one ``compare`` implementation and lets the
-history store reject records it does not understand.
+mean/stddev/min/max (or :func:`percentiles` for latency
+distributions).  Centralizing the envelope here keeps the benches
+diffable by one ``compare`` implementation and lets the history store
+reject records it does not understand.
 
 A *metric* is one named, comparable number.  Its ``kind`` separates
 the two regression classes the verify gate cares about:
@@ -77,6 +78,25 @@ def stats(values: Sequence[float]) -> Dict[str, float]:
         "max": max(vals),
         "n": n,
     }
+
+
+def percentiles(values: Sequence[float],
+                points: Sequence[int] = (50, 95, 99)) -> Dict[str, float]:
+    """Nearest-rank percentiles of *values*, rounded for the report."""
+    out: Dict[str, float] = {}
+    ordered = sorted(values)
+    for p in points:
+        if not ordered:
+            out[f"p{p}"] = 0.0
+            continue
+        rank = max(1, -(-p * len(ordered) // 100))  # ceil without math
+        out[f"p{p}"] = round(ordered[rank - 1], 6)
+    dist = stats(ordered)
+    out["mean"] = round(dist["mean"], 6)
+    out["stddev"] = round(dist["stddev"], 6)
+    out["n"] = dist["n"]
+    out["max"] = round(dist["max"], 6) if ordered else 0.0
+    return out
 
 
 def metric(

@@ -64,8 +64,8 @@ Knobs
     behaviour).
 ``REPRO_BENCH_HISTORY_DIR``
     Directory of the append-only benchmark history store
-    (``history.jsonl``; default ``.repro-bench``).  All three benches
-    (``simperf``, ``serve``, ``micro``) append a record per CLI run;
+    (``history.jsonl``; default ``.repro-bench``).  The ``micro`` and
+    ``chaos`` benches append a record per CLI run;
     ``python -m repro.bench compare`` diffs them.
 ``REPRO_BENCH_REGRESSION_PCT``
     Relative regression threshold (percent) for ``bench compare``

@@ -19,7 +19,7 @@ Tracing is **off by default**.  Enable it with ``REPRO_TRACE=1`` (see
 through the shared :data:`NULL_COLLECTOR`, whose methods are no-ops —
 the simulator hot loops additionally check ``vm._trace is None`` once
 per phase so the disabled path stays byte-identical to the
-pre-tracing code (guarded by the simperf overhead test).
+pre-tracing code (guarded by ``tests/trace/test_overhead_guard.py``).
 
 Export is Chrome Trace Format JSON (``chrome://tracing`` /
 https://ui.perfetto.dev) plus a flat metrics JSON; see

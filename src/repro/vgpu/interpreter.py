@@ -136,7 +136,7 @@ class VirtualGPU:
         #: Trace collector, or None when tracing is disabled (the
         #: default).  The hot loops branch on this exactly once per
         #: phase, so the disabled path is byte-identical to the
-        #: pre-tracing engine (guarded by the simperf overhead test).
+        #: pre-tracing engine (guarded by the trace overhead tests).
         self._trace = trace if trace is not None else _active_trace()
         #: When True the simulator verifies assumptions and aligned-barrier
         #: alignment — the dynamic half of the paper's debug mode.

@@ -32,10 +32,6 @@ def _wall_metric(value, stddev=0.0, n=3, better=record.BETTER_LOWER):
                          kind=record.KIND_WALL)
 
 
-def _rps(value):
-    return _wall_metric(value, better=record.BETTER_HIGHER)
-
-
 class TestRecordSchema:
     def test_stats_mean_stddev(self):
         s = record.stats([1.0, 2.0, 3.0])
@@ -212,31 +208,35 @@ class TestBaseline:
         assert outcome["results"][0]["baseline_source"] == "history"
 
     def test_whole_run_wall_metrics_need_the_same_config(self):
-        """A serve smoke run's throughput is not gated against a full
+        """A chaos smoke run's suite time is not gated against a full
         run's: the two runs measure different workloads."""
-        full = _record("serve", run_id="serve-1-a", ts=1.0,
-                       metrics={"wall/throughput_rps": _rps(8.0)})
-        full["config"] = {"tenants": 8}
-        smoke = _record("serve", run_id="serve-2-b", ts=2.0,
-                        metrics={"wall/throughput_rps": _rps(2.0)})
+        full = _record("chaos", run_id="chaos-1-a", ts=1.0,
+                       metrics={"wall/suite_s": _wall_metric(8.0)})
+        full["config"] = {"smoke": False}
+        smoke = _record("chaos", run_id="chaos-2-b", ts=2.0,
+                        metrics={"wall/suite_s": _wall_metric(2.0)})
         result = history.compare_records(full, smoke, rel_pct=5.0)
         assert result["wall_comparable"] is False
         assert result["metrics_compared"] == 0
         assert history.find_baseline([full, smoke], smoke) is None
-        same = dict(smoke, run_id="serve-3-c", timestamp=3.0,
-                    metrics={"wall/throughput_rps": _rps(1.0)})
+        same = dict(smoke, run_id="chaos-3-c", timestamp=3.0,
+                    metrics={"wall/suite_s": _wall_metric(4.0)})
         assert history.find_baseline([full, smoke, same], same) is smoke
         assert history.compare_records(smoke, same, rel_pct=5.0)["ok"] is False
 
-    def test_per_cell_wall_metrics_compare_across_configs(self):
-        """simperf wall metrics name their cell, so a quick run still
-        gates against a full sweep on the cells it ran."""
-        full = _record("simperf", metrics={"wall/launch_s/a": _wall_metric(1.0)})
-        full["config"] = {"apps": ["a", "b"]}
-        quick = _record("simperf", metrics={"wall/launch_s/a": _wall_metric(3.0)})
-        result = history.compare_records(full, quick, rel_pct=5.0)
-        assert result["metrics_compared"] == 1
-        assert result["ok"] is False
+    def test_retired_benchmark_records_are_never_gated(self, tmp_path):
+        """A kept history may hold records of a benchmark no CLI records
+        any more; a regressing pair of them must not fail the gate that
+        no new record could ever clear."""
+        d = str(tmp_path / "hist")
+        for i, value in enumerate((1.0, 3.0)):
+            history.append_record(_record(
+                "simperf", run_id=f"simperf-{i}-r", ts=float(i),
+                metrics={"model/cycles/a": _model_metric(value)}), d)
+        outcome = history.baseline_compare(d, rel_pct=5.0, root=str(tmp_path))
+        assert outcome["ok"] is True
+        assert outcome["results"] == [
+            {"benchmark": "simperf", "skipped": "retired"}]
 
     def test_smoke_run_skips_a_full_tracked_baseline(self, tmp_path):
         d = str(tmp_path / "hist")
@@ -302,33 +302,6 @@ class TestRecordFromReport:
         metric = rec["metrics"]["model/barrier/newrt/t2x4/w4"]
         assert metric["kind"] == record.KIND_MODEL
         assert metric["stddev"] == 0.0
-
-    def test_simperf_report_metrics(self):
-        from repro.bench.builds import BUILD_ORDER
-        from repro.bench.harness import APPS
-
-        cells = [
-            {"app": "gridmini", "build": BUILD_ORDER[1], "engine": engine,
-             "wall_seconds": 0.1, "cycles": 1000, "instructions": 100}
-            for engine in ("decoded", "warp")
-        ]
-        report = {
-            "benchmark": "simperf", "meta": record.meta_block(),
-            "config": {"apps": sorted(APPS), "builds": list(BUILD_ORDER)},
-            "cells": cells, "warp_over_decoded": {},
-            "geomean_warp_over_decoded": 1.5,
-        }
-        metrics = history.record_from_report(report)["metrics"]
-        key = f"gridmini/{BUILD_ORDER[1]}"
-        assert set(metrics) == {
-            f"wall/launch_s/{key}/decoded", f"wall/launch_s/{key}/warp",
-            f"model/cycles/{key}", "wall/geomean_warp_over_decoded",
-        }
-        assert metrics["wall/geomean_warp_over_decoded"]["value"] == 1.5
-        # A partial sweep averages another population: no geomean.
-        partial = dict(report, config={"apps": ["gridmini"], "builds": []})
-        assert "wall/geomean_warp_over_decoded" not in \
-            history.record_from_report(partial)["metrics"]
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(KeyError):

@@ -154,16 +154,16 @@ class TestBenchMachineryStaysOffHotPath:
         )
 
 
-@pytest.mark.simperf
+@pytest.mark.trace
 def test_disabled_tracing_throughput_guard():
-    """Generous wall-clock smoke: a disabled-trace launch must not be
-    dramatically slower than a second disabled-trace launch, and an
-    enabled-trace launch must not be more than ~an order of magnitude
-    slower (it does strictly more bookkeeping).  The strict <2%
-    regression bound is tracked by ``python -m repro.bench simperf``
-    against ``BENCH_sim.json``; this test only catches the failure mode
-    where the disabled path accidentally routes through the traced
-    loop *and* the traced loop grows pathological."""
+    """Generous wall-clock smoke: the best of three disabled-trace
+    launches must be faster than ten times the best of three
+    enabled-trace launches, which do strictly more bookkeeping.  It
+    catches the failure mode where the disabled path accidentally
+    routes through the traced loop *and* the traced loop grows
+    pathological; that the disabled path never enters the traced
+    loops at all is pinned structurally by :class:`TestDisabledPath`,
+    and the host-wall cost of the engines by perfbench's workloads."""
     reset()
     try:
         def timed(trace):
