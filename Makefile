@@ -1,6 +1,8 @@
 # Convenience targets for the reproduction repo.
 #
-# `make verify` is the one-shot health check: tier-1 tests, one short
+# `make verify` is the one-shot health check: tier-1 tests, the
+# paper-shape tests under benchmarks/ (timing off; they also pin the
+# Fig. 13 ablation runs), one short
 # pass of every end-to-end benchmark workload (`perfbench`: checks
 # correctness and the modeled run and compile pins of both engines and
 # the service), the end-to-end tracing smoke, the fault-injection
@@ -19,6 +21,7 @@ test:
 	$(PYTHON) -m pytest -q
 
 verify: test perfbench
+	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 	$(PYTHON) -m repro.bench trace --smoke
 	$(PYTHON) -m repro.bench faults --smoke
 	$(PYTHON) -m repro.bench micro --smoke

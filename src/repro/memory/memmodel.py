@@ -17,6 +17,7 @@ import struct
 from typing import Dict, Optional, Tuple, Union
 
 from repro.memory.addrspace import (
+    ADDRSPACE_SHIFT,
     AddressSpace,
     make_pointer,
     pointer_offset,
@@ -269,7 +270,13 @@ class MemorySystem:
         return make_pointer(AddressSpace.SHARED, offset)
 
     def _resolve(self, ptr: int, team: int, thread: int) -> Tuple[Segment, int]:
-        space = pointer_space(ptr)
+        try:
+            space = pointer_space(ptr)
+        except ValueError:  # a tag (2, negative, or too large) no space has
+            raise MemoryError_(
+                f"pointer {ptr:#x} has tag {ptr >> ADDRSPACE_SHIFT}, "
+                f"which names no address space"
+            ) from None
         offset = pointer_offset(ptr)
         if offset == 0:
             raise MemoryError_(f"null {space.short_name} pointer dereference")
@@ -279,9 +286,7 @@ class MemorySystem:
             return self.constant_seg, offset
         if space is AddressSpace.SHARED:
             return self.shared_segment(team), offset
-        if space is AddressSpace.LOCAL:
-            return self.local_segment(team, thread), offset
-        raise MemoryError_(f"unmapped address space {space}")  # pragma: no cover
+        return self.local_segment(team, thread), offset
 
     # -- typed access ---------------------------------------------------------------
 

@@ -27,7 +27,12 @@ DecodedFunction`` pass:
   loads, stores, pure intrinsics) and its branch become one generated
   function that executes them inline, with slots, masks, costs and
   branch targets as literals, and retires them in bulk (see "Fused
-  runs" below).  Each simple opcode is defined once, as a row of
+  runs" below).  Fused code is specialised to those literals: loads
+  and stores find their segment with one lookup in the thread's
+  segment table, and a sign extension from a literal width skips its
+  arithmetic for the common non-negative value.  A single-entry cycle
+  of such blocks is one generated ``while`` loop with its registers in
+  locals (a *loop run*).  Each simple opcode is defined once, as a row of
   :data:`_TEMPLATES` shared by both engines: its scalar template
   yields the fused code and the per-op handler here, and the warp
   engine generates its handler from the same row (the scalar template
@@ -228,24 +233,30 @@ def _block_name(vm, frame) -> Optional[str]:
 
 
 def _segment(vm, thread, tag):
-    """Fast segment lookup by pointer tag; None routes to the slow path."""
-    if tag == 1 or tag == 0:
-        return vm.memory.global_seg
-    if tag == 3:
-        seg = thread.shared_seg
-        if seg is None:
-            seg = thread.shared_seg = vm.memory.shared_segment(thread.team_id)
+    """The segment pointer tag *tag* names for *thread*, entered in the
+    thread's segment table (``thread.segs``) on first use; None for a
+    tag that names no segment routes to the slow path, which raises the
+    memory system's own error.  The only resolver: the load and store
+    templates look the table up inline and call this on a miss."""
+    seg = thread.segs.get(tag)
+    if seg is not None:
         return seg
-    if tag == 5:
+    if tag == 1 or tag == 0:
+        seg = vm.memory.global_seg
+    elif tag == 3:
+        seg = vm.memory.shared_segment(thread.team_id)
+    elif tag == 5:
         seg = thread.local_seg
         if seg is None:
             seg = thread.local_seg = vm.memory.local_segment(
                 thread.team_id, thread.thread_id
             )
-        return seg
-    if tag == 4:
-        return vm.memory.constant_seg
-    return None
+    elif tag == 4:
+        seg = vm.memory.constant_seg
+    else:
+        return None
+    thread.segs[tag] = seg
+    return seg
 
 
 # ===================================================================
@@ -289,33 +300,41 @@ def _segment(vm, thread, tag):
 # a struct pack/unpack, ``V`` a folded intrinsic result, ``F`` a math
 # function and ``P`` its result coercion.  Memory templates have no
 # ``C``: they leave their cost in ``k``.  Scalar templates may read
-# ``vm``, ``thread``, the registers ``r`` and the stats ``st``, and use
-# the temporaries x, y, tag, off, seg, k; vector templates x, y, z.
+# ``vm``, ``thread``, the registers ``r``, the stats ``st`` and the
+# thread's segment table ``segs``, and use the temporaries x, y, tag,
+# off, seg, k and sv; vector templates x, y, z.
 # ===================================================================
 
 
 def _sx(v: str) -> str:
-    """Template text reading *v* as signed under field ``S`` (the
-    branch-free form of :meth:`IntType.to_signed`)."""
-    return f"((({v} + {{S.half}}) & {{S.mask}}) - {{S.half}})"
+    """Template text reading *v* as signed under field ``S``: the
+    format spec of ``{S:...}`` is *v*.  Per-op handlers and warp render
+    the branch-free form of :meth:`IntType.to_signed` (:class:`_Src`);
+    fused code, where the width is a literal, renders a range test that
+    skips the arithmetic for the common non-negative value
+    (:class:`_Lit`)."""
+    return f"{{S:{v}}}"
 
 
 def _mem(access: str, fast: str, fallback: str) -> str:
-    """Template for a load/store: fast path on the thread's cached
-    segment; null, unmapped and out-of-bounds pointers take the memory
-    system's slow path, so errors are the memory system's own.  A cost
-    of None (space missing from the cost table) or 0 defers to the cost
-    model, which raises its KeyError or returns the same 0."""
+    """Template for a load/store: fast path on the segment the thread's
+    segment table holds for the pointer's tag (:func:`_segment` fills
+    it on a miss); null, unmapped and out-of-bounds pointers take the
+    memory system's slow path, so errors are the memory system's own;
+    a tag that names no segment never reaches the per-tag count (the
+    slow path raises first, and a negative tag must not index).  A cost of None
+    (space missing from the cost table) or 0 defers to the cost model,
+    which raises its KeyError or returns the same 0."""
     return (
         "x = {p}\n"
         "tag = x >> 48\n"
         f"off = x & {OFFSET_MASK}\n"
-        "seg = _segment(vm, thread, tag)\n"
+        "seg = segs.get(tag) or _segment(vm, thread, tag)\n"
         "if seg is None or off == 0 or off + {N} > len(seg.data):\n"
         f"    {fallback}\n"
         "else:\n"
         f"    {fast}\n"
-        f"st.{access}s_by_space[_SPACE_BY_TAG[tag]] += 1\n"
+        f"st.{access}_tags[tag] += 1\n"
         f"k = {{K}}[tag] or vm.cost.{access}_cost(_SPACE_BY_TAG[tag])"
     )
 
@@ -491,7 +510,9 @@ class _Spec:
 
 class _Src:
     """Format proxy rendering as source text; attributes extend it
-    (``{T.mask}`` on ``_Src('op[6]')`` renders ``op[6].mask``)."""
+    (``{T.mask}`` on ``_Src('op[6]')`` renders ``op[6].mask``), and a
+    format spec *v* (``{S:v}``, see :func:`_sx`) renders *v* read as
+    signed under this IntType, branch-free."""
 
     __slots__ = ("text",)
 
@@ -499,6 +520,9 @@ class _Src:
         self.text = text
 
     def __format__(self, spec: str) -> str:
+        if spec:
+            t = self.text
+            return f"((({spec} + {t}.half) & {t}.mask) - {t}.half)"
         return self.text
 
     def __getattr__(self, name: str) -> "_Src":
@@ -512,8 +536,8 @@ def _per_op_source(name: str, spec: _Spec) -> str:
         lambda i, _: _Src(f"op[{i}]"),
     )
     lines = [f"def _h_{name}(vm, thread, frame, op):", "    r = frame.regs"]
-    if "st." in body:
-        lines.append("    st = thread.stats")
+    if spec.cost is None:  # loads and stores
+        lines += ["    st = thread.stats", "    segs = thread.segs"]
     lines += ["    " + line for line in body.splitlines()]
     if spec.flop:  # only once the op succeeds, like a fused run
         lines.append("    thread.stats.flops += 1")
@@ -553,15 +577,37 @@ _SIMPLE: Dict[Callable, _Spec] = {
 # the branch target (or to the op after the run).  A block without
 # calls is thus one dispatch.  Entry is only ever at the run's first
 # op: branch targets are block starts and calls return to the op after
-# the call, where the next run starts.
+# the call, where the next run starts.  Fused code is specialised to
+# the literals it is rendered with: a load or store finds its segment
+# with one lookup in the thread's segment table, and a sign extension
+# from a literal width tests the value's range before doing any
+# arithmetic (see :func:`_sx`).
+#
+# Loop runs go one level up.  Each strongly connected set of
+# *whole-block* runs (runs that include their terminator) with a single
+# entry block, of at most ``_MAX_LOOP_BLOCKS`` blocks and
+# ``_MAX_LOOP_OPS`` ops, becomes one generated function
+# ``loop(vm, thread, frame, budget) -> (steps, cycles)``: a ``while``
+# over its blocks in which every register slot the loop touches is a
+# local (``r12``), loaded on entry, with the written ones stored back
+# on every exit, and phi moves are local tuple assignments.  Each block
+# first checks the step budget and leaves before a block that would
+# cross it, so the run loop executes that block per op.  Hit counters
+# per block are locals, folded into ``TeamStats.run_hits`` on exit
+# under each block's own :class:`_RunCounts`.  A set that fails the
+# tests is searched again without its entry blocks, for inner loops.
+# The loop entry replaces the header block's run entry and reads like
+# it (its count, stop pc and first op are the header block's), so the
+# run loop's budget test and per-op fallback need nothing new.
 #
 # A run counts nothing per op.  Its opcode histogram and flop count are
 # static (a :class:`_RunCounts`, the entry's last field); the run loop
 # retires the run's steps at once and bumps one hit per executed run in
 # ``TeamStats.run_hits``, and ``TeamStats.settle`` folds hits x counts
 # into ``opcode_counts`` and ``flops`` when the team ends, by an
-# exception too.  Loads and stores still count their address space
-# inline: that depends on the pointer.
+# exception too.  Loads and stores still count their pointer's tag
+# inline, into ``TeamStats.load_tags``/``store_tags``, which ``settle``
+# folds into the counts by address space.
 #
 # Code is generated lazily, on a function's first decoded execution
 # (never for warp launches), and bound once per process: the cache is
@@ -575,7 +621,8 @@ _SIMPLE: Dict[Callable, _Spec] = {
 # constants only, never over a device, and IR constants live in
 # registers, not in the code.  Only the first device to meet a run
 # renders its source (literals inline, every other constant a closure
-# argument of the factory) and compiles it.
+# argument of the factory) and compiles it.  A loop is keyed and
+# shared the same way, by its block starts and its blocks' ops.
 # ===================================================================
 
 
@@ -583,11 +630,15 @@ _SIMPLE: Dict[Callable, _Spec] = {
 #: parser's transient memory grows with the source.
 _MAX_RUN = 64
 
-#: ``(stop, run_ops)`` -> (the bound run function, the source line on
-#: which each simple op's code starts, the run's :class:`_RunCounts`).
-#: Bounded, oldest entry first out: a long-lived service sees ever new
-#: programs, while all 24 app x build cells together need 707 runs.
-_FUSED_MAKERS: Dict[tuple, Tuple[Callable, Tuple[int, ...], _RunCounts]] = {}
+#: The most blocks and ops one loop run covers, for the same reason.
+_MAX_LOOP_BLOCKS = 16
+_MAX_LOOP_OPS = 512
+
+#: Content key -> bound code of a run (:func:`_compile_run`) or a loop
+#: (:func:`_compile_loop`).  Bounded, oldest entry first out: a
+#: long-lived service sees ever new programs, while all 24 app x build
+#: cells together need 681 runs and 27 loops.
+_FUSED_MAKERS: Dict[tuple, tuple] = {}
 _FUSED_CACHE_SIZE = 4096
 
 _LITERALS = (int, type(None))
@@ -606,7 +657,11 @@ class _RunCounts:
 
 class _Lit:
     """Format proxy for fused runs: ints, None and tuples of them render
-    as literals; anything else as a closure name from *names*."""
+    as literals; anything else as a closure name from *names*.  A format
+    spec *v* on an IntType (``{S:v}``, see :func:`_sx`) renders *v* read
+    as signed, exact for every value: ``v`` itself when ``0 <= v <
+    half`` (never for i1, whose half is 0), else the branch-free
+    arithmetic."""
 
     __slots__ = ("value", "names")
 
@@ -616,6 +671,11 @@ class _Lit:
 
     def __format__(self, spec: str) -> str:
         v = self.value
+        if spec:
+            h, m = v.half, v.mask
+            # an operand that is a call (``int(r[3])``) is evaluated once
+            x, bind = ("sv", f"(sv := {spec})") if "(" in spec else (spec, spec)
+            return f"({x} if 0 <= {bind} < {h} else ((({x} + {h}) & {m}) - {h}))"
         if type(v) in _LITERALS or (
             type(v) is tuple and all(type(e) in _LITERALS for e in v)
         ):
@@ -631,31 +691,121 @@ def _fuse(code: DecodedFunction) -> List[tuple]:
     ``code.ops`` with each run's first op replaced by the run entry
     ``(None, n, run_fn, stop_pc, first_op, op_first_lines, counts)``, where
     *stop_pc* is the pc at which the run's simple ops end (its
-    terminator, or the op after the run)."""
+    terminator, or the op after the run), and each loop's header by the
+    loop entry ``(None, n, loop_fn, stop_pc, first_op, blocks, None)``:
+    n, *stop_pc* and *first_op* of the header block's run, and *blocks*
+    what :func:`_unwind_run` needs of each block, in the order of the
+    loop's hit counters ``h0, h1, ...``: ``(start pc, the line on which
+    each simple op's code starts, its _RunCounts)``."""
     ops = code.ops
     fused = list(ops)
+    starts = set(code.block_starts[0])
+    runs = []
+    blocks: Dict[int, int] = {}  # whole-block runs: start pc -> end pc
     start = 0
     for pc, op in enumerate(ops):  # every block ends in a terminator
         if op[0] in _SIMPLE:
             continue
         end = pc + 1 if op[0] in _TERMINATORS else pc
-        for a in range(start, end, _MAX_RUN):
-            b = min(end, a + _MAX_RUN)
-            fused[a] = _compile_run(tuple(ops[a:b]), min(b, pc))
+        if end > pc and start in starts and end - start <= _MAX_RUN:
+            blocks[start] = end
+        runs += [(a, min(end, a + _MAX_RUN), pc) for a in range(start, end, _MAX_RUN)]
         start = pc + 1
+    for header, others in _loops(code, blocks):
+        loop_starts = (header, *others)
+        fused[header] = _compile_loop(
+            loop_starts, tuple(tuple(ops[s:blocks[s]]) for s in loop_starts))
+    for a, b, pc in runs:
+        if fused[a] is ops[a]:  # not a loop header
+            fused[a] = _compile_run(tuple(ops[a:b]), min(b, pc))
     code.fused = fused
     return fused
 
 
-def _edge(target: int, moves, indent: str) -> List[str]:
-    """Source lines taking one CFG edge: its phi moves as one parallel
-    copy, then the jump."""
-    lines = []
-    if moves:
-        dests = ", ".join(f"r[{d}]" for d, _ in moves)
-        srcs = ", ".join(f"r[{s}]" for _, s in moves)
-        lines.append(f"{indent}{dests} = {srcs}")
-    return lines + [f"{indent}frame.pc = {target}"]
+def _loops(code: DecodedFunction, blocks: Dict[int, int]) -> List[Tuple[int, List[int]]]:
+    """``(header, other block starts)`` of each loop run of *code*: a
+    strongly connected set of the whole-block runs *blocks* (start pc
+    -> end pc) with a single entry block, within the caps.  A set that
+    fails is searched again without its entry blocks."""
+    ops = code.ops
+    pcs = code.block_starts[0]
+    preds: Dict[int, List[int]] = {code.entry_pc: [-1]}  # -1: the caller
+    succ: Dict[int, List[int]] = {}
+    for start, end in zip(pcs, pcs[1:] + (len(ops),)):
+        term = ops[end - 1]
+        if term[0] in _TERMINATORS:
+            targets = [t for t, _ in _TERMINATORS[term[0]][0](term)]
+            for t in targets:
+                preds.setdefault(t, []).append(start)
+            if start in blocks:
+                succ[start] = targets
+    found = []
+    todo = [set(blocks)]
+    while todo:
+        for scc in _sccs(todo.pop(), succ):
+            if len(scc) == 1 and scc[0] not in succ[scc[0]]:
+                continue  # no cycle
+            members = set(scc)
+            entries = {b for b in scc if any(p not in members for p in preds[b])}
+            if (len(entries) == 1 and len(scc) <= _MAX_LOOP_BLOCKS
+                    and sum(blocks[b] - b for b in scc) <= _MAX_LOOP_OPS):
+                found.append((min(entries), sorted(members - entries)))
+            elif entries:
+                todo.append(members - entries)
+    return found
+
+
+def _sccs(nodes: set, succ: Dict[int, List[int]]) -> List[List[int]]:
+    """Strongly connected components of the graph *succ* restricted to
+    *nodes* (Tarjan's algorithm, iterative)."""
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+    on_stack = set()
+    out = []
+    for root in sorted(nodes):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in nodes:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    i = stack.index(v)
+                    out.append(stack[i:])
+                    on_stack.difference_update(stack[i:])
+                    del stack[i:]
+    return out
+
+
+def _cached(key: tuple, make: Callable[[], tuple]) -> tuple:
+    """The bound code cached under the content *key*, made by *make* on
+    a miss: then the oldest entry goes if the cache is full."""
+    cached = _FUSED_MAKERS.get(key)
+    if cached is None:
+        cached = make()
+        if len(_FUSED_MAKERS) >= _FUSED_CACHE_SIZE:
+            del _FUSED_MAKERS[next(iter(_FUSED_MAKERS))]
+        _FUSED_MAKERS[key] = cached
+    return cached
 
 
 def _compile_run(run_ops: Tuple[tuple, ...], stop: int) -> tuple:
@@ -666,15 +816,83 @@ def _compile_run(run_ops: Tuple[tuple, ...], stop: int) -> tuple:
     rendered or compiled.  Runs compile one by one: compiling a whole
     function's runs as one source costs tens of MB of transient parser
     memory on the larger apps."""
-    key = (stop, run_ops)
-    cached = _FUSED_MAKERS.get(key)
-    if cached is None:
-        cached = _bind_run(run_ops)
-        if len(_FUSED_MAKERS) >= _FUSED_CACHE_SIZE:
-            del _FUSED_MAKERS[next(iter(_FUSED_MAKERS))]
-        _FUSED_MAKERS[key] = cached
-    run, first, run_counts = cached
+    run, first, run_counts = _cached((stop, run_ops), lambda: _bind_run(run_ops))
     return (None, len(run_ops), run, stop, run_ops[0], first, run_counts)
+
+
+def _compile_loop(starts: Tuple[int, ...], blocks: Tuple[Tuple[tuple, ...], ...]) -> tuple:
+    """Generate, compile and bind one loop run — the blocks starting at
+    *starts*, header first, with their ops *blocks* — once per process
+    per content (the key ``(starts, blocks)``): its ``_fuse`` entry."""
+    loop, info = _cached((starts, blocks), lambda: _bind_loop(starts, blocks))
+    head = blocks[0]
+    return (None, len(head), loop, starts[0] + len(head) - 1, head[0], info, None)
+
+
+def _touches_memory(ops: Tuple[tuple, ...]) -> bool:
+    """Whether *ops* hold a load or store (templates without a cost)."""
+    return any(op[0] in _SIMPLE and _SIMPLE[op[0]].cost is None for op in ops)
+
+
+def _render_block(ops: Tuple[tuple, ...], reg: Callable, names: Dict, indent: str,
+                  lines: List[str]) -> tuple:
+    """Append to *lines* the inline code of the simple ops of the run
+    *ops*, registers rendered by *reg*: ``(the line on which each simple
+    op's code starts, the static cycles of *ops*, their _RunCounts, the
+    terminator or None)``."""
+    first = []
+    static = flops = 0
+    counts: Dict[str, int] = {}
+    const = lambda i, value: _Lit(value, names)
+    term = None
+    for op in ops:
+        counts[op[1]] = counts.get(op[1], 0) + 1
+        spec = _SIMPLE.get(op[0])
+        if spec is None:  # the block's terminator, always last
+            term = op
+            static += op[_TERMINATORS[op[0]][1]]
+            break
+        first.append(len(lines) + 1)
+        lines += [indent + s for s in spec.render(op, reg, const).splitlines()]
+        if spec.cost is None:
+            lines.append(indent + "c += k")
+        else:
+            static += op[spec.cost]
+        flops += spec.flop
+    return tuple(first), static, _RunCounts(tuple(counts.items()), flops), term
+
+
+def _branch(term: tuple, reg: Callable, indent: str, jump: Callable) -> List[str]:
+    """Source lines of the terminator *term*: the taken edge's phi moves
+    as one parallel copy, then the lines ``jump(target)``."""
+    edges = _TERMINATORS[term[0]][0](term)
+    if len(edges) == 1:
+        return _edge(*edges[0], reg, indent, jump)
+    (t, t_moves), (f, f_moves) = edges
+    inner = indent + "    "
+    return ([f"{indent}if {reg(3, term[3])}:"] + _edge(t, t_moves, reg, inner, jump)
+            + [f"{indent}else:"] + _edge(f, f_moves, reg, inner, jump))
+
+
+def _edge(target: int, moves, reg: Callable, indent: str, jump: Callable) -> List[str]:
+    """Source lines taking one CFG edge: its phi moves as one parallel
+    copy, then the jump."""
+    lines = []
+    if moves:
+        dests = ", ".join(reg(0, d) for d, _ in moves)
+        srcs = ", ".join(reg(0, s) for _, s in moves)
+        lines.append(f"{indent}{dests} = {srcs}")
+    return lines + [indent + s for s in jump(target)]
+
+
+def _define(lines: List[str], names: Dict):
+    """Compile the factory whose body is *lines* (``lines[0]`` is left
+    for its def line) and call it on the closure constants *names*."""
+    lines[0] = f"def _make({', '.join(names.values())}):"
+    ns: Dict = {}
+    exec(compile("\n".join(lines), "<repro.vgpu.decode fused run>", "exec"),
+         globals(), ns)
+    return ns["_make"](*names)
 
 
 def _bind_run(run_ops: Tuple[tuple, ...]) -> tuple:
@@ -682,70 +900,111 @@ def _bind_run(run_ops: Tuple[tuple, ...]) -> tuple:
     counts)``."""
     names: Dict = {}
     lines = [None, "    def run(vm, thread, frame):", "        r = frame.regs"]
-    if any("st." in _SIMPLE[op[0]].template for op in run_ops if op[0] in _SIMPLE):
-        lines.append("        st = thread.stats")  # loads/stores count by space
+    if _touches_memory(run_ops):
+        lines += ["        st = thread.stats", "        segs = thread.segs"]
     lines.append("        c = 0")
-    first = []
-    static = flops = 0
-    counts: Dict[str, int] = {}
     reg = lambda i, slot: f"r[{slot}]"
-    const = lambda i, value: _Lit(value, names)
-    for op in run_ops:
-        counts[op[1]] = counts.get(op[1], 0) + 1
-        spec = _SIMPLE.get(op[0])
-        if spec is None:  # the block's terminator, always last
-            edges, cost = _TERMINATORS[op[0]]
-            static += op[cost]
-            branches = edges(op)
-            if len(branches) == 1:
-                lines += _edge(*branches[0], "        ")
-            else:
-                (t, t_moves), (f, f_moves) = branches
-                lines.append(f"        if r[{op[3]}]:")
-                lines += _edge(t, t_moves, "            ")
-                lines.append("        else:")
-                lines += _edge(f, f_moves, "            ")
-            break
-        first.append(len(lines) + 1)
-        lines += ["        " + s for s in spec.render(op, reg, const).splitlines()]
-        if spec.cost is None:
-            lines.append("        c += k")
-        else:
-            static += op[spec.cost]
-        flops += spec.flop
-    else:
+    first, static, counts, term = _render_block(run_ops, reg, names, "        ", lines)
+    if term is None:
         lines.append(f"        frame.pc = {run_ops[-1][2]}")
-    lines.append(f"        return c + {static}")
-    lines.append("    return run")
-    lines[0] = f"def _make({', '.join(names.values())}):"
-    ns: Dict = {}
-    exec(compile("\n".join(lines), "<repro.vgpu.decode fused run>", "exec"),
-         globals(), ns)
-    return (ns["_make"](*names), tuple(first),
-            _RunCounts(tuple(counts.items()), flops))
+    else:
+        lines += _branch(term, reg, "        ", lambda t: [f"frame.pc = {t}"])
+    lines += [f"        return c + {static}", "    return run"]
+    return _define(lines, names), first, counts
+
+
+def _bind_loop(starts: Tuple[int, ...], blocks: Tuple[Tuple[tuple, ...], ...]) -> tuple:
+    """Render and compile the loop run over *blocks* (see "Loop runs"
+    above): ``(loop function, (start, first lines, counts) per
+    block)``."""
+    read, written = set(), set()
+    for ops in blocks:
+        *simple, term = ops
+        for op in simple:
+            for i, f in enumerate(_SIMPLE[op[0]].fields, 3):
+                if f.islower():
+                    (written if f == "d" else read).add(op[i])
+        edges = _TERMINATORS[term[0]][0](term)
+        if len(edges) == 2:
+            read.add(term[3])
+        for _, moves in edges:
+            written.update(d for d, _ in moves)
+            read.update(s for _, s in moves)
+    names: Dict = {}
+    reg = lambda i, slot: f"r{slot}"
+    lines = [None, "    def loop(vm, thread, frame, budget):", "        r = frame.regs",
+             "        st = thread.stats"]
+    if any(_touches_memory(ops) for ops in blocks):
+        lines.append("        segs = thread.segs")
+    lines += [f"        r{s} = r[{s}]" for s in sorted(read | written)]
+    hits = [f"h{i}" for i in range(len(blocks))]
+    lines += [f"        s = c = {' = '.join(hits)} = 0", f"        pc = {starts[0]}",
+              "        while True:"]
+    inside = set(starts)
+    single = len(blocks) == 1
+
+    def jump(target):
+        if target not in inside:
+            return [f"pc = {target}", "break"]
+        return ["continue"] if single else [f"pc = {target}"]
+
+    info = []
+    for i, (start, ops) in enumerate(zip(starts, blocks)):
+        indent = "            "
+        if not single:
+            test = "else" if i == len(blocks) - 1 else f"{'el' if i else ''}if pc == {start}"
+            lines.append(f"{indent}{test}:")
+            indent += "    "
+        lines += [f"{indent}if s + {len(ops)} > budget:", f"{indent}    break"]
+        first, static, counts, term = _render_block(ops, reg, names, indent, lines)
+        lines += [f"{indent}c += {static}", f"{indent}s += {len(ops)}",
+                  f"{indent}h{i} += 1"]
+        lines += _branch(term, reg, indent, jump)
+        info.append((start, first, counts))
+    lines += [f"        r[{s}] = r{s}" for s in sorted(written)]
+    lines += ["        frame.pc = pc", "        hits = st.run_hits"]
+    for i, (_, _, counts) in enumerate(info):
+        k = format(_Lit(counts, names))
+        lines += [f"        if h{i}:", f"            hits[{k}] = hits.get({k}, 0) + h{i}"]
+    lines += ["        return s, c", "    return loop"]
+    return _define(lines, names), tuple(info)
 
 
 def _unwind_run(vm, thread, frame, exc: BaseException) -> Tuple[int, int]:
-    """``(steps, cycles)`` a fault inside a fused run leaves behind.
+    """``(steps, cycles)`` a fault inside a fused run or loop leaves
+    behind.
 
     Per-op execution would have retired and counted every op up to and
     including the faulting one, counted the flops and charged the
     cycles of the ops before it and left ``frame.pc`` on it.  Only
     simple ops fault (a run's terminator cannot), and the faulting op is
     recovered from the line number of the run's frame in the traceback,
-    so the hot path pays nothing for this.  Returns ``(0, 0)`` when
-    *exc* did not come from a fused run."""
-    run = frame.ops[frame.pc]
-    if run[0] is not None:
+    so the hot path pays nothing for this.  A loop's frame also gives
+    the block it was in (``pc``), the steps and cycles of the blocks it
+    completed (``s``, ``c``) and their hits, folded in here.  Returns
+    ``(0, 0)`` when *exc* did not come from fused code."""
+    entry = frame.ops[frame.pc]
+    if entry[0] is not None:
         return 0, 0
     tb = exc.__traceback__
-    while tb is not None and tb.tb_frame.f_code is not run[2].__code__:
+    while tb is not None and tb.tb_frame.f_code is not entry[2].__code__:
         tb = tb.tb_next
     if tb is None:  # raised by the per-op fallback through this run
         return 0, 0
-    k = bisect_right(run[5], tb.tb_lineno) - 1
-    cycles = tb.tb_frame.f_locals["c"]
+    local = tb.tb_frame.f_locals
+    cycles = local["c"]
     stats = thread.stats
+    retired, first = 0, entry[5]
+    if entry[6] is None:  # a loop run
+        retired = local["s"]
+        hits = stats.run_hits
+        for i, (_, _, counts) in enumerate(entry[5]):
+            n = local[f"h{i}"]
+            if n:
+                hits[counts] = hits.get(counts, 0) + n
+        frame.pc = local["pc"]
+        first = next(f for start, f, _ in entry[5] if start == frame.pc)
+    k = bisect_right(first, tb.tb_lineno) - 1
     ops = vm._bound_cache[frame.function].code.ops
     for op in ops[frame.pc : frame.pc + k]:
         spec = _SIMPLE[op[0]]
@@ -755,7 +1014,7 @@ def _unwind_run(vm, thread, frame, exc: BaseException) -> Tuple[int, int]:
             cycles += op[spec.cost]
     stats.opcode_counts[ops[frame.pc + k][1]] += 1
     frame.pc += k
-    return k + 1, cycles
+    return retired + k + 1, cycles
 
 
 # -- alloca: (h, "alloca", next, dest, size, align, cost) --
@@ -785,7 +1044,7 @@ def _h_load_slow(vm, thread, frame, op):
     ptr = regs[op[4]]
     tag = ptr >> 48
     regs[op[3]] = vm.memory.load(ptr, op[6], thread.team_id, thread.thread_id)
-    thread.stats.loads_by_space[_SPACE_BY_TAG[tag]] += 1
+    thread.stats.load_tags[tag] += 1
     frame.pc = op[2]
     c = op[7][tag]
     if c is None:
@@ -799,7 +1058,7 @@ def _h_store_slow(vm, thread, frame, op):
     ptr = regs[op[3]]
     tag = ptr >> 48
     vm.memory.store(ptr, regs[op[4]], op[6], thread.team_id, thread.thread_id)
-    thread.stats.stores_by_space[_SPACE_BY_TAG[tag]] += 1
+    thread.stats.store_tags[tag] += 1
     frame.pc = op[2]
     c = op[7][tag]
     if c is None:
@@ -1749,17 +2008,21 @@ def _run(vm, thread: ThreadContext, fn_cycles) -> None:
             ops = frame.ops
             op = ops[frame.pc]
             while op[0] is None:
-                # Fused run entry (see _fuse): one dispatch per block.  A
-                # run never calls, returns or stops at a barrier, so runs
-                # chain here until the next per-op op.  A run executes
-                # per op instead when the step budget ends inside it.
+                # Fused run or loop entry (see _fuse): one dispatch per
+                # block or loop.  Runs never call, return or stop at a
+                # barrier, so they chain here until the next per-op op.
+                # A run (a loop's header block) executes per op instead
+                # when the step budget ends inside it.
                 n = op[1]
                 if steps + n > max_steps:
                     op = op[4]
                     break
-                c = op[2](vm, thread, frame)
                 run = op[6]
-                hits[run] = hits.get(run, 0) + 1
+                if run is None:  # a loop counts its own steps and hits
+                    n, c = op[2](vm, thread, frame, max_steps - steps)
+                else:
+                    c = op[2](vm, thread, frame)
+                    hits[run] = hits.get(run, 0) + 1
                 steps += n
                 cycles += c
                 if fn_cycles is not None:

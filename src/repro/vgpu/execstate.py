@@ -10,7 +10,7 @@ live with the intrinsic registry (:mod:`repro.ir.intrinsics`).
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.ir.instructions import Call
 from repro.ir.intrinsics import MATH_BINARY
@@ -33,9 +33,12 @@ class ThreadContext:
     (warp teams keep their frames inside the warp executors); the team
     driver only looks at ``status``/``phase_cycles`` and is
     engine-agnostic.  ``stats`` points at the owning team's
-    :class:`~repro.vgpu.profiler.TeamStats` accumulator; ``local_seg``
-    and ``shared_seg`` cache the thread's memory segments so the hot
-    paths skip the per-access segment lookup.
+    :class:`~repro.vgpu.profiler.TeamStats` accumulator.  ``segs`` is
+    the thread's segment table: pointer tag -> the memory segment it
+    names for this thread, filled lazily by
+    :func:`repro.vgpu.decode._segment`, so a load or store finds its
+    segment with one inline lookup; ``local_seg`` is the thread's local
+    segment (allocas and the warp engine use it).
     """
 
     __slots__ = (
@@ -50,7 +53,7 @@ class ThreadContext:
         "stats",
         "faults",
         "local_seg",
-        "shared_seg",
+        "segs",
     )
 
     def __init__(self, team_id: int, thread_id: int) -> None:
@@ -67,7 +70,7 @@ class ThreadContext:
         #: TeamFaultState`) or — almost always — None.
         self.faults = None
         self.local_seg = None
-        self.shared_seg = None
+        self.segs: Dict[int, object] = {}
 
     def reset(self, team_id: int) -> None:
         """Recycle this context for another team (allocation reuse)."""
@@ -81,7 +84,7 @@ class ThreadContext:
         self.stats = None
         self.faults = None
         self.local_seg = None
-        self.shared_seg = None
+        self.segs.clear()
 
     @property
     def frame(self):

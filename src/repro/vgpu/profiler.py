@@ -35,6 +35,9 @@ from repro.trace.categories import CATEGORY_NAMES
 #: meaningful.
 NOMINAL_CLOCK_GHZ = 1.41
 
+#: Pointer tags a load or store can count: 0 up to LOCAL.
+_TAGS = max(AddressSpace) + 1
+
 
 @dataclass
 class TeamStats:
@@ -81,18 +84,31 @@ class TeamStats:
     #: run's static counts: ``opcodes`` (``((opcode, n), ...)``) and
     #: ``flops``; :meth:`settle` folds them in.
     run_hits: Dict[Any, int] = field(default_factory=dict)
+    #: Loads and stores of the decoded engine by pointer tag (``ptr >>
+    #: 48``, the address space's number); :meth:`settle` folds them into
+    #: ``loads_by_space``/``stores_by_space``.  An int list indexed by
+    #: the tag costs less per access than a dict keyed by IntEnum.
+    load_tags: List[int] = field(default_factory=lambda: [0] * _TAGS)
+    store_tags: List[int] = field(default_factory=lambda: [0] * _TAGS)
 
     def settle(self) -> None:
         """Fold :attr:`run_hits` x each run's static counts into
-        ``opcode_counts`` and ``flops``.  The team driver calls this
-        when the team ends, also by an exception, so the counters read
-        the same as if every op had been counted as it ran."""
+        ``opcode_counts`` and ``flops``, and the per-tag load and store
+        counts into the counts by address space.  The team driver calls
+        this when the team ends, also by an exception, so the counters
+        read the same as if every op had been counted as it ran."""
         counts = self.opcode_counts
         for run, n in self.run_hits.items():
             for opcode, k in run.opcodes:
                 counts[opcode] += n * k
             self.flops += n * run.flops
         self.run_hits.clear()
+        for tags, by_space in ((self.load_tags, self.loads_by_space),
+                               (self.store_tags, self.stores_by_space)):
+            for tag, n in enumerate(tags):
+                if n:
+                    by_space[AddressSpace(tag)] += n
+                    tags[tag] = 0
 
 
 def _add_nonzero(into: Counter, counts: Dict) -> None:

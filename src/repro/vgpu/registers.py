@@ -114,7 +114,17 @@ def _call_depth(func: Function, cg: CallGraph, seen: frozenset = frozenset()) ->
 def estimate_kernel_registers(kernel: Function, module: Module,
                               cg: Optional[CallGraph] = None) -> int:
     """Estimated register count for one kernel entry point (*cg*, if
-    given, is *module*'s call graph)."""
+    given, is *module*'s call graph).
+
+    Reach follows direct calls only: the peak liveness is taken over
+    the kernel and its transitive direct callees, and ``_call_depth``
+    counts levels of direct calls.  A function reached only through a
+    taken address (an indirect call's target, such as a Nightly build's
+    ``__omp_outlined.*`` body) adds neither its live values nor a call
+    level, by decision: counting it would move the modeled register
+    numbers.  Example: gridmini Old RT (Nightly) is 50 = 8 + 42
+    (``dslash``'s own peak) + 0 levels, although ``dslash`` reaches
+    ``__omp_outlined.dslash`` (peak 35) through its address."""
     if cg is None:
         cg = CallGraph(module)
     reachable = {kernel} | cg.transitive_callees(kernel)

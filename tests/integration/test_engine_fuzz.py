@@ -208,7 +208,9 @@ class _Kernel:
         """A loop of 1-4 data-dependent trips, top-tested (the back edge
         is a br) or bottom-tested (a condbr), carrying three phis of one
         type that swap (x, y = y, x) and take the body's newest value
-        (z); *ops_b* follows the loop."""
+        (z); the body loads an input word that moves with the trip and
+        stores its newest value of the carried type.  *ops_b* follows
+        the loop."""
         b, func = self.b, self.func
         trips = b.add(b.and_(pools.pick(I64, k), b.i64(3)), b.i64(1))
         pre = b.block
@@ -229,7 +231,12 @@ class _Kernel:
         if top_tested:
             b.cond_br(b.icmp("slt", i, trips), func.add_block("body"), after)
             b.set_insert_point(header.terminator.true_target)
+        load_ty = (I8, I16, I32, I64, F32, F64)[k % 6]
+        word = b.add(i, b.i64(k % 8))
+        body.add(b.load(load_ty, b.ptradd(self.buf, b.mul(word, b.i64(8)))))
         self.emit(ops_a, body)
+        if self.stores < OUT_WORDS:
+            self.store(body.by_type[ty][-1])
         ni = b.add(i, b.i64(1))
         x, y, z = carried
         moves = ((i, ni), (x, y), (y, x), (z, body.by_type[ty][-1]))
@@ -243,6 +250,28 @@ class _Kernel:
         b.set_insert_point(after)
         for v in carried:
             pools.add(v)
+        self.emit(ops_b, pools)
+
+    def nest(self, pools, ops_a, ops_b, k):
+        """A bottom-tested outer loop of 1-2 data-dependent trips whose
+        body is a loop region (:meth:`loop`, running *ops_a*); *ops_b*
+        follows the nest."""
+        b, func = self.b, self.func
+        trips = b.add(b.and_(pools.pick(I64, k + 1), b.i64(1)), b.i64(1))
+        pre = b.block
+        header = func.add_block("outer")
+        b.br(header)
+        b.set_insert_point(header)
+        i = b.phi(I64, "o")
+        i.add_incoming(b.i64(0), pre)
+        body = pools.copy()
+        body.add(i)
+        self.loop(body, ops_a, [], k)
+        ni = b.add(i, b.i64(1))
+        i.add_incoming(ni, b.block)
+        after = func.add_block("after")
+        b.cond_br(b.icmp("slt", ni, trips), header, after)
+        b.set_insert_point(after)
         self.emit(ops_b, pools)
 
     def exit(self, pools, ops_a, ops_b, k):
@@ -280,7 +309,7 @@ def _build(ops):
     return kernel.finish(kernel.pools)
 
 
-SHAPES = ("diamond", "loop", "exit")
+SHAPES = ("diamond", "loop", "nest", "exit")
 
 
 def _cfg_recipe(rnd, n):
@@ -364,7 +393,8 @@ def test_cfg_kernels_agree_across_engines(seed, rnd, n):
 
 def test_cfg_generator_reaches_every_shape():
     """Fixed recipes cover diamonds, both loop forms (with swapping
-    phis on a br and on a condbr back edge) and early exits."""
+    phis on a br and on a condbr back edge, and a load and a store in
+    the body), loop nests and early exits."""
     from random import Random
 
     rnd = Random(0)
@@ -377,6 +407,17 @@ def test_cfg_generator_reaches_every_shape():
                   and any(s.name.startswith("loop") for s in b.successors())]
     assert {type(b.terminator).__name__ for b in back_edges} == {"Br", "CondBr"}
     assert sum(b.name.startswith("early") for b in func.blocks) == 2
+    loop_bodies = [b for b in func.blocks if b.name.startswith(("loop", "body"))]
+    for opcode in ("load", "store"):
+        assert all(any(inst.opcode == opcode for inst in b.instructions)
+                   for b in loop_bodies if b in back_edges)
+    # Each nest's outer back edge closes over an inner loop's header.
+    outers = [b for b in func.blocks if b.name.startswith("outer")]
+    assert len(outers) == 2
+    for outer in outers:
+        preds = [b for b in func.blocks if outer in b.successors()]
+        assert sorted(type(b.terminator).__name__ for b in preds) == ["Br", "CondBr"]
+        assert outer.successors()[0].name.startswith("loop")
     assert sum(len(b.phis()) for b in func.blocks if b.name.startswith("join")) == 14
 
 

@@ -239,6 +239,24 @@ class TestIEEEResults:
         assert all(b["failures"] == 0 for b in health["breakers"].values())
 
 
+class TestBadPointerTag:
+    def test_is_a_program_fault_not_an_internal_error(self):
+        """A load through a pointer whose tag names no address space is
+        the program's fault: served, it fails on the first attempt
+        without a retry and leaves every breaker uncharged."""
+        from tests.vgpu.test_errors_unified import bad_tag_module
+
+        with SimulationService(workers=1) as svc:
+            served = svc.run(LaunchSpec(kernel="kern", args=((9 << 48) | 16, 5)),
+                             module=bad_tag_module("load"))
+            health = svc.health()
+        assert not served.ok
+        assert served.retried is False
+        assert served.report.error_type == "MemoryError_"
+        assert "has tag 9, which names no address space" in served.report.message
+        assert svc.stats.to_dict()["internal_errors"] == 0
+        assert all(b["failures"] == 0 for b in health["breakers"].values())
+
 class TestTraceParity:
     @staticmethod
     def _device_timeline(collector):

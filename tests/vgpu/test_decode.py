@@ -457,13 +457,19 @@ class TestFusedRuns:
     @pytest.mark.parametrize("app_name", ["gridmini", "minifmm", "rsbench",
                                           "testsnap", "xsbench"])
     def test_second_cache_hit_copy_binds_the_same_runs(self, app_name, monkeypatch):
-        """Fused runs are bound once per content: a device on a second
-        fresh cache-hit copy of a module renders and compiles nothing
-        and runs the very run functions the first device bound."""
+        """Fused runs and loops are bound once per content: a device on
+        a second fresh cache-hit copy of a module renders and compiles
+        nothing, no loop included, and runs the very run and loop
+        functions the first device bound."""
         from repro.bench.builds import NEW_RT_NIGHTLY
 
         compile_cell(app_name, NEW_RT_NIGHTLY)  # a miss, if the first
         monkeypatch.setattr(D, "_FUSED_MAKERS", {})
+        bind_loop = D._bind_loop
+
+        def spy_bind_loop(*args):
+            calls.append("loop")
+            return bind_loop(*args)
 
         def run_functions(module):
             gpu = VirtualGPU(module, engine="decoded")
@@ -471,9 +477,14 @@ class TestFusedRuns:
                     for op in D._frame_ops(gpu, D.bind_function(gpu, func).code)
                     if op[0] is None]
 
+        calls = []
+        monkeypatch.setattr(D, "_bind_loop", spy_bind_loop)
+
         first_module = compile_cell(app_name, NEW_RT_NIGHTLY).module
         first = run_functions(first_module)
-        calls = []
+        assert calls.count("loop") == (0 if app_name == "gridmini" else
+                                       1 if app_name == "minifmm" else 4)
+        calls.clear()
         render = D._Spec.render
 
         def spy_render(self, *args, **kwargs):
@@ -707,6 +718,228 @@ class TestBlockRuns:
         assert name == "body" and code.ops[body + index + 1][1] == "condbr"
         assert fused["flops"] == 1  # the fmul; a faulting sqrt counts none
 
+
+
+# ---------------------------------------------------------------------------
+# Loop runs: a single-entry cycle of block runs is one generated while
+# loop with its registers in locals.
+# ---------------------------------------------------------------------------
+
+
+def loop_fault_module(latch):
+    """kern(out, n, d, k): for i in range(n), load from ``out + (i <<
+    k)``, store ``(acc + x) / (i - d)`` to out[1] and carry ``acc + 2.5
+    * i`` (a flop) into the next trip.  sdiv faults in trip d + 1, and
+    the load in trip 2 when ``1 << k`` is out of bounds.  With *latch*
+    "condbr" the loop is one bottom-tested block, with "brn" a header
+    and a body."""
+    module = Module("m")
+    func, b = make_kernel(module, params=(PTR_GLOBAL, I64, I64, I64),
+                          arg_names=["out", "n", "d", "k"])
+    out, n, d, k = func.args
+    entry = b.block
+    loop = func.add_block("loop")
+    exit_ = func.add_block("exit")
+    b.br(loop)
+    b.set_insert_point(loop)
+    i, acc = b.phi(I64, "i"), b.phi(I64, "acc")
+    i.add_incoming(b.i64(0), entry)
+    acc.add_incoming(b.i64(1), entry)
+    if latch == "brn":
+        b.cond_br(b.icmp("slt", i, n), func.add_block("body"), exit_)
+        b.set_insert_point(loop.terminator.true_target)
+    x = b.load(I64, b.ptradd(out, b.shl(i, k)))
+    b.store(b.sdiv(b.add(acc, x), b.sub(i, d)), b.ptradd(out, b.i64(8)))
+    nacc = b.add(acc, b.fptosi(b.fmul(b.sitofp(i), 2.5)))
+    ni = b.add(i, b.i64(1))
+    if latch == "condbr":
+        b.cond_br(b.icmp("slt", ni, n), loop, exit_)
+    else:
+        b.br(loop)
+    i.add_incoming(ni, b.block)
+    acc.add_incoming(nacc, b.block)
+    b.set_insert_point(exit_)
+    b.ret()
+    verify_module(module)
+    return module
+
+
+def _loop_entries(gpu, module):
+    """The loop entries of @kern's fused op list."""
+    code = D.bind_function(gpu, module.get_function("kern")).code
+    return [op for op in D._frame_ops(gpu, code) if op[0] is None and op[6] is None]
+
+
+def nested_loop_module():
+    """kern(out, n): for i in range(n): for j in range(i): acc += i * j
+    (an inner loop of two blocks inside an outer one), out[0] = acc."""
+    module = Module("m")
+    func, b = make_kernel(module, params=(PTR_GLOBAL, I64), arg_names=["out", "n"])
+    out, n = func.args
+    entry = b.block
+    outer, inner, inner_body, latch, exit_ = (
+        func.add_block(name) for name in ("outer", "inner", "ibody", "latch", "exit"))
+    b.br(outer)
+    b.set_insert_point(outer)
+    i, acc = b.phi(I64, "i"), b.phi(I64, "acc")
+    b.cond_br(b.icmp("slt", i, n), inner, exit_)
+    b.set_insert_point(inner)
+    j, iacc = b.phi(I64, "j"), b.phi(I64, "iacc")
+    b.cond_br(b.icmp("slt", j, i), inner_body, latch)
+    b.set_insert_point(inner_body)
+    nj, niacc = b.add(j, b.i64(1)), b.add(iacc, b.mul(i, j))
+    b.br(inner)
+    b.set_insert_point(latch)
+    ni = b.add(i, b.i64(1))
+    b.br(outer)
+    for phi, pairs in ((i, ((b.i64(0), entry), (ni, latch))),
+                       (acc, ((b.i64(0), entry), (iacc, latch))),
+                       (j, ((b.i64(0), outer), (nj, inner_body))),
+                       (iacc, ((acc, outer), (niacc, inner_body)))):
+        for value, pred in pairs:
+            phi.add_incoming(value, pred)
+    b.set_insert_point(exit_)
+    b.store(acc, out)
+    b.ret()
+    verify_module(module)
+    return module
+
+
+class TestLoopRuns:
+    @pytest.mark.parametrize("latch,blocks", [("condbr", 1), ("brn", 2)])
+    def test_a_call_free_loop_is_one_loop_entry(self, latch, blocks):
+        module = swap_loop_module(latch)
+        gpu = VirtualGPU(module, engine="decoded")
+        (entry,) = _loop_entries(gpu, module)
+        code = gpu._bound_cache[module.get_function("kern")].code
+        pcs, names = code.block_starts
+        header = pcs[names.index("loop")]
+        assert D._frame_ops(gpu, code)[header] is entry
+        assert len(entry[5]) == blocks
+        assert entry[5][0][0] == header
+
+    def test_nested_loops_are_one_loop_or_the_inner_one(self, monkeypatch):
+        """Within the caps the whole nest is one loop run; a nest over
+        the block cap leaves its inner loop as the loop run."""
+        module = nested_loop_module()
+
+        def loops():
+            gpu = VirtualGPU(module, engine="decoded")
+            out = gpu.alloc_array(np.zeros(1, dtype=np.int64))
+            gpu.run(LaunchSpec(kernel="kern", args=(out, 6)))
+            assert gpu.read_array(out, np.int64, 1)[0] == sum(
+                i * j for i in range(6) for j in range(i))
+            code = gpu._bound_cache[module.get_function("kern")].code
+            _, names = code.block_starts
+            pcs = dict(zip(code.block_starts[0], names))
+            return [sorted(pcs[start] for start, _, _ in op[5])
+                    for op in _loop_entries(gpu, module)]
+
+        assert loops() == [["ibody", "inner", "latch", "outer"]]
+        monkeypatch.setattr(D, "_MAX_LOOP_BLOCKS", 3)
+        assert loops() == [["ibody", "inner"]]
+        monkeypatch.setattr(D, "_MAX_LOOP_OPS", 3)
+        assert loops() == []
+
+    @pytest.mark.parametrize("latch", ["condbr", "brn"])
+    @pytest.mark.parametrize("fault,args", [
+        ("div", (5, 2, 0)),  # sdiv by zero in trip 3
+        ("load", (5, 100, 40)),  # out-of-bounds load in trip 2
+    ])
+    def test_fault_in_a_later_trip_matches_per_op(self, latch, fault, args,
+                                                  monkeypatch):
+        """Steps, cycles, opcode counts, flops, the address-space counts
+        and the crash context of a fault in a loop run's later trip are
+        the per-op ones: the unwind folds the completed trips' hits and
+        retires the faulting block up to the faulting op."""
+        module = loop_fault_module(latch)
+        assert _loop_entries(VirtualGPU(module, engine="decoded"), module)
+        fused = _fault_state(module, "decoded", args, monkeypatch)
+        per_op = _fault_state(module, PER_OP, args, monkeypatch)
+        assert fused == per_op
+        assert fused["block"] == ("loop" if latch == "condbr" else "body")
+        trips = 3 if fault == "div" else 2
+        assert fused["opcode_counts"]["load"] == trips
+        assert fused["flops"] == trips - 1
+
+    def test_every_step_limit_through_a_two_block_loop_matches_per_op(
+            self, monkeypatch):
+        """The budget ends before, inside and on the terminator of each
+        block of a loop run, and past the kernel's end: the loop leaves
+        before the block that would cross it and the run loop executes
+        that block per op, exactly like per-op execution."""
+        from repro.vgpu import StepLimitExceeded
+
+        def state(label, limit):
+            with monkeypatch.context() as m, engine_mode(label) as engine:
+                seen = _capture(m)
+                gpu = VirtualGPU(swap_loop_module("brn"),
+                                 config=GPUConfig(max_steps_per_thread=limit),
+                                 engine=engine)
+                out = gpu.alloc_array(np.zeros(3, dtype=np.int64))
+                try:
+                    gpu.run(LaunchSpec(kernel="kern", args=(out, 4)))
+                    error = None
+                except StepLimitExceeded as exc:
+                    error = (str(exc), exc.context.to_dict(),
+                             where(seen["threads"][0]))
+            (stats,), (thread,) = seen["stats"], seen["threads"]
+            return (error, thread.steps, thread.phase_cycles,
+                    dict(stats.opcode_counts), gpu.read_array(out, np.int64, 3).tolist())
+
+        total = 1 + 6 * 4 + 2 + 6  # entry br, 4 trips, the exit test, exit
+        for limit in range(1, total + 2):
+            per_op = state(PER_OP, limit)
+            assert state("decoded", limit) == per_op, limit
+            assert (per_op[0] is None) == (limit >= total), limit
+
+
+@pytest.mark.parametrize("label", [PER_OP, "decoded"])
+def test_segment_resolved_once_per_thread_and_tag(label, monkeypatch):
+    """Loads and stores find their segment in the thread's segment
+    table: a launch resolves each (thread, tag) at most once, through
+    global (1), shared (3) and local (5) pointers in a loop."""
+    module = Module("m")
+    func, b = make_kernel(module, params=(PTR_GLOBAL, I64), arg_names=["out", "n"])
+    out, n = func.args
+    entry = b.block
+    tid = b.sext(b.thread_id(), I64)
+    slot = b.alloca(I64)
+    shared = b.intrinsic("gpu.dynamic_shared", [])
+    b.store(tid, slot)
+    loop, exit_ = func.add_block("loop"), func.add_block("exit")
+    b.br(loop)
+    b.set_insert_point(loop)
+    i = b.phi(I64, "i")
+    i.add_incoming(b.i64(0), entry)
+    b.store(b.add(b.load(I64, slot), b.load(I64, out)), b.ptradd(shared, b.mul(tid, b.i64(8))))
+    ni = b.add(i, b.i64(1))
+    i.add_incoming(ni, loop)
+    b.cond_br(b.icmp("slt", ni, n), loop, exit_)
+    b.set_insert_point(exit_)
+    b.store(b.load(I64, b.ptradd(shared, b.mul(tid, b.i64(8)))),
+            b.ptradd(out, b.mul(b.add(tid, b.i64(1)), b.i64(8))))
+    b.ret()
+    verify_module(module)
+
+    seen = {}
+    segment = D._segment
+
+    def spy(vm, thread, tag):
+        key = (thread.team_id, thread.thread_id, tag)
+        seen[key] = seen.get(key, 0) + 1
+        return segment(vm, thread, tag)
+
+    monkeypatch.setattr(D, "_segment", spy)
+    with engine_mode(label) as engine:
+        gpu = VirtualGPU(module, engine=engine)
+        buf = gpu.alloc_array(np.array([5] + [0] * 4, dtype=np.int64))
+        gpu.run(LaunchSpec(kernel="kern", num_teams=2, threads_per_team=4,
+                           dynamic_shared_bytes=64, args=(buf, 3)))
+    assert gpu.read_array(buf, np.int64, 5).tolist() == [5, 5, 6, 7, 8]
+    assert {tag for _, _, tag in seen} == {1, 3, 5}
+    assert set(seen.values()) == {1}
+    assert len(seen) == 2 * 4 * 3
 
 #: The calls a block run inlines: the pure intrinsics.
 _PURE_CALLS = {"_h_thread_id", "_h_block_id", "_h_block_dim", "_h_grid_dim",

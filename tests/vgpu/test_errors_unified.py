@@ -10,6 +10,7 @@ and the warp engine — the invariant CrashReport determinism builds on.
 import pytest
 
 from repro.ir import I64, Module, PTR_GLOBAL, verify_module
+from repro.memory.memmodel import MemoryError_
 from repro.vgpu import (
     AssumptionViolation,
     CallStackOverflow,
@@ -138,3 +139,32 @@ def test_context_carries_the_device_output_tail():
         assert ctx_a == ctx_b
     # OUTPUT_TAIL_LINES == 8: the tail keeps the *last* prints.
     assert ctx_a["output_tail"] == [str(i) for i in range(4, 12)]
+
+
+def bad_tag_module(access):
+    """kern(p, v): a little arithmetic, then a load through the pointer
+    *p* (*access* "load") or a store of ``v + 1`` to it ("store")."""
+    module = Module("m")
+    func, b = make_kernel(module, params=(PTR_GLOBAL, I64), arg_names=["p", "v"])
+    p, v = func.args
+    w = b.add(b.mul(v, b.i64(3)), b.i64(1))
+    if access == "load":
+        b.store(b.load(I64, p), b.ptradd(p, b.i64(8)))
+    else:
+        b.store(w, p)
+    b.ret()
+    verify_module(module)
+    return module
+
+
+@pytest.mark.parametrize("access", ["load", "store"])
+@pytest.mark.parametrize("tag", [2, 9, -1])
+def test_pointer_tag_naming_no_address_space(access, tag):
+    """A pointer whose tag (``ptr >> 48``) names no address space — the
+    unused tag 2, a tag past LOCAL or a negative pointer — is a device
+    memory error naming the tag, identical on every engine."""
+    ptr = (tag << 48) | 16
+    results = _fail_both(lambda: bad_tag_module(access), args=(ptr, 5))
+    _assert_unified(results, MemoryError_,
+                    f"has tag {tag}, which names no address space")
+    assert results[0][1]["steps"] == 3  # mul, add and the access
