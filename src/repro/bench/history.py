@@ -281,7 +281,8 @@ def find_baseline(
 
 
 def tracked_baseline(benchmark: str, root: str = ".") -> Optional[Dict[str, Any]]:
-    """The committed BENCH_*.json of *benchmark* as a record, if usable."""
+    """The committed BENCH_*.json of *benchmark* as a record, if usable,
+    labelled by its file name (it is no run of this checkout)."""
     name = TRACKED_BASELINES.get(benchmark)
     if name is None:
         return None
@@ -291,7 +292,7 @@ def tracked_baseline(benchmark: str, root: str = ".") -> Optional[Dict[str, Any]
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
-        return record_from_report(report)
+        return dict(record_from_report(report), run_id=name)
     except (json.JSONDecodeError, KeyError, TypeError):
         return None
 

@@ -2,8 +2,9 @@
 
 The virtual GPU owns one :class:`Segment` per address space instance:
 a single global segment, a single constant segment, one shared segment
-*per team* and one local segment *per thread* — mirroring the hardware
-visibility rules in the paper's Fig. 2.  Pointers are 64-bit integers
+*per team* and one local segment *per thread*, the last two living for
+one launch — mirroring the hardware visibility rules in the paper's
+Fig. 2.  Pointers are 64-bit integers
 tagged with their address space (see :mod:`repro.memory.addrspace`);
 the same shared-space pointer value resolves to different storage in
 different teams, exactly like a real GPU shared-memory address.
@@ -35,15 +36,21 @@ def _align_to(offset: int, align: int) -> int:
 
 
 class Segment:
-    """One zero-initialized, bump-allocated region of simulated memory."""
+    """One zero-initialized, bump-allocated region of simulated memory.
+
+    ``data`` is an anonymous mapping, not a bytearray: zero-filled pages
+    are only committed when touched and go back to the OS when the
+    mapping dies (a bytearray would sit in the malloc heap, where any
+    long-lived object above it keeps it resident after free).  Zero
+    state only ever comes from a fresh mapping: :meth:`rewind` swaps
+    ``data`` instead of writing zeros, so a reset costs what the segment
+    holds, not its size.  The ``Segment`` keeps its identity, so segment
+    tables stay valid; a buffer view of ``data`` must not outlive a
+    launch.
+    """
 
     def __init__(self, space: AddressSpace, size: int, base: int = 16) -> None:
         self.space = space
-        # An anonymous mapping, not a bytearray: zero-filled pages are
-        # only committed when touched and go back to the OS when the
-        # segment dies.  A bytearray this large would sit in the malloc
-        # heap, where any long-lived object allocated above it keeps it
-        # resident after free, making peak RSS depend on allocation order.
         self.data = mmap.mmap(-1, size)
         #: Next free offset.  Starts past a small guard so offset 0 stays
         #: an invalid (null-like) address.
@@ -54,6 +61,16 @@ class Segment:
     @property
     def size(self) -> int:
         return len(self.data)
+
+    def rewind(self, brk: int, high_water: int, prefix: bytes,
+               allocations: Dict[int, int]) -> None:
+        """Move onto a fresh zero mapping holding only *prefix*, with
+        the bump state given."""
+        self.data = mmap.mmap(-1, len(self.data))
+        self.data[: len(prefix)] = prefix
+        self.brk = brk
+        self.high_water = high_water
+        self.allocations = dict(allocations)
 
     def allocate(self, size: int, align: int = 8) -> int:
         """Bump-allocate *size* bytes; returns a tagged pointer."""
@@ -165,16 +182,9 @@ class MemorySystem:
         #: globals are identical across teams, so we allocate layout once
         #: and instantiate per team.
         self.shared_brk_template = 16
-        #: One reusable zero image for shared-segment resets; all shared
-        #: segments are the same size, so launches zero in place instead
-        #: of allocating a fresh ``bytes`` per team.
-        self._shared_zeros = bytes(shared_size)
         #: Post-load device image captured by :meth:`snapshot_device_image`
         #: (segment -> (brk, high_water, data-prefix, allocations)).
         self._device_image: Optional[Dict[str, Tuple[int, int, bytes, Dict[int, int]]]] = None
-        #: Cached zero buffers for in-place segment restores, keyed by
-        #: tail length (avoids a fresh multi-MB ``bytes`` per reset).
-        self._zero_tails: Dict[int, bytes] = {}
 
     # -- warm-reset support -------------------------------------------------------
 
@@ -196,58 +206,44 @@ class MemorySystem:
         return (seg.brk, seg.high_water, bytes(seg.data[: seg.brk]),
                 dict(seg.allocations))
 
-    def _restore_segment(
-        self, seg: Segment, snap: Tuple[int, int, bytes, Dict[int, int]]
-    ) -> None:
-        brk, high_water, prefix, allocations = snap
-        seg.data[:brk] = prefix
-        tail = len(seg.data) - brk
-        if tail:
-            zeros = self._zero_tails.get(tail)
-            if zeros is None:
-                zeros = self._zero_tails.setdefault(tail, bytes(tail))
-            seg.data[brk:] = zeros
-        seg.brk = brk
-        seg.high_water = high_water
-        seg.allocations = dict(allocations)
-
     def reset_device_image(self) -> None:
         """Restore the image captured by :meth:`snapshot_device_image`.
 
-        Global and constant segments rewind byte-for-byte (discarding
-        host ``alloc_array`` data, device mallocs and kernel-visible
-        global mutations); shared and local segments are dropped and
+        Global and constant segments rewind onto fresh zero mappings
+        that hold only the snapshot prefix (discarding host
+        ``alloc_array`` data, device mallocs and kernel-visible global
+        mutations) — no zero image is written or kept, so a reset costs
+        the image prefix and an idle device holds only the pages it
+        wrote since.  Shared and local segments are dropped and
         recreated lazily on the next launch.
         """
         if self._device_image is None:
             raise MemoryError_(
                 "no device image captured; snapshot_device_image() first"
             )
-        self._restore_segment(self.global_seg, self._device_image["global"])
-        self._restore_segment(self.constant_seg, self._device_image["constant"])
+        self.global_seg.rewind(*self._device_image["global"])
+        self.constant_seg.rewind(*self._device_image["constant"])
         self.shared_segs.clear()
+        self.local_segs.clear()
+
+    def begin_launch(self) -> None:
+        """Start a launch: local memory lives for one launch, as on the
+        hardware, so every thread's local segment is dropped and
+        recreated empty on first use."""
         self.local_segs.clear()
 
     # -- segment management -----------------------------------------------------
 
     def shared_segment(self, team: int) -> Segment:
-        seg = self.shared_segs.get(team)
-        if seg is None:
-            seg = Segment(AddressSpace.SHARED, self._shared_size)
-            seg.brk = self.shared_brk_template
-            seg.high_water = seg.brk
-            self.shared_segs[team] = seg
-        return seg
+        return self.shared_segs.get(team) or self.reset_shared_segment(team)
 
     def reset_shared_segment(self, team: int) -> Segment:
-        """(Re)initialize *team*'s shared segment for a launch: zero the
-        backing store in place (no per-team ``bytes`` allocation) and
-        rewind the bump pointer to the static-layout template."""
-        seg = self.shared_segment(team)
-        seg.data[:] = self._shared_zeros
-        seg.brk = self.shared_brk_template
-        seg.high_water = seg.brk
-        seg.allocations.clear()
+        """Give *team* a new shared segment for a launch: a fresh zero
+        mapping with the bump pointer at the static-layout template.
+        Nothing is zero-filled, so a team pays only for the shared pages
+        it touches."""
+        seg = self.shared_segs[team] = Segment(
+            AddressSpace.SHARED, self._shared_size, self.shared_brk_template)
         return seg
 
     def local_segment(self, team: int, thread: int) -> Segment:

@@ -98,8 +98,8 @@ def make_coerce(ty: Type) -> Callable[[Scalar], Scalar]:
     """Coercion of a value into the register representation of *ty*
     (wrapped int for integers, float for floats, raw int otherwise)."""
     if isinstance(ty, IntType):
-        wrap = ty.wrap
-        return lambda v: wrap(int(v))
+        mask = ty.mask
+        return lambda v: int(v) & mask
     if isinstance(ty, FloatType):
         return float
     return int

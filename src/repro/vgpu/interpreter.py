@@ -385,8 +385,7 @@ class VirtualGPU:
         profile.registers = resources.registers
         profile.shared_memory_bytes = resources.shared_memory_bytes
 
-        if self.sanitize:
-            self.memory.begin_launch()
+        self.memory.begin_launch()
         watchdog_s = resolve_watchdog(spec.watchdog_s)
         if spec.deadline_s is not None:
             # A direct run starts its budget now, so the deadline is a
@@ -451,9 +450,10 @@ class VirtualGPU:
     def reset_device(self) -> "VirtualGPU":
         """Restore this device to its post-load state for reuse.
 
-        Global and constant memory rewind to the image captured right
-        after module load (so per-request ``alloc_array`` data and
-        kernel-visible global mutations are discarded), shared/local
+        Global and constant memory rewind onto fresh zero mappings
+        holding only the image captured right after module load (so
+        per-request ``alloc_array`` data and kernel-visible global
+        mutations are discarded, and no zeros are written), shared/local
         segments are dropped for lazy re-creation, and launch-scoped
         state is cleared.  Decode bindings, warp vectorizations and
         resource measurements survive — that is the point of pooling
@@ -484,8 +484,6 @@ class VirtualGPU:
     ) -> Tuple[int, TeamStats]:
         """Simulate one team; returns its elapsed time and counters."""
         stats = TeamStats()
-        # (Re)initialize this team's shared segment image (in place; no
-        # per-team bytes allocation).
         seg = self.memory.reset_shared_segment(team_id)
         if self._dynamic_shared_bytes:
             self._dynamic_shared_base[team_id] = seg.allocate(

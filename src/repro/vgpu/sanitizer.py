@@ -71,6 +71,7 @@ class SanitizedMemorySystem(MemorySystem):
 
     def begin_launch(self) -> None:
         """Scope device-heap tracking to the upcoming launch."""
+        super().begin_launch()
         self._launch_base = self.global_seg.brk
         self._live.clear()
         self._live_starts.clear()

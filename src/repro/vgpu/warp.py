@@ -455,8 +455,9 @@ class WarpExec:
         key = (id(seg), dtype)
         v = self._views.get(key)
         if v is None:
-            # Segments are fixed-size buffers (never resized), so a
-            # cached view stays valid for the segment's lifetime.
+            # Valid for this executor's life (one team of one launch):
+            # no segment's mapping changes mid-launch, but a warm reset
+            # moves it onto a fresh one, so views are never kept longer.
             v = np.frombuffer(seg.data, dtype, count=len(seg.data) >> shift)
             self._views[key] = v
         return v
@@ -1469,8 +1470,8 @@ def _make_vcoerce(ty):
     """Vector-aware argument coercion for calls (scalar falls back to
     the exact ``make_coerce`` semantics)."""
     if isinstance(ty, IntType):
-        wrap = ty.wrap
-        vmask = None if ty.bits == 64 else _U64((1 << ty.bits) - 1)
+        mask = ty.mask
+        vmask = None if ty.bits == 64 else _U64(mask)
 
         def co_int(v):
             if type(v) is ndarray:
@@ -1479,7 +1480,7 @@ def _make_vcoerce(ty):
                 elif v.dtype != _U64:
                     v = v.astype(_U64)
                 return v & vmask if vmask is not None else v
-            return wrap(int(v))
+            return int(v) & mask
 
         return co_int
     if isinstance(ty, FloatType):

@@ -278,6 +278,9 @@ class TestBaseline:
         outcome = history.baseline_compare(d, rel_pct=5.0, root=str(tmp_path))
         assert outcome["ok"] is False
         assert outcome["results"][0]["baseline_source"] == "tracked"
+        # The printed baseline is the committed file, not a new run.
+        header = history.format_compare(outcome["results"][0]).splitlines()[0]
+        assert header.startswith("micro: BENCH_micro.json -> micro-")
 
 
 class TestRecordFromReport:

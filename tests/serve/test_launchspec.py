@@ -4,12 +4,21 @@ Pins the redesign's contract: ``VirtualGPU.run(spec)`` is the one
 launch entry point.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.ir import I64, PTR_GLOBAL, verify_module
+from repro.ir import (
+    I64,
+    PTR_GLOBAL,
+    Constant,
+    GlobalVariable,
+    Module,
+    verify_module,
+)
+from repro.memory.addrspace import AddressSpace, make_pointer
 from repro.vgpu import (
     ENGINE_DECODED,
     ENGINE_WARP,
@@ -22,7 +31,7 @@ from repro.vgpu import (
     SimulationError,
     VirtualGPU,
 )
-from tests.conftest import make_kernel
+from tests.conftest import ENGINE_LABELS, engine_mode, make_kernel
 
 
 def _store_module(module):
@@ -38,6 +47,43 @@ def _store_module(module):
 
 def _device(module, **kwargs):
     return VirtualGPU(_store_module(module), **kwargs)
+
+
+def _globals_module():
+    """kern(out, value): @g += value (one thread), then out[tid] = @g +
+    @c, where @g is a global module variable and @c an initialized
+    constant."""
+    module = Module("m")
+    g = module.add_global(GlobalVariable("g", I64))
+    c = module.add_global(GlobalVariable(
+        "c", I64, addrspace=AddressSpace.CONSTANT,
+        initializer=[Constant(I64, 40)]))
+    func, b = make_kernel(module, params=(PTR_GLOBAL, I64),
+                          arg_names=["out", "value"])
+    tid = b.sext(b.thread_id(), I64)
+    b.atomic_rmw("add", g, func.args[1])
+    b.aligned_barrier()
+    total = b.add(b.load(I64, g), b.load(I64, c))
+    b.store(total, b.array_gep(func.args[0], I64, tid))
+    b.ret()
+    verify_module(module)
+    return module, g, c
+
+
+def _dynamic_shared_module():
+    """kern(out): out[tid] = dyn[tid]; dyn[tid] = 99, where dyn is the
+    launch's dynamic shared memory, past the static shared layout."""
+    module = Module("m")
+    module.add_global(GlobalVariable("tile", I64,
+                                     addrspace=AddressSpace.SHARED))
+    func, b = make_kernel(module, params=(PTR_GLOBAL,), arg_names=["out"])
+    tid = b.sext(b.thread_id(), I64)
+    slot = b.array_gep(b.intrinsic("gpu.dynamic_shared"), I64, tid)
+    b.store(b.load(I64, slot), b.array_gep(func.args[0], I64, tid))
+    b.store(b.i64(99), slot)
+    b.ret()
+    verify_module(module)
+    return module
 
 
 class TestLaunchSpecValidation:
@@ -253,6 +299,68 @@ class TestWarmReset:
             profiles.append(result.profile.to_dict())
             gpu.reset_device()
         assert profiles[0] == profiles[1]
+
+    def test_reset_is_byte_exact_against_a_fresh_device(self):
+        module, g, c = _globals_module()
+        gpu = VirtualGPU(module)
+        mem = gpu.memory
+        # A host write past the image's bump pointer ...
+        mem.write_raw(make_pointer(AddressSpace.GLOBAL, mem.global_seg.brk + 4096),
+                      b"\xab" * 64)
+        # ... a kernel store to a module global ...
+        out = gpu.alloc_array(np.zeros(4, dtype=np.int64))
+        gpu.run(LaunchSpec(kernel="kern", threads_per_team=4, args=(out, 2)))
+        assert gpu.read_scalar(gpu.global_addresses[g], I64) == 8
+        # ... and a write into the constant segment.
+        mem.write_raw(gpu.global_addresses[c], (7).to_bytes(8, "little"))
+        mem.write_raw(make_pointer(AddressSpace.CONSTANT, 0x8000), b"\xcd" * 8)
+        segs = (mem.global_seg, mem.constant_seg)
+        gpu.reset_device()
+        # Segments keep their identity: segment tables stay valid.
+        assert (mem.global_seg, mem.constant_seg) == segs
+        fresh = VirtualGPU(module).memory
+        for name in ("global_seg", "constant_seg"):
+            seg, ref = getattr(mem, name), getattr(fresh, name)
+            assert seg.data[:] == ref.data[:], name
+            assert (seg.brk, seg.high_water, seg.allocations) == (
+                ref.brk, ref.high_water, ref.allocations)
+
+    def test_reset_writes_no_zero_image(self, module):
+        gpu = _device(module)  # default GPUConfig: 16 MB global segment
+        tracemalloc.start()
+        try:
+            gpu.reset_device()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("label", ENGINE_LABELS)
+    def test_warp_and_decoded_see_the_rewound_image(self, label):
+        """Engines cache nothing of a segment's mapping past a launch:
+        a reset's fresh mappings are what the next launch reads and
+        writes (the warp engine's buffer views live per team)."""
+        module, _, _ = _globals_module()
+        with engine_mode(label) as engine:
+            gpu = VirtualGPU(module, engine=engine)
+            for value in (5, 9):
+                out = gpu.alloc_array(np.zeros(32, dtype=np.int64))
+                result = gpu.run(LaunchSpec(kernel="kern", threads_per_team=32,
+                                            args=(out, value)))
+                assert result.executed_engine == engine
+                assert list(gpu.read_array(out, np.int64, 32)) == [
+                    32 * value + 40] * 32
+                gpu.reset_device()
+
+    @pytest.mark.parametrize("engine", [ENGINE_DECODED, ENGINE_WARP])
+    def test_second_launch_reads_zero_dynamic_shared(self, engine):
+        gpu = VirtualGPU(_dynamic_shared_module(), engine=engine)
+        for _ in range(2):
+            out = gpu.alloc_array(np.full(32, -1, dtype=np.int64))
+            result = gpu.run(LaunchSpec(kernel="kern", threads_per_team=32,
+                                        args=(out,), dynamic_shared_bytes=256))
+            assert result.executed_engine == engine
+            assert list(gpu.read_array(out, np.int64, 32)) == [0] * 32
 
     def test_sanitized_devices_refuse_reset(self, module):
         gpu = _device(module, sanitize=True)

@@ -369,6 +369,51 @@ class TestDevicePool:
         assert warm is gpu
         assert warm.memory.global_seg.brk == baseline_brk
 
+    @pytest.mark.parametrize("engine", [ENGINE_DECODED, ENGINE_WARP])
+    def test_reused_device_serves_what_a_fresh_one_does(self, engine):
+        """kern(out): out[tid] = atomic @g += 1 plus a shared and a local
+        read — state a warm reset must rewind exactly."""
+        from repro.ir import GlobalVariable
+        from repro.memory.addrspace import AddressSpace
+
+        module = Module("m")
+        g = module.add_global(GlobalVariable("g", I64))
+        tile = module.add_global(GlobalVariable(
+            "tile", I64, addrspace=AddressSpace.SHARED))
+        func, b = make_kernel(module, params=(PTR_GLOBAL,), arg_names=["out"])
+        tid = b.sext(b.thread_id(), I64)
+        slot = b.alloca(I64)
+        b.store(tid, slot)
+        b.atomic_rmw("add", tile, tid)
+        b.aligned_barrier()
+        old = b.atomic_rmw("add", g, b.i64(1))
+        total = b.add(b.add(old, b.load(I64, tile)), b.load(I64, slot))
+        b.store(total, b.array_gep(func.args[0], I64, tid))
+        b.ret()
+        verify_module(module)
+
+        def make_args(gpu, compiled):
+            return (gpu.alloc_array(np.zeros(32, dtype=np.int64)),)
+
+        def finalize(gpu, result):
+            return gpu.read_array(result.spec.args[0], np.int64, 32).tolist()
+
+        spec = LaunchSpec(kernel="kern", threads_per_team=32, engine=engine)
+        with SimulationService(workers=1) as svc:
+            fresh, reused = (
+                svc.run(spec, module=module, make_args=make_args,
+                        finalize=finalize)
+                for _ in range(2))
+            assert svc.pool.stats.builds == 1
+            assert svc.pool.stats.reuses == 1
+        assert fresh.ok and reused.ok
+        assert reused.executed_engine == engine
+        assert reused.profile.to_dict() == fresh.profile.to_dict()
+        assert reused.payload == fresh.payload
+        # tile sums the 32 thread ids (496); @g hands out 0..31.
+        assert sorted(v - 496 - tid for tid, v in enumerate(fresh.payload)) \
+            == list(range(32))
+
     def test_sanitized_devices_are_never_pooled(self):
         module = _barrier_loop_module(3)
         pool = DevicePool()

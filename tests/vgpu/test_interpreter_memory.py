@@ -6,6 +6,8 @@ import pytest
 from repro.memory.addrspace import AddressSpace
 from repro.ir import (
     F64,
+    I8,
+    ArrayType,
     GlobalVariable,
     I32,
     I64,
@@ -76,6 +78,32 @@ class TestAlloca:
         out = gpu.alloc_array(np.zeros(8, dtype=np.int64))
         gpu.run(LaunchSpec(kernel="kern", threads_per_team=8, args=(out,)))
         assert list(gpu.read_array(out, np.int64, 8)) == list(range(8))
+
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("label", ENGINE_LABELS)
+    def test_local_memory_lives_for_one_launch(self, module, label, sanitize):
+        """16 KB of allocas per thread and launch: a 64 KB local segment
+        that outlived its launch would run out on the 4th."""
+        func, b = make_kernel(module, params=(PTR_GLOBAL,), arg_names=["out"])
+        buf = b.alloca(ArrayType(I8, 16 * 1024))
+        tid = b.sext(b.thread_id(), I64)
+        b.store(tid, buf)
+        b.store(b.load(I64, buf), b.array_gep(func.args[0], I64, tid))
+        b.store(buf, b.array_gep(func.args[0], I64, b.add(tid, b.i64(4))))
+        b.ret()
+        verify_module(module)
+        with engine_mode(label) as engine:
+            gpu = VirtualGPU(module, engine=engine, sanitize=sanitize)
+            pointers = []
+            for _ in range(8):
+                out = gpu.alloc_array(np.zeros(8, dtype=np.int64))
+                gpu.run(LaunchSpec(kernel="kern", num_teams=2,
+                                   threads_per_team=4, args=(out,)))
+                got = list(gpu.read_array(out, np.int64, 8))
+                assert got[:4] == [0, 1, 2, 3]
+                pointers.append(got[4:])
+        assert all(p == pointers[0] for p in pointers)
 
 
 class TestAtomics:
