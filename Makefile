@@ -8,14 +8,16 @@
 # the service), the end-to-end tracing smoke, the fault-injection
 # smoke, the per-construct microbenchmark smoke and the
 # serve-resilience chaos smoke (the same cells run under the `trace`,
-# `faults`, `micro` and `chaos` pytest markers), followed by the
-# noise-aware perf-regression gate (`bench compare`, see README
-# "Perf tracking").
+# `faults`, `micro` and `chaos` pytest markers).  Each smoke exits
+# non-zero on failure: a traced cell that fails verification, a
+# determinism or degradation failure, a micro engine-parity mismatch or
+# a violated chaos invariant.  micro's modeled costs are pinned exactly
+# by tier-1 (`tests/bench/test_micro.py`); see README "Perf tracking".
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test verify trace faults micro chaos compare figures perfbench clean
+.PHONY: test verify trace faults micro chaos figures perfbench clean
 
 test:
 	$(PYTHON) -m pytest -q
@@ -26,7 +28,6 @@ verify: test perfbench
 	$(PYTHON) -m repro.bench faults --smoke
 	$(PYTHON) -m repro.bench micro --smoke
 	$(PYTHON) -m repro.bench chaos --smoke
-	$(PYTHON) -m repro.bench compare --baseline
 	@echo "verify: OK"
 
 trace:
@@ -41,9 +42,6 @@ micro:
 chaos:
 	$(PYTHON) -m repro.bench chaos
 
-compare:
-	$(PYTHON) -m repro.bench compare --baseline
-
 figures:
 	$(PYTHON) -m repro.bench all
 
@@ -57,8 +55,7 @@ perfbench:
 		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
 	done
 
-# `clean` deliberately keeps .repro-bench/ — the perf history's value
-# is its persistence across checkouts; delete it explicitly if needed.
+# `clean` removes what building, testing and tracing leave behind.
 clean:
 	rm -rf .repro-cache .pytest_cache TRACE_*.json
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -13,15 +13,14 @@ Usage::
     python -m repro.bench faults  [--smoke] [--json]
     python -m repro.bench micro   [--smoke] [--json] [--out PATH]
     python -m repro.bench chaos   [--smoke] [--json] [--out PATH]
-    python -m repro.bench history
-    python -m repro.bench compare [--baseline] [--run-a ID] [--run-b ID]
     python -m repro.bench json     (machine-readable full report)
     python -m repro.bench all      [--jobs N]
 
 ``trace`` runs one (app, build) cell with the :mod:`repro.trace`
 collector enabled and writes a Perfetto-viewable Chrome Trace Format
 JSON plus a flat metrics JSON (see README "Observability");
-``--smoke`` runs the fixed fast cell the verification target uses.
+``--smoke`` runs the fixed fast cell the verification target uses; the
+command exits non-zero when the traced cell fails verification.
 
 ``faults`` runs the fault-injection / sanitizer robustness matrix
 (testsnap at ``-O0`` on both engines; see README "Robustness") and exits non-zero on any determinism or
@@ -29,9 +28,10 @@ degradation failure; ``--smoke`` keeps the three cheapest scenarios.
 
 ``micro`` runs the directive-level microbenchmark sweep (per-construct
 modeled-cycle costs plus Extra-P-style scaling fits, written to
-``BENCH_micro.json``; see README "Perf tracking"); ``--smoke`` keeps
-one grid point of the sweep; ``--json`` prints the report instead of
-the table.
+``BENCH_micro.json``, which tier-1 pins exactly; see README "Perf
+tracking"); ``--smoke`` keeps one grid point of the sweep; ``--json``
+prints the report instead of the table; the command exits non-zero
+when the two engines' modeled numbers disagree.
 
 ``chaos`` runs the serve-layer chaos harness: scripted worker-death /
 compile-stall / slow-request / drain scenarios asserting the
@@ -41,14 +41,6 @@ breaker opens and half-closes, shedding stays fast; see README
 any violated invariant; ``--smoke`` runs the same scenarios at reduced
 request counts (used by ``make verify``).
 
-Every ``micro`` / ``chaos`` CLI run also appends a config-keyed
-record to the append-only history store (``.repro-bench/history.jsonl``;
-``REPRO_BENCH_HISTORY_DIR``).
-``history`` lists the stored records; ``compare`` diffs the latest run
-of each benchmark against its baseline (previous comparable record,
-else the tracked ``BENCH_*.json``) with noise-aware thresholds and
-exits non-zero on a geomean regression — the ``make verify`` perf
-gate.  ``--run-a``/``--run-b`` diff two specific run ids instead.
 Host wall time of the engines and the service is measured end to end
 by ``perfbench/`` (``make perfbench``), not by this CLI.
 
@@ -70,7 +62,7 @@ from repro.bench.harness import APPS
 
 COMMANDS = (
     "fig10", "fig11", "fig12", "fig13", "oversub", "timings", "trace",
-    "faults", "micro", "chaos", "history", "compare", "json", "all",
+    "faults", "micro", "chaos", "json", "all",
 )
 
 
@@ -115,19 +107,6 @@ def _parser() -> argparse.ArgumentParser:
              "faults: run the reduced scenario set; "
              "micro: one grid point of the construct sweep; "
              "chaos: reduced request counts per scenario",
-    )
-    parser.add_argument(
-        "--baseline", action="store_true",
-        help="compare: gate the latest run of each benchmark against "
-             "its baseline (this is also the default behaviour)",
-    )
-    parser.add_argument(
-        "--run-a", default=None,
-        help="compare: baseline run id (with --run-b)",
-    )
-    parser.add_argument(
-        "--run-b", default=None,
-        help="compare: candidate run id (with --run-a)",
     )
     return parser
 
@@ -174,6 +153,11 @@ def main(argv) -> int:
             metrics_out=args.metrics_out,
         )
         print(trace_cli.format_trace_result(result))
+        # The bar AppRunResult.verified uses; ``not <`` also fails NaN.
+        if not result["max_error"] < 1e-9:
+            print(f"trace: verification failed (max error "
+                  f"{result['max_error']!r})")
+            return 1
     if what == "faults":
         from repro.bench import faults_cli
 
@@ -185,7 +169,7 @@ def main(argv) -> int:
         if not report["ok"]:
             return 1
     if what == "micro":
-        from repro.bench import history, micro
+        from repro.bench import micro
 
         report = micro.micro_matrix(smoke=args.smoke)
         # A smoke run never overwrites the tracked full-sweep report
@@ -193,7 +177,6 @@ def main(argv) -> int:
         out = args.out if args.out is not None else micro.DEFAULT_OUTPUT
         if out != "-" and (not args.smoke or args.out is not None):
             micro.write_report(report, out)
-        history.append_record(history.record_from_report(report))
         if args.as_json:
             print(micro.render_json(report))
         else:
@@ -201,7 +184,7 @@ def main(argv) -> int:
         if not report["parity_ok"]:
             return 1
     if what == "chaos":
-        from repro.bench import chaos_cli, history
+        from repro.bench import chaos_cli
 
         report = chaos_cli.chaos_suite(smoke=args.smoke)
         # A smoke run never overwrites the tracked full report unless
@@ -209,40 +192,12 @@ def main(argv) -> int:
         out = args.out if args.out is not None else chaos_cli.DEFAULT_OUTPUT
         if out != "-" and (not args.smoke or args.out is not None):
             chaos_cli.write_report(report, out)
-        history.append_record(history.record_from_report(report))
         if args.as_json:
             print(chaos_cli.render_json(report))
         else:
             print(chaos_cli.format_chaos(report))
         if not report["ok"]:
             return 1
-    if what == "history":
-        from repro.bench import history
-
-        print(history.format_history(history.load_records()))
-    if what == "compare":
-        from repro.bench import history
-
-        if (args.run_a is None) != (args.run_b is None):
-            print("compare: --run-a and --run-b must be given together")
-            return 2
-        if args.run_a is not None:
-            records = {r["run_id"]: r for r in history.load_records()}
-            missing = [r for r in (args.run_a, args.run_b) if r not in records]
-            if missing:
-                print(f"compare: unknown run id(s): {', '.join(missing)}")
-                return 2
-            result = history.compare_records(
-                records[args.run_a], records[args.run_b]
-            )
-            print(history.format_compare(result))
-            if not result["ok"]:
-                return 1
-        else:
-            outcome = history.baseline_compare()
-            print(history.format_baseline_compare(outcome))
-            if not outcome["ok"]:
-                return 1
     if what == "json":
         from repro.bench.report import render_json
 

@@ -25,7 +25,11 @@ Per-(construct, runtime) costs are summarized as cycles-per-call and
 fitted to the simple Extra-P-style scaling model ``cost = a + b·teams
 + c·threads`` (least squares over the decoded-engine grid points; the
 ``r2`` says how well that model explains the sweep).  The JSON report
-is written to the tracked ``BENCH_micro.json``.
+is written to the tracked ``BENCH_micro.json``, and tier-1 pins it
+exactly: ``tests/bench/test_micro.py`` reruns the full sweep and
+requires its cells, construct summaries and config to equal the file.
+A change that moves a modeled number regenerates the file with
+``python -m repro.bench micro`` and explains the move in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -77,10 +81,8 @@ FULL_GRID: Tuple[Tuple[int, int], ...] = (
     (1, 4), (2, 4), (4, 4), (1, 16), (2, 16), (4, 16),
 )
 FULL_WORKLOADS = (1, 4)
-#: The smoke cells are a strict subset of the full sweep (same grid
-#: point, workload and runtimes), so a smoke run's metrics intersect a
-#: tracked full-sweep baseline and ``bench compare --baseline`` can
-#: gate on them.
+#: The smoke sweep is a quick look (one grid point and workload, -O0
+#: runtimes only); it gates only on engine parity.
 SMOKE_GRID: Tuple[Tuple[int, int], ...] = ((2, 4),)
 SMOKE_WORKLOADS = (4,)
 

@@ -62,15 +62,6 @@ Knobs
     Default drain budget for ``SimulationService.close()`` in seconds;
     ``0`` (the default) drains without a deadline (the pre-resilience
     behaviour).
-``REPRO_BENCH_HISTORY_DIR``
-    Directory of the append-only benchmark history store
-    (``history.jsonl``; default ``.repro-bench``).  The ``micro`` and
-    ``chaos`` benches append a record per CLI run;
-    ``python -m repro.bench compare`` diffs them.
-``REPRO_BENCH_REGRESSION_PCT``
-    Relative regression threshold (percent) for ``bench compare``
-    (default 5).  A metric only fails when its delta exceeds
-    max(this, k·stddev) — see README "Perf tracking".
 """
 
 from __future__ import annotations
@@ -135,10 +126,6 @@ KNOBS: Dict[str, EnvKnob] = {
         EnvKnob("REPRO_SERVE_DRAIN_S", "float", "0",
                 "default SimulationService.close() drain budget (s; "
                 "0 = unbounded)"),
-        EnvKnob("REPRO_BENCH_HISTORY_DIR", "str", ".repro-bench",
-                "append-only benchmark history store directory"),
-        EnvKnob("REPRO_BENCH_REGRESSION_PCT", "float", "5",
-                "bench compare relative regression threshold (%)"),
     )
 }
 
@@ -267,15 +254,6 @@ def serve_breaker_threshold() -> int:
 def serve_drain_s() -> float:
     """Default ``close()`` drain budget in seconds (0 = unbounded)."""
     return max(0.0, env_float("REPRO_SERVE_DRAIN_S"))
-
-
-def bench_history_dir() -> str:
-    return env_str("REPRO_BENCH_HISTORY_DIR")
-
-
-def bench_regression_pct() -> float:
-    """Relative regression threshold for ``bench compare`` (percent)."""
-    return max(0.0, env_float("REPRO_BENCH_REGRESSION_PCT"))
 
 
 def describe_env() -> str:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench import chaos_cli, history, record
+from repro.bench import chaos_cli
 
 pytestmark = [pytest.mark.serve, pytest.mark.chaos]
 
@@ -73,18 +73,3 @@ class TestChaosSuiteReport:
         assert "chaos" in text
         assert "invariant" in text
 
-
-class TestHistoryIntegration:
-    def test_chaos_baseline_is_tracked(self):
-        assert history.TRACKED_BASELINES["chaos"] == "BENCH_chaos.json"
-
-    def test_record_from_report_extracts_wall_metrics(self, report):
-        rec = history.record_from_report(report)
-        assert rec["benchmark"] == "chaos"
-        metrics = rec["metrics"]
-        suite = metrics["wall/suite_s"]
-        assert suite["kind"] == record.KIND_WALL
-        assert suite["better"] == record.BETTER_LOWER
-        assert suite["value"] == pytest.approx(report["wall_seconds"])
-        if report["shed_latency_s"]["n"] > 0:
-            assert "wall/shed_verdict_p99_s" in metrics

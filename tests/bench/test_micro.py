@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from repro.bench import micro
 from repro.trace.categories import CATEGORY_NAMES
 
 pytestmark = pytest.mark.micro
+
+TRACKED_REPORT = Path(__file__).resolve().parents[2] / micro.DEFAULT_OUTPUT
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +65,6 @@ class TestMicroSmoke:
     def test_report_is_json_serializable(self, smoke_report):
         json.loads(micro.render_json(smoke_report))
 
-    def test_smoke_is_subset_of_full_sweep_config(self):
-        """Smoke cells must intersect a tracked full-sweep baseline, or
-        the verify-time compare gate would be vacuous."""
-        assert set(micro.SMOKE_GRID) <= set(micro.FULL_GRID)
-        assert set(micro.SMOKE_WORKLOADS) <= set(micro.FULL_WORKLOADS)
-
     def test_old_runtime_worksharing_costs_more(self, smoke_report):
         """The paper's Fig. 5 story: the old RT's chunked worksharing
         dispatch costs more per iteration than the no-chunk loop."""
@@ -101,6 +98,68 @@ class TestMicroSmoke:
         cells = [c for c in smoke_report["cells"]
                  if c["construct"] == "global_fallback"]
         assert all(c["global_fallbacks"] > 0 for c in cells)
+
+
+def _cell_key(cell):
+    return "/".join(str(cell[k]) for k in (
+        "construct", "runtime", "engine", "teams", "threads", "workload"))
+
+
+def _diff(label, old, new):
+    """``label: field old -> new`` for the fields two dicts disagree on."""
+    fields = sorted(f for f in old.keys() | new.keys()
+                    if old.get(f) != new.get(f))
+    if not fields:
+        return []
+    return [f"{label}: " + ", ".join(
+        f"{f} {old.get(f)!r} -> {new.get(f)!r}" for f in fields)]
+
+
+def _pin_mismatches(fresh, tracked):
+    """Human-readable differences between two micro reports' pinned
+    sections: the sweep config, cells by key and construct summaries."""
+    out = _diff("config", tracked["config"], fresh["config"])
+    old_cells = {_cell_key(c): c for c in tracked["cells"]}
+    new_cells = {_cell_key(c): c for c in fresh["cells"]}
+    for key in sorted(old_cells.keys() | new_cells.keys()):
+        out += _diff(f"cell {key}", old_cells.get(key, {}),
+                     new_cells.get(key, {}))
+    for construct in sorted(tracked["constructs"].keys()
+                            | fresh["constructs"].keys()):
+        out += _diff(f"constructs {construct}",
+                     tracked["constructs"].get(construct, {}),
+                     fresh["constructs"].get(construct, {}))
+    return out
+
+
+class TestTrackedReportPin:
+    """BENCH_micro.json is the paper's §III per-construct overheads as
+    this simulator models them.  Modeled numbers are deterministic, so
+    the full sweep must reproduce the tracked report exactly."""
+
+    def test_full_sweep_equals_tracked_report(self):
+        fresh = json.loads(micro.render_json(micro.micro_matrix()))
+        tracked = json.loads(TRACKED_REPORT.read_text())
+        assert fresh["parity_ok"] is True
+        mismatches = _pin_mismatches(fresh, tracked)
+        assert not mismatches, (
+            f"{len(mismatches)} modeled micro numbers differ from "
+            f"{micro.DEFAULT_OUTPUT}; if the change is intended, "
+            f"regenerate it with `python -m repro.bench micro` and explain "
+            f"the change in CHANGES.md:\n  " + "\n  ".join(mismatches[:40])
+        )
+        for section in ("cells", "constructs", "config"):
+            assert fresh[section] == tracked[section], section
+
+    def test_mismatch_names_the_cell(self):
+        tracked = json.loads(TRACKED_REPORT.read_text())
+        moved = json.loads(json.dumps(tracked))
+        cell = moved["cells"][7]
+        cell["cycles"] += 1
+        assert _pin_mismatches(moved, tracked) == [
+            f"cell {_cell_key(cell)}: cycles {cell['cycles'] - 1} -> "
+            f"{cell['cycles']}"
+        ]
 
 
 class TestScalingFit:

@@ -1,7 +1,5 @@
 """Shared benchmark-record helpers (:mod:`repro.bench.record`)."""
 
-import pytest
-
 from repro.bench import record
 
 
@@ -20,9 +18,4 @@ class TestPercentiles:
     def test_empty_input(self):
         out = record.percentiles([])
         assert out == {"p50": 0.0, "p95": 0.0, "p99": 0.0,
-                       "mean": 0.0, "max": 0.0, "stddev": 0.0, "n": 0}
-
-    def test_spread_stats_for_history_records(self):
-        out = record.percentiles([1.0, 2.0, 3.0])
-        assert out["stddev"] == pytest.approx(1.0)
-        assert out["n"] == 3
+                       "max": 0.0, "n": 0}

@@ -38,6 +38,30 @@ def test_trace_smoke_command(tmp_path, capsys):
     assert json.loads(metrics.read_text())["schema"] == "repro.trace.metrics/1"
 
 
+@pytest.mark.trace
+def test_trace_exits_nonzero_when_verification_fails(tmp_path, capsys,
+                                                    monkeypatch):
+    """A traced cell whose result fails verification is a failed run,
+    the same bar ``AppRunResult.verified`` uses."""
+    from repro.bench import trace_cli
+
+    app = trace_cli.APPS[trace_cli.SMOKE_APP]
+    real_prepare = app.prepare
+
+    def prepare_with_wrong_answer(gpu, size):
+        host_args, _ = real_prepare(gpu, size)
+        return host_args, lambda gpu, host_args: 1.0
+
+    monkeypatch.setattr(app, "prepare", prepare_with_wrong_answer)
+    rc = main([
+        "bench", "trace", "--smoke",
+        "--out", str(tmp_path / "trace.json"),
+        "--metrics-out", str(tmp_path / "metrics.json"),
+    ])
+    assert rc == 1
+    assert "verification failed" in capsys.readouterr().out
+
+
 def test_trace_is_a_known_command():
     from repro.bench.__main__ import COMMANDS
 

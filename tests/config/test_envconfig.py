@@ -105,7 +105,6 @@ class TestRegistry:
             "REPRO_SERVE_MAX_INFLIGHT",
             "REPRO_SERVE_RETRIES", "REPRO_SERVE_BACKOFF_S",
             "REPRO_SERVE_BREAKER_THRESHOLD", "REPRO_SERVE_DRAIN_S",
-            "REPRO_BENCH_HISTORY_DIR", "REPRO_BENCH_REGRESSION_PCT",
         }
         assert expected == set(envconfig.KNOBS)
 
@@ -222,38 +221,6 @@ class TestResilienceKnobs:
         # 0 / unset means "no drain deadline".
         monkeypatch.setenv("REPRO_SERVE_DRAIN_S", "0")
         assert resolve_serve_drain() is None
-
-
-class TestBenchKnobs:
-    def test_history_dir_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_HISTORY_DIR", raising=False)
-        assert envconfig.bench_history_dir() == ".repro-bench"
-
-    def test_history_dir_passthrough(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_HISTORY_DIR", "/tmp/perf-store")
-        assert envconfig.bench_history_dir() == "/tmp/perf-store"
-
-    def test_regression_pct_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_REGRESSION_PCT", raising=False)
-        assert envconfig.bench_regression_pct() == 5.0
-
-    def test_regression_pct_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_REGRESSION_PCT", "2.5")
-        assert envconfig.bench_regression_pct() == 2.5
-
-    def test_regression_pct_malformed_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_REGRESSION_PCT", "strict")
-        assert envconfig.bench_regression_pct() == 5.0
-
-    def test_regression_pct_negative_clamped(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_REGRESSION_PCT", "-10")
-        assert envconfig.bench_regression_pct() == 0.0
-
-    def test_history_consumers_delegate(self, monkeypatch, tmp_path):
-        from repro.bench import history
-
-        monkeypatch.setenv("REPRO_BENCH_HISTORY_DIR", str(tmp_path / "h"))
-        assert history.history_path() == str(tmp_path / "h" / "history.jsonl")
 
 
 class TestWarpKnobs:

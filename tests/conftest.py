@@ -27,21 +27,6 @@ def _isolated_compile_cache(tmp_path_factory):
     toolchain_cache.reset_compile_cache()
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_bench_history(tmp_path_factory):
-    """Point the benchmark history store at a session tmpdir so tests
-    that drive the bench CLIs never append to ``.repro-bench/``."""
-    old = os.environ.get("REPRO_BENCH_HISTORY_DIR")
-    os.environ["REPRO_BENCH_HISTORY_DIR"] = str(
-        tmp_path_factory.mktemp("repro-bench")
-    )
-    yield
-    if old is None:
-        os.environ.pop("REPRO_BENCH_HISTORY_DIR", None)
-    else:
-        os.environ["REPRO_BENCH_HISTORY_DIR"] = old
-
-
 def matrix_cells():
     """The 24 (app, build) cells of the paper's matrix: every app under
     every build, but testsnap has no CUDA build."""

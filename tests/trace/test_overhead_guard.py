@@ -80,9 +80,8 @@ class TestDisabledPath:
 
 
 class TestBenchMachineryStaysOffHotPath:
-    """The perf-history store and microbenchmark suite must cost a
-    plain launch nothing: no imports, no history I/O, no extra Python
-    per instruction."""
+    """The microbenchmark suite and report envelope must cost a plain
+    launch nothing: no imports, no extra Python per instruction."""
 
     def test_plain_launch_never_imports_bench_observability(self, monkeypatch):
         import subprocess
@@ -103,8 +102,8 @@ class TestBenchMachineryStaysOffHotPath:
             "args = compiled.abi(app.KERNEL).marshal(gpu, host_args)\n"
             "gpu.run(LaunchSpec(kernel=app.KERNEL, num_teams=app.TEAMS,\n"
             "                   threads_per_team=app.THREADS, args=args))\n"
-            "bad = [m for m in ('repro.bench.history', 'repro.bench.micro',\n"
-            "                   'repro.bench.record') if m in sys.modules]\n"
+            "bad = [m for m in ('repro.bench.micro', 'repro.bench.record')\n"
+            "       if m in sys.modules]\n"
             "assert not bad, bad\n"
         )
         proc = subprocess.run(
@@ -112,20 +111,6 @@ class TestBenchMachineryStaysOffHotPath:
             env={**__import__("os").environ, "PYTHONPATH": "src"},
         )
         assert proc.returncode == 0, proc.stderr
-
-    def test_plain_launch_touches_no_history_store(self, tmp_path, monkeypatch):
-        from repro.bench import history
-
-        store = tmp_path / "hist"
-        monkeypatch.setenv("REPRO_BENCH_HISTORY_DIR", str(store))
-
-        def boom(*a, **k):  # pragma: no cover - must not execute
-            raise AssertionError("history store touched by a plain launch")
-
-        monkeypatch.setattr(history, "append_record", boom)
-        monkeypatch.setattr(history, "load_records", boom)
-        _launch("decoded")
-        assert not store.exists()
 
     @pytest.mark.parametrize("engine", [PER_OP, "decoded"])
     def test_profile_summary_reads_only_existing_counters(self, engine,
