@@ -176,7 +176,7 @@ def _counts(outcomes: Sequence[_Outcome]) -> Dict[str, int]:
 def scenario_baseline(n: int) -> Dict[str, Any]:
     """No chaos: everything completes ok, nothing retries or sheds."""
     outcomes: List[_Outcome] = []
-    with SimulationService(workers=2, queue_depth=2 * n) as svc:
+    with SimulationService(queue_depth=2 * n) as svc:
         jobs = [svc.submit(_spec(request_id=f"base-{i:03d}"),
                            program=_chaos_program("baseline"),
                            options=CompileOptions(),
@@ -201,7 +201,7 @@ def scenario_retry_recovers(n: int) -> Dict[str, Any]:
     per-op decoded device and the request still succeeds."""
     outcomes: List[_Outcome] = []
     with SimulationService(
-        workers=2, queue_depth=2 * n,
+        queue_depth=2 * n,
         chaos="worker_die:n=1",
         retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.005,
                                  backoff_cap_s=0.02),
@@ -239,7 +239,7 @@ def scenario_breaker_lifecycle() -> Dict[str, Any]:
     outcomes: List[_Outcome] = []
     phases: List[Dict[str, Any]] = []
     with SimulationService(
-        workers=1, queue_depth=8, save_reports=True,
+        queue_depth=8, save_reports=True,
         chaos="worker_die:n=4",
         retry_policy=RetryPolicy(max_attempts=1),
         breaker_policy=BreakerPolicy(threshold=3, cooldown_s=cooldown),
@@ -314,7 +314,7 @@ def scenario_deadline_shed(n: int) -> Dict[str, Any]:
     their deadline and are shed in queue, with bounded verdict time."""
     slow_ms = 80
     deadline_s = 0.12
-    with SimulationService(workers=1, queue_depth=2 * n + 1,
+    with SimulationService(queue_depth=2 * n + 1,
                            chaos=f"slow_request:ms={slow_ms}") as svc:
         program = _chaos_program("deadline")
         # Warm the compile memo without a deadline so the deadlined
@@ -358,8 +358,7 @@ def scenario_deadline_shed(n: int) -> Dict[str, Any]:
 def scenario_compile_stall() -> Dict[str, Any]:
     """``compile_stall:ms`` longer than the deadline: the request is
     shed right after the stalled compile, at the compile stage."""
-    with SimulationService(workers=1,
-                           chaos="compile_stall:ms=250") as svc:
+    with SimulationService(chaos="compile_stall:ms=250") as svc:
         job = svc.submit(_spec(request_id="stall-000", deadline_s=0.1),
                          program=_chaos_program("stall"),
                          options=CompileOptions(), make_args=_make_args)
@@ -381,7 +380,7 @@ def scenario_compile_stall() -> Dict[str, Any]:
 def scenario_drain_under_load(n: int) -> Dict[str, Any]:
     """``close(deadline_s=...)`` mid-load: running work drains, queued
     work is cancelled (not dropped), late submits are refused."""
-    with SimulationService(workers=1, queue_depth=2 * n,
+    with SimulationService(queue_depth=2 * n,
                            chaos="slow_request:ms=60") as svc:
         program = _chaos_program("drain")
         jobs = [svc.submit(_spec(request_id=f"drn-{i:03d}"),
@@ -418,7 +417,7 @@ def scenario_saturation_hints(n: int) -> Dict[str, Any]:
     hints: List[float] = []
     outcomes: List[_Outcome] = []
     lock = threading.Lock()
-    with SimulationService(workers=2, queue_depth=2) as svc:
+    with SimulationService(queue_depth=2) as svc:
         program = _chaos_program("saturate")
 
         def tenant(t: int) -> None:

@@ -164,7 +164,7 @@ def run_faults(smoke: bool = False) -> Dict[str, Any]:
     compiled = _compile()
     scenarios = [s for s in SCENARIOS if not smoke or s.name in SMOKE_NAMES]
     rows = []
-    with SimulationService(workers=1, save_reports=True) as service:
+    with SimulationService(save_reports=True) as service:
         for scenario in scenarios:
             cells = {}
             for label in CELLS:

@@ -38,15 +38,10 @@ Knobs
 ``REPRO_WATCHDOG_S``
     Wall-clock watchdog (seconds, float) for team simulation; ``0``
     (the default) disables it.
-``REPRO_SERVE_WORKERS``
-    Worker threads of a :class:`repro.serve.SimulationService`
-    (default 4).
 ``REPRO_SERVE_QUEUE``
-    Admitted-but-not-yet-running requests a service will hold beyond
-    its workers (default 16).
-``REPRO_SERVE_MAX_INFLIGHT``
-    Hard cap on unfinished requests per service; ``0`` (the default)
-    derives the cap as workers + queue depth.
+    Admitted-but-not-yet-running requests a
+    :class:`repro.serve.SimulationService` will hold beyond the one it
+    runs (default 16).
 ``REPRO_SERVE_RETRIES``
     Total launch attempts per served request (default 2 = one run on
     the requested engine plus one retry on a fresh per-op decoded
@@ -110,12 +105,8 @@ KNOBS: Dict[str, EnvKnob] = {
                 "enable the vgpu memory/divergence sanitizer"),
         EnvKnob("REPRO_WATCHDOG_S", "float", "0",
                 "wall-clock watchdog for team simulation (s)"),
-        EnvKnob("REPRO_SERVE_WORKERS", "int", "4",
-                "worker threads of a repro.serve SimulationService"),
         EnvKnob("REPRO_SERVE_QUEUE", "int", "16",
-                "queued requests a service holds beyond its workers"),
-        EnvKnob("REPRO_SERVE_MAX_INFLIGHT", "int", "0",
-                "hard cap on unfinished served requests (0 = derived)"),
+                "queued requests a service holds beyond the running one"),
         EnvKnob("REPRO_SERVE_RETRIES", "int", "2",
                 "total launch attempts per served request (1 = no retry)"),
         EnvKnob("REPRO_SERVE_BACKOFF_S", "float", "0",
@@ -223,17 +214,8 @@ def watchdog_s() -> float:
     return max(0.0, env_float("REPRO_WATCHDOG_S"))
 
 
-def serve_workers() -> int:
-    return max(1, env_int("REPRO_SERVE_WORKERS"))
-
-
 def serve_queue() -> int:
     return max(0, env_int("REPRO_SERVE_QUEUE"))
-
-
-def serve_max_in_flight() -> int:
-    """0 means "derive from workers + queue depth"."""
-    return max(0, env_int("REPRO_SERVE_MAX_INFLIGHT"))
 
 
 def serve_retries() -> int:

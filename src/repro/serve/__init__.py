@@ -29,8 +29,6 @@ from repro.serve.service import (  # noqa: F401
     ServeStats,
     SimulationService,
     resolve_serve_drain,
-    resolve_serve_max_in_flight,
     resolve_serve_queue,
-    resolve_serve_workers,
 )
 from repro.vgpu.launchspec import LaunchResult, LaunchSpec  # noqa: F401

@@ -4,7 +4,7 @@ The device already has deterministic fault injection
 (:mod:`repro.faults`); this module is the *host-side* complement: it
 consumes the service-level sites of the ``REPRO_FAULTS`` grammar
 (``worker_die:n``, ``compile_stall:ms``, ``slow_request:ms``) and
-misbehaves inside the service workers so the resilience machinery —
+misbehaves inside the service worker so the resilience machinery —
 retry policy, circuit breakers, deadlines, admission back-pressure —
 can be exercised and asserted on (``python -m repro.bench chaos``).
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.vgpu import DEFAULT_CONFIG, GPUConfig, VirtualGPU
 
@@ -50,17 +50,19 @@ def _pool_key(module, config, env) -> Tuple:
 
 @dataclass
 class DevicePool:
-    """Bounded pool of warm, reset :class:`VirtualGPU` devices.
+    """Pool of warm, reset :class:`VirtualGPU` devices, at most one idle
+    device per key.
 
     ``acquire`` returns a device exclusively to the caller; ``release``
-    resets it and shelves it for reuse (or discards it beyond
-    ``max_idle_per_key``).  Thread-safe: the serve worker pool calls
-    into one shared instance.
+    resets it and keeps it for reuse, or discards it when its key's
+    slot is already taken.  The service runs one request at a time, so
+    it never holds two devices of one key.  The lock guards the slots
+    and counters, which ``SimulationService.health()`` reads from
+    client threads.
     """
 
-    max_idle_per_key: int = 4
     stats: PoolStats = field(default_factory=PoolStats)
-    _idle: Dict[Tuple, List[VirtualGPU]] = field(default_factory=dict)
+    _idle: Dict[Tuple, VirtualGPU] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def acquire(
@@ -81,11 +83,11 @@ class DevicePool:
         if not sanitize:
             key = _pool_key(module, config, env)
             with self._lock:
-                shelf = self._idle.get(key)
-                if shelf:
+                gpu = self._idle.pop(key, None)
+                if gpu is not None:
                     self.stats.reuses += 1
                     self.stats.in_use += 1
-                    return shelf.pop()
+                    return gpu
         with self._lock:
             self.stats.builds += 1
             self.stats.in_use += 1
@@ -93,28 +95,21 @@ class DevicePool:
                           sanitize=sanitize, env=env)
 
     def release(self, gpu: VirtualGPU, module, config, env=None) -> None:
-        """Reset *gpu* and shelve it for reuse (discard when not
-        resettable or the shelf is full)."""
-        if not gpu.resettable:
-            with self._lock:
-                self.stats.discards += 1
-                self.stats.in_use -= 1
-            return
+        """Reset *gpu* and keep it for reuse (discard when not
+        resettable or its key's slot is taken)."""
         try:
-            gpu.reset_device()
+            keep = gpu.resettable
+            if keep:
+                gpu.reset_device()
         except Exception:
-            with self._lock:
-                self.stats.discards += 1
-                self.stats.in_use -= 1
-            return
+            keep = False
         key = _pool_key(module, config, env)
         with self._lock:
             self.stats.in_use -= 1
-            shelf = self._idle.setdefault(key, [])
-            if len(shelf) >= self.max_idle_per_key:
+            if keep and key not in self._idle:
+                self._idle[key] = gpu
+            else:
                 self.stats.discards += 1
-                return
-            shelf.append(gpu)
 
     def discard(self, gpu: VirtualGPU) -> None:
         """Drop *gpu* without reuse (e.g. after an internal engine fault)."""
@@ -124,7 +119,7 @@ class DevicePool:
 
     def idle_count(self) -> int:
         with self._lock:
-            return sum(len(s) for s in self._idle.values())
+            return len(self._idle)
 
     def clear(self) -> None:
         with self._lock:

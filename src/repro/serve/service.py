@@ -1,28 +1,29 @@
 """``repro.serve`` — the multi-tenant async simulation service.
 
 :class:`SimulationService` accepts many concurrent compile+run requests
-described by :class:`~repro.vgpu.LaunchSpec` and multiplexes them over
-a persistent worker pool:
+described by :class:`~repro.vgpu.LaunchSpec` and runs them in submission
+order on one worker thread (under the GIL, more threads only interleave):
 
-* **Admission control** — at most ``workers + queue_depth`` requests
-  (capped by ``max_in_flight``) may be unfinished at once; beyond that
+* **Admission control** — at most ``1 + queue_depth`` requests (the
+  running one plus the queue) may be unfinished at once; beyond that
   ``submit()`` raises a structured :class:`~repro.serve.errors.
   AdmissionRejected` carrying a ``retry_after_s`` back-off hint derived
   from the observed queue drain rate.
 * **Deadline propagation** — a spec's ``deadline_s`` budget flows
   request→queue→compile→watchdog: a request that expires while queued
   is shed with :class:`~repro.serve.errors.DeadlineExceeded` *before*
-  wasting a worker, and the **remaining** budget (never the original)
+  wasting the worker, and the **remaining** budget (never the original)
   becomes the device watchdog of the launch.
 * **Shared compilation** — requests compile through one
   :class:`~repro.toolchain.service.ToolchainSession` (the
   content-addressed compile cache), and the service additionally
-  memoizes the live ``CompiledProgram`` per fingerprint so concurrent
+  memoizes the live ``CompiledProgram`` per fingerprint so all
   tenants share one module object — which is what lets the
-  :class:`~repro.serve.pool.DevicePool` hand the same warm devices to
+  :class:`~repro.serve.pool.DevicePool` hand the same warm device to
   all of them.
-* **Warm devices** — finished devices are reset (not rebuilt) and
-  reused; decode bindings survive across requests.
+* **Warm devices** — a finished device is reset (not rebuilt) and
+  reused; decode bindings survive across requests.  One request runs
+  at a time, so one warm device per program is all the pool keeps.
 * **Failure isolation** — a program fault (trap, sanitizer diagnostic,
   injected fault, watchdog) becomes an ``ok=False``
   :class:`~repro.vgpu.LaunchResult` carrying a deduplicated
@@ -110,26 +111,11 @@ MakeArgs = Callable[[VirtualGPU, Optional[object]], Sequence[Any]]
 Finalize = Callable[[VirtualGPU, LaunchResult], Any]
 
 
-def resolve_serve_workers(workers: Optional[int] = None) -> int:
-    """Effective worker count: explicit, else ``REPRO_SERVE_WORKERS``."""
-    if workers is None:
-        workers = envconfig.serve_workers()
-    return max(1, int(workers))
-
-
 def resolve_serve_queue(queue_depth: Optional[int] = None) -> int:
     """Effective queue depth: explicit, else ``REPRO_SERVE_QUEUE``."""
     if queue_depth is None:
         queue_depth = envconfig.serve_queue()
     return max(0, int(queue_depth))
-
-
-def resolve_serve_max_in_flight(limit: Optional[int] = None) -> int:
-    """Effective admission cap: explicit, else ``REPRO_SERVE_MAX_INFLIGHT``
-    (0 = derive from workers + queue depth)."""
-    if limit is None:
-        limit = envconfig.serve_max_in_flight()
-    return max(0, int(limit))
 
 
 def resolve_serve_drain(deadline_s: Optional[float] = None) -> Optional[float]:
@@ -275,33 +261,33 @@ class SimulationService:
 
     Use as a context manager (or call :meth:`close`); in-flight
     requests drain on close, bounded by an optional drain deadline.
+    ``workers`` accepts only 1, the one worker every service runs.
     """
 
     def __init__(
         self,
         *,
-        workers: Optional[int] = None,
+        workers: int = 1,
         queue_depth: Optional[int] = None,
-        max_in_flight: Optional[int] = None,
         session: Optional[ToolchainSession] = None,
         gpu_config: Optional[GPUConfig] = None,
-        pool: Optional[DevicePool] = None,
         save_reports: bool = False,
         report_dir: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
         breaker_policy: Optional[BreakerPolicy] = None,
         chaos: Optional[object] = None,
     ) -> None:
-        self.workers = resolve_serve_workers(workers)
+        if workers != 1:
+            raise ValueError(
+                f"a SimulationService runs every request on one worker; "
+                f"workers={workers!r} is not supported")
         self.queue_depth = resolve_serve_queue(queue_depth)
-        limit = resolve_serve_max_in_flight(max_in_flight)
-        derived = self.workers + self.queue_depth
-        #: Admission capacity: unfinished requests beyond this are
-        #: rejected at submit() time.
-        self.capacity = min(limit, derived) if limit else derived
+        #: Admission capacity: the running request plus the queue;
+        #: unfinished requests beyond this are rejected at submit() time.
+        self.capacity = 1 + self.queue_depth
         self.session = session or ToolchainSession()
         self.gpu_config = gpu_config or GPUConfig()
-        self.pool = pool or DevicePool()
+        self.pool = DevicePool()
         self.save_reports = save_reports
         self.report_dir = report_dir
         self.retry_policy = RetryPolicy.resolve(retry_policy)
@@ -316,7 +302,7 @@ class SimulationService:
         else:
             self._chaos = None
         self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve")
+            max_workers=1, thread_name_prefix="repro-serve")
         self._lock = threading.Lock()
         self._in_flight = 0
         self._closed = False
@@ -325,7 +311,6 @@ class SimulationService:
         #: the pickled compile cache, shared across tenants so the
         #: device pool sees one module object per distinct compile.
         self._compiled: Dict[str, object] = {}
-        self._compile_locks: Dict[str, threading.Lock] = {}
         #: breaker key -> CircuitBreaker (created on first use).
         self._breakers: Dict[str, CircuitBreaker] = {}
         #: Outstanding (admitted, unfinished) jobs — the drain
@@ -350,7 +335,7 @@ class SimulationService:
         when unset) the drain is bounded: requests still *queued* when
         the budget runs out are cancelled (their ``result()`` raises
         :class:`~repro.serve.errors.RequestCancelled`), and requests
-        picked up by workers during the drain get their watchdog
+        picked up by the worker during the drain get their watchdog
         clamped to the remaining budget.  Without a budget the original
         unbounded drain is preserved.  Idempotent.
         """
@@ -403,14 +388,14 @@ class SimulationService:
                 raise ServiceClosed("service is closed; no new requests")
             if self._in_flight >= self.capacity:
                 self.stats.rejected += 1
-                backlog = self._in_flight - self.workers + 1
                 raise AdmissionRejected(
                     f"service saturated: {self._in_flight} in flight "
                     f">= capacity {self.capacity}",
                     in_flight=self._in_flight,
                     capacity=self.capacity,
                     request_id=rid,
-                    retry_after_s=self._drain_rate.retry_after_s(backlog),
+                    retry_after_s=self._drain_rate.retry_after_s(
+                        self._in_flight),
                 )
             self._in_flight += 1
             self.stats.submitted += 1
@@ -423,19 +408,25 @@ class SimulationService:
                        service=self)
         with self._lock:
             self._jobs.add(job)
+        request = _Request(job, program, options, module, make_args, finalize)
+        try:
+            self._executor.submit(self._run_request, request)
+        except RuntimeError:
+            # close() shut the executor down after the _closed check.
+            # Unless its drain already cancelled (and counted) the job,
+            # the request was never admitted: undo its accounting.
+            if not job._start():
+                return job
+            with self._lock:
+                self._in_flight -= 1
+                self.stats.submitted -= 1
+                self._jobs.discard(job)
+            raise ServiceClosed("service is closed; no new requests") from None
         trace = _active_trace()
         if trace is not None:
             trace.instant("serve.submit", cat=SERVE_EVENT_CATEGORY,
                           request_id=rid, kernel=spec.kernel_name,
                           tag=spec.tag)
-        request = _Request(job, program, options, module, make_args, finalize)
-        try:
-            self._executor.submit(self._run_request, request)
-        except RuntimeError:  # executor shut down between checks
-            with self._lock:
-                self._in_flight -= 1
-                self._jobs.discard(job)
-            raise ServiceClosed("service is closed; no new requests") from None
         return job
 
     def run(self, spec: LaunchSpec, **kwargs: Any) -> LaunchResult:
@@ -520,7 +511,6 @@ class SimulationService:
         threads = getattr(self._executor, "_threads", ()) or ()
         workers_alive = sum(1 for t in threads if t.is_alive())
         rate = self._drain_rate.rate_per_s()
-        backlog = max(1, in_flight - self.workers + 1)
         out = {
             "closed": closed,
             "draining": draining,
@@ -528,10 +518,10 @@ class SimulationService:
             "queued": queued,
             "running": max(0, in_flight - queued),
             "capacity": self.capacity,
-            "workers": self.workers,
             "workers_alive": workers_alive,
             "drain_rate_rps": round(rate, 3) if rate is not None else None,
-            "retry_after_s": round(self._drain_rate.retry_after_s(backlog), 6),
+            "retry_after_s": round(self._drain_rate.retry_after_s(in_flight),
+                                   6),
             "breakers": breakers,
             "breakers_open": sum(
                 1 for b in breakers.values() if b["state"] != "closed"),
@@ -585,8 +575,7 @@ class SimulationService:
 
     def _retry_after_hint(self) -> float:
         with self._lock:
-            backlog = max(1, self._in_flight - self.workers + 1)
-        return self._drain_rate.retry_after_s(backlog)
+            return self._drain_rate.retry_after_s(self._in_flight)
 
     def _shed_deadline(self, job: ServeJob, deadline: Deadline,
                        stage: str) -> None:
@@ -608,22 +597,16 @@ class SimulationService:
 
     def _compile_shared(self, program, options, key):
         """Compile through the session cache, memoizing the live object
-        per fingerprint (*key*) so all tenants share one module."""
-        with self._lock:
-            compiled = self._compiled.get(key)
-            if compiled is not None:
-                return compiled
-            lock = self._compile_locks.setdefault(key, threading.Lock())
-        with lock:  # serialize per fingerprint, not globally
+        per fingerprint (*key*) so all tenants share one module.  Runs
+        only on the worker, so the memo needs no lock."""
+        compiled = self._compiled.get(key)
+        if compiled is None:
+            if self._chaos is not None:
+                self._chaos.on_compile()
+            compiled = self._compiled[key] = self.session.compile(
+                program, options)
             with self._lock:
-                compiled = self._compiled.get(key)
-            if compiled is None:
-                if self._chaos is not None:
-                    self._chaos.on_compile()
-                compiled = self.session.compile(program, options)
-                with self._lock:
-                    self._compiled[key] = compiled
-                    self.stats.compiles += 1
+                self.stats.compiles += 1
         return compiled
 
     def _run_request(self, request: _Request) -> None:

@@ -101,8 +101,7 @@ class TestRegistry:
             "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_CACHE_DISK",
             "REPRO_CACHE_SIZE", "REPRO_TRACE",
             "REPRO_FAULTS", "REPRO_SANITIZE", "REPRO_WATCHDOG_S",
-            "REPRO_SERVE_WORKERS", "REPRO_SERVE_QUEUE",
-            "REPRO_SERVE_MAX_INFLIGHT",
+            "REPRO_SERVE_QUEUE",
             "REPRO_SERVE_RETRIES", "REPRO_SERVE_BACKOFF_S",
             "REPRO_SERVE_BREAKER_THRESHOLD", "REPRO_SERVE_DRAIN_S",
         }
@@ -129,46 +128,26 @@ class TestRegistry:
 
 class TestServeKnobs:
     def test_defaults(self, monkeypatch):
-        for name in ("REPRO_SERVE_WORKERS", "REPRO_SERVE_QUEUE",
-                     "REPRO_SERVE_MAX_INFLIGHT"):
-            monkeypatch.delenv(name, raising=False)
-        assert envconfig.serve_workers() == 4
+        monkeypatch.delenv("REPRO_SERVE_QUEUE", raising=False)
         assert envconfig.serve_queue() == 16
-        assert envconfig.serve_max_in_flight() == 0  # 0 = derived
 
     def test_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "9")
         monkeypatch.setenv("REPRO_SERVE_QUEUE", "2")
-        monkeypatch.setenv("REPRO_SERVE_MAX_INFLIGHT", "5")
-        assert envconfig.serve_workers() == 9
         assert envconfig.serve_queue() == 2
-        assert envconfig.serve_max_in_flight() == 5
 
     def test_clamping_and_malformed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "0")
-        assert envconfig.serve_workers() == 1  # at least one worker
         monkeypatch.setenv("REPRO_SERVE_QUEUE", "-4")
         assert envconfig.serve_queue() == 0
-        monkeypatch.setenv("REPRO_SERVE_MAX_INFLIGHT", "many")
-        assert envconfig.serve_max_in_flight() == 0  # fallback default
+        monkeypatch.setenv("REPRO_SERVE_QUEUE", "many")
+        assert envconfig.serve_queue() == 16  # fallback default
 
     def test_service_resolvers_delegate(self, monkeypatch):
-        from repro.serve import (
-            resolve_serve_max_in_flight,
-            resolve_serve_queue,
-            resolve_serve_workers,
-        )
+        from repro.serve import resolve_serve_queue
 
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "6")
         monkeypatch.setenv("REPRO_SERVE_QUEUE", "7")
-        monkeypatch.setenv("REPRO_SERVE_MAX_INFLIGHT", "8")
-        assert resolve_serve_workers() == 6
         assert resolve_serve_queue() == 7
-        assert resolve_serve_max_in_flight() == 8
         # Explicit arguments win over the environment.
-        assert resolve_serve_workers(2) == 2
         assert resolve_serve_queue(0) == 0
-        assert resolve_serve_max_in_flight(1) == 1
 
 
 class TestResilienceKnobs:

@@ -64,7 +64,7 @@ def scripted(monkeypatch):
 def _run(scripted, outcomes, engine, **service_kwargs):
     launches = scripted(outcomes)
     service_kwargs.setdefault("save_reports", False)
-    with SimulationService(workers=1, **service_kwargs) as svc:
+    with SimulationService(**service_kwargs) as svc:
         result = svc.run(LaunchSpec(kernel="kern", engine=engine, **GEOMETRY),
                          module=_module(), make_args=_make_args)
     return result, launches
@@ -143,8 +143,8 @@ class TestEngineFallback:
         predates the per-op retry target.)"""
         launches = scripted({ENGINE_DECODED: RuntimeError("first"),
                              PER_OP: RuntimeError("engine bug")})
-        with SimulationService(workers=1,
-                               retry_policy=RetryPolicy(max_attempts=3)) as svc:
+        with SimulationService(
+                retry_policy=RetryPolicy(max_attempts=3)) as svc:
             with pytest.raises(RuntimeError, match="engine bug"):
                 svc.run(LaunchSpec(kernel="kern", engine=ENGINE_DECODED,
                                    **GEOMETRY),

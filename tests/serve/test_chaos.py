@@ -2,7 +2,7 @@
 
 The chaos module consumes the *service-level* sites of the
 ``REPRO_FAULTS`` grammar (``worker_die``, ``compile_stall``,
-``slow_request``) and misbehaves inside the serving workers so the
+``slow_request``) and misbehaves inside the serving worker so the
 resilience layer can be drilled.  The key structural property — pinned
 by a subprocess test here — is that a *default* service never imports
 any of it.
@@ -101,7 +101,7 @@ class TestServiceIntegration:
     def test_worker_death_is_retried_to_success(self):
         chaos = resolve_chaos("worker_die:n=1")
         with SimulationService(
-                workers=1, chaos=chaos,
+                chaos=chaos,
                 retry_policy=RetryPolicy(max_attempts=3,
                                          backoff_base_s=0.001)) as svc:
             result = svc.run(LaunchSpec(kernel="kern"), module=_noop_module())
@@ -112,7 +112,7 @@ class TestServiceIntegration:
         assert stats["retried"] == 1 and stats["attempts"] == 2
 
     def test_chaos_state_appears_in_health(self):
-        with SimulationService(workers=1, chaos="slow_request:ms=1") as svc:
+        with SimulationService(chaos="slow_request:ms=1") as svc:
             svc.run(LaunchSpec(kernel="kern"), module=_noop_module())
             health = svc.health()
         assert health["chaos"]["slowed"] == 1
@@ -134,7 +134,7 @@ class TestDisabledPathGuard:
             "fn.attrs.add('kernel')\n"
             "IRBuilder(module, fn.add_block('entry')).ret()\n"
             "verify_module(module)\n"
-            "with SimulationService(workers=1) as svc:\n"
+            "with SimulationService() as svc:\n"
             "    result = svc.run(LaunchSpec(kernel='kern'), module=module)\n"
             "assert result.ok\n"
             "assert 'repro.serve.chaos' not in sys.modules, 'chaos imported'\n"

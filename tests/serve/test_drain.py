@@ -48,7 +48,7 @@ def _blocker_spec(watchdog_s=0.5):
 
 class TestClose:
     def test_default_close_drains_everything(self):
-        svc = SimulationService(workers=2)
+        svc = SimulationService()
         module = _noop_module()
         jobs = [svc.submit(LaunchSpec(kernel="kern"), module=module)
                 for _ in range(4)]
@@ -57,18 +57,18 @@ class TestClose:
         assert svc.stats.to_dict()["cancelled"] == 0
 
     def test_close_is_idempotent(self):
-        svc = SimulationService(workers=1)
+        svc = SimulationService()
         svc.close()
         svc.close(deadline_s=0.01)
 
     def test_late_submit_raises_service_closed(self):
-        svc = SimulationService(workers=1)
+        svc = SimulationService()
         svc.close()
         with pytest.raises(ServiceClosed):
             svc.submit(LaunchSpec(kernel="kern"), module=_noop_module())
 
     def test_drain_deadline_cancels_queued_work(self):
-        svc = SimulationService(workers=1, queue_depth=8)
+        svc = SimulationService(queue_depth=8)
         blocker = svc.submit(_blocker_spec(), module=_slow_module())
         queued = [svc.submit(LaunchSpec(kernel="kern", request_id=f"q{i}"),
                              module=_noop_module())
@@ -93,7 +93,7 @@ class TestClose:
 
     def test_drain_deadline_from_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_DRAIN_S", "0.05")
-        svc = SimulationService(workers=1, queue_depth=8)
+        svc = SimulationService(queue_depth=8)
         svc.submit(_blocker_spec(), module=_slow_module())
         queued = svc.submit(LaunchSpec(kernel="kern"), module=_noop_module())
         svc.close()  # no explicit deadline: the env knob bounds it
@@ -103,7 +103,7 @@ class TestClose:
 
 class TestCancel:
     def test_cancel_queued_request_releases_its_slot(self):
-        with SimulationService(workers=1, queue_depth=1) as svc:
+        with SimulationService(queue_depth=1) as svc:
             blocker = svc.submit(_blocker_spec(), module=_slow_module())
             queued = svc.submit(LaunchSpec(kernel="kern", request_id="victim"),
                                 module=_noop_module())
@@ -121,14 +121,14 @@ class TestCancel:
             assert replacement.result(timeout=60).ok
 
     def test_cancel_after_completion_returns_false(self):
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             job = svc.submit(LaunchSpec(kernel="kern"), module=_noop_module())
             assert job.result(timeout=60).ok
             assert job.cancel() is False
             assert svc.stats.to_dict()["cancelled"] == 0
 
     def test_job_state_machine(self):
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             done = svc.submit(LaunchSpec(kernel="kern"), module=_noop_module())
             done.result(timeout=60)
             assert done.state == "done" and not done.cancelled
@@ -146,7 +146,7 @@ class TestConcurrentDrain:
         """Submitters racing a deadline-bounded close: every accepted
         job resolves (result or structured error), every refused submit
         raises a structured error, and the counters balance."""
-        svc = SimulationService(workers=2, queue_depth=16)
+        svc = SimulationService(queue_depth=16)
         module = _noop_module()
         accepted = []
         refused = []
@@ -199,7 +199,7 @@ class TestCrashReportPlacement:
         from tests.serve.test_service import _malloc_module
 
         report_dir = str(tmp_path / "crash-reports")
-        with SimulationService(workers=1, save_reports=True,
+        with SimulationService(save_reports=True,
                                report_dir=report_dir) as svc:
             result = svc.run(LaunchSpec(kernel="kern",
                                         faults="malloc_fail:n=1"),
@@ -214,7 +214,7 @@ class TestCrashReportPlacement:
         from repro.faults.report import default_report_dir
         from tests.serve.test_service import _malloc_module
 
-        with SimulationService(workers=1, save_reports=True) as svc:
+        with SimulationService(save_reports=True) as svc:
             result = svc.run(LaunchSpec(kernel="kern",
                                         faults="malloc_fail:n=1"),
                              module=_malloc_module())

@@ -233,7 +233,7 @@ class TestDrainRateTracker:
 
 class TestDeadlinePropagation:
     def test_spent_budget_sheds_in_queue_with_structure(self):
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             job = svc.submit(LaunchSpec(kernel="kern", deadline_s=0.0,
                                         request_id="doomed"),
                              module=_noop_module())
@@ -249,7 +249,7 @@ class TestDeadlinePropagation:
 
     def test_queued_requests_behind_slow_work_are_shed(self):
         slow = _slow_module()
-        with SimulationService(workers=1, queue_depth=8) as svc:
+        with SimulationService(queue_depth=8) as svc:
             spec = LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
                               watchdog_s=2.0)
             blocker = svc.submit(spec, module=slow)
@@ -270,7 +270,7 @@ class TestDeadlinePropagation:
     def test_remaining_budget_becomes_the_device_watchdog(self):
         # In-run expiry surfaces as a structured WatchdogExpired crash
         # result — the device is aborted with whatever budget was left.
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             served = svc.run(LaunchSpec(kernel="kern", num_teams=2,
                                         threads_per_team=2, deadline_s=0.05),
                              module=_slow_module())
@@ -279,7 +279,7 @@ class TestDeadlinePropagation:
 
     def test_deadline_tightens_but_never_loosens_the_watchdog(self):
         # An explicit watchdog tighter than the deadline stays in force.
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             served = svc.run(
                 LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
                            watchdog_s=0.05, deadline_s=30.0),
@@ -288,7 +288,7 @@ class TestDeadlinePropagation:
             assert served.report.error_type == "WatchdogExpired"
 
     def test_generous_deadline_changes_nothing(self):
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             served = svc.run(LaunchSpec(kernel="kern", deadline_s=60.0),
                              module=_noop_module())
             assert served.ok and not served.retried
@@ -322,7 +322,7 @@ class _Flaky:
 class TestRetryIntegration:
     def test_one_internal_failure_retries_and_succeeds(self):
         flaky = _Flaky(fail_first=1)
-        with SimulationService(workers=1) as svc:  # default policy
+        with SimulationService() as svc:  # default policy
             result = svc.run(LaunchSpec(kernel="kern"),
                              module=_noop_module(), make_args=flaky)
             assert result.ok and result.retried
@@ -333,7 +333,7 @@ class TestRetryIntegration:
 
     def test_exhausted_policy_raises_the_internal_error(self):
         flaky = _Flaky(fail_first=10)
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             job = svc.submit(LaunchSpec(kernel="kern"),
                              module=_noop_module(), make_args=flaky)
             with pytest.raises(RuntimeError, match="internal failure"):
@@ -345,7 +345,7 @@ class TestRetryIntegration:
         flaky = _Flaky(fail_first=3)
         policy = RetryPolicy(max_attempts=4, backoff_base_s=0.001,
                              backoff_cap_s=0.002)
-        with SimulationService(workers=1, retry_policy=policy) as svc:
+        with SimulationService(retry_policy=policy) as svc:
             result = svc.run(LaunchSpec(kernel="kern"),
                              module=_noop_module(), make_args=flaky)
             assert result.ok and result.retried
@@ -355,7 +355,7 @@ class TestRetryIntegration:
     def test_single_attempt_policy_never_retries(self):
         flaky = _Flaky(fail_first=1)
         with SimulationService(
-                workers=1, retry_policy=RetryPolicy(max_attempts=1)) as svc:
+                retry_policy=RetryPolicy(max_attempts=1)) as svc:
             job = svc.submit(LaunchSpec(kernel="kern"),
                              module=_noop_module(), make_args=flaky)
             with pytest.raises(RuntimeError):
@@ -368,7 +368,7 @@ class TestRetryIntegration:
         flaky = _Flaky(fail_first=1)
         policy = RetryPolicy(max_attempts=2, backoff_base_s=30.0,
                              backoff_cap_s=30.0, jitter=0.0)
-        with SimulationService(workers=1, retry_policy=policy) as svc:
+        with SimulationService(retry_policy=policy) as svc:
             job = svc.submit(LaunchSpec(kernel="kern", deadline_s=0.5),
                              module=_noop_module(), make_args=flaky)
             with pytest.raises(DeadlineExceeded) as excinfo:
@@ -381,7 +381,6 @@ class TestBreakerIntegration:
 
     def _service(self):
         return SimulationService(
-            workers=1,
             retry_policy=RetryPolicy(max_attempts=1),
             breaker_policy=self.POLICY,
         )
@@ -454,11 +453,11 @@ class TestBreakerIntegration:
 
 class TestHealth:
     def test_health_snapshot_shape_and_liveness(self):
-        with SimulationService(workers=2) as svc:
+        with SimulationService() as svc:
             svc.run(LaunchSpec(kernel="kern"), module=_noop_module())
             health = svc.health()
         assert health["closed"] in (False, True)
-        assert health["workers"] == 2
+        assert "workers" not in health
         assert health["workers_alive"] >= 1
         assert health["in_flight"] == 0 and health["queued"] == 0
         assert health["capacity"] == svc.capacity
@@ -469,7 +468,7 @@ class TestHealth:
 
     def test_health_reports_queue_pressure(self):
         slow = _slow_module()
-        with SimulationService(workers=1, queue_depth=4) as svc:
+        with SimulationService(queue_depth=4) as svc:
             spec = LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
                               watchdog_s=2.0)
             jobs = [svc.submit(spec, module=slow) for _ in range(3)]
@@ -484,7 +483,7 @@ class TestHealth:
 
         collector = TraceCollector()
         with install(collector):
-            with SimulationService(workers=1) as svc:
+            with SimulationService() as svc:
                 svc.run(LaunchSpec(kernel="kern"), module=_noop_module())
                 svc.health()
         counters = [e for e in collector.events_snapshot()

@@ -3,7 +3,7 @@
 * A request served through :class:`repro.serve.SimulationService` is
   bit-identical to a direct ``VirtualGPU.run`` of the same spec —
   profiles, verification, fault firing and the device-timeline trace —
-  across engines and under concurrency.
+  across engines and under concurrent submitters.
 * A saturated service answers with a structured
   :class:`~repro.serve.AdmissionRejected` instead of hanging.
 * A request's failure becomes its own ``ok=False`` result; it never
@@ -25,6 +25,7 @@ from repro.serve import (
     AdmissionRejected,
     DevicePool,
     LaunchSpec,
+    RequestCancelled,
     ServiceClosed,
     SimulationService,
 )
@@ -105,7 +106,7 @@ class TestServedEqualsDirect:
         """On an Old RT build, whose warp launches run on the decoded
         fallback, and on a New RT build, where warp runs every team."""
         direct = {cell: _direct_app_run(cell[1], cell[0]) for cell in EXECUTED}
-        with SimulationService(workers=2) as svc:
+        with SimulationService() as svc:
             jobs = {
                 (build, engine): svc.submit_app(APP, build=build, engine=engine)
                 for build, engine in EXECUTED
@@ -121,21 +122,47 @@ class TestServedEqualsDirect:
                 assert served.latency_s >= served.duration_s >= 0.0
 
     def test_concurrent_tenants_on_one_warm_pool_stay_identical(self):
+        """4 client threads submit at once: one compile per fingerprint
+        without per-fingerprint compile locks."""
         profile, max_error = _direct_app_run(ENGINE_DECODED)
-        with SimulationService(workers=4) as svc:
-            jobs = [svc.submit_app(APP, build=BUILD, request_id=f"t{i}")
-                    for i in range(8)]
+        start = threading.Barrier(4)
+        jobs = {}
+
+        def tenant(t):
+            start.wait()
+            jobs[t] = [svc.submit_app(APP, build=BUILD, request_id=f"t{t}-{i}")
+                       for i in range(2)]
+
+        with SimulationService() as svc:
+            threads = [threading.Thread(target=tenant, args=(t,))
+                       for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+            assert sorted(jobs) == [0, 1, 2, 3]
+            for job in (job for tenant_jobs in jobs.values()
+                        for job in tenant_jobs):
+                served = job.result(timeout=600)
+                assert served.ok
+                assert served.profile.to_dict() == profile
+                assert served.payload == {"max_error": max_error}
+            assert svc.stats.to_dict()["compiles"] == 1
+
+    def test_one_program_runs_on_one_warm_device(self):
+        profile, max_error = _direct_app_run(ENGINE_DECODED)
+        with SimulationService() as svc:
+            jobs = [svc.submit_app(APP, build=BUILD) for _ in range(8)]
             for job in jobs:
                 served = job.result(timeout=600)
                 assert served.ok
                 assert served.profile.to_dict() == profile
                 assert served.payload == {"max_error": max_error}
-            # 8 requests over 4 workers must have reused warm devices.
-            assert svc.pool.stats.reuses > 0
-            assert svc.stats.to_dict()["compiles"] == 1
+            assert svc.pool.stats.builds == 1
+            assert svc.pool.stats.reuses == 7
 
     def test_request_ids_round_trip_and_autogenerate(self):
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             tagged = svc.submit_app(APP, build=BUILD, request_id="mine")
             auto = svc.submit_app(APP, build=BUILD)
             assert tagged.result(timeout=600).request_id == "mine"
@@ -153,7 +180,7 @@ class TestFaultParity:
         direct_report = CrashReport.from_exception(
             excinfo.value, kernel="kern", engine=gpu.engine,
             fault_plan=gpu.fault_plan_for(spec))
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             served = svc.run(spec, module=_malloc_module())
         assert not served.ok and served.profile is None
         assert served.report.error_type == "InjectedFault"
@@ -170,7 +197,7 @@ class TestFaultParity:
         if on_device:
             monkeypatch.setenv("REPRO_FAULTS", plan)
         spec = LaunchSpec(kernel="kern", faults=None if on_device else plan)
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             served = svc.run(spec, module=_malloc_module())
         assert not served.ok and served.report.error_type == "InjectedFault"
         assert served.report.fault_plan == FaultPlan.parse(plan).to_dict()
@@ -178,7 +205,7 @@ class TestFaultParity:
     def test_watchdog_expiry_is_an_isolated_failure_not_a_hang(self):
         spec = LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
                           watchdog_s=0.05)
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             served = svc.run(spec, module=_barrier_loop_module(500_000))
             assert not served.ok
             assert served.report.error_type == "WatchdogExpired"
@@ -189,7 +216,7 @@ class TestFaultParity:
             assert ok.ok
 
     def test_one_tenants_fault_does_not_poison_others(self):
-        with SimulationService(workers=2) as svc:
+        with SimulationService() as svc:
             bad = svc.submit(LaunchSpec(kernel="kern",
                                         faults="malloc_fail:n=1"),
                              module=_malloc_module())
@@ -226,7 +253,7 @@ class TestIEEEResults:
             return (gpu.read_array(d, np.float64, 1)[0],
                     gpu.read_array(f, np.float32, 1)[0])
 
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             served = svc.run(LaunchSpec(kernel="kern"),
                              module=_ieee_edge_module(),
                              make_args=make_args, finalize=finalize)
@@ -246,7 +273,7 @@ class TestBadPointerTag:
         without a retry and leaves every breaker uncharged."""
         from tests.vgpu.test_errors_unified import bad_tag_module
 
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             served = svc.run(LaunchSpec(kernel="kern", args=((9 << 48) | 16, 5)),
                              module=bad_tag_module("load"))
             health = svc.health()
@@ -280,7 +307,7 @@ class TestTraceParity:
 
         served_collector = TraceCollector()
         with install(served_collector):
-            with SimulationService(workers=1) as svc:
+            with SimulationService() as svc:
                 served = svc.run(spec, module=_barrier_loop_module(3))
         assert served.ok
         direct_events = self._device_timeline(direct_collector)
@@ -294,7 +321,7 @@ class TestTraceParity:
     def test_serve_layer_spans_carry_the_request_id(self):
         collector = TraceCollector()
         with install(collector):
-            with SimulationService(workers=1) as svc:
+            with SimulationService() as svc:
                 svc.run(LaunchSpec(kernel="kern", request_id="req-y"),
                         module=_barrier_loop_module(3))
         serve_events = [e for e in collector.events_snapshot()
@@ -307,7 +334,7 @@ class TestTraceParity:
 class TestAdmissionControl:
     def test_saturated_service_rejects_with_structured_error(self):
         slow = _barrier_loop_module(500_000)
-        with SimulationService(workers=1, queue_depth=1) as svc:
+        with SimulationService(queue_depth=1) as svc:
             assert svc.capacity == 2
             # Fill the worker and the queue with watchdog-bounded slow
             # requests, then the next submission must bounce.
@@ -326,22 +353,15 @@ class TestAdmissionControl:
             assert not second.result(timeout=600).ok
             assert svc.stats.to_dict()["rejected"] == 1
 
-    def test_max_in_flight_caps_below_derived_capacity(self):
-        svc = SimulationService(workers=4, queue_depth=16, max_in_flight=3)
-        try:
-            assert svc.capacity == 3
-        finally:
-            svc.close()
-
     def test_closed_service_refuses_submissions(self):
-        svc = SimulationService(workers=1)
+        svc = SimulationService()
         svc.close()
         with pytest.raises(ServiceClosed):
             svc.submit(LaunchSpec(kernel="kern"),
                        module=_barrier_loop_module(3))
 
     def test_submit_needs_exactly_one_payload_source(self):
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             with pytest.raises(ValueError, match="exactly one"):
                 svc.submit(LaunchSpec(kernel="kern"))
 
@@ -399,7 +419,7 @@ class TestDevicePool:
             return gpu.read_array(result.spec.args[0], np.int64, 32).tolist()
 
         spec = LaunchSpec(kernel="kern", threads_per_team=32, engine=engine)
-        with SimulationService(workers=1) as svc:
+        with SimulationService() as svc:
             fresh, reused = (
                 svc.run(spec, module=module, make_args=make_args,
                         finalize=finalize)
@@ -424,30 +444,97 @@ class TestDevicePool:
         assert pool.acquire(module, sanitize=True) is not gpu
 
     def test_idle_shelf_is_bounded(self):
+        """One idle device per key: a release into a taken slot is a
+        discard, and the kept device is the one released first."""
         module = _barrier_loop_module(3)
-        pool = DevicePool(max_idle_per_key=1)
+        pool = DevicePool()
         a, b = pool.acquire(module), pool.acquire(module)
         pool.release(a, module, None)
         pool.release(b, module, None)
         assert pool.idle_count() == 1
         assert pool.stats.discards == 1
+        assert pool.acquire(module) is a
 
 
 class TestKnobs:
     def test_service_reads_the_serve_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "2")
         monkeypatch.setenv("REPRO_SERVE_QUEUE", "3")
         svc = SimulationService()
         try:
-            assert svc.workers == 2
-            assert svc.capacity == 5
+            assert svc.capacity == 4  # the running request + the queue
         finally:
             svc.close()
 
-    def test_max_inflight_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_INFLIGHT", "4")
-        svc = SimulationService(workers=8, queue_depth=8)
-        try:
-            assert svc.capacity == 4
-        finally:
-            svc.close()
+    def test_only_one_worker(self):
+        with pytest.raises(ValueError, match="one worker"):
+            SimulationService(workers=2)
+
+    @pytest.mark.parametrize("kwargs", [{"max_in_flight": 3},
+                                        {"pool": DevicePool()}])
+    def test_removed_service_options_are_type_errors(self, kwargs):
+        with pytest.raises(TypeError):
+            SimulationService(**kwargs)
+
+    def test_pool_shelf_depth_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            DevicePool(max_idle_per_key=4)
+
+    def test_removed_env_knobs_are_not_registered(self):
+        from repro import envconfig
+
+        for name in ("REPRO_SERVE_WORKERS", "REPRO_SERVE_MAX_INFLIGHT"):
+            assert name not in envconfig.KNOBS
+
+
+class TestSubmitCloseRace:
+    def test_submit_refused_after_close_leaves_no_accounting(self,
+                                                            monkeypatch):
+        """close() shuts the executor down between submit()'s _closed
+        check and its hand-off: the caller gets ServiceClosed, and the
+        refused request is neither counted nor traced."""
+        from repro.serve import service as service_mod
+
+        svc = SimulationService()
+        init = service_mod.ServeJob.__init__
+
+        def init_then_shut_down(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            svc._executor.shutdown()
+
+        monkeypatch.setattr(service_mod.ServeJob, "__init__",
+                            init_then_shut_down)
+        collector = TraceCollector()
+        with install(collector):
+            with pytest.raises(ServiceClosed):
+                svc.submit(LaunchSpec(kernel="kern"),
+                           module=_barrier_loop_module(3))
+        svc.close()
+        stats = svc.stats.to_dict()
+        terminal = (stats["completed"] + stats["cancelled"]
+                    + stats["shed_deadline"] + stats["shed_breaker"]
+                    + stats["internal_errors"])
+        assert stats["submitted"] == terminal == 0
+        assert svc.health()["in_flight"] == 0
+        assert not any(e.get("name") == "serve.submit"
+                       for e in collector.events_snapshot())
+
+    def test_submit_cancelled_by_a_racing_drain_is_counted_once(self,
+                                                               monkeypatch):
+        """close()'s drain cancels the job before the executor refuses
+        it: the submitter gets the cancelled job, counted once."""
+        svc = SimulationService()
+
+        def drain_then_refuse(fn, *args):
+            for job in svc._jobs_snapshot():
+                job.cancel()
+            raise RuntimeError("cannot schedule new futures after shutdown")
+
+        monkeypatch.setattr(svc._executor, "submit", drain_then_refuse)
+        job = svc.submit(LaunchSpec(kernel="kern"),
+                         module=_barrier_loop_module(3))
+        with pytest.raises(RequestCancelled):
+            job.result(timeout=60)
+        svc.close()
+        stats = svc.stats.to_dict()
+        assert stats["submitted"] == stats["cancelled"] == 1
+        assert svc.health()["in_flight"] == 0

@@ -303,7 +303,7 @@ def test_divergent_indirect_call_is_an_engine_limit_not_a_program_fault():
 
     spec = LaunchSpec(kernel="kern", num_teams=1, threads_per_team=N,
                       engine="warp")
-    with SimulationService(workers=1, save_reports=False) as svc:
+    with SimulationService(save_reports=False) as svc:
         served = svc.run(
             spec, module=module, make_args=make_args,
             finalize=lambda gpu, result: words(gpu, result.spec.args[0]),
