@@ -90,13 +90,12 @@ def run_proxy_app(
     engine: Optional[str] = None,
     sanitize: Optional[bool] = None,
     faults=None,
-    watchdog_s: Optional[float] = None,
 ) -> AppRunResult:
     """Compile *program* under *options*, run *kernel*, verify, profile.
 
     ``engine`` picks the execution engine (``decoded``/``warp``, see
     :func:`repro.vgpu.resolve_sim_engine`).
-    ``sanitize``/``faults``/``watchdog_s`` thread through to
+    ``sanitize``/``faults`` thread through to
     :class:`VirtualGPU`/:class:`~repro.vgpu.LaunchSpec` (robustness
     knobs; see README "Robustness").
 
@@ -119,7 +118,6 @@ def run_proxy_app(
         num_teams=num_teams,
         threads_per_team=threads_per_team,
         args=tuple(compiled.abi(kernel).marshal(gpu, host_args)),
-        watchdog_s=watchdog_s,
         engine=engine,
         faults=faults,
     )

@@ -11,7 +11,7 @@ the resilience invariants the serving layer promises:
   ``ok=False`` results; shed/cancelled/internal failures raise
   :class:`~repro.serve.errors.ServeError` subclasses (or the
   deliberately injected :class:`~repro.serve.chaos.InjectedWorkerDeath`
-  when the retry budget is exhausted on purpose).
+  when the fallback run is killed too).
 * **Shedding is fast** — when the service sheds (deadline, breaker),
   the p99 time-to-verdict stays bounded instead of queueing behind the
   slow work being shed.
@@ -30,6 +30,7 @@ nothing; host wall time is measured by ``perfbench/``.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -46,7 +47,6 @@ from repro.serve import (
     DeadlineExceeded,
     LaunchSpec,
     RequestCancelled,
-    RetryPolicy,
     ServeError,
     ServiceClosed,
     SimulationService,
@@ -197,15 +197,11 @@ def scenario_baseline(n: int) -> Dict[str, Any]:
 
 
 def scenario_retry_recovers(n: int) -> Dict[str, Any]:
-    """``worker_die:n=1``: the one killed attempt retries on a fresh
+    """``worker_die:n=1``: the one killed launch reruns on a fresh
     per-op decoded device and the request still succeeds."""
     outcomes: List[_Outcome] = []
-    with SimulationService(
-        queue_depth=2 * n,
-        chaos="worker_die:n=1",
-        retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.005,
-                                 backoff_cap_s=0.02),
-    ) as svc:
+    with SimulationService(queue_depth=2 * n,
+                           chaos="worker_die:n=1") as svc:
         jobs = [svc.submit(_spec(request_id=f"retry-{i:03d}"),
                            program=_chaos_program("retry"),
                            options=CompileOptions(),
@@ -230,18 +226,20 @@ def scenario_retry_recovers(n: int) -> Dict[str, Any]:
 def scenario_breaker_lifecycle() -> Dict[str, Any]:
     """The breaker's full loop, scripted deterministically.
 
-    ``worker_die:n=4`` with retries off and threshold 3: three failures
-    open the breaker; a shed request gets :class:`CircuitOpen` fast;
-    after the cooldown the half-open probe *also* dies (4th death),
+    ``worker_die:n=8`` with threshold 3: a failed request dies twice
+    (its launch and its fallback run), so three failed requests open
+    the breaker; a shed request gets :class:`CircuitOpen` fast; after
+    the cooldown the half-open probe *also* dies (7th and 8th deaths),
     re-opening it; the next probe succeeds and closes the circuit.
+    The report keeps each crash report's file name only: it is named
+    by content hash, so it reads the same under any cache directory.
     """
     cooldown = 0.15
     outcomes: List[_Outcome] = []
     phases: List[Dict[str, Any]] = []
     with SimulationService(
         queue_depth=8, save_reports=True,
-        chaos="worker_die:n=4",
-        retry_policy=RetryPolicy(max_attempts=1),
+        chaos="worker_die:n=8",
         breaker_policy=BreakerPolicy(threshold=3, cooldown_s=cooldown),
     ) as svc:
         program = _chaos_program("breaker")
@@ -264,7 +262,7 @@ def scenario_breaker_lifecycle() -> Dict[str, Any]:
         shed = one("brk-shed")  # immediate: shed while open
         phases.append({"phase": "shed_while_open", "outcome": shed.to_dict()})
         time.sleep(cooldown * 1.4)
-        probe1 = one("brk-probe-1")  # half-open probe, dies (4th death)
+        probe1 = one("brk-probe-1")  # half-open probe, dies twice more
         phases.append({"phase": "failed_probe", "outcome": probe1.to_dict()})
         shed2 = one("brk-shed-2")  # re-opened: shed again
         phases.append({"phase": "shed_after_reopen",
@@ -280,6 +278,9 @@ def scenario_breaker_lifecycle() -> Dict[str, Any]:
         chaos = svc._chaos.to_dict()
         health = svc.health()
         invariants = _accounting_invariants(svc, outcomes)
+    for breaker in health["breakers"].values():
+        if breaker["report_path"] is not None:
+            breaker["report_path"] = os.path.basename(breaker["report_path"])
 
     invariants += [
         _invariant("breaker_opened", state_after_failures == "open",
@@ -339,7 +340,7 @@ def scenario_deadline_shed(n: int) -> Dict[str, Any]:
         _invariant("backlog_is_shed", len(shed) >= 1, f"{counts}"),
         _invariant(
             "shed_in_queue_or_compile",
-            all(o.detail in ("queue", "compile", "retry") for o in shed),
+            all(o.detail in ("queue", "compile") for o in shed),
             f"stages: {sorted({o.detail for o in shed})}"),
         _invariant(
             "shed_p99_bounded",

@@ -2,8 +2,8 @@
 
 Runs a fixed scenario matrix (testsnap under the ``-O0`` pipeline,
 where every runtime call is still outlined and therefore hookable)
-through :class:`repro.serve.SimulationService`, whose retry loop turns
-program faults into crash reports and retries internal engine faults:
+through :class:`repro.serve.SimulationService`, which turns program
+faults into crash reports and reruns an internal engine fault once:
 
 * a clean baseline and a ``sanitize=True`` run that must produce a
   **bit-identical** profile (the sanitizer charges no cycles);

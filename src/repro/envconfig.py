@@ -35,28 +35,20 @@ Knobs
 ``REPRO_SANITIZE``
     Set truthy to run the vgpu memory/divergence sanitizer
     (``VirtualGPU(sanitize=True)``); off by default.
-``REPRO_WATCHDOG_S``
-    Wall-clock watchdog (seconds, float) for team simulation; ``0``
-    (the default) disables it.
 ``REPRO_SERVE_QUEUE``
     Admitted-but-not-yet-running requests a
     :class:`repro.serve.SimulationService` will hold beyond the one it
     runs (default 16).
-``REPRO_SERVE_RETRIES``
-    Total launch attempts per served request (default 2 = one run on
-    the requested engine plus one retry on a fresh per-op decoded
-    device after an internal engine fault; 1 disables retries).
-``REPRO_SERVE_BACKOFF_S``
-    Base of the exponential retry backoff in seconds (default 0 = no
-    sleep between attempts); each attempt waits
-    ``base * 2**(attempt-1)`` with deterministic jitter, capped.
 ``REPRO_SERVE_BREAKER_THRESHOLD``
     Consecutive *internal* failures of one (program, options) after
     which its circuit breaker opens (default 5; 0 disables breaking).
 ``REPRO_SERVE_DRAIN_S``
     Default drain budget for ``SimulationService.close()`` in seconds;
-    ``0`` (the default) drains without a deadline (the pre-resilience
-    behaviour).
+    ``0`` (the default) drains without a deadline.
+
+A launch's time budget is not a knob: it is ``LaunchSpec.deadline_s``,
+set per request.  Neither is the serve layer's fallback run, which
+always reruns an internally failed request once.
 """
 
 from __future__ import annotations
@@ -103,14 +95,8 @@ KNOBS: Dict[str, EnvKnob] = {
                 "fault-injection plan (site:key=value;... grammar)"),
         EnvKnob("REPRO_SANITIZE", "flag", "0",
                 "enable the vgpu memory/divergence sanitizer"),
-        EnvKnob("REPRO_WATCHDOG_S", "float", "0",
-                "wall-clock watchdog for team simulation (s)"),
         EnvKnob("REPRO_SERVE_QUEUE", "int", "16",
                 "queued requests a service holds beyond the running one"),
-        EnvKnob("REPRO_SERVE_RETRIES", "int", "2",
-                "total launch attempts per served request (1 = no retry)"),
-        EnvKnob("REPRO_SERVE_BACKOFF_S", "float", "0",
-                "retry backoff base in seconds (0 = immediate retry)"),
         EnvKnob("REPRO_SERVE_BREAKER_THRESHOLD", "int", "5",
                 "consecutive internal failures that open a circuit "
                 "breaker (0 = disabled)"),
@@ -209,23 +195,8 @@ def sanitize_enabled() -> bool:
     return env_flag("REPRO_SANITIZE")
 
 
-def watchdog_s() -> float:
-    """Team-simulation watchdog in seconds (0 = disabled)."""
-    return max(0.0, env_float("REPRO_WATCHDOG_S"))
-
-
 def serve_queue() -> int:
     return max(0, env_int("REPRO_SERVE_QUEUE"))
-
-
-def serve_retries() -> int:
-    """Total launch attempts per served request (minimum 1)."""
-    return max(1, env_int("REPRO_SERVE_RETRIES"))
-
-
-def serve_backoff_s() -> float:
-    """Retry backoff base in seconds (0 = immediate retry)."""
-    return max(0.0, env_float("REPRO_SERVE_BACKOFF_S"))
 
 
 def serve_breaker_threshold() -> int:

@@ -14,8 +14,8 @@ contract, not bolted on):
     failures of the simulated program rather than of the simulator.
 
 Graceful degradation — program faults become reports, internal engine
-faults retry on a fresh per-op decoded device — is
-:class:`repro.serve.SimulationService`'s retry loop; a one-off launch
+faults rerun once on a fresh per-op decoded device — is
+:class:`repro.serve.SimulationService`'s fallback run; a one-off launch
 is ``SimulationService().run(spec, module=..., make_args=...)``.
 """
 

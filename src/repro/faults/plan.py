@@ -39,7 +39,7 @@ and the device binding (:meth:`FaultPlan.team_state`) skips them:
 ``worker_die:n=K``
     The first *K* launch attempts executed by the service die with an
     internal (non-program) fault before touching a device — the input
-    that exercises the retry policy and opens circuit breakers.
+    that exercises the fallback run and opens circuit breakers.
 ``compile_stall:ms=T``
     Every shared compile sleeps *T* milliseconds — long enough
     compiles consume request deadlines at the compile stage.

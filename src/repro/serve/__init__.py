@@ -2,7 +2,7 @@
 
 See :mod:`repro.serve.service` for the architecture overview and the
 README "Serving" section for usage.  Resilience primitives (deadlines,
-retry policy, circuit breaking, drain-rate hints) live in
+circuit breaking, drain-rate hints) live in
 :mod:`repro.serve.resilience`; service-level chaos injection in
 :mod:`repro.serve.chaos` (imported only when a service is built with a
 chaos plan).
@@ -22,7 +22,6 @@ from repro.serve.resilience import (  # noqa: F401
     CircuitBreaker,
     Deadline,
     DrainRateTracker,
-    RetryPolicy,
 )
 from repro.serve.service import (  # noqa: F401
     ServeJob,

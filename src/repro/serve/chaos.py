@@ -5,7 +5,7 @@ The device already has deterministic fault injection
 consumes the service-level sites of the ``REPRO_FAULTS`` grammar
 (``worker_die:n``, ``compile_stall:ms``, ``slow_request:ms``) and
 misbehaves inside the service worker so the resilience machinery —
-retry policy, circuit breakers, deadlines, admission back-pressure —
+fallback run, circuit breakers, deadlines, admission back-pressure —
 can be exercised and asserted on (``python -m repro.bench chaos``).
 
 This module is **only imported when a service is constructed with a
@@ -33,7 +33,7 @@ class InjectedWorkerDeath(RuntimeError):
 
     Deliberately *not* a :class:`~repro.vgpu.errors.SimulationError`:
     worker death is an internal service failure, so it must flow
-    through the retry policy and circuit breaker, never through the
+    through the fallback run and circuit breaker, never through the
     program-fault (CrashReport) path.
     """
 

@@ -60,12 +60,12 @@ class DeadlineExceeded(ServeError):
     """The request's ``deadline_s`` budget expired before it could run.
 
     ``stage`` names where the budget ran out: ``"queue"`` (expired
-    while admitted-but-waiting — the request was shed before wasting a
-    worker), ``"compile"`` (the shared compile consumed the budget) or
-    ``"retry"`` (the backoff before another attempt would overrun it).
-    An expiry *during* device execution surfaces as a
-    :class:`~repro.vgpu.errors.WatchdogExpired` crash result instead —
-    the remaining budget becomes the device watchdog.
+    while admitted-but-waiting — the request was shed before wasting
+    the worker) or ``"compile"`` (the shared compile consumed the
+    budget).  An expiry *during* device execution surfaces as an
+    ``ok=False`` :class:`~repro.vgpu.errors.WatchdogExpired` result
+    instead — the launch runs with the remaining budget as its own
+    ``deadline_s``.
     """
 
     def __init__(

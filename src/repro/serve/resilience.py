@@ -6,15 +6,9 @@ Three small, independently testable pieces that
 * :class:`Deadline` — a request's wall-clock budget, created at
   submission.  The *remaining* budget (never the original) is what
   flows downstream: an expired request is shed in queue with
-  :class:`~repro.serve.errors.DeadlineExceeded` before wasting a
+  :class:`~repro.serve.errors.DeadlineExceeded` before wasting the
   worker, and whatever is left when execution starts becomes the
-  device watchdog.
-* :class:`RetryPolicy` — generalizes a hard-coded one-shot retry on
-  a fresh per-op decoded device into max attempts, exponential backoff with
-  **deterministic** jitter (seeded by request id and attempt, so a
-  replayed workload backs off identically), and a retryable-error
-  filter.  The default policy is bit-compatible with the old
-  behaviour: two attempts, no sleep.
+  launch's own ``deadline_s``.
 * :class:`CircuitBreaker` — per-(program, options) closed→open→
   half-open state machine.  It counts *internal* service failures
   (engine faults, injected worker deaths) — never program faults,
@@ -22,19 +16,23 @@ Three small, independently testable pieces that
   once open sheds requests fast with
   :class:`~repro.serve.errors.CircuitOpen` until the probe schedule
   half-opens it.
+* :class:`DrainRateTracker` — the observed completion rate behind the
+  ``retry_after_s`` hints of shed and rejected requests.
 
-In the spirit of the paper's §III-D global-malloc fallback: slower but
+The service's one fallback (an internal failure reruns once on a fresh
+per-op decoded device) needs no policy object: the simulator is
+deterministic, so a further rerun would repeat the first.  In the
+spirit of the paper's §III-D global-malloc fallback: slower but
 correct beats failing, and every degradation is structured and
 observable (`health()`, trace counters) rather than silent.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Optional
 
 from repro import envconfig
 
@@ -73,87 +71,6 @@ class Deadline:
         if not live:
             return None
         return min(live, key=lambda d: d.start_s + d.budget_s)
-
-
-def clamp_watchdog(watchdog_s: Optional[float],
-                   deadline: Optional[Deadline]) -> Optional[float]:
-    """Fold *deadline*'s remaining budget into a watchdog value.
-
-    Returns the tighter of the explicit watchdog and the remaining
-    deadline; ``None`` when neither applies.  A fully spent deadline
-    clamps to a tiny positive value (0 would mean "disabled" to the
-    watchdog machinery) so the run trips immediately and structurally.
-    """
-    if deadline is None:
-        return watchdog_s
-    remaining = max(deadline.remaining_s(), 1e-3)
-    if watchdog_s is None or watchdog_s <= 0:
-        return remaining
-    return min(watchdog_s, remaining)
-
-
-# --------------------------------------------------------------- retry --
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How a served request retries after an *internal* failure.
-
-    ``max_attempts`` counts total launches (1 = never retry).  The
-    delay before attempt ``k+1`` is ``backoff_base_s * 2**(k-1)``
-    capped at ``backoff_cap_s``, scaled by a deterministic jitter drawn
-    from ``random.Random(f"{token}:{k}")`` in ``[1-jitter, 1+jitter]``
-    — the same request id always waits the same amount, which keeps
-    chaos runs and their assertions reproducible.  Only exceptions
-    matching ``retryable`` are retried; program faults never reach this
-    policy at all.
-    """
-
-    max_attempts: int = 2
-    backoff_base_s: float = 0.0
-    backoff_cap_s: float = 1.0
-    jitter: float = 0.5
-    retryable: Tuple[Type[BaseException], ...] = (Exception,)
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("RetryPolicy.max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("RetryPolicy backoff values must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("RetryPolicy.jitter must be in [0, 1]")
-
-    @classmethod
-    def resolve(cls, policy: Optional["RetryPolicy"] = None) -> "RetryPolicy":
-        """Explicit policy, else the ``REPRO_SERVE_RETRIES`` /
-        ``REPRO_SERVE_BACKOFF_S`` environment defaults."""
-        if policy is not None:
-            return policy
-        return cls(max_attempts=envconfig.serve_retries(),
-                   backoff_base_s=envconfig.serve_backoff_s())
-
-    def should_retry(self, exc: BaseException, attempt: int) -> bool:
-        """True when *attempt* (1-based) may be followed by another."""
-        return attempt < self.max_attempts and isinstance(exc, self.retryable)
-
-    def delay_s(self, attempt: int, token: Optional[str] = None) -> float:
-        """Backoff before the attempt *after* 1-based *attempt*."""
-        if self.backoff_base_s <= 0:
-            return 0.0
-        base = min(self.backoff_base_s * (2.0 ** (attempt - 1)),
-                   self.backoff_cap_s)
-        if self.jitter == 0:
-            return base
-        rng = random.Random(f"{token or ''}:{attempt}")
-        return base * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_base_s": self.backoff_base_s,
-            "backoff_cap_s": self.backoff_cap_s,
-            "jitter": self.jitter,
-        }
 
 
 # -------------------------------------------------------------- breaker --
@@ -198,8 +115,9 @@ STATE_HALF_OPEN = "half_open"
 class CircuitBreaker:
     """Thread-safe closed→open→half-open breaker for one key.
 
-    Call :meth:`admit` before doing work: it returns normally (and, in
-    the half-open state, marks the caller as the probe) or raises the
+    Call :meth:`admit` right before launching, once nothing else can
+    shed the request: it returns normally (and, in the half-open
+    state, marks the caller as the probe) or raises the
     shed decision as a ``(failures, report_path, retry_after_s)``
     triple packed into :class:`BreakerOpenSignal` — the service turns
     that into a :class:`~repro.serve.errors.CircuitOpen` with the

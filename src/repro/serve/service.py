@@ -9,11 +9,12 @@ order on one worker thread (under the GIL, more threads only interleave):
   ``submit()`` raises a structured :class:`~repro.serve.errors.
   AdmissionRejected` carrying a ``retry_after_s`` back-off hint derived
   from the observed queue drain rate.
-* **Deadline propagation** — a spec's ``deadline_s`` budget flows
-  request→queue→compile→watchdog: a request that expires while queued
-  is shed with :class:`~repro.serve.errors.DeadlineExceeded` *before*
-  wasting the worker, and the **remaining** budget (never the original)
-  becomes the device watchdog of the launch.
+* **One time budget** — a spec's ``deadline_s`` counts from
+  ``submit()`` and flows request→queue→compile→launch: a request that
+  expires while queued or compiling is shed with
+  :class:`~repro.serve.errors.DeadlineExceeded` *before* wasting the
+  worker, and the **remaining** budget (never the original) becomes
+  the ``deadline_s`` of the launch itself.
 * **Shared compilation** — requests compile through one
   :class:`~repro.toolchain.service.ToolchainSession` (the
   content-addressed compile cache), and the service additionally
@@ -25,14 +26,13 @@ order on one worker thread (under the GIL, more threads only interleave):
   reused; decode bindings survive across requests.  One request runs
   at a time, so one warm device per program is all the pool keeps.
 * **Failure isolation** — a program fault (trap, sanitizer diagnostic,
-  injected fault, watchdog) becomes an ``ok=False``
+  injected fault, expired budget) becomes an ``ok=False``
   :class:`~repro.vgpu.LaunchResult` carrying a deduplicated
   :class:`~repro.faults.report.CrashReport`; it never leaks as an
-  exception into other tenants.  An *internal* fault retries under the
-  configurable :class:`~repro.serve.resilience.RetryPolicy`
-  (exponential backoff, deterministic jitter, a fresh per-op decoded
-  device as the fallback); the default policy is one retry.
-  This is the project's only retry loop: a one-off guarded launch is
+  exception into other tenants.  An *internal* fault reruns the
+  request once on a fresh per-op decoded device; a second internal
+  fault propagates.  This is the project's only fallback run: a
+  one-off guarded launch is
   ``SimulationService().run(spec, module=..., make_args=...)``.
 * **Circuit breaking** — consecutive internal failures of one
   (program, options) open its :class:`~repro.serve.resilience.
@@ -40,14 +40,16 @@ order on one worker thread (under the GIL, more threads only interleave):
   :class:`~repro.serve.errors.CircuitOpen` (carrying the probable
   crash-report path) until a half-open probe succeeds.
 * **Graceful drain** — ``close(deadline_s=...)`` stops intake, drains
-  in-flight work within the budget and cancels what cannot finish;
-  :meth:`ServeJob.cancel` releases individual queued requests.
-  :meth:`health` reports queue depth, breaker states, worker liveness
-  and the shed/retry/cancel counters (also exported as trace
-  counters).
+  in-flight work within the budget and cancels what is still queued;
+  :meth:`ServeJob.cancel` releases individual queued requests.  A
+  :class:`ServeJob` is the executor's own future, so a cancel or a
+  drain races the worker only through the executor's atomic
+  queued→running switch.  :meth:`health` reports
+  queue depth, breaker states, worker liveness and the
+  shed/retry/cancel counters (also exported as trace counters).
 * **Traceability** — when the :mod:`repro.trace` collector is active,
   every request's id is threaded from the ``serve.submit`` instant
-  through the ``serve.request`` span and per-attempt ``serve.attempt``
+  through the ``serve.request`` span and per-launch ``serve.attempt``
   spans into the device timeline.
 
 Results are bit-identical to a direct ``VirtualGPU.run(spec)`` of the
@@ -62,10 +64,10 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro import envconfig
 from repro.faults.report import PROGRAM_FAULTS, CrashReport
@@ -83,8 +85,6 @@ from repro.serve.resilience import (
     CircuitBreaker,
     Deadline,
     DrainRateTracker,
-    RetryPolicy,
-    clamp_watchdog,
 )
 from repro.toolchain.fingerprint import compile_fingerprint
 from repro.toolchain.service import ToolchainSession
@@ -135,9 +135,9 @@ class ServeStats:
     rejected: int = 0
     completed: int = 0
     failed: int = 0        # program faults (ok=False results)
-    retried: int = 0       # requests that needed >= 1 internal-fault retry
+    retried: int = 0       # requests served by the fallback run
     compiles: int = 0      # distinct fingerprints compiled/materialized
-    attempts: int = 0      # launch attempts executed (retries included)
+    attempts: int = 0      # launches executed (fallback runs included)
     cancelled: int = 0     # queued requests cancelled before running
     shed_deadline: int = 0  # requests shed with DeadlineExceeded
     shed_breaker: int = 0   # requests shed with CircuitOpen
@@ -161,36 +161,35 @@ class ServeStats:
         }
 
 
-#: ServeJob lifecycle states.
-JOB_QUEUED = "queued"
-JOB_RUNNING = "running"
-JOB_DONE = "done"
-JOB_CANCELLED = "cancelled"
-
-
 class ServeJob:
-    """Handle for one admitted request."""
+    """Handle for one admitted request: its identity and budget, and the
+    executor's own future for it.
+
+    ``state`` reads the future: ``queued``, ``running``, ``done`` or
+    ``cancelled``.
+    """
 
     def __init__(self, request_id: str, spec: LaunchSpec, submitted_s: float,
-                 deadline: Optional[Deadline] = None,
-                 service: Optional["SimulationService"] = None) -> None:
+                 deadline: Optional[Deadline] = None) -> None:
         self.request_id = request_id
         self.spec = spec
         self.submitted_s = submitted_s
         self.deadline = deadline
-        self.future: "Future[LaunchResult]" = Future()
-        self._service = service
-        self._state = JOB_QUEUED
-        self._state_lock = threading.Lock()
+        #: The executor's future, set when the service hands it over.
+        self.future: "Future[LaunchResult]" = None  # type: ignore[assignment]
 
     @property
     def state(self) -> str:
-        with self._state_lock:
-            return self._state
+        future = self.future
+        if future.cancelled():
+            return "cancelled"
+        if future.done():
+            return "done"
+        return "running" if future.running() else "queued"
 
     @property
     def cancelled(self) -> bool:
-        return self.state == JOB_CANCELLED
+        return self.future.cancelled()
 
     def done(self) -> bool:
         return self.future.done()
@@ -200,46 +199,30 @@ class ServeJob:
 
         Program faults come back as ``ok=False`` results; shed requests
         (deadline, breaker, cancellation) and internal failures that
-        exhausted the retry policy raise their structured error.  A
-        *timeout here* raises ``TimeoutError`` without consuming the
+        the fallback run could not absorb raise their structured error.
+        A *timeout here* raises ``TimeoutError`` without consuming the
         request — call :meth:`cancel` to release a queued slot you no
         longer want to wait for.
         """
-        return self.future.result(timeout)
+        try:
+            return self.future.result(timeout)
+        except CancelledError:
+            raise RequestCancelled(
+                f"request {self.request_id} cancelled while queued",
+                request_id=self.request_id) from None
 
     def cancel(self) -> bool:
         """Cancel this request if it has not started executing.
 
-        Returns True when the request was still queued (its ``result``
-        now raises :class:`~repro.serve.errors.RequestCancelled` and
-        its admission slot is released); False when it is already
-        running or finished — a launched request cannot be recalled.
+        Returns True when this call cancelled the still-queued request
+        (its ``result`` now raises
+        :class:`~repro.serve.errors.RequestCancelled` and its admission
+        slot is released); False when it is already cancelled, running
+        or finished — a launched request cannot be recalled.  The
+        executor's own queued→running switch decides a race with the
+        worker: the request is either cancelled or runs, never both.
         """
-        with self._state_lock:
-            if self._state != JOB_QUEUED:
-                return False
-            self._state = JOB_CANCELLED
-        if self._service is not None:
-            self._service._note_cancelled(self)
-        self.future.set_exception(RequestCancelled(
-            f"request {self.request_id} cancelled while queued",
-            request_id=self.request_id))
-        return True
-
-    # Internal: worker-side state transitions.
-
-    def _start(self) -> bool:
-        """Transition queued→running; False when already cancelled."""
-        with self._state_lock:
-            if self._state != JOB_QUEUED:
-                return False
-            self._state = JOB_RUNNING
-            return True
-
-    def _finish(self) -> None:
-        with self._state_lock:
-            if self._state != JOB_CANCELLED:
-                self._state = JOB_DONE
+        return not self.future.cancelled() and self.future.cancel()
 
 
 class _Request:
@@ -273,7 +256,6 @@ class SimulationService:
         gpu_config: Optional[GPUConfig] = None,
         save_reports: bool = False,
         report_dir: Optional[str] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         breaker_policy: Optional[BreakerPolicy] = None,
         chaos: Optional[object] = None,
     ) -> None:
@@ -290,7 +272,6 @@ class SimulationService:
         self.pool = DevicePool()
         self.save_reports = save_reports
         self.report_dir = report_dir
-        self.retry_policy = RetryPolicy.resolve(retry_policy)
         self.breaker_policy = BreakerPolicy.resolve(breaker_policy)
         self.stats = ServeStats()
         if chaos is not None:
@@ -305,6 +286,7 @@ class SimulationService:
             max_workers=1, thread_name_prefix="repro-serve")
         self._lock = threading.Lock()
         self._in_flight = 0
+        self._running = 0   # 1 while the worker executes a request
         self._closed = False
         self._ids = itertools.count(1)
         #: fingerprint -> CompiledProgram: the live-object complement of
@@ -313,9 +295,6 @@ class SimulationService:
         self._compiled: Dict[str, object] = {}
         #: breaker key -> CircuitBreaker (created on first use).
         self._breakers: Dict[str, CircuitBreaker] = {}
-        #: Outstanding (admitted, unfinished) jobs — the drain
-        #: machinery cancels whatever of these is still queued.
-        self._jobs: set = set()
         self._drain_rate = DrainRateTracker()
         self._drain_deadline: Optional[Deadline] = None
 
@@ -335,9 +314,9 @@ class SimulationService:
         when unset) the drain is bounded: requests still *queued* when
         the budget runs out are cancelled (their ``result()`` raises
         :class:`~repro.serve.errors.RequestCancelled`), and requests
-        picked up by the worker during the drain get their watchdog
-        clamped to the remaining budget.  Without a budget the original
-        unbounded drain is preserved.  Idempotent.
+        picked up by the worker during the drain get at most the
+        remaining drain budget.  Without a budget the drain is
+        unbounded.  Idempotent.
         """
         with self._lock:
             self._closed = True
@@ -353,9 +332,7 @@ class SimulationService:
                 if self._in_flight == 0:
                     break
             time.sleep(min(0.005, max(drain.remaining_s(), 1e-4)))
-        for job in self._jobs_snapshot():
-            job.cancel()
-        self._executor.shutdown(wait=wait)
+        self._executor.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------ submission --
 
@@ -404,24 +381,19 @@ class SimulationService:
         spec = spec if spec.request_id == rid else spec.replace(request_id=rid)
         deadline = (Deadline(spec.deadline_s)
                     if spec.deadline_s is not None else None)
-        job = ServeJob(rid, spec, time.monotonic(), deadline=deadline,
-                       service=self)
-        with self._lock:
-            self._jobs.add(job)
+        job = ServeJob(rid, spec, time.monotonic(), deadline=deadline)
         request = _Request(job, program, options, module, make_args, finalize)
         try:
-            self._executor.submit(self._run_request, request)
+            job.future = self._executor.submit(self._run_request, request)
         except RuntimeError:
-            # close() shut the executor down after the _closed check.
-            # Unless its drain already cancelled (and counted) the job,
-            # the request was never admitted: undo its accounting.
-            if not job._start():
-                return job
+            # close() shut the executor down after the _closed check:
+            # the request was never admitted, so undo its accounting.
             with self._lock:
                 self._in_flight -= 1
                 self.stats.submitted -= 1
-                self._jobs.discard(job)
             raise ServiceClosed("service is closed; no new requests") from None
+        job.future.add_done_callback(
+            lambda future: self._release_if_cancelled(job, future))
         trace = _active_trace()
         if trace is not None:
             trace.instant("serve.submit", cat=SERVE_EVENT_CATEGORY,
@@ -500,10 +472,9 @@ class SimulationService:
         full stats/pool counters.  When tracing is active the snapshot
         is also exported on the ``serve.health`` counter track.
         """
-        jobs = self._jobs_snapshot()
-        queued = sum(1 for j in jobs if j.state == JOB_QUEUED)
         with self._lock:
             in_flight = self._in_flight
+            queued = in_flight - self._running
             closed = self._closed
             draining = self._drain_deadline is not None
             breakers = {k: b.to_dict() for k, b in self._breakers.items()}
@@ -516,7 +487,7 @@ class SimulationService:
             "draining": draining,
             "in_flight": in_flight,
             "queued": queued,
-            "running": max(0, in_flight - queued),
+            "running": in_flight - queued,
             "capacity": self.capacity,
             "workers_alive": workers_alive,
             "drain_rate_rps": round(rate, 3) if rate is not None else None,
@@ -545,19 +516,16 @@ class SimulationService:
 
     # ------------------------------------------------------------- workers --
 
-    def _jobs_snapshot(self) -> List[ServeJob]:
-        with self._lock:
-            return list(self._jobs)
-
-    def _note_cancelled(self, job: ServeJob) -> None:
-        # cancel() won the queued→cancelled race, so the worker's
-        # _start() will refuse the job: the admission slot is released
-        # here, exactly once, and immediately — a waiting submitter
-        # must not bounce on a slot held by a corpse.
+    def _release_if_cancelled(self, job: ServeJob, future: Future) -> None:
+        # The worker releases every request it runs before resolving
+        # its future; a request cancelled in the queue (cancel() or a
+        # bounded drain) never reaches the worker, so its admission
+        # slot is released here, once, as the cancellation lands.
+        if not future.cancelled():
+            return
         with self._lock:
             self.stats.cancelled += 1
             self._in_flight -= 1
-            self._jobs.discard(job)
         trace = _active_trace()
         if trace is not None:
             trace.instant("serve.cancel", cat=SERVE_EVENT_CATEGORY,
@@ -609,18 +577,19 @@ class SimulationService:
                 self.stats.compiles += 1
         return compiled
 
-    def _run_request(self, request: _Request) -> None:
-        job = request.job
-        if not job._start():
-            # Cancelled while queued: cancel() already resolved the
-            # future and released the admission slot.
-            return
+    def _run_request(self, request: _Request) -> LaunchResult:
+        """Worker body.  The admission slot is released here, before
+        the executor resolves the job's future with the return value
+        or the raised error, so a client that resubmits as soon as
+        ``result()`` returns is never bounced by its own old request."""
+        with self._lock:
+            self._running = 1
         try:
             result = self._execute(request)
         except BaseException as exc:
             with self._lock:
                 self._in_flight -= 1
-                self._jobs.discard(job)
+                self._running = 0
                 if isinstance(exc, DeadlineExceeded):
                     self.stats.shed_deadline += 1
                 elif isinstance(exc, CircuitOpen):
@@ -628,20 +597,17 @@ class SimulationService:
                 else:
                     self.stats.internal_errors += 1
             self._drain_rate.record_completion()
-            job._finish()
-            job.future.set_exception(exc)
-            return
+            raise
         with self._lock:
             self._in_flight -= 1
-            self._jobs.discard(job)
+            self._running = 0
             self.stats.completed += 1
             if not result.ok:
                 self.stats.failed += 1
             if result.retried:
                 self.stats.retried += 1
         self._drain_rate.record_completion()
-        job._finish()
-        job.future.set_result(result)
+        return result
 
     def _execute(self, request: _Request) -> LaunchResult:
         job = request.job
@@ -656,7 +622,6 @@ class SimulationService:
 
     def _execute_on_device(self, request: _Request) -> LaunchResult:
         job = request.job
-        spec = job.spec
         deadline = Deadline.combine(job.deadline, self._drain_deadline)
         if deadline is not None and deadline.expired():
             self._shed_deadline(job, deadline, "queue")
@@ -666,28 +631,28 @@ class SimulationService:
         compiled = None
         if request.module is not None:
             module = request.module
-            options = None
             key = f"module:{id(module):x}"
         else:
             from repro.frontend.driver import CompileOptions
 
             options = request.options or CompileOptions()
             key = compile_fingerprint(request.program, options)
+            compiled = self._compile_shared(request.program, options, key)
+            module = compiled.module
+            if deadline is not None and deadline.expired():
+                self._shed_deadline(job, deadline, "compile")
 
+        # Admitted only once nothing but the launch is left, so that a
+        # half-open breaker's probe always reports back.  A key whose
+        # breaker opened was compiled (and memoized) before, so an
+        # open breaker still costs no compile.
         breaker = self._breaker_for(key)
         if breaker is not None:
             try:
                 breaker.admit()
             except BreakerOpenSignal as sig:
                 self._shed_breaker(job, sig)
-
-        if request.module is None:
-            compiled = self._compile_shared(request.program, options, key)
-            module = compiled.module
-            if deadline is not None and deadline.expired():
-                self._shed_deadline(job, deadline, "compile")
-
-        return self._attempt_loop(request, module, compiled, deadline, breaker)
+        return self._launch(request, module, compiled, deadline, breaker)
 
     def _shed_breaker(self, job: ServeJob, sig: BreakerOpenSignal) -> None:
         trace = _active_trace()
@@ -705,85 +670,73 @@ class SimulationService:
             retry_after_s=sig.retry_after_s,
         ) from None
 
-    def _attempt_loop(self, request: _Request, module, compiled,
-                      deadline: Optional[Deadline],
-                      breaker: Optional[CircuitBreaker]) -> LaunchResult:
-        """Run the request under the retry policy.
+    def _launch(self, request: _Request, module, compiled,
+                deadline: Optional[Deadline],
+                breaker: Optional[CircuitBreaker]) -> LaunchResult:
+        """Run the request, with one fallback run on an internal failure.
 
-        Attempt 1 uses the spec's engine; every retry runs on a fresh
-        decoded device that executes op by op (``VirtualGPU._per_op``),
-        away from the generated fused code an internal decoded fault
-        most likely came from.
+        The first launch uses the spec's engine on a pooled device.  An
+        internal failure (never a program fault) reruns the request once
+        on a fresh decoded device that executes op by op
+        (``VirtualGPU._per_op``), away from the generated fused code the
+        fault most likely came from.  The simulator is deterministic, so
+        a further rerun would only repeat the fallback: its internal
+        failure propagates and counts once against the breaker.
         """
-        job = request.job
-        spec = job.spec
-        policy = self.retry_policy
-        trace = _active_trace()
-        retry_info: Optional[dict] = None
-        retry_report: Optional[CrashReport] = None
+        spec = request.job.spec
         first_engine = resolve_sim_engine(spec.engine)
-        attempt = 1
-        while True:
-            attempt_engine = first_engine if attempt == 1 else ENGINE_DECODED
-            span = (trace.span("serve.attempt", cat=SERVE_EVENT_CATEGORY,
-                               request_id=job.request_id, attempt=attempt,
-                               engine=attempt_engine)
-                    if trace is not None else nullcontext())
-            with self._lock:
-                self.stats.attempts += 1
-            try:
-                with span:
-                    if self._chaos is not None:
-                        self._chaos.on_attempt()
-                    result = self._launch_attempt(
-                        request, module, compiled, deadline,
-                        engine=attempt_engine, fresh=attempt > 1,
-                        retry=retry_info)
-            except PROGRAM_FAULTS:
-                raise  # defensive: program faults are handled per-attempt
-            except Exception as exc:
-                # Internal failure of the service/engine machinery.
-                if not policy.should_retry(exc, attempt):
-                    if breaker is not None and breaker.record_failure(
-                            self._internal_report_path(request, exc,
-                                                       attempt_engine)):
-                        with self._lock:
-                            self.stats.breaker_opens += 1
-                        if trace is not None:
-                            trace.instant("serve.breaker_open",
-                                          cat=SERVE_EVENT_CATEGORY,
-                                          request_id=job.request_id,
-                                          key=breaker.key)
-                    raise
-                retry_info = {
-                    "from_engine": attempt_engine,
-                    "to_engine": ENGINE_DECODED,
-                    "error_type": type(exc).__name__,
-                    "message": str(exc),
-                    "attempt": attempt,
-                }
-                retry_report = CrashReport.from_exception(
-                    exc, kernel=spec.kernel_name, engine=attempt_engine)
-                retry_report.retry = retry_info
-                delay = policy.delay_s(attempt, job.request_id)
-                if delay > 0:
-                    if deadline is not None and \
-                            delay >= deadline.remaining_s():
-                        self._shed_deadline(job, deadline, "retry")
-                    time.sleep(delay)
-                attempt += 1
-                continue
-            # Structurally completed: ok result or isolated program fault.
-            if breaker is not None:
-                breaker.record_success()
-            if retry_report is not None and result.report is None:
-                # Successful retry: keep the internal fault on record.
-                result.report = retry_report
+        try:
+            result = self._launch_attempt(request, module, compiled,
+                                          deadline, engine=first_engine)
+        except PROGRAM_FAULTS:
+            raise  # defensive: program faults are handled per launch
+        except Exception as exc:
+            retry = {
+                "from_engine": first_engine,
+                "to_engine": ENGINE_DECODED,
+                "error_type": type(exc).__name__,
+                "message": str(exc),
+                "attempt": 1,
+            }
+            report = CrashReport.from_exception(
+                exc, kernel=spec.kernel_name, engine=first_engine)
+            report.retry = retry
+            result = self._fallback(request, module, compiled, deadline,
+                                    breaker, retry)
+            if result.report is None:
+                # Successful fallback: keep the internal fault on record.
+                result.report = report
                 if self.save_reports:
-                    result.report_path = retry_report.save(self.report_dir)
-            if retry_info is not None:
-                result.retried = True
-            return result
+                    result.report_path = report.save(self.report_dir)
+            result.retried = True
+        # Structurally completed: ok result or isolated program fault.
+        if breaker is not None:
+            breaker.record_success()
+        return result
+
+    def _fallback(self, request: _Request, module, compiled,
+                  deadline: Optional[Deadline],
+                  breaker: Optional[CircuitBreaker],
+                  retry: dict) -> LaunchResult:
+        """The one rerun on a fresh per-op decoded device."""
+        try:
+            return self._launch_attempt(request, module, compiled, deadline,
+                                        engine=ENGINE_DECODED, retry=retry)
+        except PROGRAM_FAULTS:
+            raise
+        except Exception as exc:
+            if breaker is not None and breaker.record_failure(
+                    self._internal_report_path(request, exc,
+                                               ENGINE_DECODED)):
+                with self._lock:
+                    self.stats.breaker_opens += 1
+                trace = _active_trace()
+                if trace is not None:
+                    trace.instant("serve.breaker_open",
+                                  cat=SERVE_EVENT_CATEGORY,
+                                  request_id=request.job.request_id,
+                                  key=breaker.key)
+            raise
 
     def _internal_report_path(self, request: _Request, exc: Exception,
                               engine: str) -> Optional[str]:
@@ -797,52 +750,65 @@ class SimulationService:
 
     def _launch_attempt(self, request: _Request, module, compiled,
                         deadline: Optional[Deadline], *, engine: str,
-                        fresh: bool, retry: Optional[dict]) -> LaunchResult:
-        """One launch attempt on a pooled (or, for retries, fresh) device.
+                        retry: Optional[dict] = None) -> LaunchResult:
+        """One launch: on a pooled device, or for the fallback run
+        (*retry* set) on a fresh per-op decoded device.
 
         Program faults are isolated here into ``ok=False`` results;
-        internal faults propagate to the retry loop.
+        internal faults propagate to :meth:`_launch`.
         """
         job = request.job
         spec = job.spec
-        run_spec = spec
-        if fresh:
-            run_spec = run_spec.replace(engine=ENGINE_DECODED)
-        if deadline is not None:
-            # The *remaining* budget becomes the device watchdog.
-            run_spec = run_spec.replace(
-                watchdog_s=clamp_watchdog(spec.watchdog_s, deadline),
-                deadline_s=None)
-        sanitize = bool(spec.sanitize)
-        if fresh:
-            gpu = VirtualGPU(module, config=self.gpu_config, sanitize=sanitize)
-            gpu._per_op = True
-        else:
-            gpu = self.pool.acquire(module, self.gpu_config, sanitize=sanitize)
-        try:
-            if request.make_args is not None:
+        fresh = retry is not None
+        trace = _active_trace()
+        span = (trace.span("serve.attempt", cat=SERVE_EVENT_CATEGORY,
+                           request_id=job.request_id, attempt=1 + fresh,
+                           engine=engine)
+                if trace is not None else nullcontext())
+        with self._lock:
+            self.stats.attempts += 1
+        with span:
+            if self._chaos is not None:
+                self._chaos.on_attempt()
+            run_spec = spec
+            if fresh:
+                run_spec = run_spec.replace(engine=ENGINE_DECODED)
+            if deadline is not None:
+                # The launch gets the *remaining* budget as its own.
                 run_spec = run_spec.replace(
-                    args=tuple(request.make_args(gpu, compiled)))
-            result = gpu.run(run_spec)
-            result.submitted_s = job.submitted_s
-            if request.finalize is not None:
-                result.payload = request.finalize(gpu, result)
-            if not fresh:
-                self.pool.release(gpu, module, self.gpu_config)
-            return result
-        except PROGRAM_FAULTS as exc:
-            # Deterministic property of the program: isolate as a
-            # CrashReport-carrying failed result, keep the device.
-            result = self._failed_result(job, run_spec, exc, gpu, engine,
-                                         retry=retry)
-            if not fresh:
-                self.pool.release(gpu, module, self.gpu_config)
-            return result
-        except Exception:
-            # Internal engine fault: the device may be inconsistent.
-            if not fresh:
-                self.pool.discard(gpu)
-            raise
+                    deadline_s=deadline.remaining_s())
+            sanitize = bool(spec.sanitize)
+            if fresh:
+                gpu = VirtualGPU(module, config=self.gpu_config,
+                                 sanitize=sanitize)
+                gpu._per_op = True
+            else:
+                gpu = self.pool.acquire(module, self.gpu_config,
+                                        sanitize=sanitize)
+            try:
+                if request.make_args is not None:
+                    run_spec = run_spec.replace(
+                        args=tuple(request.make_args(gpu, compiled)))
+                result = gpu.run(run_spec)
+                result.submitted_s = job.submitted_s
+                if request.finalize is not None:
+                    result.payload = request.finalize(gpu, result)
+                if not fresh:
+                    self.pool.release(gpu, module, self.gpu_config)
+                return result
+            except PROGRAM_FAULTS as exc:
+                # Deterministic property of the program: isolate as a
+                # CrashReport-carrying failed result, keep the device.
+                result = self._failed_result(job, run_spec, exc, gpu,
+                                             engine, retry=retry)
+                if not fresh:
+                    self.pool.release(gpu, module, self.gpu_config)
+                return result
+            except Exception:
+                # Internal engine fault: the device may be inconsistent.
+                if not fresh:
+                    self.pool.discard(gpu)
+                raise
 
     def _failed_result(self, job, spec, exc, gpu, engine,
                        retry: Optional[dict] = None) -> LaunchResult:

@@ -64,14 +64,6 @@ def resolve_fault_plan(faults=None):
     return faults
 
 
-def resolve_watchdog(watchdog_s: Optional[float] = None) -> float:
-    """Effective simulation watchdog in seconds: explicit
-    *watchdog_s*, else ``REPRO_WATCHDOG_S``; 0 disables it."""
-    if watchdog_s is None:
-        return envconfig.watchdog_s()
-    return max(0.0, float(watchdog_s))
-
-
 @dataclass(frozen=True)
 class GPUConfig:
     """Hardware model parameters for the virtual GPU."""

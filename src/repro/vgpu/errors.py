@@ -65,7 +65,8 @@ class InjectedFault(SimulationError):
 
 
 class WatchdogExpired(SimulationError):
-    """The wall-clock watchdog fired before team simulation finished (``LaunchSpec(watchdog_s=...)`` / ``REPRO_WATCHDOG_S``)."""
+    """The launch's time budget (``LaunchSpec.deadline_s``) ran out
+    before team simulation finished."""
 
 
 class EngineUnsupported(Exception):
@@ -74,7 +75,7 @@ class EngineUnsupported(Exception):
 
     Deliberately *not* a :class:`SimulationError`: it is an internal
     engine limitation, not a program fault, so the simulation service
-    takes its internal-fault retry path instead of reporting the
+    takes its internal-fault fallback run instead of reporting the
     program as faulty."""
 
 

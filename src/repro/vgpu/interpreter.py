@@ -56,7 +56,6 @@ from repro.vgpu.config import (
     resolve_fault_plan,
     resolve_sanitize,
     resolve_sim_engine,
-    resolve_watchdog,
 )
 from repro.vgpu.config import (  # noqa: F401 (re-export)
     ENGINE_DECODED,
@@ -101,9 +100,9 @@ class CooperativeWatchdog:
 
     __slots__ = ("seconds", "deadline")
 
-    def __init__(self, seconds: float) -> None:
+    def __init__(self, seconds: float, start_s: float) -> None:
         self.seconds = seconds
-        self.deadline = time.monotonic() + seconds
+        self.deadline = start_s + seconds
 
     def expired(self) -> bool:
         return time.monotonic() >= self.deadline
@@ -309,9 +308,10 @@ class VirtualGPU:
         devices across tenants.
 
         ``spec.dynamic_shared_bytes`` models the launch-time dynamic
-        shared memory of §III-D; ``spec.watchdog_s`` bounds wall-clock
-        simulation time with a cooperative abort at phase boundaries,
-        raising :class:`~repro.vgpu.errors.WatchdogExpired`.
+        shared memory of §III-D; ``spec.deadline_s``, counted from this
+        call, bounds wall-clock simulation time with a cooperative
+        abort at phase boundaries, raising
+        :class:`~repro.vgpu.errors.WatchdogExpired`.
         """
         if spec.sanitize is not None and bool(spec.sanitize) != self.sanitize:
             raise SimulationError(
@@ -325,7 +325,7 @@ class VirtualGPU:
         self.engine, self.fault_plan = engine, fault_plan
         started = time.monotonic()
         try:
-            profile = self._execute_spec(spec)
+            profile = self._execute_spec(spec, started)
         finally:
             self.engine, self.fault_plan = saved
         fallbacks = self._fallbacks
@@ -349,8 +349,10 @@ class VirtualGPU:
             return self.fault_plan
         return resolve_fault_plan(spec.faults)
 
-    def _execute_spec(self, spec: LaunchSpec) -> KernelProfile:
-        """Run one launch with the device-level engine/faults in effect."""
+    def _execute_spec(self, spec: LaunchSpec,
+                      started_s: float) -> KernelProfile:
+        """Run one launch with the device-level engine/faults in effect;
+        its time budget counts from *started_s*."""
         kernel = spec.kernel
         args = spec.args
         num_teams = spec.num_teams
@@ -386,14 +388,8 @@ class VirtualGPU:
         profile.shared_memory_bytes = resources.shared_memory_bytes
 
         self.memory.begin_launch()
-        watchdog_s = resolve_watchdog(spec.watchdog_s)
-        if spec.deadline_s is not None:
-            # A direct run starts its budget now, so the deadline is a
-            # whole-launch watchdog bound (the serve layer instead
-            # clamps to the *remaining* budget before handing off).
-            budget = max(spec.deadline_s, 1e-3)
-            watchdog_s = budget if watchdog_s <= 0 else min(watchdog_s, budget)
-        abort = CooperativeWatchdog(watchdog_s) if watchdog_s > 0 else None
+        abort = (CooperativeWatchdog(spec.deadline_s, started_s)
+                 if spec.deadline_s is not None else None)
         # One reusable thread-context workspace shared by all teams.
         workspace: List[ThreadContext] = []
         try:

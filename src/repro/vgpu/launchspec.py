@@ -1,8 +1,8 @@
 """The request-object launch API: :class:`LaunchSpec` / :class:`LaunchResult`.
 
 A :class:`LaunchSpec` is the one canonical description of a kernel
-launch — grid geometry, arguments, dynamic shared memory, watchdog and
-the per-request robustness knobs (engine, fault plan, sanitizer
+launch — grid geometry, arguments, dynamic shared memory, time budget
+and the per-request robustness knobs (engine, fault plan, sanitizer
 expectation) plus an optional ``request_id`` that the tracing layer
 threads from submission through the device timeline.
 
@@ -43,15 +43,13 @@ class LaunchSpec:
     args: Tuple[Any, ...] = ()
     #: Launch-time dynamic shared memory per team (bytes), §III-D.
     dynamic_shared_bytes: int = 0
-    #: Wall-clock watchdog in seconds (None = ``REPRO_WATCHDOG_S``;
-    #: 0 disables); a cooperative abort at phase boundaries.
-    watchdog_s: Optional[float] = None
-    #: End-to-end wall-clock budget in seconds (None = no deadline).
-    #: On a direct ``run()`` it tightens the watchdog; submitted to a
-    #: service it flows request→queue→compile→watchdog: a request
-    #: expiring in queue is shed with a structured ``DeadlineExceeded``
-    #: before wasting a worker, and the *remaining* budget (never the
-    #: original) becomes the device watchdog.
+    #: The launch's one wall-clock time budget in seconds (None = no
+    #: budget).  A direct ``run()`` counts it from the call and aborts
+    #: at the first phase boundary past it with ``WatchdogExpired``.
+    #: Submitted to a service it counts from ``submit()``: a request
+    #: expiring in queue or compile is shed with a structured
+    #: ``DeadlineExceeded``, and the launch gets the *remaining* budget
+    #: (never the original) as its own ``deadline_s``.
     deadline_s: Optional[float] = None
     #: Execution engine override for this launch (``decoded`` /
     #: ``warp``; None = the device's engine).
@@ -80,8 +78,6 @@ class LaunchSpec:
             raise ValueError("LaunchSpec.threads_per_team must be >= 1")
         if self.dynamic_shared_bytes < 0:
             raise ValueError("LaunchSpec.dynamic_shared_bytes must be >= 0")
-        if self.watchdog_s is not None and self.watchdog_s < 0:
-            raise ValueError("LaunchSpec.watchdog_s must be >= 0 (or None)")
         if self.deadline_s is not None and self.deadline_s < 0:
             raise ValueError("LaunchSpec.deadline_s must be >= 0 (or None)")
         if self.engine is not None:
@@ -149,12 +145,12 @@ class LaunchResult:
     fallback: Optional[str] = None
     ok: bool = True
     #: CrashReport for a failed request — or, on a successful serve
-    #: retry, for the internal engine fault that forced the retry.
+    #: fallback run, for the internal engine fault that forced it.
     report: Optional[object] = None
     report_path: Optional[str] = None
-    #: True when the requested engine failed internally and a retry on
-    #: a fresh per-op decoded device supplied the result (serve-layer
-    #: fallback).
+    #: True when the requested engine failed internally and the one
+    #: fallback run on a fresh per-op decoded device supplied the
+    #: result (serve layer only).
     retried: bool = False
     #: Host wall-clock stamps (``time.monotonic``): submission to a
     #: service (None for direct runs), execution start, execution end.

@@ -1,6 +1,7 @@
 """``python -m repro.bench chaos`` — resilience-drill report contract."""
 
 import json
+import os
 
 import pytest
 
@@ -55,6 +56,17 @@ class TestChaosSuiteReport:
         assert counts["shed_breaker"] > 0
         assert counts["cancelled"] > 0
         assert sum(s["stats"]["retried"] for s in details) > 0
+
+    def test_crash_report_paths_name_no_directory(self, report):
+        """The report is committed: a crash report is named by content
+        hash, so its file name alone reads the same under any cache
+        directory."""
+        (drill,) = [s for s in report["scenarios_detail"]
+                    if s["scenario"] == "breaker_lifecycle"]
+        paths = [b["report_path"]
+                 for b in drill["health"]["breakers"].values()]
+        assert paths and all(path and os.path.basename(path) == path
+                             for path in paths)
 
     def test_shed_latency_percentiles(self, report):
         shed = report["shed_latency_s"]

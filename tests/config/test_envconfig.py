@@ -54,20 +54,20 @@ class TestStrParsing:
 
 class TestFloatParsing:
     def test_valid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WATCHDOG_S", "2.5")
-        assert envconfig.watchdog_s() == 2.5
+        monkeypatch.setenv("REPRO_SERVE_DRAIN_S", "2.5")
+        assert envconfig.serve_drain_s() == 2.5
 
     def test_malformed_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WATCHDOG_S", "soon")
-        assert envconfig.watchdog_s() == 0.0
+        monkeypatch.setenv("REPRO_SERVE_DRAIN_S", "soon")
+        assert envconfig.serve_drain_s() == 0.0
 
     def test_negative_clamped(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WATCHDOG_S", "-3")
-        assert envconfig.watchdog_s() == 0.0
+        monkeypatch.setenv("REPRO_SERVE_DRAIN_S", "-3")
+        assert envconfig.serve_drain_s() == 0.0
 
     def test_unset_default_disabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WATCHDOG_S", raising=False)
-        assert envconfig.watchdog_s() == 0.0
+        monkeypatch.delenv("REPRO_SERVE_DRAIN_S", raising=False)
+        assert envconfig.serve_drain_s() == 0.0
 
 
 class TestRobustnessKnobs:
@@ -100,9 +100,8 @@ class TestRegistry:
             "REPRO_SIM_ENGINE", "REPRO_JOBS",
             "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_CACHE_DISK",
             "REPRO_CACHE_SIZE", "REPRO_TRACE",
-            "REPRO_FAULTS", "REPRO_SANITIZE", "REPRO_WATCHDOG_S",
+            "REPRO_FAULTS", "REPRO_SANITIZE",
             "REPRO_SERVE_QUEUE",
-            "REPRO_SERVE_RETRIES", "REPRO_SERVE_BACKOFF_S",
             "REPRO_SERVE_BREAKER_THRESHOLD", "REPRO_SERVE_DRAIN_S",
         }
         assert expected == set(envconfig.KNOBS)
@@ -124,6 +123,13 @@ class TestRegistry:
         text = envconfig.describe_env()
         for name in envconfig.KNOBS:
             assert name in text
+
+    def test_readme_documents_exactly_the_knobs(self):
+        """The README's ``REPRO_*`` names are the registry: a removed
+        knob must leave the docs, and a new one must enter them."""
+        readme = Path(envconfig.__file__).resolve().parents[2] / "README.md"
+        names = set(re.findall(r"REPRO_[A-Z_]*[A-Z]", readme.read_text()))
+        assert names == set(envconfig.KNOBS)
 
 
 class TestServeKnobs:
@@ -152,49 +158,32 @@ class TestServeKnobs:
 
 class TestResilienceKnobs:
     def test_defaults(self, monkeypatch):
-        for name in ("REPRO_SERVE_RETRIES", "REPRO_SERVE_BACKOFF_S",
-                     "REPRO_SERVE_BREAKER_THRESHOLD", "REPRO_SERVE_DRAIN_S"):
+        for name in ("REPRO_SERVE_BREAKER_THRESHOLD", "REPRO_SERVE_DRAIN_S"):
             monkeypatch.delenv(name, raising=False)
-        assert envconfig.serve_retries() == 2  # old one-shot retry
-        assert envconfig.serve_backoff_s() == 0.0
         assert envconfig.serve_breaker_threshold() == 5
         assert envconfig.serve_drain_s() == 0.0  # 0 = unbounded drain
 
     def test_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_RETRIES", "4")
-        monkeypatch.setenv("REPRO_SERVE_BACKOFF_S", "0.25")
         monkeypatch.setenv("REPRO_SERVE_BREAKER_THRESHOLD", "3")
         monkeypatch.setenv("REPRO_SERVE_DRAIN_S", "1.5")
-        assert envconfig.serve_retries() == 4
-        assert envconfig.serve_backoff_s() == 0.25
         assert envconfig.serve_breaker_threshold() == 3
         assert envconfig.serve_drain_s() == 1.5
 
     def test_clamping_and_malformed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_RETRIES", "0")
-        assert envconfig.serve_retries() == 1  # at least one attempt
-        monkeypatch.setenv("REPRO_SERVE_BACKOFF_S", "-1")
-        assert envconfig.serve_backoff_s() == 0.0
         monkeypatch.setenv("REPRO_SERVE_BREAKER_THRESHOLD", "-2")
         assert envconfig.serve_breaker_threshold() == 0  # 0 = disabled
         monkeypatch.setenv("REPRO_SERVE_DRAIN_S", "soon")
         assert envconfig.serve_drain_s() == 0.0  # fallback default
 
     def test_policy_resolvers_delegate(self, monkeypatch):
-        from repro.serve.resilience import BreakerPolicy, RetryPolicy
+        from repro.serve.resilience import BreakerPolicy
         from repro.serve.service import resolve_serve_drain
 
-        monkeypatch.setenv("REPRO_SERVE_RETRIES", "3")
-        monkeypatch.setenv("REPRO_SERVE_BACKOFF_S", "0.1")
         monkeypatch.setenv("REPRO_SERVE_BREAKER_THRESHOLD", "7")
         monkeypatch.setenv("REPRO_SERVE_DRAIN_S", "2.0")
-        policy = RetryPolicy.resolve()
-        assert policy.max_attempts == 3
-        assert policy.backoff_base_s == 0.1
         assert BreakerPolicy.resolve().threshold == 7
         assert resolve_serve_drain() == 2.0
         # Explicit arguments win over the environment.
-        assert RetryPolicy.resolve(RetryPolicy(max_attempts=1)).max_attempts == 1
         assert BreakerPolicy.resolve(BreakerPolicy(threshold=0)).threshold == 0
         assert resolve_serve_drain(0.5) == 0.5
         # 0 / unset means "no drain deadline".

@@ -16,7 +16,7 @@ import pytest
 from repro.faults import PROGRAM_FAULTS
 from repro.ir import I64, Module, verify_module
 from repro.memory.memmodel import MemoryError_
-from repro.serve import RetryPolicy, SimulationService
+from repro.serve import SimulationService
 from repro.vgpu import LaunchSpec, VirtualGPU
 from repro.vgpu.config import ENGINE_DECODED, ENGINE_WARP
 from repro.vgpu.errors import SimulationError, TrapError
@@ -137,14 +137,12 @@ class TestEngineFallback:
         assert [engine for engine, _, _ in launches] == [ENGINE_WARP, PER_OP]
 
     def test_internal_legacy_fault_propagates(self, scripted):
-        """The retry target's own internal failures are terminal once the
-        policy's attempts run out (every retry is per-op decoded), and
-        the circuit breaker counts the request once.  (The test id
-        predates the per-op retry target.)"""
+        """An internal failure of the one per-op fallback run is
+        terminal, and the circuit breaker counts the request once.
+        (The test id predates the per-op fallback target.)"""
         launches = scripted({ENGINE_DECODED: RuntimeError("first"),
                              PER_OP: RuntimeError("engine bug")})
-        with SimulationService(
-                retry_policy=RetryPolicy(max_attempts=3)) as svc:
+        with SimulationService() as svc:
             with pytest.raises(RuntimeError, match="engine bug"):
                 svc.run(LaunchSpec(kernel="kern", engine=ENGINE_DECODED,
                                    **GEOMETRY),
@@ -152,8 +150,8 @@ class TestEngineFallback:
             stats = svc.stats.to_dict()
             (breaker,) = svc._breakers.values()
         assert [engine for engine, _, _ in launches] == [
-            ENGINE_DECODED, PER_OP, PER_OP]
-        assert stats["attempts"] == 3 and stats["internal_errors"] == 1
+            ENGINE_DECODED, PER_OP]
+        assert stats["attempts"] == 2 and stats["internal_errors"] == 1
         assert breaker.to_dict()["failures"] == 1
 
     def test_program_fault_on_retry_keeps_the_retry_record(self, scripted):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.faults.plan import FaultPlan
 from repro.ir import Module, verify_module
-from repro.serve import LaunchSpec, RetryPolicy, SimulationService
+from repro.serve import LaunchSpec, SimulationService
 from repro.serve.chaos import ChaosState, InjectedWorkerDeath, resolve_chaos
 from repro.vgpu.errors import SimulationError
 from tests.conftest import make_kernel
@@ -100,10 +100,7 @@ class TestResolveChaos:
 class TestServiceIntegration:
     def test_worker_death_is_retried_to_success(self):
         chaos = resolve_chaos("worker_die:n=1")
-        with SimulationService(
-                chaos=chaos,
-                retry_policy=RetryPolicy(max_attempts=3,
-                                         backoff_base_s=0.001)) as svc:
+        with SimulationService(chaos=chaos) as svc:
             result = svc.run(LaunchSpec(kernel="kern"), module=_noop_module())
         assert result.ok
         assert result.retried

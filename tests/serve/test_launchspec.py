@@ -102,7 +102,6 @@ class TestLaunchSpecValidation:
         ("num_teams", 0),
         ("threads_per_team", 0),
         ("dynamic_shared_bytes", -1),
-        ("watchdog_s", -0.5),
         ("deadline_s", -0.1),
     ])
     def test_bounds_are_validated(self, field, value):
@@ -122,6 +121,17 @@ class TestLaunchSpecValidation:
         with pytest.raises(TypeError, match="sim_jobs"):
             run_proxy_app("testsnap", None, "kern", None, {}, None, 1, 1,
                           sim_jobs=2)
+
+    def test_deadline_is_the_only_time_budget(self):
+        """``watchdog_s=`` is gone from every launch entry point that
+        took it; ``deadline_s`` is the one budget."""
+        from repro.apps.common import run_proxy_app
+
+        with pytest.raises(TypeError, match="watchdog_s"):
+            LaunchSpec(kernel="kern", watchdog_s=1.0)
+        with pytest.raises(TypeError, match="watchdog_s"):
+            run_proxy_app("testsnap", None, "kern", None, {}, None, 1, 1,
+                          watchdog_s=1.0)
 
     def test_engine_is_resolved_at_construction(self):
         assert LaunchSpec(kernel="k", engine=" Warp").engine == ENGINE_WARP

@@ -25,7 +25,6 @@ from repro.serve import (
     AdmissionRejected,
     DevicePool,
     LaunchSpec,
-    RequestCancelled,
     ServiceClosed,
     SimulationService,
 )
@@ -204,14 +203,14 @@ class TestFaultParity:
 
     def test_watchdog_expiry_is_an_isolated_failure_not_a_hang(self):
         spec = LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
-                          watchdog_s=0.05)
+                          deadline_s=0.05)
         with SimulationService() as svc:
             served = svc.run(spec, module=_barrier_loop_module(500_000))
             assert not served.ok
             assert served.report.error_type == "WatchdogExpired"
             # The worker (and its device slot) survive for the next tenant.
             ok = svc.run(LaunchSpec(kernel="kern", num_teams=1,
-                                    threads_per_team=1, watchdog_s=30.0),
+                                    threads_per_team=1, deadline_s=30.0),
                          module=_barrier_loop_module(3))
             assert ok.ok
 
@@ -336,19 +335,20 @@ class TestAdmissionControl:
         slow = _barrier_loop_module(500_000)
         with SimulationService(queue_depth=1) as svc:
             assert svc.capacity == 2
-            # Fill the worker and the queue with watchdog-bounded slow
-            # requests, then the next submission must bounce.
+            # Fill the worker and the queue with deadline-bounded slow
+            # requests, then the next submission must bounce.  Budgets
+            # count from submit(): the second one outlasts the first.
             spec = LaunchSpec(kernel="kern", num_teams=2, threads_per_team=2,
-                              watchdog_s=1.0)
+                              deadline_s=1.0)
             first = svc.submit(spec, module=slow)
-            second = svc.submit(spec, module=slow)
+            second = svc.submit(spec.replace(deadline_s=2.0), module=slow)
             with pytest.raises(AdmissionRejected) as excinfo:
                 svc.submit(spec.replace(request_id="bounced"), module=slow)
             err = excinfo.value
             assert err.in_flight == 2 and err.capacity == 2
             assert err.request_id == "bounced"
             assert err.to_dict()["error"] == "AdmissionRejected"
-            # The admitted requests still drain (watchdog bounds them).
+            # The admitted requests still drain (the deadline bounds them).
             assert not first.result(timeout=600).ok
             assert not second.result(timeout=600).ok
             assert svc.stats.to_dict()["rejected"] == 1
@@ -470,7 +470,8 @@ class TestKnobs:
             SimulationService(workers=2)
 
     @pytest.mark.parametrize("kwargs", [{"max_in_flight": 3},
-                                        {"pool": DevicePool()}])
+                                        {"pool": DevicePool()},
+                                        {"retry_policy": None}])
     def test_removed_service_options_are_type_errors(self, kwargs):
         with pytest.raises(TypeError):
             SimulationService(**kwargs)
@@ -482,7 +483,9 @@ class TestKnobs:
     def test_removed_env_knobs_are_not_registered(self):
         from repro import envconfig
 
-        for name in ("REPRO_SERVE_WORKERS", "REPRO_SERVE_MAX_INFLIGHT"):
+        for name in ("REPRO_SERVE_WORKERS", "REPRO_SERVE_MAX_INFLIGHT",
+                     "REPRO_SERVE_RETRIES", "REPRO_SERVE_BACKOFF_S",
+                     "REPRO_WATCHDOG_S"):
             assert name not in envconfig.KNOBS
 
 
@@ -517,24 +520,3 @@ class TestSubmitCloseRace:
         assert svc.health()["in_flight"] == 0
         assert not any(e.get("name") == "serve.submit"
                        for e in collector.events_snapshot())
-
-    def test_submit_cancelled_by_a_racing_drain_is_counted_once(self,
-                                                               monkeypatch):
-        """close()'s drain cancels the job before the executor refuses
-        it: the submitter gets the cancelled job, counted once."""
-        svc = SimulationService()
-
-        def drain_then_refuse(fn, *args):
-            for job in svc._jobs_snapshot():
-                job.cancel()
-            raise RuntimeError("cannot schedule new futures after shutdown")
-
-        monkeypatch.setattr(svc._executor, "submit", drain_then_refuse)
-        job = svc.submit(LaunchSpec(kernel="kern"),
-                         module=_barrier_loop_module(3))
-        with pytest.raises(RequestCancelled):
-            job.result(timeout=60)
-        svc.close()
-        stats = svc.stats.to_dict()
-        assert stats["submitted"] == stats["cancelled"] == 1
-        assert svc.health()["in_flight"] == 0
