@@ -1,33 +1,26 @@
 # Convenience targets for the reproduction repo.
 #
-# `make verify` is the one-shot health check: tier-1 tests, the
+# `make verify` is the one-shot health check: tier-1 tests (which also
+# carry the trace, faults, micro and serve-chaos smoke checks, under the
+# `trace`, `faults`, `micro` and `chaos` pytest markers), the
 # paper-shape tests under benchmarks/ (timing off; they also pin the
-# Fig. 13 ablation runs), one short
-# pass of every end-to-end benchmark workload (`perfbench`: checks
-# correctness and the modeled run and compile pins of both engines and
-# the service), the end-to-end tracing smoke, the fault-injection
-# smoke, the per-construct microbenchmark smoke and the
-# serve-resilience chaos smoke (the same cells run under the `trace`,
-# `faults`, `micro` and `chaos` pytest markers).  Each smoke exits
-# non-zero on failure: a traced cell that fails verification, a
-# determinism or degradation failure, a micro engine-parity mismatch or
-# a violated chaos invariant.  micro's modeled costs are pinned exactly
-# by tier-1 (`tests/bench/test_micro.py`); see README "Perf tracking".
+# Fig. 13 ablation runs) and one short pass of every end-to-end
+# benchmark workload (`perfbench`: checks correctness and the modeled
+# run and compile pins of both engines and the service).  micro's
+# modeled costs are pinned exactly by tier-1 (`tests/bench/test_micro.py`);
+# see README "Perf tracking".  `make trace`, `faults` and `micro` run
+# the CLIs on their own.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test verify trace faults micro chaos figures perfbench clean
+.PHONY: test verify trace faults micro figures perfbench clean
 
 test:
 	$(PYTHON) -m pytest -q
 
 verify: test perfbench
 	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
-	$(PYTHON) -m repro.bench trace --smoke
-	$(PYTHON) -m repro.bench faults --smoke
-	$(PYTHON) -m repro.bench micro --smoke
-	$(PYTHON) -m repro.bench chaos --smoke
 	@echo "verify: OK"
 
 trace:
@@ -38,9 +31,6 @@ faults:
 
 micro:
 	$(PYTHON) -m repro.bench micro
-
-chaos:
-	$(PYTHON) -m repro.bench chaos
 
 figures:
 	$(PYTHON) -m repro.bench all

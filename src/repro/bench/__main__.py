@@ -12,14 +12,13 @@ Usage::
                                   [--metrics-out PATH] [--smoke]
     python -m repro.bench faults  [--smoke] [--json]
     python -m repro.bench micro   [--smoke] [--json] [--out PATH]
-    python -m repro.bench chaos   [--smoke] [--json] [--out PATH]
     python -m repro.bench json     (machine-readable full report)
     python -m repro.bench all      [--jobs N]
 
 ``trace`` runs one (app, build) cell with the :mod:`repro.trace`
 collector enabled and writes a Perfetto-viewable Chrome Trace Format
 JSON plus a flat metrics JSON (see README "Observability");
-``--smoke`` runs the fixed fast cell the verification target uses; the
+``--smoke`` runs the fixed fast cell ``make trace`` uses; the
 command exits non-zero when the traced cell fails verification.
 
 ``faults`` runs the fault-injection / sanitizer robustness matrix
@@ -32,14 +31,6 @@ modeled-cycle costs plus Extra-P-style scaling fits, written to
 tracking"); ``--smoke`` keeps one grid point of the sweep; ``--json``
 prints the report instead of the table; the command exits non-zero
 when the two engines' modeled numbers disagree.
-
-``chaos`` runs the serve-layer chaos harness: scripted worker-death /
-compile-stall / slow-request / drain scenarios asserting the
-resilience invariants (no request lost, every failure structured,
-breaker opens and half-closes, shedding stays fast; see README
-"Serving"), written to ``BENCH_chaos.json`` and exiting non-zero on
-any violated invariant; ``--smoke`` runs the same scenarios at reduced
-request counts (used by ``make verify``).
 
 Host wall time of the engines and the service is measured end to end
 by ``perfbench/`` (``make perfbench``), not by this CLI.
@@ -62,7 +53,7 @@ from repro.bench.harness import APPS
 
 COMMANDS = (
     "fig10", "fig11", "fig12", "fig13", "oversub", "timings", "trace",
-    "faults", "micro", "chaos", "json", "all",
+    "faults", "micro", "json", "all",
 )
 
 
@@ -87,14 +78,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
-        help="faults/micro/chaos: print the JSON report instead of "
-             "the table",
+        help="faults/micro: print the JSON report instead of the table",
     )
     parser.add_argument(
         "--out", default=None,
-        help="micro/chaos: report path (defaults BENCH_micro.json / "
-             "BENCH_chaos.json; '-' skips writing); trace: Chrome-trace "
-             "output path",
+        help="micro: report path (default BENCH_micro.json; '-' skips "
+             "writing); trace: Chrome-trace output path",
     )
     parser.add_argument(
         "--metrics-out", default=None,
@@ -105,8 +94,7 @@ def _parser() -> argparse.ArgumentParser:
         "--smoke", action="store_true",
         help="trace: run the fixed fast (app, build) smoke cell; "
              "faults: run the reduced scenario set; "
-             "micro: one grid point of the construct sweep; "
-             "chaos: reduced request counts per scenario",
+             "micro: one grid point of the construct sweep",
     )
     return parser
 
@@ -182,21 +170,6 @@ def main(argv) -> int:
         else:
             print(micro.format_micro(report))
         if not report["parity_ok"]:
-            return 1
-    if what == "chaos":
-        from repro.bench import chaos_cli
-
-        report = chaos_cli.chaos_suite(smoke=args.smoke)
-        # A smoke run never overwrites the tracked full report unless
-        # an output path was given explicitly.
-        out = args.out if args.out is not None else chaos_cli.DEFAULT_OUTPUT
-        if out != "-" and (not args.smoke or args.out is not None):
-            chaos_cli.write_report(report, out)
-        if args.as_json:
-            print(chaos_cli.render_json(report))
-        else:
-            print(chaos_cli.format_chaos(report))
-        if not report["ok"]:
             return 1
     if what == "json":
         from repro.bench.report import render_json

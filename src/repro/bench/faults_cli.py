@@ -17,7 +17,7 @@ faults into crash reports and reruns an internal engine fault once:
 Every scenario runs in three cells: ``decoded`` (fused runs),
 ``per-op`` (the decoded engine executing op by op through its ``_h_*``
 handlers, the private ``VirtualGPU._per_op`` switch the service's
-retry uses) and ``warp``.  Warp teams with an armed fault plan or
+fallback run uses) and ``warp``.  Warp teams with an armed fault plan or
 under the sanitizer take the decoded fallback, so without the per-op
 cell most rows would compare the fused decoded engine with itself.
 The matrix PASSes only if profiles are bit-identical and crash reports
@@ -25,7 +25,7 @@ compare equal (``comparable_dict``) across all three cells — the
 executable form of the determinism acceptance criterion.
 
 ``--smoke`` keeps the three cheapest scenarios (baseline, exhaust,
-rt_trap) for ``make verify``.
+rt_trap); tier-1 runs that subset.
 """
 
 from __future__ import annotations

@@ -35,10 +35,10 @@ A change that moves a modeled number regenerates the file with
 from __future__ import annotations
 
 import json
+import platform
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench import record
 from repro.frontend import ast as A
 from repro.frontend.driver import CompileOptions, Target
 from repro.ir.types import F64, I32, I64, PTR
@@ -54,8 +54,11 @@ from repro.vgpu import (
     VirtualGPU,
 )
 
-#: Default output file, committed at the repo root like BENCH_chaos.json.
+#: Default output file, committed at the repo root.
 DEFAULT_OUTPUT = "BENCH_micro.json"
+
+#: Version of the report envelope; v2 carries :func:`meta_block`.
+SCHEMA_VERSION = 2
 
 #: Runtime configurations of the sweep.  ``oldrt``/``newrt`` compile at
 #: -O0 so runtime calls stay outlined; ``newrt-opt`` is the fully
@@ -423,7 +426,7 @@ def micro_matrix(
 
     return {
         "benchmark": "micro",
-        "meta": record.meta_block(),
+        "meta": meta_block(),
         "config": {
             "grid": [list(point) for point in grid],
             "workloads": workloads,
@@ -439,6 +442,16 @@ def micro_matrix(
 
 
 # ----------------------------------------------------------------- reports --
+
+
+def meta_block() -> Dict[str, Any]:
+    """The machine/python identity block of the report."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "platform": platform.system(),
+    }
 
 
 def render_json(report: Dict[str, Any], indent: int = 2) -> str:

@@ -10,7 +10,7 @@ https://ui.perfetto.dev — plus a flat metrics JSON for dashboards.
 
 The document is schema-checked with :func:`repro.trace.
 validate_chrome_trace` before this module reports success; the tests
-and ``make verify`` run the same check.
+run the same check.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ consumes the service-level sites of the ``REPRO_FAULTS`` grammar
 (``worker_die:n``, ``compile_stall:ms``, ``slow_request:ms``) and
 misbehaves inside the service worker so the resilience machinery —
 fallback run, circuit breakers, deadlines, admission back-pressure —
-can be exercised and asserted on (``python -m repro.bench chaos``).
+can be exercised and asserted on (the drills in
+``tests/serve/test_chaos.py``).
 
 This module is **only imported when a service is constructed with a
 chaos plan**: a default service never pays the import, pinned by the
@@ -103,7 +104,7 @@ class ChaosState:
         time.sleep(self.stall_s)
 
     def on_request(self) -> None:
-        """Fired once per request execution, before the attempt loop."""
+        """Fired once per request execution, before its first launch."""
         if self.slow_s <= 0:
             return
         with self._lock:

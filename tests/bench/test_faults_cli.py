@@ -2,8 +2,7 @@
 
 Running the smoke matrix in-process is the compiled-app integration
 test for the whole robustness stack: real kernels, both engines,
-CrashReport comparability — the same entry point ``make verify``
-drives.
+CrashReport comparability — the same entry point the CLI drives.
 """
 
 import json
@@ -77,3 +76,15 @@ def test_scenario_table_is_well_formed():
     assert set(faults_cli.SMOKE_NAMES) <= set(names)
     for scenario in faults_cli.SCENARIOS:
         assert scenario.expect == "ok" or scenario.expect[0].isupper()
+
+
+def test_cli_exit_code_follows_the_matrix_verdict(monkeypatch):
+    """``bench faults`` exits 1 when the matrix fails and 0 when it
+    passes; a stub report stands in for the matrix run."""
+    from repro.bench.__main__ import main
+
+    for ok, code in ((True, 0), (False, 1)):
+        monkeypatch.setattr(faults_cli, "run_faults",
+                            lambda smoke=False, ok=ok: {"ok": ok})
+        monkeypatch.setattr(faults_cli, "format_faults", lambda report: "")
+        assert main(["prog", "faults"]) == code, ok

@@ -104,10 +104,11 @@ class TestCLI:
         assert main(["prog", "unknown-figure"]) == 2
 
     def test_removed_history_surfaces_are_unknown(self):
-        """``history``/``compare`` and their flags are usage errors,
-        not silent no-ops."""
+        """Removed commands (``history``, ``compare``, ``chaos``) and
+        their flags are usage errors, not silent no-ops."""
         from repro.bench.__main__ import main
 
         for argv in (["history"], ["compare"], ["compare", "--baseline"],
-                     ["micro", "--smoke", "--run-a", "x", "--run-b", "y"]):
+                     ["micro", "--smoke", "--run-a", "x", "--run-b", "y"],
+                     ["chaos"], ["chaos", "--smoke"]):
             assert main(["prog", *argv]) == 2, argv

@@ -57,9 +57,7 @@ class TestMicroSmoke:
                 assert runtime in entry
 
     def test_report_carries_v2_envelope(self, smoke_report):
-        from repro.bench import record
-
-        assert smoke_report["meta"]["schema_version"] == record.SCHEMA_VERSION
+        assert smoke_report["meta"]["schema_version"] == micro.SCHEMA_VERSION
         assert smoke_report["benchmark"] == "micro"
 
     def test_report_is_json_serializable(self, smoke_report):

@@ -120,7 +120,7 @@ class TestResolution:
 
 class TestServiceSites:
     """Host-side grammar extension: worker_die / compile_stall /
-    slow_request sites feed the serving layer's chaos harness, not the
+    slow_request sites feed the serving layer's chaos drills, not the
     device interpreter."""
 
     LAUNCH = LaunchConfig(4, 32)

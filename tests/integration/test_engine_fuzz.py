@@ -9,8 +9,8 @@ kernels chain small regions of such code through if/else diamonds
 rotate, and early exits.  Each block is what the decoded engine fuses
 into one generated run, terminator and phi moves included, so this
 pins fused execution against the per-op decoded reference (every op
-through its ``_h_*`` handler) and against parallel team simulation:
-outputs, :class:`KernelProfile` and any error must be bit-identical.
+through its ``_h_*`` handler): outputs, :class:`KernelProfile` and any
+error must be bit-identical.
 The warp engine runs every kernel too, with its handlers generated
 from the same opcode table as the decoded engine's, on divergent lane
 masks: it must match the reference the same way, except for the crash
