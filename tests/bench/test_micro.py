@@ -60,6 +60,19 @@ class TestMicroSmoke:
         assert smoke_report["meta"]["schema_version"] == micro.SCHEMA_VERSION
         assert smoke_report["benchmark"] == "micro"
 
+    def test_meta_block_identifies_the_host(self):
+        """The envelope names the schema and the host, nothing else:
+        no wall clock, path or user, so a rerun on the same host
+        writes the same block."""
+        import platform
+
+        assert micro.meta_block() == {
+            "schema_version": micro.SCHEMA_VERSION,
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "platform": platform.system(),
+        }
+
     def test_report_is_json_serializable(self, smoke_report):
         json.loads(micro.render_json(smoke_report))
 

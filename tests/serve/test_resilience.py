@@ -9,6 +9,7 @@ decoded device, and consecutive internal failures open a per-program
 circuit that half-opens on the probe schedule.
 """
 
+import os
 import threading
 import time
 
@@ -399,6 +400,49 @@ class TestBreakerIntegration:
             assert stats["breaker_opens"] == 1
             # Two launches per failed request; the shed one never ran.
             assert flaky.calls == 4
+
+    def test_circuit_open_names_the_last_failure_report(self, tmp_path):
+        """With saving on, each terminal internal failure saves a
+        CrashReport; the open breaker and its ``CircuitOpen`` point at
+        the last one."""
+        report_dir = str(tmp_path / "crash-reports")
+        module = _noop_module()
+        flaky = _Flaky(fail_first=100)
+        with SimulationService(breaker_policy=self.POLICY,
+                               save_reports=True,
+                               report_dir=report_dir) as svc:
+            for _ in range(2):
+                with pytest.raises(RuntimeError):
+                    svc.run(LaunchSpec(kernel="kern"), module=module,
+                            make_args=flaky)
+            with pytest.raises(CircuitOpen) as excinfo:
+                svc.run(LaunchSpec(kernel="kern"), module=module,
+                        make_args=flaky)
+            (breaker,) = svc.health()["breakers"].values()
+        path = excinfo.value.report_path
+        assert path is not None and path.startswith(report_dir)
+        assert os.path.isfile(path)
+        assert breaker["report_path"] == path
+
+    def test_no_report_is_written_when_saving_is_off(self, tmp_path):
+        """Saving is opt-in: without it a terminal internal failure
+        writes nothing, and the shed carries no report path."""
+        report_dir = tmp_path / "crash-reports"
+        module = _noop_module()
+        flaky = _Flaky(fail_first=100)
+        with SimulationService(breaker_policy=self.POLICY,
+                               report_dir=str(report_dir)) as svc:
+            for _ in range(2):
+                with pytest.raises(RuntimeError):
+                    svc.run(LaunchSpec(kernel="kern"), module=module,
+                            make_args=flaky)
+            with pytest.raises(CircuitOpen) as excinfo:
+                svc.run(LaunchSpec(kernel="kern"), module=module,
+                        make_args=flaky)
+            (breaker,) = svc.health()["breakers"].values()
+        assert excinfo.value.report_path is None
+        assert breaker["report_path"] is None
+        assert not report_dir.exists()
 
     def test_probe_closes_the_circuit_after_recovery(self):
         module = _noop_module()
