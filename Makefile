@@ -1,20 +1,20 @@
 # Convenience targets for the reproduction repo.
 #
 # `make verify` is the one-shot health check: tier-1 tests (which also
-# carry the trace, faults, micro and serve-chaos smoke checks, under the
+# carry the trace, fault-matrix, micro and serve-chaos checks, under the
 # `trace`, `faults`, `micro` and `chaos` pytest markers), the
 # paper-shape tests under benchmarks/ (timing off; they also pin the
 # Fig. 13 ablation runs) and one short pass of every end-to-end
 # benchmark workload (`perfbench`: checks correctness and the modeled
 # run and compile pins of both engines and the service).  micro's
 # modeled costs are pinned exactly by tier-1 (`tests/bench/test_micro.py`);
-# see README "Perf tracking".  `make trace`, `faults` and `micro` run
-# the CLIs on their own.
+# see README "Perf tracking".  `make trace` and `micro` run the CLIs
+# on their own.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test verify trace faults micro figures perfbench clean
+.PHONY: test verify trace micro figures perfbench clean
 
 test:
 	$(PYTHON) -m pytest -q
@@ -24,10 +24,7 @@ verify: test perfbench
 	@echo "verify: OK"
 
 trace:
-	$(PYTHON) -m repro.bench trace --smoke
-
-faults:
-	$(PYTHON) -m repro.bench faults
+	$(PYTHON) -m repro.bench trace --app testsnap
 
 micro:
 	$(PYTHON) -m repro.bench micro

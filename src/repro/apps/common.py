@@ -7,7 +7,10 @@ Each app module exposes the same surface:
 * ``prepare(gpu, size)`` — allocate inputs on a virtual GPU and return
   (host_args, verify) where ``verify`` checks device results against a
   NumPy reference,
-* ``run(options, size=None, ...)`` — compile, launch, verify, profile.
+* ``run(options, size=None, ...)`` — compile, launch, verify, profile;
+* optionally ``tune_options(options)`` — the app's own build settings
+  (minifmm's device stack); every path that compiles an app applies it
+  through :func:`app_options`.
 
 All randomness is deterministic (fixed seeds) so every build of an app
 computes — and must reproduce — identical results.
@@ -46,6 +49,12 @@ class AppRunResult:
     @property
     def cycles(self) -> int:
         return self.profile.cycles
+
+
+def app_options(app, options: CompileOptions) -> CompileOptions:
+    """*options* as the app module *app* is compiled with them."""
+    tune = getattr(app, "tune_options", None)
+    return tune(options) if tune is not None else options
 
 
 def lcg_rand01_function() -> A.DeviceFunction:
@@ -90,8 +99,13 @@ def run_proxy_app(
     engine: Optional[str] = None,
     sanitize: Optional[bool] = None,
     faults=None,
+    session=None,
 ) -> AppRunResult:
     """Compile *program* under *options*, run *kernel*, verify, profile.
+
+    The compile goes through *session* (a :class:`~repro.toolchain.
+    service.ToolchainSession`) when one is given, else through the
+    process-wide compile cache.
 
     ``engine`` picks the execution engine (``decoded``/``warp``, see
     :func:`repro.vgpu.resolve_sim_engine`).
@@ -104,7 +118,10 @@ def run_proxy_app(
     ``VirtualGPU.run``, with only the device-scoped ones (sanitizer,
     debug checks, environment) on the device itself.
     """
-    compiled = compile_program(program, options)
+    if session is not None:
+        compiled = session.compile(program, options)
+    else:
+        compiled = compile_program(program, options)
     gpu = VirtualGPU(
         compiled.module,
         config=gpu_config or GPUConfig(),

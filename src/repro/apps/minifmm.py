@@ -15,6 +15,7 @@ survives in its binary (Fig. 11).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict
 
 import numpy as np
@@ -213,6 +214,24 @@ def prepare(gpu, size: Dict[str, int]) -> PreparedInputs:
     return host_args, verify
 
 
+def tune_options(options: CompileOptions) -> CompileOptions:
+    """*options* as MiniFMM is built with them.
+
+    MiniFMM is built with a smaller device stack (the app needs only
+    tiny per-call frames), which is what its ~3KB SMem row in Fig. 11
+    reflects; deep recursion spills to the global-memory fallback
+    (§III-D).
+    """
+    if not options.target.is_openmp:
+        return options
+    return replace(
+        options,
+        runtime_config=replace(
+            options.runtime_config, smem_stack_size=2048, max_threads=32
+        ),
+    )
+
+
 def run(
     options: CompileOptions,
     size: Dict[str, int] = None,
@@ -221,20 +240,7 @@ def run(
     **kwargs,
 ) -> AppRunResult:
     size = size or default_size()
-    if options.target.is_openmp:
-        # MiniFMM is built with a smaller device stack (the app needs
-        # only tiny per-call frames), which is what its ~3KB SMem row in
-        # Fig. 11 reflects; deep recursion spills to the global-memory
-        # fallback (§III-D).
-        from dataclasses import replace
-
-        options = replace(
-            options,
-            runtime_config=replace(
-                options.runtime_config, smem_stack_size=2048, max_threads=32
-            ),
-        )
     return run_proxy_app(
-        "minifmm", build_program(size), KERNEL, prepare, size, options,
-        num_teams, threads_per_team, **kwargs,
+        "minifmm", build_program(size), KERNEL, prepare, size,
+        tune_options(options), num_teams, threads_per_team, **kwargs,
     )

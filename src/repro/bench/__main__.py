@@ -7,33 +7,27 @@ Usage::
     python -m repro.bench fig12 [--jobs N]
     python -m repro.bench fig13 [--jobs N]
     python -m repro.bench oversub
-    python -m repro.bench timings [--app APP] [--build BUILD]
     python -m repro.bench trace   [--app APP] [--build BUILD] [--out PATH]
-                                  [--metrics-out PATH] [--smoke]
-    python -m repro.bench faults  [--smoke] [--json]
-    python -m repro.bench micro   [--smoke] [--json] [--out PATH]
+                                  [--metrics-out PATH]
+    python -m repro.bench micro   [--json] [--out PATH]
     python -m repro.bench json     (machine-readable full report)
     python -m repro.bench all      [--jobs N]
 
 ``trace`` runs one (app, build) cell with the :mod:`repro.trace`
 collector enabled and writes a Perfetto-viewable Chrome Trace Format
-JSON plus a flat metrics JSON (see README "Observability");
-``--smoke`` runs the fixed fast cell ``make trace`` uses; the
+JSON plus a flat metrics JSON (see README "Observability"); the
 command exits non-zero when the traced cell fails verification.
-
-``faults`` runs the fault-injection / sanitizer robustness matrix
-(testsnap at ``-O0`` on both engines; see README "Robustness") and exits non-zero on any determinism or
-degradation failure; ``--smoke`` keeps the three cheapest scenarios.
 
 ``micro`` runs the directive-level microbenchmark sweep (per-construct
 modeled-cycle costs plus Extra-P-style scaling fits, written to
 ``BENCH_micro.json``, which tier-1 pins exactly; see README "Perf
-tracking"); ``--smoke`` keeps one grid point of the sweep; ``--json``
-prints the report instead of the table; the command exits non-zero
-when the two engines' modeled numbers disagree.
+tracking"); ``--json`` prints the report instead of the table; the
+command exits non-zero when the two engines' modeled numbers disagree.
 
-Host wall time of the engines and the service is measured end to end
-by ``perfbench/`` (``make perfbench``), not by this CLI.
+The fault-injection matrix is a tier-1 test
+(``tests/faults/test_matrix.py``), not a command.  Host wall time of
+the engines and the service is measured end to end by ``perfbench/``
+(``make perfbench``), not by this CLI.
 
 ``--jobs N`` (or the ``REPRO_JOBS`` environment variable) fans the
 independent (app, build) cells of each figure out over N worker
@@ -52,8 +46,8 @@ from repro.bench.builds import BUILD_ORDER
 from repro.bench.harness import APPS
 
 COMMANDS = (
-    "fig10", "fig11", "fig12", "fig13", "oversub", "timings", "trace",
-    "faults", "micro", "json", "all",
+    "fig10", "fig11", "fig12", "fig13", "oversub", "trace", "micro", "json",
+    "all",
 )
 
 
@@ -70,15 +64,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--app", default="xsbench", choices=sorted(APPS),
-        help="app for the timings/trace commands",
+        help="app for the trace command",
     )
     parser.add_argument(
-        "--build", default=None, choices=BUILD_ORDER,
-        help="build label for the timings/trace commands",
+        "--build", default=BUILD_ORDER[0], choices=BUILD_ORDER,
+        help="build label for the trace command",
     )
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
-        help="faults/micro: print the JSON report instead of the table",
+        help="micro: print the JSON report instead of the table",
     )
     parser.add_argument(
         "--out", default=None,
@@ -89,12 +83,6 @@ def _parser() -> argparse.ArgumentParser:
         "--metrics-out", default=None,
         help="trace: flat metrics JSON path "
              "(default TRACE_<app>_<build>.metrics.json)",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="trace: run the fixed fast (app, build) smoke cell; "
-             "faults: run the reduced scenario set; "
-             "micro: one grid point of the construct sweep",
     )
     return parser
 
@@ -122,21 +110,11 @@ def main(argv) -> int:
     if what in ("oversub", "all"):
         print(figures.format_oversubscription(figures.oversubscription_effect()))
         print()
-    if what == "timings":
-        kwargs = {"app": args.app}
-        if args.build is not None:
-            kwargs["build"] = args.build
-        print(figures.format_pipeline_timings(figures.pipeline_timings(**kwargs)))
     if what == "trace":
         from repro.bench import trace_cli
 
-        if args.smoke:
-            app, build = trace_cli.SMOKE_APP, trace_cli.SMOKE_BUILD
-        else:
-            app = args.app
-            build = args.build if args.build is not None else BUILD_ORDER[0]
         result = trace_cli.run_trace(
-            app, build,
+            args.app, args.build,
             out=args.out if args.out != "-" else None,
             metrics_out=args.metrics_out,
         )
@@ -146,24 +124,12 @@ def main(argv) -> int:
             print(f"trace: verification failed (max error "
                   f"{result['max_error']!r})")
             return 1
-    if what == "faults":
-        from repro.bench import faults_cli
-
-        report = faults_cli.run_faults(smoke=args.smoke)
-        if args.as_json:
-            print(faults_cli.render_json(report))
-        else:
-            print(faults_cli.format_faults(report))
-        if not report["ok"]:
-            return 1
     if what == "micro":
         from repro.bench import micro
 
-        report = micro.micro_matrix(smoke=args.smoke)
-        # A smoke run never overwrites the tracked full-sweep report
-        # unless an output path was given explicitly.
+        report = micro.micro_matrix()
         out = args.out if args.out is not None else micro.DEFAULT_OUTPUT
-        if out != "-" and (not args.smoke or args.out is not None):
+        if out != "-":
             micro.write_report(report, out)
         if args.as_json:
             print(micro.render_json(report))

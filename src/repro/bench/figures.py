@@ -208,48 +208,3 @@ def debug_overhead(app: str = "xsbench") -> Tuple[AppRunResult, AppRunResult]:
     debug = run_single(app, debug_opts, debug_checks=True, env={"DEBUG": 3})
     assert release.verified and debug.verified
     return release, debug
-
-
-# ----------------------------------------------------------- pipeline timings --
-
-def pipeline_timings(
-    app: str = "xsbench", build: str = NEW_RT_NO_ASSUME
-) -> "PipelineStatsView":
-    """Compile *app* under *build* and return its pipeline statistics
-    plus the compile-cache counters (``python -m repro.bench timings``)."""
-    from repro.toolchain.cache import get_compile_cache
-
-    options = build_options()[build]
-    compiled = ToolchainSession().compile(
-        APPS[app].build_program(APPS[app].default_size()), options
-    )
-    cache = get_compile_cache()
-    return PipelineStatsView(
-        app=app,
-        build=build,
-        stats=compiled.stats,
-        cache_stats=cache.stats if cache is not None else None,
-    )
-
-
-@dataclass
-class PipelineStatsView:
-    app: str
-    build: str
-    stats: "object"
-    cache_stats: "object" = None
-
-
-def format_pipeline_timings(view: PipelineStatsView) -> str:
-    lines = [f"openmp-opt pipeline timings — {view.app} / {view.build}"]
-    if view.stats is None:
-        lines.append("  (no stats recorded — cache entry predates instrumentation)")
-    else:
-        lines.append(view.stats.format_table())
-    if view.cache_stats is not None:
-        s = view.cache_stats
-        lines.append(
-            f"compile cache: {s.hits} hits ({s.disk_hits} from disk), "
-            f"{s.misses} misses, hit rate {s.hit_rate:.0%}"
-        )
-    return "\n".join(lines)

@@ -78,16 +78,12 @@ CONSTRUCT_CATEGORY = {
 }
 CONSTRUCT_ORDER = tuple(CONSTRUCT_CATEGORY)
 
-#: Full-sweep grid (teams, threads) and workload axis; ``--smoke``
-#: keeps one point of each.
-FULL_GRID: Tuple[Tuple[int, int], ...] = (
+#: The sweep's grid (teams, threads), workload axis and engines.
+GRID: Tuple[Tuple[int, int], ...] = (
     (1, 4), (2, 4), (4, 4), (1, 16), (2, 16), (4, 16),
 )
-FULL_WORKLOADS = (1, 4)
-#: The smoke sweep is a quick look (one grid point and workload, -O0
-#: runtimes only); it gates only on engine parity.
-SMOKE_GRID: Tuple[Tuple[int, int], ...] = ((2, 4),)
-SMOKE_WORKLOADS = (4,)
+WORKLOADS = (1, 4)
+ENGINES = (ENGINE_DECODED, ENGINE_WARP)
 
 
 def runtime_options(runtime: str) -> CompileOptions:
@@ -358,33 +354,17 @@ def _modeled_fields(cell: Dict[str, Any]) -> Tuple:
     )
 
 
-def micro_matrix(
-    grid: Optional[Sequence[Tuple[int, int]]] = None,
-    workloads: Optional[Sequence[int]] = None,
-    runtimes: Optional[Sequence[str]] = None,
-    engines: Optional[Sequence[str]] = None,
-    smoke: bool = False,
-) -> Dict[str, Any]:
+def micro_matrix() -> Dict[str, Any]:
     """Run the construct × runtime × engine × grid × workload sweep."""
-    grid = list(grid if grid is not None else (SMOKE_GRID if smoke else FULL_GRID))
-    workloads = list(
-        workloads if workloads is not None
-        else (SMOKE_WORKLOADS if smoke else FULL_WORKLOADS)
-    )
-    runtimes = list(
-        runtimes if runtimes is not None
-        else (("oldrt", "newrt") if smoke else RUNTIME_ORDER)
-    )
-    engines = list(engines if engines is not None else (ENGINE_DECODED, ENGINE_WARP))
-    program = build_micro_program(workloads)
+    program = build_micro_program(WORKLOADS)
     session = ToolchainSession()
     t0 = time.perf_counter()
     cells: List[Dict[str, Any]] = []
-    for runtime in runtimes:
+    for runtime in RUNTIME_ORDER:
         compiled = session.compile(program, runtime_options(runtime))
-        for engine in engines:
-            for teams, threads in grid:
-                for w in workloads:
+        for engine in ENGINES:
+            for teams, threads in GRID:
+                for w in WORKLOADS:
                     cells.extend(
                         measure_config(compiled, runtime, engine, teams, threads, w)
                     )
@@ -398,16 +378,15 @@ def micro_matrix(
     )
 
     # Per-(construct, runtime) summary + scaling fit over the decoded
-    # (or only) engine's grid points.
-    summary_engine = ENGINE_DECODED if ENGINE_DECODED in engines else engines[0]
+    # engine's grid points.
     constructs: Dict[str, Dict[str, Any]] = {}
     for construct in CONSTRUCT_ORDER:
         constructs[construct] = {"category": CONSTRUCT_CATEGORY[construct]}
-        for runtime in runtimes:
+        for runtime in RUNTIME_ORDER:
             sample = [
                 c for c in cells
                 if c["construct"] == construct and c["runtime"] == runtime
-                and c["engine"] == summary_engine
+                and c["engine"] == ENGINE_DECODED
                 and c["cycles_per_call"] is not None
             ]
             costs = [c["cycles_per_call"] for c in sample]
@@ -428,11 +407,10 @@ def micro_matrix(
         "benchmark": "micro",
         "meta": meta_block(),
         "config": {
-            "grid": [list(point) for point in grid],
-            "workloads": workloads,
-            "runtimes": runtimes,
-            "engines": engines,
-            "smoke": smoke,
+            "grid": [list(point) for point in GRID],
+            "workloads": list(WORKLOADS),
+            "runtimes": list(RUNTIME_ORDER),
+            "engines": list(ENGINES),
         },
         "wall_seconds": round(time.perf_counter() - t0, 3),
         "parity_ok": parity_ok,

@@ -2,9 +2,10 @@
 
 ``python -m repro.bench json`` emits every experiment as one JSON
 document, for plotting or regression tracking across versions of this
-repository.  The report also carries the toolchain observability data:
-per-pass pipeline timings for a reference compilation and the compile
-cache hit/miss counters accumulated while producing the report.
+repository.  Every section is a deterministic figure: rerunning the
+report reproduces it exactly.  Per-pass pipeline timings and compile
+cache counters of one traced cell are in the metrics JSON of
+``python -m repro.bench trace``.
 """
 
 from __future__ import annotations
@@ -21,14 +22,10 @@ REFERENCE_APP = "testsnap"
 
 def collect_report(apps=None, jobs: Optional[int] = None) -> Dict[str, Any]:
     """Run every experiment and collect the results."""
-    from repro.toolchain.cache import get_compile_cache
-
     from repro.bench.harness import run_build_matrix
 
     fig11_rows = figures.fig11_resources(apps, jobs=jobs)
     oversub = figures.oversubscription_effect()
-    timings = figures.pipeline_timings()
-    cache = get_compile_cache()
     # Full per-build kernel profiles for one reference app, through the
     # canonical KernelProfile serialization (cheap: every cell is a
     # compile-cache hit after fig11 ran the matrix above).
@@ -52,12 +49,6 @@ def collect_report(apps=None, jobs: Optional[int] = None) -> Dict[str, Any]:
             "register_delta": oversub.register_delta,
             "time_delta_percent": oversub.time_delta_percent,
         },
-        "pipeline_timings": {
-            "app": timings.app,
-            "build": timings.build,
-            "stats": timings.stats.to_dict() if timings.stats is not None else None,
-        },
-        "compile_cache": cache.stats.to_dict() if cache is not None else None,
     }
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.apps.common import app_options
 from repro.bench.builds import BUILD_ORDER, build_options
 from repro.bench.harness import APPS
 from repro.toolchain.service import ToolchainSession
@@ -29,11 +30,6 @@ from repro.trace.export import (
     write_metrics,
 )
 from repro.vgpu import GPUConfig, LaunchSpec, VirtualGPU
-
-#: Cell used by ``--smoke`` (fast, CI-friendly).
-SMOKE_APP = "testsnap"
-SMOKE_BUILD = BUILD_ORDER[0]
-
 
 def _slug(label: str) -> str:
     """Filesystem-safe version of a build label."""
@@ -76,7 +72,8 @@ def run_trace(
     with install(collector):
         session = ToolchainSession()
         with collector.span("bench.trace", cat="bench", app=app_name, build=build):
-            compiled = session.compile(app.build_program(size), options[build])
+            compiled = session.compile(app.build_program(size),
+                                       app_options(app, options[build]))
             gpu = VirtualGPU(
                 compiled.module, config=GPUConfig(), engine=engine,
                 trace=collector,

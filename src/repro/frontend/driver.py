@@ -7,8 +7,8 @@ pipeline statistics.
 
 Repeated compilations of the same ``(program, options)`` pair are
 served from the content-addressed compile cache in
-:mod:`repro.toolchain.cache`; pass ``use_cache=False`` (or set
-``REPRO_CACHE=0``) to force a fresh pipeline run.
+:mod:`repro.toolchain.cache`; call :func:`compile_program_uncached`
+(or set ``REPRO_CACHE=0``) to force a fresh pipeline run.
 """
 
 from __future__ import annotations
@@ -137,9 +137,7 @@ def compile_program_uncached(
 
 
 def compile_program(
-    program: A.Program,
-    options: Optional[CompileOptions] = None,
-    use_cache: bool = True,
+    program: A.Program, options: Optional[CompileOptions] = None
 ) -> CompiledProgram:
     """Compile *program* according to *options*.
 
@@ -147,8 +145,6 @@ def compile_program(
     content-addressed compile cache (:mod:`repro.toolchain.cache`)
     without re-running the pipeline.
     """
-    if not use_cache:
-        return compile_program_uncached(program, options)
     # Imported here: the toolchain service layer sits *above* the driver.
     from repro.toolchain.cache import get_compile_cache
 

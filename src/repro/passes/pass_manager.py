@@ -96,7 +96,7 @@ class PipelineStats:
         return out
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary (``python -m repro.bench report``)."""
+        """JSON-ready summary (``pipeline`` in the trace metrics JSON)."""
         return {
             "rounds": self.rounds,
             "wall_time_s": self.wall_time_s,
@@ -114,28 +114,6 @@ class PipelineStats:
                 for agg in self.by_pass().values()
             ],
         }
-
-    def format_table(self) -> str:
-        """Human-readable per-pass table (``python -m repro.bench timings``)."""
-        header = (
-            f"{'pass':>24s} | {'runs':>4s} | {'chg':>4s} | "
-            f"{'time (ms)':>9s} | {'insts -':>8s}"
-        )
-        lines = [header, "-" * len(header)]
-        for agg in sorted(
-            self.by_pass().values(), key=lambda a: a.wall_time_s, reverse=True
-        ):
-            lines.append(
-                f"{agg.name:>24s} | {agg.runs:>4d} | {agg.changed_runs:>4d} | "
-                f"{agg.wall_time_s * 1e3:>9.2f} | {agg.instructions_removed:>8d}"
-            )
-        lines.append(
-            f"{len(self.timings)} pass runs over {self.rounds} fixpoint rounds; "
-            f"pipeline {self.wall_time_s * 1e3:.2f} ms "
-            f"(passes {self.total_pass_time_s() * 1e3:.2f} ms), "
-            f"{self.total_instructions_removed()} instructions removed net"
-        )
-        return "\n".join(lines)
 
 
 @dataclass

@@ -37,15 +37,12 @@ class PoolStats:
                 "discards": self.discards, "in_use": self.in_use}
 
 
-def _pool_key(module, config, env) -> Tuple:
+def _pool_key(module, config) -> Tuple:
     # Modules and configs are compared by identity: the serve layer
     # compiles through the content-addressed cache, so equal requests
     # share one module object.  A None config means "the default" and
-    # must key identically however often it is defaulted.  ``env``
-    # writes device globals at build time and must therefore key the
-    # warm image too.
-    env_key = tuple(sorted(env.items())) if env else ()
-    return (id(module), id(config) if config is not None else 0, env_key)
+    # must key identically however often it is defaulted.
+    return (id(module), id(config) if config is not None else 0)
 
 
 @dataclass
@@ -71,7 +68,6 @@ class DevicePool:
         config: Optional[GPUConfig] = None,
         *,
         sanitize: bool = False,
-        env: Optional[Dict[str, int]] = None,
     ) -> VirtualGPU:
         """A warm (or freshly built) device for *module*.
 
@@ -81,7 +77,7 @@ class DevicePool:
         reusable across tenants with different knobs.
         """
         if not sanitize:
-            key = _pool_key(module, config, env)
+            key = _pool_key(module, config)
             with self._lock:
                 gpu = self._idle.pop(key, None)
                 if gpu is not None:
@@ -92,9 +88,9 @@ class DevicePool:
             self.stats.builds += 1
             self.stats.in_use += 1
         return VirtualGPU(module, config=config or DEFAULT_CONFIG,
-                          sanitize=sanitize, env=env)
+                          sanitize=sanitize)
 
-    def release(self, gpu: VirtualGPU, module, config, env=None) -> None:
+    def release(self, gpu: VirtualGPU, module, config) -> None:
         """Reset *gpu* and keep it for reuse (discard when not
         resettable or its key's slot is taken)."""
         try:
@@ -103,7 +99,7 @@ class DevicePool:
                 gpu.reset_device()
         except Exception:
             keep = False
-        key = _pool_key(module, config, env)
+        key = _pool_key(module, config)
         with self._lock:
             self.stats.in_use -= 1
             if keep and key not in self._idle:

@@ -419,13 +419,16 @@ class SimulationService:
         """Submit one proxy-app run (compile + prepare + launch [+ verify]).
 
         *build* names a build configuration (default: the paper's
-        baseline order head) unless explicit *options* are given.
+        baseline order head) unless explicit *options* are given; the
+        app's own build settings (:func:`repro.apps.common.app_options`)
+        apply to either.
         Keyword *spec_overrides* (engine=, deadline_s=,
         request_id=, ...) refine the app's default grid spec.  With
         ``verify=True`` the result's ``payload`` carries
         ``{"max_error": ...}`` computed in-worker against the NumPy
         reference.
         """
+        from repro.apps.common import app_options
         from repro.bench.builds import BUILD_ORDER, build_options
         from repro.bench.harness import APPS
 
@@ -437,6 +440,7 @@ class SimulationService:
             options = build_options()[build if build is not None else BUILD_ORDER[0]]
         elif build is not None:
             raise ValueError("submit_app() takes options= or build=, not both")
+        options = app_options(app, options)
         if spec is None:
             spec = LaunchSpec(kernel=app.KERNEL, num_teams=app.TEAMS,
                               threads_per_team=app.THREADS)

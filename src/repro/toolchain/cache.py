@@ -21,8 +21,8 @@ Environment knobs (read by :func:`get_compile_cache`):
 * ``REPRO_CACHE_DISK=0`` — keep the cache in-memory only;
 * ``REPRO_CACHE_SIZE=<n>`` — in-memory LRU capacity (default 128).
 
-Hit/miss counters are surfaced in ``python -m repro.bench timings``
-and the ``report`` JSON.
+Hit/miss counters are surfaced in the metrics JSON of
+``python -m repro.bench trace`` (``compile_cache``).
 """
 
 from __future__ import annotations
@@ -129,6 +129,15 @@ class CompileCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A copy sent to another process (a pool worker) shares the
+        # on-disk store only: entries and counters stay with the
+        # process that made them.
+        return {"max_entries": self.max_entries, "disk_dir": self.disk_dir}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__init__(**state)
 
     def clear(self, disk: bool = False) -> None:
         """Drop every in-memory entry (and the disk store with ``disk=True``)."""

@@ -10,7 +10,9 @@ process-based :mod:`concurrent.futures` pool.  The worker count comes
 from (most specific wins) ``RunRequest.jobs`` / ``--jobs`` on the CLI /
 the ``REPRO_JOBS`` environment variable, and defaults to 1 — the
 serial path stays byte-for-byte deterministic for the tests that rely
-on it.  Workers share compilations through the on-disk compile cache.
+on it.  Every cell compiles through its session's cache: in-process
+cells through the session itself, pool workers through a copy of it
+that shares the cache's on-disk store (see ``CompileCache`` pickling).
 """
 
 from __future__ import annotations
@@ -100,16 +102,17 @@ def _run_cell(
     label: str,
     options: CompileOptions,
     kwargs: Dict[str, Any],
+    session: "ToolchainSession",
 ) -> Tuple[str, Any]:
-    """Run one (app, build) cell; executes in pool workers, so it must
-    stay a module-level, picklable function."""
+    """Run one (app, build) cell, compiling through *session*; executes
+    in pool workers, so it must stay a module-level, picklable function."""
     # The result embeds the compiled module — a deep object graph whose
     # pickling back to the parent overflows the default recursion limit.
     if sys.getrecursionlimit() < 100_000:
         sys.setrecursionlimit(100_000)
     from repro.bench.harness import APPS
 
-    return label, APPS[app_name].run(options, **kwargs)
+    return label, APPS[app_name].run(options, session=session, **kwargs)
 
 
 class ToolchainSession:
@@ -195,8 +198,8 @@ class ToolchainSession:
         """
         jobs = resolve_jobs(jobs if jobs is not None else self.jobs, len(tasks))
         if jobs <= 1 or len(tasks) <= 1:
-            return [_run_cell(*task) for task in tasks]
+            return [_run_cell(*task, self) for task in tasks]
         with deep_recursion():
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_run_cell, *task) for task in tasks]
+                futures = [pool.submit(_run_cell, *task, self) for task in tasks]
                 return [f.result() for f in futures]

@@ -5,7 +5,7 @@ The trace document follows the Chrome Trace Event JSON Object Format
 a ``traceEvents`` array of complete ("X"), instant ("i"), counter
 ("C") and metadata ("M") events plus a ``displayTimeUnit`` hint and
 an ``otherData`` bag.  :func:`validate_chrome_trace` is the schema
-check the tests (and ``python -m repro.bench trace --smoke``) run
+check the tests (and ``python -m repro.bench trace``) run
 over every document this module writes.
 """
 

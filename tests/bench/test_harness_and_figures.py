@@ -104,11 +104,14 @@ class TestCLI:
         assert main(["prog", "unknown-figure"]) == 2
 
     def test_removed_history_surfaces_are_unknown(self):
-        """Removed commands (``history``, ``compare``, ``chaos``) and
-        their flags are usage errors, not silent no-ops."""
+        """Removed commands (``history``, ``compare``, ``chaos``,
+        ``faults``, ``timings``) and flags (``--smoke``) are usage
+        errors, not silent no-ops."""
         from repro.bench.__main__ import main
 
         for argv in (["history"], ["compare"], ["compare", "--baseline"],
                      ["micro", "--smoke", "--run-a", "x", "--run-b", "y"],
-                     ["chaos"], ["chaos", "--smoke"]):
+                     ["chaos"], ["chaos", "--smoke"], ["faults"],
+                     ["faults", "--smoke"], ["timings"],
+                     ["trace", "--smoke"], ["micro", "--smoke"]):
             assert main(["prog", *argv]) == 2, argv

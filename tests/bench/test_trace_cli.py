@@ -18,11 +18,11 @@ def test_slug_is_filesystem_safe():
 
 
 @pytest.mark.trace
-def test_trace_smoke_command(tmp_path, capsys):
+def test_trace_command(tmp_path, capsys):
     out = tmp_path / "trace.json"
     metrics = tmp_path / "metrics.json"
     rc = main([
-        "bench", "trace", "--smoke",
+        "bench", "trace", "--app", "testsnap",
         "--out", str(out), "--metrics-out", str(metrics),
     ])
     assert rc == 0
@@ -45,7 +45,7 @@ def test_trace_exits_nonzero_when_verification_fails(tmp_path, capsys,
     the same bar ``AppRunResult.verified`` uses."""
     from repro.bench import trace_cli
 
-    app = trace_cli.APPS[trace_cli.SMOKE_APP]
+    app = trace_cli.APPS["testsnap"]
     real_prepare = app.prepare
 
     def prepare_with_wrong_answer(gpu, size):
@@ -54,12 +54,31 @@ def test_trace_exits_nonzero_when_verification_fails(tmp_path, capsys,
 
     monkeypatch.setattr(app, "prepare", prepare_with_wrong_answer)
     rc = main([
-        "bench", "trace", "--smoke",
+        "bench", "trace", "--app", "testsnap",
         "--out", str(tmp_path / "trace.json"),
         "--metrics-out", str(tmp_path / "metrics.json"),
     ])
     assert rc == 1
     assert "verification failed" in capsys.readouterr().out
+
+
+@pytest.mark.trace
+def test_traced_minifmm_is_the_binary_the_matrix_runs(tmp_path):
+    """minifmm's own build settings (its smaller device stack) apply
+    to traced runs too, not only to the build matrix."""
+    from repro.bench.builds import NEW_RT, build_options
+    from repro.bench.harness import run_single
+    from repro.bench.trace_cli import run_trace
+
+    direct = run_single("minifmm", build_options()[NEW_RT])
+    traced = run_trace("minifmm", NEW_RT, out=str(tmp_path / "t.json"),
+                       metrics_out=str(tmp_path / "m.json"))
+    # Per-function cycles are attributed only under a trace.
+    traced_profile = traced["profile"].to_dict()
+    del traced_profile["function_cycles"]
+    direct_profile = direct.profile.to_dict()
+    del direct_profile["function_cycles"]
+    assert traced_profile == direct_profile
 
 
 def test_trace_is_a_known_command():

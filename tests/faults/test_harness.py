@@ -7,8 +7,8 @@ launch.  These tests script each engine's outcome by wrapping
 names it; ``per-op`` names a device that runs decoded op by op, the
 retry target), so every degradation path (program fault, internal fault,
 double fault) is covered on a trivial kernel; the real-device paths
-are covered by ``tests/faults/test_injection.py`` and the faults CLI
-smoke.
+are covered by ``tests/faults/test_injection.py`` and
+``tests/faults/test_matrix.py``.
 """
 
 import pytest

@@ -4,9 +4,9 @@ The acceptance criterion of the robustness work: the same FaultPlan
 produces the same exception — type, frozen message, attached device
 context — under per-op and fused decoded execution and the warp engine
 (whose armed teams take the decoded fallback); and a plan that never
-fires leaves the KernelProfile bit-identical.  (The compiled-app version of these checks — including
-CrashReport comparability — runs in ``tests/bench/test_faults_cli.py``
-and ``python -m repro.bench faults``.)
+fires leaves the KernelProfile bit-identical.  (The compiled-app
+version of these checks — including CrashReport comparability — runs in
+``tests/faults/test_matrix.py``.)
 """
 
 import pytest

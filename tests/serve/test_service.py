@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.bench.builds import BUILD_ORDER, NEW_RT, build_options
-from repro.bench.harness import APPS
+from repro.bench.harness import APPS, run_single
 from repro.faults.plan import FaultPlan
 from repro.faults.report import CrashReport
 from repro.ir import I64, PTR_GLOBAL, Constant, Module, verify_module
@@ -119,6 +119,16 @@ class TestServedEqualsDirect:
                 assert served.profile.to_dict() == profile
                 assert served.payload == {"max_error": max_error}
                 assert served.latency_s >= served.duration_s >= 0.0
+
+    def test_served_minifmm_is_the_binary_the_matrix_runs(self):
+        """minifmm's own build settings (its smaller device stack)
+        apply to served runs too, not only to the build matrix."""
+        direct = run_single("minifmm", build_options()[NEW_RT])
+        with SimulationService() as svc:
+            served = svc.submit_app("minifmm", build=NEW_RT).result(
+                timeout=600)
+        assert served.ok
+        assert served.profile.to_dict() == direct.profile.to_dict()
 
     def test_concurrent_tenants_on_one_warm_pool_stay_identical(self):
         """4 client threads submit at once: one compile per fingerprint

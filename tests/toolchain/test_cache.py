@@ -3,7 +3,12 @@
 import pytest
 
 from repro.apps import gridmini
-from repro.frontend.driver import CompileOptions, Target, compile_program
+from repro.frontend.driver import (
+    CompileOptions,
+    Target,
+    compile_program,
+    compile_program_uncached,
+)
 from repro.toolchain.cache import (
     CompileCache,
     configure_compile_cache,
@@ -123,10 +128,10 @@ class TestGlobalCache:
         finally:
             reset_compile_cache()
 
-    def test_use_cache_false_bypasses(self, program, options):
+    def test_compile_program_uncached_bypasses(self, program, options):
         cache = configure_compile_cache(CompileCache(disk_dir=None))
         try:
-            compile_program(program, options, use_cache=False)
+            compile_program_uncached(program, options)
             assert cache.stats.lookups == 0
         finally:
             reset_compile_cache()

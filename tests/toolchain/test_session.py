@@ -52,6 +52,23 @@ class TestSessionRuns:
             app="testsnap", size={"n_atoms": 64, "n_neighbors": 2}))
         assert CUDA not in matrix.results
 
+    def test_run_compiles_through_the_session_cache(self):
+        from repro.toolchain.cache import CompileCache
+
+        cache = CompileCache(disk_dir=None)
+        ToolchainSession(cache=cache).run(
+            RunRequest(app="gridmini", builds=[NEW_RT], size=TINY))
+        assert cache.stats.lookups == 1
+
+    def test_pool_workers_compile_into_the_session_disk_store(self, tmp_path):
+        from repro.toolchain.cache import CompileCache
+
+        cache = CompileCache(disk_dir=tmp_path)
+        matrix = ToolchainSession(jobs=2, cache=cache).run(
+            RunRequest(app="gridmini", builds=[NEW_RT, CUDA], size=TINY))
+        assert matrix.all_verified()
+        assert len(list(tmp_path.glob("*.pkl"))) == 2
+
     def test_session_compile_uses_cache(self):
         from repro.apps import gridmini
         from repro.toolchain.cache import CompileCache

@@ -1,7 +1,7 @@
 """End-to-end tracing: one traced (app, build) cell must produce a
 schema-valid Chrome Trace document with events from all four layers
 (toolchain, runtime, vgpu, bench) plus the runtime-overhead counters —
-the PR's acceptance check, shared with ``python -m repro.bench trace``.
+the same check ``python -m repro.bench trace`` runs.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.bench import trace_cli
+from repro.bench.builds import BUILD_ORDER
 from repro.trace import validate_chrome_trace
 from repro.trace.categories import CATEGORY_NAMES, OVERHEAD_CATEGORIES
 
@@ -21,7 +22,7 @@ def smoke(tmp_path_factory):
     out = str(out_dir / "trace.json")
     metrics_out = str(out_dir / "metrics.json")
     result = trace_cli.run_trace(
-        trace_cli.SMOKE_APP, trace_cli.SMOKE_BUILD,
+        "testsnap", BUILD_ORDER[0],
         out=out, metrics_out=metrics_out,
     )
     doc = json.loads(open(out).read())
