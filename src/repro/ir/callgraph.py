@@ -8,6 +8,13 @@ bodies handed to the worksharing runtime calls, Fig. 5), cast, stored
 or otherwise escaping into data.  An indirect call may reach any of
 them.
 
+It is built from each function's own use list, not by scanning every
+operand of every instruction.  Only uses by instructions in a block of
+a function of this module count: operand 0 of a ``call`` is a call
+edge, any other use takes the address.  A detached instruction that
+still references a function is ignored.  The call sites of one edge
+are listed in use-list order.
+
 The inter-procedural passes ask it for direct callees and call sites
 (inlining), recursion (the inliner skips recursive callees) and the
 transitive callees (the write summaries of value propagation, §IV-B;
@@ -32,21 +39,19 @@ class CallGraph:
         self._call_sites: Dict[Tuple[Function, Function], List[Call]] = {}
         #: Memoized :meth:`_reach` per function.
         self._reached: Dict[Function, Set[Function]] = {}
-        for func in module.defined_functions():
-            for inst in func.instructions():
-                operands = inst.operands
-                if isinstance(inst, Call):
-                    callee = inst.callee
-                    if callee is not None:
-                        self._callees[func].add(callee)
-                        self._callees.setdefault(callee, set())
-                        self._callers.setdefault(callee, set()).add(func)
-                        self._call_sites.setdefault((func, callee), []).append(inst)
-                        operands = operands[1:]
-                # Any other use of a function escapes its address.
-                for op in operands:
-                    if isinstance(op, Function):
-                        self.address_taken.add(op)
+        for callee in module.functions.values():
+            for use in callee.uses:
+                user = use.user
+                block = user.parent
+                caller = block.parent if block is not None else None
+                if caller is None or caller.parent is not module:
+                    continue
+                if use.index == 0 and type(user) is Call:
+                    self._callees[caller].add(callee)
+                    self._callers[callee].add(caller)
+                    self._call_sites.setdefault((caller, callee), []).append(user)
+                else:
+                    self.address_taken.add(callee)
 
     def _reach(self, func: Function) -> Set[Function]:
         """Functions reachable from *func* over one or more call edges

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
+from repro.memory.addrspace import AddressSpace
 from repro.ir.types import (
     I1,
-    FloatType,
     IntType,
     PointerType,
     Type,
     VOID,
+    pointer_to,
 )
-from repro.ir.values import Value
+from repro.ir.values import Use, Value
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.ir.module import BasicBlock, Function
+    from repro.ir.module import BasicBlock
 
 
 INT_BINOPS = {
@@ -55,6 +56,10 @@ class Instruction(Value):
 
     __slots__ = ("opcode", "operands", "parent", "attrs")
 
+    #: Whether the instruction ends its block (true for ``br``,
+    #: ``condbr``, ``ret`` and ``unreachable``).
+    is_terminator = False
+
     def __init__(
         self,
         opcode: str,
@@ -62,13 +67,17 @@ class Instruction(Value):
         operands: Sequence[Value],
         name: str = "",
     ) -> None:
-        super().__init__(ty, name)
+        # The Value fields and the operand uses are set inline: every
+        # instruction the frontend and the passes build comes through here.
+        self.type = ty
+        self.name = name
+        self.uses = []
         self.opcode = opcode
-        self.operands: List[Value] = []
         self.parent: Optional["BasicBlock"] = None
         self.attrs: Set[str] = set()
-        for op in operands:
-            self._append_operand(op)
+        self.operands: List[Value] = list(operands)
+        for index, op in enumerate(self.operands):
+            op.uses.append(Use(self, index))
 
     # -- operand management ---------------------------------------------------
 
@@ -101,10 +110,6 @@ class Instruction(Value):
     # -- classification ---------------------------------------------------------
 
     @property
-    def is_terminator(self) -> bool:
-        return isinstance(self, (Br, CondBr, Ret, Unreachable))
-
-    @property
     def function(self) -> Optional["Function"]:
         return self.parent.parent if self.parent is not None else None
 
@@ -133,6 +138,11 @@ class Instruction(Value):
     def is_readnone_callee(self) -> bool:  # overridden by Call
         return False
 
+    def _clone_type(self, operands: List[Value]) -> Type:
+        """The result type of a clone over the mapped *operands*, after
+        the checks the constructor makes (see :func:`clone_instruction`)."""
+        return self.type
+
     def short(self) -> str:
         return f"%{self.name}" if self.name else f"%t{id(self) & 0xFFFF:x}"
 
@@ -141,11 +151,10 @@ class BinOp(Instruction):
     __slots__ = ()
 
     def __init__(self, op: str, lhs: Value, rhs: Value, name: str = "") -> None:
-        if op not in BINOPS:
-            raise ValueError(f"unknown binop: {op}")
-        if lhs.type != rhs.type:
-            raise TypeError(f"binop operand type mismatch: {lhs.type} vs {rhs.type}")
-        super().__init__(op, lhs.type, [lhs, rhs], name)
+        super().__init__(op, _binop_type(op, lhs, rhs), [lhs, rhs], name)
+
+    def _clone_type(self, operands: List[Value]) -> Type:
+        return _binop_type(self.opcode, *operands)
 
     @property
     def lhs(self) -> Value:
@@ -154,18 +163,27 @@ class BinOp(Instruction):
     @property
     def rhs(self) -> Value:
         return self.operands[1]
+
+
+def _binop_type(op: str, lhs: Value, rhs: Value) -> Type:
+    if op not in BINOPS:
+        raise ValueError(f"unknown binop: {op}")
+    if lhs.type != rhs.type:
+        raise TypeError(f"binop operand type mismatch: {lhs.type} vs {rhs.type}")
+    return lhs.type
 
 
 class ICmp(Instruction):
     __slots__ = ("predicate",)
 
     def __init__(self, pred: str, lhs: Value, rhs: Value, name: str = "") -> None:
-        if pred not in ICMP_PREDICATES:
-            raise ValueError(f"unknown icmp predicate: {pred}")
-        if lhs.type != rhs.type:
-            raise TypeError(f"icmp operand type mismatch: {lhs.type} vs {rhs.type}")
+        _check_icmp(pred, lhs, rhs)
         super().__init__("icmp", I1, [lhs, rhs], name)
         self.predicate = pred
+
+    def _clone_type(self, operands: List[Value]) -> Type:
+        _check_icmp(self.predicate, *operands)
+        return I1
 
     @property
     def lhs(self) -> Value:
@@ -176,27 +194,42 @@ class ICmp(Instruction):
         return self.operands[1]
 
 
+def _check_icmp(pred: str, lhs: Value, rhs: Value) -> None:
+    if pred not in ICMP_PREDICATES:
+        raise ValueError(f"unknown icmp predicate: {pred}")
+    if lhs.type != rhs.type:
+        raise TypeError(f"icmp operand type mismatch: {lhs.type} vs {rhs.type}")
+
+
 class FCmp(Instruction):
     __slots__ = ("predicate",)
 
     def __init__(self, pred: str, lhs: Value, rhs: Value, name: str = "") -> None:
-        if pred not in FCMP_PREDICATES:
-            raise ValueError(f"unknown fcmp predicate: {pred}")
-        if lhs.type != rhs.type:
-            raise TypeError("fcmp operand type mismatch")
+        _check_fcmp(pred, lhs, rhs)
         super().__init__("fcmp", I1, [lhs, rhs], name)
         self.predicate = pred
+
+    def _clone_type(self, operands: List[Value]) -> Type:
+        _check_fcmp(self.predicate, *operands)
+        return I1
+
+
+def _check_fcmp(pred: str, lhs: Value, rhs: Value) -> None:
+    if pred not in FCMP_PREDICATES:
+        raise ValueError(f"unknown fcmp predicate: {pred}")
+    if lhs.type != rhs.type:
+        raise TypeError("fcmp operand type mismatch")
 
 
 class Select(Instruction):
     __slots__ = ()
 
     def __init__(self, cond: Value, if_true: Value, if_false: Value, name: str = "") -> None:
-        if cond.type != I1:
-            raise TypeError("select condition must be i1")
-        if if_true.type != if_false.type:
-            raise TypeError("select arm type mismatch")
-        super().__init__("select", if_true.type, [cond, if_true, if_false], name)
+        super().__init__("select", _select_type(cond, if_true, if_false),
+                         [cond, if_true, if_false], name)
+
+    def _clone_type(self, operands: List[Value]) -> Type:
+        return _select_type(*operands)
 
     @property
     def condition(self) -> Value:
@@ -211,17 +244,37 @@ class Select(Instruction):
         return self.operands[2]
 
 
+def _select_type(cond: Value, if_true: Value, if_false: Value) -> Type:
+    if cond.type != I1:
+        raise TypeError("select condition must be i1")
+    if if_true.type != if_false.type:
+        raise TypeError("select arm type mismatch")
+    return if_true.type
+
+
 class Cast(Instruction):
     __slots__ = ()
 
     def __init__(self, op: str, value: Value, to_type: Type, name: str = "") -> None:
-        if op not in CAST_OPS:
-            raise ValueError(f"unknown cast: {op}")
+        _check_cast(op)
         super().__init__(op, to_type, [value], name)
+
+    def _clone_type(self, operands: List[Value]) -> Type:
+        _check_cast(self.opcode)
+        return self.type
 
     @property
     def source(self) -> Value:
         return self.operands[0]
+
+
+def _check_cast(op: str) -> None:
+    if op not in CAST_OPS:
+        raise ValueError(f"unknown cast: {op}")
+
+
+#: The type of every ``alloca``: a pointer into per-thread local memory.
+_ALLOCA_TYPE = pointer_to(AddressSpace.LOCAL)
 
 
 class Alloca(Instruction):
@@ -230,35 +283,46 @@ class Alloca(Instruction):
     __slots__ = ("allocated_type",)
 
     def __init__(self, allocated_type: Type, name: str = "") -> None:
-        from repro.memory.addrspace import AddressSpace
-        from repro.ir.types import pointer_to
-
-        super().__init__("alloca", pointer_to(AddressSpace.LOCAL), [], name)
+        super().__init__("alloca", _ALLOCA_TYPE, [], name)
         self.allocated_type = allocated_type
+
+    def _clone_type(self, operands: List[Value]) -> Type:
+        return _ALLOCA_TYPE
 
 
 class Load(Instruction):
     __slots__ = ("is_volatile",)
 
     def __init__(self, ty: Type, ptr: Value, name: str = "", volatile: bool = False) -> None:
-        if not isinstance(ptr.type, PointerType):
-            raise TypeError(f"load pointer operand is {ptr.type}")
+        _check_pointer("load pointer operand", ptr)
         super().__init__("load", ty, [ptr], name)
         self.is_volatile = volatile
+
+    def _clone_type(self, operands: List[Value]) -> Type:
+        _check_pointer("load pointer operand", operands[0])
+        return self.type
 
     @property
     def pointer(self) -> Value:
         return self.operands[0]
 
 
+def _check_pointer(what: str, ptr: Value) -> None:
+    if not isinstance(ptr.type, PointerType):
+        raise TypeError(f"{what} is {ptr.type}")
+
+
 class Store(Instruction):
     __slots__ = ("is_volatile",)
 
     def __init__(self, value: Value, ptr: Value, volatile: bool = False) -> None:
-        if not isinstance(ptr.type, PointerType):
-            raise TypeError(f"store pointer operand is {ptr.type}")
+        _check_pointer("store pointer operand", ptr)
         super().__init__("store", VOID, [value, ptr])
         self.is_volatile = volatile
+
+    def _clone_type(self, operands: List[Value]) -> Type:
+        _check_pointer("store pointer operand", operands[1])
+        return VOID
 
     @property
     def value(self) -> Value:
@@ -279,11 +343,10 @@ class PtrAdd(Instruction):
     __slots__ = ()
 
     def __init__(self, ptr: Value, offset: Value, name: str = "") -> None:
-        if not isinstance(ptr.type, PointerType):
-            raise TypeError(f"ptradd base is {ptr.type}")
-        if not isinstance(offset.type, IntType):
-            raise TypeError(f"ptradd offset is {offset.type}")
-        super().__init__("ptradd", ptr.type, [ptr, offset], name)
+        super().__init__("ptradd", _ptradd_type(ptr, offset), [ptr, offset], name)
+
+    def _clone_type(self, operands: List[Value]) -> Type:
+        return _ptradd_type(*operands)
 
     @property
     def pointer(self) -> Value:
@@ -292,6 +355,13 @@ class PtrAdd(Instruction):
     @property
     def offset(self) -> Value:
         return self.operands[1]
+
+
+def _ptradd_type(ptr: Value, offset: Value) -> Type:
+    _check_pointer("ptradd base", ptr)
+    if not isinstance(offset.type, IntType):
+        raise TypeError(f"ptradd offset is {offset.type}")
+    return ptr.type
 
 
 class Phi(Instruction):
@@ -330,6 +400,7 @@ class Phi(Instruction):
 
 class Br(Instruction):
     __slots__ = ("target",)
+    is_terminator = True
 
     def __init__(self, target: "BasicBlock") -> None:
         super().__init__("br", VOID, [])
@@ -338,21 +409,31 @@ class Br(Instruction):
 
 class CondBr(Instruction):
     __slots__ = ("true_target", "false_target")
+    is_terminator = True
 
     def __init__(self, cond: Value, true_target: "BasicBlock", false_target: "BasicBlock") -> None:
-        if cond.type != I1:
-            raise TypeError("condbr condition must be i1")
+        _check_condbr(cond)
         super().__init__("condbr", VOID, [cond])
         self.true_target = true_target
         self.false_target = false_target
+
+    def _clone_type(self, operands: List[Value]) -> Type:
+        _check_condbr(operands[0])
+        return VOID
 
     @property
     def condition(self) -> Value:
         return self.operands[0]
 
 
+def _check_condbr(cond: Value) -> None:
+    if cond.type != I1:
+        raise TypeError("condbr condition must be i1")
+
+
 class Ret(Instruction):
     __slots__ = ()
+    is_terminator = True
 
     def __init__(self, value: Optional[Value] = None) -> None:
         super().__init__("ret", VOID, [value] if value is not None else [])
@@ -364,6 +445,7 @@ class Ret(Instruction):
 
 class Unreachable(Instruction):
     __slots__ = ()
+    is_terminator = True
 
     def __init__(self) -> None:
         super().__init__("unreachable", VOID, [])
@@ -388,9 +470,7 @@ class Call(Instruction):
     @property
     def callee(self) -> Optional["Function"]:
         """The statically known callee, if this is a direct call."""
-        from repro.ir.module import Function
-
-        cv = self.callee_operand
+        cv = self.operands[0]
         return cv if isinstance(cv, Function) else None
 
     def is_readnone_callee(self) -> bool:
@@ -402,12 +482,11 @@ class AtomicRMW(Instruction):
     __slots__ = ("operation",)
 
     def __init__(self, op: str, ptr: Value, value: Value, name: str = "") -> None:
-        if op not in ATOMIC_OPS:
-            raise ValueError(f"unknown atomic op: {op}")
-        if not isinstance(ptr.type, PointerType):
-            raise TypeError("atomicrmw pointer operand must be a pointer")
-        super().__init__("atomicrmw", value.type, [ptr, value], name)
+        super().__init__("atomicrmw", _atomic_type(op, ptr, value), [ptr, value], name)
         self.operation = op
+
+    def _clone_type(self, operands: List[Value]) -> Type:
+        return _atomic_type(self.operation, *operands)
 
     @property
     def pointer(self) -> Value:
@@ -418,51 +497,44 @@ class AtomicRMW(Instruction):
         return self.operands[1]
 
 
+def _atomic_type(op: str, ptr: Value, value: Value) -> Type:
+    if op not in ATOMIC_OPS:
+        raise ValueError(f"unknown atomic op: {op}")
+    if not isinstance(ptr.type, PointerType):
+        raise TypeError("atomicrmw pointer operand must be a pointer")
+    return value.type
+
+
 def clone_instruction(inst: Instruction, operand_map: Dict[Value, Value]) -> Instruction:
     """Clone *inst*, remapping operands through *operand_map*.
 
-    Block targets of terminators and phi incoming blocks are *not*
-    remapped here; callers (the inliner) fix those up afterwards.
+    The clone is built field by field rather than through its
+    constructor, but makes the same checks and takes its result type
+    from the mapped operands the same way (``_clone_type``).  Block
+    targets of terminators and phi incomings are *not* remapped here;
+    callers (the inliner) fix those up afterwards.
     """
-
-    def m(v: Value) -> Value:
-        return operand_map.get(v, v)
-
-    if isinstance(inst, BinOp):
-        new: Instruction = BinOp(inst.opcode, m(inst.lhs), m(inst.rhs), inst.name)
-    elif isinstance(inst, ICmp):
-        new = ICmp(inst.predicate, m(inst.lhs), m(inst.rhs), inst.name)
-    elif isinstance(inst, FCmp):
-        new = FCmp(inst.predicate, m(inst.operands[0]), m(inst.operands[1]), inst.name)
-    elif isinstance(inst, Select):
-        new = Select(m(inst.condition), m(inst.true_value), m(inst.false_value), inst.name)
-    elif isinstance(inst, Cast):
-        new = Cast(inst.opcode, m(inst.source), inst.type, inst.name)
-    elif isinstance(inst, Alloca):
-        new = Alloca(inst.allocated_type, inst.name)
-    elif isinstance(inst, Load):
-        new = Load(inst.type, m(inst.pointer), inst.name, inst.is_volatile)
-    elif isinstance(inst, Store):
-        new = Store(m(inst.value), m(inst.pointer), inst.is_volatile)
-    elif isinstance(inst, PtrAdd):
-        new = PtrAdd(m(inst.pointer), m(inst.offset), inst.name)
-    elif isinstance(inst, Phi):
-        new = Phi(inst.type, inst.name)
-        # Incoming values/blocks are fixed up by the caller.
-    elif isinstance(inst, Br):
-        new = Br(inst.target)
-    elif isinstance(inst, CondBr):
-        new = CondBr(m(inst.condition), inst.true_target, inst.false_target)
-    elif isinstance(inst, Ret):
-        rv = inst.return_value
-        new = Ret(m(rv) if rv is not None else None)
-    elif isinstance(inst, Unreachable):
-        new = Unreachable()
-    elif isinstance(inst, Call):
-        new = Call(m(inst.callee_operand), [m(a) for a in inst.args], inst.type, inst.name)
-    elif isinstance(inst, AtomicRMW):
-        new = AtomicRMW(inst.operation, m(inst.pointer), m(inst.value), inst.name)
-    else:  # pragma: no cover - future instruction kinds
-        raise TypeError(f"cannot clone {type(inst).__name__}")
+    cls = type(inst)
+    get = operand_map.get
+    operands = [] if cls is Phi else [get(v, v) for v in inst.operands]
+    new = cls.__new__(cls)
+    new.type = inst._clone_type(operands)
+    new.name = inst.name
+    new.uses = []
+    new.opcode = inst.opcode
+    new.parent = None
     new.attrs = set(inst.attrs)
+    new.operands = operands
+    for index, op in enumerate(operands):
+        op.uses.append(Use(new, index))
+    if cls is Phi:
+        new.incoming_blocks = []
+    else:
+        for slot in cls.__slots__:
+            setattr(new, slot, getattr(inst, slot))
     return new
+
+
+# Imported last: repro.ir.module imports this module for its block and
+# terminator classes, and the package imports this module first.
+from repro.ir.module import Function  # noqa: E402

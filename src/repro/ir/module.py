@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.ir.instructions import Br, CondBr, Instruction, Phi
-from repro.ir.types import FunctionType, StructType, Type
+from repro.ir.types import PTR, FunctionType, StructType, Type
 from repro.ir.values import Argument, GlobalVariable, Value
 
 
@@ -98,8 +98,6 @@ class Function(Value):
         linkage: str = "external",
         arg_names: Optional[Sequence[str]] = None,
     ) -> None:
-        from repro.ir.types import PTR
-
         super().__init__(PTR, name)
         self.function_type = function_type
         self.args: List[Argument] = [

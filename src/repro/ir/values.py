@@ -12,6 +12,10 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.memory.addrspace import AddressSpace
 from repro.ir.types import (
+    F64,
+    I1,
+    I32,
+    I64,
     FloatType,
     IntType,
     PointerType,
@@ -216,26 +220,18 @@ class GlobalVariable(Value):
 
 def const_int(value: int, ty: Optional[IntType] = None) -> Constant:
     """Convenience constructor for integer constants (default i32)."""
-    from repro.ir.types import I32
-
     return Constant(ty or I32, value)
 
 
 def const_i64(value: int) -> Constant:
-    from repro.ir.types import I64
-
     return Constant(I64, value)
 
 
 def const_i1(value: bool) -> Constant:
-    from repro.ir.types import I1
-
     return Constant(I1, 1 if value else 0)
 
 
 def const_float(value: float, ty: Optional[FloatType] = None) -> Constant:
-    from repro.ir.types import F64
-
     return Constant(ty or F64, value)
 
 

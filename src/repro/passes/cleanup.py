@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.memory.memmodel import decode_scalar, scalar_size
+from repro.memory.memmodel import decode_scalar, encode_scalar, scalar_size
 from repro.ir.cfg import predecessors, reachable_blocks
 from repro.ir.instructions import (
     BinOp,
@@ -101,8 +101,6 @@ def fold_constant_global_load(load: Load) -> Optional[Constant]:
     if isinstance(base.initializer, bytes):
         image = base.initializer
     else:
-        from repro.memory.memmodel import encode_scalar
-
         image = b"".join(
             encode_scalar(c.value, c.type) for c in base.initializer
         )
@@ -158,20 +156,23 @@ def _fold_pointer_difference_icmp(inst: ICmp) -> Optional[Constant]:
 
 
 def _simplify_binop(inst: BinOp) -> Optional[Value]:
-    lhs, rhs = inst.lhs, inst.rhs
-    if isinstance(lhs, Constant) and isinstance(rhs, Constant):
-        return fold_binop(inst.opcode, lhs, rhs)
-    if isinstance(rhs, Constant) and rhs.value == 0:
-        if inst.opcode in ("add", "sub", "or", "xor", "shl", "lshr", "ashr"):
+    lhs, rhs = inst.operands
+    op = inst.opcode
+    lhs_const = isinstance(lhs, Constant)
+    rhs_const = isinstance(rhs, Constant)
+    if lhs_const and rhs_const:
+        return fold_binop(op, lhs, rhs)
+    if rhs_const and rhs.value == 0:
+        if op in ("add", "sub", "or", "xor", "shl", "lshr", "ashr"):
             return lhs
-        if inst.opcode == "mul":
+        if op == "mul":
             return rhs
-    if isinstance(lhs, Constant) and lhs.value == 0:
-        if inst.opcode in ("add", "or", "xor"):
+    if lhs_const and lhs.value == 0:
+        if op in ("add", "or", "xor"):
             return rhs
-        if inst.opcode in ("mul", "and"):
+        if op in ("mul", "and"):
             return lhs
-    if isinstance(rhs, Constant) and rhs.value == 1 and inst.opcode in ("mul", "sdiv", "udiv"):
+    if rhs_const and rhs.value == 1 and op in ("mul", "sdiv", "udiv"):
         return lhs
     return None
 
@@ -284,7 +285,7 @@ def _combine_ptradd_chain(inst: PtrAdd) -> Optional[PtrAdd]:
 def _is_removable_dead(inst: Instruction) -> bool:
     if inst.uses or inst.is_terminator:
         return False
-    if isinstance(inst, Call):
+    if type(inst) is Call:
         callee = inst.callee
         # Assumptions are kept alive until the final strip pass; they
         # carry information for the optimizer despite being readnone.
@@ -357,14 +358,15 @@ def run_fold_dce(func: Function, work: Optional[List[Value]] = None) -> bool:
         if not inst.uses and _is_removable_dead(inst):
             erase(inst)
             return True
-        rule = SIMPLIFY_RULES.get(type(inst))
+        kind = type(inst)
+        rule = SIMPLIFY_RULES.get(kind)
         if rule is None:
             return False
         replacement = rule(inst)
         if replacement is not None and replacement is not inst:
             replace(inst, replacement)
             return True
-        if isinstance(inst, PtrAdd):
+        if kind is PtrAdd:
             combined = _combine_ptradd_chain(inst)
             if combined is not None:
                 inst.parent.insert_before(inst, combined)

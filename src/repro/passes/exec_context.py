@@ -17,10 +17,10 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.ir.cfg import predecessors, reverse_post_order
-from repro.ir.instructions import Call, CondBr, ICmp, Instruction
+from repro.ir.instructions import BinOp, Call, CondBr, ICmp, Instruction
 from repro.ir.intrinsics import intrinsic_info
 from repro.ir.module import BasicBlock, Function
-from repro.ir.values import Value
+from repro.ir.values import Constant, Value
 
 #: A guard: (condition value, required truth value).
 Guard = Tuple[Value, bool]
@@ -108,9 +108,6 @@ def _guard_thread_constant(guard: Guard) -> Optional[str]:
     tid_side, other = (lhs, rhs) if is_tid(lhs) else ((rhs, lhs) if is_tid(rhs) else (None, None))
     if tid_side is None:
         return None
-    from repro.ir.values import Constant
-    from repro.ir.instructions import BinOp
-
     if isinstance(other, Constant) and other.value == 0:
         return "tid0"
     # bdim - 1 (the generic-mode main thread id).

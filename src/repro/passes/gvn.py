@@ -16,6 +16,7 @@ through anywhere in the program).
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.cfg import DominatorTree, predecessors, reverse_post_order
@@ -35,7 +36,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.intrinsics import intrinsic_info
 from repro.ir.module import BasicBlock, Function, Module
-from repro.ir.values import Argument, Constant, Value
+from repro.ir.values import Argument, Constant, GlobalVariable, Value
 from repro.passes.cleanup import resolve_pointer_base
 from repro.passes.pass_manager import PassContext
 
@@ -50,8 +51,6 @@ def _readonly_base(value: Value) -> bool:
         return "readonly" in attrs.get(base.index, set()) and "noalias" in attrs.get(
             base.index, set()
         )
-    from repro.ir.values import GlobalVariable
-
     if isinstance(base, GlobalVariable):
         return base.is_constant
     return False
@@ -59,8 +58,6 @@ def _readonly_base(value: Value) -> bool:
 
 def _operand_key(value: Value):
     """Constants are interned by value; everything else by identity."""
-    from repro.ir.values import Constant
-
     if isinstance(value, Constant):
         return ("c", str(value.type), value.value)
     return id(value)
@@ -68,24 +65,24 @@ def _operand_key(value: Value):
 
 def _value_number_key(inst: Instruction) -> Optional[Tuple]:
     """Hashable identity for pure instructions."""
-    if isinstance(inst, BinOp):
-        a, b = _operand_key(inst.lhs), _operand_key(inst.rhs)
+    kind = type(inst)
+    ops = inst.operands
+    if kind is BinOp:
+        a, b = _operand_key(ops[0]), _operand_key(ops[1])
         if inst.opcode in _COMMUTATIVE and repr(b) < repr(a):
             a, b = b, a
         return ("bin", inst.opcode, a, b)
-    if isinstance(inst, ICmp):
-        return ("icmp", inst.predicate, _operand_key(inst.lhs), _operand_key(inst.rhs))
-    if isinstance(inst, FCmp):
-        return ("fcmp", inst.predicate, _operand_key(inst.operands[0]),
-                _operand_key(inst.operands[1]))
-    if isinstance(inst, Cast):
-        return ("cast", inst.opcode, _operand_key(inst.source), inst.type)
-    if isinstance(inst, PtrAdd):
-        return ("ptradd", _operand_key(inst.pointer), _operand_key(inst.offset))
-    if isinstance(inst, Select):
-        return ("select", _operand_key(inst.condition),
-                _operand_key(inst.true_value), _operand_key(inst.false_value))
-    if isinstance(inst, Call):
+    if kind is ICmp:
+        return ("icmp", inst.predicate, _operand_key(ops[0]), _operand_key(ops[1]))
+    if kind is FCmp:
+        return ("fcmp", inst.predicate, _operand_key(ops[0]), _operand_key(ops[1]))
+    if kind is Cast:
+        return ("cast", inst.opcode, _operand_key(ops[0]), inst.type)
+    if kind is PtrAdd:
+        return ("ptradd", _operand_key(ops[0]), _operand_key(ops[1]))
+    if kind is Select:
+        return ("select", _operand_key(ops[0]), _operand_key(ops[1]), _operand_key(ops[2]))
+    if kind is Call:
         callee = inst.callee
         if callee is not None:
             info = intrinsic_info(callee.name)
@@ -93,8 +90,8 @@ def _value_number_key(inst: Instruction) -> Optional[Tuple]:
                 # Identity intrinsics are idempotent within one thread.
                 return ("intr", callee.name, tuple(_operand_key(a) for a in inst.args))
         return None
-    if isinstance(inst, Load) and not inst.is_volatile and _readonly_base(inst.pointer):
-        return ("roload", _operand_key(inst.pointer), inst.type)
+    if kind is Load and not inst.is_volatile and _readonly_base(ops[0]):
+        return ("roload", _operand_key(ops[0]), inst.type)
     return None
 
 
@@ -139,8 +136,6 @@ class GVNPass:
                 visit(child)
             for key in added:
                 del table[key]
-
-        import sys
 
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old, 2 * len(func.blocks) + 1000))

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir.callgraph import CallGraph
+from repro.ir.cfg import reverse_post_order
 from repro.ir.instructions import (
     Alloca,
     Br,
@@ -74,8 +75,6 @@ def inline_call(call: Call) -> None:
     # Clone the callee body in reverse post-order: a dominator always
     # precedes its dominatees in RPO, so non-phi operands are mapped
     # before they are used (phis are wired up afterwards).
-    from repro.ir.cfg import reverse_post_order
-
     clone_order = reverse_post_order(callee)
     value_map: Dict[Value, Value] = {}
     for formal, actual in zip(callee.args, call.args):
@@ -86,10 +85,12 @@ def inline_call(call: Call) -> None:
 
     returns: List[Tuple[Optional[Value], BasicBlock]] = []
     cloned_phis: List[Tuple[Phi, Phi]] = []
+    allocas: List[Instruction] = []
     for block in clone_order:
         new_block = block_map[block]
         for inst in block.instructions:
-            if isinstance(inst, Ret):
+            kind = type(inst)
+            if kind is Ret:
                 rv = inst.return_value
                 mapped = value_map.get(rv, rv) if rv is not None else None
                 new_block.append(Br(after_block))
@@ -97,13 +98,15 @@ def inline_call(call: Call) -> None:
                 continue
             new_inst = clone_instruction(inst, value_map)
             value_map[inst] = new_inst
-            if isinstance(inst, Phi):
+            if kind is Phi:
                 cloned_phis.append((inst, new_inst))  # fill incomings later
-            if isinstance(new_inst, Br):
+            elif kind is Br:
                 new_inst.target = block_map[new_inst.target]
-            elif isinstance(new_inst, CondBr):
+            elif kind is CondBr:
                 new_inst.true_target = block_map[new_inst.true_target]
                 new_inst.false_target = block_map[new_inst.false_target]
+            elif kind is Alloca:
+                allocas.append(new_inst)
             new_block.append(new_inst)
 
     for old_phi, new_phi in cloned_phis:
@@ -114,11 +117,11 @@ def inline_call(call: Call) -> None:
     # Hoist inlined allocas to the caller entry so loops around the call
     # site don't re-allocate (LLVM does the same).
     entry = caller.entry
-    for block in block_map.values():
-        for inst in list(block.instructions):
-            if isinstance(inst, Alloca) and block is not entry:
-                block.instructions.remove(inst)
-                entry.insert(entry.first_non_phi_index(), inst)
+    for inst in allocas:
+        block = inst.parent
+        if block is not entry:
+            block.instructions.remove(inst)
+            entry.insert(entry.first_non_phi_index(), inst)
 
     # Route the caller into the inlined entry.
     caller_block.append(Br(block_map[callee.entry]))

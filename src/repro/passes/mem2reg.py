@@ -12,6 +12,7 @@ assumption then shrinks (paper §V-B).
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Set
 
 from repro.ir.cfg import DominatorTree, predecessors, reachable_blocks
@@ -140,8 +141,6 @@ class PromoteAllocasPass:
                 visit(child)
             for alloca in pushed:
                 stacks[alloca].pop()
-
-        import sys
 
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 2 * len(func.blocks) + 1000))

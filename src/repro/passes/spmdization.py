@@ -28,15 +28,18 @@ from typing import List, Optional, Tuple
 
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import (
+    Alloca,
     AtomicRMW,
     Call,
+    Cast,
     Instruction,
     Load,
+    PtrAdd,
     Store,
 )
-from repro.ir.intrinsics import intrinsic_info
+from repro.ir.intrinsics import declare_intrinsic, intrinsic_info
 from repro.ir.module import Function, Module
-from repro.ir.types import I32
+from repro.ir.types import I32, VOID
 from repro.ir.values import Constant
 from repro.passes.globalization import ALLOC_NAMES, FREE_NAMES, OLD_ALLOC_NAMES
 
@@ -61,8 +64,6 @@ def _find_init_call(func: Function) -> Optional[Call]:
 
 def _chases_to_private(ptr) -> bool:
     """Pointer derived from a globalized capture buffer or an alloca."""
-    from repro.ir.instructions import Alloca, Cast, PtrAdd
-
     seen = 0
     while seen < 32:
         seen += 1
@@ -209,12 +210,8 @@ class SPMDizationPass:
             # Publish the guarded store to the team: an aligned barrier
             # at the head of the continuation (built by hand because the
             # continuation already carries the tail's terminator).
-            from repro.ir.instructions import Call as CallInst
-            from repro.ir.intrinsics import declare_intrinsic
-            from repro.ir.types import VOID as VOID_TY
-
             barrier_fn = declare_intrinsic(module, "gpu.barrier.aligned")
-            barrier = CallInst(barrier_fn, [], VOID_TY)
+            barrier = Call(barrier_fn, [], VOID)
             cont.insert(0, barrier)
             ctx.remarks.passed(
                 self.name, kernel.name, "guarded sequential store for SPMD execution"

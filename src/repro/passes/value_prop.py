@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.memory.addrspace import AddressSpace
+from repro.memory.memmodel import scalar_size
 from repro.ir.callgraph import CallGraph
 from repro.ir.cfg import DominatorTree, predecessors, reverse_post_order
 from repro.ir.instructions import (
@@ -43,7 +44,7 @@ from repro.ir.instructions import (
     Select,
     Store,
 )
-from repro.ir.intrinsics import intrinsic_info
+from repro.ir.intrinsics import declare_intrinsic, intrinsic_info
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import FloatType, IntType, PointerType
 from repro.ir.values import Argument, Constant, GlobalVariable, Value
@@ -198,7 +199,8 @@ class _FunctionState:
         state: Dict[BinKey, LatticeValue],
         folds: Optional[List[Tuple[Load, LatticeValue]]] = None,
     ) -> None:
-        if isinstance(inst, Load):
+        kind = type(inst)
+        if kind is Load:
             if folds is None or inst.is_volatile:
                 return
             key = self._bin_of(inst.pointer, inst)
@@ -206,15 +208,15 @@ class _FunctionState:
                 folds.append((inst, state[key]))
             return
 
-        if isinstance(inst, Store):
+        if kind is Store:
             self._transfer_write(inst, inst.pointer, inst.value, state)
             return
 
-        if isinstance(inst, AtomicRMW):
+        if kind is AtomicRMW:
             self._kill_pointer(inst.pointer, state)
             return
 
-        if isinstance(inst, Call):
+        if kind is Call:
             callee = inst.callee
             name = callee.name if callee is not None else None
             if name == "llvm.assume":
@@ -383,8 +385,6 @@ class _FunctionState:
 
 
 def _access_size(inst: Instruction) -> Optional[int]:
-    from repro.memory.memmodel import scalar_size
-
     if isinstance(inst, Load):
         try:
             return scalar_size(inst.type)
@@ -394,8 +394,6 @@ def _access_size(inst: Instruction) -> Optional[int]:
 
 
 def _store_size(inst: Instruction) -> Optional[int]:
-    from repro.memory.memmodel import scalar_size
-
     if isinstance(inst, Store):
         try:
             return scalar_size(inst.value.type)
@@ -489,8 +487,6 @@ def _materialize(
         except (TypeError, ValueError):
             return None
     if kind == "inv":
-        from repro.ir.intrinsics import declare_intrinsic
-
         func = declare_intrinsic(module, lattice[1])
         call = Call(func, [], func.return_type, "inv")
         assert load.parent is not None

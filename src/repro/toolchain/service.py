@@ -116,7 +116,14 @@ def _run_cell(
 
 
 class ToolchainSession:
-    """Caching, parallelizing façade over the frontend driver."""
+    """Caching, parallelizing façade over the frontend driver.
+
+    *cache* is the :class:`CompileCache` this session compiles through.
+    ``cache=None`` does not mean "no cache": it means the process-global
+    cache (``get_compile_cache()``), which is itself ``None``, and
+    compiles uncached, only when caching is disabled process-wide
+    (``REPRO_CACHE=0`` or ``configure_compile_cache(None)``).
+    """
 
     def __init__(
         self,

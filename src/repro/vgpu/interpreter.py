@@ -68,6 +68,7 @@ from repro.vgpu.errors import (
     SanitizerError,
     SimulationError,
     WatchdogExpired,
+    attach_context,
 )
 from repro.vgpu.execstate import (  # noqa: F401 (ThreadStatus re-exported)
     Scalar,
@@ -90,6 +91,18 @@ _DONE = ThreadStatus.DONE
 #: minifmm's warp launches, at 7-8 of 32 lanes, took 1.8-2.1x as long
 #: as decoded; every cell that beats decoded runs at 31-32 lanes.
 _MIN_WARP_OCCUPANCY = 0.5
+
+
+def _waiting_context(exc: BarrierDivergence, waiting) -> BarrierDivergence:
+    """Attach the device context of the lowest-numbered thread in
+    *waiting*: its function, call stack and the block of the barrier it
+    waits at.  Barrier divergence is only diagnosed under the sanitizer,
+    which always runs on the decoded engine, so every waiting thread
+    keeps its own frame list."""
+    thread = min(waiting, key=lambda t: t.thread_id)
+    call = thread.barrier_call
+    block = call.parent.name if call is not None and call.parent is not None else None
+    return attach_context(exc, thread, block)
 
 
 class CooperativeWatchdog:
@@ -557,11 +570,11 @@ class VirtualGPU:
                     waiting = sorted(t.thread_id for t in still)
                     exited = sorted(
                         t.thread_id for t in alive if t.status is _DONE)
-                    raise BarrierDivergence(
+                    raise _waiting_context(BarrierDivergence(
                         f"barrier divergence in team {team_id}: threads "
                         f"{exited} finished the kernel while threads "
                         f"{waiting} wait at a barrier", team=team_id,
-                    )
+                    ), still)
                 alive = still
                 if not alive:
                     break
@@ -572,10 +585,10 @@ class VirtualGPU:
                 )
                 if aligned and len(barrier_calls) > 1:
                     if self.sanitize:
-                        raise BarrierDivergence(
+                        raise _waiting_context(BarrierDivergence(
                             f"threads of team {team_id} reached different "
                             f"aligned barrier instructions", team=team_id,
-                        )
+                        ), alive)
                     if self.debug_checks:
                         raise DivergenceError(
                             f"threads of team {team_id} reached different aligned "

@@ -106,15 +106,22 @@ class TestZeroPerturbation:
 
 class TestBarrierSkip:
     def test_sanitizer_turns_the_hang_into_a_diagnostic(self):
-        messages = []
+        messages, contexts = [], []
         for label in ENGINE_LABELS:
             exc = _failure(_barrier_module(), label, "barrier_skip:n=1",
                            sanitize=True, threads=2)
             assert isinstance(exc, BarrierDivergence)
             assert exc.team == 0
             messages.append(str(exc))
+            contexts.append(exc.context.to_dict())
         assert len(set(messages)) == 1
         assert "finished the kernel while threads" in messages[0]
+        # The context names the thread left waiting, at its barrier.
+        assert all(ctx == contexts[0] for ctx in contexts)
+        waiting = int(messages[0].split("while threads [")[1].split("]")[0])
+        assert contexts[0]["thread"] == waiting
+        assert (contexts[0]["function"], contexts[0]["block"]) == ("kern", "entry")
+        assert contexts[0]["call_stack"] == ["kern"]
 
     def test_without_sanitizer_the_simulator_releases_the_barrier(self):
         # On hardware this hangs; the simulator completes the launch so
@@ -127,7 +134,7 @@ class TestBarrierSkip:
 
 class TestDivergentAlignedBarriers:
     def test_sanitizer_flags_mismatched_aligned_barriers(self):
-        messages = []
+        messages, contexts = [], []
         for label in ENGINE_LABELS:
             with engine_mode(label) as engine:
                 gpu = VirtualGPU(_divergent_barrier_module(), engine=engine,
@@ -135,5 +142,10 @@ class TestDivergentAlignedBarriers:
                 with pytest.raises(BarrierDivergence) as excinfo:
                     gpu.run(LaunchSpec(kernel="kern", threads_per_team=2))
             messages.append(str(excinfo.value))
+            contexts.append(excinfo.value.context.to_dict())
         assert len(set(messages)) == 1
         assert "different aligned barrier instructions" in messages[0]
+        # The lowest-numbered waiting thread: thread 0, at the left barrier.
+        assert all(ctx == contexts[0] for ctx in contexts)
+        assert (contexts[0]["thread"], contexts[0]["function"],
+                contexts[0]["block"]) == (0, "kern", "left")

@@ -123,7 +123,7 @@ def test_cell(name, cell, service, compiled, decoded, report_dir,
         assert not result.ok, f"expected {scenario.expect}, ran clean"
         report = result.report.comparable_dict()
         assert report["error_type"] == scenario.expect
-        if scenario.expect == "InjectedFault":
+        if scenario.expect in ("InjectedFault", "BarrierDivergence"):
             assert report["context"] is not None
         assert report == ref.report.comparable_dict()
         assert os.path.dirname(result.report_path) == report_dir
