@@ -23,7 +23,9 @@ Knobs
 ``REPRO_CACHE_DISK``
     Set falsy to keep the compile cache in-memory only.
 ``REPRO_CACHE_SIZE``
-    In-memory compile-cache LRU capacity (default 128).
+    In-memory compile-cache LRU capacity (default 128).  It also bounds
+    a :class:`repro.serve.SimulationService`'s per-program table
+    (:class:`repro.serve.pool.DevicePool`).
 ``REPRO_TRACE``
     Set truthy to enable the :mod:`repro.trace` event collector for
     the whole process (off by default; see README "Observability").
@@ -88,7 +90,8 @@ KNOBS: Dict[str, EnvKnob] = {
         EnvKnob("REPRO_CACHE_DISK", "flag", "1",
                 "persist the compile cache to disk"),
         EnvKnob("REPRO_CACHE_SIZE", "int", "128",
-                "in-memory compile-cache LRU capacity"),
+                "in-memory compile-cache LRU capacity; also bounds the "
+                "service's per-program table"),
         EnvKnob("REPRO_TRACE", "flag", "0",
                 "enable the repro.trace event collector"),
         EnvKnob("REPRO_FAULTS", "str", "",

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
+from repro.memory import layout
 from repro.memory.addrspace import AddressSpace
+from repro.ir.folding import fold_binop, fold_cast, fold_icmp
 from repro.ir.instructions import (
     Alloca,
     AtomicRMW,
@@ -180,8 +182,6 @@ class IRBuilder:
     def icmp(self, pred: str, lhs: ValueOrInt, rhs: ValueOrInt, name: str = "") -> Value:
         lhs, rhs = self._coerce_pair(lhs, rhs)
         if isinstance(lhs, Constant) and isinstance(rhs, Constant):
-            from repro.passes.folding import fold_icmp
-
             folded = fold_icmp(pred, lhs, rhs)
             if folded is not None:
                 return folded
@@ -201,8 +201,6 @@ class IRBuilder:
         if value.type == to_type and op in ("zext", "sext", "trunc", "bitcast"):
             return value
         if isinstance(value, Constant):
-            from repro.passes.folding import fold_cast
-
             folded = fold_cast(op, value, to_type)
             if folded is not None:
                 return folded
@@ -247,16 +245,12 @@ class IRBuilder:
 
     def gep(self, ptr: Value, struct_ty, field_name: str, name: str = "") -> Value:
         """Field address: ``ptradd`` by the DataLayout offset of the field."""
-        from repro.memory.layout import DATA_LAYOUT
-
-        offset = DATA_LAYOUT.field_offset(struct_ty, field_name)
+        offset = layout.DATA_LAYOUT.field_offset(struct_ty, field_name)
         return self.ptradd(ptr, offset, name or f"{field_name}.addr")
 
     def array_gep(self, ptr: Value, element_ty: Type, index: ValueOrInt, name: str = "") -> Value:
         """Element address: base + index * sizeof(element)."""
-        from repro.memory.layout import DATA_LAYOUT
-
-        size = DATA_LAYOUT.size_of(element_ty)
+        size = layout.DATA_LAYOUT.size_of(element_ty)
         if isinstance(index, int):
             return self.ptradd(ptr, index * size, name)
         idx64 = self.sext(index, I64) if isinstance(index.type, IntType) and index.type.bits < 64 else index
@@ -326,8 +320,6 @@ class IRBuilder:
 
 def _fold_binop(op: str, lhs: Value, rhs: Value) -> Optional[Value]:
     """Create-time folding for constant operands and trivial identities."""
-    from repro.passes.folding import fold_binop
-
     if isinstance(lhs, Constant) and isinstance(rhs, Constant):
         return fold_binop(op, lhs, rhs)
     if isinstance(rhs, Constant) and rhs.value == 0 and op in ("add", "sub", "or", "xor", "shl", "lshr", "ashr"):

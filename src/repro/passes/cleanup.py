@@ -42,7 +42,7 @@ from repro.ir.intrinsics import intrinsic_info
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import I1, I64, IntType, PointerType
 from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
-from repro.passes.folding import (
+from repro.ir.folding import (
     fold_binop,
     fold_cast,
     fold_fcmp,

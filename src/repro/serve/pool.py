@@ -1,23 +1,30 @@
-"""Warm-device pooling for the simulation service.
+"""The serve layer's one table of per-program state.
 
-Building a :class:`~repro.vgpu.VirtualGPU` is the expensive part of a
-request: module load materializes globals, and the first launch decodes
-every kernel into micro-op arrays.  The pool keeps finished devices
-warm — :meth:`repro.vgpu.VirtualGPU.reset_device` rewinds the memory
-image to its post-load state while the per-device decode bindings
-survive — so repeat requests against the same module skip both costs.
+:class:`DevicePool` is an LRU keyed by the request key: the compile
+fingerprint, or ``module:<id>`` for a submitted module.  A
+:class:`ProgramEntry` row holds the program (its ``CompiledProgram``,
+or the submitted ``Module``, so a ``module:<id>`` key cannot pass to a
+later module at a recycled address), its circuit breaker and at most
+one idle warm device.  At most ``REPRO_CACHE_SIZE`` rows (default 128)
+are kept; a full table evicts the least recently used program with
+everything it holds.
 
+A warm device skips module load and kernel decode, the expensive part
+of a request: :meth:`repro.vgpu.VirtualGPU.reset_device` rewinds the
+memory image to its post-load state while the decode bindings survive.
 Sanitized devices are never pooled: the shadow-memory state is
-launch-scoped and cheaper to rebuild than to audit, so
-``sanitize=True`` requests always get a fresh device.
+launch-scoped and cheaper to rebuild than to audit.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from collections import OrderedDict
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, Optional, Union
 
+from repro import envconfig
+from repro.ir import Module
 from repro.vgpu import DEFAULT_CONFIG, GPUConfig, VirtualGPU
 
 
@@ -33,77 +40,105 @@ class PoolStats:
     in_use: int = 0
 
     def to_dict(self) -> Dict[str, int]:
-        return {"builds": self.builds, "reuses": self.reuses,
-                "discards": self.discards, "in_use": self.in_use}
+        return asdict(self)
 
 
-def _pool_key(module, config) -> Tuple:
-    # Modules and configs are compared by identity: the serve layer
-    # compiles through the content-addressed cache, so equal requests
-    # share one module object.  A None config means "the default" and
-    # must key identically however often it is defaulted.
-    return (id(module), id(config) if config is not None else 0)
+class ProgramEntry:
+    """One program's row.  ``compiled`` is None for a submitted module;
+    the service sets ``breaker`` on first use."""
+
+    __slots__ = ("key", "module", "compiled", "breaker", "idle")
+
+    def __init__(self, key: str, program: Any) -> None:
+        self.key = key
+        self.compiled = None if isinstance(program, Module) else program
+        self.module = program if self.compiled is None else program.module
+        self.breaker = None
+        self.idle: Optional[VirtualGPU] = None
 
 
-@dataclass
 class DevicePool:
-    """Pool of warm, reset :class:`VirtualGPU` devices, at most one idle
-    device per key.
+    """The program table, with warm :class:`VirtualGPU` devices.
 
-    ``acquire`` returns a device exclusively to the caller; ``release``
-    resets it and keeps it for reuse, or discards it when its key's
-    slot is already taken.  The service runs one request at a time, so
-    it never holds two devices of one key.  The lock guards the slots
-    and counters, which ``SimulationService.health()`` reads from
-    client threads.
+    ``acquire`` hands a device to one caller; ``release`` resets it and
+    keeps it in its row, or discards it when the slot is taken or the
+    row was evicted.  A pool serves one ``GPUConfig``.  The lock guards
+    the table and the counters, which ``SimulationService.health()``
+    reads from client threads.
     """
 
-    stats: PoolStats = field(default_factory=PoolStats)
-    _idle: Dict[Tuple, VirtualGPU] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
+    def __init__(self) -> None:
+        self.capacity = max(1, envconfig.cache_size())
+        self.stats = PoolStats()
+        self._table: "OrderedDict[str, ProgramEntry]" = OrderedDict()
+        self._lock = threading.Lock()
 
-    def acquire(
-        self,
-        module,
-        config: Optional[GPUConfig] = None,
-        *,
-        sanitize: bool = False,
-    ) -> VirtualGPU:
-        """A warm (or freshly built) device for *module*.
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._table)
+
+    def entry(self, key: str, load: Callable[[], Any]) -> ProgramEntry:
+        """The row for *key*, now the most recently used.  On a miss
+        ``load()`` supplies the program, outside the lock, and the
+        least recently used row is evicted if the table is full."""
+        with self._lock:
+            row = self._table.get(key)
+            if row is not None:
+                self._table.move_to_end(key)
+                return row
+        row = ProgramEntry(key, load())
+        with self._lock:
+            self._table[key] = row
+            if len(self._table) > self.capacity:
+                self._table.popitem(last=False)
+        return row
+
+    def module_entry(self, module: Module) -> ProgramEntry:
+        """The ``module:<id>`` row of a submitted module."""
+        return self.entry(f"module:{id(module):x}", lambda: module)
+
+    def _row(self, program: Union[ProgramEntry, Module]) -> ProgramEntry:
+        if isinstance(program, ProgramEntry):
+            return program
+        return self.module_entry(program)
+
+    def acquire(self, program: Union[ProgramEntry, Module],
+                config: Optional[GPUConfig] = None, *,
+                sanitize: bool = False) -> VirtualGPU:
+        """A warm (or freshly built) device for *program*, a row from
+        :meth:`entry` or a bare module.
 
         The returned device has the default engine and no fault plan —
         per-request overrides travel in the :class:`~repro.vgpu.
         LaunchSpec` instead, which is what makes one warm device
         reusable across tenants with different knobs.
         """
-        if not sanitize:
-            key = _pool_key(module, config)
-            with self._lock:
-                gpu = self._idle.pop(key, None)
-                if gpu is not None:
-                    self.stats.reuses += 1
-                    self.stats.in_use += 1
-                    return gpu
+        row = self._row(program)
         with self._lock:
-            self.stats.builds += 1
             self.stats.in_use += 1
-        return VirtualGPU(module, config=config or DEFAULT_CONFIG,
+            if not sanitize and row.idle is not None:
+                gpu, row.idle = row.idle, None
+                self.stats.reuses += 1
+                return gpu
+            self.stats.builds += 1
+        return VirtualGPU(row.module, config=config or DEFAULT_CONFIG,
                           sanitize=sanitize)
 
-    def release(self, gpu: VirtualGPU, module, config) -> None:
-        """Reset *gpu* and keep it for reuse (discard when not
-        resettable or its key's slot is taken)."""
+    def release(self, gpu: VirtualGPU, program: Union[ProgramEntry, Module],
+                config: Optional[GPUConfig] = None) -> None:
+        """Reset *gpu* and keep it in *program*'s row.  *config* is
+        unused: the device carries its own."""
         try:
             keep = gpu.resettable
             if keep:
                 gpu.reset_device()
         except Exception:
             keep = False
-        key = _pool_key(module, config)
+        row = self._row(program)
         with self._lock:
             self.stats.in_use -= 1
-            if keep and key not in self._idle:
-                self._idle[key] = gpu
+            if keep and row.idle is None and self._table.get(row.key) is row:
+                row.idle = gpu
             else:
                 self.stats.discards += 1
 
@@ -115,8 +150,11 @@ class DevicePool:
 
     def idle_count(self) -> int:
         with self._lock:
-            return len(self._idle)
+            return sum(row.idle is not None for row in self._table.values())
 
-    def clear(self) -> None:
+    def breakers(self) -> Dict[str, dict]:
+        """Every row's circuit breaker state, by key."""
         with self._lock:
-            self._idle.clear()
+            return {key: row.breaker.to_dict()
+                    for key, row in self._table.items()
+                    if row.breaker is not None}

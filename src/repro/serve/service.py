@@ -15,13 +15,15 @@ order on one worker thread (under the GIL, more threads only interleave):
   :class:`~repro.serve.errors.DeadlineExceeded` *before* wasting the
   worker, and the **remaining** budget (never the original) becomes
   the ``deadline_s`` of the launch itself.
-* **Shared compilation** — requests compile through one
-  :class:`~repro.toolchain.service.ToolchainSession` (the
-  content-addressed compile cache), and the service additionally
-  memoizes the live ``CompiledProgram`` per fingerprint so all
-  tenants share one module object — which is what lets the
-  :class:`~repro.serve.pool.DevicePool` hand the same warm device to
-  all of them.
+* **Shared compilation** — the :class:`~repro.serve.pool.DevicePool`
+  is the service's one table of per-program state, keyed by compile
+  fingerprint (or ``module:<id>`` for a submitted module): the live
+  program, its circuit breaker and its idle warm device.  A miss
+  compiles through one :class:`~repro.toolchain.service.
+  ToolchainSession` (the content-addressed compile cache); a hit
+  shares the row's module across tenants.  The table holds at most
+  ``REPRO_CACHE_SIZE`` programs and evicts the least recently used
+  with everything it holds.
 * **Warm devices** — a finished device is reset (not rebuilt) and
   reused; decode bindings survive across requests.  One request runs
   at a time, so one warm device per program is all the pool keeps.
@@ -66,7 +68,7 @@ import threading
 import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro import envconfig
@@ -78,7 +80,7 @@ from repro.serve.errors import (
     RequestCancelled,
     ServiceClosed,
 )
-from repro.serve.pool import DevicePool
+from repro.serve.pool import DevicePool, ProgramEntry
 from repro.serve.resilience import (
     BreakerOpenSignal,
     BreakerPolicy,
@@ -136,7 +138,7 @@ class ServeStats:
     completed: int = 0
     failed: int = 0        # program faults (ok=False results)
     retried: int = 0       # requests served by the fallback run
-    compiles: int = 0      # distinct fingerprints compiled/materialized
+    compiles: int = 0      # program-table misses (session compiles)
     attempts: int = 0      # launches executed (fallback runs included)
     cancelled: int = 0     # queued requests cancelled before running
     shed_deadline: int = 0  # requests shed with DeadlineExceeded
@@ -145,20 +147,7 @@ class ServeStats:
     internal_errors: int = 0  # requests resolved with an internal exception
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "failed": self.failed,
-            "retried": self.retried,
-            "compiles": self.compiles,
-            "attempts": self.attempts,
-            "cancelled": self.cancelled,
-            "shed_deadline": self.shed_deadline,
-            "shed_breaker": self.shed_breaker,
-            "breaker_opens": self.breaker_opens,
-            "internal_errors": self.internal_errors,
-        }
+        return asdict(self)
 
 
 class ServeJob:
@@ -289,12 +278,6 @@ class SimulationService:
         self._running = 0   # 1 while the worker executes a request
         self._closed = False
         self._ids = itertools.count(1)
-        #: fingerprint -> CompiledProgram: the live-object complement of
-        #: the pickled compile cache, shared across tenants so the
-        #: device pool sees one module object per distinct compile.
-        self._compiled: Dict[str, object] = {}
-        #: breaker key -> CircuitBreaker (created on first use).
-        self._breakers: Dict[str, CircuitBreaker] = {}
         self._drain_rate = DrainRateTracker()
         self._drain_deadline: Optional[Deadline] = None
 
@@ -481,8 +464,8 @@ class SimulationService:
             queued = in_flight - self._running
             closed = self._closed
             draining = self._drain_deadline is not None
-            breakers = {k: b.to_dict() for k, b in self._breakers.items()}
             stats = self.stats.to_dict()
+        breakers = self.pool.breakers()
         threads = getattr(self._executor, "_threads", ()) or ()
         workers_alive = sum(1 for t in threads if t.is_alive())
         rate = self._drain_rate.rate_per_s()
@@ -535,16 +518,6 @@ class SimulationService:
             trace.instant("serve.cancel", cat=SERVE_EVENT_CATEGORY,
                           request_id=job.request_id)
 
-    def _breaker_for(self, key: str) -> Optional[CircuitBreaker]:
-        if not self.breaker_policy.enabled:
-            return None
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                breaker = self._breakers[key] = CircuitBreaker(
-                    key, self.breaker_policy)
-            return breaker
-
     def _retry_after_hint(self) -> float:
         with self._lock:
             return self._drain_rate.retry_after_s(self._in_flight)
@@ -567,18 +540,13 @@ class SimulationService:
             retry_after_s=self._retry_after_hint(),
         )
 
-    def _compile_shared(self, program, options, key):
-        """Compile through the session cache, memoizing the live object
-        per fingerprint (*key*) so all tenants share one module.  Runs
-        only on the worker, so the memo needs no lock."""
-        compiled = self._compiled.get(key)
-        if compiled is None:
-            if self._chaos is not None:
-                self._chaos.on_compile()
-            compiled = self._compiled[key] = self.session.compile(
-                program, options)
-            with self._lock:
-                self.stats.compiles += 1
+    def _compile(self, program, options):
+        """A table miss: compile through the session cache."""
+        if self._chaos is not None:
+            self._chaos.on_compile()
+        compiled = self.session.compile(program, options)
+        with self._lock:
+            self.stats.compiles += 1
         return compiled
 
     def _run_request(self, request: _Request) -> LaunchResult:
@@ -632,31 +600,30 @@ class SimulationService:
         if self._chaos is not None:
             self._chaos.on_request()
 
-        compiled = None
         if request.module is not None:
-            module = request.module
-            key = f"module:{id(module):x}"
+            entry = self.pool.module_entry(request.module)
         else:
             from repro.frontend.driver import CompileOptions
 
             options = request.options or CompileOptions()
-            key = compile_fingerprint(request.program, options)
-            compiled = self._compile_shared(request.program, options, key)
-            module = compiled.module
+            entry = self.pool.entry(
+                compile_fingerprint(request.program, options),
+                lambda: self._compile(request.program, options))
             if deadline is not None and deadline.expired():
                 self._shed_deadline(job, deadline, "compile")
 
         # Admitted only once nothing but the launch is left, so that a
-        # half-open breaker's probe always reports back.  A key whose
-        # breaker opened was compiled (and memoized) before, so an
-        # open breaker still costs no compile.
-        breaker = self._breaker_for(key)
-        if breaker is not None:
+        # half-open breaker's probe always reports back.  The breaker
+        # lives in the program's row, so while the row lives an open
+        # breaker costs no compile.
+        if self.breaker_policy.enabled:
+            if entry.breaker is None:
+                entry.breaker = CircuitBreaker(entry.key, self.breaker_policy)
             try:
-                breaker.admit()
+                entry.breaker.admit()
             except BreakerOpenSignal as sig:
                 self._shed_breaker(job, sig)
-        return self._launch(request, module, compiled, deadline, breaker)
+        return self._launch(request, entry, deadline)
 
     def _shed_breaker(self, job: ServeJob, sig: BreakerOpenSignal) -> None:
         trace = _active_trace()
@@ -674,9 +641,8 @@ class SimulationService:
             retry_after_s=sig.retry_after_s,
         ) from None
 
-    def _launch(self, request: _Request, module, compiled,
-                deadline: Optional[Deadline],
-                breaker: Optional[CircuitBreaker]) -> LaunchResult:
+    def _launch(self, request: _Request, entry: ProgramEntry,
+                deadline: Optional[Deadline]) -> LaunchResult:
         """Run the request, with one fallback run on an internal failure.
 
         The first launch uses the spec's engine on a pooled device.  An
@@ -690,8 +656,8 @@ class SimulationService:
         spec = request.job.spec
         first_engine = resolve_sim_engine(spec.engine)
         try:
-            result = self._launch_attempt(request, module, compiled,
-                                          deadline, engine=first_engine)
+            result = self._launch_attempt(request, entry, deadline,
+                                          engine=first_engine)
         except PROGRAM_FAULTS:
             raise  # defensive: program faults are handled per launch
         except Exception as exc:
@@ -705,8 +671,7 @@ class SimulationService:
             report = CrashReport.from_exception(
                 exc, kernel=spec.kernel_name, engine=first_engine)
             report.retry = retry
-            result = self._fallback(request, module, compiled, deadline,
-                                    breaker, retry)
+            result = self._fallback(request, entry, deadline, retry)
             if result.report is None:
                 # Successful fallback: keep the internal fault on record.
                 result.report = report
@@ -714,21 +679,20 @@ class SimulationService:
                     result.report_path = report.save(self.report_dir)
             result.retried = True
         # Structurally completed: ok result or isolated program fault.
-        if breaker is not None:
-            breaker.record_success()
+        if entry.breaker is not None:
+            entry.breaker.record_success()
         return result
 
-    def _fallback(self, request: _Request, module, compiled,
-                  deadline: Optional[Deadline],
-                  breaker: Optional[CircuitBreaker],
-                  retry: dict) -> LaunchResult:
+    def _fallback(self, request: _Request, entry: ProgramEntry,
+                  deadline: Optional[Deadline], retry: dict) -> LaunchResult:
         """The one rerun on a fresh per-op decoded device."""
         try:
-            return self._launch_attempt(request, module, compiled, deadline,
+            return self._launch_attempt(request, entry, deadline,
                                         engine=ENGINE_DECODED, retry=retry)
         except PROGRAM_FAULTS:
             raise
         except Exception as exc:
+            breaker = entry.breaker
             if breaker is not None and breaker.record_failure(
                     self._internal_report_path(request, exc,
                                                ENGINE_DECODED)):
@@ -752,7 +716,7 @@ class SimulationService:
             exc, kernel=request.job.spec.kernel_name, engine=engine)
         return report.save(self.report_dir)
 
-    def _launch_attempt(self, request: _Request, module, compiled,
+    def _launch_attempt(self, request: _Request, entry: ProgramEntry,
                         deadline: Optional[Deadline], *, engine: str,
                         retry: Optional[dict] = None) -> LaunchResult:
         """One launch: on a pooled device, or for the fallback run
@@ -783,22 +747,22 @@ class SimulationService:
                     deadline_s=deadline.remaining_s())
             sanitize = bool(spec.sanitize)
             if fresh:
-                gpu = VirtualGPU(module, config=self.gpu_config,
+                gpu = VirtualGPU(entry.module, config=self.gpu_config,
                                  sanitize=sanitize)
                 gpu._per_op = True
             else:
-                gpu = self.pool.acquire(module, self.gpu_config,
+                gpu = self.pool.acquire(entry, self.gpu_config,
                                         sanitize=sanitize)
             try:
                 if request.make_args is not None:
                     run_spec = run_spec.replace(
-                        args=tuple(request.make_args(gpu, compiled)))
+                        args=tuple(request.make_args(gpu, entry.compiled)))
                 result = gpu.run(run_spec)
                 result.submitted_s = job.submitted_s
                 if request.finalize is not None:
                     result.payload = request.finalize(gpu, result)
                 if not fresh:
-                    self.pool.release(gpu, module, self.gpu_config)
+                    self.pool.release(gpu, entry)
                 return result
             except PROGRAM_FAULTS as exc:
                 # Deterministic property of the program: isolate as a
@@ -806,7 +770,7 @@ class SimulationService:
                 result = self._failed_result(job, run_spec, exc, gpu,
                                              engine, retry=retry)
                 if not fresh:
-                    self.pool.release(gpu, module, self.gpu_config)
+                    self.pool.release(gpu, entry)
                 return result
             except Exception:
                 # Internal engine fault: the device may be inconsistent.

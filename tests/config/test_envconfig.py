@@ -106,6 +106,25 @@ class TestRegistry:
         }
         assert expected == set(envconfig.KNOBS)
 
+    def test_knob_registry_is_pinned(self):
+        """The registry's names, kinds and defaults, in table order.
+        Adding, removing or re-defaulting a knob must edit this list."""
+        assert [(k.name, k.kind, k.default)
+                for k in envconfig.KNOBS.values()] == [
+            ("REPRO_SIM_ENGINE", "choice", "decoded"),
+            ("REPRO_JOBS", "int", "1"),
+            ("REPRO_CACHE", "flag", "1"),
+            ("REPRO_CACHE_DIR", "str", ".repro-cache"),
+            ("REPRO_CACHE_DISK", "flag", "1"),
+            ("REPRO_CACHE_SIZE", "int", "128"),
+            ("REPRO_TRACE", "flag", "0"),
+            ("REPRO_FAULTS", "str", ""),
+            ("REPRO_SANITIZE", "flag", "0"),
+            ("REPRO_SERVE_QUEUE", "int", "16"),
+            ("REPRO_SERVE_BREAKER_THRESHOLD", "int", "5"),
+            ("REPRO_SERVE_DRAIN_S", "float", "0"),
+        ]
+
     def test_no_stray_env_reads_outside_registry(self):
         """Every ``REPRO_*`` environment variable mentioned anywhere in
         the source tree must be a documented knob — the point of having

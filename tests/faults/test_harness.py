@@ -148,11 +148,11 @@ class TestEngineFallback:
                                    **GEOMETRY),
                         module=_module(), make_args=_make_args)
             stats = svc.stats.to_dict()
-            (breaker,) = svc._breakers.values()
+            (breaker,) = svc.health()["breakers"].values()
         assert [engine for engine, _, _ in launches] == [
             ENGINE_DECODED, PER_OP]
         assert stats["attempts"] == 2 and stats["internal_errors"] == 1
-        assert breaker.to_dict()["failures"] == 1
+        assert breaker["failures"] == 1
 
     def test_program_fault_on_retry_keeps_the_retry_record(self, scripted):
         result, launches = _run(

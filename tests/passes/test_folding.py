@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.ir import Constant, F64, I1, I32, I64
 from repro.ir.intrinsics import all_intrinsics, intrinsic_info, math_function
-from repro.passes.folding import (
+from repro.ir.folding import (
     fold_binop,
     fold_cast,
     fold_fcmp,

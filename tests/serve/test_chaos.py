@@ -287,9 +287,8 @@ class TestDrills:
 
             for i in range(3):
                 one(f"brk-fail-{i}")
-            with svc._lock:
-                (breaker,) = svc._breakers.values()
-                assert breaker.state() == "open"
+            (breaker,) = svc.health()["breakers"].values()
+            assert breaker["state"] == "open"
             shed = one("brk-shed")
             time.sleep(cooldown * 1.4)
             probe1 = one("brk-probe-1")
@@ -297,8 +296,8 @@ class TestDrills:
             time.sleep(cooldown * 1.4)
             probe2 = one("brk-probe-2")
             final = one("brk-closed")
-            with svc._lock:
-                final_state = breaker.state()
+            (breaker,) = svc.health()["breakers"].values()
+            final_state = breaker["state"]
             _accounted(svc, outcomes)
             opens = svc.stats.to_dict()["breaker_opens"]
         assert shed.kind == shed2.kind == "shed_breaker"

@@ -508,8 +508,8 @@ class TestBreakerIntegration:
             assert excinfo.value.stage == "compile"
             for _ in range(3):
                 assert submit().result(timeout=60).ok
-            (breaker,) = svc._breakers.values()
-            assert breaker.state() == STATE_CLOSED
+            (breaker,) = svc.health()["breakers"].values()
+            assert breaker["state"] == STATE_CLOSED
             assert svc.stats.to_dict()["shed_breaker"] == 0
 
     def test_program_faults_never_trip_the_breaker(self):

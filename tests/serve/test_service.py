@@ -10,7 +10,10 @@
   leaks into other tenants or poisons the pool.
 """
 
+import gc
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from repro.bench.builds import BUILD_ORDER, NEW_RT, build_options
 from repro.bench.harness import APPS, run_single
 from repro.faults.plan import FaultPlan
 from repro.faults.report import CrashReport
+from repro.frontend import ast as A
+from repro.frontend.driver import CompileOptions
 from repro.ir import I64, PTR_GLOBAL, Constant, Module, verify_module
 from repro.ir.types import F32
 from repro.serve import (
@@ -28,6 +33,7 @@ from repro.serve import (
     ServiceClosed,
     SimulationService,
 )
+from repro.toolchain.cache import CompileCache
 from repro.toolchain.service import ToolchainSession
 from repro.trace.collector import TraceCollector, install
 from repro.vgpu import ENGINE_DECODED, ENGINE_WARP, VirtualGPU
@@ -464,6 +470,115 @@ class TestDevicePool:
         assert pool.idle_count() == 1
         assert pool.stats.discards == 1
         assert pool.acquire(module) is a
+
+
+def _empty_program(name):
+    """A one-kernel program; distinct names give distinct fingerprints."""
+    return A.Program(name, kernels=[A.KernelDef(
+        "empty", params=[A.Param("n", I64)], trip_count=A.Arg("n"),
+        body=[])])
+
+
+def _run_empty(svc, program):
+    def make_args(gpu, compiled):
+        return compiled.abi("empty").marshal(gpu, {"n": 8})
+
+    return svc.run(LaunchSpec(kernel="empty", threads_per_team=4),
+                   program=program, options=CompileOptions(),
+                   make_args=make_args)
+
+
+class TestProgramTable:
+    """The pool is the service's one table of per-program state: the
+    program, its breaker and its idle device, bounded by
+    ``REPRO_CACHE_SIZE`` and evicted least recently used first."""
+
+    @staticmethod
+    def _service():
+        return SimulationService(
+            session=ToolchainSession(cache=CompileCache(disk_dir=None)))
+
+    def test_distinct_programs_stay_within_the_bound(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_SIZE", "4")
+        programs = [_empty_program(f"table{i}") for i in range(10)]
+        with self._service() as svc:
+            for program in programs:
+                assert _run_empty(svc, program).ok
+            assert svc.stats.compiles == 10
+            assert len(svc.pool) <= 4
+            assert svc.pool.idle_count() <= 4
+            assert len(svc.health()["breakers"]) <= 4
+            reuses = svc.pool.stats.reuses
+            # The most recent program keeps its row: no compile, and its
+            # warm device is reused.
+            assert _run_empty(svc, programs[-1]).ok
+            assert svc.stats.compiles == 10
+            assert svc.pool.stats.reuses == reuses + 1
+            # The oldest was evicted with everything it held.
+            assert _run_empty(svc, programs[0]).ok
+            assert svc.stats.compiles == 11
+            assert len(svc.pool) <= 4
+
+    def test_a_module_row_keeps_its_module_alive_until_evicted(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_SIZE", "2")
+        module = _barrier_loop_module(1)
+        ref = weakref.ref(module)
+        with self._service() as svc:
+            assert svc.run(LaunchSpec(kernel="kern"), module=module).ok
+            del module
+            gc.collect()
+            assert ref() is not None
+            for _ in range(2):
+                assert svc.run(LaunchSpec(kernel="kern"),
+                               module=_barrier_loop_module(1)).ok
+            gc.collect()
+            assert ref() is None
+            assert len(svc.pool) == 2
+
+    def test_health_reads_the_table_while_the_worker_evicts(
+            self, monkeypatch):
+        """Client threads submit six programs through a two-row table
+        while another thread polls health(); every request completes and
+        the table's accounting balances."""
+        monkeypatch.setenv("REPRO_CACHE_SIZE", "2")
+        programs = [_empty_program(f"stress{i}") for i in range(6)]
+        errors, snapshots = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with self._service() as svc:
+                def client(c):
+                    try:
+                        for i in range(12):
+                            assert _run_empty(svc, programs[(c + i) % 6]).ok
+                    except BaseException as exc:
+                        errors.append(exc)
+
+                def poll():
+                    try:
+                        while any(t.is_alive() for t in clients):
+                            snapshots.append(svc.health())
+                    except BaseException as exc:
+                        errors.append(exc)
+
+                clients = [threading.Thread(target=client, args=(c,))
+                           for c in range(4)]
+                poller = threading.Thread(target=poll)
+                for thread in clients + [poller]:
+                    thread.start()
+                for thread in clients + [poller]:
+                    thread.join(60)
+                assert not any(t.is_alive() for t in clients + [poller])
+                pool = svc.pool.stats
+                assert pool.in_use == 0
+                assert pool.builds + pool.reuses == svc.stats.attempts == 48
+                assert len(svc.pool) == 2
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert snapshots
+        assert all(len(h["breakers"]) <= 2 for h in snapshots)
 
 
 class TestKnobs:
