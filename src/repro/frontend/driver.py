@@ -7,14 +7,18 @@ pipeline statistics.
 
 Repeated compilations of the same ``(program, options)`` pair are
 served from the content-addressed compile cache in
-:mod:`repro.toolchain.cache`; call :func:`compile_program_uncached`
-(or set ``REPRO_CACHE=0``) to force a fresh pipeline run.
+:mod:`repro.toolchain.cache`, which shares one frozen program per
+fingerprint; call :func:`compile_program_uncached` (or set
+``REPRO_CACHE=0``) to force a fresh pipeline run, or
+:meth:`CompiledProgram.mutable_copy` for a program to edit.
 """
 
 from __future__ import annotations
 
 import enum
+import pickle
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Any, Dict, Optional, Sequence
 
 from repro.ir.module import Function, Module
@@ -113,6 +117,32 @@ class CompiledProgram:
     def abi(self, name: str) -> KernelABI:
         return self.abis[name]
 
+    def freeze(self) -> "CompiledProgram":
+        """Make the module and ``abis`` read-only, in place (see
+        :meth:`repro.ir.module.Module.freeze`), and return self."""
+        if not self.module.frozen:
+            self.module.freeze()
+            self.abis = MappingProxyType(self.abis)
+        return self
+
+    def mutable_copy(self) -> "CompiledProgram":
+        """An independent copy whose module passes may edit in place."""
+        from repro.toolchain.fingerprint import deep_recursion
+
+        with deep_recursion():
+            copy = pickle.loads(pickle.dumps(self))
+        copy.module.thaw()
+        copy.abis = dict(copy.abis)
+        return copy
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {**self.__dict__, "abis": dict(self.abis)}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        if self.module.frozen:
+            self.abis = MappingProxyType(self.abis)
+
 
 def compile_program_uncached(
     program: A.Program, options: Optional[CompileOptions] = None
@@ -143,7 +173,8 @@ def compile_program(
 
     Identical ``(program, options)`` pairs are served from the
     content-addressed compile cache (:mod:`repro.toolchain.cache`)
-    without re-running the pipeline.
+    without re-running the pipeline: every hit returns the same frozen
+    program, so edit a :meth:`CompiledProgram.mutable_copy` instead.
     """
     # Imported here: the toolchain service layer sits *above* the driver.
     from repro.toolchain.cache import get_compile_cache

@@ -10,7 +10,7 @@ expressed as calls to known intrinsics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.memory.addrspace import AddressSpace
 from repro.ir.types import (
@@ -54,7 +54,7 @@ OPCODES = tuple(sorted(BINOPS | CAST_OPS | {
 class Instruction(Value):
     """Base class.  An instruction is itself a value (its result)."""
 
-    __slots__ = ("opcode", "operands", "parent", "attrs")
+    __slots__ = ("opcode", "operands", "parent")
 
     #: Whether the instruction ends its block (true for ``br``,
     #: ``condbr``, ``ret`` and ``unreachable``).
@@ -74,7 +74,6 @@ class Instruction(Value):
         self.uses = []
         self.opcode = opcode
         self.parent: Optional["BasicBlock"] = None
-        self.attrs: Set[str] = set()
         self.operands: List[Value] = list(operands)
         for index, op in enumerate(self.operands):
             op.uses.append(Use(self, index))
@@ -523,7 +522,6 @@ def clone_instruction(inst: Instruction, operand_map: Dict[Value, Value]) -> Ins
     new.uses = []
     new.opcode = inst.opcode
     new.parent = None
-    new.attrs = set(inst.attrs)
     new.operands = operands
     for index, op in enumerate(operands):
         op.uses.append(Use(new, index))

@@ -1,8 +1,17 @@
-"""Module, function and basic-block containers."""
+"""Module, function and basic-block containers.
+
+A module is mutable while it is built and optimized.  :meth:`Module.
+freeze` then makes it read-only for sharing: the compile cache hands
+one frozen module to every hit, and launch-time analyses that depend
+only on its content are computed once on it (:meth:`Module.memo`).
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from types import MappingProxyType
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set,
+)
 
 from repro.ir.instructions import Br, CondBr, Instruction, Phi
 from repro.ir.types import PTR, FunctionType, StructType, Type
@@ -186,6 +195,68 @@ class Module:
         self.functions: Dict[str, Function] = {}
         self.globals: Dict[str, GlobalVariable] = {}
         self.struct_types: Dict[str, StructType] = {}
+        #: Content-only analyses of a frozen module, by key (see
+        #: :meth:`memo`); None while the module is mutable.
+        self._memo: Optional[Dict[Hashable, Any]] = None
+
+    # -- freezing ----------------------------------------------------------------
+
+    @property
+    def frozen(self) -> bool:
+        return self._memo is not None
+
+    def freeze(self) -> "Module":
+        """Make this module read-only, in place, and return it.
+
+        The name tables become read-only mappings and every block list,
+        instruction list, operand list and use list a tuple, so an
+        in-place edit of the IR raises instead of silently changing what
+        other holders of the module see."""
+        if self._memo is None:
+            _rebuild_sequences(self, tuple)
+            self.functions = MappingProxyType(self.functions)
+            self.globals = MappingProxyType(self.globals)
+            self.struct_types = MappingProxyType(self.struct_types)
+            self._memo = {}
+        return self
+
+    def thaw(self) -> "Module":
+        """Undo :meth:`freeze`, in place, and return this module.  Only
+        for a copy no one else holds (``CompiledProgram.mutable_copy``)."""
+        if self._memo is not None:
+            self._memo = None
+            self.functions = dict(self.functions)
+            self.globals = dict(self.globals)
+            self.struct_types = dict(self.struct_types)
+            _rebuild_sequences(self, list)
+        return self
+
+    def memo(self, key: Hashable, make: Callable[[], Any]) -> Any:
+        """``make()``, computed once per *key* on a frozen module and on
+        every call on a mutable one, whose IR may change under it."""
+        memo = self._memo
+        if memo is None:
+            return make()
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = make()
+        return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A frozen module pickles frozen, without its memo (decoded
+        # code is not picklable); read-only mappings pickle as dicts.
+        state = self.__dict__.copy()
+        if self._memo is not None:
+            state.update(functions=dict(self.functions), globals=dict(self.globals),
+                         struct_types=dict(self.struct_types), _memo={})
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        if self._memo is not None:
+            self.functions = MappingProxyType(self.functions)
+            self.globals = MappingProxyType(self.globals)
+            self.struct_types = MappingProxyType(self.struct_types)
 
     # -- functions ---------------------------------------------------------------
 
@@ -259,3 +330,29 @@ class Module:
             f"<Module {self.name}: {len(self.functions)} functions, "
             f"{len(self.globals)} globals>"
         )
+
+
+def _rebuild_sequences(module: Module, seq: Callable[[Iterable], Sequence]) -> None:
+    """Rebuild, as *seq* (``tuple`` or ``list``), every sequence the IR
+    edits in place: block lists, argument lists, instruction lists,
+    operand lists, phi incoming blocks and the use list of every value
+    the module's instructions reference."""
+    for gv in module.globals.values():
+        gv.uses = seq(gv.uses)
+    for func in module.functions.values():
+        func.uses = seq(func.uses)
+        func.args = seq(func.args)
+        for arg in func.args:
+            arg.uses = seq(arg.uses)
+        func.blocks = seq(func.blocks)
+        for block in func.blocks:
+            block.instructions = seq(block.instructions)
+            for inst in block.instructions:
+                inst.operands = operands = seq(inst.operands)
+                for op in operands:
+                    if type(op.uses) is not seq:
+                        op.uses = seq(op.uses)
+                if type(inst.uses) is not seq:
+                    inst.uses = seq(inst.uses)
+                if type(inst) is Phi:
+                    inst.incoming_blocks = seq(inst.incoming_blocks)

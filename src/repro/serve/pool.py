@@ -3,9 +3,10 @@
 :class:`DevicePool` is an LRU keyed by the request key: the compile
 fingerprint, or ``module:<id>`` for a submitted module.  A
 :class:`ProgramEntry` row holds the program (its ``CompiledProgram``,
-or the submitted ``Module``, so a ``module:<id>`` key cannot pass to a
-later module at a recycled address), its circuit breaker and at most
-one idle warm device.  At most ``REPRO_CACHE_SIZE`` rows (default 128)
+the compile cache's own frozen entry rather than a copy, or the
+submitted ``Module``, so a ``module:<id>`` key cannot pass to a later
+module at a recycled address), its circuit breaker and at most one
+idle warm device.  At most ``REPRO_CACHE_SIZE`` rows (default 128)
 are kept; a full table evicts the least recently used program with
 everything it holds.
 
@@ -124,10 +125,8 @@ class DevicePool:
         return VirtualGPU(row.module, config=config or DEFAULT_CONFIG,
                           sanitize=sanitize)
 
-    def release(self, gpu: VirtualGPU, program: Union[ProgramEntry, Module],
-                config: Optional[GPUConfig] = None) -> None:
-        """Reset *gpu* and keep it in *program*'s row.  *config* is
-        unused: the device carries its own."""
+    def release(self, gpu: VirtualGPU, program: Union[ProgramEntry, Module]) -> None:
+        """Reset *gpu* and keep it in *program*'s row."""
         try:
             keep = gpu.resettable
             if keep:

@@ -6,7 +6,8 @@ caching, parallelism, observability):
 * :mod:`repro.toolchain.fingerprint` — content addressing: stable
   fingerprints of DSL programs, compile options and lowered modules;
 * :mod:`repro.toolchain.cache` — the content-addressed compile cache
-  (in-memory LRU + optional on-disk pickle store);
+  (in-memory LRU of shared, frozen programs + optional on-disk pickle
+  store);
 * :mod:`repro.toolchain.service` — ``ToolchainSession``/``RunRequest``,
   the single entry point apps, benches and examples construct runs
   through, including parallel build-matrix execution.

@@ -4,15 +4,19 @@
 compile_program` results keyed on the :mod:`~repro.toolchain.
 fingerprint` of ``(program, options)``:
 
-* an in-memory LRU of pristine pickled snapshots — every hit returns a
-  freshly unpickled, independent :class:`CompiledProgram`, so callers
-  can mutate the module they got back without poisoning later hits
-  (``pickle.loads`` is also an order of magnitude cheaper than
-  ``copy.deepcopy`` on these module graphs);
+* an in-memory LRU of live, frozen compiled programs — every
+  hit returns the same shared program with nothing unpickled.  It is
+  frozen once, on the miss or disk restore that made it: any in-place
+  edit of its module raises, so a caller cannot poison later hits, and
+  launch-time analyses of its content (resource measurement, static
+  decode) are computed once on the module.  A caller that needs to edit
+  the module takes :meth:`CompiledProgram.mutable_copy`;
 * an optional on-disk pickle store (default ``.repro-cache/`` in the
   working directory) shared across processes, which is what lets the
   parallel build-matrix workers and repeated CLI invocations skip the
-  openmp-opt pipeline entirely.
+  openmp-opt pipeline entirely.  Entry files carry
+  :data:`~repro.toolchain.fingerprint.CACHE_FORMAT_VERSION` in their
+  name, so a store written by another layout is never read.
 
 Environment knobs (read by :func:`get_compile_cache`):
 
@@ -35,7 +39,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.toolchain.fingerprint import compile_fingerprint, deep_recursion
+from repro.toolchain.fingerprint import (
+    CACHE_FORMAT_VERSION,
+    compile_fingerprint,
+    deep_recursion,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.frontend import ast as A
@@ -82,8 +90,8 @@ class CompileCache:
     ) -> None:
         self.max_entries = max(1, int(max_entries))
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        # key -> pickled CompiledProgram snapshot
-        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
+        # key -> frozen CompiledProgram, shared by every hit
+        self._entries: "OrderedDict[str, CompiledProgram]" = OrderedDict()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------- lookup --
@@ -99,20 +107,19 @@ class CompileCache:
 
         trace = active_or_none()
         key = compile_fingerprint(program, options)
-        blob = self._entries.get(key)
-        if blob is not None:
+        compiled = self._entries.get(key)
+        if compiled is not None:
             self._entries.move_to_end(key)
             self.stats.hits += 1
             if trace is not None:
                 trace.instant("cache.hit", cat="toolchain",
                               source="memory", key=key[:12])
-            return self._loads(blob)
-        restored = self._disk_load(key)
-        if restored is not None:
-            blob, compiled = restored
+            return compiled
+        compiled = self._disk_load(key)
+        if compiled is not None:
             self.stats.hits += 1
             self.stats.disk_hits += 1
-            self._remember(key, blob)
+            self._remember(key, compiled)
             if trace is not None:
                 trace.instant("cache.hit", cat="toolchain",
                               source="disk", key=key[:12])
@@ -120,11 +127,9 @@ class CompileCache:
         self.stats.misses += 1
         if trace is not None:
             trace.instant("cache.miss", cat="toolchain", key=key[:12])
-        compiled = compile_program_uncached(program, options)
-        blob = self._dumps(compiled)
-        if blob is not None:
-            self._remember(key, blob)
-            self._disk_store(key, blob)
+        compiled = compile_program_uncached(program, options).freeze()
+        self._remember(key, compiled)
+        self._disk_store(key, compiled)
         return compiled
 
     def __len__(self) -> int:
@@ -151,41 +156,27 @@ class CompileCache:
 
     # ---------------------------------------------------------- internals --
 
-    def _remember(self, key: str, blob: bytes) -> None:
-        self._entries[key] = blob
+    def _remember(self, key: str, compiled: "CompiledProgram") -> None:
+        self._entries[key] = compiled
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
-    @staticmethod
-    def _loads(blob: bytes) -> "CompiledProgram":
-        with deep_recursion():
-            return pickle.loads(blob)
-
-    @staticmethod
-    def _dumps(compiled: "CompiledProgram") -> Optional[bytes]:
-        try:
-            with deep_recursion():
-                return pickle.dumps(compiled)
-        except Exception:
-            # Caching is an optimization; never fail a compile over it.
-            return None
-
     def _disk_path(self, key: str) -> Optional[Path]:
-        return self.disk_dir / f"{key}.pkl" if self.disk_dir is not None else None
+        if self.disk_dir is None:
+            return None
+        return self.disk_dir / f"{key}.v{CACHE_FORMAT_VERSION}.pkl"
 
-    def _disk_load(self, key: str) -> Optional[tuple]:
-        """Return ``(blob, compiled)`` or None.  Unpickling here both
-        validates the entry and produces the object handed to the
-        caller, so a corrupt file is detected before it is remembered."""
+    def _disk_load(self, key: str) -> Optional["CompiledProgram"]:
+        """The frozen program stored under *key*, or None.  A corrupt
+        file is deleted, never remembered."""
         path = self._disk_path(key)
         if path is None or not path.is_file():
             return None
         try:
-            blob = path.read_bytes()
             with deep_recursion():
-                return blob, pickle.loads(blob)
+                return pickle.loads(path.read_bytes()).freeze()
         except Exception:
             # Corrupt or stale entry: drop it and recompile.
             try:
@@ -194,11 +185,13 @@ class CompileCache:
                 pass
             return None
 
-    def _disk_store(self, key: str, blob: bytes) -> None:
+    def _disk_store(self, key: str, compiled: "CompiledProgram") -> None:
         path = self._disk_path(key)
         if path is None:
             return
         try:
+            with deep_recursion():
+                blob = pickle.dumps(compiled)
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:

@@ -34,9 +34,15 @@ from repro.ir.module import Module
 from repro.ir.printer import print_module
 from repro.ir.types import Type
 
-#: Bump when the serialization (or anything compiled results embed)
-#: changes shape, so stale on-disk cache entries can never be returned.
-CACHE_FORMAT_VERSION = 1
+#: Bump when anything compiled results embed changes shape (the IR
+#: classes' ``__slots__`` are pinned against it by the tests), so a
+#: stale on-disk cache entry can never be returned: it is part of each
+#: entry's file name.  Digests do not include it, so cache keys stay
+#: stable across layout changes.
+CACHE_FORMAT_VERSION = 2
+
+#: Prefix of every digest; fixed, because digests are persistent.
+_DIGEST_TAG = b"repro-cache-v1"
 
 
 @contextmanager
@@ -165,7 +171,7 @@ def _canonical_text(obj: Any) -> str:
 
 def _digest(*parts: str) -> str:
     h = hashlib.sha256()
-    h.update(f"repro-cache-v{CACHE_FORMAT_VERSION}".encode())
+    h.update(_DIGEST_TAG)
     for part in parts:
         h.update(b"\x00")
         h.update(part.encode())

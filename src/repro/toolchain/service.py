@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import sys
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -40,20 +41,18 @@ def resolve_jobs(jobs: Optional[int] = None, cells: Optional[int] = None) -> int
     return jobs
 
 
-def _emit_pipeline_spans(trace, compiled) -> None:
-    """Export the compile's per-pass timings as host spans (tid 2).
-
-    Cache-restored results carry :class:`PassTiming` records stamped in
-    *another* process (or before this collector's epoch), whose
-    ``perf_counter`` values are meaningless on our clock — only records
-    taken after this collector's epoch are exported.
-    """
+def _emit_pipeline_spans(trace, compiled, since_s: float) -> None:
+    """Export, as host spans (tid 2), the per-pass timings of the
+    pipeline run this compile made: only records stamped at or after
+    *since_s*, when the compile started.  A cache hit ran no pipeline,
+    so it exports nothing, although its program carries the timings of
+    the compile that made it."""
     stats = getattr(compiled, "stats", None)
     if stats is None:
         return
     for t in stats.timings:
         started = getattr(t, "started_s", 0.0)
-        if started < trace.epoch:
+        if started < since_s:
             continue
         trace.span_at(
             f"pass {t.name}", "toolchain", started, t.wall_time_s,
@@ -136,7 +135,11 @@ class ToolchainSession:
     # ------------------------------------------------------------ compile --
 
     def compile(self, program, options: Optional[CompileOptions] = None):
-        """Compile through this session's cache (uncached if disabled)."""
+        """Compile through this session's cache (uncached if disabled).
+
+        With a cache, every call for one fingerprint returns the same
+        frozen :class:`~repro.frontend.driver.CompiledProgram`: its
+        module refuses edits, so take ``mutable_copy()`` to change it."""
         from repro.frontend.driver import compile_program_uncached
 
         options = options or CompileOptions()
@@ -145,6 +148,7 @@ class ToolchainSession:
             if self.cache is None:
                 return compile_program_uncached(program, options)
             return self.cache.get_or_compile(program, options)
+        since_s = time.perf_counter()
         with trace.span(
             "toolchain.compile", cat="toolchain",
             program=getattr(program, "name", type(program).__name__),
@@ -154,7 +158,7 @@ class ToolchainSession:
                 compiled = compile_program_uncached(program, options)
             else:
                 compiled = self.cache.get_or_compile(program, options)
-        _emit_pipeline_spans(trace, compiled)
+        _emit_pipeline_spans(trace, compiled, since_s)
         return compiled
 
     # ---------------------------------------------------------------- run --

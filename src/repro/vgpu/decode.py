@@ -46,18 +46,20 @@ DecodedFunction`` pass:
   active lane (see "Intrinsics" below).
 
 Decoding is split in two stages.  The *static* stage
-(:func:`decode_function`) depends only on the function and the
-cost-model signature (plus the warp size, which folds into
-``gpu.warp_size``/``gpu.lane_id``).  The *bind* stage resolves
-global/function addresses for one device.  Both are cached per
-:class:`VirtualGPU` (``vm._bound_cache``), never process-wide: passes
-mutate functions **in place**, so a decode memoized on the function's
-identity could outlive the IR it was decoded from.  Each device
-decodes the IR as it stands at first launch — the same snapshot
-moment at which the device materialized the module's globals.  Only
-the bound code of fused runs is shared process-wide, keyed by the
-run's own ops as each device's decode produced them, so a device that
-decodes a run some device already bound reuses that run function.
+(:func:`decode_function`, with the fused op list :func:`_fuse` adds to
+it) depends only on the function, the cost-model signature, the warp
+size (which folds into ``gpu.warp_size``/``gpu.lane_id``) and the
+sanitize mode.  On a frozen module (the compile cache shares one per
+fingerprint) it is made once per such key and kept on the module
+(:meth:`~repro.ir.module.Module.memo`), so every device of the module
+reuses it.  A mutable module may be edited in place by passes, so each
+device decodes its IR as it stands at first launch — the same moment
+at which the device materialized the module's globals.  The *bind*
+stage resolves global/function addresses for one device and is always
+cached per :class:`VirtualGPU` (``vm._bound_cache``).  The bound code
+of fused runs is shared process-wide, keyed by the run's own ops, so a
+device that decodes a run some device already bound reuses that run
+function.
 
 Fused and per-op execution are bit-identical: a fused run charges the
 same cycles and counts into the same :class:`TeamStats` fields as its
@@ -1924,17 +1926,14 @@ def bind_function(vm, func: Function) -> BoundFunction:
     """Decode *func* and bind it to *vm*'s address map; cached per
     :class:`VirtualGPU` in ``vm._bound_cache``.
 
-    The cache is deliberately per device rather than process-wide:
-    optimization passes mutate functions in place, so a decode keyed
-    on the function's identity could outlive the IR it came from (a
-    device created after an in-place optimization must see the IR as
-    it stands now).  Decode is one linear pass over the function —
-    microseconds against the seconds a launch simulates.
-    """
+    The static decode comes from *vm*'s module memo: made once per
+    cost-model signature, warp size and sanitize mode on a frozen
+    module, afresh on a mutable one (see the module docstring)."""
     bound = vm._bound_cache.get(func)
     if bound is not None:
         return bound
-    code = decode_function(func, vm.cost, vm.config.warp_size, sanitize=vm.sanitize)
+    code = vm.module.memo(("decode", func, vm._decode_key), lambda: decode_function(
+        func, vm.cost, vm.config.warp_size, sanitize=vm.sanitize))
     init: List = [None] * code.num_slots
     for s, v in code.static_init:
         init[s] = v

@@ -161,6 +161,8 @@ class VirtualGPU:
         #: the shadow-checked memory system and arms the barrier-
         #: divergence detector in the phase driver.
         self.sanitize = resolve_sanitize(sanitize)
+        #: What a static decode depends on besides the function.
+        self._decode_key = (self.cost.signature(), config.warp_size, self.sanitize)
         if self.sanitize:
             from repro.vgpu.sanitizer import SanitizedMemorySystem as _MemSys
         else:
@@ -181,10 +183,12 @@ class VirtualGPU:
         self._functions_by_address: Dict[int, Function] = {}
         self._string_table: Dict[int, str] = {}
         #: Per-device caches of everything derived from the IR: bound
-        #: decodes, warp vectorizations and resource measurements.  Never
-        #: on the module, which passes mutate in place (only the generated
-        #: code of fused runs is shared process-wide, keyed by its source;
-        #: see :mod:`repro.vgpu.decode`).
+        #: decodes, warp vectorizations and resource measurements.  What
+        #: depends on content alone (resources, the static decode) is
+        #: computed once on a frozen module and shared by its devices
+        #: (:meth:`Module.memo`); a mutable module, which passes may edit
+        #: in place, gets it afresh per device.  Address binding is always
+        #: per device (see :mod:`repro.vgpu.decode`).
         self._bound_cache: Dict[Function, _decode.BoundFunction] = {}
         self._warp_cache: Dict[Function, Any] = {}
         self._resource_cache: Dict[Function, ResourceUsage] = {}
@@ -395,8 +399,8 @@ class VirtualGPU:
         )
         resources = self._resource_cache.get(func)
         if resources is None:
-            resources = self._resource_cache[func] = measure_resources(
-                func, self.module)
+            resources = self._resource_cache[func] = self.module.memo(
+                ("resources", func), lambda: measure_resources(func, self.module))
         profile.registers = resources.registers
         profile.shared_memory_bytes = resources.shared_memory_bytes
 

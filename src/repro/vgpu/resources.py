@@ -8,10 +8,11 @@ data-sharing structures (~2.3KB), the new runtime retains a larger
 pre-allocated shared stack when unoptimized (~11.3KB), and the fully
 optimized build retains nothing (0B).
 
-:func:`measure_resources` runs on every device's first launch of a
-kernel, so it builds one :class:`CallGraph` and walks each reachable
-function once (:class:`_Footprint`) for the shared globals and the
-instruction count; the register estimate reuses the same call graph.
+:func:`measure_resources` runs on a device's first launch of a kernel
+(once per kernel of a frozen module, which keeps the result), so it
+builds one :class:`CallGraph` and walks each reachable function once
+(:class:`_Footprint`) for the shared globals and the instruction
+count; the register estimate reuses the same call graph.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ def static_instruction_count(kernel: Function, module: Module) -> int:
 
 
 def measure_resources(kernel: Function, module: Module) -> ResourceUsage:
-    """Static footprint of *kernel* (each :class:`VirtualGPU` caches it
-    per kernel for its own launches): one call graph, one walk."""
+    """Static footprint of *kernel* (cached per kernel by each
+    :class:`VirtualGPU`, and on a frozen *module*): one call graph, one
+    walk."""
     from repro.vgpu.registers import estimate_kernel_registers
 
     cg = CallGraph(module)

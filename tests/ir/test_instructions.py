@@ -183,13 +183,6 @@ class TestClone:
         assert clone.lhs is c and clone.rhs is b
         assert clone is not inst
 
-    def test_clone_preserves_attrs(self):
-        inst = BinOp("add", c32(1), c32(2))
-        inst.attrs.add("special")
-        clone = clone_instruction(inst, {})
-        assert "special" in clone.attrs
-        assert clone.attrs is not inst.attrs
-
     def test_clone_every_kind(self, module):
         from tests.conftest import make_function
 

@@ -387,7 +387,7 @@ class TestDevicePool:
         module = _barrier_loop_module(3)
         pool = DevicePool()
         gpu = pool.acquire(module)
-        pool.release(gpu, module, None)
+        pool.release(gpu, module)
         again = pool.acquire(module)
         assert again is gpu
         assert pool.stats.builds == 1 and pool.stats.reuses == 1
@@ -400,7 +400,7 @@ class TestDevicePool:
         gpu = pool.acquire(module)
         baseline_brk = gpu.memory.global_seg.brk
         gpu.alloc_array(np.zeros(1024, dtype=np.int64))
-        pool.release(gpu, module, None)
+        pool.release(gpu, module)
         warm = pool.acquire(module)
         assert warm is gpu
         assert warm.memory.global_seg.brk == baseline_brk
@@ -454,7 +454,7 @@ class TestDevicePool:
         module = _barrier_loop_module(3)
         pool = DevicePool()
         gpu = pool.acquire(module, sanitize=True)
-        pool.release(gpu, module, None)
+        pool.release(gpu, module)
         assert pool.idle_count() == 0
         assert pool.stats.discards == 1
         assert pool.acquire(module, sanitize=True) is not gpu
@@ -465,8 +465,8 @@ class TestDevicePool:
         module = _barrier_loop_module(3)
         pool = DevicePool()
         a, b = pool.acquire(module), pool.acquire(module)
-        pool.release(a, module, None)
-        pool.release(b, module, None)
+        pool.release(a, module)
+        pool.release(b, module)
         assert pool.idle_count() == 1
         assert pool.stats.discards == 1
         assert pool.acquire(module) is a
@@ -518,6 +518,20 @@ class TestProgramTable:
             assert _run_empty(svc, programs[0]).ok
             assert svc.stats.compiles == 11
             assert len(svc.pool) <= 4
+
+    def test_a_row_holds_the_session_cache_entry(self):
+        """A program is held once: the row's program is the session
+        cache's own frozen entry, which a later compile returns."""
+        from repro.toolchain.fingerprint import compile_fingerprint
+
+        program = _empty_program("held-once")
+        with self._service() as svc:
+            assert _run_empty(svc, program).ok
+            key = compile_fingerprint(program, CompileOptions())
+            row = svc.pool.entry(key, lambda: pytest.fail("row evicted"))
+            assert row.compiled.module.frozen
+            assert svc.session.compile(program, CompileOptions()) is row.compiled
+            assert svc.session.cache.stats.hits == 1
 
     def test_a_module_row_keeps_its_module_alive_until_evicted(
             self, monkeypatch):

@@ -275,3 +275,43 @@ class TestModuleFingerprint:
         a, b_ = build("alpha"), build("beta")
         assert print_module(a, canonical=True) == print_module(b_, canonical=True)
         assert print_module(a) != print_module(b_)
+
+
+def _ir_slot_layout():
+    """``qualname: slots`` of every slotted IR class a compiled module
+    pickles (the values, instructions, blocks and functions), sorted."""
+    from repro.ir import instructions, module, values
+
+    rows = []
+    for mod in (values, instructions, module):
+        for cls in vars(mod).values():
+            if (isinstance(cls, type) and cls.__module__ == mod.__name__
+                    and "__slots__" in cls.__dict__):
+                rows.append(f"{mod.__name__}.{cls.__qualname__}: "
+                            f"{','.join(cls.__slots__)}")
+    return "\n".join(sorted(rows))
+
+
+#: sha256 of :func:`_ir_slot_layout` per CACHE_FORMAT_VERSION.  A slot
+#: change must bump the version (and add its digest here), so on-disk
+#: pickles of the old layout are never loaded.
+IR_SLOT_LAYOUTS = {
+    1: "70fe19f293b6080d672c9d4558cd97b7f39cc4a4493a3a6a30766c8f13b8ce21",
+    # Instruction.attrs deleted.
+    2: "b236dacf20e13c0e0802cbb3a98b803e002dd34aecb9a5740ebe3beda4abf88e",
+}
+
+
+def test_ir_slot_layout_is_pinned_to_the_cache_format_version():
+    import hashlib
+
+    from repro.toolchain.fingerprint import CACHE_FORMAT_VERSION
+
+    layout = _ir_slot_layout()
+    for name in ("Value", "Instruction", "Phi", "Call", "BasicBlock",
+                 "Function", "GlobalVariable"):
+        assert f".{name}: " in layout
+    digest = hashlib.sha256(layout.encode()).hexdigest()
+    assert IR_SLOT_LAYOUTS.get(CACHE_FORMAT_VERSION) == digest, (
+        f"the IR slot layout changed: bump CACHE_FORMAT_VERSION and pin "
+        f"{digest} for it\n{layout}")

@@ -69,6 +69,60 @@ class TestSessionRuns:
         assert matrix.all_verified()
         assert len(list(tmp_path.glob("*.pkl"))) == 2
 
+    def test_frozen_programs_survive_the_pool_round_trip(self, tmp_path):
+        from types import MappingProxyType
+
+        from repro.apps import gridmini
+        from repro.toolchain.cache import CompileCache
+        from repro.toolchain.fingerprint import module_fingerprint
+        from repro.vgpu import LaunchSpec, VirtualGPU
+
+        session = ToolchainSession(cache=CompileCache(disk_dir=tmp_path))
+        cells = [("gridmini", label, CompileOptions(target), {"size": TINY})
+                 for label, target in (("new", Target.OPENMP_NEW), ("cuda", Target.CUDA))]
+        results = dict(session.map_cells(cells, jobs=2))
+        program = gridmini.build_program(TINY)
+        for _, label, options, _ in cells:
+            compiled = results[label].compiled
+            assert compiled.module.frozen
+            assert isinstance(compiled.abis, MappingProxyType)
+            with pytest.raises(TypeError):
+                compiled.module.functions["extra"] = None
+            local = session.compile(program, options)
+            assert local is not compiled
+            assert module_fingerprint(compiled.module) == module_fingerprint(local.module)
+            # The returned program still launches, to the same profile.
+            gpu = VirtualGPU(compiled.module)
+            host_args, verify = gridmini.prepare(gpu, TINY)
+            profile = gpu.run(LaunchSpec(
+                kernel=gridmini.KERNEL, num_teams=gridmini.TEAMS,
+                threads_per_team=gridmini.THREADS,
+                args=tuple(compiled.abi(gridmini.KERNEL).marshal(gpu, host_args)),
+            )).profile
+            assert verify(gpu, host_args) < 1e-9
+            assert profile.cycles == results[label].profile.cycles
+
+    def test_traced_hit_emits_no_pass_spans(self):
+        from repro.apps import xsbench
+        from repro.toolchain.cache import CompileCache
+        from repro.trace.collector import TraceCollector, install
+
+        session = ToolchainSession(cache=CompileCache(disk_dir=None))
+        program = xsbench.build_program(xsbench.default_size())
+        options = CompileOptions(Target.OPENMP_NEW)
+
+        def pass_spans(trace):
+            return [e for e in trace.events if e["name"].startswith("pass ")]
+
+        with install(TraceCollector()) as trace:
+            miss = session.compile(program, options)
+            after_miss = len(pass_spans(trace))
+            assert after_miss == len(miss.stats.timings) > 0
+            hit = session.compile(program, options)
+            assert session.cache.stats.hits == 1
+            assert len(pass_spans(trace)) == after_miss
+            assert hit is miss
+
     def test_session_compile_uses_cache(self):
         from repro.apps import gridmini
         from repro.toolchain.cache import CompileCache

@@ -458,9 +458,10 @@ class TestFusedRuns:
                                           "testsnap", "xsbench"])
     def test_second_cache_hit_copy_binds_the_same_runs(self, app_name, monkeypatch):
         """Fused runs and loops are bound once per content: a device on
-        a second fresh cache-hit copy of a module renders and compiles
+        a second, independent copy of a cache hit renders and compiles
         nothing, no loop included, and runs the very run and loop
-        functions the first device bound."""
+        functions the first device bound.  Both copies are mutable, so
+        each decodes afresh rather than from the hit's shared decode."""
         from repro.bench.builds import NEW_RT_NIGHTLY
 
         compile_cell(app_name, NEW_RT_NIGHTLY)  # a miss, if the first
@@ -480,7 +481,7 @@ class TestFusedRuns:
         calls = []
         monkeypatch.setattr(D, "_bind_loop", spy_bind_loop)
 
-        first_module = compile_cell(app_name, NEW_RT_NIGHTLY).module
+        first_module = compile_cell(app_name, NEW_RT_NIGHTLY).mutable_copy().module
         first = run_functions(first_module)
         assert calls.count("loop") == (0 if app_name == "gridmini" else
                                        1 if app_name == "minifmm" else 4)
@@ -497,7 +498,7 @@ class TestFusedRuns:
 
         monkeypatch.setattr(D._Spec, "render", spy_render)
         monkeypatch.setattr(D, "compile", spy_compile, raising=False)
-        second_module = compile_cell(app_name, NEW_RT_NIGHTLY).module
+        second_module = compile_cell(app_name, NEW_RT_NIGHTLY).mutable_copy().module
         assert second_module is not first_module
         second = run_functions(second_module)
         assert calls == []
