@@ -7,8 +7,9 @@ grammar (surfaced through the ``REPRO_FAULTS`` knob) is::
     entry := "seed" "=" int
            | site (":" key "=" value)*
     site  := shared_stack_exhaust | malloc_fail | rt_trap | barrier_skip
-           | worker_die | compile_stall | slow_request
-    key   := n | team | thread | ms
+    key   := n | team | thread
+
+Each site and each key appears at most once, and so does ``seed``.
 
 Sites
 -----
@@ -28,28 +29,6 @@ Sites
     Make one thread skip its *n*-th barrier arrival — it keeps running
     while its teammates wait, which is exactly the divergence bug class
     the sanitizer's barrier detector exists to diagnose.
-
-Service-level sites
--------------------
-
-The three remaining sites fire in the *serving* layer (host side), not
-on the device — :class:`~repro.serve.chaos.ChaosState` consumes them
-and the device binding (:meth:`FaultPlan.team_state`) skips them:
-
-``worker_die:n=K``
-    The first *K* launch attempts executed by the service die with an
-    internal (non-program) fault before touching a device — the input
-    that exercises the fallback run and opens circuit breakers.
-``compile_stall:ms=T``
-    Every shared compile sleeps *T* milliseconds — long enough
-    compiles consume request deadlines at the compile stage.
-``slow_request:ms=T``
-    Every request execution sleeps *T* milliseconds in-worker before
-    launching — backlog builds, queue deadlines expire, admission
-    rejects.
-
-Service sites take ``n``/``ms`` keys only; ``team``/``thread`` make no
-sense above the device and are rejected.
 
 Determinism
 -----------
@@ -83,26 +62,15 @@ SITE_SHARED_STACK_EXHAUST = "shared_stack_exhaust"
 SITE_MALLOC_FAIL = "malloc_fail"
 SITE_RT_TRAP = "rt_trap"
 SITE_BARRIER_SKIP = "barrier_skip"
-SITE_WORKER_DIE = "worker_die"
-SITE_COMPILE_STALL = "compile_stall"
-SITE_SLOW_REQUEST = "slow_request"
-
-#: Sites that fire in the serving layer (host side), not on a device.
-SERVICE_SITE_NAMES = (
-    SITE_WORKER_DIE,
-    SITE_COMPILE_STALL,
-    SITE_SLOW_REQUEST,
-)
 
 SITE_NAMES = (
     SITE_SHARED_STACK_EXHAUST,
     SITE_MALLOC_FAIL,
     SITE_RT_TRAP,
     SITE_BARRIER_SKIP,
-) + SERVICE_SITE_NAMES
+)
 
-_SITE_KEYS = frozenset({"n", "team", "thread", "ms"})
-_SERVICE_SITE_KEYS = frozenset({"n", "ms"})
+_SITE_KEYS = frozenset({"n", "team", "thread"})
 
 
 class FaultPlanError(ValueError):
@@ -117,20 +85,10 @@ class FaultSite:
     n: int = 1
     team: Optional[int] = None
     thread: Optional[int] = None
-    #: Milliseconds for the service stall/slow sites (device sites
-    #: never carry one).
-    ms: Optional[int] = None
-
-    @property
-    def is_service_site(self) -> bool:
-        return self.kind in SERVICE_SITE_NAMES
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "n": self.n,
-               "team": self.team, "thread": self.thread}
-        if self.ms is not None:
-            out["ms"] = self.ms
-        return out
+        return {"kind": self.kind, "n": self.n,
+                "team": self.team, "thread": self.thread}
 
 
 def _parse_int(site: str, key: str, value: str) -> int:
@@ -169,6 +127,8 @@ class FaultPlan:
             if not entry:
                 continue
             if entry.startswith("seed="):
+                if seed is not None:
+                    raise FaultPlanError("duplicate seed=")
                 seed = _parse_int("seed", "seed", entry[len("seed="):])
                 continue
             parts = [p.strip() for p in entry.split(":")]
@@ -180,18 +140,18 @@ class FaultPlan:
                 raise FaultPlanError(f"duplicate fault site {kind!r}")
             seen.add(kind)
             kwargs: Dict[str, int] = {}
-            allowed = (_SERVICE_SITE_KEYS if kind in SERVICE_SITE_NAMES
-                       else _SITE_KEYS - {"ms"})
             for part in parts[1:]:
                 if "=" not in part:
                     raise FaultPlanError(
                         f"fault site {kind!r}: expected key=value, got {part!r}")
                 key, _, value = part.partition("=")
                 key = key.strip()
-                if key not in allowed:
+                if key not in _SITE_KEYS:
                     raise FaultPlanError(
                         f"fault site {kind!r}: unknown key {key!r} "
-                        f"(expected one of {sorted(allowed)})")
+                        f"(expected one of {sorted(_SITE_KEYS)})")
+                if key in kwargs:
+                    raise FaultPlanError(f"fault site {kind!r}: duplicate key {key!r}")
                 kwargs[key] = _parse_int(kind, key, value.strip())
             sites.append(FaultSite(kind, **kwargs))
         if not sites:
@@ -203,25 +163,6 @@ class FaultPlan:
     def to_dict(self) -> dict:
         return {"seed": self.seed, "spec": self.spec,
                 "sites": [s.to_dict() for s in self.sites]}
-
-    def service_sites(self) -> List[FaultSite]:
-        """The host-side (serving layer) sites of this plan."""
-        return [s for s in self.sites if s.is_service_site]
-
-    def device_sites(self) -> List[FaultSite]:
-        """The device-side sites of this plan."""
-        return [s for s in self.sites if not s.is_service_site]
-
-    @property
-    def has_service_sites(self) -> bool:
-        return any(s.is_service_site for s in self.sites)
-
-    def describe(self) -> str:
-        parts = [f"{s.kind}(n={s.n}, team={s.team}, thread={s.thread})"
-                 for s in self.sites]
-        if self.seed is not None:
-            parts.append(f"seed={self.seed}")
-        return "; ".join(parts)
 
     # ------------------------------------------------------------- bind --
 
@@ -243,8 +184,6 @@ class FaultPlan:
         state = TeamFaultState(team_id)
         armed = False
         for index, site in enumerate(self.sites):
-            if site.is_service_site:
-                continue  # fires in the serving layer, not on the device
             if site.kind == SITE_SHARED_STACK_EXHAUST:
                 # Defaults to *every* team: exhaustion is a pressure
                 # condition, not an event.

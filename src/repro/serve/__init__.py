@@ -3,9 +3,7 @@
 See :mod:`repro.serve.service` for the architecture overview and the
 README "Serving" section for usage.  Resilience primitives (deadlines,
 circuit breaking, drain-rate hints) live in
-:mod:`repro.serve.resilience`; service-level chaos injection in
-:mod:`repro.serve.chaos` (imported only when a service is built with a
-chaos plan).
+:mod:`repro.serve.resilience`.
 """
 
 from repro.serve.errors import (  # noqa: F401

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional
 
 from repro import envconfig
 from repro.ir import Module
@@ -98,23 +98,17 @@ class DevicePool:
         """The ``module:<id>`` row of a submitted module."""
         return self.entry(f"module:{id(module):x}", lambda: module)
 
-    def _row(self, program: Union[ProgramEntry, Module]) -> ProgramEntry:
-        if isinstance(program, ProgramEntry):
-            return program
-        return self.module_entry(program)
-
-    def acquire(self, program: Union[ProgramEntry, Module],
+    def acquire(self, row: ProgramEntry,
                 config: Optional[GPUConfig] = None, *,
                 sanitize: bool = False) -> VirtualGPU:
-        """A warm (or freshly built) device for *program*, a row from
-        :meth:`entry` or a bare module.
+        """A warm (or freshly built) device for *row*, a row from
+        :meth:`entry` or :meth:`module_entry`.
 
         The returned device has the default engine and no fault plan —
         per-request overrides travel in the :class:`~repro.vgpu.
         LaunchSpec` instead, which is what makes one warm device
         reusable across tenants with different knobs.
         """
-        row = self._row(program)
         with self._lock:
             self.stats.in_use += 1
             if not sanitize and row.idle is not None:
@@ -125,15 +119,14 @@ class DevicePool:
         return VirtualGPU(row.module, config=config or DEFAULT_CONFIG,
                           sanitize=sanitize)
 
-    def release(self, gpu: VirtualGPU, program: Union[ProgramEntry, Module]) -> None:
-        """Reset *gpu* and keep it in *program*'s row."""
+    def release(self, gpu: VirtualGPU, row: ProgramEntry) -> None:
+        """Reset *gpu* and keep it in *row*."""
         try:
             keep = gpu.resettable
             if keep:
                 gpu.reset_device()
         except Exception:
             keep = False
-        row = self._row(program)
         with self._lock:
             self.stats.in_use -= 1
             if keep and row.idle is None and self._table.get(row.key) is row:

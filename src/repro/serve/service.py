@@ -56,9 +56,7 @@ order on one worker thread (under the GIL, more threads only interleave):
 
 Results are bit-identical to a direct ``VirtualGPU.run(spec)`` of the
 same spec — profiles, traces and fault firing — pinned by
-``tests/serve/test_service.py``.  Chaos injection for all of the above
-lives in :mod:`repro.serve.chaos` and is only imported when a service
-is constructed with a chaos plan.
+``tests/serve/test_service.py``.
 """
 
 from __future__ import annotations
@@ -246,7 +244,6 @@ class SimulationService:
         save_reports: bool = False,
         report_dir: Optional[str] = None,
         breaker_policy: Optional[BreakerPolicy] = None,
-        chaos: Optional[object] = None,
     ) -> None:
         if workers != 1:
             raise ValueError(
@@ -263,14 +260,6 @@ class SimulationService:
         self.report_dir = report_dir
         self.breaker_policy = BreakerPolicy.resolve(breaker_policy)
         self.stats = ServeStats()
-        if chaos is not None:
-            # Lazy import: a chaos-free service never loads the module
-            # (pinned by the disabled-path guard test).
-            from repro.serve.chaos import resolve_chaos
-
-            self._chaos = resolve_chaos(chaos)
-        else:
-            self._chaos = None
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve")
         self._lock = threading.Lock()
@@ -486,8 +475,6 @@ class SimulationService:
             "stats": stats,
             "pool": self.pool.stats.to_dict(),
         }
-        if self._chaos is not None:
-            out["chaos"] = self._chaos.to_dict()
         trace = _active_trace()
         if trace is not None:
             trace.counter("serve.health", {
@@ -542,8 +529,6 @@ class SimulationService:
 
     def _compile(self, program, options):
         """A table miss: compile through the session cache."""
-        if self._chaos is not None:
-            self._chaos.on_compile()
         compiled = self.session.compile(program, options)
         with self._lock:
             self.stats.compiles += 1
@@ -597,8 +582,6 @@ class SimulationService:
         deadline = Deadline.combine(job.deadline, self._drain_deadline)
         if deadline is not None and deadline.expired():
             self._shed_deadline(job, deadline, "queue")
-        if self._chaos is not None:
-            self._chaos.on_request()
 
         if request.module is not None:
             entry = self.pool.module_entry(request.module)
@@ -736,8 +719,6 @@ class SimulationService:
         with self._lock:
             self.stats.attempts += 1
         with span:
-            if self._chaos is not None:
-                self._chaos.on_attempt()
             run_spec = spec
             if fresh:
                 run_spec = run_spec.replace(engine=ENGINE_DECODED)

@@ -27,6 +27,16 @@ def _isolated_compile_cache(tmp_path_factory):
     toolchain_cache.reset_compile_cache()
 
 
+@pytest.fixture(scope="session")
+def pinned_compiles():
+    """The 54 compile cells that ``tests/passes/compile_digests.json`` and
+    ``tests/integration/run_digests.json`` pin, compiled uncached once
+    per session: ``{cell name: (app, CompiledProgram)}``."""
+    from tests.passes import compile_digests
+
+    return compile_digests.compile_cells()
+
+
 def matrix_cells():
     """The 24 (app, build) cells of the paper's matrix: every app under
     every build, but testsnap has no CUDA build."""

@@ -5,15 +5,13 @@ import pytest
 from repro.faults import FaultPlan, FaultPlanError
 from repro.faults.plan import (
     SITE_BARRIER_SKIP,
-    SITE_COMPILE_STALL,
     SITE_MALLOC_FAIL,
     SITE_NAMES,
     SITE_RT_TRAP,
     SITE_SHARED_STACK_EXHAUST,
-    SITE_SLOW_REQUEST,
-    SITE_WORKER_DIE,
 )
 from repro.vgpu import LaunchConfig
+from repro.vgpu.config import resolve_fault_plan
 
 
 class TestParsing:
@@ -48,7 +46,6 @@ class TestParsing:
         assert d["seed"] == 3
         assert d["sites"] == [
             {"kind": SITE_BARRIER_SKIP, "n": 2, "team": None, "thread": None}]
-        assert "barrier_skip" in plan.describe()
 
     @pytest.mark.parametrize("bad", [
         "frobnicate",                 # unknown site
@@ -60,10 +57,28 @@ class TestParsing:
         "rt_trap:n",                  # missing '='
         "seed=7",                     # seed alone: no sites
         "seed=x",                     # malformed seed
+        "rt_trap:n=1:n=2",            # repeated key
+        "seed=1;seed=2;rt_trap",      # repeated seed
+        "worker_die",                 # the service sites are gone
+        "compile_stall:ms=5",
+        "slow_request:ms=5",
+        "worker_die:team=1",
+        "worker_die:thread=0",
+        "slow_request:team=2",
+        "compile_stall:ms=-5",
+        "rt_trap:ms=5",               # ms is no key of any site
     ])
     def test_malformed_specs_raise(self, bad):
         with pytest.raises(FaultPlanError):
             FaultPlan.parse(bad)
+
+    @pytest.mark.parametrize("site", [
+        "worker_die:n=1", "compile_stall:ms=5", "slow_request:ms=5"])
+    def test_repro_faults_rejects_service_sites(self, site, monkeypatch):
+        # The knob a device reads its default plan from.
+        monkeypatch.setenv("REPRO_FAULTS", site)
+        with pytest.raises(FaultPlanError):
+            resolve_fault_plan()
 
     def test_every_site_name_parses(self):
         for name in SITE_NAMES:
@@ -117,55 +132,3 @@ class TestResolution:
         plan = FaultPlan.parse("malloc_fail:n=3")
         state = plan.team_state(0, self.LAUNCH)
         assert (state.malloc_seen, state.trap_seen, state.skip_seen) == (0, 0, 0)
-
-class TestServiceSites:
-    """Host-side grammar extension: worker_die / compile_stall /
-    slow_request sites feed the serving layer's chaos drills, not the
-    device interpreter."""
-
-    LAUNCH = LaunchConfig(4, 32)
-
-    def test_service_site_grammar_parses(self):
-        plan = FaultPlan.parse(
-            "worker_die:n=2;compile_stall:ms=50;slow_request:ms=10;seed=1")
-        kinds = {s.kind: s for s in plan.sites}
-        assert kinds[SITE_WORKER_DIE].n == 2
-        assert kinds[SITE_COMPILE_STALL].ms == 50
-        assert kinds[SITE_SLOW_REQUEST].ms == 10
-        assert plan.seed == 1
-
-    def test_site_partitioning_helpers(self):
-        plan = FaultPlan.parse("worker_die:n=1;malloc_fail:n=2")
-        assert [s.kind for s in plan.service_sites()] == [SITE_WORKER_DIE]
-        assert [s.kind for s in plan.device_sites()] == [SITE_MALLOC_FAIL]
-        assert plan.has_service_sites
-        assert not FaultPlan.parse("malloc_fail").has_service_sites
-
-    @pytest.mark.parametrize("bad", [
-        "worker_die:team=1",        # device keys on a service site
-        "worker_die:thread=0",
-        "slow_request:team=2",
-        "compile_stall:ms=-5",      # negative duration
-        "rt_trap:ms=5",             # service key on a device site
-    ])
-    def test_key_site_mismatches_raise(self, bad):
-        with pytest.raises(FaultPlanError):
-            FaultPlan.parse(bad)
-
-    def test_device_binding_ignores_service_sites(self):
-        # A mixed plan still resolves device-side: the service sites
-        # must be invisible to team_state.
-        plan = FaultPlan.parse("worker_die:n=3;rt_trap:team=1")
-        assert plan.team_state(1, self.LAUNCH) is not None
-        assert plan.team_state(0, self.LAUNCH) is None
-        pure = FaultPlan.parse("worker_die:n=3;slow_request:ms=5")
-        assert all(pure.team_state(t, self.LAUNCH) is None for t in range(4))
-
-    def test_to_dict_round_trips_ms(self):
-        plan = FaultPlan.parse("compile_stall:ms=25")
-        (site,) = plan.to_dict()["sites"]
-        assert site == {"kind": SITE_COMPILE_STALL, "n": 1,
-                        "team": None, "thread": None, "ms": 25}
-        # Device sites keep their historical dict shape: no "ms" key.
-        (legacy,) = FaultPlan.parse("rt_trap").to_dict()["sites"]
-        assert "ms" not in legacy

@@ -47,16 +47,26 @@ def digest(compiled) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def compute() -> Iterator[Tuple[str, str]]:
-    """``(cell name, digest)`` for every cell, compiled uncached."""
+def compile_cells() -> Dict[str, Tuple[str, object]]:
+    """``{cell name: (app, CompiledProgram)}``, every cell compiled
+    uncached.  Tier-1 builds this once per session (the
+    ``pinned_compiles`` fixture) for the compile and the run digests."""
     from repro.bench.harness import APPS
     from repro.frontend.driver import compile_program_uncached
 
     programs: Dict[str, object] = {}
+    out: Dict[str, Tuple[str, object]] = {}
     for name, app, options in cells():
         if app not in programs:
             programs[app] = APPS[app].build_program(APPS[app].default_size())
-        yield name, digest(compile_program_uncached(programs[app], options))
+        out[name] = (app, compile_program_uncached(programs[app], options))
+    return out
+
+
+def compute(compiled: Dict[str, Tuple[str, object]]) -> Iterator[Tuple[str, str]]:
+    """``(cell name, digest)`` for every cell of :func:`compile_cells`."""
+    for name, (_, program) in compiled.items():
+        yield name, digest(program)
 
 
 def load() -> Dict[str, str]:

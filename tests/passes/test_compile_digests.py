@@ -18,7 +18,8 @@ def test_cells_cover_the_matrix_and_ablation_builds():
     assert set(names) == set(compile_digests.load())
 
 
-def test_pipeline_output_matches_the_pinned_digests():
+def test_pipeline_output_matches_the_pinned_digests(pinned_compiles):
     pinned = compile_digests.load()
-    differing = [name for name, got in compile_digests.compute() if pinned.get(name) != got]
+    differing = [name for name, got in compile_digests.compute(pinned_compiles)
+                 if pinned.get(name) != got]
     assert not differing, f"pipeline output changed in {len(differing)} cell(s): {differing}"

@@ -19,7 +19,7 @@ from tests.passes import compile_digests  # noqa: E402
 
 
 def main() -> int:
-    digests = dict(compile_digests.compute())
+    digests = dict(compile_digests.compute(compile_digests.compile_cells()))
     compile_digests.write(digests)
     print(f"wrote {len(digests)} digests to {compile_digests.DIGESTS_PATH}")
     return 0

@@ -1,21 +1,15 @@
-"""Chaos machinery and the resilience drills it drives.
+"""The resilience drills: scripted failure scenarios against the service.
 
-The chaos module consumes the *service-level* sites of the
-``REPRO_FAULTS`` grammar (``worker_die``, ``compile_stall``,
-``slow_request``) and misbehaves inside the serving worker so the
-resilience layer can be drilled.  The key structural property — pinned
-by a subprocess test here — is that a *default* service never imports
-any of it.
-
-:class:`TestDrills` runs seven scripted failure scenarios against
-dedicated services and asserts the invariants the serving layer
-promises.  Every drill checks the same accounting: no request is lost
-(each resolves, with a result or an error), every failure is
-structured, and ``submitted`` equals the sum of the terminal counters.
+The failures come from :mod:`tests.serve.chaos`, which patches one
+service from outside (the ``chaos`` fixture): launch attempts that die,
+compiles that stall and requests that run slow.  :class:`TestDrills`
+runs seven scenarios against dedicated services and asserts the
+invariants the serving layer promises.  Every drill checks the same
+accounting: no request is lost (each resolves, with a result or an
+error), every failure is structured, and ``submitted`` equals the sum
+of the terminal counters.
 """
 
-import subprocess
-import sys
 import threading
 import time
 from collections import Counter
@@ -24,7 +18,6 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.faults.plan import FaultPlan
 from repro.frontend import ast as A
 from repro.frontend.driver import CompileOptions
 from repro.ir import Module, verify_module
@@ -40,9 +33,10 @@ from repro.serve import (
     ServiceClosed,
     SimulationService,
 )
-from repro.serve.chaos import ChaosState, InjectedWorkerDeath, resolve_chaos
+from repro.vgpu import VirtualGPU
 from repro.vgpu.errors import SimulationError
 from tests.conftest import make_kernel
+from tests.serve.chaos import Chaos, InjectedWorkerDeath
 
 pytestmark = [pytest.mark.serve, pytest.mark.chaos]
 
@@ -56,113 +50,100 @@ def _noop_module():
 
 
 class TestChaosState:
-    def test_die_budget_fires_exactly_n_times(self):
-        state = resolve_chaos("worker_die:n=2")
-        for _ in range(2):
-            with pytest.raises(InjectedWorkerDeath):
-                state.on_attempt()
-        state.on_attempt()  # budget spent: attempts now survive
-        state.on_attempt()
-        assert state.deaths == 2
+    """The injector itself: its budgets, its counters and its patches."""
 
-    def test_death_is_not_a_simulation_error(self):
+    def test_die_budget_fires_exactly_n_times(self, chaos):
+        with SimulationService() as svc:
+            injected = chaos(svc, worker_die=2)
+            module = _noop_module()
+            # The first request dies on its launch and on its fallback.
+            with pytest.raises(InjectedWorkerDeath):
+                svc.run(LaunchSpec(kernel="kern"), module=module)
+            # Budget spent: later attempts survive.
+            for _ in range(2):
+                assert svc.run(LaunchSpec(kernel="kern"), module=module).ok
+            stats = svc.stats.to_dict()
+        assert injected.deaths == 2
+        assert stats["attempts"] == 4 and stats["internal_errors"] == 1
+
+    def test_death_is_not_a_simulation_error(self, chaos):
         # Worker death must take the internal-failure path (retry,
         # breaker), never the program-fault (CrashReport) path.
         assert not issubclass(InjectedWorkerDeath, SimulationError)
-        exc = InjectedWorkerDeath(3)
-        assert exc.attempt_no == 3
-        assert "attempt #3" in str(exc)
+        with SimulationService() as svc:
+            chaos(svc, worker_die=1)
+            with pytest.raises(InjectedWorkerDeath, match="death #1"):
+                VirtualGPU(_noop_module()).run(LaunchSpec(kernel="kern"))
 
-    def test_stall_and_slow_sleep_and_count(self):
-        state = resolve_chaos("compile_stall:ms=1;slow_request:ms=1")
-        state.on_compile()
-        state.on_request()
-        state.on_request()
-        assert state.stalls == 1
-        assert state.slowed == 2
-        assert state.deaths == 0
-        state.on_attempt()  # no die site: a no-op
+    def test_stall_and_slow_sleep_and_count(self, chaos):
+        with SimulationService() as svc:
+            injected = chaos(svc, compile_stall_ms=1, slow_request_ms=1)
+            program = _program("counts")
+            for i in range(2):
+                assert _settle(_submit(svc, program, f"cnt-{i}")).kind == "ok"
+            # A submitted module goes through the slowed entry too.
+            assert svc.run(LaunchSpec(kernel="kern"),
+                           module=_noop_module()).ok
+        assert injected.stalls == 1  # the second request hits the table
+        assert injected.slowed == 3
+        assert injected.deaths == 0
 
-    def test_to_dict_snapshot(self):
-        state = resolve_chaos("worker_die:n=1;compile_stall:ms=25")
-        with pytest.raises(InjectedWorkerDeath):
-            state.on_attempt()
-        snap = state.to_dict()
-        assert snap["die_budget"] == 1 and snap["deaths"] == 1
-        assert snap["stall_ms"] == 25.0 and snap["stalls"] == 0
-        assert snap["slow_ms"] == 0.0 and snap["slowed"] == 0
+    def test_dying_attempt_discards_its_pooled_device(self, chaos):
+        with SimulationService() as svc:
+            chaos(svc, worker_die=1)
+            module = _noop_module()
+            result = svc.run(LaunchSpec(kernel="kern"), module=module)
+            assert result.ok and result.retried
+            # The fallback ran on a fresh device; the pooled one is gone.
+            assert svc.pool.stats.to_dict() == {
+                "builds": 1, "reuses": 0, "discards": 1, "in_use": 0}
+            assert svc.pool.idle_count() == 0
+            assert svc.run(LaunchSpec(kernel="kern"), module=module).ok
+            assert svc.pool.stats.builds == 2
 
-    def test_device_sites_are_rejected(self):
-        with pytest.raises(ValueError, match="device site"):
-            ChaosState(FaultPlan.parse("malloc_fail:n=1").sites)
+    def test_zero_budgets_patch_nothing(self, chaos):
+        run = VirtualGPU.run
+        with SimulationService() as svc:
+            chaos(svc)
+            assert VirtualGPU.run is run
+            assert "_compile" not in vars(svc)
+            assert "entry" not in vars(svc.pool)
 
-
-class TestResolveChaos:
-    def test_none_passthrough(self):
-        assert resolve_chaos(None) is None
-
-    def test_state_passthrough(self):
-        state = ChaosState(FaultPlan.parse("worker_die:n=1").service_sites())
-        assert resolve_chaos(state) is state
-
-    def test_string_and_plan_forms_agree(self):
-        from_str = resolve_chaos("worker_die:n=3")
-        from_plan = resolve_chaos(FaultPlan.parse("worker_die:n=3"))
-        assert from_str.die_budget == from_plan.die_budget == 3
-
-    def test_device_only_plan_is_an_error(self):
-        with pytest.raises(ValueError, match="no service-level sites"):
-            resolve_chaos("malloc_fail:n=1")
-
-    def test_mixed_plan_rejects_its_device_sites(self):
-        # Device sites belong on LaunchSpec.faults even when the plan
-        # also carries service sites — mixing is refused loudly.
-        with pytest.raises(ValueError, match="device site"):
-            resolve_chaos("worker_die:n=1;malloc_fail:n=1")
+    def test_patches_are_undone(self):
+        run = VirtualGPU.run
+        with SimulationService() as svc:
+            with pytest.MonkeyPatch.context() as mp:
+                injected = Chaos(svc, mp, worker_die=1, compile_stall_ms=1,
+                                 slow_request_ms=1)
+                assert VirtualGPU.run is not run
+            assert VirtualGPU.run is run
+            assert svc._compile.__func__ is SimulationService._compile
+            assert svc.pool.entry.__func__ is type(svc.pool).entry
+            assert svc.run(LaunchSpec(kernel="kern"),
+                           module=_noop_module()).ok
+        assert (injected.deaths, injected.stalls, injected.slowed) == (0, 0, 0)
 
 
 class TestServiceIntegration:
-    def test_worker_death_is_retried_to_success(self):
-        chaos = resolve_chaos("worker_die:n=1")
-        with SimulationService(chaos=chaos) as svc:
+    def test_worker_death_is_retried_to_success(self, chaos):
+        with SimulationService() as svc:
+            injected = chaos(svc, worker_die=1)
             result = svc.run(LaunchSpec(kernel="kern"), module=_noop_module())
         assert result.ok
         assert result.retried
-        assert chaos.deaths == 1
+        assert injected.deaths == 1
         stats = svc.stats.to_dict()
         assert stats["retried"] == 1 and stats["attempts"] == 2
 
-    def test_chaos_state_appears_in_health(self):
-        with SimulationService(chaos="slow_request:ms=1") as svc:
+    def test_health_has_no_chaos_key(self, chaos):
+        # The injector's effects show in the stats only: the service
+        # knows nothing of it.
+        with SimulationService() as svc:
+            chaos(svc, slow_request_ms=1)
             svc.run(LaunchSpec(kernel="kern"), module=_noop_module())
             health = svc.health()
-        assert health["chaos"]["slowed"] == 1
-
-
-class TestDisabledPathGuard:
-    def test_default_service_never_imports_chaos(self):
-        """Satellite S6: the chaos module is pay-for-use.  Constructing
-        and exercising a default service must not pull it in — checked
-        in a subprocess because this test session's own imports pollute
-        sys.modules."""
-        code = (
-            "import sys\n"
-            "from repro.serve import LaunchSpec, SimulationService\n"
-            "from repro.ir import (Function, FunctionType, IRBuilder,\n"
-            "                      Module, VOID, verify_module)\n"
-            "module = Module('m')\n"
-            "fn = module.add_function(Function('kern', FunctionType(VOID, ())))\n"
-            "fn.attrs.add('kernel')\n"
-            "IRBuilder(module, fn.add_block('entry')).ret()\n"
-            "verify_module(module)\n"
-            "with SimulationService() as svc:\n"
-            "    result = svc.run(LaunchSpec(kernel='kern'), module=module)\n"
-            "assert result.ok\n"
-            "assert 'repro.serve.chaos' not in sys.modules, 'chaos imported'\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        assert "chaos" not in health
+        assert health["stats"]["completed"] == 1
 
 
 # ------------------------------------------------------------------ drills --
@@ -253,21 +234,21 @@ class TestDrills:
             assert counts["ok"] == N
             assert svc.stats.to_dict()["retried"] == 0
 
-    def test_retry_recovers(self):
-        """``worker_die:n=1``: the one killed launch reruns on a fresh
+    def test_retry_recovers(self, chaos):
+        """``worker_die=1``: the one killed launch reruns on a fresh
         per-op device and every request still succeeds."""
-        with SimulationService(queue_depth=2 * N,
-                               chaos="worker_die:n=1") as svc:
+        with SimulationService(queue_depth=2 * N) as svc:
+            injected = chaos(svc, worker_die=1)
             program = _program("retry")
             jobs = [_submit(svc, program, f"retry-{i:03d}")
                     for i in range(N)]
             counts = _accounted(svc, [_settle(job) for job in jobs])
             assert counts["ok"] == N
             assert svc.stats.to_dict()["retried"] == 1
-            assert svc._chaos.deaths == 1
+            assert injected.deaths == 1
 
-    def test_breaker_lifecycle(self):
-        """``worker_die:n=8`` with threshold 3: a failed request dies
+    def test_breaker_lifecycle(self, chaos):
+        """``worker_die=8`` with threshold 3: a failed request dies
         twice (its launch and its fallback run), so three failed
         requests open the breaker and the next one is shed fast.  After
         the cooldown the half-open probe dies too (the 7th and 8th
@@ -276,9 +257,10 @@ class TestDrills:
         cooldown = 0.15
         outcomes = []
         with SimulationService(
-                queue_depth=8, save_reports=True, chaos="worker_die:n=8",
+                queue_depth=8, save_reports=True,
                 breaker_policy=BreakerPolicy(threshold=3,
                                              cooldown_s=cooldown)) as svc:
+            chaos(svc, worker_die=8)
             program = _program("breaker")
 
             def one(request_id):
@@ -306,13 +288,13 @@ class TestDrills:
         assert final_state == "closed"
         assert max(shed.verdict_s, shed2.verdict_s) < 0.1
 
-    def test_deadline_shed(self):
-        """``slow_request`` behind the one worker: queued requests
+    def test_deadline_shed(self, chaos):
+        """Slow requests behind the one worker: queued requests
         outlive their deadline and are shed in the queue, and the shed
         verdicts come well before the backlog would have drained."""
         n, slow_ms = N // 2, 80
-        with SimulationService(queue_depth=2 * n + 1,
-                               chaos=f"slow_request:ms={slow_ms}") as svc:
+        with SimulationService(queue_depth=2 * n + 1) as svc:
+            chaos(svc, slow_request_ms=slow_ms)
             program = _program("deadline")
             # Compile first without a deadline, so the deadlined batch
             # measures queueing, not the first compile.
@@ -328,24 +310,25 @@ class TestDrills:
         # Nearest-rank p99 of at most 100 verdicts is their max.
         assert max(o.verdict_s for o in shed) < n * slow_ms / 1000.0
 
-    def test_compile_stall(self):
-        """A ``compile_stall`` longer than the deadline sheds the
+    def test_compile_stall(self, chaos):
+        """A compile stall longer than the deadline sheds the
         request right after the compile, at the compile stage."""
-        with SimulationService(chaos="compile_stall:ms=250") as svc:
+        with SimulationService() as svc:
+            injected = chaos(svc, compile_stall_ms=250)
             job = _submit(svc, _program("stall"), "stall-000",
                           deadline_s=0.1)
             out = _settle(job)
             _accounted(svc, [out])
-            assert svc._chaos.stalls == 1
+            assert injected.stalls == 1
         assert (out.kind, out.detail) == ("shed_deadline", "compile")
 
-    def test_drain_under_load(self):
+    def test_drain_under_load(self, chaos):
         """``close(deadline_s=...)`` mid-load: running work drains,
         queued work is cancelled (not dropped), a late submit is
         refused."""
         n = N // 2
-        with SimulationService(queue_depth=2 * n,
-                               chaos="slow_request:ms=60") as svc:
+        with SimulationService(queue_depth=2 * n) as svc:
+            chaos(svc, slow_request_ms=60)
             program = _program("drain")
             jobs = [_submit(svc, program, f"drn-{i:03d}") for i in range(n)]
             svc.close(deadline_s=0.15)

@@ -28,7 +28,6 @@ from repro.serve import (
 from repro.frontend import ast as A
 from repro.frontend.driver import CompileOptions
 from repro.ir.types import I64
-from repro.serve.chaos import InjectedWorkerDeath
 from repro.serve.resilience import (
     BreakerOpenSignal,
     STATE_CLOSED,
@@ -38,6 +37,7 @@ from repro.serve.resilience import (
 from repro.ir import Module, verify_module
 from repro.vgpu import ENGINE_DECODED, ENGINE_WARP
 from tests.conftest import make_kernel
+from tests.serve.chaos import InjectedWorkerDeath
 
 pytestmark = pytest.mark.serve
 
@@ -476,7 +476,7 @@ class TestBreakerIntegration:
             # ...but an unrelated module is untouched.
             assert svc.run(LaunchSpec(kernel="kern"), module=healthy).ok
 
-    def test_probe_shed_before_launch_does_not_wedge_the_breaker(self):
+    def test_probe_shed_before_launch_does_not_wedge_the_breaker(self, chaos):
         """Only a request that launches may hold the half-open probe.
         The would-be probe here outlives its deadline in the shared
         compile and is shed there; the next request must become the
@@ -490,9 +490,10 @@ class TestBreakerIntegration:
             return compiled.abi("empty").marshal(gpu, {"n": 8})
 
         with SimulationService(
-                chaos="worker_die:n=2;slow_request:ms=50",
                 breaker_policy=BreakerPolicy(threshold=1,
                                              cooldown_s=0.01)) as svc:
+            chaos(svc, worker_die=2, slow_request_ms=50)
+
             def submit(**overrides):
                 spec = LaunchSpec(kernel="empty", threads_per_team=4,
                                   **overrides)

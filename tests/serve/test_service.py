@@ -384,24 +384,24 @@ class TestAdmissionControl:
 
 class TestDevicePool:
     def test_release_then_acquire_reuses_the_same_device(self):
-        module = _barrier_loop_module(3)
         pool = DevicePool()
-        gpu = pool.acquire(module)
-        pool.release(gpu, module)
-        again = pool.acquire(module)
+        row = pool.module_entry(_barrier_loop_module(3))
+        gpu = pool.acquire(row)
+        pool.release(gpu, row)
+        again = pool.acquire(row)
         assert again is gpu
         assert pool.stats.builds == 1 and pool.stats.reuses == 1
 
     def test_reset_clears_per_request_allocations(self):
         import numpy as np
 
-        module = _barrier_loop_module(3)
         pool = DevicePool()
-        gpu = pool.acquire(module)
+        row = pool.module_entry(_barrier_loop_module(3))
+        gpu = pool.acquire(row)
         baseline_brk = gpu.memory.global_seg.brk
         gpu.alloc_array(np.zeros(1024, dtype=np.int64))
-        pool.release(gpu, module)
-        warm = pool.acquire(module)
+        pool.release(gpu, row)
+        warm = pool.acquire(row)
         assert warm is gpu
         assert warm.memory.global_seg.brk == baseline_brk
 
@@ -451,25 +451,25 @@ class TestDevicePool:
             == list(range(32))
 
     def test_sanitized_devices_are_never_pooled(self):
-        module = _barrier_loop_module(3)
         pool = DevicePool()
-        gpu = pool.acquire(module, sanitize=True)
-        pool.release(gpu, module)
+        row = pool.module_entry(_barrier_loop_module(3))
+        gpu = pool.acquire(row, sanitize=True)
+        pool.release(gpu, row)
         assert pool.idle_count() == 0
         assert pool.stats.discards == 1
-        assert pool.acquire(module, sanitize=True) is not gpu
+        assert pool.acquire(row, sanitize=True) is not gpu
 
     def test_idle_shelf_is_bounded(self):
         """One idle device per key: a release into a taken slot is a
         discard, and the kept device is the one released first."""
-        module = _barrier_loop_module(3)
         pool = DevicePool()
-        a, b = pool.acquire(module), pool.acquire(module)
-        pool.release(a, module)
-        pool.release(b, module)
+        row = pool.module_entry(_barrier_loop_module(3))
+        a, b = pool.acquire(row), pool.acquire(row)
+        pool.release(a, row)
+        pool.release(b, row)
         assert pool.idle_count() == 1
         assert pool.stats.discards == 1
-        assert pool.acquire(module) is a
+        assert pool.acquire(row) is a
 
 
 def _empty_program(name):
@@ -610,7 +610,8 @@ class TestKnobs:
 
     @pytest.mark.parametrize("kwargs", [{"max_in_flight": 3},
                                         {"pool": DevicePool()},
-                                        {"retry_policy": None}])
+                                        {"retry_policy": None},
+                                        {"chaos": "worker_die:n=1"}])
     def test_removed_service_options_are_type_errors(self, kwargs):
         with pytest.raises(TypeError):
             SimulationService(**kwargs)
