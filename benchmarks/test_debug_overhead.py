@@ -6,6 +6,7 @@ they cost only the env-flag checks, and activated they do real work."""
 
 import pytest
 
+from repro.apps.common import run_app
 from repro.bench.figures import debug_overhead
 from repro.bench.harness import APPS
 from repro.frontend.driver import CompileOptions, Target
@@ -16,11 +17,11 @@ from benchmarks.conftest import run_once
 def test_debug_vs_release_build(benchmark, record, variant):
     if variant == "release":
         options = CompileOptions(Target.OPENMP_NEW)
-        result = run_once(benchmark, lambda: APPS["xsbench"].run(options))
+        result = run_once(benchmark, lambda: run_app(APPS["xsbench"], options))
     else:
         options = CompileOptions(Target.OPENMP_NEW).with_debug()
-        result = run_once(benchmark, lambda: APPS["xsbench"].run(
-            options, debug_checks=True, env={"DEBUG": 3}))
+        result = run_once(benchmark, lambda: run_app(
+            APPS["xsbench"], options, debug_checks=True, env={"DEBUG": 3}))
     record(result, variant=variant, figure="debug-overhead")
 
 

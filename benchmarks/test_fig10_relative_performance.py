@@ -8,6 +8,7 @@ CUDA, with MiniFMM keeping a visible gap.
 
 import pytest
 
+from repro.apps.common import run_app
 from repro.bench.builds import (
     BUILD_ORDER,
     CUDA,
@@ -33,18 +34,18 @@ def _cases():
                          ids=[f"{a}-{b}" for a, b in _cases()])
 def test_fig10_build(benchmark, record, app, build):
     options = build_options()[build]
-    result = run_once(benchmark, lambda: APPS[app].run(options))
+    result = run_once(benchmark, lambda: run_app(APPS[app], options))
     record(result, app=app, build=build, figure="fig10")
 
 
 @pytest.mark.parametrize("app", FIG10_APPS)
 def test_fig10_shape(app):
     options = build_options()
-    old = APPS[app].run(options[OLD_RT_NIGHTLY]).cycles
-    new = APPS[app].run(options[NEW_RT]).cycles
+    old = run_app(APPS[app], options[OLD_RT_NIGHTLY]).cycles
+    new = run_app(APPS[app], options[NEW_RT]).cycles
     assert new < old, f"{app}: co-designed runtime must beat Old RT"
     if app not in SKIP_CUDA:
-        cuda = APPS[app].run(options[CUDA]).cycles
+        cuda = run_app(APPS[app], options[CUDA]).cycles
         # CUDA is the floor; the optimized OpenMP build lands within 2x
         # everywhere and within 10% except MiniFMM (recursion, §V-B).
         assert new >= cuda * 0.99

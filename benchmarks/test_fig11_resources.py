@@ -4,6 +4,7 @@ Old RT ~2.3KB, New RT (Nightly) ~11.8KB, optimized New RT 0B."""
 
 import pytest
 
+from repro.apps.common import run_app
 from repro.bench.builds import (
     BUILD_ORDER,
     CUDA,
@@ -31,7 +32,7 @@ def _cases():
                          ids=[f"{a}-{b}" for a, b in _cases()])
 def test_fig11_row(benchmark, record, app, build):
     options = build_options()[build]
-    result = run_once(benchmark, lambda: APPS[app].run(options))
+    result = run_once(benchmark, lambda: run_app(APPS[app], options))
     record(result, app=app, build=build, figure="fig11")
 
 
@@ -42,7 +43,7 @@ class TestFig11SMemPattern:
     def test_smem_columns(self, app):
         options = build_options()
         smem = {
-            build: APPS[app].run(options[build]).profile.shared_memory_bytes
+            build: run_app(APPS[app], options[build]).profile.shared_memory_bytes
             for build in (OLD_RT_NIGHTLY, NEW_RT_NIGHTLY, NEW_RT_NO_ASSUME, NEW_RT)
         }
         assert 2000 < smem[OLD_RT_NIGHTLY] < 3000       # paper: 2,336B
@@ -52,7 +53,7 @@ class TestFig11SMemPattern:
 
     def test_minifmm_keeps_partial_smem(self):
         options = build_options()
-        smem = APPS["minifmm"].run(options[NEW_RT_NO_ASSUME]).profile.shared_memory_bytes
+        smem = run_app(APPS["minifmm"], options[NEW_RT_NO_ASSUME]).profile.shared_memory_bytes
         assert 1500 < smem < 4000                       # paper: 3,076B
 
 
@@ -61,7 +62,7 @@ class TestFig11Registers:
     def test_optimized_build_uses_fewest_registers_among_openmp(self, app):
         options = build_options()
         regs = {
-            build: APPS[app].run(options[build]).profile.registers
+            build: run_app(APPS[app], options[build]).profile.registers
             for build in (OLD_RT_NIGHTLY, NEW_RT_NIGHTLY, NEW_RT)
         }
         assert regs[NEW_RT] <= regs[NEW_RT_NIGHTLY]
@@ -70,6 +71,6 @@ class TestFig11Registers:
     @pytest.mark.parametrize("app", [a for a in ALL_APPS if a not in SKIP_CUDA])
     def test_openmp_registers_approach_cuda(self, app):
         options = build_options()
-        new = APPS[app].run(options[NEW_RT]).profile.registers
-        cuda = APPS[app].run(options[CUDA]).profile.registers
+        new = run_app(APPS[app], options[NEW_RT]).profile.registers
+        cuda = run_app(APPS[app], options[CUDA]).profile.registers
         assert new <= cuda + 8

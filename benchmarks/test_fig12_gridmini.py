@@ -6,6 +6,7 @@ runtime must match CUDA and the old runtime must trail."""
 
 import pytest
 
+from repro.apps.common import run_app
 from repro.bench.builds import (
     BUILD_ORDER,
     CUDA,
@@ -22,7 +23,7 @@ from benchmarks.conftest import run_once
 @pytest.mark.parametrize("build", BUILD_ORDER)
 def test_fig12_gridmini_build(benchmark, record, build):
     options = build_options()[build]
-    result = run_once(benchmark, lambda: APPS["gridmini"].run(options))
+    result = run_once(benchmark, lambda: run_app(APPS["gridmini"], options))
     record(result, app="gridmini", build=build, figure="fig12")
 
 
@@ -31,7 +32,7 @@ class TestFig12Shape:
     def gflops(self):
         options = build_options()
         return {
-            build: APPS["gridmini"].run(options[build]).profile.gflops
+            build: run_app(APPS["gridmini"], options[build]).profile.gflops
             for build in BUILD_ORDER
         }
 

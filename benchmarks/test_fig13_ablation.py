@@ -12,6 +12,7 @@ Paper expectations encoded as shape assertions:
 
 import pytest
 
+from repro.apps.common import run_app
 from repro.bench.builds import ablation_configs
 from repro.bench.harness import APPS
 from repro.frontend.driver import CompileOptions, Target
@@ -31,7 +32,7 @@ def _cases():
 def test_fig13_cell(benchmark, record, app, label):
     pipeline = ablation_configs()[label]
     options = CompileOptions(Target.OPENMP_NEW, pipeline=pipeline)
-    result = run_once(benchmark, lambda: APPS[app].run(options))
+    result = run_once(benchmark, lambda: run_app(APPS[app], options))
     record(result, app=app, ablation=label, figure="fig13")
 
 
@@ -42,7 +43,7 @@ def ablation_cycles():
         per_app = {}
         for label, pipeline in ablation_configs().items():
             options = CompileOptions(Target.OPENMP_NEW, pipeline=pipeline)
-            per_app[label] = APPS[app].run(options).cycles
+            per_app[label] = run_app(APPS[app], options).cycles
         out[app] = per_app
     return out
 

@@ -6,6 +6,7 @@ effect elsewhere (missing secondary effects)."""
 
 import pytest
 
+from repro.apps.common import run_app
 from repro.bench.builds import NEW_RT, NEW_RT_NO_ASSUME, build_options
 from repro.bench.figures import oversubscription_effect
 from repro.bench.harness import APPS
@@ -16,7 +17,7 @@ from benchmarks.conftest import run_once
 @pytest.mark.parametrize("build", [NEW_RT_NO_ASSUME, NEW_RT])
 def test_oversubscription_build(benchmark, record, app, build):
     options = build_options()[build]
-    result = run_once(benchmark, lambda: APPS[app].run(options))
+    result = run_once(benchmark, lambda: run_app(APPS[app], options))
     record(result, app=app, build=build, figure="oversubscription")
 
 
@@ -37,7 +38,7 @@ class TestOversubscriptionEffects:
         """No loop-carried induction state in the oversubscribed build:
         the kernel CFG is acyclic."""
         options = build_options()
-        result = APPS["xsbench"].run(options[NEW_RT])
+        result = run_app(APPS["xsbench"], options[NEW_RT])
         kern = result.compiled.kernel("xs_lookup")
         from repro.ir.cfg import DominatorTree
 

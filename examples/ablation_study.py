@@ -6,20 +6,20 @@ disabled one at a time, printing the slowdown and residual resources —
 the same experiment the paper uses to attribute GridMini's and
 XSBench's gains to individual analyses (§V-C).
 
-Every configuration goes through the toolchain service
-(``ToolchainSession.run``), the same entry point the bench harness
-uses, so compilations are served from the compile cache on repeat
-runs.
+Every configuration is one ``run_app`` call through one
+``ToolchainSession``, the same cell runner the bench harness uses, so
+compilations are served from the compile cache on repeat runs.
 
 Run:  python examples/ablation_study.py [xsbench|gridmini|minifmm]
 """
 
 import sys
 
+from repro.apps.common import run_app
 from repro.bench.builds import ablation_configs
 from repro.bench.harness import APPS
 from repro.frontend.driver import CompileOptions, Target
-from repro.toolchain import RunRequest, ToolchainSession
+from repro.toolchain import ToolchainSession
 
 
 def main() -> None:
@@ -37,8 +37,7 @@ def main() -> None:
     baseline = None
     for label, pipeline in ablation_configs().items():
         options = CompileOptions(Target.OPENMP_NEW, pipeline=pipeline)
-        result = session.run_single(
-            RunRequest(app=app_name, options=options, label=label))
+        result = run_app(APPS[app_name], options, session=session)
         assert result.verified, f"{label}: wrong results!"
         profile = result.profile
         if baseline is None:

@@ -27,7 +27,7 @@ def main() -> None:
         t0 = time.time()
         matrix = run_build_matrix(app_name)
         assert matrix.all_verified(), f"{app_name}: verification failed"
-        relative = matrix.relative_performance(OLD_RT_NIGHTLY)
+        relative = matrix.speedups(OLD_RT_NIGHTLY)
         print(f"== {app_name}  (verified, {time.time() - t0:.1f}s wall)")
         for build in BUILD_ORDER:
             if build not in matrix.results:

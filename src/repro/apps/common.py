@@ -7,10 +7,15 @@ Each app module exposes the same surface:
 * ``prepare(gpu, size)`` — allocate inputs on a virtual GPU and return
   (host_args, verify) where ``verify`` checks device results against a
   NumPy reference,
-* ``run(options, size=None, ...)`` — compile, launch, verify, profile;
+* ``KERNEL``, ``TEAMS``, ``THREADS`` — the kernel and its default grid;
 * optionally ``tune_options(options)`` — the app's own build settings
   (minifmm's device stack); every path that compiles an app applies it
   through :func:`app_options`.
+
+:func:`run_app` turns an app module and a ``CompileOptions`` into one
+verified, profiled launch; it is the one runner, which the bench
+harness, the trace CLI and the examples call, and whose
+:func:`prepare_launch` the serve layer shares.
 
 All randomness is deterministic (fixed seeds) so every build of an app
 computes — and must reproduce — identical results.
@@ -18,14 +23,18 @@ computes — and must reproduce — identical results.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.frontend import ast as A
-from repro.frontend.driver import CompileOptions, CompiledProgram, compile_program
+from repro.frontend.driver import CompileOptions, CompiledProgram
 from repro.ir.types import F64, I64
+from repro.toolchain.service import ToolchainSession
+from repro.trace.collector import active_or_none as _active_trace
 from repro.vgpu import GPUConfig, KernelProfile, LaunchSpec, VirtualGPU
 
 #: (host_args, verify(gpu, host_args) -> max abs error)
@@ -84,44 +93,52 @@ def lcg_rand01_host(seed: np.ndarray) -> np.ndarray:
     return s.astype(np.float64) / float(M)
 
 
-def run_proxy_app(
-    app_name: str,
-    program: A.Program,
-    kernel: str,
-    prepare: Callable[[VirtualGPU, Dict[str, int]], PreparedInputs],
-    size: Dict[str, int],
+def prepare_launch(app, gpu: VirtualGPU, compiled: CompiledProgram,
+                   size: Dict[str, int]) -> Tuple[Tuple[Any, ...], Callable[[], float]]:
+    """Allocate *app*'s inputs on *gpu* and marshal its kernel's args.
+
+    Returns ``(args, check)``: the ``LaunchSpec.args`` of ``app.KERNEL``
+    and a thunk that, after the launch, returns the max abs error of the
+    device results against the NumPy reference.  ``app.prepare`` is
+    looked up at call time, so a patched module attribute takes effect.
+    """
+    host_args, verify = app.prepare(gpu, size)
+    args = tuple(compiled.abi(app.KERNEL).marshal(gpu, host_args))
+    return args, partial(verify, gpu, host_args)
+
+
+def run_app(
+    app,
     options: CompileOptions,
-    num_teams: int,
-    threads_per_team: int,
-    gpu_config: Optional[GPUConfig] = None,
-    debug_checks: bool = False,
-    env: Optional[Dict[str, int]] = None,
+    *,
+    size: Optional[Dict[str, int]] = None,
+    session=None,
+    num_teams: Optional[int] = None,
+    threads_per_team: Optional[int] = None,
     engine: Optional[str] = None,
     sanitize: Optional[bool] = None,
     faults=None,
-    session=None,
+    debug_checks: bool = False,
+    env: Optional[Dict[str, int]] = None,
+    gpu_config: Optional[GPUConfig] = None,
 ) -> AppRunResult:
-    """Compile *program* under *options*, run *kernel*, verify, profile.
+    """Compile the app module *app* under *options*, launch its kernel
+    once, verify and profile: one cell of the evaluation matrix.
 
-    The compile goes through *session* (a :class:`~repro.toolchain.
-    service.ToolchainSession`) when one is given, else through the
-    process-wide compile cache.
-
-    ``engine`` picks the execution engine (``decoded``/``warp``, see
-    :func:`repro.vgpu.resolve_sim_engine`).
-    ``sanitize``/``faults`` thread through to
-    :class:`VirtualGPU`/:class:`~repro.vgpu.LaunchSpec` (robustness
-    knobs; see README "Robustness").
-
-    The launch goes through the request-object API: per-launch knobs
-    travel in a :class:`~repro.vgpu.LaunchSpec` executed by
-    ``VirtualGPU.run``, with only the device-scoped ones (sanitizer,
-    debug checks, environment) on the device itself.
+    The app's own build settings (:func:`app_options`) apply.  The
+    compile goes through *session* (a :class:`~repro.toolchain.
+    service.ToolchainSession`), else through a default session over the
+    process-wide compile cache.  The grid defaults to the app's
+    ``TEAMS`` x ``THREADS``; ``engine``/``faults`` ride on the
+    :class:`~repro.vgpu.LaunchSpec`, while the device-scoped knobs
+    (``sanitize``, ``debug_checks``, ``env``, ``gpu_config``) build the
+    :class:`VirtualGPU`.  Under an active trace collector the
+    input preparation and the launch get ``bench.prepare`` and
+    ``bench.launch`` spans.
     """
-    if session is not None:
-        compiled = session.compile(program, options)
-    else:
-        compiled = compile_program(program, options)
+    size = size or app.default_size()
+    compiled = (session or ToolchainSession()).compile(
+        app.build_program(size), app_options(app, options))
     gpu = VirtualGPU(
         compiled.module,
         config=gpu_config or GPUConfig(),
@@ -129,21 +146,26 @@ def run_proxy_app(
         env=env,
         sanitize=sanitize,
     )
-    host_args, verify = prepare(gpu, size)
+    name = app.__name__.rpartition(".")[2]
+    trace = _active_trace()
+    with (trace.span("bench.prepare", cat="bench", app=name)
+          if trace is not None else nullcontext()):
+        args, check = prepare_launch(app, gpu, compiled, size)
     spec = LaunchSpec(
-        kernel=kernel,
-        num_teams=num_teams,
-        threads_per_team=threads_per_team,
-        args=tuple(compiled.abi(kernel).marshal(gpu, host_args)),
+        kernel=app.KERNEL,
+        num_teams=app.TEAMS if num_teams is None else num_teams,
+        threads_per_team=app.THREADS if threads_per_team is None else threads_per_team,
+        args=args,
         engine=engine,
         faults=faults,
     )
-    profile = gpu.run(spec).profile
-    max_error = verify(gpu, host_args)
+    with (trace.span("bench.launch", cat="bench", kernel=app.KERNEL)
+          if trace is not None else nullcontext()):
+        profile = gpu.run(spec).profile
     return AppRunResult(
-        app=app_name,
-        kernel=kernel,
+        app=name,
+        kernel=app.KERNEL,
         profile=profile,
-        max_error=max_error,
+        max_error=check(),
         compiled=compiled,
     )

@@ -25,9 +25,8 @@ from typing import Dict
 import numpy as np
 
 from repro.frontend import ast as A
-from repro.frontend.driver import CompileOptions
 from repro.ir.types import F64, I64, PTR
-from repro.apps.common import AppRunResult, PreparedInputs, run_proxy_app
+from repro.apps.common import PreparedInputs
 
 KERNEL = "dslash"
 NDIR = 4  # stencil directions
@@ -161,17 +160,3 @@ def prepare(gpu, size: Dict[str, int]) -> PreparedInputs:
         return float(np.max(np.abs(got - expected)))
 
     return host_args, verify
-
-
-def run(
-    options: CompileOptions,
-    size: Dict[str, int] = None,
-    num_teams: int = TEAMS,
-    threads_per_team: int = THREADS,
-    **kwargs,
-) -> AppRunResult:
-    size = size or default_size()
-    return run_proxy_app(
-        "gridmini", build_program(size), KERNEL, prepare, size, options,
-        num_teams, threads_per_team, **kwargs,
-    )

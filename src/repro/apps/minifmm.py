@@ -23,7 +23,7 @@ import numpy as np
 from repro.frontend import ast as A
 from repro.frontend.driver import CompileOptions
 from repro.ir.types import F64, I64, PTR, VOID
-from repro.apps.common import AppRunResult, PreparedInputs, run_proxy_app
+from repro.apps.common import PreparedInputs
 
 KERNEL = "fmm_eval"
 TEAMS = 8
@@ -229,18 +229,4 @@ def tune_options(options: CompileOptions) -> CompileOptions:
         runtime_config=replace(
             options.runtime_config, smem_stack_size=2048, max_threads=32
         ),
-    )
-
-
-def run(
-    options: CompileOptions,
-    size: Dict[str, int] = None,
-    num_teams: int = TEAMS,
-    threads_per_team: int = THREADS,
-    **kwargs,
-) -> AppRunResult:
-    size = size or default_size()
-    return run_proxy_app(
-        "minifmm", build_program(size), KERNEL, prepare, size,
-        tune_options(options), num_teams, threads_per_team, **kwargs,
     )

@@ -18,14 +18,11 @@ from typing import Dict
 import numpy as np
 
 from repro.frontend import ast as A
-from repro.frontend.driver import CompileOptions
 from repro.ir.types import F64, I64, PTR
 from repro.apps.common import (
-    AppRunResult,
     PreparedInputs,
     lcg_rand01_function,
     lcg_rand01_host,
-    run_proxy_app,
 )
 
 KERNEL = "rs_lookup"
@@ -167,17 +164,3 @@ def prepare(gpu, size: Dict[str, int]) -> PreparedInputs:
         return float(np.max(np.abs(got - expected)))
 
     return host_args, verify
-
-
-def run(
-    options: CompileOptions,
-    size: Dict[str, int] = None,
-    num_teams: int = TEAMS,
-    threads_per_team: int = THREADS,
-    **kwargs,
-) -> AppRunResult:
-    size = size or default_size()
-    return run_proxy_app(
-        "rsbench", build_program(size), KERNEL, prepare, size, options,
-        num_teams, threads_per_team, **kwargs,
-    )

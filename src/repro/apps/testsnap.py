@@ -18,9 +18,8 @@ from typing import Dict
 import numpy as np
 
 from repro.frontend import ast as A
-from repro.frontend.driver import CompileOptions
 from repro.ir.types import F64, I64, PTR
-from repro.apps.common import AppRunResult, PreparedInputs, run_proxy_app
+from repro.apps.common import AppRunResult, PreparedInputs
 
 KERNEL = "compute_force"
 TEAMS = 8
@@ -132,17 +131,3 @@ def prepare(gpu, size: Dict[str, int]) -> PreparedInputs:
 def rms_force_error(result: AppRunResult) -> float:
     """TestSNAP-style summary statistic (eV/A analogue)."""
     return result.max_error
-
-
-def run(
-    options: CompileOptions,
-    size: Dict[str, int] = None,
-    num_teams: int = TEAMS,
-    threads_per_team: int = THREADS,
-    **kwargs,
-) -> AppRunResult:
-    size = size or default_size()
-    return run_proxy_app(
-        "testsnap", build_program(size), KERNEL, prepare, size, options,
-        num_teams, threads_per_team, **kwargs,
-    )

@@ -13,6 +13,6 @@ from repro.bench.builds import (  # noqa: F401
 from repro.bench.harness import (  # noqa: F401
     APPS,
     MatrixResult,
+    map_cells,
     run_build_matrix,
-    run_single,
 )

@@ -119,8 +119,7 @@ def main(argv) -> int:
             metrics_out=args.metrics_out,
         )
         print(trace_cli.format_trace_result(result))
-        # The bar AppRunResult.verified uses; ``not <`` also fails NaN.
-        if not result["max_error"] < 1e-9:
+        if not result["run"].verified:
             print(f"trace: verification failed (max error "
                   f"{result['max_error']!r})")
             return 1

@@ -2,8 +2,9 @@
 
 Each ``fig*`` function runs the required configurations and returns the
 rows/series the paper reports; ``format_*`` helpers render them as
-text tables for the CLI.  All generators accept a ``jobs`` count that
-fans independent cells out over the toolchain's process pool.
+text tables for the CLI.  The matrix generators accept a ``jobs``
+count that fans independent cells out over the harness's process pool
+(:func:`repro.bench.harness.map_cells`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.apps.common import AppRunResult
+from repro.apps.common import AppRunResult, run_app
 from repro.bench.builds import (
     BUILD_ORDER,
     CUDA,
@@ -21,9 +22,8 @@ from repro.bench.builds import (
     ablation_configs,
     build_options,
 )
-from repro.bench.harness import APPS, SKIP_CUDA, MatrixResult, run_build_matrix, run_single
+from repro.bench.harness import APPS, SKIP_CUDA, MatrixResult, map_cells, run_build_matrix
 from repro.frontend.driver import CompileOptions, Target
-from repro.toolchain.service import ToolchainSession
 
 # ------------------------------------------------------------------- Fig. 10 --
 
@@ -130,7 +130,6 @@ def fig13_ablation(
 ) -> Dict[str, Dict[str, int]]:
     """Fig. 13 / §V-C: kernel cycles with one optimization disabled at a
     time (New RT w/o user assumptions as the base configuration)."""
-    session = ToolchainSession(jobs=jobs)
     out: Dict[str, Dict[str, int]] = {}
     for app in apps or FIG13_APPS:
         tasks = [
@@ -138,7 +137,7 @@ def fig13_ablation(
             for label, pipeline in ablation_configs().items()
         ]
         per_app: Dict[str, int] = {}
-        for label, result in session.map_cells(tasks):
+        for label, result in map_cells(tasks, jobs=jobs):
             assert result.verified, f"{app} under '{label}' failed verification"
             per_app[label] = result.profile.cycles
         out[app] = per_app
@@ -177,8 +176,8 @@ class OversubscriptionEffect:
 def oversubscription_effect(app: str = "xsbench") -> OversubscriptionEffect:
     """§V-B: effect of the loop over-subscription assumptions."""
     options = build_options()
-    without = run_single(app, options[NEW_RT_NO_ASSUME])
-    with_ = run_single(app, options[NEW_RT])
+    without = run_app(APPS[app], options[NEW_RT_NO_ASSUME])
+    with_ = run_app(APPS[app], options[NEW_RT])
     assert without.verified and with_.verified
     return OversubscriptionEffect(
         app=app,
@@ -203,8 +202,8 @@ def format_oversubscription(effect: OversubscriptionEffect) -> str:
 def debug_overhead(app: str = "xsbench") -> Tuple[AppRunResult, AppRunResult]:
     """Release vs debug build of the same app (§III-G): debug checks
     run, release carries zero overhead for them."""
-    release = run_single(app, CompileOptions(Target.OPENMP_NEW))
+    release = run_app(APPS[app], CompileOptions(Target.OPENMP_NEW))
     debug_opts = CompileOptions(Target.OPENMP_NEW).with_debug()
-    debug = run_single(app, debug_opts, debug_checks=True, env={"DEBUG": 3})
+    debug = run_app(APPS[app], debug_opts, debug_checks=True, env={"DEBUG": 3})
     assert release.verified and debug.verified
     return release, debug

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.apps.common import app_options
+from repro.apps.common import run_app
 from repro.bench.builds import BUILD_ORDER, build_options
 from repro.bench.harness import APPS
 from repro.toolchain.service import ToolchainSession
@@ -29,7 +29,7 @@ from repro.trace.export import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.vgpu import GPUConfig, LaunchSpec, VirtualGPU
+from repro.vgpu import resolve_sim_engine
 
 def _slug(label: str) -> str:
     """Filesystem-safe version of a build label."""
@@ -55,40 +55,26 @@ def run_trace(
     engine: Optional[str] = None,
     size: Optional[Dict[str, int]] = None,
 ) -> Dict[str, Any]:
-    """Run one traced cell and write the trace + metrics documents."""
+    """Run one traced cell and write the trace + metrics documents.
+
+    The returned dict carries the cell's :class:`~repro.apps.common.
+    AppRunResult` as ``"run"``; its ``verified`` is the run's verdict."""
     if app_name not in APPS:
         raise KeyError(f"unknown app {app_name!r}; pick one of {sorted(APPS)}")
     options = build_options()
     if build not in options:
         raise KeyError(f"unknown build {build!r}; pick one of {BUILD_ORDER}")
-    app = APPS[app_name]
-    size = size or app.default_size()
     out = out or default_out(app_name, build)
     metrics_out = metrics_out or default_metrics_out(app_name, build)
 
     collector = TraceCollector(TraceConfig(labels={
         "app": app_name, "build": build,
     }))
+    session = ToolchainSession()
     with install(collector):
-        session = ToolchainSession()
         with collector.span("bench.trace", cat="bench", app=app_name, build=build):
-            compiled = session.compile(app.build_program(size),
-                                       app_options(app, options[build]))
-            gpu = VirtualGPU(
-                compiled.module, config=GPUConfig(), engine=engine,
-                trace=collector,
-            )
-            with collector.span("bench.prepare", cat="bench", app=app_name):
-                host_args, verify = app.prepare(gpu, size)
-                spec = LaunchSpec(
-                    kernel=app.KERNEL,
-                    num_teams=app.TEAMS,
-                    threads_per_team=app.THREADS,
-                    args=tuple(compiled.abi(app.KERNEL).marshal(gpu, host_args)),
-                )
-            with collector.span("bench.launch", cat="bench", kernel=app.KERNEL):
-                profile = gpu.run(spec).profile
-            max_error = verify(gpu, host_args)
+            run = run_app(APPS[app_name], options[build], size=size,
+                          session=session, engine=engine)
 
     doc = chrome_trace(collector)
     errors = validate_chrome_trace(doc)
@@ -98,15 +84,16 @@ def run_trace(
         )
     write_chrome_trace(collector, out)
     cache_stats = session.cache.stats if session.cache is not None else None
+    engine = resolve_sim_engine(engine)
     metrics = build_metrics(
-        profile=profile,
+        profile=run.profile,
         cache_stats=cache_stats,
-        pipeline_stats=compiled.stats,
+        pipeline_stats=run.compiled.stats,
         extra={
             "app": app_name,
             "build": build,
-            "engine": gpu.engine,
-            "max_error": max_error,
+            "engine": engine,
+            "max_error": run.max_error,
         },
     )
     write_metrics(metrics, metrics_out)
@@ -114,13 +101,14 @@ def run_trace(
     return {
         "app": app_name,
         "build": build,
-        "engine": gpu.engine,
+        "engine": engine,
         "events": len(doc["traceEvents"]),
         "categories": cats,
         "out": out,
         "metrics_out": metrics_out,
-        "max_error": max_error,
-        "profile": profile,
+        "max_error": run.max_error,
+        "profile": run.profile,
+        "run": run,
     }
 
 

@@ -400,7 +400,7 @@ class SimulationService:
         ``{"max_error": ...}`` computed in-worker against the NumPy
         reference.
         """
-        from repro.apps.common import app_options
+        from repro.apps.common import app_options, prepare_launch
         from repro.bench.builds import BUILD_ORDER, build_options
         from repro.bench.harness import APPS
 
@@ -422,13 +422,11 @@ class SimulationService:
         holder: Dict[str, Any] = {}
 
         def make_args(gpu: VirtualGPU, compiled) -> Sequence[Any]:
-            host_args, verify_fn = app.prepare(gpu, size)
-            holder["verify"] = (verify_fn, host_args)
-            return compiled.abi(app.KERNEL).marshal(gpu, host_args)
+            args, holder["check"] = prepare_launch(app, gpu, compiled, size)
+            return args
 
         def finalize(gpu: VirtualGPU, result: LaunchResult) -> Any:
-            verify_fn, host_args = holder.pop("verify")
-            return {"max_error": verify_fn(gpu, host_args)}
+            return {"max_error": holder.pop("check")()}
 
         return self.submit(
             spec,

@@ -1,16 +1,16 @@
-"""Toolchain service layer.
+"""Toolchain service layer: compile and cache.
 
-Sits between the frontend driver and the bench harness (ROADMAP:
-caching, parallelism, observability):
+Sits between the frontend driver and the layers that run programs
+(``repro.apps``, ``repro.bench``, ``repro.serve``), none of which it
+imports:
 
 * :mod:`repro.toolchain.fingerprint` — content addressing: stable
   fingerprints of DSL programs, compile options and lowered modules;
 * :mod:`repro.toolchain.cache` — the content-addressed compile cache
   (in-memory LRU of shared, frozen programs + optional on-disk pickle
   store);
-* :mod:`repro.toolchain.service` — ``ToolchainSession``/``RunRequest``,
-  the single entry point apps, benches and examples construct runs
-  through, including parallel build-matrix execution.
+* :mod:`repro.toolchain.service` — ``ToolchainSession``, the compile
+  entry point of apps, benches, the serve layer and the examples.
 """
 
 from repro.toolchain.cache import (
@@ -26,16 +26,11 @@ from repro.toolchain.fingerprint import (
     fingerprint_program,
     module_fingerprint,
 )
-from repro.toolchain.service import (
-    RunRequest,
-    ToolchainSession,
-    resolve_jobs,
-)
+from repro.toolchain.service import ToolchainSession
 
 __all__ = [
     "CacheStats",
     "CompileCache",
-    "RunRequest",
     "ToolchainSession",
     "compile_fingerprint",
     "configure_compile_cache",
@@ -44,5 +39,4 @@ __all__ = [
     "get_compile_cache",
     "module_fingerprint",
     "reset_compile_cache",
-    "resolve_jobs",
 ]

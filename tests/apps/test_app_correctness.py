@@ -4,6 +4,7 @@ build configuration (small problem sizes for speed)."""
 import pytest
 
 from repro.apps import gridmini, minifmm, rsbench, testsnap, xsbench
+from repro.apps.common import run_app
 from repro.bench.builds import BUILD_ORDER, CUDA, NEW_RT, build_options
 from repro.frontend.driver import CompileOptions, Target, compile_program
 from repro.vgpu import FALLBACK_LOW_OCCUPANCY, LaunchSpec, VirtualGPU
@@ -33,7 +34,7 @@ GEOMETRY = dict(num_teams=2, threads_per_team=32)
 def test_app_verifies_under_build(app_name, build):
     app = APPS[app_name]
     options = build_options()[build]
-    result = app.run(options, size=SMALL[app_name], **GEOMETRY)
+    result = run_app(app, options, size=SMALL[app_name], **GEOMETRY)
     assert result.verified, (
         f"{app_name} under {build}: max error {result.max_error}"
     )
@@ -46,7 +47,7 @@ def test_results_bitwise_identical_across_builds(app_name):
     app = APPS[app_name]
     errors = []
     for build, options in build_options().items():
-        result = app.run(options, size=SMALL[app_name], **GEOMETRY)
+        result = run_app(app, options, size=SMALL[app_name], **GEOMETRY)
         errors.append((build, result.max_error))
     assert all(err == 0.0 or err < 1e-12 for _, err in errors), errors
 
@@ -57,7 +58,7 @@ def test_debug_build_passes_own_assertions(app_name):
     assertion and assumption along the way."""
     app = APPS[app_name]
     options = CompileOptions(Target.OPENMP_NEW).with_debug()
-    result = app.run(options, size=SMALL[app_name], debug_checks=True,
+    result = run_app(app, options, size=SMALL[app_name], debug_checks=True,
                      env={"DEBUG": 3}, **GEOMETRY)
     assert result.verified
 
@@ -71,7 +72,7 @@ def test_release_simulation_checks_assumptions(app_name):
 
     app = APPS[app_name]
     options = CompileOptions(Target.OPENMP_NEW, pipeline=PipelineConfig.o0())
-    result = app.run(options, size=SMALL[app_name], debug_checks=True,
+    result = run_app(app, options, size=SMALL[app_name], debug_checks=True,
                      **GEOMETRY)
     assert result.verified
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import gridmini, minifmm, rsbench, testsnap, xsbench
-from repro.apps.common import lcg_rand01_host
+from repro.apps.common import lcg_rand01_host, run_app
 from tests.apps import loop_references
 
 
@@ -131,9 +131,9 @@ class TestTestSNAP:
     def test_rms_helper(self):
         from repro.frontend.driver import CompileOptions, Target
 
-        result = testsnap.run(CompileOptions(Target.OPENMP_NEW),
-                              size={"n_atoms": 64, "n_neighbors": 2},
-                              num_teams=2, threads_per_team=32)
+        result = run_app(testsnap, CompileOptions(Target.OPENMP_NEW),
+                         size={"n_atoms": 64, "n_neighbors": 2},
+                         num_teams=2, threads_per_team=32)
         assert testsnap.rms_force_error(result) < 1e-12
 
 

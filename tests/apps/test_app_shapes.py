@@ -5,6 +5,7 @@ and resource categories are."""
 import pytest
 
 from repro.apps import gridmini, minifmm, rsbench, xsbench
+from repro.apps.common import run_app
 from repro.bench.builds import (
     CUDA,
     NEW_RT,
@@ -18,19 +19,19 @@ from repro.bench.builds import (
 @pytest.fixture(scope="module")
 def xs_matrix():
     options = build_options()
-    return {b: xsbench.run(o) for b, o in options.items()}
+    return {b: run_app(xsbench, o) for b, o in options.items()}
 
 
 @pytest.fixture(scope="module")
 def grid_matrix():
     options = build_options()
-    return {b: gridmini.run(o) for b, o in options.items()}
+    return {b: run_app(gridmini, o) for b, o in options.items()}
 
 
 @pytest.fixture(scope="module")
 def fmm_matrix():
     options = build_options()
-    return {b: minifmm.run(o) for b, o in options.items()}
+    return {b: run_app(minifmm, o) for b, o in options.items()}
 
 
 class TestXSBenchShapes:
@@ -68,7 +69,7 @@ class TestRSBenchShapes:
     def test_all_builds_near_parity(self):
         """Fig. 10b: compute-bound, overhead is a small fraction."""
         options = build_options()
-        cycles = {b: rsbench.run(o).cycles for b, o in options.items()}
+        cycles = {b: run_app(rsbench, o).cycles for b, o in options.items()}
         assert cycles[OLD_RT_NIGHTLY] / cycles[CUDA] < 1.35
         assert abs(cycles[NEW_RT] - cycles[CUDA]) / cycles[CUDA] < 0.05
 

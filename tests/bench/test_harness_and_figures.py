@@ -54,7 +54,7 @@ class TestHarness:
 
     def test_relative_performance_normalized(self):
         matrix = run_build_matrix("gridmini", size=TINY)
-        rel = matrix.relative_performance(OLD_RT_NIGHTLY)
+        rel = matrix.speedups(OLD_RT_NIGHTLY)
         assert rel[OLD_RT_NIGHTLY] == 1.0
         assert rel[NEW_RT] >= 1.0
 
@@ -72,7 +72,7 @@ class TestHarness:
 class TestFigureFormatting:
     def test_fig10_table_renders(self):
         data = {"gridmini": run_build_matrix("gridmini", size=TINY)
-                .relative_performance(OLD_RT_NIGHTLY)}
+                .speedups(OLD_RT_NIGHTLY)}
         text = figures.format_fig10(data)
         assert "gridmini" in text
         assert "1.00" in text

@@ -66,11 +66,12 @@ def test_trace_exits_nonzero_when_verification_fails(tmp_path, capsys,
 def test_traced_minifmm_is_the_binary_the_matrix_runs(tmp_path):
     """minifmm's own build settings (its smaller device stack) apply
     to traced runs too, not only to the build matrix."""
+    from repro.apps import minifmm
+    from repro.apps.common import run_app
     from repro.bench.builds import NEW_RT, build_options
-    from repro.bench.harness import run_single
     from repro.bench.trace_cli import run_trace
 
-    direct = run_single("minifmm", build_options()[NEW_RT])
+    direct = run_app(minifmm, build_options()[NEW_RT])
     traced = run_trace("minifmm", NEW_RT, out=str(tmp_path / "t.json"),
                        metrics_out=str(tmp_path / "m.json"))
     # Per-function cycles are attributed only under a trace.

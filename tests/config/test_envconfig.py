@@ -238,7 +238,7 @@ class TestDelegation:
                 resolve_sim_engine()
 
     def test_jobs_resolver(self, monkeypatch):
-        from repro.toolchain.service import resolve_jobs
+        from repro.bench.harness import resolve_jobs
 
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert resolve_jobs() == 3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import gridmini, xsbench
+from repro.apps.common import run_app
 from repro.frontend.driver import CompileOptions, Target, compile_program
 from repro.ir.printer import print_module
 
@@ -17,15 +18,15 @@ class TestCompilationDeterminism:
         assert print_module(a.module) == print_module(b.module)
 
     def test_same_run_same_profile(self):
-        r1 = gridmini.run(CompileOptions(Target.OPENMP_NEW))
-        r2 = gridmini.run(CompileOptions(Target.OPENMP_NEW))
+        r1 = run_app(gridmini, CompileOptions(Target.OPENMP_NEW))
+        r2 = run_app(gridmini, CompileOptions(Target.OPENMP_NEW))
         assert r1.profile.cycles == r2.profile.cycles
         assert r1.profile.instructions == r2.profile.instructions
         assert r1.profile.registers == r2.profile.registers
 
     def test_cuda_path_deterministic_too(self):
-        r1 = gridmini.run(CompileOptions(Target.CUDA))
-        r2 = gridmini.run(CompileOptions(Target.CUDA))
+        r1 = run_app(gridmini, CompileOptions(Target.CUDA))
+        r2 = run_app(gridmini, CompileOptions(Target.CUDA))
         assert r1.profile.cycles == r2.profile.cycles
 
 

@@ -17,6 +17,7 @@ cells pin the fallback's equivalence.)
 
 import pytest
 
+from repro.apps.common import run_app
 from repro.bench.builds import build_options
 from repro.bench.harness import APPS
 from repro.vgpu import interpreter
@@ -79,7 +80,7 @@ def test_decoded_engine_matches_legacy(app_name, build):
     runs = {}
     for mode in (PER_OP, "decoded", "warp"):
         with engine_mode(mode) as engine:
-            runs[mode] = app.run(options, size=SMALL[app_name],
+            runs[mode] = run_app(app, options, size=SMALL[app_name],
                                  engine=engine, **GEOMETRY)
     for mode, result in runs.items():
         assert result.verified, (

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.apps.common import run_app
 from repro.ir import (
     F64,
     I32,
@@ -107,8 +108,8 @@ class TestSemanticEquivalence:
         from repro.frontend.driver import CompileOptions, Target
 
         size = {"n_atoms": 64, "n_neighbors": 4}
-        result = testsnap.run(CompileOptions(Target.OPENMP_NEW), size=size,
-                              num_teams=2, threads_per_team=32)
+        result = run_app(testsnap, CompileOptions(Target.OPENMP_NEW), size=size,
+                         num_teams=2, threads_per_team=32)
         parsed = parse_module(print_module(result.compiled.module))
         verify_module(parsed)
 

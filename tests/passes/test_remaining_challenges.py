@@ -3,6 +3,7 @@ covers beyond the paper's prototype."""
 
 import pytest
 
+from repro.apps.common import run_app
 from repro.memory.addrspace import AddressSpace
 from repro.ir import GlobalVariable, I64, PTR_GLOBAL
 from repro.passes.barrier_elim import BarrierEliminationPass, _is_any_barrier
@@ -40,7 +41,7 @@ class TestByReferenceAggregates:
         from repro.apps import xsbench
         from repro.frontend.driver import CompileOptions, Target
 
-        result = xsbench.run(CompileOptions(Target.OPENMP_NEW))
+        result = run_app(xsbench, CompileOptions(Target.OPENMP_NEW))
         kern = result.compiled.kernel("xs_lookup")
         # Count loads through the conf pointer (the third-from-last arg).
         conf = kern.args[-1]
@@ -72,7 +73,7 @@ class TestByReferenceAggregates:
         from repro.apps import xsbench
         from repro.frontend.driver import CompileOptions, Target
 
-        result = xsbench.run(CompileOptions(Target.CUDA))
+        result = run_app(xsbench, CompileOptions(Target.CUDA))
         kern = result.compiled.kernel("xs_lookup")
         # CUDA receives fields by value: no pointer-typed conf at all.
         from repro.ir.types import PointerType

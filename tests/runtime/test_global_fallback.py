@@ -12,6 +12,7 @@ compute bit-correct results — degraded, not broken.
 import pytest
 
 from repro.apps import testsnap
+from repro.apps.common import run_app
 from repro.frontend.driver import CompileOptions, Target
 from repro.passes.pass_manager import PipelineConfig
 from repro.vgpu.config import ENGINES
@@ -29,7 +30,7 @@ TARGETS = {"new-rt": Target.OPENMP_NEW, "old-rt": Target.OPENMP_OLD}
 
 def _run(target, **kwargs):
     options = CompileOptions(target, pipeline=PipelineConfig.o0())
-    return testsnap.run(options, size=SIZE, **GEOMETRY, **kwargs)
+    return run_app(testsnap, options, size=SIZE, **GEOMETRY, **kwargs)
 
 
 @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())

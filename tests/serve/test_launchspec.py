@@ -111,27 +111,27 @@ class TestLaunchSpecValidation:
     def test_sim_jobs_is_not_a_launch_option(self):
         """Teams run serially: ``sim_jobs=`` is an unknown keyword on
         every launch entry point that used to take it."""
-        from repro.apps.common import run_proxy_app
-        from repro.toolchain.service import RunRequest
+        from repro.apps import testsnap
+        from repro.apps.common import run_app
+        from repro.bench.harness import run_build_matrix
 
         with pytest.raises(TypeError, match="sim_jobs"):
             LaunchSpec(kernel="kern", sim_jobs=2)
         with pytest.raises(TypeError, match="sim_jobs"):
-            RunRequest(app="testsnap", sim_jobs=2)
+            run_build_matrix("testsnap", sim_jobs=2)
         with pytest.raises(TypeError, match="sim_jobs"):
-            run_proxy_app("testsnap", None, "kern", None, {}, None, 1, 1,
-                          sim_jobs=2)
+            run_app(testsnap, None, sim_jobs=2)
 
     def test_deadline_is_the_only_time_budget(self):
         """``watchdog_s=`` is gone from every launch entry point that
         took it; ``deadline_s`` is the one budget."""
-        from repro.apps.common import run_proxy_app
+        from repro.apps import testsnap
+        from repro.apps.common import run_app
 
         with pytest.raises(TypeError, match="watchdog_s"):
             LaunchSpec(kernel="kern", watchdog_s=1.0)
         with pytest.raises(TypeError, match="watchdog_s"):
-            run_proxy_app("testsnap", None, "kern", None, {}, None, 1, 1,
-                          watchdog_s=1.0)
+            run_app(testsnap, None, watchdog_s=1.0)
 
     def test_engine_is_resolved_at_construction(self):
         assert LaunchSpec(kernel="k", engine=" Warp").engine == ENGINE_WARP

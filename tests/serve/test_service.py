@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.bench.builds import BUILD_ORDER, NEW_RT, build_options
-from repro.bench.harness import APPS, run_single
+from repro.apps.common import run_app
+from repro.bench.harness import APPS
 from repro.faults.plan import FaultPlan
 from repro.faults.report import CrashReport
 from repro.frontend import ast as A
@@ -129,7 +130,7 @@ class TestServedEqualsDirect:
     def test_served_minifmm_is_the_binary_the_matrix_runs(self):
         """minifmm's own build settings (its smaller device stack)
         apply to served runs too, not only to the build matrix."""
-        direct = run_single("minifmm", build_options()[NEW_RT])
+        direct = run_app(APPS["minifmm"], build_options()[NEW_RT])
         with SimulationService() as svc:
             served = svc.submit_app("minifmm", build=NEW_RT).result(
                 timeout=600)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import gridmini
+from repro.apps.common import run_app
 from repro.frontend.driver import (
     CompileOptions,
     Target,
@@ -175,10 +176,10 @@ class TestFrozenHits:
                             spy("measure", interpreter.measure_resources))
         monkeypatch.setattr(D, "decode_function", spy("decode", D.decode_function))
         session = ToolchainSession(cache=CompileCache(disk_dir=None))
-        first = gridmini.run(options, size=TINY, session=session)
+        first = run_app(gridmini, options, size=TINY, session=session)
         decodes = calls["decode"]
         assert calls["measure"] == 1 and decodes >= 1
-        second = gridmini.run(options, size=TINY, session=session)
+        second = run_app(gridmini, options, size=TINY, session=session)
         assert second.compiled is first.compiled
         assert calls == {"measure": 1, "decode": decodes}
         assert second.profile.cycles == first.profile.cycles

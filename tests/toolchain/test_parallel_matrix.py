@@ -3,8 +3,7 @@
 import pytest
 
 from repro.bench.builds import BUILD_ORDER
-from repro.bench.harness import run_build_matrix
-from repro.toolchain.service import resolve_jobs
+from repro.bench.harness import resolve_jobs, run_build_matrix
 
 TINY = {"n_sites": 64}
 

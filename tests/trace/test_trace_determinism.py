@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.common import run_app
 from repro.bench.builds import BUILD_ORDER, build_options
 from repro.bench.harness import APPS
 from repro.frontend.driver import CompileOptions
@@ -31,8 +32,8 @@ CELLS = {
 def _traced_run(options, label):
     collector = TraceCollector()
     with install(collector), engine_mode(label) as engine:
-        result = APPS["testsnap"].run(
-            options, size=SIZE, engine=engine, **GEOMETRY
+        result = run_app(
+            APPS["testsnap"], options, size=SIZE, engine=engine, **GEOMETRY
         )
     assert result.verified
     return result.profile, collector
