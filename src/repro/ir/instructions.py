@@ -98,13 +98,14 @@ class Instruction(Value):
         self.operands = []
 
     def erase_from_parent(self) -> None:
-        """Unlink from the parent block and drop operand uses."""
-        assert self.parent is not None, "instruction not in a block"
-        if self.uses:
-            raise ValueError(f"erasing {self!r} which still has uses")
-        self.parent.instructions.remove(self)
-        self.drop_all_references()
-        self.parent = None
+        """Unlink from the parent block and drop operand uses.
+
+        One erasure; a pass erasing many instructions of a block
+        detaches them and compacts it once (``BasicBlock.detach``)."""
+        block = self.parent
+        assert block is not None, "instruction not in a block"
+        block.detach(self)
+        block.instructions.remove(self)
 
     # -- classification ---------------------------------------------------------
 

@@ -43,6 +43,29 @@ class BasicBlock:
     def insert_before(self, anchor: Instruction, inst: Instruction) -> Instruction:
         return self.insert(self.instructions.index(anchor), inst)
 
+    def detach(self, inst: Instruction) -> None:
+        """Erase *inst*, which must have no uses, but leave it in the
+        list until :meth:`compact`.
+
+        It drops its operand uses and its parent at once, so a pass that
+        erases many instructions of a block (mem2reg, GVN, fold/DCE)
+        rebuilds the list once instead of paying a ``list.remove`` per
+        erasure.  A detached instruction is dead everywhere but in this
+        list: compact before anything reads the block's instructions.
+        """
+        assert inst.parent is self, "instruction not in this block"
+        if inst.uses:
+            raise ValueError(f"erasing {inst!r} which still has uses")
+        if type(self.instructions) is not list:
+            raise TypeError(f"erasing from block {self.name} of a frozen module")
+        inst.drop_all_references()
+        inst.parent = None
+
+    def compact(self) -> None:
+        """Drop what :meth:`detach` left in the list, in place, keeping
+        the surviving instructions in their order."""
+        self.instructions[:] = [i for i in self.instructions if i.parent is self]
+
     @property
     def terminator(self) -> Optional[Instruction]:
         if self.instructions and self.instructions[-1].is_terminator:

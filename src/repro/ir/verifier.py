@@ -21,7 +21,7 @@ from typing import Dict, List, Set, Tuple
 from repro.ir.cfg import DominatorTree, predecessors, reachable_blocks
 from repro.ir.instructions import Call, Instruction, Phi
 from repro.ir.module import Function, Module
-from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue
 
 
 class VerificationError(Exception):
@@ -51,65 +51,112 @@ def verify_function(func: Function) -> None:
 
 
 def _verify_function(func: Function) -> List[str]:
-    errors: List[str] = []
     where = f"@{func.name}"
     if not func.blocks:
-        return errors
+        return []
 
-    defined = set()
+    # Block structure, in one walk that also numbers every instruction:
+    # an operand instruction is defined in *func* iff it has a position.
+    errors: List[str] = []
+    position: Dict[Instruction, int] = {}
     for block in func.blocks:
         if block.parent is not func:
             errors.append(f"{where}: block {block.name} has wrong parent")
-        if not block.instructions:
+        insts = block.instructions
+        if not insts:
             errors.append(f"{where}: block {block.name} is empty")
             continue
-        term = block.instructions[-1]
-        if not term.is_terminator:
+        if not insts[-1].is_terminator:
             errors.append(f"{where}: block {block.name} lacks a terminator")
-        for i, inst in enumerate(block.instructions):
+        last = len(insts) - 1
+        after_phi = True  # phis may only follow phis or the block start
+        for i, inst in enumerate(insts):
             if inst.parent is not block:
                 errors.append(f"{where}: instruction in {block.name} has wrong parent")
-            if inst.is_terminator and i != len(block.instructions) - 1:
+            if inst.is_terminator and i != last:
                 errors.append(f"{where}: terminator mid-block in {block.name}")
-            if isinstance(inst, Phi) and i > block.first_non_phi_index() - 1 and not isinstance(
-                block.instructions[i - 1] if i else inst, Phi
-            ):
+            is_phi = type(inst) is Phi
+            if is_phi and not after_phi:
                 errors.append(f"{where}: phi after non-phi in {block.name}")
-            defined.add(inst)
+            after_phi = is_phi
+            position[inst] = i
 
     preds = predecessors(func)
     reachable = reachable_blocks(func)
     for block in func.blocks:
+        if block not in reachable:
+            continue
+        cfg_preds = set(preds[block])
         for phi in block.phis():
             phi_preds = set(phi.incoming_blocks)
-            cfg_preds = set(preds[block])
-            if block in reachable and phi_preds != cfg_preds:
+            if phi_preds != cfg_preds:
                 got = sorted(b.name for b in phi_preds)
                 want = sorted(b.name for b in cfg_preds)
                 errors.append(
                     f"{where}: phi in {block.name} incoming {got} != preds {want}"
                 )
 
-    # Use-list consistency + operand validity.  Each value's use list
-    # becomes a set once (keyed by identity: constants compare by value).
+    # One walk over the operands: use-list consistency, operand validity
+    # and call arity go to *errors*, SSA dominance (reachable code only)
+    # to *dom_errors*, which follow them.  A use list of more than one
+    # entry becomes a set once (keyed by identity: constants compare by
+    # value).
+    dom = DominatorTree(func)
+    dom_errors: List[str] = []
     use_sets: Dict[int, Set[Tuple[Instruction, int]]] = {}
     for block in func.blocks:
+        live = block in reachable
         for inst in block.instructions:
             for index, op in enumerate(inst.operands):
-                uses = use_sets.get(id(op))
-                if uses is None:
-                    uses = use_sets[id(op)] = {(u.user, u.index) for u in op.uses}
-                if (inst, index) not in uses:
+                uses = op.uses
+                if len(uses) == 1:
+                    listed = uses[0].user is inst and uses[0].index == index
+                else:
+                    use_set = use_sets.get(id(op))
+                    if use_set is None:
+                        use_set = use_sets[id(op)] = {(u.user, u.index) for u in uses}
+                    listed = (inst, index) in use_set
+                if not listed:
                     errors.append(
                         f"{where}: missing use-list entry for operand {index} "
                         f"of {inst.opcode} in {block.name}"
                     )
-                if not _valid_operand(op, func, defined):
+                kind = _OPERAND_KINDS.get(type(op)) or _operand_kind(type(op))
+                if kind is _ANY:
+                    continue
+                if kind is _ARGUMENT:
+                    valid = op.parent is func
+                else:
+                    valid = kind is _INSTRUCTION and op in position
+                if not valid:
                     errors.append(
                         f"{where}: foreign operand {op!r} in {inst.opcode} "
                         f"({block.name})"
                     )
-            if isinstance(inst, Call):
+                if kind is not _INSTRUCTION or not live:
+                    continue
+                def_block = op.parent
+                if def_block is None or def_block.parent is not func:
+                    continue
+                if def_block not in reachable:
+                    continue
+                if type(inst) is Phi:
+                    incoming = inst.incoming_blocks[index]
+                    if incoming in reachable and not dom.dominates_block(def_block, incoming):
+                        dom_errors.append(
+                            f"{where}: phi operand {index} does not dominate "
+                            f"incoming edge from {incoming.name}"
+                        )
+                elif not (
+                    position[op] < position[inst]
+                    if def_block is block
+                    else dom.dominates_block(def_block, block)
+                ):
+                    dom_errors.append(
+                        f"{where}: def of operand {index} of {inst.opcode} in "
+                        f"{block.name} does not dominate use"
+                    )
+            if type(inst) is Call:
                 callee = inst.callee
                 if callee is not None and not callee.function_type.is_vararg:
                     want = len(callee.function_type.params)
@@ -119,47 +166,24 @@ def _verify_function(func: Function) -> List[str]:
                             f"{where}: call to @{callee.name} with {got} args, "
                             f"expected {want}"
                         )
-
-    # SSA dominance; same-block order comes from one position map.
-    dom = DominatorTree(func)
-    position = {
-        inst: i for block in func.blocks for i, inst in enumerate(block.instructions)
-    }
-    for block in func.blocks:
-        if block not in reachable:
-            continue
-        for inst in block.instructions:
-            for index, op in enumerate(inst.operands):
-                if not isinstance(op, Instruction):
-                    continue
-                if op.parent is None or op.parent.parent is not func:
-                    continue
-                if op.parent not in reachable:
-                    continue
-                if isinstance(inst, Phi):
-                    incoming = inst.incoming_blocks[index]
-                    if incoming in reachable and not dom.dominates_block(op.parent, incoming):
-                        errors.append(
-                            f"{where}: phi operand {index} does not dominate "
-                            f"incoming edge from {incoming.name}"
-                        )
-                elif not (
-                    position[op] < position[inst]
-                    if op.parent is block
-                    else dom.dominates_block(op.parent, block)
-                ):
-                    errors.append(
-                        f"{where}: def of operand {index} of {inst.opcode} in "
-                        f"{block.name} does not dominate use"
-                    )
-    return errors
+    return errors + dom_errors
 
 
-def _valid_operand(op: Value, func: Function, defined: set) -> bool:
-    if isinstance(op, (Constant, UndefValue, GlobalVariable, Function)):
-        return True
-    if isinstance(op, Argument):
-        return op.parent is func
-    if isinstance(op, Instruction):
-        return op in defined
-    return False
+#: How an operand of each value class is checked: always valid
+#: (constants, undef, globals, functions), valid when it belongs to the
+#: function (arguments, instructions), or foreign (anything else).
+_ANY, _ARGUMENT, _INSTRUCTION, _FOREIGN = "any", "argument", "instruction", "foreign"
+_OPERAND_KINDS: Dict[type, str] = {}
+
+
+def _operand_kind(cls: type) -> str:
+    if issubclass(cls, (Constant, UndefValue, GlobalVariable, Function)):
+        kind = _ANY
+    elif issubclass(cls, Argument):
+        kind = _ARGUMENT
+    elif issubclass(cls, Instruction):
+        kind = _INSTRUCTION
+    else:
+        kind = _FOREIGN
+    _OPERAND_KINDS[cls] = kind
+    return kind

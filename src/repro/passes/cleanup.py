@@ -10,11 +10,13 @@ Cleanup runs after every domain pass, so it only does work where the IR
 changed, the way LLVM's InstCombine does.  Per function,
 :func:`run_fold_dce` makes one in-order sweep and then revisits only
 what a change touched; folding rules are a table keyed by instruction
-type (``SIMPLIFY_RULES``).  :class:`CleanupPass` then alternates rounds
-of :func:`run_simplify_cfg` with the worklist, which each round seeds
-with what it touched, until a round leaves the CFG unchanged.  The pass
-is idempotent, so the pass manager skips a cleanup that no reported
-change preceded.
+type (``SIMPLIFY_RULES``).  It erases by detaching and compacts each
+block it erased from once before returning (``BasicBlock.detach``/
+``compact``), so :func:`run_simplify_cfg` sees clean blocks.
+:class:`CleanupPass` then alternates rounds of :func:`run_simplify_cfg`
+with the worklist, which each round seeds with what it touched, until a
+round leaves the CFG unchanged.  The pass is idempotent, so the pass
+manager skips a cleanup that no reported change preceded.
 """
 
 from __future__ import annotations
@@ -339,9 +341,14 @@ def run_fold_dce(func: Function, work: Optional[List[Value]] = None) -> bool:
     else:
         sweep = []
 
+    #: Blocks holding detached instructions, compacted before return.
+    dirty: Set[BasicBlock] = set()
+
     def erase(inst: Instruction) -> None:
         operands = inst.operands
-        inst.erase_from_parent()
+        block = inst.parent
+        block.detach(inst)
+        dirty.add(block)
         work.extend(operands)
 
     def replace(inst: Instruction, new: Value) -> None:
@@ -380,6 +387,8 @@ def run_fold_dce(func: Function, work: Optional[List[Value]] = None) -> bool:
         changed |= visit(inst)
     while work:
         changed |= visit(work.pop())
+    for block in dirty:
+        block.compact()
     return changed
 
 

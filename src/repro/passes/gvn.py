@@ -12,6 +12,11 @@ openmp-opt.  Two capabilities matter for the reproduction:
 Read-only/no-alias facts come from the frontend (map clauses hand each
 kernel argument a distinct buffer; "readonly" params are never stored
 through anywhere in the program).
+
+Value numbering erases a redundant expression by detaching it and
+compacts each block once after its walk (``BasicBlock.detach``/
+``compact``), so a long block of inlined runtime code is not rescanned
+per erasure.
 """
 
 from __future__ import annotations
@@ -118,20 +123,22 @@ class GVNPass:
         def visit(block: BasicBlock) -> None:
             nonlocal changed
             added: List[Tuple] = []
-            for inst in list(block.instructions):
-                if inst.parent is None:
-                    continue
+            detached = False
+            for inst in block.instructions:
                 key = _value_number_key(inst)
                 if key is None:
                     continue
                 existing = table.get(key)
                 if existing is not None:
                     inst.replace_all_uses_with(existing)
-                    inst.erase_from_parent()
-                    changed = True
+                    block.detach(inst)
+                    detached = True
                 else:
                     table[key] = inst
                     added.append(key)
+            if detached:
+                block.compact()
+                changed = True
             for child in children[block]:
                 visit(child)
             for key in added:

@@ -8,6 +8,12 @@ accumulators into "registers" — both for speed (the cost model charges
 local-memory latency for stack traffic) and so the register-pressure
 estimator sees loop-carried state, which the over-subscription
 assumption then shrinks (paper §V-B).
+
+Inlining the runtime's outlined regions makes blocks hundreds of
+instructions long, and the rename walk erases most of their loads and
+stores.  It detaches each one and compacts the block once
+(``BasicBlock.detach``/``compact``) instead of one ``list.remove`` per
+erasure; so does the sweep of uses left in unreachable blocks.
 """
 
 from __future__ import annotations
@@ -126,14 +132,19 @@ class PromoteAllocasPass:
             for alloca, phi in phis[block].items():
                 stacks[alloca].append(phi)
                 pushed.append(alloca)
-            for inst in list(block.instructions):
+            detached = False
+            for inst in block.instructions:
                 if isinstance(inst, Load) and inst.pointer in alloca_set:
                     inst.replace_all_uses_with(current(inst.pointer))
-                    inst.erase_from_parent()
+                    block.detach(inst)
+                    detached = True
                 elif isinstance(inst, Store) and inst.pointer in alloca_set:
                     stacks[inst.pointer].append(inst.value)
                     pushed.append(inst.pointer)
-                    inst.erase_from_parent()
+                    block.detach(inst)
+                    detached = True
+            if detached:
+                block.compact()
             for succ in block.successors():
                 for alloca, phi in phis[succ].items():
                     phi.add_incoming(current(alloca), block)
@@ -149,15 +160,18 @@ class PromoteAllocasPass:
         finally:
             sys.setrecursionlimit(old_limit)
 
+        dirty: Set[BasicBlock] = set()
         for alloca in allocas:
             # Remaining uses can only be in unreachable blocks.
             for use in list(alloca.uses):
                 user = use.user
-                if isinstance(user, Store):
-                    user.erase_from_parent()
-                elif isinstance(user, Load):
+                if isinstance(user, Load):
                     user.replace_all_uses_with(UndefValue(user.type))
-                    user.erase_from_parent()
+                dirty.add(user.parent)
+                user.parent.detach(user)
             if not alloca.uses:
-                alloca.erase_from_parent()
+                dirty.add(alloca.parent)
+                alloca.parent.detach(alloca)
+        for block in dirty:
+            block.compact()
         return True

@@ -236,6 +236,10 @@ class PassManager:
     def __init__(self, passes: List[Pass], ctx: PassContext) -> None:
         self.phases = [Phase(ctx.phase, passes)]
         self.ctx = ctx
+        #: The module's instruction count after the last pass of the
+        #: current ``run`` call: nothing edits the module between two
+        #: passes, so it is the next pass's count before.
+        self._count: Optional[int] = None
 
     @classmethod
     def of_phases(cls, phases: List[Phase], ctx: PassContext) -> "PassManager":
@@ -249,6 +253,7 @@ class PassManager:
         stats = ctx.stats
         #: Types of idempotent passes that ran with no change since.
         settled: Set[type] = set()
+        self._count = None
         changed_any = False
         for phase in self.phases:
             ctx.phase = phase.name
@@ -272,17 +277,20 @@ class PassManager:
 
     def _run_pass(self, p: Pass, module: Module) -> bool:
         stats = self.ctx.stats
-        before = module_instruction_count(module) if stats else 0
+        if stats is not None and self._count is None:
+            self._count = module_instruction_count(module)
         start = time.perf_counter()
         changed = p.run(module, self.ctx)
         if stats is not None:
+            wall_time_s = time.perf_counter() - start
+            before, self._count = self._count, module_instruction_count(module)
             stats.record(PassTiming(
                 name=p.name,
                 phase=self.ctx.phase,
-                wall_time_s=time.perf_counter() - start,
+                wall_time_s=wall_time_s,
                 changed=changed,
                 instructions_before=before,
-                instructions_after=module_instruction_count(module),
+                instructions_after=self._count,
                 started_s=start,
             ))
         if self.ctx.config.verify_each:

@@ -13,6 +13,7 @@ from repro.ir import (
     Ret,
     StructType,
     VOID,
+    verify_module,
 )
 from tests.conftest import make_function
 
@@ -52,6 +53,60 @@ class TestBasicBlock:
         a = func.add_block("loop")
         b2 = func.add_block("loop")
         assert a.name != b2.name
+
+
+class TestBulkErasure:
+    """``detach`` erases without touching the list; ``compact`` then
+    rebuilds it once."""
+
+    def _adds(self, module, n=6):
+        func, b = make_function(module)
+        x = func.args[0]
+        adds = [b.add(x, i) for i in range(1, n + 1)]
+        ret = b.ret(x)
+        return func.entry, x, adds, ret
+
+    def test_compact_keeps_survivors_in_order(self, module):
+        block, _, adds, ret = self._adds(module)
+        insts = block.instructions
+        for inst in adds[::2]:
+            block.detach(inst)
+        assert block.instructions == [*adds, ret]  # still listed until compact
+        assert all(inst.parent is None for inst in adds[::2])
+        block.compact()
+        assert block.instructions == [*adds[1::2], ret]
+        assert block.instructions is insts  # in place
+        verify_module(module)
+
+    def test_operand_use_lists_lose_exactly_the_detached_uses(self, module):
+        block, x, adds, ret = self._adds(module)
+        consts = [inst.rhs for inst in adds]
+        for inst in adds[::2]:
+            block.detach(inst)
+        assert [(u.user, u.index) for u in x.uses] == [
+            *((inst, 0) for inst in adds[1::2]), (ret, 0)]
+        for inst, const in zip(adds, consts):
+            gone = inst.parent is None
+            assert inst.operands == ([] if gone else [x, const])
+            assert [(u.user, u.index) for u in const.uses] == ([] if gone else [(inst, 1)])
+
+    def test_detach_of_a_used_instruction_raises(self, module):
+        func, b = make_function(module)
+        x = func.args[0]
+        v = b.add(x, 1)
+        b.ret(b.add(v, 2))
+        with pytest.raises(ValueError):
+            func.entry.detach(v)
+        assert v.parent is func.entry and v.operands[0] is x
+        assert any(u.user is v for u in x.uses)
+        verify_module(module)
+
+    def test_erase_from_parent_is_detach_plus_removal(self, module):
+        block, x, adds, ret = self._adds(module, n=2)
+        adds[0].erase_from_parent()
+        assert block.instructions == [adds[1], ret]
+        assert adds[0].parent is None and adds[0].operands == []
+        assert [u.user for u in x.uses] == [adds[1], ret]
 
 
 class TestFunction:

@@ -11,6 +11,7 @@ from repro.ir import (
     FunctionType,
     I32,
     I64,
+    Instruction,
     PTR,
     PTR_GLOBAL,
     VOID,
@@ -219,6 +220,47 @@ class TestMem2Reg:
         b.ret(b.load(I32, slot))
         PromoteAllocasPass().run(module, ctx())
         assert any(isinstance(i, Alloca) for i in func.instructions())
+
+
+class TestLongBlocks:
+    """Inlining the runtime three times over makes blocks of hundreds of
+    instructions; mem2reg and GVN erase from them in bulk (detach, then
+    one compact per block), never one ``list.remove`` at a time."""
+
+    def test_one_long_block_is_promoted_and_numbered_in_bulk(self, module, monkeypatch):
+        func, b = make_function(module)
+        x = func.args[0]
+        slots = [b.alloca(I32, f"s{i}") for i in range(250)]
+        for slot in slots:
+            b.store(x, slot)
+        acc = x
+        for round_ in range(1, 4):
+            for slot in slots:
+                acc = b.add(acc, b.load(I32, slot))
+                b.store(b.add(x, round_), slot)  # one expression per round
+        b.ret(acc)
+        dead = func.add_block("dead")  # unreachable uses take the sweep
+        b.set_insert_point(dead)
+        b.store(b.load(I32, slots[0]), slots[1])
+        b.ret(x)
+        assert sum(i.opcode in ("alloca", "load", "store") for i in func.instructions()) == 2002
+        verify_module(module)
+
+        erased = []
+        erase = Instruction.erase_from_parent
+        monkeypatch.setattr(Instruction, "erase_from_parent",
+                            lambda inst: (erased.append(inst), erase(inst)))
+        assert PromoteAllocasPass().run(module, ctx())
+        verify_module(module)
+        assert not any(i.opcode in ("alloca", "load", "store") for i in func.instructions())
+        assert GVNPass().run(module, ctx())
+        verify_module(module)
+        assert erased == []
+
+        entry = func.entry.instructions
+        per_round = [i for i in entry if i.opcode == "add" and isinstance(i.rhs, Constant)]
+        assert [i.rhs.value for i in per_round] == [1, 2, 3]
+        assert len(entry) == 750 + 3 + 1
 
 
 class TestGVN:

@@ -106,6 +106,8 @@ EDITS = {
     "set_operand": lambda c: _first(c.module, BinOp).set_operand(
         0, _first(c.module, BinOp).operands[1]),
     "erase_from_parent": lambda c: _first(c.module, Store).erase_from_parent(),
+    "detach": lambda c: _first(c.module, Store).parent.detach(_first(c.module, Store)),
+    "compact": lambda c: _first(c.module, Store).parent.compact(),
     "build_over_frozen_value": lambda c: BinOp(
         "add", _first(c.module, BinOp), _first(c.module, BinOp)),
     "functions_setitem": lambda c: c.module.functions.__setitem__(
