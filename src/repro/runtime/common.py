@@ -8,6 +8,7 @@ same link-then-optimize pipeline.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.memory.addrspace import AddressSpace
@@ -34,13 +35,25 @@ from repro.runtime.config import (
 from repro.runtime.state import GV_DEBUG_KIND, GV_DUMMY, GV_ENV_DEBUG
 
 
+def _text_digest(payload: bytes) -> str:
+    """24 bits of a stable digest: the same name in every process."""
+    return hashlib.sha256(payload).hexdigest()[:6]
+
+
 def cstring(module: Module, text: str, prefix: str = "str") -> GlobalVariable:
-    """Intern a NUL-terminated string constant in constant memory."""
+    """Intern a NUL-terminated string constant in constant memory.
+
+    The global is named after a digest of the text.  A same-named global
+    with another payload (a 24-bit clash) is never reused: the text takes
+    the first free ``.N`` suffix instead."""
     payload = text.encode("utf-8") + b"\x00"
-    name = f"{prefix}.{abs(hash(text)) & 0xFFFFFF:x}"
-    existing = module.globals.get(name)
-    if existing is not None:
-        return existing
+    base = f"{prefix}.{_text_digest(payload)}"
+    name, clashes = base, 0
+    while (existing := module.globals.get(name)) is not None:
+        if existing.initializer == payload:
+            return existing
+        clashes += 1
+        name = f"{base}.{clashes}"
     gv = GlobalVariable(
         name,
         ArrayType(I8, len(payload)),

@@ -149,3 +149,53 @@ class TestDebugOverheadElimination:
             _, out, expected = run_saxpy(module, n=32, teams=1, threads=8,
                                          debug_checks=False)
             assert np.allclose(out, expected)
+
+
+_PRINT_DEBUG_MODULE = """
+from repro.apps import gridmini
+from repro.frontend.driver import CompileOptions
+from repro.frontend.lower import lower_program_openmp
+from repro.ir.printer import print_module
+
+options = CompileOptions().with_debug()
+module, _ = lower_program_openmp(gridmini.build_program(gridmini.default_size()),
+                                 options.target.runtime, options.runtime_config)
+print(print_module(module))
+"""
+
+
+class TestDebugStrings:
+    def test_debug_module_prints_the_same_under_any_hash_seed(self, tmp_path):
+        """String globals are named after a stable digest of their
+        text, not the per-process salted ``hash``."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        printed = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed,
+                   "REPRO_CACHE_DIR": str(tmp_path / "cache")}
+            proc = subprocess.run([sys.executable, "-c", _PRINT_DEBUG_MODULE],
+                                  capture_output=True, text=True, env=env,
+                                  cwd=tmp_path, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout)
+        assert "@assert." in printed[0] and "@trace." in printed[0]
+        assert printed[0] == printed[1]
+
+    def test_name_clash_keeps_both_payloads(self, monkeypatch):
+        from repro.ir import Module
+        from repro.runtime import common
+
+        monkeypatch.setattr(common, "_text_digest", lambda payload: "abc123")
+        module = Module("m")
+        first = common.cstring(module, "first message")
+        second = common.cstring(module, "second message")
+        assert first is not second
+        assert first.initializer == b"first message\x00"
+        assert second.initializer == b"second message\x00"
+        assert common.cstring(module, "second message") is second
+        assert common.cstring(module, "first message") is first
