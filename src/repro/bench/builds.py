@@ -15,7 +15,7 @@ Five configurations per application:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict
 
 from repro.frontend.driver import CompileOptions, Target
 from repro.passes.pass_manager import PipelineConfig

@@ -9,20 +9,19 @@ count that fans independent cells out over the harness's process pool
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps.common import AppRunResult, run_app
 from repro.bench.builds import (
     BUILD_ORDER,
-    CUDA,
     NEW_RT,
     NEW_RT_NO_ASSUME,
     OLD_RT_NIGHTLY,
     ablation_configs,
     build_options,
 )
-from repro.bench.harness import APPS, SKIP_CUDA, MatrixResult, map_cells, run_build_matrix
+from repro.bench.harness import APPS, map_cells, run_build_matrix
 from repro.frontend.driver import CompileOptions, Target
 
 # ------------------------------------------------------------------- Fig. 10 --

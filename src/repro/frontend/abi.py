@@ -9,7 +9,7 @@ hides the difference from the benchmark harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.memory.layout import DATA_LAYOUT
 from repro.memory.memmodel import encode_scalar

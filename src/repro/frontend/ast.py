@@ -16,7 +16,7 @@ recursion), OpenMP API queries, and user assumptions/assertions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.ir.types import F64, I64, Type

@@ -5,53 +5,35 @@ one kernel function per target region, a grid-stride loop, parameters
 by value (aggregates flattened into scalar arguments — the §VII
 advantage over OpenMP's by-reference aggregates), no runtime library,
 and ``__syncthreads``-style aligned barriers.
+
+:class:`CUDALowering` is a :class:`~repro.frontend.lower_common.Lowering`
+that supplies only this kernel shape and the four hooks: OpenMP queries
+read special registers, barriers are aligned, assertions become
+``llvm.assume`` and local arrays live on the thread stack.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.memory.addrspace import AddressSpace
 from repro.ir.builder import IRBuilder
-from repro.ir.module import Function, Module
-from repro.ir.types import (
-    ArrayType,
-    FunctionType,
-    I64,
-    StructType,
-    Type,
-    VOID,
-)
-from repro.ir.values import Constant, GlobalVariable, Value
+from repro.ir.instructions import Alloca
+from repro.ir.module import Module
+from repro.ir.types import ArrayType, I32, I64, Type
+from repro.ir.values import Constant, Value
 from repro.frontend import ast as A
 from repro.frontend.abi import KernelABI, ScalarArg, StructFieldArg
-from repro.frontend.lower_common import (
-    BodyLowerer,
-    LoweringError,
-    apply_param_attrs,
-    compute_readonly_params,
-)
+from repro.frontend.lower_common import Lowering, LoweringError
 
 
-class CUDALowering:
+class CUDALowering(Lowering):
     def __init__(self, program: A.Program) -> None:
-        self.program = program
-        self.module = Module(f"{program.name}.cuda")
-        self.device_functions: Dict[str, Function] = {}
-        self.abis: Dict[str, KernelABI] = {}
-        self.readonly = compute_readonly_params(program)
+        super().__init__(program, f"{program.name}.cuda")
 
-    def lower(self) -> Tuple[Module, Dict[str, KernelABI]]:
-        self._declare_device_functions()
-        self._define_device_functions()
-        for kernel in self.program.kernels:
-            self._lower_kernel(kernel)
-        return self.module, self.abis
-
-    # ------------------------------------------------------------- mode hooks --
+    # ------------------------------------------------------------------ hooks --
 
     @staticmethod
-    def _omp_query(b: IRBuilder, what: str) -> Value:
+    def omp_query(b: IRBuilder, what: str) -> Value:
         if what == "thread_num":
             return b.thread_id()
         if what == "num_threads":
@@ -61,94 +43,28 @@ class CUDALowering:
         if what == "num_teams":
             return b.grid_dim()
         if what == "level":
-            from repro.ir.types import I32
-
             return Constant(I32, 1)  # CUDA code is always "in parallel"
         raise LoweringError(f"unknown OpenMP query {what!r}")
 
     @staticmethod
-    def _barrier(b: IRBuilder) -> None:
+    def barrier(b: IRBuilder) -> None:
         b.aligned_barrier()  # __syncthreads()
 
     @staticmethod
-    def _emit_assert(b: IRBuilder, cond: Value, message: str) -> None:
+    def emit_assert(b: IRBuilder, cond: Value, message: str) -> None:
         b.assume(cond)  # release-style CUDA build: asserts compile out
 
     @staticmethod
-    def _local_array(b: IRBuilder, decl):
+    def local_array(b: IRBuilder, decl):
         """CUDA keeps addressable locals on the thread stack."""
-        from repro.ir.instructions import Alloca
-        from repro.ir.types import ArrayType
-
-        func = b.function
         inst = Alloca(ArrayType(decl.elem_ty, decl.count), decl.name)
-        entry = func.entry
+        entry = b.function.entry
         entry.insert(entry.first_non_phi_index(), inst)
         return inst, None
-
-    def _lowerer(self, builder: IRBuilder, env: Dict[str, Tuple]) -> BodyLowerer:
-        return BodyLowerer(
-            self.module,
-            builder,
-            env,
-            omp_query=self._omp_query,
-            barrier=self._barrier,
-            emit_assert=self._emit_assert,
-            device_functions=self.device_functions,
-            struct_types={},
-            local_array=self._local_array,
-        )
-
-    # --------------------------------------------------------- device functions --
-
-    def _declare_device_functions(self) -> None:
-        for df in self.program.device_functions:
-            ft = FunctionType(df.ret_ty, tuple(p.ty for p in df.params))
-            func = Function(df.name, ft, linkage="internal",
-                            arg_names=[p.name for p in df.params])
-            apply_param_attrs(func, [p.name for p in df.params],
-                              self.readonly.get(df.name, set()))
-            self.module.add_function(func)
-            self.device_functions[df.name] = func
-
-    def _define_device_functions(self) -> None:
-        for df in self.program.device_functions:
-            func = self.device_functions[df.name]
-            b = IRBuilder(self.module, func.add_block("entry"))
-            env: Dict[str, Tuple] = {
-                p.name: ("value", arg) for p, arg in zip(df.params, func.args)
-            }
-            self._bind_shared_arrays(env)
-            lowerer = self._lowerer(b, env)
-            lowerer.stmts(df.body)
-            if not lowerer.terminated():
-                if df.ret_ty == VOID:
-                    b.ret()
-                else:
-                    raise LoweringError(
-                        f"device function {df.name} may fall off its end"
-                    )
-
-    # ---------------------------------------------------------------- shared mem --
-
-    def _bind_shared_arrays(self, env: Dict[str, Tuple]) -> None:
-        for kernel in self.program.kernels:
-            for decl in kernel.shared:
-                name = f"{kernel.name}.{decl.name}"
-                gv = self.module.globals.get(name)
-                if gv is None:
-                    gv = self.module.add_global(GlobalVariable(
-                        name,
-                        ArrayType(decl.elem_ty, decl.count),
-                        addrspace=AddressSpace.SHARED,
-                    ))
-                if decl.name not in env:
-                    env[decl.name] = ("shared", gv, decl)
 
     # ------------------------------------------------------------------ kernels --
 
     def _lower_kernel(self, kernel: A.KernelDef) -> None:
-        module = self.module
         param_types: List[Type] = []
         param_names: List[str] = []
         abi = KernelABI(kernel.name)
@@ -163,39 +79,22 @@ class CUDALowering:
                     param_names.append(f"{p.name}.{fname}")
                     abi.entries.append(StructFieldArg(p.name, fname, fty))
         self.abis[kernel.name] = abi
+        func = self.kernel_function(kernel, param_types, param_names)
 
-        func = Function(
-            kernel.name,
-            FunctionType(VOID, tuple(param_types)),
-            linkage="external",
-            arg_names=param_names,
-        )
-        func.attrs.add("kernel")
-        apply_param_attrs(func, param_names,
-                          self.readonly.get(kernel.name, set()))
-        module.add_function(func)
-
-        b = IRBuilder(module, func.add_block("entry"))
+        b = IRBuilder(self.module, func.add_block("entry"))
+        args = iter(func.args)
         env: Dict[str, Tuple] = {}
-        i = 0
         for p in kernel.params:
             if isinstance(p, A.Param):
-                env[p.name] = ("value", func.args[i])
-                i += 1
+                env[p.name] = ("value", next(args))
             else:
-                fields: Dict[str, Value] = {}
-                for fname, _ in p.fields:
-                    fields[fname] = func.args[i]
-                    i += 1
-                env[p.name] = ("struct_vals", fields)
-        self._bind_shared_arrays(env)
-        lowerer = self._lowerer(b, env)
+                env[p.name] = ("struct_vals", {fname: next(args) for fname, _ in p.fields})
+        lowerer = self.body_lowerer(b, env)
 
         # Sequential preamble runs per thread (values live in registers —
         # exactly what the hand-written CUDA ports do).
         for let in kernel.preamble:
             lowerer.stmt(let)
-        b = lowerer.b
 
         trip = lowerer.coerce(lowerer.expr(kernel.trip_count), I64)
 
@@ -221,12 +120,8 @@ class CUDALowering:
             env["iv"] = ("value", iv)
             lowerer.stmts(kernel.body)
             if not lowerer.terminated():
-                latch = lowerer.b.block
-                next_iv = lowerer.b.add(iv, stride, "iv.next")
-                iv.add_incoming(next_iv, latch)
-                lowerer.b.br(header)
-            b.set_insert_point(exit_block)
-            b.ret()
+                iv.add_incoming(b.add(iv, stride, "iv.next"), b.block)
+                b.br(header)
         else:
             # Exact-coverage launch: `if (i < n) body` — the idiomatic
             # CUDA port shape (the launch supplies enough threads).
@@ -237,9 +132,9 @@ class CUDALowering:
             env["iv"] = ("value", start)
             lowerer.stmts(kernel.body)
             if not lowerer.terminated():
-                lowerer.b.br(exit_block)
-            b.set_insert_point(exit_block)
-            b.ret()
+                b.br(exit_block)
+        b.set_insert_point(exit_block)
+        b.ret()
 
 
 def lower_program_cuda(program: A.Program) -> Tuple[Module, Dict[str, KernelABI]]:

@@ -19,7 +19,7 @@ import enum
 import pickle
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.ir.module import Function, Module
 from repro.ir.verifier import verify_module

@@ -14,36 +14,26 @@ Kernels lower to the standard shape:
 Aggregate parameters are passed by reference (§VII), so field reads
 inside the loop body are global-memory loads — the residual overhead
 the paper observes for XSBench.
+
+:class:`OpenMPLowering` is a :class:`~repro.frontend.lower_common.Lowering`
+that populates the device runtime first and supplies only this kernel
+shape and the four hooks: OpenMP queries and barriers call the runtime,
+assertions go through its debug machinery and local arrays are
+globalized through its shared-memory stack.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir.builder import IRBuilder
 from repro.ir.module import Function, Module
-from repro.ir.types import (
-    F64,
-    FunctionType,
-    I32,
-    I64,
-    PTR,
-    StructType,
-    Type,
-    VOID,
-    ArrayType,
-)
-from repro.ir.values import Constant, GlobalVariable, Value
-from repro.memory.addrspace import AddressSpace
+from repro.ir.types import FunctionType, I32, I64, PTR, Type, VOID
+from repro.ir.values import Value
+from repro.memory.layout import DATA_LAYOUT
 from repro.frontend import ast as A
 from repro.frontend.abi import KernelABI, ScalarArg, StructRefArg
-from repro.frontend.lower_common import (
-    BodyLowerer,
-    LoweringError,
-    apply_param_attrs,
-    compute_readonly_params,
-    struct_param_type,
-)
+from repro.frontend.lower_common import Lowering, LoweringError, struct_param_type
 from repro.runtime.common import RuntimeBuilder
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.interface import RUNTIMES, RuntimeInterface
@@ -56,33 +46,22 @@ _OMP_QUERY_FIELD = {
 }
 
 
-class OpenMPLowering:
+class OpenMPLowering(Lowering):
     """Lowers a DSL program against one device runtime flavour."""
 
     def __init__(self, program: A.Program, runtime: str, config: RuntimeConfig) -> None:
-        self.program = program
+        super().__init__(program, f"{program.name}.omp.{runtime}")
         self.iface: RuntimeInterface = RUNTIMES[runtime]
         self.config = config
-        self.module = Module(f"{program.name}.omp.{runtime}")
         self.rb = RuntimeBuilder(self.module, config)
-        self.device_functions: Dict[str, Function] = {}
-        self.struct_types: Dict[str, StructType] = {}
-        self.abis: Dict[str, KernelABI] = {}
-        self.readonly = compute_readonly_params(program)
-
-    # ------------------------------------------------------------- entry point --
 
     def lower(self) -> Tuple[Module, Dict[str, KernelABI]]:
         self.iface.populate(self.module, self.config)
-        self._declare_device_functions()
-        self._define_device_functions()
-        for kernel in self.program.kernels:
-            self._lower_kernel(kernel)
-        return self.module, self.abis
+        return super().lower()
 
-    # -------------------------------------------------------------- mode hooks --
+    # ------------------------------------------------------------------ hooks --
 
-    def _omp_query(self, b: IRBuilder, what: str) -> Value:
+    def omp_query(self, b: IRBuilder, what: str) -> Value:
         if what == "level":
             name = "omp_get_level" + ("_old" if self.iface.name == "old" else "")
             return b.call(self.module.get_function(name), [])
@@ -91,17 +70,15 @@ class OpenMPLowering:
             raise LoweringError(f"unknown OpenMP query {what!r}")
         return b.call(self.module.get_function(getattr(self.iface, field)), [])
 
-    def _barrier(self, b: IRBuilder) -> None:
+    def barrier(self, b: IRBuilder) -> None:
         b.call(self.module.get_function(self.iface.barrier), [])
 
-    def _emit_assert(self, b: IRBuilder, cond: Value, message: str) -> None:
+    def emit_assert(self, b: IRBuilder, cond: Value, message: str) -> None:
         self.rb.emit_assert(b, cond, message)
 
-    def _local_array(self, b: IRBuilder, decl):
+    def local_array(self, b: IRBuilder, decl):
         """Variable globalization (§IV-A2): addressable locals go through
         the shared-memory stack; demotion is the optimizer's job."""
-        from repro.memory.layout import DATA_LAYOUT
-
         size = DATA_LAYOUT.size_of(decl.elem_ty) * decl.count
         alloc = self.module.get_function(self.iface.alloc_shared)
         free = self.module.get_function(self.iface.free_shared)
@@ -112,81 +89,7 @@ class OpenMPLowering:
 
         return ptr, cleanup
 
-    def _lowerer(self, builder: IRBuilder, env: Dict[str, Tuple]) -> BodyLowerer:
-        return BodyLowerer(
-            self.module,
-            builder,
-            env,
-            omp_query=self._omp_query,
-            barrier=self._barrier,
-            emit_assert=self._emit_assert,
-            device_functions=self.device_functions,
-            struct_types=self.struct_types,
-            local_array=self._local_array,
-        )
-
-    # --------------------------------------------------------- device functions --
-
-    def _declare_device_functions(self) -> None:
-        for df in self.program.device_functions:
-            ft = FunctionType(df.ret_ty, tuple(p.ty for p in df.params))
-            func = Function(df.name, ft, linkage="internal",
-                            arg_names=[p.name for p in df.params])
-            apply_param_attrs(func, [p.name for p in df.params],
-                              self.readonly.get(df.name, set()))
-            self.module.add_function(func)
-            self.device_functions[df.name] = func
-
-    def _define_device_functions(self) -> None:
-        for df in self.program.device_functions:
-            func = self.device_functions[df.name]
-            entry = func.add_block("entry")
-            b = IRBuilder(self.module, entry)
-            env: Dict[str, Tuple] = {
-                p.name: ("value", arg) for p, arg in zip(df.params, func.args)
-            }
-            self._bind_shared_arrays(env)
-            lowerer = self._lowerer(b, env)
-            lowerer.stmts(df.body)
-            if not lowerer.terminated():
-                if df.ret_ty == VOID:
-                    b.ret()
-                else:
-                    raise LoweringError(
-                        f"device function {df.name} may fall off its end"
-                    )
-
-    # ---------------------------------------------------------------- shared mem --
-
-    def _shared_array_global(self, kernel: A.KernelDef, decl: A.SharedArray) -> GlobalVariable:
-        name = f"{kernel.name}.{decl.name}"
-        existing = self.module.globals.get(name)
-        if existing is not None:
-            return existing
-        gv = GlobalVariable(
-            name,
-            ArrayType(decl.elem_ty, decl.count),
-            addrspace=AddressSpace.SHARED,
-        )
-        return self.module.add_global(gv)
-
-    def _bind_shared_arrays(self, env: Dict[str, Tuple]) -> None:
-        for kernel in self.program.kernels:
-            for decl in kernel.shared:
-                gv = self._shared_array_global(kernel, decl)
-                if decl.name not in env:
-                    env[decl.name] = ("shared", gv, decl)
-
-    # ------------------------------------------------------------------ kernels --
-
-    def _kernel_param_types(self, kernel: A.KernelDef) -> List[Type]:
-        out: List[Type] = []
-        for p in kernel.params:
-            if isinstance(p, A.Param):
-                out.append(p.ty)
-            else:
-                out.append(PTR)  # aggregates by reference (§VII)
-        return out
+    # ---------------------------------------------------------------- kernels --
 
     def _capture_plan(self, kernel: A.KernelDef) -> List[Tuple[str, Type, str]]:
         """Ordered capture slots: (name, stored type, kind)."""
@@ -208,12 +111,10 @@ class OpenMPLowering:
 
     def _lower_kernel(self, kernel: A.KernelDef) -> None:
         module, iface = self.module, self.iface
-        for decl in kernel.shared:
-            self._shared_array_global(kernel, decl)
         for p in kernel.params:
             if isinstance(p, A.StructParam):
                 sty = struct_param_type(kernel.name, p)
-                self.module.add_struct_type(sty)
+                module.add_struct_type(sty)
                 self.struct_types[p.name] = sty
 
         plan = self._capture_plan(kernel)
@@ -223,17 +124,12 @@ class OpenMPLowering:
         # ICV queries (omp_get_num_threads, ...) see level 1.
         par_fn = self._lower_parallel_function(kernel, plan, body_fn)
 
-        param_types = self._kernel_param_types(kernel)
-        func = Function(
-            kernel.name,
-            FunctionType(VOID, tuple(param_types)),
-            linkage="external",
-            arg_names=[p.name for p in kernel.params],
+        func = self.kernel_function(
+            kernel,
+            # Aggregates by reference (§VII).
+            [p.ty if isinstance(p, A.Param) else PTR for p in kernel.params],
+            [p.name for p in kernel.params],
         )
-        func.attrs.add("kernel")
-        apply_param_attrs(func, [p.name for p in kernel.params],
-                          self.readonly.get(kernel.name, set()))
-        module.add_function(func)
 
         abi = KernelABI(kernel.name)
         for p in kernel.params:
@@ -244,8 +140,7 @@ class OpenMPLowering:
         self.abis[kernel.name] = abi
 
         mode = 0 if kernel.is_generic else 1
-        entry = func.add_block("entry")
-        b = IRBuilder(module, entry)
+        b = IRBuilder(module, func.add_block("entry"))
         r = b.call(module.get_function(iface.target_init), [b.i32(mode)], "exec")
         work = func.add_block("work")
         exit_block = func.add_block("exit")
@@ -258,17 +153,14 @@ class OpenMPLowering:
                 env[p.name] = ("value", arg)
             else:
                 env[p.name] = ("struct_ref", arg, self.struct_types[p.name])
-        self._bind_shared_arrays(env)
-        lowerer = self._lowerer(b, env)
+        lowerer = self.body_lowerer(b, env)
 
         if kernel.is_generic:
             # Sequential preamble on the main thread.
             for let in kernel.preamble:
                 lowerer.stmt(let)
-            b = lowerer.b
 
         trip = lowerer.coerce(lowerer.expr(kernel.trip_count), I64)
-        b = lowerer.b
 
         # Conservative variable globalization of the capture buffer.
         buf_size = 8 * len(plan)
@@ -290,44 +182,31 @@ class OpenMPLowering:
         b.set_insert_point(exit_block)
         b.ret()
 
-    def _load_captures(
-        self,
-        b: IRBuilder,
-        args_ptr: Value,
-        kernel: A.KernelDef,
-        plan: List[Tuple[str, Type, str]],
-    ) -> Dict[str, Tuple]:
-        env: Dict[str, Tuple] = {}
-        for i, (name, ty, kind) in enumerate(plan):
-            slot = b.ptradd(args_ptr, 8 * i, f"cap.{name}")
-            value = b.load(ty, slot, name)
-            if kind == "struct_ref":
-                env[name] = ("struct_ref", value, self.struct_types[name])
-            else:
-                env[name] = ("value", value)
-        self._bind_shared_arrays(env)
-        return env
+    def _outlined(self, name: str, first: Tuple[str, Type]) -> Tuple[Function, IRBuilder]:
+        """An internal ``void name(first, ptr args)`` whose capture
+        pointer is ``readonly noalias``, with a builder at its entry."""
+        func = Function(name, FunctionType(VOID, (first[1], PTR)), linkage="internal",
+                        arg_names=[first[0], "args"])
+        func.param_attrs[1] = {"readonly", "noalias"}
+        self.module.add_function(func)
+        return func, IRBuilder(self.module, func.add_block("entry"))
 
     def _lower_body_function(
         self, kernel: A.KernelDef, plan: List[Tuple[str, Type, str]]
     ) -> Function:
-        module = self.module
-        func = Function(
-            f"__omp_outlined_body.{kernel.name}",
-            FunctionType(VOID, (I64, PTR)),
-            linkage="internal",
-            arg_names=["iv", "args"],
-        )
-        func.param_attrs[1] = {"readonly", "noalias"}
-        module.add_function(func)
-        entry = func.add_block("entry")
-        b = IRBuilder(module, entry)
-        env = self._load_captures(b, func.args[1], kernel, plan)
+        func, b = self._outlined(f"__omp_outlined_body.{kernel.name}", ("iv", I64))
+        env: Dict[str, Tuple] = {}
+        for i, (name, ty, kind) in enumerate(plan):
+            value = b.load(ty, b.ptradd(func.args[1], 8 * i, f"cap.{name}"), name)
+            if kind == "struct_ref":
+                env[name] = ("struct_ref", value, self.struct_types[name])
+            else:
+                env[name] = ("value", value)
         env["iv"] = ("value", func.args[0])
-        lowerer = self._lowerer(b, env)
+        lowerer = self.body_lowerer(b, env)
         lowerer.stmts(kernel.body)
         if not lowerer.terminated():
-            lowerer.b.ret()
+            b.ret()
         return func
 
     def _lower_parallel_function(
@@ -336,21 +215,11 @@ class OpenMPLowering:
         plan: List[Tuple[str, Type, str]],
         body_fn: Function,
     ) -> Function:
-        module = self.module
-        func = Function(
-            f"__omp_outlined.{kernel.name}",
-            FunctionType(VOID, (I32, PTR)),
-            linkage="internal",
-            arg_names=["omp_tid", "args"],
-        )
-        func.param_attrs[1] = {"readonly", "noalias"}
-        module.add_function(func)
-        entry = func.add_block("entry")
-        b = IRBuilder(module, entry)
-        trip_index = next(i for i, (n, _, k) in enumerate(plan) if k == "trip")
+        func, b = self._outlined(f"__omp_outlined.{kernel.name}", ("omp_tid", I32))
+        trip_index = next(i for i, (_, _, k) in enumerate(plan) if k == "trip")
         trip = b.load(I64, b.ptradd(func.args[1], 8 * trip_index), "trip")
         b.call(
-            module.get_function(self.iface.distribute_parallel_for),
+            self.module.get_function(self.iface.distribute_parallel_for),
             [body_fn, func.args[1], trip],
         )
         b.ret()

@@ -1,24 +1,33 @@
-"""Expression/statement lowering shared by the OpenMP and CUDA paths.
+"""The one lowering driver both targets share, and its statement lowerer.
 
-The two frontends differ only in kernel scaffolding (runtime calls and
-capture buffers vs direct grid-stride loops) and in how a handful of
-constructs map (OpenMP API queries, barriers, aggregates); everything
-else goes through this common lowerer.
+A program lowers the same way for OpenMP offload (:mod:`repro.frontend.lower`)
+and for the CUDA baseline (:mod:`repro.frontend.cuda`).  :class:`Lowering`
+declares and defines the device functions, binds every kernel's shared
+arrays, builds each kernel's ``Function`` shell and lowers statements
+through :class:`BodyLowerer`.  A target subclass supplies only the kernel
+shape (``_lower_kernel``) and the four hooks the lowerer calls:
+
+* ``omp_query(b, what)``: an OpenMP API query (``OmpCall``);
+* ``barrier(b)``: a ``BarrierStmt``;
+* ``emit_assert(b, cond, message)``: an ``AssertStmt``;
+* ``local_array(b, decl)``: an addressable local array, returned as its
+  pointer and an optional cleanup emitter run before every return.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple
 
+from repro.memory.addrspace import AddressSpace
 from repro.memory.layout import DATA_LAYOUT
 from repro.ir.builder import IRBuilder
 from repro.ir.module import Function, Module
 from repro.ir.types import (
-    F32,
+    ArrayType,
     F64,
     FloatType,
+    FunctionType,
     I1,
-    I32,
     I64,
     IntType,
     PointerType,
@@ -28,14 +37,12 @@ from repro.ir.types import (
 )
 from repro.ir.values import Constant, GlobalVariable, Value
 from repro.frontend import ast as A
+from repro.frontend.abi import KernelABI
 
 
 class LoweringError(Exception):
     """Malformed DSL input."""
 
-
-# Bindings in the environment.
-ValueBinding = Tuple[str, object]  # ("value", Value) | ("slot", ptr, ty) | ...
 
 _MATH_NAMES = {"sqrt", "exp", "log", "sin", "cos", "fabs", "floor", "pow", "fmin", "fmax"}
 
@@ -52,33 +59,79 @@ def struct_param_type(kernel_name: str, param: A.StructParam) -> StructType:
     return StructType(f"{kernel_name}.{param.name}", tuple(param.fields))
 
 
-class BodyLowerer:
-    """Lowers DSL statements into IR at a builder's insertion point."""
+class Lowering:
+    """Lowers one DSL program into one module; subclasses add the target's
+    hooks and ``_lower_kernel`` (see the module docstring)."""
 
-    def __init__(
-        self,
-        module: Module,
-        builder: IRBuilder,
-        env: Dict[str, Tuple],
-        *,
-        omp_query: Callable[[IRBuilder, str], Value],
-        barrier: Callable[[IRBuilder], None],
-        emit_assert: Callable[[IRBuilder, Value, str], None],
-        device_functions: Dict[str, Function],
-        struct_types: Dict[str, StructType],
-        local_array: Optional[Callable] = None,
-    ) -> None:
-        self.module = module
+    def __init__(self, program: A.Program, module_name: str) -> None:
+        self.program = program
+        self.module = Module(module_name)
+        self.device_functions: Dict[str, Function] = {}
+        self.struct_types: Dict[str, StructType] = {}
+        self.abis: Dict[str, KernelABI] = {}
+        self.readonly = compute_readonly_params(program)
+
+    def lower(self) -> Tuple[Module, Dict[str, KernelABI]]:
+        """Declare every device function (so calls may recurse), define
+        them, then lower each kernel."""
+        for df in self.program.device_functions:
+            names = [p.name for p in df.params]
+            func = Function(df.name, FunctionType(df.ret_ty, tuple(p.ty for p in df.params)),
+                            linkage="internal", arg_names=names)
+            apply_param_attrs(func, names, self.readonly.get(df.name, set()))
+            self.device_functions[df.name] = self.module.add_function(func)
+        for df in self.program.device_functions:
+            func = self.device_functions[df.name]
+            b = IRBuilder(self.module, func.add_block("entry"))
+            lowerer = self.body_lowerer(
+                b, {p.name: ("value", arg) for p, arg in zip(df.params, func.args)})
+            lowerer.stmts(df.body)
+            if not lowerer.terminated():
+                if df.ret_ty != VOID:
+                    raise LoweringError(f"device function {df.name} may fall off its end")
+                b.ret()
+        for kernel in self.program.kernels:
+            self._lower_kernel(kernel)
+        return self.module, self.abis
+
+    def body_lowerer(self, builder: IRBuilder, env: Dict[str, Tuple]) -> "BodyLowerer":
+        """A lowerer over *env* plus every kernel's shared arrays (names
+        already bound in *env* win)."""
+        for kernel in self.program.kernels:
+            for decl in kernel.shared:
+                gv = self.shared_array(kernel, decl)
+                env.setdefault(decl.name, ("shared", gv, decl))
+        return BodyLowerer(self, builder, env)
+
+    def shared_array(self, kernel: A.KernelDef, decl: A.SharedArray) -> GlobalVariable:
+        """The team-shared global behind *kernel*'s array *decl*."""
+        name = f"{kernel.name}.{decl.name}"
+        gv = self.module.globals.get(name)
+        if gv is None:
+            gv = self.module.add_global(GlobalVariable(
+                name, ArrayType(decl.elem_ty, decl.count), addrspace=AddressSpace.SHARED))
+        return gv
+
+    def kernel_function(self, kernel: A.KernelDef, param_types: Sequence[Type],
+                        param_names: Sequence[str]) -> Function:
+        """Add *kernel*'s entry point: external, ``kernel``-attributed,
+        pointer parameters ``noalias`` (and ``readonly`` where never
+        written)."""
+        func = Function(kernel.name, FunctionType(VOID, tuple(param_types)),
+                        linkage="external", arg_names=list(param_names))
+        func.attrs.add("kernel")
+        apply_param_attrs(func, param_names, self.readonly.get(kernel.name, set()))
+        return self.module.add_function(func)
+
+
+class BodyLowerer:
+    """Lowers DSL statements into IR at a builder's insertion point,
+    calling *target*'s hooks for the constructs that differ per target."""
+
+    def __init__(self, target: Lowering, builder: IRBuilder, env: Dict[str, Tuple]) -> None:
+        self.target = target
         self.b = builder
         self.env = env
-        self.omp_query = omp_query
-        self.barrier = barrier
-        self.emit_assert = emit_assert
-        self.device_functions = device_functions
-        self.struct_types = struct_types
-        #: Mode hook allocating an addressable local array; returns
-        #: (pointer value, optional cleanup emitter run before returns).
-        self.local_array = local_array
         self.cleanups: List[Callable[[IRBuilder], None]] = []
 
     # ------------------------------------------------------------- utilities --
@@ -200,9 +253,9 @@ class BodyLowerer:
             args = [self.coerce(self.expr(a), F64) for a in node.args]
             return self.b.intrinsic(f"llvm.{node.name}.f64", args)
         if isinstance(node, A.OmpCall):
-            return self.omp_query(self.b, node.what)
+            return self.target.omp_query(self.b, node.what)
         if isinstance(node, A.FuncCall):
-            func = self.device_functions.get(node.name)
+            func = self.target.device_functions.get(node.name)
             if func is None:
                 raise LoweringError(f"unknown device function {node.name}")
             args = [
@@ -297,18 +350,16 @@ class BodyLowerer:
             b.ret(value)
             return
         if isinstance(node, A.DeclLocalArray):
-            if self.local_array is None:
-                raise LoweringError("local arrays not supported in this context")
-            ptr, cleanup = self.local_array(b, node)
+            ptr, cleanup = self.target.local_array(b, node)
             self.env[node.name] = ("local_array", ptr, node)
             if cleanup is not None:
                 self.cleanups.append(cleanup)
             return
         if isinstance(node, A.BarrierStmt):
-            self.barrier(b)
+            self.target.barrier(b)
             return
         if isinstance(node, A.AssertStmt):
-            self.emit_assert(b, self.expr(node.cond), node.message)
+            self.target.emit_assert(b, self.expr(node.cond), node.message)
             return
         if isinstance(node, A.AssumeStmt):
             b.assume(self.expr(node.cond))
@@ -385,51 +436,24 @@ class BodyLowerer:
 # ----------------------------------------------------------- param attributes --
 
 
-def _args_in_expr(node, out) -> None:
-    if isinstance(node, A.Arg):
-        out.add(node.name)
-        return
-    if isinstance(node, A.Expr):
-        for value in vars(node).values():
-            if isinstance(value, A.Expr):
-                _args_in_expr(value, out)
-            elif isinstance(value, tuple):
-                for item in value:
-                    if isinstance(item, A.Expr):
-                        _args_in_expr(item, out)
+_NODE_TYPES = (A.Expr, A.Stmt)
 
 
-def _scan_stmts(stmts, written, calls) -> None:
-    for stmt in stmts:
-        if isinstance(stmt, (A.StoreIdx, A.Atomic)):
-            _args_in_expr(stmt.base, written)
-        if isinstance(stmt, A.CallStmt):
-            calls.append(stmt.call)
-        for value in vars(stmt).values():
-            if isinstance(value, A.FuncCall):
-                calls.append(value)
-            if isinstance(value, A.Expr):
-                _collect_calls(value, calls)
-            if isinstance(value, tuple):
-                nested = [s for s in value if isinstance(s, A.Stmt)]
-                if nested:
-                    _scan_stmts(nested, written, calls)
-                for item in value:
-                    if isinstance(item, A.Expr):
-                        _collect_calls(item, calls)
+def _nodes(node, out: list) -> list:
+    """Append *node* and every expression/statement below it to *out*."""
+    out.append(node)
+    for value in vars(node).values():
+        if isinstance(value, _NODE_TYPES):
+            _nodes(value, out)
+        elif isinstance(value, tuple):
+            for item in value:
+                if isinstance(item, _NODE_TYPES):
+                    _nodes(item, out)
+    return out
 
 
-def _collect_calls(node, calls) -> None:
-    if isinstance(node, A.FuncCall):
-        calls.append(node)
-    if isinstance(node, A.Expr):
-        for value in vars(node).values():
-            if isinstance(value, A.Expr):
-                _collect_calls(value, calls)
-            elif isinstance(value, tuple):
-                for item in value:
-                    if isinstance(item, A.Expr):
-                        _collect_calls(item, calls)
+def _arg_names(expr) -> set:
+    return {n.name for n in _nodes(expr, []) if isinstance(n, A.Arg)}
 
 
 def compute_readonly_params(program: "A.Program") -> Dict[str, set]:
@@ -447,33 +471,34 @@ def compute_readonly_params(program: "A.Program") -> Dict[str, set]:
     written: Dict[str, set] = {}
     call_sites: Dict[str, List[A.FuncCall]] = {}
     for name, (_, stmts) in units.items():
-        w: set = set()
-        calls: List[A.FuncCall] = []
-        _scan_stmts(stmts, w, calls)
-        written[name] = w
-        call_sites[name] = calls
+        nodes: list = []
+        for stmt in stmts:
+            _nodes(stmt, nodes)
+        written[name] = w = set()
+        call_sites[name] = calls = []
+        for node in nodes:
+            if isinstance(node, A.FuncCall):
+                calls.append(node)
+            elif isinstance(node, (A.StoreIdx, A.Atomic)):
+                w |= _arg_names(node.base)
 
     changed = True
     while changed:
         changed = False
-        for name, (_, _stmts) in units.items():
-            for call in call_sites[name]:
+        for name, calls in call_sites.items():
+            for call in calls:
                 callee = units.get(call.name)
                 if callee is None:
                     continue
-                callee_params, _ = callee
-                for arg_expr, pname in zip(call.args, callee_params):
+                for arg_expr, pname in zip(call.args, callee[0]):
                     if pname in written[call.name]:
-                        roots: set = set()
-                        _args_in_expr(arg_expr, roots)
+                        roots = _arg_names(arg_expr)
                         if roots - written[name]:
                             written[name] |= roots
                             changed = True
 
-    readonly: Dict[str, set] = {}
-    for name, (params, _) in units.items():
-        readonly[name] = {p for p in params if p not in written[name]}
-    return readonly
+    return {name: {p for p in params if p not in written[name]}
+            for name, (params, _) in units.items()}
 
 
 def apply_param_attrs(func, param_names, readonly: set) -> None:

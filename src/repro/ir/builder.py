@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.memory import layout
-from repro.memory.addrspace import AddressSpace
 from repro.ir.folding import fold_binop, fold_cast, fold_icmp
 from repro.ir.instructions import (
     Alloca,
@@ -37,7 +36,6 @@ from repro.ir.intrinsics import declare_intrinsic
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import (
     F64,
-    FloatType,
     I1,
     I32,
     I64,

@@ -9,7 +9,7 @@ of the paper's lifetime-aware reachability and dominance analysis
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.ir.instructions import Instruction
 from repro.ir.module import BasicBlock, Function

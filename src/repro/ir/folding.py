@@ -7,7 +7,7 @@ from typing import Optional
 
 from repro.ir.intrinsics import math_function
 from repro.ir.types import F32, F64, FloatType, I1, IntType, PointerType, Type
-from repro.ir.values import Constant, Value
+from repro.ir.values import Constant
 
 
 def fold_binop(op: str, lhs: Constant, rhs: Constant) -> Optional[Constant]:

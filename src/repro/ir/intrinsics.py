@@ -12,7 +12,7 @@ runtime annotates its inline-assembly barriers via ``omp assumes``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.ir.module import Function, Module

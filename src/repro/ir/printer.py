@@ -22,9 +22,9 @@ from repro.ir.instructions import (
     Store,
     Unreachable,
 )
-from repro.ir.module import BasicBlock, Function, Module
+from repro.ir.module import Function, Module
 from repro.ir.types import VOID
-from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
 
 
 class _Namer:

@@ -28,7 +28,6 @@ from repro.ir.instructions import (
 from repro.ir.intrinsics import intrinsic_info
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import PointerType
-from repro.ir.values import GlobalVariable
 from repro.passes.pass_manager import PassContext
 from repro.passes.value_prop import _resolve_all_bases
 

@@ -38,7 +38,6 @@ from repro.ir.instructions import (
     Phi,
     PtrAdd,
     Select,
-    Store,
 )
 from repro.ir.intrinsics import intrinsic_info
 from repro.ir.module import BasicBlock, Function, Module

@@ -18,7 +18,7 @@ which is what drops the kernel's static SMem to zero (Fig. 11).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.ir.instructions import Alloca, Call, Cast, Instruction, Load, PtrAdd, Store
 from repro.ir.module import Function, Module

@@ -24,7 +24,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ir.cfg import DominatorTree, predecessors, reverse_post_order
+from repro.ir.cfg import DominatorTree, predecessors
 from repro.ir.instructions import (
     Alloca,
     BinOp,
@@ -37,7 +37,6 @@ from repro.ir.instructions import (
     Phi,
     PtrAdd,
     Select,
-    Store,
 )
 from repro.ir.intrinsics import intrinsic_info
 from repro.ir.module import BasicBlock, Function, Module

@@ -22,7 +22,7 @@ import sys
 from typing import Dict, List, Optional, Set
 
 from repro.ir.cfg import DominatorTree, predecessors, reachable_blocks
-from repro.ir.instructions import Alloca, Instruction, Load, Phi, Store
+from repro.ir.instructions import Alloca, Load, Phi, Store
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import Type
 from repro.ir.values import UndefValue, Value

@@ -33,7 +33,7 @@ from repro.ir.instructions import (
     Select,
     Store,
 )
-from repro.ir.module import Function, Module
+from repro.ir.module import Module
 from repro.ir.types import IntType
 from repro.ir.values import Constant, GlobalVariable, Value
 

@@ -9,7 +9,7 @@ propagation — until nothing changes (the Attributor-style fixpoint).
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Optional
 
 from repro.ir.module import Module
 from repro.passes.barrier_elim import BarrierEliminationPass

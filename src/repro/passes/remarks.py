@@ -7,8 +7,8 @@ exactly like the paper's compiler diagnostics."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 
 class RemarkKind(enum.Enum):

@@ -32,8 +32,6 @@ from repro.ir.instructions import (
     AtomicRMW,
     Call,
     Cast,
-    Instruction,
-    Load,
     PtrAdd,
     Store,
 )
@@ -41,7 +39,7 @@ from repro.ir.intrinsics import declare_intrinsic, intrinsic_info
 from repro.ir.module import Function, Module
 from repro.ir.types import I32, VOID
 from repro.ir.values import Constant
-from repro.passes.globalization import ALLOC_NAMES, FREE_NAMES, OLD_ALLOC_NAMES
+from repro.passes.globalization import ALLOC_NAMES, OLD_ALLOC_NAMES
 
 #: Capture buffers of either runtime are written and read back by the
 #: same thread once the kernel runs in SPMD mode.

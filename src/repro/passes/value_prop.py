@@ -26,7 +26,7 @@ analysis disables everything here, as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.memory.addrspace import AddressSpace
 from repro.memory.memmodel import scalar_size
@@ -47,14 +47,13 @@ from repro.ir.instructions import (
 from repro.ir.intrinsics import declare_intrinsic, intrinsic_info
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import FloatType, IntType, PointerType
-from repro.ir.values import Argument, Constant, GlobalVariable, Value
+from repro.ir.values import Argument, Constant, Value
 from repro.passes.cleanup import resolve_pointer_base
 from repro.passes.exec_context import (
     block_is_thread_divergent,
     compute_block_guards,
 )
 from repro.passes.memobjects import (
-    Access,
     AccessKind,
     MemoryObject,
     discover_objects,

@@ -9,7 +9,7 @@ same link-then-optimize pipeline.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.memory.addrspace import AddressSpace
 from repro.ir.builder import IRBuilder
@@ -17,14 +17,10 @@ from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import (
     ArrayType,
     FunctionType,
-    I1,
     I8,
     I32,
     I64,
-    PTR_SHARED,
     Type,
-    VOID,
-    pointer_to,
 )
 from repro.ir.values import Constant, GlobalVariable, Value
 from repro.runtime.config import (

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ir.module import Module
 from repro.ir.types import I32, I64
 from repro.ir.values import GlobalVariable
 from repro.runtime.common import RuntimeBuilder
-from repro.runtime.config import RuntimeConfig
 from repro.runtime.icv import ICV_STATE, icv_offset, icv_state_size
 from repro.runtime.state import (
     GV_ASSUME_TEAMS_OVERSUB,

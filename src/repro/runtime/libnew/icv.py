@@ -12,7 +12,7 @@ runtime state entirely (§IV-B1: the zero-initialized-array deduction).
 
 from __future__ import annotations
 
-from repro.ir.types import I32, I64, PTR, PTR_SHARED, VOID
+from repro.ir.types import I32, I64, PTR, VOID
 from repro.runtime.common import RuntimeBuilder
 from repro.runtime.libnew.globals import NewRTGlobals
 

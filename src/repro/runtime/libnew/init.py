@@ -19,9 +19,8 @@ The returned value is therefore "should this thread exit immediately".
 from __future__ import annotations
 
 from repro.ir.builder import IRBuilder
-from repro.ir.module import Function
 from repro.ir.types import I32, I64, PTR, VOID
-from repro.ir.values import Constant, Value
+from repro.ir.values import Value
 from repro.runtime.common import RuntimeBuilder
 from repro.runtime.icv import ICV_DEFAULTS
 from repro.runtime.libnew.globals import NewRTGlobals

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.ir.builder import IRBuilder
-from repro.ir.module import Function
 from repro.ir.types import I32, I64, PTR, VOID
 from repro.ir.values import GlobalVariable, Value
 from repro.runtime.common import RuntimeBuilder

@@ -10,7 +10,7 @@ thread-state lookups to the team state (§IV-B1).
 from __future__ import annotations
 
 from repro.memory.layout import DATA_LAYOUT
-from repro.ir.types import ArrayType, I8, I32, I64, PTR_SHARED, StructType
+from repro.ir.types import ArrayType, I8, I32, I64, StructType
 from repro.runtime.icv import ICV_STATE
 
 TEAM_STATE = StructType(

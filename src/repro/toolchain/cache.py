@@ -35,7 +35,7 @@ import os
 import pickle
 import tempfile
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional
 

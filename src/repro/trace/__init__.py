@@ -15,11 +15,13 @@ of the reproduction:
 
 Tracing is **off by default**.  Enable it with ``REPRO_TRACE=1`` (see
 :mod:`repro.envconfig`) or programmatically via :func:`enable` /
-:func:`install`.  When disabled every instrumentation site goes
-through the shared :data:`NULL_COLLECTOR`, whose methods are no-ops —
-the simulator hot loops additionally check ``vm._trace is None`` once
-per phase so the disabled path stays byte-identical to the
-pre-tracing code (guarded by ``tests/trace/test_overhead_guard.py``).
+:func:`install`.  When disabled, :func:`active_or_none` returns None and
+every instrumentation site in ``src/`` branches on that once and skips
+its work (the simulator hot loops check ``vm._trace is None`` once per
+phase), so the disabled path stays byte-identical to the pre-tracing
+code (guarded by ``tests/trace/test_overhead_guard.py``).  The shared
+:data:`NULL_COLLECTOR`, whose methods are no-ops, is what
+:func:`get_collector` returns meanwhile.
 
 Export is Chrome Trace Format JSON (``chrome://tracing`` /
 https://ui.perfetto.dev) plus a flat metrics JSON; see

@@ -35,12 +35,6 @@ PID_DEVICE = 2
 class TraceConfig:
     """Collector configuration (the programmatic face of ``REPRO_TRACE``)."""
 
-    #: Attribute executed cycles to IR functions (adds per-instruction
-    #: bookkeeping in the engines; only read when tracing is enabled).
-    function_cycles: bool = True
-    #: Names shown in the Perfetto process rail.
-    host_process_name: str = "repro host (toolchain/bench)"
-    device_process_name: str = "repro vgpu (device)"
     #: Extra key/values copied into the exported ``otherData``.
     labels: Dict[str, Any] = field(default_factory=dict)
 
@@ -125,9 +119,9 @@ class TraceCollector:
         self.events: List[dict] = []
         self._lock = threading.Lock()
         self._emit({"name": "process_name", "ph": "M", "pid": PID_HOST, "tid": 0,
-                    "ts": 0, "args": {"name": self.config.host_process_name}})
+                    "ts": 0, "args": {"name": "repro host (toolchain/bench)"}})
         self._emit({"name": "process_name", "ph": "M", "pid": PID_DEVICE, "tid": 0,
-                    "ts": 0, "args": {"name": self.config.device_process_name}})
+                    "ts": 0, "args": {"name": "repro vgpu (device)"}})
 
     # ------------------------------------------------------------ plumbing --
 

@@ -17,8 +17,8 @@ spec.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple, Union
 
 from repro.vgpu.profiler import KernelProfile
 

@@ -42,7 +42,7 @@ from bisect import bisect_right, insort
 from typing import Dict, List, Optional, Union
 
 from repro.ir.types import Type
-from repro.memory.addrspace import AddressSpace, pointer_offset
+from repro.memory.addrspace import pointer_offset
 from repro.memory.memmodel import (
     MemorySystem,
     Segment,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
 from repro.trace import (
     NULL_COLLECTOR,
     PID_DEVICE,
@@ -88,6 +90,16 @@ class TestTraceCollector:
     def test_config_labels(self):
         c = TraceCollector(TraceConfig(labels={"app": "x"}))
         assert c.config.labels == {"app": "x"}
+
+    def test_config_has_only_labels(self):
+        for option in ("function_cycles", "host_process_name", "device_process_name"):
+            with pytest.raises(TypeError):
+                TraceConfig(**{option: False})
+
+    def test_process_names_are_fixed(self):
+        names = {e["pid"]: e["args"]["name"] for e in _events(TraceCollector(), "M")}
+        assert names == {PID_HOST: "repro host (toolchain/bench)",
+                         PID_DEVICE: "repro vgpu (device)"}
 
 
 class TestNullCollector:
